@@ -7,9 +7,13 @@ Usage:
 With --checkers, also runs each property checker that is compatible with
 the scenario (slower; the dual-route comparisons re-integrate everything).
 With --out, the full JSON report of every run is written to DIR.
+Each scenario's row ends with the first 12 hex digits of the sha256 of
+its CSV output, so diffing this script's output across two checkouts
+shows whether their CSV bytes are identical.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -31,11 +35,12 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     print(f"{'scenario':28s} {'samples':>8s} {'tau':>10s} "
-          f"{'max |g u.u + 1|':>16s}  oracle errors")
+          f"{'max |g u.u + 1|':>16s}  oracle errors  [time] csv-sha256")
     for name in BUILTIN_NAMES:
         t0 = time.perf_counter()
         rep = run(load_builtin(name))
         dt = time.perf_counter() - t0
+        digest = hashlib.sha256(emit(rep, "csv").encode("utf-8")).hexdigest()[:12]
         s = rep.summary
         oracle_bits = ", ".join(
             f"{k.removeprefix('oracle_')}={v:.2e}"
@@ -43,7 +48,7 @@ def main() -> int:
             if k.startswith("oracle_") or k in ("precession_exact_error",)
         ) or "-"
         print(f"{name:28s} {s['n_samples']:8d} {s['tau_final']:10.2f} "
-              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  [{dt:.2f}s]")
+              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  [{dt:.2f}s] {digest}")
         if args.out:
             emit(rep, "json", args.out / f"{name}.json")
 

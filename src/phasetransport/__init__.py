@@ -40,6 +40,7 @@ from .errors import (
     VarianceMismatch,
 )
 from .fields import (
+    AntisymmetricFaraday,
     FaradayField,
     VectorPotential,
     axial_magnetic_potential_spherical,
@@ -53,6 +54,7 @@ from .fields import (
 from .metrics import minkowski, schwarzschild, weak_field, without_closed_form
 from .tensor import (
     DomainGuard,
+    FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,

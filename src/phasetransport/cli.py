@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +70,9 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
         overrides["step"] = step
     if tau_max is not None:
         overrides["tau_max"] = tau_max
+    for key, value in overrides.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {value}")
     if overrides:
         try:
             config = dataclasses.replace(scenario.config, **overrides)
@@ -88,6 +92,8 @@ def _run_one(token: str, args) -> tuple[str, str]:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     many = len(args.scenario) > 1
     if many and not args.out:
         print("error: several scenarios need --out pointing at a directory", file=sys.stderr)

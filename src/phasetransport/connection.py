@@ -28,13 +28,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curvature import christoffel_raw
-from .errors import MalformedFaraday
-from .fields import FaradayField
+from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
 from .tensor import (
     DIM,
     DomainGuard,
     EVERYWHERE,
+    FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
@@ -145,19 +145,26 @@ def gravitational_connection(g: MetricField) -> NonLinearConnection:
 def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConnection:
     """Connection for the Lorentz coupling of charge `charge` to field `f`.
 
-    Each evaluation re-checks antisymmetry of the field matrix (to 1e-10)
-    and raises ``MalformedFaraday`` on failure.
+    The antisymmetry check runs only where it can fail.  A user-supplied
+    ``FaradayField`` is re-checked (to 1e-10) on every evaluation and
+    raises ``MalformedFaraday`` on failure; an ``AntisymmetricFaraday``
+    (``uniform_faraday``, checked once when built, and
+    ``faraday_field_of``, exact by construction) is used as it is.
     """
     e = float(charge)
     if not np.isfinite(e):
         raise ValueError("charge must be finite")
+    matrix = f.matrix_fn
 
-    def block(coords: np.ndarray) -> np.ndarray:
-        m = f.matrix_raw(coords)
-        gap = float(np.max(np.abs(m + m.T)))
-        if gap > _EM_ANTISYMMETRY_TOL:
-            raise MalformedFaraday(f"{f.name}: antisymmetry violated by {gap:.3e}")
-        return e * m
+    if isinstance(f, AntisymmetricFaraday):
+
+        def block(coords: np.ndarray) -> np.ndarray:
+            return e * matrix(coords)
+
+    else:
+
+        def block(coords: np.ndarray) -> np.ndarray:
+            return e * require_antisymmetric(matrix(coords), f.name, _EM_ANTISYMMETRY_TOL)
 
     return NonLinearConnection(
         metric=minkowski(),
@@ -181,8 +188,8 @@ def superpose(a: NonLinearConnection, b: NonLinearConnection) -> NonLinearConnec
     Both operands must live on the same chart: at most one may carry a
     non-flat metric, which the sum inherits.
     """
-    a_flat = a.metric.name == "minkowski"
-    b_flat = b.metric.name == "minkowski"
+    a_flat = isinstance(a.metric, FlatMetric)
+    b_flat = isinstance(b.metric, FlatMetric)
     if not a_flat and not b_flat and a.metric is not b.metric:
         raise ValueError(
             f"cannot superpose connections on different charts: "

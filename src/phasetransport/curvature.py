@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularMetric
-from .fields import FaradayField, VectorPotential
+from .fields import AntisymmetricFaraday, VectorPotential
 from .tensor import (
     DIM,
     FD_STEP_FIRST,
@@ -205,9 +205,13 @@ def faraday_from_potential(a: VectorPotential, x: SpacetimeEvent, step: Optional
     return Tensor2(f, (Variance.DOWN, Variance.DOWN), symmetry="antisymmetric")
 
 
-def faraday_field_of(a: VectorPotential) -> FaradayField:
-    """Wrap a potential as a FaradayField evaluator (F = dA pointwise)."""
-    return FaradayField(
+def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
+    """Wrap a potential as a FaradayField evaluator (F = dA pointwise).
+
+    dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
+    is marked as such and never re-checked.
+    """
+    return AntisymmetricFaraday(
         matrix_fn=lambda coords: faraday_matrix_raw(a, coords),
         guard=a.guard,
         name=f"d({a.name})",

@@ -55,9 +55,21 @@ def eb_from_matrix(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e_field, b_field
 
 
+def require_antisymmetric(f: np.ndarray, name: str, tol: float = _ANTISYMMETRY_TOL) -> np.ndarray:
+    """Return `f` unchanged, or raise ``MalformedFaraday`` if |f + f^T| exceeds `tol`."""
+    gap = float(np.max(np.abs(f + f.T)))
+    if gap > tol:
+        raise MalformedFaraday(f"{name}: antisymmetry violated by {gap:.3e}")
+    return f
+
+
 @dataclass(frozen=True)
 class FaradayField:
-    """Antisymmetric covariant field strength as an evaluator over events."""
+    """Antisymmetric covariant field strength as an evaluator over events.
+
+    A plain ``FaradayField`` wraps a user-supplied evaluator, so every
+    consumer re-checks antisymmetry on each evaluation.
+    """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     guard: DomainGuard = EVERYWHERE
@@ -69,18 +81,26 @@ class FaradayField:
     def matrix(self, x: SpacetimeEvent) -> Tensor2:
         """Typed components at `x`; antisymmetry enforced to 1e-12."""
         self.guard.check(x)
-        f = self.matrix_fn(x.coords)
-        gap = float(np.max(np.abs(f + f.T)))
-        if gap > _ANTISYMMETRY_TOL:
-            raise MalformedFaraday(f"{self.name}: antisymmetry violated by {gap:.3e}")
+        f = require_antisymmetric(self.matrix_fn(x.coords), self.name)
         return Tensor2(f, (Variance.DOWN, Variance.DOWN), symmetry="antisymmetric")
 
 
-def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> FaradayField:
-    """Constant E and B throughout a Cartesian chart."""
-    f = matrix_from_eb(e_field, b_field)
+@dataclass(frozen=True)
+class AntisymmetricFaraday(FaradayField):
+    """A field strength that is antisymmetric by construction.
+
+    The package builds these itself: ``uniform_faraday`` checks its
+    frozen matrix once, and ``faraday_field_of`` evaluates dA - dA^T,
+    whose transpose negates it exactly in IEEE arithmetic.  Consumers
+    skip the per-evaluation antisymmetry check for this type.
+    """
+
+
+def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> AntisymmetricFaraday:
+    """Constant E and B throughout a Cartesian chart (checked once, here)."""
+    f = require_antisymmetric(matrix_from_eb(e_field, b_field), "uniform-eb")
     f.setflags(write=False)
-    return FaradayField(lambda c: f, name="uniform-eb")
+    return AntisymmetricFaraday(lambda c: f, name="uniform-eb")
 
 
 @dataclass(frozen=True)
@@ -166,8 +186,7 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
         def deriv(c: np.ndarray) -> np.ndarray:
             r = np.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2)
             out = np.zeros((DIM, DIM))
-            for i in (1, 2, 3):
-                out[i, 0] = -q * c[i] / r**3
+            out[1:, 0] = -q * c[1:] / r**3
             return out
 
         def probe(x: SpacetimeEvent):

@@ -340,6 +340,16 @@ def _check_mass_invariance(scn: Scenario) -> tuple[bool, dict, Optional[Trajecto
             scn.initial,
             scn.config,
         )
+        if (base.status, len(base)) != (heavy.status, len(heavy)):
+            # the runs must match sample for sample; never compare a truncation
+            details = {
+                "mode": "trajectory",
+                "mass_factor": 17.0,
+                "status": [base.status, heavy.status],
+                "n_samples": [len(base), len(heavy)],
+                "bound": MASS_POINTWISE_BOUND,
+            }
+            return False, details, base
         worst = 0.0
         for a, b in zip(base, heavy):
             worst = max(worst, float(np.max(np.abs(a.state.x.coords - b.state.x.coords))))
@@ -435,9 +445,10 @@ def check(scenario: Scenario, checker: str) -> RunReport:
 def _csv_text(report: RunReport) -> str:
     if report.samples is None:
         raise ValidationError("report has no samples to write as CSV")
+    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS))
     lines = [",".join(CSV_COLUMNS)]
     for row in _rows(report.samples):
-        lines.append(",".join("%.17g" % v for v in row))
+        lines.append(row_format % tuple(row))
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,9 @@
 A scenario document has flat ``key = value`` sections; the accepted
 sections are [scenario], [metric], [em], [particle], [initial], and
 [integrator].  Parsing is strict: unknown sections, unknown keys,
-duplicate keys, and malformed literals all fail with a ParseError
-carrying the line number and key.  Semantic problems (a start point
-inside the horizon, an impossible normalization) fail with
+duplicate keys, and malformed or non-finite literals all fail with a
+ParseError carrying the line number and key.  Semantic problems (a start
+point inside the horizon, an impossible normalization) fail with
 ValidationError after parsing.
 
 The [initial] section either gives spatial coordinates and spatial
@@ -44,7 +44,7 @@ from .fields import (
     uniform_field_potential,
 )
 from .metrics import minkowski, schwarzschild, weak_field
-from .tensor import FourVector, MetricField, SpacetimeEvent, Variance
+from .tensor import FlatMetric, FourVector, MetricField, SpacetimeEvent, Variance
 from .transport import IntegratorConfig, PhaseState
 
 __all__ = [
@@ -144,6 +144,8 @@ def _parse_document(text: str) -> dict[str, dict[str, object]]:
                 out[section][key] = conv(value)
         except ValueError as err:
             raise ParseError(str(err), line=lineno, key=key) from None
+        if conv is float and not math.isfinite(out[section][key]):
+            raise ParseError(f"not a finite number: {value!r}", line=lineno, key=key)
     return out
 
 
@@ -169,7 +171,8 @@ class Scenario:
     parameters: dict = field(default_factory=dict)
 
     def connection(self) -> NonLinearConnection:
-        gravity = None if self.metric.name == "minkowski" else gravitational_connection(self.metric)
+        flat = isinstance(self.metric, FlatMetric)
+        gravity = None if flat else gravitational_connection(self.metric)
         em = None
         if self.faraday is not None and self.particle.charge != 0.0:
             em = electromagnetic_connection(self.faraday, self.particle.charge)
@@ -276,7 +279,7 @@ def _orbit_initial(
         if radius is None:
             raise ValidationError("orbit = circular needs radius")
         radius = float(radius)
-        if g.name == "minkowski":
+        if isinstance(g, FlatMetric):
             if em_kind != "coulomb":
                 raise ValidationError("circular orbit on flat spacetime needs a coulomb field")
             coupling = particle.charge * em_params["q"] / (particle.mass * radius)

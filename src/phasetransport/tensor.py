@@ -270,13 +270,25 @@ class MetricField:
         return Tensor3(out)
 
 
-def flat_metric() -> MetricField:
+@dataclass(frozen=True)
+class FlatMetric(MetricField):
+    """The Minkowski chart: g = eta exactly, at every event.
+
+    The type is the flat-chart identity: consumers that can exploit a
+    constant +-1 diagonal metric (the transport loop's index raising,
+    ``superpose``, scenario resolution) test ``isinstance(g, FlatMetric)``.
+    It survives ``dataclasses.replace`` of the evaluators, which keeps
+    the class.
+    """
+
+
+def flat_metric() -> FlatMetric:
     """The Minkowski default: exact eta everywhere, trivially invertible."""
     eta = MINKOWSKI
     inv = MINKOWSKI  # its own inverse
     zeros = np.zeros((DIM, DIM, DIM))
     zeros.setflags(write=False)
-    return MetricField(
+    return FlatMetric(
         matrix_fn=lambda c: eta,
         deriv_fn=lambda c: zeros,
         inverse_fn=lambda c: inv,

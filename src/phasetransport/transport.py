@@ -1,9 +1,12 @@
 """Worldline integration under a momentum-affine connection.
 
 The integrated state is (x^m, u^m) with the four-velocity contravariant.
-The transport law supplies the covariant rate; the loop raises it with
-the local metric each stage.  For metric-built connections the raised
-order-1 block is available directly, so the gravitational branch is the
+The transport law supplies the covariant rate, raised with the local
+metric.  ``_make_rhs`` compiles the law once per connection: which
+blocks it has and how each term is raised are decided there, so the
+right-hand side does per-point work only, and on the flat chart it
+evaluates no inverse metric.  For metric-built connections the raised
+order-1 block is available directly, so the gravitational term is the
 standard contravariant geodesic form with no lower/raise round trip (the
 equivalence of the covariant and contravariant formulations is exercised
 by the canonical-momentum integrator below, which evolves covariant
@@ -30,6 +33,8 @@ from .fields import VectorPotential
 from .tensor import (
     DIM,
     FD_STEP_FIRST,
+    MINKOWSKI,
+    FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
@@ -183,16 +188,64 @@ def acceleration(
     return FourVector(zeroth.components + first.components, Variance.DOWN)
 
 
+def _compile_acceleration(
+    c: NonLinearConnection, particle: Particle
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
+
+    A raised K1 block, when the connection has one, supersedes the
+    covariant one.  The covariant remainder is raised with the inverse
+    metric, except on the flat chart: eta is a +-1 diagonal, so raising
+    (K0 u) * (1/m) is a per-row sign folded into the 1/m scale, with the
+    same bits as eta @ ((K0 u) * (1/m)) up to the sign of a zero.
+    """
+    o0, o1c = c.order0_raw, c.order1_contra_raw
+    o1 = c.order1_raw if o1c is None else None
+    inv_mass = 1.0 / particle.mass
+    inverse = c.metric.inverse_raw
+
+    if o1 is None and o0 is None:
+        raised = None
+    elif o1 is None and isinstance(c.metric, FlatMetric):
+        scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m)
+
+        def raised(coords, u):
+            return (o0(coords) @ u) * scale
+
+    elif o1 is None:
+
+        def raised(coords, u):
+            return inverse(coords) @ ((o0(coords) @ u) * inv_mass)
+
+    elif o0 is None:
+
+        def raised(coords, u):
+            return inverse(coords) @ o1(coords).dot(u).dot(u)
+
+    else:
+
+        def raised(coords, u):
+            return inverse(coords) @ (o1(coords).dot(u).dot(u) + (o0(coords) @ u) * inv_mass)
+
+    if o1c is None:
+        if raised is None:
+            zero = np.zeros(DIM)
+            return lambda coords, u: zero
+        return raised
+    if raised is None:
+        return lambda coords, u: o1c(coords).dot(u).dot(u)
+    return lambda coords, u: o1c(coords).dot(u).dot(u) + raised(coords, u)
+
+
 def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the ODE right-hand side for the (x, u-contravariant) state."""
-    metric = c.metric
+    """Compile the ODE right-hand side for the (x, u-contravariant) state.
+
+    The body does per-point work only: one guard probe, the acceleration
+    from ``_compile_acceleration``, and the 8-vector assembly.
+    """
     probe = c.guard.probe
     label = c.guard.label
-    o0 = c.order0_raw
-    o1 = c.order1_raw
-    o1c = c.order1_contra_raw
-    inv_mass = 1.0 / particle.mass
-    use_contra = o1c is not None
+    accel = _compile_acceleration(c, particle)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[:4]
@@ -200,20 +253,9 @@ def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarra
         why = probe(_event_trusted(coords))
         if why is not None:
             raise OutsideDomain(f"{label}: {why}")
-        a_up = np.zeros(DIM)
-        a_cov = None
-        if use_contra:
-            a_up = o1c(coords).dot(u).dot(u)
-        elif o1 is not None:
-            a_cov = o1(coords).dot(u).dot(u)
-        if o0 is not None:
-            zeroth = (o0(coords) @ u) * inv_mass
-            a_cov = zeroth if a_cov is None else a_cov + zeroth
-        if a_cov is not None:
-            a_up = a_up + metric.inverse_raw(coords) @ a_cov
         out = np.empty(2 * DIM)
         out[:4] = u
-        out[4:] = a_up
+        out[4:] = accel(coords, u)
         return out
 
     return rhs
@@ -225,11 +267,27 @@ def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarra
 
 
 def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), accumulated in place in that order
+    # (IEEE addition and multiplication commute, so the bits are the same)
+    half = 0.5 * h
     k1 = rhs(y)
-    k2 = rhs(y + (0.5 * h) * k1)
-    k3 = rhs(y + (0.5 * h) * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = half * k1
+    stage += y
+    k2 = rhs(stage)
+    stage = half * k2
+    stage += y
+    k3 = rhs(stage)
+    stage = h * k3
+    stage += y
+    k4 = rhs(stage)
+    acc = 2.0 * k2
+    acc += k1
+    k3 *= 2.0
+    acc += k3
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit

@@ -102,6 +102,45 @@ def test_validation_failure_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NON_FINITE_DOCS = {
+    "mass-inf": ("[particle]\nmass = inf\n", "mass"),
+    "u1-nan": ("[initial]\nu1 = nan\n", "u1"),
+    "tau_max-inf": ("[integrator]\ntau_max = inf\n", "tau_max"),
+    "rtol-nan": ("[integrator]\nmethod = rk45-adaptive\nrtol = nan\n", "rtol"),
+    "b_z-nan": ("[em]\ntype = uniform\nb_z = nan\n\n[particle]\ncharge = 1.0\n", "b_z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_DOCS))
+def test_non_finite_literal_is_invalid_input(case, tmp_path, capsys):
+    text, key = NON_FINITE_DOCS[case]
+    path = tmp_path / f"{case}.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert f"key {key!r}" in errors[0] and "line " in errors[0]
+
+
+@pytest.mark.parametrize("override", [["--tau-max", "inf"], ["--step", "inf"], ["--step", "nan"]])
+def test_non_finite_override_is_invalid_input(override, capsys):
+    assert main(["run", "free", *override]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and override[0] in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_invalid_input(jobs, tmp_path, capsys):
+    code = main(["run", "free", "exb-drift", "--out", str(tmp_path), "--jobs", jobs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_check_pass_and_exit_zero(capsys):
     assert main(["check", "schwarzschild-circular", "--checker", "bianchi"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,8 @@ Gamma^r_tt = (M/r^2)(1 - 2M/r) = 0.008, Gamma^theta_{r theta} = 1/r = 0.1,
 and the all-covariant (first slot lowered) Gamma_rtt = M/r^2 = 0.01.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,14 @@ from phasetransport.connection import (
     zero_connection,
 )
 from phasetransport.errors import MalformedFaraday, OutsideDomain
-from phasetransport.fields import FaradayField, matrix_from_eb, uniform_faraday
+from phasetransport.curvature import faraday_field_of
+from phasetransport.fields import (
+    AntisymmetricFaraday,
+    FaradayField,
+    coulomb_potential,
+    matrix_from_eb,
+    uniform_faraday,
+)
 from phasetransport.metrics import minkowski, schwarzschild
 from phasetransport.tensor import FourVector, SpacetimeEvent, Variance
 from phasetransport.transport import acceleration_terms
@@ -113,6 +122,41 @@ def test_superpose_rejects_two_curved_charts():
     b = gravitational_connection(schwarzschild(2.0))
     with pytest.raises(ValueError):
         superpose(a, b)
+
+
+def test_superpose_decides_flatness_by_chart_type_not_name():
+    # a curved metric that merely borrows the flat chart's name is still curved
+    g = schwarzschild(1.0)
+    impostor = dataclasses.replace(g, name="minkowski")
+    with pytest.raises(ValueError):
+        superpose(gravitational_connection(g), gravitational_connection(impostor))
+    # the flat chart keeps its identity through evaluator replacement
+    flat = minkowski()
+    em = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
+    em = dataclasses.replace(em, metric=dataclasses.replace(flat, matrix_fn=flat.matrix_fn))
+    assert superpose(gravitational_connection(g), em).metric is g
+
+
+def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
+    x = SpacetimeEvent([0.0, 1.0, 2.0, 3.0])
+    built = [uniform_faraday([0.1, 0, 0], [0, 0, 1.0]),
+             faraday_field_of(coulomb_potential(1.0))]
+    assert all(isinstance(f, AntisymmetricFaraday) for f in built)
+    for f in built:
+        c = electromagnetic_connection(f, 2.0)
+        np.testing.assert_array_equal(c.order0(x).values, 2.0 * f.matrix_raw(x.coords))
+    # a user evaluator is re-checked on every evaluation, even if it is
+    # antisymmetric at first and only later goes wrong
+    calls = []
+
+    def drifting(coords):
+        calls.append(1)
+        return matrix_from_eb([0.1, 0, 0], [0, 0, 1.0]) + (len(calls) > 1) * np.eye(4)
+
+    c = electromagnetic_connection(FaradayField(drifting, name="drifting"), 1.0)
+    c.order0(x)
+    with pytest.raises(MalformedFaraday):
+        c.order0(x)
 
 
 def test_superpose_same_curved_chart_doubles_coefficients():

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from phasetransport import report
 from phasetransport.errors import IncompatibleChecker, ValidationError
 from phasetransport.report import CSV_COLUMNS, check, emit, run
 from phasetransport.scenarios import load_builtin, load_scenario
+from phasetransport.transport import Trajectory
 
 
 def test_free_run_is_eleven_linear_rows():
@@ -139,6 +141,27 @@ def test_mass_invariance_checker_both_modes():
     assert em.summary["mode"] == "term-scaling"
     assert em.summary["inverse_mass_deviation"] <= 1e-14
     assert em.summary["charge_linearity_deviation"] <= 1e-14
+
+
+def test_mass_invariance_fails_on_mismatched_trajectories(monkeypatch):
+    # the heavy run stops early; the checker must not compare a truncation
+    original = report.integrate
+    calls = []
+
+    def integrate(*args):
+        traj = original(*args)
+        calls.append(1)
+        if len(calls) == 2:
+            traj = Trajectory(traj[:-3], status="domain-exit", reason="forced")
+        return traj
+
+    monkeypatch.setattr(report, "integrate", integrate)
+    rep = check(load_builtin("schwarzschild-circular"), "mass-invariance")
+    assert not rep.summary["passed"]
+    n = rep.summary["n_samples"][0]
+    assert rep.summary["n_samples"] == [n, n - 3]
+    assert rep.summary["status"] == ["completed", "domain-exit"]
+    assert "max_pointwise_deviation" not in rep.summary
 
 
 def test_minimal_substitution_checker_on_combined_scenario():

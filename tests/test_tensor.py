@@ -1,5 +1,7 @@
 """Typed tensor containers, index movement, and finite differencing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from phasetransport.errors import OutsideDomain, VarianceMismatch
 from phasetransport.metrics import schwarzschild
 from phasetransport.tensor import (
     DomainGuard,
+    FlatMetric,
     FourVector,
+    MetricField,
     SpacetimeEvent,
     Tensor2,
     Variance,
@@ -29,6 +33,13 @@ def test_flat_metric_is_exact():
     assert np.array_equal(g.matrix(x).values, ETA)
     assert np.array_equal(g.inverse(x).values, ETA)
     assert np.array_equal(g.derivative(x).values, np.zeros((4, 4, 4)))
+
+
+def test_flat_chart_identity_survives_evaluator_replacement():
+    g = flat_metric()
+    assert isinstance(g, FlatMetric)
+    assert isinstance(dataclasses.replace(g, inverse_fn=lambda c: ETA), FlatMetric)
+    assert not isinstance(MetricField(matrix_fn=lambda c: ETA, name="minkowski"), FlatMetric)
 
 
 def test_event_rejects_bad_shapes_and_nonfinite():

@@ -22,8 +22,10 @@ from phasetransport.connection import (
     superpose,
     zero_connection,
 )
-from phasetransport.errors import NonMonotoneTime, OutsideDomain, StepRejected
+from phasetransport.curvature import faraday_field_of
+from phasetransport.errors import MalformedFaraday, NonMonotoneTime, OutsideDomain, StepRejected
 from phasetransport.fields import (
+    FaradayField,
     axial_magnetic_potential_spherical,
     coulomb_potential,
     uniform_faraday,
@@ -36,6 +38,8 @@ from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
     TrajectorySample,
+    _make_rhs,
+    acceleration_terms,
     coordinate_force,
     geodesic_integrate,
     integrate,
@@ -404,3 +408,104 @@ def test_rk4_error_shrinks_sixteen_fold_per_halving():
         errors.append(np.max(np.abs(traj[-1].state.x.coords - x_exact)))
     for coarse, fine in zip(errors, errors[1:]):
         assert 16 * 0.8 < coarse / fine < 16 * 1.2
+
+
+# ---------------------------------------------------------------------------
+# the compiled right-hand side against the covariant reference
+
+
+def _flat_states(rng, n=100):
+    for _ in range(n):
+        coords = rng.uniform(-3.0, 3.0, 4) + np.array([0.0, 5.0, 0.0, 0.0])
+        yield coords, np.concatenate([[1.5], rng.uniform(-0.5, 0.5, 3)])
+
+
+def _spherical_states(rng, n=100):
+    for _ in range(n):
+        coords = np.array([rng.uniform(0.0, 5.0), rng.uniform(4.0, 30.0),
+                           rng.uniform(0.3, 2.8), rng.uniform(0.0, 6.0)])
+        yield coords, np.concatenate([[1.3], rng.uniform(-0.1, 0.1, 3)])
+
+
+def _kernel_and_reference(conn, particle, states):
+    """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state."""
+    rhs = _make_rhs(conn, particle)
+    for coords, u in states:
+        got = rhs(np.concatenate([coords, u]))[4:]
+        zeroth, first = acceleration_terms(
+            conn, particle, SpacetimeEvent(coords), FourVector(u, Variance.UP)
+        )
+        yield got, conn.metric.inverse_raw(coords) @ (zeroth.components + first.components)
+
+
+FLAT_EM = {
+    "uniform": lambda: uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]),
+    "coulomb": lambda: faraday_field_of(coulomb_potential(2.0)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FLAT_EM))
+@pytest.mark.parametrize("mass", [1.0, 0.5, 2.0])
+def test_compiled_flat_em_kernel_is_bit_exact(field, mass):
+    # the kernel scales by 1/m, the reference divides by m: the same bits
+    # whenever 1/m is exact, i.e. for powers of two
+    conn = electromagnetic_connection(FLAT_EM[field](), 1.3)
+    pairs = _kernel_and_reference(conn, Particle(mass, 1.3),
+                                  _flat_states(np.random.default_rng(11)))
+    for got, ref in pairs:
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("field", sorted(FLAT_EM))
+def test_compiled_flat_em_kernel_within_an_ulp_for_any_mass(field):
+    conn = electromagnetic_connection(FLAT_EM[field](), 1.3)
+    pairs = _kernel_and_reference(conn, Particle(3.0, 1.3),
+                                  _flat_states(np.random.default_rng(12)))
+    for got, ref in pairs:
+        np.testing.assert_allclose(got, ref, rtol=2.3e-16, atol=0.0)
+
+
+def test_compiled_gravity_kernel_matches_lowered_reference():
+    # the kernel contracts the raised block -Gamma^a_mn directly; the
+    # reference lowers it with g and raises it back with g^-1, which
+    # rounds differently, so agreement is to a few ulp, not bit for bit
+    conn = gravitational_connection(schwarzschild(1.0))
+    pairs = _kernel_and_reference(conn, Particle(1.0),
+                                  _spherical_states(np.random.default_rng(13)))
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_compiled_combined_kernel_matches_lowered_reference():
+    g = schwarzschild(1.0)
+    em = electromagnetic_connection(faraday_field_of(axial_magnetic_potential_spherical(0.3)), 1.3)
+    conn = superpose(gravitational_connection(g), em)
+    pairs = _kernel_and_reference(conn, Particle(1.0, 1.3),
+                                  _spherical_states(np.random.default_rng(14)))
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_flat_kernel_never_evaluates_the_inverse_metric():
+    # the flat-chart identity is the metric's type, so it survives the
+    # evaluator replacement that instrumentation performs
+    calls = []
+
+    def counted_inverse(coords):
+        calls.append(1)
+        return minkowski().inverse_raw(coords)
+
+    conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
+    conn = dataclasses.replace(
+        conn, metric=dataclasses.replace(conn.metric, inverse_fn=counted_inverse)
+    )
+    initial = state([0, 0, 0, 0], [oracles.gamma_from_u([0.1, 0, 0]), 0.1, 0, 0])
+    integrate(conn, Particle(1.0, 1.0), initial, IntegratorConfig(step=0.1, tau_max=1.0))
+    assert calls == []
+
+
+def test_integrate_rejects_a_non_antisymmetric_user_field():
+    broken = FaradayField(lambda coords: np.diag([0.0, 1.0, 0.0, 0.0]), name="broken")
+    conn = electromagnetic_connection(broken, charge=1.0)
+    with pytest.raises(MalformedFaraday):
+        integrate(conn, Particle(1.0, 1.0), rest_state(), IntegratorConfig(step=0.1, tau_max=1.0))
