@@ -1,8 +1,12 @@
 """Command-line front end: run scenarios, check properties, list built-ins.
 
-Exit codes: 0 on success, 1 when a document fails to parse or validate
-(including an incompatible checker), 2 when integration itself fails or
-a requested check does not pass.
+Exit codes: 0 on success, 1 when the command line or a document fails to
+parse or validate (including an incompatible checker), 2 when
+integration itself fails or a requested check does not pass.
+
+`run` integrates the scenarios that share a transport law and
+integrator (equal ``report.batch_key``) as one batch; ``--jobs`` runs
+such groups in parallel.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import IncompatibleChecker, ParseError, TransportError, ValidationError
-from .report import CHECKERS, check, emit, run
+from .report import CHECKERS, batch_key, check, emit, run, run_batch
 from .scenarios import (
     Scenario,
     builtin_names,
@@ -29,8 +33,18 @@ EXIT_INVALID = 1
 EXIT_FAILED = 2
 
 
+class _UsageError(Exception):
+    """A malformed command line (argparse's complaint)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 with a usage block; report one error line, exit 1
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasetransport",
         description="Integrate particle worldlines from scenario config files.",
     )
@@ -42,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--format", choices=("csv", "json"), default="csv")
     runp.add_argument("--step", type=float, help="override the integrator step")
     runp.add_argument("--tau-max", type=float, help="override the proper-time horizon")
-    runp.add_argument("--jobs", type=int, default=1, help="run scenarios in parallel")
+    runp.add_argument("--jobs", type=int, default=1,
+                      help="run groups of scenarios that share a law in parallel")
 
     checkp = sub.add_parser("check", help="evaluate a structural property")
     checkp.add_argument("scenario", help="config file path or built-in name")
@@ -84,11 +99,10 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
     return scenario
 
 
-def _run_one(token: str, args) -> tuple[str, str]:
-    """Returns (scenario name, serialized report)."""
-    scenario = _load(token, args.step, args.tau_max)
-    report = run(scenario)
-    return scenario.name, emit(report, args.format)
+def _run_group(group: list, fmt: str) -> list[tuple[str, str]]:
+    """(scenario name, serialized report) for each scenario of one law, in order."""
+    reports = [run(group[0])] if len(group) == 1 else run_batch(group)
+    return [(s.name, emit(report, fmt)) for s, report in zip(group, reports)]
 
 
 def _cmd_run(args) -> int:
@@ -99,11 +113,28 @@ def _cmd_run(args) -> int:
         print("error: several scenarios need --out pointing at a directory", file=sys.stderr)
         return EXIT_INVALID
 
-    if args.jobs > 1 and many:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda t: _run_one(t, args), args.scenario))
-    else:
-        results = [_run_one(t, args) for t in args.scenario]
+    scenarios = [_load(t, args.step, args.tau_max) for t in args.scenario]
+    groups: dict[str, list[int]] = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault(batch_key(scenario), []).append(i)
+    # a batch holds all of its trajectories until its last row ends: run
+    # the batches before the single scenarios, so that this peak does not
+    # stack on the output text that the singles pile up meanwhile
+    phases = [[m for m in groups.values() if len(m) > 1],
+              [m for m in groups.values() if len(m) == 1]]
+
+    def work(members):
+        return _run_group([scenarios[i] for i in members], args.format)
+
+    done = []
+    for phase in phases:
+        if args.jobs > 1 and len(phase) > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                done += [r for part in pool.map(work, phase) for r in part]
+        else:
+            done += [r for members in phase for r in work(members)]
+    order = [i for phase in phases for members in phase for i in members]
+    results = [result for _, result in sorted(zip(order, done))]
 
     if not args.out:
         sys.stdout.write(results[0][1])
@@ -147,14 +178,14 @@ def _cmd_list() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_list()
-    except (ParseError, ValidationError, IncompatibleChecker, OSError) as err:
+    except (_UsageError, ParseError, ValidationError, IncompatibleChecker, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except TransportError as err:

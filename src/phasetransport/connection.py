@@ -72,7 +72,9 @@ class NonLinearConnection:
     optionally evaluates the order-1 block with its first index already
     raised (for metric-built connections this is exactly the standard
     contravariant coefficient array, so the transport loop can use it
-    without a lower/raise round trip).
+    without a lower/raise round trip).  The built-in blocks take one
+    event ``(4,)`` or a batch ``(..., 4)``, as their metric and field
+    evaluators do.
     """
 
     metric: MetricField
@@ -131,7 +133,7 @@ def gravitational_connection(g: MetricField) -> NonLinearConnection:
 
     def lowered(coords: np.ndarray) -> np.ndarray:
         gamma = christoffel_raw(g, coords)
-        return -np.einsum("mb,bna->mna", g.matrix_fn(coords), gamma)
+        return -np.einsum("...mb,...bna->...mna", g.matrix_fn(coords), gamma)
 
     return NonLinearConnection(
         metric=g,

@@ -51,13 +51,16 @@ __all__ = [
 
 
 def _metric_deriv_raw(g: MetricField, coords: np.ndarray, step: Optional[float]) -> np.ndarray:
-    """d g_mn / d x^s with layout [m, n, s]; closed form when available.
+    """d g_mn / d x^s with layout [..., m, n, s]; closed form when available.
 
     `step` only controls the fallback differencing; a closed-form
-    evaluator is exact and ignores it.
+    evaluator is exact and ignores it.  The fallback differences one
+    event at a time, so a batch loops over its events.
     """
     if g.deriv_fn is not None:
         return g.deriv_fn(coords)
+    if coords.ndim > 1:
+        return np.stack([_metric_deriv_raw(g, row, step) for row in coords])
     out = np.empty((DIM, DIM, DIM))
     shifted = coords.copy()
     for s in range(DIM):
@@ -72,16 +75,24 @@ def _metric_deriv_raw(g: MetricField, coords: np.ndarray, step: Optional[float])
 
 
 def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Mixed symbols Gamma^a_mn as a (4, 4, 4) array indexed [a, m, n]."""
+    """Mixed symbols Gamma^a_mn as a (..., 4, 4, 4) array indexed [..., a, m, n].
+
+    `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
+    batch gets the same bits as on its own (the final product is one
+    4x4 by 4x16 matrix product per event either way).
+    """
     dg = _metric_deriv_raw(g, coords, step)
     try:
         ginv = g.inverse_raw(coords)
     except np.linalg.LinAlgError as err:  # pragma: no cover - mapped below
         raise SingularMetric(f"{g.name}: not invertible at {coords}") from err
-    # brackets[b, m, n] = g_bm,n + g_bn,m - g_mn,b
-    brackets = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
-    flat = (0.5 * ginv) @ brackets.reshape(DIM, DIM * DIM)
-    return flat.reshape(DIM, DIM, DIM)
+    # brackets[..., b, m, n] = g_bm,n + g_bn,m - g_mn,b
+    if coords.ndim == 1:  # one event: the fixed-shape calls cost less
+        brackets = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
+        return ((0.5 * ginv) @ brackets.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM)
+    brackets = dg + dg.swapaxes(-1, -2) - dg.swapaxes(-1, -3).swapaxes(-1, -2)
+    flat = (0.5 * ginv) @ brackets.reshape(brackets.shape[:-2] + (DIM * DIM,))
+    return flat.reshape(flat.shape[:-1] + (DIM, DIM))
 
 
 def christoffel(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor3:
@@ -181,9 +192,15 @@ def bianchi_residual(g: MetricField, x: SpacetimeEvent, step: Optional[float] = 
 
 
 def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Covariant F_mn = d_m A_n - d_n A_m; exact when A carries derivatives."""
+    """Covariant F_mn = d_m A_n - d_n A_m; exact when A carries derivatives.
+
+    `coords` may be a batch ``(N, 4)`` (the differencing fallback then
+    loops over its events).
+    """
     if a.deriv_fn is not None:
         da = a.deriv_fn(coords)
+    elif coords.ndim > 1:
+        return np.stack([faraday_matrix_raw(a, row, step) for row in coords])
     else:
         da = np.empty((DIM, DIM))  # [m, n] = d_m A_n
         shifted = coords.copy()
@@ -195,7 +212,7 @@ def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[fl
             minus = a.values_fn(shifted)
             shifted[m] = coords[m]
             da[m, :] = (plus - minus) / (2.0 * h)
-    return da - da.T
+    return da - da.swapaxes(-1, -2)
 
 
 def faraday_from_potential(a: VectorPotential, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor2:

@@ -29,6 +29,7 @@ from .tensor import (
     SpacetimeEvent,
     Tensor2,
     Variance,
+    batch_probe,
 )
 
 _ANTISYMMETRY_TOL = 1e-12
@@ -56,8 +57,11 @@ def eb_from_matrix(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def require_antisymmetric(f: np.ndarray, name: str, tol: float = _ANTISYMMETRY_TOL) -> np.ndarray:
-    """Return `f` unchanged, or raise ``MalformedFaraday`` if |f + f^T| exceeds `tol`."""
-    gap = float(np.max(np.abs(f + f.T)))
+    """Return `f` unchanged, or raise ``MalformedFaraday`` if |f + f^T| exceeds `tol`.
+
+    `f` is one matrix or a batch ``(..., 4, 4)``; the worst one counts.
+    """
+    gap = float(np.max(np.abs(f + f.swapaxes(-1, -2))))
     if gap > tol:
         raise MalformedFaraday(f"{name}: antisymmetry violated by {gap:.3e}")
     return f
@@ -68,7 +72,8 @@ class FaradayField:
     """Antisymmetric covariant field strength as an evaluator over events.
 
     A plain ``FaradayField`` wraps a user-supplied evaluator, so every
-    consumer re-checks antisymmetry on each evaluation.
+    consumer re-checks antisymmetry on each evaluation.  The built-in
+    evaluators take one event ``(4,)`` or a batch ``(..., 4)``.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
@@ -79,10 +84,14 @@ class FaradayField:
         return self.matrix_fn(coords)
 
     def matrix(self, x: SpacetimeEvent) -> Tensor2:
-        """Typed components at `x`; antisymmetry enforced to 1e-12."""
+        """Typed components at `x`; antisymmetry enforced to 1e-12.
+
+        ``require_antisymmetric`` is the one check (it raises
+        ``MalformedFaraday``), so the tensor carries no mark to re-check.
+        """
         self.guard.check(x)
         f = require_antisymmetric(self.matrix_fn(x.coords), self.name)
-        return Tensor2(f, (Variance.DOWN, Variance.DOWN), symmetry="antisymmetric")
+        return Tensor2(f, (Variance.DOWN, Variance.DOWN))
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,8 @@ class VectorPotential:
     ``deriv_fn`` optionally supplies closed-form gradients with layout
     ``out[m, n] = d A_n / d x^m``; built-in potentials carry one so that
     the derived field strength (and hence its closure residual) is exact
-    for linear potentials.
+    for linear potentials.  Built-in evaluators take one event ``(4,)``
+    or a batch ``(..., 4)``; a constant may be returned unbroadcast.
     """
 
     values_fn: Callable[[np.ndarray], np.ndarray]
@@ -145,25 +155,23 @@ def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) ->
     """
     ev = np.array([float(v) for v in e_field])
     bv = np.array([float(v) for v in b_field])
+    # out[m, n] = d A_n / d x^m; the potential is linear, so constant
+    grad = np.zeros((DIM, DIM))
+    grad[1:, 0] = ev
+    for i in range(3):
+        basis = np.zeros(3)
+        basis[i] = 1.0
+        grad[1 + i, 1:] = 0.5 * np.cross(bv, basis)
+    grad.setflags(write=False)
 
     def values(c: np.ndarray) -> np.ndarray:
-        r = c[1:]
-        out = np.empty(DIM)
-        out[0] = ev @ r
-        out[1:] = 0.5 * np.cross(bv, r)
+        r = c[..., 1:]
+        out = np.empty(c.shape)
+        out[..., 0] = r @ ev
+        out[..., 1:] = 0.5 * np.cross(bv, r)
         return out
 
-    def deriv(c: np.ndarray) -> np.ndarray:
-        # out[m, n] = d A_n / d x^m; the potential is linear, so constant
-        out = np.zeros((DIM, DIM))
-        out[1:, 0] = ev
-        for i in range(3):
-            basis = np.zeros(3)
-            basis[i] = 1.0
-            out[1 + i, 1:] = 0.5 * np.cross(bv, basis)
-        return out
-
-    return VectorPotential(values, deriv_fn=deriv, name="uniform-eb-gauge")
+    return VectorPotential(values, deriv_fn=lambda c: grad, name="uniform-eb-gauge")
 
 
 def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> VectorPotential:
@@ -177,37 +185,46 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
 
     if radial_index is None:
 
+        def radius(ct: np.ndarray):
+            return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
+
         def values(c: np.ndarray) -> np.ndarray:
-            r = np.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2)
-            out = np.zeros(DIM)
-            out[0] = q / r
+            out = np.zeros(c.shape)
+            out.T[0] = q / radius(c.T)
             return out
 
         def deriv(c: np.ndarray) -> np.ndarray:
-            r = np.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2)
-            out = np.zeros((DIM, DIM))
-            out[1:, 0] = -q * c[1:] / r**3
+            # out[..., m, n] = d A_n / d x^m, written as out.T[n, m, ...]
+            ct = c.T
+            r = radius(ct)
+            out = np.zeros(c.shape[:-1] + (DIM, DIM))
+            out.T[0, 1:] = -q * ct[1:] / (r * r * r)
             return out
 
-        def probe(x: SpacetimeEvent):
-            r = np.sqrt(x.coords[1] ** 2 + x.coords[2] ** 2 + x.coords[3] ** 2)
+        def one(c: np.ndarray):
+            r = radius(c)
             return None if r > 1e-9 else f"r = {r:.3e} at the potential singularity"
+
+        probe = batch_probe(one, lambda ct: (radius(ct) > 1e-9).all())
 
     else:
         k = radial_index
 
         def values(c: np.ndarray) -> np.ndarray:
-            out = np.zeros(DIM)
-            out[0] = q / c[k]
+            out = np.zeros(c.shape)
+            out.T[0] = q / c.T[k]
             return out
 
         def deriv(c: np.ndarray) -> np.ndarray:
-            out = np.zeros((DIM, DIM))
-            out[k, 0] = -q / c[k] ** 2
+            ct = c.T
+            out = np.zeros(c.shape[:-1] + (DIM, DIM))
+            out.T[0, k] = -q / (ct[k] * ct[k])
             return out
 
-        def probe(x: SpacetimeEvent):
-            return None if x.coords[k] > 1e-9 else "radial coordinate at singularity"
+        def one(c: np.ndarray):
+            return None if c[k] > 1e-9 else "radial coordinate at singularity"
+
+        probe = batch_probe(one, lambda ct: (ct[k] > 1e-9).all())
 
     return VectorPotential(
         values, deriv_fn=deriv, guard=DomainGuard(probe, "coulomb"), name=f"coulomb(q={q:g})"
@@ -224,16 +241,21 @@ def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
     B = float(b_strength)
 
     def values(c: np.ndarray) -> np.ndarray:
-        r, th = c[1], c[2]
-        out = np.zeros(DIM)
-        out[3] = 0.5 * B * r * r * np.sin(th) ** 2
+        ct = c.T
+        r, s = ct[1], np.sin(ct[2])
+        out = np.zeros(c.shape)
+        out.T[3] = 0.5 * B * r * r * (s * s)
         return out
 
     def deriv(c: np.ndarray) -> np.ndarray:
-        r, th = c[1], c[2]
-        out = np.zeros((DIM, DIM))
-        out[1, 3] = B * r * np.sin(th) ** 2
-        out[2, 3] = B * r * r * np.sin(th) * np.cos(th)
+        # out[..., m, n] = d A_n / d x^m, written as out.T[n, m, ...]
+        ct = c.T
+        r, th = ct[1], ct[2]
+        s = np.sin(th)
+        out = np.zeros(c.shape[:-1] + (DIM, DIM))
+        d = out.T
+        d[3, 1] = B * r * (s * s)
+        d[3, 2] = B * r * r * s * np.cos(th)
         return out
 
     return VectorPotential(values, deriv_fn=deriv, name=f"axial-b(B={B:g})")

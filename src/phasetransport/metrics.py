@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DIM, DomainGuard, MetricField, SpacetimeEvent, flat_metric
+from .tensor import DIM, DomainGuard, MetricField, batch_probe, flat_metric
 
 #: Relative safety margin kept outside the Schwarzschild horizon.
 HORIZON_MARGIN = 1e-6
@@ -33,56 +33,70 @@ def minkowski() -> MetricField:
 def _schwarzschild_guard(mass: float) -> DomainGuard:
     r_min = 2.0 * mass * (1.0 + HORIZON_MARGIN)
 
-    def probe(x: SpacetimeEvent):
-        r = x.coords[1]
+    def one(c: np.ndarray):
+        r = c[1]
         if not r > r_min:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
-        s = abs(np.sin(x.coords[2]))
+        s = abs(np.sin(c[2]))
         if s < AXIS_MARGIN:
-            return f"theta = {x.coords[2]:.6g} too close to the polar axis"
+            return f"theta = {c[2]:.6g} too close to the polar axis"
         return None
 
-    return DomainGuard(probe, label=f"schwarzschild(M={mass:g})")
+    def every(ct: np.ndarray) -> bool:
+        return (ct[1] > r_min).all() and not (np.abs(np.sin(ct[2])) < AXIS_MARGIN).any()
+
+    return DomainGuard(batch_probe(one, every), label=f"schwarzschild(M={mass:g})")
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
-    """Vacuum black-hole exterior in curvature coordinates (t, r, theta, phi)."""
+    """Vacuum black-hole exterior in curvature coordinates (t, r, theta, phi).
+
+    The evaluators take one event or a batch ``(..., 4)``; they write
+    through transposed views (``c.T[1]`` is r for either shape), so one
+    event costs about what a scalar formula does.
+    """
     if not mass > 0:
         raise ValueError("mass must be positive")
     M = float(mass)
 
     def matrix(c: np.ndarray) -> np.ndarray:
-        r, th = c[1], c[2]
+        ct = c.T
+        r, s = ct[1], np.sin(ct[2])
         f = 1.0 - 2.0 * M / r
-        g = np.zeros((DIM, DIM))
-        g[0, 0] = -f
-        g[1, 1] = 1.0 / f
-        g[2, 2] = r * r
-        g[3, 3] = r * r * np.sin(th) ** 2
+        g = np.zeros(c.shape[:-1] + (DIM, DIM))
+        gt = g.T
+        gt[0, 0] = -f
+        gt[1, 1] = 1.0 / f
+        gt[2, 2] = r * r
+        gt[3, 3] = r * r * (s * s)
         return g
 
     def inverse(c: np.ndarray) -> np.ndarray:
-        r, th = c[1], c[2]
+        ct = c.T
+        r, s = ct[1], np.sin(ct[2])
         f = 1.0 - 2.0 * M / r
-        gi = np.zeros((DIM, DIM))
-        gi[0, 0] = -1.0 / f
-        gi[1, 1] = f
-        gi[2, 2] = 1.0 / (r * r)
-        gi[3, 3] = 1.0 / (r * r * np.sin(th) ** 2)
+        gi = np.zeros(c.shape[:-1] + (DIM, DIM))
+        git = gi.T
+        git[0, 0] = -1.0 / f
+        git[1, 1] = f
+        git[2, 2] = 1.0 / (r * r)
+        git[3, 3] = 1.0 / (r * r * (s * s))
         return gi
 
     def deriv(c: np.ndarray) -> np.ndarray:
-        # out[m, n, s] = d g_mn / d x^s
-        r, th = c[1], c[2]
+        # out[..., m, n, s] = d g_mn / d x^s, written as d[s, n, m, ...]
+        ct = c.T
+        r, th = ct[1], ct[2]
         f = 1.0 - 2.0 * M / r
         df = 2.0 * M / (r * r)
         sin_th, cos_th = np.sin(th), np.cos(th)
-        out = np.zeros((DIM, DIM, DIM))
-        out[0, 0, 1] = -df
-        out[1, 1, 1] = -df / (f * f)
-        out[2, 2, 1] = 2.0 * r
-        out[3, 3, 1] = 2.0 * r * sin_th**2
-        out[3, 3, 2] = 2.0 * r * r * sin_th * cos_th
+        out = np.zeros(c.shape[:-1] + (DIM, DIM, DIM))
+        d = out.T
+        d[1, 0, 0] = -df
+        d[1, 1, 1] = -df / (f * f)
+        d[1, 2, 2] = 2.0 * r
+        d[1, 3, 3] = 2.0 * r * (sin_th * sin_th)
+        d[2, 3, 3] = 2.0 * r * r * sin_th * cos_th
         return out
 
     return MetricField(
@@ -99,45 +113,55 @@ def weak_field(mass: float = 1.0) -> MetricField:
     """Newtonian-limit chart: g_00 = -(1 + 2 Phi) with Phi = -M/r, flat space part.
 
     The time-time component changes sign at r = 2M, so the same horizon
-    guard as Schwarzschild applies.
+    guard as Schwarzschild applies.  Evaluators take one event or a batch.
     """
     if not mass > 0:
         raise ValueError("mass must be positive")
     M = float(mass)
     r_min = 2.0 * M * (1.0 + HORIZON_MARGIN)
 
-    def radius(c: np.ndarray) -> float:
-        return float(np.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2))
+    def radius(ct: np.ndarray):
+        return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
 
-    def probe(x: SpacetimeEvent):
-        r = radius(x.coords)
+    def one(c: np.ndarray):
+        r = radius(c)
         if not r > r_min:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
         return None
 
-    def matrix(c: np.ndarray) -> np.ndarray:
-        g = np.eye(DIM)
-        g[0, 0] = -(1.0 - 2.0 * M / radius(c))
+    def diagonal(c: np.ndarray, g00) -> np.ndarray:
+        g = np.zeros(c.shape[:-1] + (DIM, DIM))
+        gt = g.T
+        gt[0, 0] = g00
+        gt[1, 1] = gt[2, 2] = gt[3, 3] = 1.0
         return g
 
+    def matrix(c: np.ndarray) -> np.ndarray:
+        return diagonal(c, -(1.0 - 2.0 * M / radius(c.T)))
+
     def inverse(c: np.ndarray) -> np.ndarray:
-        gi = np.eye(DIM)
-        gi[0, 0] = -1.0 / (1.0 - 2.0 * M / radius(c))
-        return gi
+        return diagonal(c, -1.0 / (1.0 - 2.0 * M / radius(c.T)))
 
     def deriv(c: np.ndarray) -> np.ndarray:
-        # d g_00 / d x^i = -2 dPhi/dx^i = -2 M x_i / r^3
-        r = radius(c)
-        out = np.zeros((DIM, DIM, DIM))
-        for i in (1, 2, 3):
-            out[0, 0, i] = -2.0 * M * c[i] / r**3
+        # d g_00 / d x^i = -2 dPhi/dx^i = -2 M x_i / r^3, written as d[i, 0, 0, ...]
+        ct = c.T
+        r = radius(ct)
+        r3 = r * r * r
+        out = np.zeros(c.shape[:-1] + (DIM, DIM, DIM))
+        d = out.T
+        d[1, 0, 0] = -2.0 * M * ct[1] / r3
+        d[2, 0, 0] = -2.0 * M * ct[2] / r3
+        d[3, 0, 0] = -2.0 * M * ct[3] / r3
         return out
 
     return MetricField(
         matrix_fn=matrix,
         deriv_fn=deriv,
         inverse_fn=inverse,
-        guard=DomainGuard(probe, label=f"weak-field(M={M:g})"),
+        guard=DomainGuard(
+            batch_probe(one, lambda ct: (radius(ct) > r_min).all()),
+            label=f"weak-field(M={M:g})",
+        ),
         name=f"weak-field(M={M:g})",
         coordinate_names=("t", "x", "y", "z"),
     )

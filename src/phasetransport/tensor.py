@@ -48,7 +48,7 @@ def _frozen(values, shape) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpacetimeEvent:
     """A point of the manifold, stored as four coordinates (x0..x3)."""
 
@@ -71,7 +71,7 @@ class SpacetimeEvent:
         return iter(self.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourVector:
     """Four components plus a variance tag.
 
@@ -165,30 +165,57 @@ class Tensor4:
 class DomainGuard:
     """Validity predicate for field evaluation.
 
-    ``probe`` returns None for an admissible event, or a human-readable
-    reason string for a rejected one.
+    ``probe`` takes raw coordinates, one event ``(4,)`` or a batch
+    ``(..., 4)``, and returns None when every event is admissible, or a
+    human-readable reason for the first rejected one.  ``reason`` and
+    ``check`` are the typed forms for a single ``SpacetimeEvent``.
     """
 
-    probe: Callable[[SpacetimeEvent], Optional[str]]
+    probe: Callable[[np.ndarray], Optional[str]]
     label: str = "domain"
 
     def reason(self, x: SpacetimeEvent) -> Optional[str]:
-        return self.probe(x)
+        return self.probe(x.coords)
 
     def check(self, x: SpacetimeEvent) -> None:
-        why = self.probe(x)
+        why = self.probe(x.coords)
         if why is not None:
             raise OutsideDomain(f"{self.label}: {why}")
 
     def intersect(self, other: "DomainGuard") -> "DomainGuard":
-        def both(x: SpacetimeEvent) -> Optional[str]:
-            return self.probe(x) or other.probe(x)
+        def both(coords: np.ndarray) -> Optional[str]:
+            return self.probe(coords) or other.probe(coords)
 
         return DomainGuard(both, label=f"{self.label} & {other.label}")
 
 
+def batch_probe(
+    one: Callable[[np.ndarray], Optional[str]], every: Callable[[np.ndarray], bool]
+) -> Callable[[np.ndarray], Optional[str]]:
+    """A guard probe for one event ``(4,)`` or a batch ``(..., 4)``.
+
+    `one(coords)` probes a single event.  `every(coords.T)` is the
+    vectorized test that every event of a batch is admissible; a batch
+    that fails it is probed event by event, so its reason is the first
+    offending event's, worded as for that event alone.
+    """
+
+    def probe(coords: np.ndarray) -> Optional[str]:
+        if coords.ndim == 1:
+            return one(coords)
+        if every(coords.T):
+            return None
+        for row in coords.reshape(-1, DIM):
+            why = one(row)
+            if why is not None:
+                return why
+        return None
+
+    return probe
+
+
 #: Guard that admits every event.
-EVERYWHERE = DomainGuard(lambda x: None, label="everywhere")
+EVERYWHERE = DomainGuard(lambda coords: None, label="everywhere")
 
 
 @dataclass(frozen=True)
@@ -210,6 +237,10 @@ class MetricField:
         Admissible region of the chart.
     name : str
         Identifier used in labels and error messages.
+
+    The built-in evaluators also take a batch ``coords (..., 4)`` and
+    return ``(..., 4, 4)`` (``(..., 4, 4, 4)``), or a constant that
+    broadcasts to it; batched integration relies on that.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]

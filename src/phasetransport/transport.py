@@ -20,6 +20,7 @@ minimum step raises ``StepRejected``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -49,21 +50,14 @@ H_MAX_FRACTION = 0.1
 _METHODS = ("rk4-fixed", "rk45-adaptive")
 
 
-def _event_trusted(coords: np.ndarray) -> SpacetimeEvent:
-    # guards only read coordinates; skip the copy/validation of the ctor
-    ev = object.__new__(SpacetimeEvent)
-    object.__setattr__(ev, "coords", coords)
-    return ev
-
-
 def _sample_trusted(
     tau: float, coords: np.ndarray, u: np.ndarray, residual: float, diagnostics: dict
 ) -> TrajectorySample:
     """Build a sample without re-running constructor validation.
 
     The integration loop guarantees finiteness (a non-finite state fails
-    the isfinite gate in the sampler) and future-direction, so the typed
-    wrappers are assembled directly; arrays are fresh copies already.
+    the finiteness gate in the sampler) and future-direction, so the
+    typed wrappers are assembled directly; arrays are fresh copies already.
     """
     x = object.__new__(SpacetimeEvent)
     object.__setattr__(x, "coords", coords)
@@ -77,7 +71,7 @@ def _sample_trusted(
     return TrajectorySample(state, residual, diagnostics)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseState:
     """Point of phase space: proper time, event, contravariant four-velocity."""
 
@@ -92,7 +86,7 @@ class PhaseState:
             raise ValueError("u^0 must be positive (future-directed)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     """One accepted integrator step plus pointwise diagnostics."""
 
@@ -188,6 +182,25 @@ def acceleration(
     return FourVector(zeroth.components + first.components, Variance.DOWN)
 
 
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for one event; for a batch, per event, with the same bits."""
+    if v.ndim == 1:
+        return a @ v
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k[a, m, n] u^m u^n with the bits of k.dot(u).dot(u) on every event.
+
+    For a batch, each inner product is a (1, 4) @ (4, 1) slice, the dot
+    product that ``k.dot(u)`` takes per element on one event.
+    """
+    if u.ndim == 1:
+        return k.dot(u).dot(u)
+    ku = np.matmul(k[..., None, :], u[..., None, None, :, None])[..., 0, 0]
+    return np.matmul(ku, u[..., None])[..., 0]
+
+
 def _compile_acceleration(
     c: NonLinearConnection, particle: Particle
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -198,6 +211,7 @@ def _compile_acceleration(
     metric, except on the flat chart: eta is a +-1 diagonal, so raising
     (K0 u) * (1/m) is a per-row sign folded into the 1/m scale, with the
     same bits as eta @ ((K0 u) * (1/m)) up to the sign of a zero.
+    `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
     """
     o0, o1c = c.order0_raw, c.order1_contra_raw
     o1 = c.order1_raw if o1c is None else None
@@ -210,22 +224,22 @@ def _compile_acceleration(
         scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m)
 
         def raised(coords, u):
-            return (o0(coords) @ u) * scale
+            return _mv(o0(coords), u) * scale
 
     elif o1 is None:
 
         def raised(coords, u):
-            return inverse(coords) @ ((o0(coords) @ u) * inv_mass)
+            return _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
 
     elif o0 is None:
 
         def raised(coords, u):
-            return inverse(coords) @ o1(coords).dot(u).dot(u)
+            return _mv(inverse(coords), _quadratic(o1(coords), u))
 
     else:
 
         def raised(coords, u):
-            return inverse(coords) @ (o1(coords).dot(u).dot(u) + (o0(coords) @ u) * inv_mass)
+            return _mv(inverse(coords), _quadratic(o1(coords), u) + _mv(o0(coords), u) * inv_mass)
 
     if o1c is None:
         if raised is None:
@@ -233,29 +247,31 @@ def _compile_acceleration(
             return lambda coords, u: zero
         return raised
     if raised is None:
-        return lambda coords, u: o1c(coords).dot(u).dot(u)
-    return lambda coords, u: o1c(coords).dot(u).dot(u) + raised(coords, u)
+        return lambda coords, u: _quadratic(o1c(coords), u)
+    return lambda coords, u: _quadratic(o1c(coords), u) + raised(coords, u)
 
 
 def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the ODE right-hand side for the (x, u-contravariant) state.
 
     The body does per-point work only: one guard probe, the acceleration
-    from ``_compile_acceleration``, and the 8-vector assembly.
+    from ``_compile_acceleration``, and the 8-vector assembly.  The state
+    is one point ``(8,)`` or a batch ``(N, 8)``; a batch with any point
+    outside the domain raises ``OutsideDomain`` as one point would.
     """
     probe = c.guard.probe
     label = c.guard.label
     accel = _compile_acceleration(c, particle)
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        coords = y[:4]
-        u = y[4:]
-        why = probe(_event_trusted(coords))
+        coords = y[..., :4]
+        u = y[..., 4:]
+        why = probe(coords)
         if why is not None:
             raise OutsideDomain(f"{label}: {why}")
-        out = np.empty(2 * DIM)
-        out[:4] = u
-        out[4:] = accel(coords, u)
+        out = np.empty(y.shape)
+        out[..., :4] = u
+        out[..., 4:] = accel(coords, u)
         return out
 
     return rhs
@@ -263,10 +279,14 @@ def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarra
 
 # ---------------------------------------------------------------------------
 # steppers
+#
+# Both take one state (8,) with a float step, or a batch (N, 8) with a
+# step per row (N, 1).  Every operation is elementwise or per row, so a
+# row of a batch gets the bits it gets alone.
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
     # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), accumulated in place in that order
     # (IEEE addition and multiplication commute, so the bits are the same)
     half = 0.5 * h
@@ -291,46 +311,47 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
 
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit
-# proper-time dependence, so stage abscissae never enter).
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# proper-time dependence, so stage abscissae never enter).  Each stage and
+# each weight sum lists its nonzero terms as (stage index, coefficient).
+_DP_A = (
+    ((0, 1 / 5),),
+    ((0, 3 / 40), (1, 9 / 40)),
+    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
+    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561), (3, -212 / 729)),
+    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176), (4, -5103 / 18656)),
+    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
+)
+_DP_B5 = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
+_DP_B4 = (
+    (0, 5179 / 57600), (2, 7571 / 16695), (3, 393 / 640), (4, -92097 / 339200),
+    (5, 187 / 2100), (6, 1 / 40),
 )
 
 
-def _dp_stages(rhs, y: np.ndarray, h: float):
+def _dp_stages(rhs, y: np.ndarray, h):
     k = [rhs(y)]
-    for i in range(1, 7):
-        acc = _DP_A[i][0] * k[0]
-        for j in range(1, i):
-            if _DP_A[i][j] != 0.0:
-                acc = acc + _DP_A[i][j] * k[j]
+    for (_, a0), *rest in _DP_A:
+        acc = a0 * k[0]
+        for j, a in rest:
+            acc = acc + a * k[j]
         k.append(rhs(y + h * acc))
     return k
 
 
-def _rk45_step(rhs, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """One embedded trial step: (5th-order result, error-estimate vector)."""
     k = _dp_stages(rhs, y, h)
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
+    y5 = y + h * sum(b * k[j] for j, b in _DP_B5)
+    y4 = y + h * sum(b * k[j] for j, b in _DP_B4)
     return y5, y5 - y4
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
-                rtol: float, atol: float) -> float:
+                rtol: float, atol: float) -> np.ndarray:
+    """RMS of the scaled error over the last axis: one value per row."""
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     with np.errstate(over="ignore", divide="ignore"):
-        return float(np.sqrt(np.mean((err / scale) ** 2)))
+        return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,109 +366,197 @@ def _renormalized(u: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     return u / math.sqrt(-norm)
 
 
+class _Row:
+    """One trajectory of an integration: its state, clock, step and samples.
+
+    ``target`` is the proper time the pending step lands at.  For RK4,
+    ``n_main`` steps of ``cfg.step`` come first, then one ``extra`` step
+    of the remainder up to tau_max unless the step budget ran out
+    (``limited``, status 'max-steps').
+    """
+
+    __slots__ = ("out", "cfg", "y", "tau0", "tau", "h", "target", "steps", "n_full",
+                 "n_main", "remainder", "extra", "limited")
+
+    def __init__(self, out: Trajectory, cfg: IntegratorConfig, y: np.ndarray, tau0: float):
+        self.out, self.cfg, self.y = out, cfg, y
+        self.tau0 = self.tau = tau0
+        self.steps = 0
+        if cfg.method == "rk4-fixed":
+            self.h = cfg.step
+            self.n_full = int(math.floor((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12))
+            remainder = cfg.tau_max - (tau0 + self.n_full * cfg.step)
+            self.remainder = 0.0 if remainder <= 1e-9 * cfg.step else remainder
+            self.n_main = min(self.n_full, cfg.max_steps)
+            planned = self.n_full + (1 if self.remainder else 0)
+            self.limited = self.n_full >= cfg.max_steps and planned > cfg.max_steps
+            self.extra = 0.0 if self.limited else self.remainder
+        else:
+            self.h = min(max(cfg.step, H_MIN), cfg.tau_max * H_MAX_FRACTION)
+
+    def end(self, status: str, reason: Optional[str] = None) -> None:
+        self.out.status, self.out.reason = status, reason
+
+
 def _integrate_engine(
     rhs: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
-    tau0: float,
-    cfg: IntegratorConfig,
+    tau0: Sequence[float],
+    cfgs: Sequence[IntegratorConfig],
     sampler: Callable[[float, np.ndarray], TrajectorySample],
     renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     admit: Optional[Callable[[np.ndarray], Optional[str]]] = None,
-) -> Trajectory:
-    out = Trajectory()
-    out.append(sampler(tau0, y0))
-    span = cfg.tau_max - tau0
-    if span <= 0:
-        return out
+) -> list[Trajectory]:
+    """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
-    def landed_outside(y: np.ndarray) -> bool:
-        # a step may jump clean across the guard margin without any stage
-        # evaluation failing; never retain such a state
+    Row i starts at ``tau0[i]`` with ``cfgs[i]``; the configs may differ
+    only in ``tau_max``.  Each row keeps its own clock, step size, step
+    count, status and samples, and takes exactly the arithmetic it takes
+    alone: a row whose stage leaves the domain ends there while the
+    others go on.  A lone trajectory keeps its 1-D state.  A row stays
+    'completed' while it runs; ending otherwise takes it out.
+    """
+    lone = y0.ndim == 1
+    rows = [
+        _Row(Trajectory([sampler(tau, y)]), cfg, y, tau)
+        for tau, cfg, y in zip(tau0, cfgs, [y0] if lone else y0)
+    ]
+    active = [row for row in rows if row.cfg.tau_max - row.tau > 0]
+    cfg = cfgs[0]
+
+    def attempt(stepper, stepping):
+        """(rows that stepped, stepper results) over `stepping`."""
+        if lone:
+            row = stepping[0]
+            try:
+                return stepping, stepper(row.y, row.h)
+            except OutsideDomain as err:
+                row.end("domain-exit", str(err))
+                return [], None
+        try:
+            y = np.stack([row.y for row in stepping])
+            return stepping, stepper(y, np.array([row.h for row in stepping])[:, None])
+        except OutsideDomain:
+            pass
+        # some row's stage left the domain: step the rows one at a time
+        # (the same bits as in the batch) to learn which rows end here
+        kept, parts = [], []
+        for row in stepping:
+            try:
+                parts.append(stepper(row.y, row.h))
+            except OutsideDomain as err:
+                row.end("domain-exit", str(err))
+                continue
+            kept.append(row)
+        if not kept:
+            return [], None
+        return kept, tuple(np.stack(column) for column in zip(*parts))
+
+    def land(stepped, y_new) -> None:
+        """Move each row to its accepted state unless that lies outside the domain.
+
+        A step may jump clean across the guard margin without any stage
+        evaluation failing; never retain such a state.
+        """
+        states = [y_new] if lone else list(y_new)
+        if renorm is not None:
+            states = [renorm(y) for y in states]
         if admit is None:
-            return False
-        why = admit(y[:4])
-        if why is not None:
-            out.status, out.reason = "domain-exit", why
-            return True
-        return False
+            exits = [None] * len(states)
+        elif lone:
+            exits = [admit(states[0][:4])]
+        elif admit((y_new if renorm is None else np.stack(states))[:, :4]) is None:
+            exits = [None] * len(states)
+        else:
+            exits = [admit(y[:4]) for y in states]
+        for row, y, why in zip(stepped, states, exits):
+            if why is not None:
+                row.end("domain-exit", why)
+                continue
+            row.y, row.tau = y, row.target
+            row.out.append(sampler(row.tau, y))
 
     if cfg.method == "rk4-fixed":
-        h = cfg.step
-        quotient = span / h
-        n_full = int(math.floor(quotient * (1.0 + 1e-12) + 1e-12))
-        remainder = cfg.tau_max - (tau0 + n_full * h)
-        if remainder <= 1e-9 * h:
-            remainder = 0.0
-        y = y0
-        steps_planned = n_full + (1 if remainder else 0)
-        for i in range(1, min(n_full, cfg.max_steps) + 1):
-            tau = tau0 + i * h if i < n_full or remainder else cfg.tau_max
-            try:
-                y = _rk4_step(rhs, y, h)
-            except OutsideDomain as err:
-                out.status, out.reason = "domain-exit", str(err)
-                return out
-            if renorm is not None:
-                y = renorm(y)
-            if landed_outside(y):
-                return out
-            out.append(sampler(tau, y))
-        if len(out) - 1 >= cfg.max_steps and steps_planned > cfg.max_steps:
-            out.status = "max-steps"
-            return out
-        if remainder:
-            try:
-                y = _rk4_step(rhs, y, remainder)
-            except OutsideDomain as err:
-                out.status, out.reason = "domain-exit", str(err)
-                return out
-            if renorm is not None:
-                y = renorm(y)
-            if landed_outside(y):
-                return out
-            out.append(sampler(cfg.tau_max, y))
-        return out
 
-    # adaptive embedded pair
-    h_max = cfg.tau_max * H_MAX_FRACTION
-    h = min(max(cfg.step, H_MIN), h_max)
-    tau = tau0
-    y = y0
-    steps = 0
-    while tau < cfg.tau_max * (1.0 - 1e-14):
-        if steps >= cfg.max_steps:
-            out.status = "max-steps"
-            return out
-        h = min(h, cfg.tau_max - tau)
-        try:
-            y_new, err = _rk45_step(rhs, y, h)
-        except OutsideDomain as exc:
-            out.status, out.reason = "domain-exit", str(exc)
-            return out
-        enorm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
-        if enorm <= 1.0:
-            tau = cfg.tau_max if cfg.tau_max - (tau + h) < 1e-14 * cfg.tau_max else tau + h
-            y = y_new
-            if renorm is not None:
-                y = renorm(y)
-            if landed_outside(y):
-                return out
-            out.append(sampler(tau, y))
-            steps += 1
-            growth = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-            h = min(max(h * growth, H_MIN), h_max)
-        else:
-            if h <= H_MIN * (1.0 + 1e-12):
-                raise StepRejected(
-                    f"tolerance unreachable at minimum step {H_MIN:g} (err norm {enorm:.3e})"
-                )
-            h = min(max(h * max(0.2, 0.9 * enorm ** -0.2), H_MIN), h_max)
-    return out
+        def rk4(y, h):
+            return (_rk4_step(rhs, y, h),)
+
+        k = 0
+        while active:
+            k += 1
+            stepping = []
+            for row in active:
+                if k <= row.n_main:
+                    last = k == row.n_full and not row.remainder
+                    row.target = row.cfg.tau_max if last else row.tau0 + k * cfg.step
+                elif k == row.n_main + 1 and row.extra:
+                    row.h, row.target = row.extra, row.cfg.tau_max
+                else:
+                    if row.limited:
+                        row.end("max-steps")
+                    continue
+                stepping.append(row)
+            if not stepping:
+                break
+            stepped, result = attempt(rk4, stepping)
+            if stepped:
+                land(stepped, result[0])
+            active = [row for row in stepped if row.out.status == "completed"]
+        return [row.out for row in rows]
+
+    # adaptive embedded pair, with the step-size controller run per row
+    def rk45(y, h):
+        y5, err = _rk45_step(rhs, y, h)
+        return y5, _error_norm(err, y, y5, cfg.rtol, cfg.atol)
+
+    while active:
+        stepping = []
+        for row in active:
+            tau_max = row.cfg.tau_max
+            if not row.tau < tau_max * (1.0 - 1e-14):
+                continue
+            if row.steps >= cfg.max_steps:
+                row.end("max-steps")
+                continue
+            row.h = min(row.h, tau_max - row.tau)
+            stepping.append(row)
+        if not stepping:
+            break
+        stepped, result = attempt(rk45, stepping)
+        if not stepped:
+            break
+        y_new, enorms = result
+        enorms = [float(enorms)] if lone else enorms.tolist()
+        accepted = []
+        for p, (row, enorm) in enumerate(zip(stepped, enorms)):
+            tau_max = row.cfg.tau_max
+            h_max = tau_max * H_MAX_FRACTION
+            if enorm <= 1.0:
+                accepted.append(p)
+                row.target = (tau_max if tau_max - (row.tau + row.h) < 1e-14 * tau_max
+                              else row.tau + row.h)
+                row.steps += 1
+                growth = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
+                row.h = min(max(row.h * growth, H_MIN), h_max)
+            else:
+                if row.h <= H_MIN * (1.0 + 1e-12):
+                    raise StepRejected(
+                        f"tolerance unreachable at minimum step {H_MIN:g} (err norm {enorm:.3e})"
+                    )
+                row.h = min(max(row.h * max(0.2, 0.9 * enorm ** -0.2), H_MIN), h_max)
+        if accepted:
+            land([stepped[p] for p in accepted], y_new if lone else y_new[accepted])
+        active = [row for row in stepped if row.out.status == "completed"]
+    return [row.out for row in rows]
+
+
+#: y @ 0 is NaN exactly when a component of y is NaN or infinite.
+_ZERO_STATE = np.zeros(2 * DIM)
 
 
 def _norm_sampler(metric: MetricField) -> Callable[[float, np.ndarray], TrajectorySample]:
     def sampler(tau: float, y: np.ndarray) -> TrajectorySample:
-        if not np.isfinite(y).all():
+        if math.isnan(y @ _ZERO_STATE):
             raise StepRejected(f"state became non-finite at tau = {tau:g}")
         coords = y[:4].copy()
         u = y[4:].copy()
@@ -471,7 +580,7 @@ def step(
         h = min(max(cfg.step, H_MIN), cfg.tau_max * H_MAX_FRACTION)
         while True:
             y_new, err = _rk45_step(rhs, y, h)
-            enorm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
+            enorm = float(_error_norm(err, y, y_new, cfg.rtol, cfg.atol))
             if enorm <= 1.0:
                 tau_new = state.tau + h
                 break
@@ -486,6 +595,15 @@ def step(
     return PhaseState(tau_new, SpacetimeEvent(y_new[:4]), FourVector(y_new[4:], Variance.UP))
 
 
+def _metric_renorm(metric: MetricField) -> Callable[[np.ndarray], np.ndarray]:
+    def renorm(y: np.ndarray) -> np.ndarray:
+        y = y.copy()
+        y[4:] = _renormalized(y[4:], metric.matrix_raw(y[:4]))
+        return y
+
+    return renorm
+
+
 def integrate(
     c: NonLinearConnection, particle: Particle, initial: PhaseState, cfg: IntegratorConfig
 ) -> Trajectory:
@@ -495,23 +613,43 @@ def integrate(
     reported through the trajectory status, not raised; an initial state
     already outside the domain raises ``OutsideDomain``.
     """
-    c.guard.check(initial.x)
-    rhs = _make_rhs(c, particle)
-    y0 = np.concatenate([initial.x.coords, initial.u.components])
-    renorm = None
-    if cfg.renormalize:
-        metric = c.metric
+    return integrate_batch(c, particle, [initial], [cfg])[0]
 
-        def renorm(y: np.ndarray) -> np.ndarray:
-            y = y.copy()
-            y[4:] = _renormalized(y[4:], metric.matrix_raw(y[:4]))
-            return y
 
-    def admit(coords: np.ndarray) -> Optional[str]:
-        return c.guard.reason(_event_trusted(coords))
+def integrate_batch(
+    c: NonLinearConnection,
+    particle: Particle,
+    initials: Sequence[PhaseState],
+    cfgs: Sequence[IntegratorConfig],
+) -> list[Trajectory]:
+    """Integrate several worldlines under one law as one (N, 8) batch.
 
+    ``cfgs[i]`` goes with ``initials[i]``; the configs may differ only in
+    ``tau_max``.  Every trajectory is bit-identical to ``integrate`` of
+    its row alone, status and samples included; one row leaving the
+    domain never stops the others.  An error that a lone run raises (a
+    non-finite state, an unreachable tolerance) ends the whole batch.
+    The connection's evaluators must take a batch of coordinates, as the
+    built-in ones do.  A single row runs on 1-D state, as ``integrate``
+    does.
+    """
+    if len(initials) != len(cfgs) or not cfgs:
+        raise ValueError("need one config per initial state, and at least one")
+    first = cfgs[0]
+    if any(dataclasses.replace(cfg, tau_max=first.tau_max) != first for cfg in cfgs[1:]):
+        raise ValueError("the configs of one batch may differ only in tau_max")
+    for initial in initials:
+        c.guard.check(initial.x)
+    states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
+    y0 = states[0] if len(states) == 1 else np.stack(states)
     return _integrate_engine(
-        rhs, y0, initial.tau, cfg, _norm_sampler(c.metric), renorm, admit
+        _make_rhs(c, particle),
+        y0,
+        [initial.tau for initial in initials],
+        cfgs,
+        _norm_sampler(c.metric),
+        _metric_renorm(c.metric) if first.renormalize else None,
+        c.guard.probe,
     )
 
 
@@ -620,8 +758,7 @@ def minimal_substitution_trajectory(
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[:4]
         pi = y[4:]
-        ev = _event_trusted(coords)
-        why = probe_g(ev) or probe_a(ev)
+        why = probe_g(coords) or probe_a(coords)
         if why is not None:
             raise OutsideDomain(why)
         u = kinetic_up(coords, pi)
@@ -635,7 +772,7 @@ def minimal_substitution_trajectory(
         return out
 
     def sampler(tau: float, y: np.ndarray) -> TrajectorySample:
-        if not np.isfinite(y).all():
+        if math.isnan(y @ _ZERO_STATE):
             raise StepRejected(f"state became non-finite at tau = {tau:g}")
         coords = y[:4].copy()
         u = kinetic_up(coords, y[4:])
@@ -655,11 +792,10 @@ def minimal_substitution_trajectory(
             return y
 
     def admit(coords: np.ndarray) -> Optional[str]:
-        ev = _event_trusted(coords)
-        return probe_g(ev) or probe_a(ev)
+        return probe_g(coords) or probe_a(coords)
 
     x0 = initial.x.coords
     u0_cov = g.matrix_raw(x0) @ initial.u.components
     pi0 = m * u0_cov + e * a.values_fn(x0)
     y0 = np.concatenate([x0, pi0])
-    return _integrate_engine(rhs, y0, initial.tau, cfg, sampler, renorm, admit)
+    return _integrate_engine(rhs, y0, [initial.tau], [cfg], sampler, renorm, admit)[0]

@@ -78,6 +78,51 @@ def test_run_batch_writes_directory(tmp_path, capsys):
     assert text.startswith(HEADER)
 
 
+def _orbit_doc(name, r_peri, r_apo, tau_max):
+    return (f"[scenario]\nname = {name}\n\n[metric]\ntype = schwarzschild\nmass = 1.0\n\n"
+            f"[initial]\norbit = bound\nr_peri = {r_peri}\nr_apo = {r_apo}\n\n"
+            f"[integrator]\nmethod = rk45-adaptive\nstep = 1.0\nrtol = 1e-10\n"
+            f"tau_max = {tau_max}\n")
+
+
+def _circular_doc(name, radius, tau_max):
+    return (f"[scenario]\nname = {name}\noracle = circular-orbit\n\n"
+            f"[metric]\ntype = schwarzschild\nmass = 1.0\n\n"
+            f"[initial]\norbit = circular\nradius = {radius}\n\n"
+            f"[integrator]\nstep = 0.5\ntau_max = {tau_max}\n")
+
+
+def test_run_output_is_the_same_alone_grouped_and_in_parallel(tmp_path, capsys):
+    # three adaptive orbits and two fixed-step orbits, each group sharing
+    # a law with different horizons, plus a cyclotron on its own law
+    docs = {
+        "orbit-a": _orbit_doc("orbit-a", 18.0, 22.0, 300.0),
+        "orbit-b": _orbit_doc("orbit-b", 15.0, 19.0, 211.5),
+        "orbit-c": _orbit_doc("orbit-c", 21.0, 27.0, 405.25),
+        "ring-a": _circular_doc("ring-a", 10.0, 60.0),
+        "ring-b": _circular_doc("ring-b", 14.0, 75.3),
+    }
+    paths = []
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        paths.append(str(path))
+    paths.insert(2, "cyclotron")
+    names = [*list(docs)[:2], "cyclotron", *list(docs)[2:]]
+    alone = {}
+    for path in paths:
+        target = tmp_path / "alone.json"
+        assert main(["run", path, "--out", str(target), "--format", "json"]) == 0
+        alone[path] = target.read_bytes()
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", *paths, "--out", str(out), "--format", "json", "--jobs", jobs]) == 0
+        printed = capsys.readouterr().out.split()
+        assert printed == [str(out / f"{name}.json") for name in names]
+        for path, name in zip(paths, names):
+            assert (out / f"{name}.json").read_bytes() == alone[path]
+
+
 def test_unknown_scenario_token(capsys):
     assert main(["run", "does-not-exist"]) == 1
     err = capsys.readouterr().err
@@ -179,10 +224,18 @@ def test_check_failure_exits_two(capsys):
 
 
 def test_check_unknown_checker_rejected_by_argparse(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "free", "--checker", "entropy"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert main(["check", "free", "--checker", "entropy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid choice" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["run", "free", "--jobs", "abc"], [],
+                                  ["run", "free", "--format", "xml"]])
+def test_usage_errors_are_invalid_input(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_list_scenarios(capsys):

@@ -164,6 +164,29 @@ def test_mass_invariance_fails_on_mismatched_trajectories(monkeypatch):
     assert "max_pointwise_deviation" not in rep.summary
 
 
+def test_minimal_substitution_fails_on_routes_that_end_apart(monkeypatch, capsys):
+    # the canonical-momentum route stops early; the checker must not
+    # compare the endpoint of a truncation
+    original = report.minimal_substitution_trajectory
+
+    def truncated(*args):
+        traj = original(*args)
+        return Trajectory(traj[:-5], status="domain-exit", reason="forced")
+
+    monkeypatch.setattr(report, "minimal_substitution_trajectory", truncated)
+    rep = check(load_builtin("cyclotron"), "minimal-substitution")
+    assert not rep.summary["passed"]
+    assert rep.summary["status"] == ["completed", "domain-exit"]
+    n = rep.summary["n_samples"][0]
+    assert rep.summary["n_samples"] == [n, n - 5]
+    assert "endpoint_position_separation" not in rep.summary
+
+    from phasetransport.cli import main
+
+    assert main(["check", "cyclotron", "--checker", "minimal-substitution"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_minimal_substitution_checker_on_combined_scenario():
     rep = check(load_builtin("combined-schwarzschild-B"), "minimal-substitution")
     assert rep.summary["passed"]
@@ -194,3 +217,27 @@ def test_oracle_requires_matching_scenario_shape():
     )
     with pytest.raises(ValidationError):
         run(load_scenario(doc))
+
+
+def _json_reference(rep) -> str:
+    rows = [
+        [s.state.tau, *map(float, s.state.x.coords), *map(float, s.state.u.components),
+         s.norm_residual]
+        for s in (rep.samples or [])
+    ]
+    payload = {"scenario": rep.scenario, "status": rep.status, "columns": list(CSV_COLUMNS),
+               "rows": rows, "summary": rep.summary}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_rows_template_gives_the_bytes_of_json_dumps():
+    rep = run(load_builtin("cyclotron"))
+    assert emit(rep, "json") == _json_reference(rep)
+    no_samples = dataclasses.replace(check(load_builtin("free"), "bianchi"), samples=None)
+    assert emit(no_samples, "json") == _json_reference(no_samples)
+    # a value json spells its own way takes json's path for the rows
+    traj = Trajectory(rep.samples[:3])
+    traj[1] = dataclasses.replace(traj[1], norm_residual=float("nan"))
+    odd = dataclasses.replace(rep, samples=traj)
+    assert emit(odd, "json") == _json_reference(odd)
+    assert "NaN" in emit(odd, "json")

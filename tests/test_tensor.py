@@ -75,7 +75,7 @@ def test_symmetry_marks():
 
 
 def test_domain_guard_reports_and_raises():
-    guard = DomainGuard(lambda x: "outside" if x.coords[1] < 0 else None, label="half")
+    guard = DomainGuard(lambda c: "outside" if c[1] < 0 else None, label="half")
     good = SpacetimeEvent([0, 1.0, 0, 0])
     bad = SpacetimeEvent([0, -1.0, 0, 0])
     assert guard.reason(good) is None

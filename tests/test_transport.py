@@ -33,7 +33,7 @@ from phasetransport.fields import (
     zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field
-from phasetransport.tensor import FourVector, SpacetimeEvent, Variance
+from phasetransport.tensor import FourVector, MetricField, SpacetimeEvent, Variance
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
@@ -43,6 +43,7 @@ from phasetransport.transport import (
     coordinate_force,
     geodesic_integrate,
     integrate,
+    integrate_batch,
     minimal_substitution_trajectory,
     step,
 )
@@ -509,3 +510,126 @@ def test_integrate_rejects_a_non_antisymmetric_user_field():
     conn = electromagnetic_connection(broken, charge=1.0)
     with pytest.raises(MalformedFaraday):
         integrate(conn, Particle(1.0, 1.0), rest_state(), IntegratorConfig(step=0.1, tau_max=1.0))
+
+
+# ---------------------------------------------------------------------------
+# batched integration: every row as it runs alone
+
+
+def assert_same_trajectory(got, want):
+    assert (got.status, got.reason, len(got)) == (want.status, want.reason, len(want))
+    for a, b in zip(got, want):
+        assert a.state.tau == b.state.tau
+        np.testing.assert_array_equal(a.state.x.coords, b.state.x.coords)
+        np.testing.assert_array_equal(a.state.u.components, b.state.u.components)
+        assert a.norm_residual == b.norm_residual
+        assert a.diagnostics == b.diagnostics
+
+
+def assert_batch_matches_lone(conn, particle, initials, cfgs):
+    trajs = integrate_batch(conn, particle, initials, cfgs)
+    for traj, initial, cfg in zip(trajs, initials, cfgs):
+        assert_same_trajectory(traj, integrate(conn, particle, initial, cfg))
+    return trajs
+
+
+BOUND_ORBITS = [(18.0, 22.0), (15.0, 19.0), (21.0, 27.0)]
+
+
+@pytest.mark.parametrize("method,step_size", [("rk4-fixed", 0.5), ("rk45-adaptive", 1.0)])
+def test_batch_rows_are_bit_identical_to_lone_runs(method, step_size):
+    initials = [bound_orbit_state(1.0, rp, ra) for rp, ra in BOUND_ORBITS]
+    cfgs = [IntegratorConfig(method=method, step=step_size, rtol=1e-10, atol=1e-12,
+                             tau_max=tau_max) for tau_max in (150.0, 233.3, 97.0)]
+    trajs = assert_batch_matches_lone(
+        gravitational_connection(schwarzschild(1.0)), Particle(1.0), initials, cfgs
+    )
+    assert [t.status for t in trajs] == ["completed"] * 3
+    assert [t[-1].state.tau for t in trajs] == [150.0, 233.3, 97.0]
+
+
+def test_batch_rows_of_a_combined_law_are_bit_identical():
+    g = schwarzschild(1.0)
+    em = electromagnetic_connection(faraday_field_of(axial_magnetic_potential_spherical(1e-3)), 1.0)
+    initials = [bound_orbit_state(1.0, rp, ra) for rp, ra in BOUND_ORBITS]
+    cfgs = [IntegratorConfig(step=0.5, tau_max=tau_max) for tau_max in (40.0, 60.25, 50.0)]
+    assert_batch_matches_lone(superpose(gravitational_connection(g), em), Particle(1.0, 1.0),
+                              initials, cfgs)
+
+
+def dense_metric(eps=0.02):
+    """g = eta + eps S (k . x): every Christoffel symbol is nonzero, so a
+    contraction summed in another order shows in the bits."""
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-1.0, 1.0, (4, 4))
+    s = s + s.T
+    k = rng.uniform(-1.0, 1.0, 4)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    grad = eps * s[:, :, None] * k  # d g_mn / d x^s, constant
+
+    def matrix(c):
+        ct = c.T
+        phase = ct[0] * k[0] + ct[1] * k[1] + ct[2] * k[2] + ct[3] * k[3]
+        return eta + eps * s * phase[..., None, None]
+
+    return MetricField(matrix_fn=matrix, deriv_fn=lambda c: grad, name="dense")
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_batch_rows_under_dense_coefficients_are_bit_identical(method):
+    g = dense_metric()
+    em = electromagnetic_connection(uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]), 0.8)
+    conn = superpose(gravitational_connection(g), em)
+    initials = [state([0.0, 0.3, -0.2, 0.1], [1.2, 0.1, -0.05, 0.02]),
+                state([0.1, -0.4, 0.2, 0.0], [1.1, -0.2, 0.1, 0.3]),
+                state([0.0, 0.1, 0.1, -0.3], [1.3, 0.0, 0.25, -0.1])]
+    cfgs = [IntegratorConfig(method=method, step=0.05, rtol=1e-10, atol=1e-12, tau_max=tau_max)
+            for tau_max in (1.0, 1.7, 0.6)]
+    assert_batch_matches_lone(conn, Particle(1.5, 0.8), initials, cfgs)
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_batch_domain_exit_ends_only_its_row(method):
+    # the middle row starts at rest at r = 6M and falls into the horizon guard
+    plunge = state([0.0, 6.0, math.pi / 2, 0.0], [math.sqrt(1.5), 0.0, 0.0, 0.0])
+    initials = [bound_orbit_state(1.0, 18.0, 22.0), plunge, bound_orbit_state(1.0, 15.0, 19.0)]
+    cfgs = [IntegratorConfig(method=method, step=0.25, rtol=1e-10, atol=1e-12, tau_max=60.0)] * 3
+    trajs = assert_batch_matches_lone(
+        gravitational_connection(schwarzschild(1.0)), Particle(1.0), initials, cfgs
+    )
+    assert [t.status for t in trajs] == ["completed", "domain-exit", "completed"]
+    assert "inside guarded radius" in trajs[1].reason
+
+
+@pytest.mark.parametrize("method,step_size", [("rk4-fixed", 0.5), ("rk45-adaptive", 1.0)])
+def test_batch_counts_max_steps_per_row(method, step_size):
+    initials = [bound_orbit_state(1.0, rp, ra) for rp, ra in BOUND_ORBITS]
+    cfgs = [IntegratorConfig(method=method, step=step_size, rtol=1e-12, atol=1e-14,
+                             tau_max=tau_max, max_steps=40)
+            for tau_max in (10.0, 20.0, 200.0)]
+    trajs = assert_batch_matches_lone(
+        gravitational_connection(schwarzschild(1.0)), Particle(1.0), initials, cfgs
+    )
+    assert trajs[-1].status == "max-steps"
+    assert len(trajs[-1]) == 41
+    assert len(trajs[0]) < 41
+
+
+def test_batch_with_renormalization():
+    conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
+    initials = [state([0, 0, 0, 0], [oracles.gamma_from_u([u, 0, 0]), u, 0, 0])
+                for u in (0.1, 0.3, 0.2)]
+    cfgs = [IntegratorConfig(step=0.05, tau_max=tau_max, renormalize=True)
+            for tau_max in (3.0, 6.2, 4.4)]
+    trajs = assert_batch_matches_lone(conn, Particle(1.0, 1.0), initials, cfgs)
+    assert all(abs(s.norm_residual) < 1e-14 for t in trajs for s in t)
+
+
+def test_batch_configs_may_differ_only_in_tau_max():
+    conn = gravitational_connection(schwarzschild(1.0))
+    initials = [bound_orbit_state(1.0, 18.0, 22.0)] * 2
+    with pytest.raises(ValueError):
+        integrate_batch(conn, Particle(1.0), initials,
+                        [IntegratorConfig(step=0.5), IntegratorConfig(step=0.25)])
+    with pytest.raises(ValueError):
+        integrate_batch(conn, Particle(1.0), initials, [IntegratorConfig()])
