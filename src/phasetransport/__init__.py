@@ -60,7 +60,6 @@ from .tensor import (
     SpacetimeEvent,
     Tensor2,
     Tensor3,
-    Tensor4,
     Variance,
     flat_metric,
     lower_index,

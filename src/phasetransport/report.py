@@ -27,7 +27,7 @@ from .connection import Particle, electromagnetic_connection
 from .curvature import bianchi_residual, closure_residual
 from .errors import IncompatibleChecker, ValidationError
 from .scenarios import Scenario
-from .tensor import SpacetimeEvent
+from .tensor import DIM
 from .transport import (
     Trajectory,
     acceleration_terms,
@@ -81,18 +81,12 @@ def _plain(value):
 
 
 def _rows(traj: Trajectory) -> list[list[float]]:
-    return [
-        [s.state.tau, *s.state.x.coords.tolist(), *s.state.u.components.tolist(), s.norm_residual]
-        for s in traj
-    ]
+    return np.column_stack([traj.tau, traj.state, traj.norm_residual]).tolist()
 
 
 def _arrays(traj: Trajectory):
-    tau = np.array([s.state.tau for s in traj])
-    coords = np.array([s.state.x.coords for s in traj])
-    u = np.array([s.state.u.components for s in traj])
-    res = np.array([s.norm_residual for s in traj])
-    return tau, coords, u, res
+    """(tau, coords, u) columns of a trajectory."""
+    return traj.tau, traj.state[:, :DIM], traj.state[:, DIM:]
 
 
 def _fit_circle(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -126,7 +120,7 @@ def _radial_extrema(tau: np.ndarray, r: np.ndarray):
 
 
 def _measure_free(scn: Scenario, traj: Trajectory, summary: dict) -> None:
-    tau, coords, u, _ = _arrays(traj)
+    tau, coords, u = _arrays(traj)
     predicted = coords[0] + np.outer(tau, u[0])
     summary["oracle_linearity_error"] = float(np.max(np.abs(coords - predicted)))
 
@@ -138,7 +132,7 @@ def _measure_cyclotron(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     b_mag = float(np.linalg.norm(em["b"]))
     if b_mag == 0:
         raise ValidationError("cyclotron oracle needs a nonzero magnetic field")
-    tau, coords, u, _ = _arrays(traj)
+    tau, coords, u = _arrays(traj)
     m, e = scn.particle.mass, scn.particle.charge
     u_perp = float(np.hypot(u[0, 1], u[0, 2]))
     expected_radius = oracles.larmor_radius(m, e, b_mag, u_perp)
@@ -160,7 +154,7 @@ def _measure_exb(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     if em.get("type") != "uniform":
         raise ValidationError("exb-drift oracle needs uniform fields")
     expected = oracles.drift_velocity(em["e"], em["b"])
-    _, coords, _, _ = _arrays(traj)
+    _, coords, _ = _arrays(traj)
     elapsed = coords[-1, 0] - coords[0, 0]
     measured = (coords[-1, 1:] - coords[0, 1:]) / elapsed
     summary["oracle_drift_error"] = float(np.linalg.norm(measured - expected))
@@ -172,7 +166,7 @@ def _measure_circular(scn: Scenario, traj: Trajectory, summary: dict) -> None:
         raise ValidationError("circular-orbit oracle needs orbit = circular initial data")
     expected_rate = float(init["rate"])
     radius = float(init["radius"])
-    _, coords, _, _ = _arrays(traj)
+    _, coords, _ = _arrays(traj)
     if scn.chart == "spherical":
         r = coords[:, 1]
         phi = coords[:, 3]
@@ -189,7 +183,7 @@ def _measure_precession(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     mass = float(scn.parameters["metric"]["mass"])
     if mass <= 0 or scn.chart != "spherical":
         raise ValidationError("precession oracle needs a massive spherical-chart metric")
-    tau, coords, _, _ = _arrays(traj)
+    tau, coords, _ = _arrays(traj)
     spline_r, minima, maxima = _radial_extrema(tau, coords[:, 1])
     if len(minima) < 2:
         raise ValidationError("trajectory too short to measure an apsidal advance")
@@ -216,8 +210,8 @@ def _measure_newtonian(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     mass = float(scn.parameters["metric"]["mass"])
     if mass <= 0 or scn.chart != "cartesian":
         raise ValidationError("newtonian-force oracle needs a massive Cartesian-chart metric")
-    forces = coordinate_force(list(traj), scn.particle)
-    _, coords, _, _ = _arrays(traj)
+    forces = coordinate_force(traj, scn.particle)
+    _, coords, _ = _arrays(traj)
     pos_spline = CubicSpline(coords[:, 0], coords[:, 1:])
     grid_t = np.array([t for t, _ in forces])
     grid_f = np.array([f for _, f in forces])
@@ -280,18 +274,21 @@ def run_batch(scenarios) -> list[RunReport]:
 
 
 def _run_report(scenario: Scenario, traj: Trajectory) -> RunReport:
-    _, _, _, res = _arrays(traj)
     summary = {
         "n_samples": len(traj),
-        "tau_final": traj[-1].state.tau,
-        "t_final": float(traj[-1].state.x.coords[0]),
-        "max_norm_residual": float(np.max(np.abs(res))),
+        "tau_final": float(traj.tau[-1]),
+        "t_final": float(traj.state[-1, 0]),
+        "max_norm_residual": float(np.max(np.abs(traj.norm_residual))),
         "terminal_status": traj.status,
     }
     if traj.reason:
         summary["terminal_reason"] = traj.reason
     if scenario.oracle != "none":
-        _MEASURES[scenario.oracle](scenario, traj, summary)
+        try:
+            _MEASURES[scenario.oracle](scenario, traj, summary)
+        except (ValueError, ArithmeticError) as err:
+            # the closed forms reject parameters outside their domain
+            raise ValidationError(f"{scenario.oracle} oracle: {err}") from None
     return RunReport(
         scenario=scenario.parameters,
         summary=_plain(summary),
@@ -343,12 +340,11 @@ def _check_closure(scn: Scenario) -> tuple[bool, dict, Optional[Trajectory]]:
 def _check_norm(scn: Scenario) -> tuple[bool, dict, Optional[Trajectory]]:
     cfg = dataclasses.replace(scn.config, tau_max=min(scn.config.tau_max, 100.0))
     traj = integrate(scn.connection(), scn.particle, scn.initial, cfg)
-    _, _, _, res = _arrays(traj)
-    worst = float(np.max(np.abs(res)))
+    worst = float(np.max(np.abs(traj.norm_residual)))
     details = {
         "max_norm_residual": worst,
         "bound": NORM_BOUND,
-        "tau_span": traj[-1].state.tau,
+        "tau_span": float(traj.tau[-1]),
         "n_samples": len(traj),
     }
     return worst < NORM_BOUND, details, traj
@@ -375,12 +371,7 @@ def _check_mass_invariance(scn: Scenario) -> tuple[bool, dict, Optional[Trajecto
                 "bound": MASS_POINTWISE_BOUND,
             }
             return False, details, base
-        worst = 0.0
-        for a, b in zip(base, heavy):
-            worst = max(worst, float(np.max(np.abs(a.state.x.coords - b.state.x.coords))))
-            worst = max(
-                worst, float(np.max(np.abs(a.state.u.components - b.state.u.components)))
-            )
+        worst = float(np.max(np.abs(base.state - heavy.state)))
         details = {
             "mode": "trajectory",
             "mass_factor": 17.0,
@@ -427,25 +418,26 @@ def _check_minimal_substitution(scn: Scenario) -> tuple[bool, dict, Optional[Tra
         scn.potential, scn.metric, scn.particle, scn.initial, scn.config
     )
     routes = (force_route, momentum_route)
-    a, b = force_route[-1].state, momentum_route[-1].state
-    if force_route.status != momentum_route.status or abs(a.tau - b.tau) > 1e-12:
+    tau_a, tau_b = float(force_route.tau[-1]), float(momentum_route.tau[-1])
+    if force_route.status != momentum_route.status or abs(tau_a - tau_b) > 1e-12:
         # the routes must end alike; never compare an endpoint of a
         # truncation.  Their sample counts match on a fixed step; an
         # adaptive step sizes each route's own state, so counts differ.
         details = {
             "status": [r.status for r in routes],
             "n_samples": [len(r) for r in routes],
-            "tau_final": [a.tau, b.tau],
+            "tau_final": [tau_a, tau_b],
             "bound": ENDPOINT_BOUND,
         }
         return False, details, force_route
-    sep_x = float(np.max(np.abs(a.x.coords - b.x.coords)))
-    sep_u = float(np.max(np.abs(a.u.components - b.u.components)))
+    gap = np.abs(force_route.state[-1] - momentum_route.state[-1])
+    sep_x = float(np.max(gap[:DIM]))
+    sep_u = float(np.max(gap[DIM:]))
     details = {
         "endpoint_position_separation": sep_x,
         "endpoint_velocity_separation": sep_u,
         "bound": ENDPOINT_BOUND,
-        "tau_final": a.tau,
+        "tau_final": tau_a,
     }
     return max(sep_x, sep_u) < ENDPOINT_BOUND, details, force_route
 

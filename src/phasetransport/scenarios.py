@@ -191,8 +191,9 @@ def solve_time_component(g: MetricField, coords: np.ndarray, u_spatial: np.ndarr
     root."""
     gmat = g.matrix_raw(coords)
     a = gmat[0, 0]
-    b = 2.0 * float(gmat[0, 1:] @ u_spatial)
-    c = float(u_spatial @ gmat[1:, 1:] @ u_spatial) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge velocity gives inf, caught later
+        b = 2.0 * float(gmat[0, 1:] @ u_spatial)
+        c = float(u_spatial @ gmat[1:, 1:] @ u_spatial) + 1.0
     if a >= 0:
         raise ValidationError("metric time-time component is not negative here")
     disc = b * b - 4.0 * a * c
@@ -310,10 +311,7 @@ def _orbit_initial(
         if r_peri is None or r_apo is None:
             raise ValidationError("orbit = bound needs r_peri and r_apo")
         r_peri, r_apo = float(r_peri), float(r_apo)
-        try:
-            energy, ang_mom = oracles.bound_orbit_constants(metric_mass, r_peri, r_apo)
-        except ValueError as err:
-            raise ValidationError(str(err)) from None
+        energy, ang_mom = oracles.bound_orbit_constants(metric_mass, r_peri, r_apo)
         ut = energy / (1.0 - 2.0 * metric_mass / r_peri)
         coords = np.array([t0, r_peri, 0.5 * math.pi, 0.0])
         u = np.array([ut, 0.0, 0.0, ang_mom / r_peri**2])
@@ -352,9 +350,13 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
     isec = doc.get("initial", {})
     orbit_params: dict = {}
     if "orbit" in isec:
-        coords, u_arr, orbit_params = _orbit_initial(
-            doc, g, chart, metric_mass, em_params, em_kind, particle
-        )
+        try:
+            coords, u_arr, orbit_params = _orbit_initial(
+                doc, g, chart, metric_mass, em_params, em_kind, particle
+            )
+        except (ValueError, ArithmeticError) as err:
+            # the closed forms reject parameters outside their domain
+            raise ValidationError(f"orbit = {isec['orbit']}: {err}") from None
     else:
         bad = set(isec) & {"radius", "r_peri", "r_apo"}
         if bad:
@@ -369,6 +371,8 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
         u0 = solve_time_component(g, coords, u_spatial)
         u_arr = np.concatenate([[u0], u_spatial])
 
+    if not np.all(np.isfinite(u_arr)):
+        raise ValidationError(f"initial four-velocity {u_arr.tolist()} is not finite")
     why = g.guard.reason(SpacetimeEvent(coords))
     if why is not None:
         raise ValidationError(f"initial point outside the metric domain: {why}")

@@ -10,7 +10,7 @@ frozen on construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -148,20 +148,6 @@ class Tensor3:
 
 
 @dataclass(frozen=True)
-class Tensor4:
-    values: np.ndarray
-    variance: tuple[Variance, Variance, Variance, Variance] = (
-        Variance.DOWN,
-    ) * 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, (DIM,) * 4))
-        object.__setattr__(self, "variance", tuple(self.variance))
-        if len(self.variance) != 4 or not all(isinstance(v, Variance) for v in self.variance):
-            raise TypeError("variance must be four Variance members")
-
-
-@dataclass(frozen=True)
 class DomainGuard:
     """Validity predicate for field evaluation.
 
@@ -250,9 +236,6 @@ class MetricField:
     name: str = "metric"
     coordinate_names: tuple[str, str, str, str] = ("t", "x", "y", "z")
 
-    #: Signature record, fixed package-wide.
-    signature: tuple[int, int, int, int] = field(default=(-1, 1, 1, 1), init=False)
-
     # -- raw accessors (hot path, no container overhead) --------------------
 
     def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
@@ -337,7 +320,7 @@ def default_step(anchor: float) -> float:
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-TensorLike = Union[FourVector, Tensor2, Tensor3, Tensor4, float, np.ndarray]
+TensorLike = Union[FourVector, Tensor2, Tensor3, float, np.ndarray]
 
 
 def raise_index(t: Union[Tensor2, FourVector], g: MetricField, x: SpacetimeEvent):
@@ -383,7 +366,7 @@ def minkowski_norm(u: FourVector, g: MetricField, x: SpacetimeEvent) -> float:
 def _values_of(obj: TensorLike):
     if isinstance(obj, (FourVector,)):
         return obj.components
-    if isinstance(obj, (Tensor2, Tensor3, Tensor4)):
+    if isinstance(obj, (Tensor2, Tensor3)):
         return obj.values
     return np.asarray(obj, dtype=float)
 
@@ -396,8 +379,6 @@ def _rebuild_like(template: TensorLike, values):
         return Tensor2(values, template.variance)
     if isinstance(template, Tensor3):
         return Tensor3(values, template.variance)
-    if isinstance(template, Tensor4):
-        return Tensor4(values, template.variance)
     if np.ndim(values) == 0:
         return float(values)
     return values

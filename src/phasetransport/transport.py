@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .connection import NonLinearConnection, Particle, gravitational_connection
+from .curvature import _metric_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected
 from .fields import VectorPotential
 from .tensor import (
@@ -48,27 +50,6 @@ H_MIN = 1e-8
 H_MAX_FRACTION = 0.1
 
 _METHODS = ("rk4-fixed", "rk45-adaptive")
-
-
-def _sample_trusted(
-    tau: float, coords: np.ndarray, u: np.ndarray, residual: float, diagnostics: dict
-) -> TrajectorySample:
-    """Build a sample without re-running constructor validation.
-
-    The integration loop guarantees finiteness (a non-finite state fails
-    the finiteness gate in the sampler) and future-direction, so the
-    typed wrappers are assembled directly; arrays are fresh copies already.
-    """
-    x = object.__new__(SpacetimeEvent)
-    object.__setattr__(x, "coords", coords)
-    v = object.__new__(FourVector)
-    object.__setattr__(v, "components", u)
-    object.__setattr__(v, "variance", Variance.UP)
-    state = object.__new__(PhaseState)
-    object.__setattr__(state, "tau", tau)
-    object.__setattr__(state, "x", x)
-    object.__setattr__(state, "u", v)
-    return TrajectorySample(state, residual, diagnostics)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,18 +76,74 @@ class TrajectorySample:
     diagnostics: dict = field(default_factory=dict)
 
 
-class Trajectory(list):
-    """Sequence of samples with a terminal status.
+def _assembled(cls, **fields):
+    """An instance of a frozen dataclass, without re-running its validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Trajectory(Sequence):
+    """Accepted states of one integration, stored as columns, with a terminal status.
+
+    The columns are read-only arrays over the n samples: ``tau (n,)``,
+    ``state (n, 8)`` (coordinates followed by the contravariant u),
+    ``norm_residual (n,)`` and ``energy (n,)``.  Indexing and iteration
+    build each ``TrajectorySample`` on demand, with ``diagnostics =
+    {"energy": ...}``; a slice is a ``Trajectory`` of those samples with
+    the default status.  ``Trajectory(samples)`` stores a sequence of
+    samples as columns (a sample without an energy diagnostic records NaN).
 
     status is one of 'completed', 'domain-exit', 'max-steps'; `reason`
     carries the guard message for domain exits.
     """
 
+    __slots__ = ("tau", "state", "norm_residual", "energy", "status", "reason")
+
     def __init__(self, samples: Iterable[TrajectorySample] = (), status: str = "completed",
                  reason: Optional[str] = None):
-        super().__init__(samples)
-        self.status = status
-        self.reason = reason
+        samples = list(samples)
+        self._fill(
+            np.array([s.state.tau for s in samples], dtype=float),
+            np.array([np.concatenate([s.state.x.coords, s.state.u.components]) for s in samples],
+                     dtype=float).reshape(len(samples), 2 * DIM),
+            np.array([s.norm_residual for s in samples], dtype=float),
+            np.array([s.diagnostics.get("energy", math.nan) for s in samples], dtype=float),
+            status,
+            reason,
+        )
+
+    @classmethod
+    def _of(cls, tau, state, norm_residual, energy, status="completed", reason=None):
+        traj = object.__new__(cls)
+        traj._fill(tau, state, norm_residual, energy, status, reason)
+        return traj
+
+    def _fill(self, tau, state, norm_residual, energy, status, reason) -> None:
+        for column in (tau, state, norm_residual, energy):
+            column.setflags(write=False)
+        self.tau, self.state, self.norm_residual, self.energy = tau, state, norm_residual, energy
+        self.status, self.reason = status, reason
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trajectory._of(self.tau[i], self.state[i], self.norm_residual[i], self.energy[i])
+        i = range(len(self.tau))[i]  # negative indices count from the end; IndexError past it
+        state = _assembled(
+            PhaseState,
+            tau=float(self.tau[i]),
+            x=_assembled(SpacetimeEvent, coords=self.state[i, :DIM]),
+            u=_assembled(FourVector, components=self.state[i, DIM:], variance=Variance.UP),
+        )
+        return TrajectorySample(state, float(self.norm_residual[i]),
+                                {"energy": float(self.energy[i])})
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.tau)))
 
 
 @dataclass(frozen=True)
@@ -367,20 +404,23 @@ def _renormalized(u: np.ndarray, gmat: np.ndarray) -> np.ndarray:
 
 
 class _Row:
-    """One trajectory of an integration: its state, clock, step and samples.
+    """One trajectory of an integration: its state, clock, step and record.
 
     ``target`` is the proper time the pending step lands at.  For RK4,
     ``n_main`` steps of ``cfg.step`` come first, then one ``extra`` step
     of the remainder up to tau_max unless the step budget ran out
-    (``limited``, status 'max-steps').
+    (``limited``, status 'max-steps').  ``taus`` and ``ys`` record each
+    accepted proper time and state.
     """
 
-    __slots__ = ("out", "cfg", "y", "tau0", "tau", "h", "target", "steps", "n_full",
-                 "n_main", "remainder", "extra", "limited")
+    __slots__ = ("cfg", "y", "tau0", "tau", "h", "target", "steps", "n_full", "n_main",
+                 "remainder", "extra", "limited", "taus", "ys", "status", "reason")
 
-    def __init__(self, out: Trajectory, cfg: IntegratorConfig, y: np.ndarray, tau0: float):
-        self.out, self.cfg, self.y = out, cfg, y
+    def __init__(self, cfg: IntegratorConfig, y: np.ndarray, tau0: float):
+        self.cfg, self.y = cfg, y
         self.tau0 = self.tau = tau0
+        self.taus, self.ys = [tau0], [y]
+        self.status, self.reason = "completed", None
         self.steps = 0
         if cfg.method == "rk4-fixed":
             self.h = cfg.step
@@ -395,7 +435,23 @@ class _Row:
             self.h = min(max(cfg.step, H_MIN), cfg.tau_max * H_MAX_FRACTION)
 
     def end(self, status: str, reason: Optional[str] = None) -> None:
-        self.out.status, self.out.reason = status, reason
+        self.status, self.reason = status, reason
+
+    def record(self) -> tuple[np.ndarray, np.ndarray, str, Optional[str]]:
+        """(tau (n,), state (n, 8), status, reason); the row lets go of its lists."""
+        taus, ys, self.taus, self.ys = self.taus, self.ys, [], []
+        return np.array(taus), np.array(ys), self.status, self.reason
+
+
+#: y @ 0 is NaN exactly when a component of y is NaN or infinite.
+_ZERO_STATE = np.zeros(2 * DIM)
+
+
+def _nonfinite(y: np.ndarray) -> list[bool]:
+    """Per row of `y` ((8,) or (N, 8)): whether some component is not finite."""
+    if y.ndim == 1:
+        return [math.isnan(y @ _ZERO_STATE)]
+    return np.isnan(y @ _ZERO_STATE).tolist()
 
 
 def _integrate_engine(
@@ -403,24 +459,26 @@ def _integrate_engine(
     y0: np.ndarray,
     tau0: Sequence[float],
     cfgs: Sequence[IntegratorConfig],
-    sampler: Callable[[float, np.ndarray], TrajectorySample],
     renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     admit: Optional[Callable[[np.ndarray], Optional[str]]] = None,
-) -> list[Trajectory]:
+) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
     """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
     Row i starts at ``tau0[i]`` with ``cfgs[i]``; the configs may differ
     only in ``tau_max``.  Each row keeps its own clock, step size, step
-    count, status and samples, and takes exactly the arithmetic it takes
+    count, status and record, and takes exactly the arithmetic it takes
     alone: a row whose stage leaves the domain ends there while the
     others go on.  A lone trajectory keeps its 1-D state.  A row stays
-    'completed' while it runs; ending otherwise takes it out.
+    'completed' while it runs; ending otherwise takes it out.  Returns
+    each row's ``_Row.record()``: its accepted proper times and states,
+    the initial state included.  A state that is not finite raises
+    ``StepRejected``.
     """
     lone = y0.ndim == 1
-    rows = [
-        _Row(Trajectory([sampler(tau, y)]), cfg, y, tau)
-        for tau, cfg, y in zip(tau0, cfgs, [y0] if lone else y0)
-    ]
+    for tau, bad in zip(tau0, _nonfinite(y0)):
+        if bad:
+            raise StepRejected(f"state became non-finite at tau = {tau:g}")
+    rows = [_Row(cfg, y, tau) for tau, cfg, y in zip(tau0, cfgs, [y0] if lone else y0)]
     active = [row for row in rows if row.cfg.tau_max - row.tau > 0]
     cfg = cfgs[0]
 
@@ -456,25 +514,29 @@ def _integrate_engine(
         """Move each row to its accepted state unless that lies outside the domain.
 
         A step may jump clean across the guard margin without any stage
-        evaluation failing; never retain such a state.
+        evaluation failing; never retain such a state.  One finiteness
+        test covers the rows that landed.
         """
-        states = [y_new] if lone else list(y_new)
         if renorm is not None:
-            states = [renorm(y) for y in states]
+            y_new = renorm(y_new) if lone else np.stack([renorm(y) for y in y_new])
+        states = [y_new] if lone else list(y_new)
         if admit is None:
             exits = [None] * len(states)
         elif lone:
-            exits = [admit(states[0][:4])]
-        elif admit((y_new if renorm is None else np.stack(states))[:, :4]) is None:
+            exits = [admit(y_new[:4])]
+        elif admit(y_new[:, :4]) is None:
             exits = [None] * len(states)
         else:
             exits = [admit(y[:4]) for y in states]
-        for row, y, why in zip(stepped, states, exits):
+        for row, y, why, bad in zip(stepped, states, exits, _nonfinite(y_new)):
             if why is not None:
                 row.end("domain-exit", why)
                 continue
+            if bad:
+                raise StepRejected(f"state became non-finite at tau = {row.target:g}")
             row.y, row.tau = y, row.target
-            row.out.append(sampler(row.tau, y))
+            row.taus.append(row.tau)
+            row.ys.append(y)
 
     if cfg.method == "rk4-fixed":
 
@@ -501,8 +563,8 @@ def _integrate_engine(
             stepped, result = attempt(rk4, stepping)
             if stepped:
                 land(stepped, result[0])
-            active = [row for row in stepped if row.out.status == "completed"]
-        return [row.out for row in rows]
+            active = [row for row in stepped if row.status == "completed"]
+        return [row.record() for row in rows]
 
     # adaptive embedded pair, with the step-size controller run per row
     def rk45(y, h):
@@ -546,25 +608,28 @@ def _integrate_engine(
                 row.h = min(max(row.h * max(0.2, 0.9 * enorm ** -0.2), H_MIN), h_max)
         if accepted:
             land([stepped[p] for p in accepted], y_new if lone else y_new[accepted])
-        active = [row for row in stepped if row.out.status == "completed"]
-    return [row.out for row in rows]
+        active = [row for row in stepped if row.status == "completed"]
+    return [row.record() for row in rows]
 
 
-#: y @ 0 is NaN exactly when a component of y is NaN or infinite.
-_ZERO_STATE = np.zeros(2 * DIM)
-
-
-def _norm_sampler(metric: MetricField) -> Callable[[float, np.ndarray], TrajectorySample]:
-    def sampler(tau: float, y: np.ndarray) -> TrajectorySample:
-        if math.isnan(y @ _ZERO_STATE):
-            raise StepRejected(f"state became non-finite at tau = {tau:g}")
-        coords = y[:4].copy()
-        u = y[4:].copy()
-        u_cov = metric.matrix_raw(coords) @ u
-        residual = float(u @ u_cov + 1.0)
-        return _sample_trusted(tau, coords, u, residual, {"energy": -float(u_cov[0])})
-
-    return sampler
+def _trajectory(
+    metric: MetricField, tau: np.ndarray, state: np.ndarray, status: str, reason: Optional[str]
+) -> Trajectory:
+    """The columns of one integration; the norm residual g(u, u) + 1 and the
+    energy -u_0 come from one metric evaluation over the whole coordinate column.
+    """
+    g = metric.matrix_raw(state[:, :DIM])
+    if np.shape(g) not in ((DIM, DIM), (len(state), DIM, DIM)):
+        raise ValueError(
+            f"{metric.name}: matrix_fn returned shape {np.shape(g)} for {len(state)} events;"
+            f" integration needs a matrix_fn that takes a batch (N, 4) of coordinates and"
+            f" returns (N, 4, 4), or a constant (4, 4)"
+        )
+    u = state[:, DIM:]
+    u_cov = _mv(g, u)
+    # per event, the bits of the 1-D dot product u @ u_cov
+    residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
+    return Trajectory._of(tau, state, residual, -u_cov[:, 0], status, reason)
 
 
 def step(
@@ -611,7 +676,11 @@ def integrate(
 
     Samples include the initial state.  Domain exits during the run are
     reported through the trajectory status, not raised; an initial state
-    already outside the domain raises ``OutsideDomain``.
+    already outside the domain raises ``OutsideDomain``.  The norm
+    residual and energy columns come from one call of the metric's
+    ``matrix_fn`` on the trajectory's ``(n, 4)`` coordinates, so it must
+    take batch axes (or return a constant ``(4, 4)``), as the built-in
+    metrics do; a wrong shape raises ``ValueError``.
     """
     return integrate_batch(c, particle, [initial], [cfg])[0]
 
@@ -631,7 +700,7 @@ def integrate_batch(
     non-finite state, an unreachable tolerance) ends the whole batch.
     The connection's evaluators must take a batch of coordinates, as the
     built-in ones do.  A single row runs on 1-D state, as ``integrate``
-    does.
+    does; its metric still gets the batch call that fills the columns.
     """
     if len(initials) != len(cfgs) or not cfgs:
         raise ValueError("need one config per initial state, and at least one")
@@ -642,15 +711,15 @@ def integrate_batch(
         c.guard.check(initial.x)
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
     y0 = states[0] if len(states) == 1 else np.stack(states)
-    return _integrate_engine(
+    records = _integrate_engine(
         _make_rhs(c, particle),
         y0,
         [initial.tau for initial in initials],
         cfgs,
-        _norm_sampler(c.metric),
         _metric_renorm(c.metric) if first.renormalize else None,
         c.guard.probe,
     )
+    return [_trajectory(c.metric, *record) for record in records]
 
 
 def geodesic_integrate(
@@ -670,6 +739,9 @@ def coordinate_force(
 ) -> list[tuple[float, np.ndarray]]:
     """d(m u^i)/dt on a uniform coordinate-time grid.
 
+    `samples` is a ``Trajectory``, whose columns are read directly, or
+    any sequence of ``TrajectorySample``.
+
     Since u^i equals gamma v^i, this is the coordinate force familiar
     from the low-velocity limit.  The samples are resampled onto a
     uniform grid in t with a cubic spline, then differenced (central in
@@ -677,10 +749,14 @@ def coordinate_force(
     """
     if len(samples) < 4:
         raise ValueError("need at least four samples for cubic resampling")
-    t = np.array([s.state.x.coords[0] for s in samples])
+    if isinstance(samples, Trajectory):
+        t, u = samples.state[:, 0], samples.state[:, DIM + 1:]
+    else:
+        t = np.array([s.state.x.coords[0] for s in samples])
+        u = np.array([s.state.u.components[1:] for s in samples])
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTime("coordinate time is not strictly increasing")
-    momenta = particle.mass * np.array([s.state.u.components[1:] for s in samples])
+    momenta = particle.mass * u
     grid = np.linspace(t[0], t[-1], len(t))
     resampled = CubicSpline(t, momenta, axis=0)(grid)
     force = np.gradient(resampled, grid[1] - grid[0], axis=0)
@@ -735,22 +811,6 @@ def minimal_substitution_trajectory(
             out[s, :] = (plus - minus) / (2.0 * h)
         return out
 
-    def metric_gradient(coords: np.ndarray) -> np.ndarray:
-        dg = g.deriv_raw(coords)
-        if dg is not None:
-            return dg
-        out = np.empty((DIM, DIM, DIM))
-        shifted = coords.copy()
-        for s in range(DIM):
-            h = FD_STEP_FIRST * max(1.0, abs(coords[s]))
-            shifted[s] = coords[s] + h
-            plus = g.matrix_fn(shifted)
-            shifted[s] = coords[s] - h
-            minus = g.matrix_fn(shifted)
-            shifted[s] = coords[s]
-            out[:, :, s] = (plus - minus) / (2.0 * h)
-        return out
-
     def kinetic_up(coords: np.ndarray, pi: np.ndarray) -> np.ndarray:
         u_cov = (pi - e * a.values_fn(coords)) / m
         return g.inverse_raw(coords) @ u_cov
@@ -762,7 +822,7 @@ def minimal_substitution_trajectory(
         if why is not None:
             raise OutsideDomain(why)
         u = kinetic_up(coords, pi)
-        dg = metric_gradient(coords)
+        dg = _metric_deriv_raw(g, coords, None)
         dpi = 0.5 * m * np.einsum("abs,a,b->s", dg, u, u)
         if e != 0.0:
             dpi = dpi + e * (d_potential(coords) @ u)
@@ -770,15 +830,6 @@ def minimal_substitution_trajectory(
         out[:4] = u
         out[4:] = dpi
         return out
-
-    def sampler(tau: float, y: np.ndarray) -> TrajectorySample:
-        if math.isnan(y @ _ZERO_STATE):
-            raise StepRejected(f"state became non-finite at tau = {tau:g}")
-        coords = y[:4].copy()
-        u = kinetic_up(coords, y[4:])
-        u_cov = g.matrix_raw(coords) @ u
-        residual = float(u @ u_cov + 1.0)
-        return _sample_trusted(tau, coords, u, residual, {"energy": -float(u_cov[0])})
 
     renorm = None
     if cfg.renormalize:
@@ -798,4 +849,7 @@ def minimal_substitution_trajectory(
     u0_cov = g.matrix_raw(x0) @ initial.u.components
     pi0 = m * u0_cov + e * a.values_fn(x0)
     y0 = np.concatenate([x0, pi0])
-    return _integrate_engine(rhs, y0, [initial.tau], [cfg], sampler, renorm, admit)[0]
+    tau, state, status, reason = _integrate_engine(rhs, y0, [initial.tau], [cfg], renorm, admit)[0]
+    # record the recovered kinetic velocity in place of the canonical momentum
+    state[:, DIM:] = [kinetic_up(x, pi) for x, pi in zip(state[:, :DIM], state[:, DIM:])]
+    return _trajectory(g, tau, state, status, reason)

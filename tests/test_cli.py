@@ -1,10 +1,18 @@
 """Command-line interface: exit codes, output files, overrides."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasetransport.cli import main
+from phasetransport.scenarios import builtin_names, builtin_text
 
 HEADER = "tau,t,x,y,z,u0,u1,u2,u3,norm_residual"
 
@@ -169,6 +177,33 @@ def test_non_finite_literal_is_invalid_input(case, tmp_path, capsys):
     assert f"key {key!r}" in errors[0] and "line " in errors[0]
 
 
+#: built-in, key line, replacement: values that the orbit closed forms,
+#: the unit-norm solve or an oracle reject (each once gave a traceback)
+OUT_OF_DOMAIN = [
+    ("free", "u1 = 1.0", "u1 = 1e300"),
+    ("coulomb", "radius = 10.0", "radius = 0"),
+    ("coulomb", "charge = 1.0", "charge = 1e300"),
+    ("schwarzschild-circular", "radius = 10.0", "radius = 3"),
+    ("schwarzschild-circular", "radius = 10.0", "radius = 1e300"),
+    ("schwarzschild-precession", "r_apo = 22.0", "r_apo = 1e300"),
+    ("cyclotron", "charge = 1.0", "charge = 0"),
+    ("exb-drift", "e_x = 0.1", "e_x = 3"),
+    ("weak-field-newtonian", "step = 1e-2", "step = 3"),
+]
+
+
+@pytest.mark.parametrize("name,line,replacement", OUT_OF_DOMAIN)
+def test_value_outside_a_closed_form_domain_is_invalid_input(name, line, replacement,
+                                                             tmp_path, capsys):
+    text = builtin_text(name)
+    assert line in text
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text.replace(line, replacement))
+    assert main(["run", str(path), "--tau-max", "2.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("override", [["--tau-max", "inf"], ["--step", "inf"], ["--step", "nan"]])
 def test_non_finite_override_is_invalid_input(override, capsys):
     assert main(["run", "free", *override]) == 1
@@ -257,3 +292,77 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(HEADER)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed exit-code contract: one key of a built-in set to a random literal
+
+
+def _keyed_lines():
+    """(built-in, line index, section, key, value) of every key = value line."""
+    out = []
+    for name in builtin_names():
+        section = None
+        for i, line in enumerate(builtin_text(name).splitlines()):
+            text = line.split("#", 1)[0].strip()
+            if text.startswith("["):
+                section = text[1:-1]
+            elif "=" in text:
+                key, _, value = text.partition("=")
+                out.append((name, i, section, key.strip(), value.strip()))
+    return out
+
+
+def _number(literal):
+    try:
+        return float(literal)
+    except ValueError:
+        return None
+
+
+#: documented bounds of numeric keys; a value outside fails validation
+OUT_OF_RANGE = {
+    ("particle", "mass"): lambda v: not v > 0,
+    ("metric", "mass"): lambda v: not v > 0,
+    ("integrator", "step"): lambda v: not v > 0,
+    ("integrator", "tau_max"): lambda v: not v > 0,
+    ("integrator", "rtol"): lambda v: v < 0,
+    ("integrator", "atol"): lambda v: v < 0,
+}
+
+LITERALS = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"]),
+    st.floats(min_value=-1e300, max_value=-1e-300).map(repr),  # negative
+    st.floats(min_value=1e200, max_value=1e308).map(repr),  # huge, either sign
+    st.floats(min_value=-1e308, max_value=-1e200).map(repr),
+    # garbage without digits (a small positive step could run for minutes)
+    st.text(st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="#\n\r"),
+            min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    line=st.sampled_from(_keyed_lines()),
+    literal=LITERALS,
+    command=st.sampled_from([["run"], ["check", "--checker", "norm"]]),
+)
+def test_fuzzed_document_keeps_the_exit_code_contract(line, literal, command):
+    name, index, section, key, original = line
+    lines = builtin_text(name).splitlines()
+    lines[index] = f"{key} = {literal}"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        # an exception escaping main() is a traceback on the command line
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:], "--tau-max", "0.05"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    value = _number(literal)
+    if value is not None and _number(original) is not None:
+        bound = OUT_OF_RANGE.get((section, key))
+        if not math.isfinite(value) or (bound is not None and bound(value)):
+            assert code == 1, (literal, err.getvalue())

@@ -236,8 +236,8 @@ def test_json_rows_template_gives_the_bytes_of_json_dumps():
     no_samples = dataclasses.replace(check(load_builtin("free"), "bianchi"), samples=None)
     assert emit(no_samples, "json") == _json_reference(no_samples)
     # a value json spells its own way takes json's path for the rows
-    traj = Trajectory(rep.samples[:3])
-    traj[1] = dataclasses.replace(traj[1], norm_residual=float("nan"))
-    odd = dataclasses.replace(rep, samples=traj)
+    samples = list(rep.samples[:3])
+    samples[1] = dataclasses.replace(samples[1], norm_residual=float("nan"))
+    odd = dataclasses.replace(rep, samples=Trajectory(samples))
     assert emit(odd, "json") == _json_reference(odd)
     assert "NaN" in emit(odd, "json")

@@ -25,6 +25,7 @@ from phasetransport.connection import (
 from phasetransport.curvature import faraday_field_of
 from phasetransport.errors import MalformedFaraday, NonMonotoneTime, OutsideDomain, StepRejected
 from phasetransport.fields import (
+    AntisymmetricFaraday,
     FaradayField,
     axial_magnetic_potential_spherical,
     coulomb_potential,
@@ -524,6 +525,8 @@ def assert_same_trajectory(got, want):
         np.testing.assert_array_equal(a.state.u.components, b.state.u.components)
         assert a.norm_residual == b.norm_residual
         assert a.diagnostics == b.diagnostics
+    for column in ("tau", "state", "norm_residual", "energy"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
 
 def assert_batch_matches_lone(conn, particle, initials, cfgs):
@@ -633,3 +636,137 @@ def test_batch_configs_may_differ_only_in_tau_max():
                         [IntegratorConfig(step=0.5), IntegratorConfig(step=0.25)])
     with pytest.raises(ValueError):
         integrate_batch(conn, Particle(1.0), initials, [IntegratorConfig()])
+
+
+# ---------------------------------------------------------------------------
+# columnar trajectories: samples are built on demand from the columns
+
+
+def per_sample_reference(metric, traj):
+    """(tau, coords, u, norm residual, energy) of each sample, as a sampler
+    that evaluated the metric at one event at a time computed them."""
+    out = []
+    for tau, y in zip(traj.tau.tolist(), traj.state):
+        coords, u = y[:4].copy(), y[4:].copy()
+        u_cov = metric.matrix_raw(coords) @ u
+        out.append((tau, coords, u, float(u @ u_cov + 1.0), -float(u_cov[0])))
+    return out
+
+
+def assert_samples_match(sample, ref):
+    tau, coords, u, residual, energy = ref
+    assert sample.state.tau == tau
+    np.testing.assert_array_equal(sample.state.x.coords, coords)
+    np.testing.assert_array_equal(sample.state.u.components, u)
+    assert sample.state.u.variance is Variance.UP
+    assert sample.norm_residual == residual
+    assert sample.diagnostics == {"energy": energy}
+
+
+COLUMN_CASES = {
+    "cyclotron": lambda: (
+        electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0),
+        Particle(1.0, 1.0),
+        state([0, 0, 0, 0], [oracles.gamma_from_u([0.3, 0, 0]), 0.3, 0, 0]),
+        IntegratorConfig(step=0.05, tau_max=3.0),
+    ),
+    "schwarzschild-rk45": lambda: (
+        gravitational_connection(schwarzschild(1.0)),
+        Particle(1.0),
+        bound_orbit_state(1.0, 18.0, 22.0),
+        IntegratorConfig(method="rk45-adaptive", step=1.0, rtol=1e-10, tau_max=200.0),
+    ),
+    "dense-combined": lambda: (
+        superpose(gravitational_connection(dense_metric()),
+                  electromagnetic_connection(uniform_faraday([0.1, 0, 0], [0, 0, 1.0]), 0.8)),
+        Particle(1.5, 0.8),
+        state([0.0, 0.3, -0.2, 0.1], [1.2, 0.1, -0.05, 0.02]),
+        IntegratorConfig(step=0.05, tau_max=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_samples_built_from_columns_match_per_sample_values(case):
+    conn, particle, initial, cfg = COLUMN_CASES[case]()
+    traj = integrate(conn, particle, initial, cfg)
+    refs = per_sample_reference(conn.metric, traj)
+    assert len(traj) == len(refs) > 10
+    assert traj.state.shape == (len(traj), 8)
+    for sample, ref in zip(traj, refs):
+        assert_samples_match(sample, ref)
+    assert_samples_match(traj[1], refs[1])
+    assert_samples_match(traj[-1], refs[-1])
+    assert_samples_match(traj[np.int64(-2)], refs[-2])
+    with pytest.raises(IndexError):
+        traj[len(traj)]
+    part = traj[2:7:2]
+    assert isinstance(part, type(traj)) and part.status == "completed"
+    assert len(part) == 3
+    for sample, ref in zip(part, refs[2:7:2]):
+        assert_samples_match(sample, ref)
+
+
+def test_trajectory_of_samples_keeps_values_status_and_reason():
+    conn, particle, initial, cfg = COLUMN_CASES["cyclotron"]()
+    traj = integrate(conn, particle, initial, cfg)
+    again = type(traj)(traj[:-3], status="domain-exit", reason="forced")
+    assert (again.status, again.reason, len(again)) == ("domain-exit", "forced", len(traj) - 3)
+    for column in ("tau", "state", "norm_residual", "energy"):
+        np.testing.assert_array_equal(getattr(again, column), getattr(traj, column)[:-3])
+        with pytest.raises(ValueError):  # the columns are read-only
+            getattr(traj, column)[0] = 0.0
+    assert len(type(traj)()) == 0
+
+
+def test_integrate_builds_no_sample_until_one_is_indexed(monkeypatch):
+    built = []
+    original = TrajectorySample.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectorySample, "__init__", counted)
+    conn, particle, initial, cfg = COLUMN_CASES["cyclotron"]()
+    traj = integrate(conn, particle, initial, cfg)
+    trajs = integrate_batch(conn, particle, [initial, initial], [cfg, cfg])
+    assert built == []
+    assert traj[-1].state.tau == cfg.tau_max
+    assert len(built) == 1
+    list(trajs[0])
+    assert len(built) == 1 + len(trajs[0])
+
+
+def nan_beyond_x_one():
+    """A Lorentz connection whose field is NaN where x > 1 (zero elsewhere)."""
+
+    def matrix(c):
+        return np.where(c[..., 1, None, None] > 1.0, np.nan, 0.0) + np.zeros((4, 4))
+
+    return electromagnetic_connection(AntisymmetricFaraday(matrix, name="nan-beyond"), 1.0)
+
+
+def test_non_finite_state_raises_step_rejected_alone_and_in_a_batch():
+    conn = nan_beyond_x_one()
+    moving = state([0, 0, 0, 0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0, 0])
+    behind = state([0, -0.5, 0, 0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0, 0])
+    cfg = IntegratorConfig(step=0.25, tau_max=5.0)
+    message = "state became non-finite at tau = 2.25"
+    with pytest.raises(StepRejected, match=message):
+        integrate(conn, Particle(1.0, 1.0), moving, cfg)
+    with pytest.raises(StepRejected, match=message):
+        integrate_batch(conn, Particle(1.0, 1.0), [behind, moving], [cfg, cfg])
+
+
+def test_matrix_evaluator_without_batch_axes_is_a_clear_error():
+    signs = np.array([-1.0, 1.0, 1.0, 1.0])
+
+    def one_event_only(c):
+        # np.diag of a batch (N, 4) returns its diagonal, not N matrices
+        return np.diag(signs + 1e-3 * c * c)
+
+    g = MetricField(matrix_fn=one_event_only, name="one-event")
+    initial = state([0, 0.1, 0, 0], [1.0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"one-event: matrix_fn returned shape \(4,\) for 11"):
+        geodesic_integrate(g, Particle(1.0), initial, IntegratorConfig(step=0.1, tau_max=1.0))
