@@ -5,8 +5,10 @@ parse or validate (including an incompatible checker), 2 when
 integration itself fails or a requested check does not pass.
 
 `run` integrates the scenarios that share a transport law and
-integrator (equal ``report.batch_key``) as one batch; ``--jobs`` runs
-such groups in parallel.
+integrator (equal ``report.batch_key``) as one batch: they may differ in
+initial state, horizon, particle mass and, in a uniform field, in E, B
+and charge, which each row brings to the law as its own constants.
+``--jobs`` runs such groups in parallel.
 """
 
 from __future__ import annotations
@@ -102,7 +104,11 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
 def _run_group(group: list, fmt: str) -> list[tuple[str, str]]:
     """(scenario name, serialized report) for each scenario of one law, in order."""
     reports = [run(group[0])] if len(group) == 1 else run_batch(group)
-    return [(s.name, emit(report, fmt)) for s, report in zip(group, reports)]
+    texts = []
+    for i, scenario in enumerate(group):
+        texts.append((scenario.name, emit(reports[i], fmt)))
+        reports[i] = None  # its trajectory goes before the next text is built
+    return texts
 
 
 def _cmd_run(args) -> int:
@@ -117,9 +123,10 @@ def _cmd_run(args) -> int:
     groups: dict[str, list[int]] = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault(batch_key(scenario), []).append(i)
-    # a batch holds all of its trajectories until its last row ends: run
-    # the batches before the single scenarios, so that this peak does not
-    # stack on the output text that the singles pile up meanwhile
+    # a batch keeps every step's new states (about 95 B per sample) until
+    # its last row ends, then cuts them into trajectories, briefly holding
+    # two copies: run the batches before the single scenarios, so that this
+    # peak does not stack on the output text that the singles pile up
     phases = [[m for m in groups.values() if len(m) > 1],
               [m for m in groups.values() if len(m) == 1]]
 

@@ -2,7 +2,8 @@
 
 `run` integrates a scenario and attaches oracle diagnostics to the
 summary; `run_batch` does the same for scenarios that share one
-transport law (equal `batch_key`), integrated as one batch.  `check`
+transport law up to per-row constants (equal `batch_key`), integrated as
+one batch.  `check`
 evaluates one named structural property (bianchi, closure, norm,
 mass-invariance, minimal-substitution) and reports its residuals with a
 pass verdict against the documented bound.  `emit`
@@ -245,30 +246,48 @@ def run(scenario: Scenario) -> RunReport:
 def batch_key(scenario: Scenario) -> str:
     """Scenarios with equal keys share one transport law and integrator.
 
-    The key covers the chart, metric, em and particle sections and the
-    integrator section apart from tau_max, as resolved in the scenario's
-    parameters.
+    The key covers the chart, the metric, the em type with the
+    parameters of a non-uniform field (coulomb ``q``, axial-b ``b``) and
+    the particle charge that scales it, and the integrator section apart
+    from tau_max, as resolved in the scenario's parameters.  What `run_batch`
+    hands to the law per row stays out: the particle mass (the row's 1/m)
+    and a uniform field's E and B with the charge (the row's constant K0 =
+    e F); a uniform field keeps only whether the particle is charged,
+    which decides whether it couples at all.
     """
     p = scenario.parameters
+    charge = p["particle"]["charge"]
+    if p["em"]["type"] == "uniform":
+        em = {"type": "uniform", "charged": charge != 0.0}
+    else:
+        em = {**p["em"], "charge": charge}
     integrator = {k: v for k, v in p["integrator"].items() if k != "tau_max"}
-    return repr((p["chart"], p["metric"], p["em"], p["particle"], integrator))
+    return repr((p["chart"], p["metric"], em, integrator))
 
 
 def run_batch(scenarios) -> list[RunReport]:
     """`run` for scenarios of one `batch_key`, integrated as one batch.
 
-    Each report is identical to what `run` gives for its scenario alone.
+    The rows share the first scenario's connection; each row brings its
+    own particle mass and, in a uniform field, its own constant K0 = e F,
+    which the compiled law reads per row.  Each report is identical to
+    what `run` gives for its scenario alone.
     """
     scenarios = list(scenarios)
     key = batch_key(scenarios[0])
     if any(batch_key(s) != key for s in scenarios[1:]):
         raise ValueError("run_batch needs scenarios that share one batch_key")
-    first = scenarios[0]
+    conn = scenarios[0].connection()
+    order0 = None
+    if scenarios[0].parameters["em"]["type"] == "uniform" and conn.order0_raw is not None:
+        # the same everywhere: evaluate each row's block where the row starts
+        order0 = np.stack([s.connection().order0_raw(s.initial.x.coords) for s in scenarios])
     trajs = integrate_batch(
-        first.connection(),
-        first.particle,
+        conn,
+        [s.particle for s in scenarios],
         [s.initial for s in scenarios],
         [s.config for s in scenarios],
+        order0,
     )
     return [_run_report(s, traj) for s, traj in zip(scenarios, trajs)]
 

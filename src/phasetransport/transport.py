@@ -239,7 +239,7 @@ def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _compile_acceleration(
-    c: NonLinearConnection, particle: Particle
+    c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
 
@@ -249,16 +249,28 @@ def _compile_acceleration(
     (K0 u) * (1/m) is a per-row sign folded into the 1/m scale, with the
     same bits as eta @ ((K0 u) * (1/m)) up to the sign of a zero.
     `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
+    `mass` is the particle mass, one float or one per event ``(N,)``.
+    `order0`, when given, is the constant K0 block of each event ``(N, 4,
+    4)`` (``(4, 4)`` for one), e F of a uniform field, in place of the
+    connection's ``order0_raw``; an elementwise product per event has the
+    bits of the scalar one, so a row gets what it gets alone.
     """
-    o0, o1c = c.order0_raw, c.order1_contra_raw
+    o1c = c.order1_contra_raw
     o1 = c.order1_raw if o1c is None else None
-    inv_mass = 1.0 / particle.mass
+    if order0 is None:
+        o0 = c.order0_raw
+    else:
+
+        def o0(coords):
+            return order0
+
+    inv_mass = 1.0 / (mass if np.ndim(mass) == 0 else mass[:, None])
     inverse = c.metric.inverse_raw
 
     if o1 is None and o0 is None:
         raised = None
     elif o1 is None and isinstance(c.metric, FlatMetric):
-        scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m)
+        scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m), per event
 
         def raised(coords, u):
             return _mv(o0(coords), u) * scale
@@ -288,17 +300,20 @@ def _compile_acceleration(
     return lambda coords, u: _quadratic(o1c(coords), u) + raised(coords, u)
 
 
-def _make_rhs(c: NonLinearConnection, particle: Particle) -> Callable[[np.ndarray], np.ndarray]:
+def _make_rhs(
+    c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None
+) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the ODE right-hand side for the (x, u-contravariant) state.
 
     The body does per-point work only: one guard probe, the acceleration
-    from ``_compile_acceleration``, and the 8-vector assembly.  The state
-    is one point ``(8,)`` or a batch ``(N, 8)``; a batch with any point
-    outside the domain raises ``OutsideDomain`` as one point would.
+    from ``_compile_acceleration`` (which takes `mass` and `order0`), and
+    the 8-vector assembly.  The state is one point ``(8,)`` or a batch
+    ``(N, 8)``; a batch with any point outside the domain raises
+    ``OutsideDomain`` as one point would.
     """
     probe = c.guard.probe
     label = c.guard.label
-    accel = _compile_acceleration(c, particle)
+    accel = _compile_acceleration(c, mass, order0)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[..., :4]
@@ -387,8 +402,7 @@ def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
                 rtol: float, atol: float) -> np.ndarray:
     """RMS of the scaled error over the last axis: one value per row."""
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
+    return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,59 +417,262 @@ def _renormalized(u: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     return u / math.sqrt(-norm)
 
 
-class _Row:
-    """One trajectory of an integration: its state, clock, step and record.
-
-    ``target`` is the proper time the pending step lands at.  For RK4,
-    ``n_main`` steps of ``cfg.step`` come first, then one ``extra`` step
-    of the remainder up to tau_max unless the step budget ran out
-    (``limited``, status 'max-steps').  ``taus`` and ``ys`` record each
-    accepted proper time and state.
-    """
-
-    __slots__ = ("cfg", "y", "tau0", "tau", "h", "target", "steps", "n_full", "n_main",
-                 "remainder", "extra", "limited", "taus", "ys", "status", "reason")
-
-    def __init__(self, cfg: IntegratorConfig, y: np.ndarray, tau0: float):
-        self.cfg, self.y = cfg, y
-        self.tau0 = self.tau = tau0
-        self.taus, self.ys = [tau0], [y]
-        self.status, self.reason = "completed", None
-        self.steps = 0
-        if cfg.method == "rk4-fixed":
-            self.h = cfg.step
-            self.n_full = int(math.floor((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12))
-            remainder = cfg.tau_max - (tau0 + self.n_full * cfg.step)
-            self.remainder = 0.0 if remainder <= 1e-9 * cfg.step else remainder
-            self.n_main = min(self.n_full, cfg.max_steps)
-            planned = self.n_full + (1 if self.remainder else 0)
-            self.limited = self.n_full >= cfg.max_steps and planned > cfg.max_steps
-            self.extra = 0.0 if self.limited else self.remainder
-        else:
-            self.h = min(max(cfg.step, H_MIN), cfg.tau_max * H_MAX_FRACTION)
-
-    def end(self, status: str, reason: Optional[str] = None) -> None:
-        self.status, self.reason = status, reason
-
-    def record(self) -> tuple[np.ndarray, np.ndarray, str, Optional[str]]:
-        """(tau (n,), state (n, 8), status, reason); the row lets go of its lists."""
-        taus, ys, self.taus, self.ys = self.taus, self.ys, [], []
-        return np.array(taus), np.array(ys), self.status, self.reason
-
-
 #: y @ 0 is NaN exactly when a component of y is NaN or infinite.
 _ZERO_STATE = np.zeros(2 * DIM)
 
 
-def _nonfinite(y: np.ndarray) -> list[bool]:
-    """Per row of `y` ((8,) or (N, 8)): whether some component is not finite."""
+def _first_nonfinite(y: np.ndarray) -> Optional[int]:
+    """The first row of `y` ((8,) or (N, 8)) with a component that is not finite, or None."""
     if y.ndim == 1:
-        return [math.isnan(y @ _ZERO_STATE)]
-    return np.isnan(y @ _ZERO_STATE).tolist()
+        return 0 if math.isnan(y @ _ZERO_STATE) else None
+    bad = np.isnan(y @ _ZERO_STATE)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, bool, int]:
+    """(n_main, extra, limited, fin) of a fixed-step run from tau0.
+
+    ``n_main`` steps of ``cfg.step`` come first, then one ``extra`` step
+    of the remainder up to tau_max unless the step budget ran out
+    (``limited``, status 'max-steps').  Full step number ``fin`` lands on
+    tau_max itself (0: none does).
+    """
+    n_full = int(math.floor((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12))
+    remainder = cfg.tau_max - (tau0 + n_full * cfg.step)
+    remainder = 0.0 if remainder <= 1e-9 * cfg.step else remainder
+    n_main = min(n_full, cfg.max_steps)
+    limited = n_full >= cfg.max_steps and n_full + (1 if remainder else 0) > cfg.max_steps
+    fin = n_full if not remainder and n_full <= n_main else 0
+    return n_main, 0.0 if limited else remainder, limited, fin
+
+
+class _Rows:
+    """The rows of one integration: the live ones as one state array, and the record.
+
+    ``rows`` indexes the rows that still step (an index array into the
+    batch; 0 for a lone trajectory, whose state stays 1-D), ``ids`` lists
+    the same rows as ints, ``y`` holds their states in that order and
+    ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.  A row
+    leaves the set when it ends, with its status and reason.  Each landing
+    appends one block to the record: the rows that landed, their proper
+    times and their states; ``records`` cuts each row's record from the
+    blocks once, at the end.
+    """
+
+    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], renorm, admit):
+        self.law, self.renorm, self.admit = law, renorm, admit
+        self.lone = y0.ndim == 1
+        n = len(tau0)
+        self.status, self.reason = ["completed"] * n, [None] * n
+        self.rows = 0 if self.lone else np.arange(n)
+        self.ids = list(range(n))
+        self.y = y0
+        self.rhs = law(self.rows)
+        self.landed = [self.rows]
+        self.taus = [tau0[0]] if self.lone else [np.array(tau0, dtype=float)]
+        self.states = [y0]
+
+    def end(self, p: int, status: str, reason: Optional[str] = None) -> None:
+        """Give the live row at position `p` its final status (it leaves at the next `keep`)."""
+        i = self.ids[p]
+        self.status[i], self.reason[i] = status, reason
+
+    def keep(self, pos: Sequence[int]) -> None:
+        """Shrink the live rows to those at positions `pos` of the current order."""
+        if len(pos) == len(self.ids):
+            return
+        if not pos:
+            self.ids = []
+            return
+        idx = np.array(pos)
+        self.rows, self.y = self.rows[idx], self.y[idx]
+        self.ids = self.rows.tolist()
+        self.rhs = self.law(self.rows)
+
+    def attempt(self, stepper, h):
+        """The stepper's results over the live rows, or None when none is left.
+
+        `h` is one float or a column ``(n, 1)`` over the live rows.  A row
+        whose stage leaves the domain ends there: the rows are stepped one
+        at a time (the same bits as in the batch) to learn which, and the
+        others step again together.
+        """
+        try:
+            return stepper(self.rhs, self.y, h)
+        except OutsideDomain as err:
+            if self.lone:
+                self.end(0, "domain-exit", str(err))
+                self.keep([])
+                return None
+        inside = []
+        for p in range(len(self.ids)):
+            one = slice(p, p + 1)
+            try:
+                stepper(self.law(self.rows[one]), self.y[one], h if np.ndim(h) == 0 else h[one])
+            except OutsideDomain as err:
+                self.end(p, "domain-exit", str(err))
+                continue
+            inside.append(p)
+        self.keep(inside)
+        if not inside:
+            return None
+        return stepper(self.rhs, self.y, h if np.ndim(h) == 0 else h[inside])
+
+    def land(self, y_new: np.ndarray, taus, pos: Optional[list[int]] = None) -> None:
+        """Move the live rows at positions `pos` (all by default) to their accepted states.
+
+        `y_new` and `taus` are those rows' states and proper times (one
+        state and a float alone).  A step may jump clean across the guard
+        margin without any stage evaluation failing; never retain such a
+        state: that row ends instead.  One finiteness test covers the rows
+        that landed.
+        """
+        if self.renorm is not None:
+            y_new = self.renorm(y_new) if self.lone else np.stack([self.renorm(y) for y in y_new])
+        if pos is None:
+            pos = range(len(self.ids))
+        left = []
+        if self.admit is not None and self.admit(y_new[..., :DIM]) is not None:
+            whys = [self.admit(y_new[:DIM])] if self.lone else [self.admit(y[:DIM]) for y in y_new]
+            for q, why in enumerate(whys):
+                if why is not None:
+                    self.end(pos[q], "domain-exit", why)
+                    left.append(pos[q])
+            if self.lone:
+                self.keep([])
+                return
+            inside = [q for q, why in enumerate(whys) if why is None]
+            pos, y_new, taus = [pos[q] for q in inside], y_new[inside], taus[inside]
+        bad = _first_nonfinite(y_new)
+        if bad is not None:
+            raise StepRejected(
+                f"state became non-finite at tau = {taus if self.lone else taus[bad]:g}"
+            )
+        if self.lone:
+            self.y = y_new
+            self.taus.append(taus)
+            self.states.append(y_new)
+            return
+        if len(pos) == len(self.ids):
+            self.y = y_new
+            self.landed.append(self.rows)
+        elif pos:
+            self.y = self.y.copy()  # the old array is a recorded block
+            self.y[pos] = y_new
+            self.landed.append(self.rows[pos])
+        if len(pos):
+            self.taus.append(taus)
+            self.states.append(y_new)
+        if left:
+            self.keep([p for p in range(len(self.ids)) if p not in left])
+
+    def rk4(self, tau0: Sequence[float], cfgs: Sequence[IntegratorConfig]) -> None:
+        step = cfgs[0].step
+        n_main, extra, limited, fin = zip(*(_rk4_plan(cfg, t) for cfg, t in zip(cfgs, tau0)))
+        tau_max = [cfg.tau_max for cfg in cfgs]
+        last = [m + 1 if e else m for m, e in zip(n_main, extra)]
+        extra_at = {m + 1 for m, e in zip(n_main, extra) if e}
+        special = extra_at | set(fin)  # steps on which some row lands on tau_max
+        starts = np.array(tau0, dtype=float)
+        k = 0
+        ends_after = min(last[i] for i in self.ids) if self.ids else 0
+        while self.ids:
+            k += 1
+            if k > ends_after:
+                for p, i in enumerate(self.ids):
+                    if last[i] < k and limited[i]:
+                        self.end(p, "max-steps")
+                self.keep([p for p, i in enumerate(self.ids) if last[i] >= k])
+                if not self.ids:
+                    break
+                ends_after = min(last[i] for i in self.ids)
+            h = step
+            if k in extra_at:
+                hs = [extra[i] if n_main[i] < k else step for i in self.ids]
+                h = hs[0] if self.lone else np.array(hs)[:, None]
+            y_new = self.attempt(_rk4_step, h)
+            if y_new is None:
+                break
+            if k in special:
+                taus = [tau_max[i] if fin[i] == k or n_main[i] < k else tau0[i] + k * step
+                        for i in self.ids]
+                taus = taus[0] if self.lone else np.array(taus)
+            else:
+                taus = tau0[0] + k * step if self.lone else starts[self.rows] + k * step
+            self.land(y_new, taus)
+
+    def rk45(self, tau0: Sequence[float], cfgs: Sequence[IntegratorConfig]) -> None:
+        # the step-size controller runs per row in Python floats
+        cfg = cfgs[0]
+        tau_max = [c.tau_max for c in cfgs]
+        tau = list(tau0)
+        h = [min(max(cfg.step, H_MIN), t * H_MAX_FRACTION) for t in tau_max]
+        steps = [0] * len(cfgs)
+
+        def rk45(rhs, y, hs):
+            y5, err = _rk45_step(rhs, y, hs)
+            return y5, _error_norm(err, y, y5, cfg.rtol, cfg.atol)
+
+        while self.ids:
+            going = []
+            for p, i in enumerate(self.ids):
+                if not tau[i] < tau_max[i] * (1.0 - 1e-14):
+                    continue
+                if steps[i] >= cfg.max_steps:
+                    self.end(p, "max-steps")
+                    continue
+                h[i] = min(h[i], tau_max[i] - tau[i])
+                going.append(p)
+            self.keep(going)
+            if not self.ids:
+                break
+            hs = h[self.ids[0]] if self.lone else np.array([h[i] for i in self.ids])[:, None]
+            result = self.attempt(rk45, hs)
+            if result is None:
+                break
+            y_new, enorms = result
+            enorms = [float(enorms)] if self.lone else enorms.tolist()
+            accepted, taus = [], []
+            for p, (i, enorm) in enumerate(zip(self.ids, enorms)):
+                h_max = tau_max[i] * H_MAX_FRACTION
+                if enorm <= 1.0:
+                    accepted.append(p)
+                    tau[i] = (tau_max[i] if tau_max[i] - (tau[i] + h[i]) < 1e-14 * tau_max[i]
+                              else tau[i] + h[i])
+                    taus.append(tau[i])
+                    steps[i] += 1
+                    growth = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
+                    h[i] = min(max(h[i] * growth, H_MIN), h_max)
+                else:
+                    if h[i] <= H_MIN * (1.0 + 1e-12):
+                        raise StepRejected(
+                            f"tolerance unreachable at minimum step {H_MIN:g} (err norm {enorm:.3e})"
+                        )
+                    h[i] = min(max(h[i] * max(0.2, 0.9 * enorm ** -0.2), H_MIN), h_max)
+            if self.lone:
+                if accepted:
+                    self.land(y_new, taus[0])
+            elif len(accepted) == len(self.ids):
+                self.land(y_new, np.array(taus))
+            elif accepted:
+                self.land(y_new[accepted], np.array(taus), accepted)
+
+    def records(self) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
+        """(tau (n,), state (n, 8), status, reason) per row; the blocks are let go."""
+        if self.lone:
+            return [(np.array(self.taus), np.array(self.states), self.status[0], self.reason[0])]
+        rows = np.concatenate(self.landed)
+        order = np.argsort(rows, kind="stable")  # each row's samples, in step order
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.status))).tolist()
+        tau, state = np.concatenate(self.taus), np.concatenate(self.states)
+        self.landed = self.taus = self.states = None
+        # each row owns its arrays, so that one trajectory can go before the others
+        return [(tau[order[a:b]], state[order[a:b]], status, reason)
+                for a, b, status, reason in zip([0, *ends], ends, self.status, self.reason)]
 
 
 def _integrate_engine(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    law: Callable[..., Callable[[np.ndarray], np.ndarray]],
     y0: np.ndarray,
     tau0: Sequence[float],
     cfgs: Sequence[IntegratorConfig],
@@ -464,152 +681,29 @@ def _integrate_engine(
 ) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
     """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
-    Row i starts at ``tau0[i]`` with ``cfgs[i]``; the configs may differ
-    only in ``tau_max``.  Each row keeps its own clock, step size, step
-    count, status and record, and takes exactly the arithmetic it takes
-    alone: a row whose stage leaves the domain ends there while the
-    others go on.  A lone trajectory keeps its 1-D state.  A row stays
-    'completed' while it runs; ending otherwise takes it out.  Returns
-    each row's ``_Row.record()``: its accepted proper times and states,
-    the initial state included.  A state that is not finite raises
-    ``StepRejected``.
+    ``law(rows)`` is the right-hand side for the states of `rows`: an
+    index array into the batch, or 0 for a lone trajectory, which keeps
+    its 1-D state.  Row i starts at ``tau0[i]`` with ``cfgs[i]``; the
+    configs may differ only in ``tau_max``.  Each row keeps its own clock,
+    step size, step count, status and record, and takes exactly the
+    arithmetic it takes alone: a row whose stage leaves the domain ends
+    there while the others go on.  The live rows step as one state array
+    (``_Rows``).  Returns, per row, its accepted proper times and states,
+    the initial state included, with its status and reason.  A state that
+    is not finite raises ``StepRejected``; numpy's overflow, invalid and
+    divide warnings are off for the run, so that error is all one sees.
     """
-    lone = y0.ndim == 1
-    for tau, bad in zip(tau0, _nonfinite(y0)):
-        if bad:
-            raise StepRejected(f"state became non-finite at tau = {tau:g}")
-    rows = [_Row(cfg, y, tau) for tau, cfg, y in zip(tau0, cfgs, [y0] if lone else y0)]
-    active = [row for row in rows if row.cfg.tau_max - row.tau > 0]
-    cfg = cfgs[0]
-
-    def attempt(stepper, stepping):
-        """(rows that stepped, stepper results) over `stepping`."""
-        if lone:
-            row = stepping[0]
-            try:
-                return stepping, stepper(row.y, row.h)
-            except OutsideDomain as err:
-                row.end("domain-exit", str(err))
-                return [], None
-        try:
-            y = np.stack([row.y for row in stepping])
-            return stepping, stepper(y, np.array([row.h for row in stepping])[:, None])
-        except OutsideDomain:
-            pass
-        # some row's stage left the domain: step the rows one at a time
-        # (the same bits as in the batch) to learn which rows end here
-        kept, parts = [], []
-        for row in stepping:
-            try:
-                parts.append(stepper(row.y, row.h))
-            except OutsideDomain as err:
-                row.end("domain-exit", str(err))
-                continue
-            kept.append(row)
-        if not kept:
-            return [], None
-        return kept, tuple(np.stack(column) for column in zip(*parts))
-
-    def land(stepped, y_new) -> None:
-        """Move each row to its accepted state unless that lies outside the domain.
-
-        A step may jump clean across the guard margin without any stage
-        evaluation failing; never retain such a state.  One finiteness
-        test covers the rows that landed.
-        """
-        if renorm is not None:
-            y_new = renorm(y_new) if lone else np.stack([renorm(y) for y in y_new])
-        states = [y_new] if lone else list(y_new)
-        if admit is None:
-            exits = [None] * len(states)
-        elif lone:
-            exits = [admit(y_new[:4])]
-        elif admit(y_new[:, :4]) is None:
-            exits = [None] * len(states)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bad = _first_nonfinite(y0)
+        if bad is not None:
+            raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
+        run = _Rows(law, y0, tau0, renorm, admit)
+        run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
+        if cfgs[0].method == "rk4-fixed":
+            run.rk4(tau0, cfgs)
         else:
-            exits = [admit(y[:4]) for y in states]
-        for row, y, why, bad in zip(stepped, states, exits, _nonfinite(y_new)):
-            if why is not None:
-                row.end("domain-exit", why)
-                continue
-            if bad:
-                raise StepRejected(f"state became non-finite at tau = {row.target:g}")
-            row.y, row.tau = y, row.target
-            row.taus.append(row.tau)
-            row.ys.append(y)
-
-    if cfg.method == "rk4-fixed":
-
-        def rk4(y, h):
-            return (_rk4_step(rhs, y, h),)
-
-        k = 0
-        while active:
-            k += 1
-            stepping = []
-            for row in active:
-                if k <= row.n_main:
-                    last = k == row.n_full and not row.remainder
-                    row.target = row.cfg.tau_max if last else row.tau0 + k * cfg.step
-                elif k == row.n_main + 1 and row.extra:
-                    row.h, row.target = row.extra, row.cfg.tau_max
-                else:
-                    if row.limited:
-                        row.end("max-steps")
-                    continue
-                stepping.append(row)
-            if not stepping:
-                break
-            stepped, result = attempt(rk4, stepping)
-            if stepped:
-                land(stepped, result[0])
-            active = [row for row in stepped if row.status == "completed"]
-        return [row.record() for row in rows]
-
-    # adaptive embedded pair, with the step-size controller run per row
-    def rk45(y, h):
-        y5, err = _rk45_step(rhs, y, h)
-        return y5, _error_norm(err, y, y5, cfg.rtol, cfg.atol)
-
-    while active:
-        stepping = []
-        for row in active:
-            tau_max = row.cfg.tau_max
-            if not row.tau < tau_max * (1.0 - 1e-14):
-                continue
-            if row.steps >= cfg.max_steps:
-                row.end("max-steps")
-                continue
-            row.h = min(row.h, tau_max - row.tau)
-            stepping.append(row)
-        if not stepping:
-            break
-        stepped, result = attempt(rk45, stepping)
-        if not stepped:
-            break
-        y_new, enorms = result
-        enorms = [float(enorms)] if lone else enorms.tolist()
-        accepted = []
-        for p, (row, enorm) in enumerate(zip(stepped, enorms)):
-            tau_max = row.cfg.tau_max
-            h_max = tau_max * H_MAX_FRACTION
-            if enorm <= 1.0:
-                accepted.append(p)
-                row.target = (tau_max if tau_max - (row.tau + row.h) < 1e-14 * tau_max
-                              else row.tau + row.h)
-                row.steps += 1
-                growth = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-                row.h = min(max(row.h * growth, H_MIN), h_max)
-            else:
-                if row.h <= H_MIN * (1.0 + 1e-12):
-                    raise StepRejected(
-                        f"tolerance unreachable at minimum step {H_MIN:g} (err norm {enorm:.3e})"
-                    )
-                row.h = min(max(row.h * max(0.2, 0.9 * enorm ** -0.2), H_MIN), h_max)
-        if accepted:
-            land([stepped[p] for p in accepted], y_new if lone else y_new[accepted])
-        active = [row for row in stepped if row.status == "completed"]
-    return [row.record() for row in rows]
+            run.rk45(tau0, cfgs)
+    return run.records()
 
 
 def _trajectory(
@@ -635,29 +729,20 @@ def _trajectory(
 def step(
     c: NonLinearConnection, particle: Particle, state: PhaseState, cfg: IntegratorConfig
 ) -> PhaseState:
-    """Advance one integrator step (one accepted step for the adaptive method)."""
-    rhs = _make_rhs(c, particle)
-    y = np.concatenate([state.x.coords, state.u.components])
-    if cfg.method == "rk4-fixed":
-        y_new = _rk4_step(rhs, y, cfg.step)
-        tau_new = state.tau + cfg.step
-    else:
-        h = min(max(cfg.step, H_MIN), cfg.tau_max * H_MAX_FRACTION)
-        while True:
-            y_new, err = _rk45_step(rhs, y, h)
-            enorm = float(_error_norm(err, y, y_new, cfg.rtol, cfg.atol))
-            if enorm <= 1.0:
-                tau_new = state.tau + h
-                break
-            if h <= H_MIN * (1.0 + 1e-12):
-                raise StepRejected(
-                    f"tolerance unreachable at minimum step {H_MIN:g} (err norm {enorm:.3e})"
-                )
-            h = max(h * max(0.2, 0.9 * enorm ** -0.2), H_MIN)
-    if cfg.renormalize:
-        gmat = c.metric.matrix_raw(y_new[:4])
-        y_new[4:] = _renormalized(y_new[4:], gmat)
-    return PhaseState(tau_new, SpacetimeEvent(y_new[:4]), FourVector(y_new[4:], Variance.UP))
+    """The state after the first step that ``integrate`` takes from `state` under `cfg`.
+
+    That is one RK4 step of ``cfg.step`` (or of the remainder up to
+    ``tau_max``), or one accepted adaptive step, renormalized when
+    ``cfg.renormalize``: the engine's run with ``max_steps = 1``.  A step
+    that leaves the domain raises ``OutsideDomain``; a state already at
+    ``tau_max`` has no step left and raises ``ValueError``.
+    """
+    traj = integrate(c, particle, state, dataclasses.replace(cfg, max_steps=1))
+    if traj.status == "domain-exit":
+        raise OutsideDomain(traj.reason)
+    if len(traj) < 2:
+        raise ValueError(f"no step left from tau = {state.tau:g} to tau_max = {cfg.tau_max:g}")
+    return traj[1].state
 
 
 def _metric_renorm(metric: MetricField) -> Callable[[np.ndarray], np.ndarray]:
@@ -687,33 +772,50 @@ def integrate(
 
 def integrate_batch(
     c: NonLinearConnection,
-    particle: Particle,
+    particle,
     initials: Sequence[PhaseState],
     cfgs: Sequence[IntegratorConfig],
+    order0: Optional[np.ndarray] = None,
 ) -> list[Trajectory]:
     """Integrate several worldlines under one law as one (N, 8) batch.
 
     ``cfgs[i]`` goes with ``initials[i]``; the configs may differ only in
-    ``tau_max``.  Every trajectory is bit-identical to ``integrate`` of
-    its row alone, status and samples included; one row leaving the
-    domain never stops the others.  An error that a lone run raises (a
-    non-finite state, an unreachable tolerance) ends the whole batch.
-    The connection's evaluators must take a batch of coordinates, as the
-    built-in ones do.  A single row runs on 1-D state, as ``integrate``
-    does; its metric still gets the batch call that fills the columns.
+    ``tau_max``.  `particle` is one ``Particle`` for every row or a
+    sequence of one per row: the mass scales the row's K0 term (the
+    charge is already part of the connection's K0).  `order0`, when
+    given, is each row's constant K0 block ``(N, 4, 4)``, e F of its own
+    uniform field, in place of the connection's ``order0_raw``.  Every
+    trajectory is bit-identical to ``integrate`` of its row alone (with
+    its particle, and its K0 block as the connection's), status and
+    samples included; one row leaving the domain never stops the others.
+    An error that a lone run raises (a non-finite state, an unreachable
+    tolerance) ends the whole batch.  The connection's evaluators must
+    take a batch of coordinates, as the built-in ones do.  A single row
+    runs on 1-D state, as ``integrate`` does; its metric still gets the
+    batch call that fills the columns.
     """
-    if len(initials) != len(cfgs) or not cfgs:
+    n = len(cfgs)
+    if len(initials) != n or not cfgs:
         raise ValueError("need one config per initial state, and at least one")
+    particles = [particle] * n if isinstance(particle, Particle) else list(particle)
+    if len(particles) != n:
+        raise ValueError("need one particle, or one per initial state")
+    if order0 is not None and np.shape(order0) != (n, DIM, DIM):
+        raise ValueError(f"order0 must have shape ({n}, 4, 4), got {np.shape(order0)}")
     first = cfgs[0]
     if any(dataclasses.replace(cfg, tau_max=first.tau_max) != first for cfg in cfgs[1:]):
         raise ValueError("the configs of one batch may differ only in tau_max")
     for initial in initials:
         c.guard.check(initial.x)
+    masses = np.array([p.mass for p in particles])
+
+    def law(rows):
+        return _make_rhs(c, masses[rows], None if order0 is None else order0[rows])
+
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
-    y0 = states[0] if len(states) == 1 else np.stack(states)
     records = _integrate_engine(
-        _make_rhs(c, particle),
-        y0,
+        law,
+        states[0] if n == 1 else np.stack(states),
         [initial.tau for initial in initials],
         cfgs,
         _metric_renorm(c.metric) if first.renormalize else None,
@@ -849,7 +951,9 @@ def minimal_substitution_trajectory(
     u0_cov = g.matrix_raw(x0) @ initial.u.components
     pi0 = m * u0_cov + e * a.values_fn(x0)
     y0 = np.concatenate([x0, pi0])
-    tau, state, status, reason = _integrate_engine(rhs, y0, [initial.tau], [cfg], renorm, admit)[0]
+    tau, state, status, reason = _integrate_engine(
+        lambda rows: rhs, y0, [initial.tau], [cfg], renorm, admit
+    )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
     state[:, DIM:] = [kinetic_up(x, pi) for x, pi in zip(state[:, :DIM], state[:, DIM:])]
     return _trajectory(g, tau, state, status, reason)

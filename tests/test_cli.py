@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -100,14 +101,26 @@ def _circular_doc(name, radius, tau_max):
             f"[integrator]\nstep = 0.5\ntau_max = {tau_max}\n")
 
 
+def _cyclotron_doc(name, b_z, mass, charge, u1, tau_max):
+    text = builtin_text("cyclotron").replace("name = cyclotron", f"name = {name}")
+    for old, new in (("b_z = 1.0", f"b_z = {b_z}"), ("mass = 1.0", f"mass = {mass}"),
+                     ("charge = 1.0", f"charge = {charge}"), ("u1 = 0.1", f"u1 = {u1}")):
+        text = text.replace(old, new)
+    return text.replace("tau_max = 6.283185307179586", f"tau_max = {tau_max}")
+
+
 def test_run_output_is_the_same_alone_grouped_and_in_parallel(tmp_path, capsys):
     # three adaptive orbits and two fixed-step orbits, each group sharing
-    # a law with different horizons, plus a cyclotron on its own law
+    # a law with different horizons, plus the built-in cyclotron and two
+    # more in other uniform fields, with other particles: one law, whose
+    # K0 = e F and 1/m each row brings of its own
     docs = {
         "orbit-a": _orbit_doc("orbit-a", 18.0, 22.0, 300.0),
         "orbit-b": _orbit_doc("orbit-b", 15.0, 19.0, 211.5),
+        "gyro-a": _cyclotron_doc("gyro-a", 2.0, 0.5, 1.0, 0.2, 2.0),
         "orbit-c": _orbit_doc("orbit-c", 21.0, 27.0, 405.25),
         "ring-a": _circular_doc("ring-a", 10.0, 60.0),
+        "gyro-b": _cyclotron_doc("gyro-b", 0.5, 1.0, -3.0, 0.15, 1.5),
         "ring-b": _circular_doc("ring-b", 14.0, 75.3),
     }
     paths = []
@@ -129,6 +142,21 @@ def test_run_output_is_the_same_alone_grouped_and_in_parallel(tmp_path, capsys):
         assert printed == [str(out / f"{name}.json") for name in names]
         for path, name in zip(paths, names):
             assert (out / f"{name}.json").read_bytes() == alone[path]
+
+
+def test_overflowing_field_ends_with_one_integration_error_line(tmp_path, capsys):
+    # finite input whose force overflows: the run fails (exit 2) with its one
+    # line, and numpy's overflow warnings stay off stderr
+    path = tmp_path / "huge.cfg"
+    path.write_text(builtin_text("cyclotron").replace("b_z = 1.0", "b_z = 1e300"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--out", str(tmp_path / "huge.csv")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "integration error: state became non-finite at tau = 0.001"
+    ]
 
 
 def test_unknown_scenario_token(capsys):

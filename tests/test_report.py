@@ -10,7 +10,7 @@ import pytest
 from phasetransport import report
 from phasetransport.errors import IncompatibleChecker, ValidationError
 from phasetransport.report import CSV_COLUMNS, check, emit, run
-from phasetransport.scenarios import load_builtin, load_scenario
+from phasetransport.scenarios import builtin_text, load_builtin, load_scenario
 from phasetransport.transport import Trajectory
 
 
@@ -241,3 +241,57 @@ def test_json_rows_template_gives_the_bytes_of_json_dumps():
     odd = dataclasses.replace(rep, samples=Trajectory(samples))
     assert emit(odd, "json") == _json_reference(odd)
     assert "NaN" in emit(odd, "json")
+
+
+# ---------------------------------------------------------------------------
+# batches: what a row may bring of its own
+
+
+def _variant(name, **changes):
+    """A built-in scenario with values replaced; a change is named section__key."""
+    lines, section = [], None
+    for line in builtin_text(name).splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        key = line.partition("=")[0].strip()
+        if f"{section}__{key}" in changes:
+            line = f"{key} = {changes.pop(f'{section}__{key}')}"
+        lines.append(line)
+    assert not changes, changes
+    return load_scenario("\n".join(lines), name=name)
+
+
+def test_batch_key_leaves_out_only_what_a_row_brings_of_its_own():
+    key = report.batch_key
+    gyro = key(_variant("cyclotron"))
+    # a uniform field's E and B, the particle and the horizon are per row
+    assert key(_variant("cyclotron", em__b_z=2.5, particle__mass=0.5, particle__charge=-3.0,
+                        integrator__tau_max=1.0)) == gyro
+    assert key(_variant("exb-drift", integrator__step=1e-3)) == gyro
+    # a neutral particle does not couple; the integrator is shared
+    assert key(_variant("cyclotron", particle__charge=0.0)) != gyro
+    assert key(_variant("cyclotron", integrator__step=2e-3)) != gyro
+    # a non-uniform field is shared, with the charge that scales it
+    coulomb = key(_variant("coulomb"))
+    assert key(_variant("coulomb", particle__mass=2.0)) == coulomb
+    assert key(_variant("coulomb", em__q=2.0)) != coulomb
+    assert key(_variant("coulomb", particle__charge=2.0)) != coulomb
+    combined = key(_variant("combined-schwarzschild-B"))
+    assert key(_variant("combined-schwarzschild-B", em__b=2e-3)) != combined
+    assert key(_variant("combined-schwarzschild-B", metric__mass=1.5)) != combined
+
+
+def test_run_batch_rows_with_their_own_field_and_particle_match_run():
+    groups = [
+        [_variant("cyclotron", em__b_z=b, particle__mass=m, particle__charge=e, initial__u1=u,
+                  integrator__tau_max=t)
+         for b, m, e, u, t in [(1.0, 1.0, 1.0, 0.1, 2.0), (2.0, 0.5, 1.0, 0.2, 1.2),
+                               (0.5, 1.0, -3.0, 0.15, 1.5)]]
+        + [_variant("exb-drift", integrator__step=1e-3, integrator__tau_max=2.5)],
+        [_variant("coulomb", particle__mass=m, integrator__tau_max=t)
+         for m, t in [(1.0, 20.0), (2.0, 15.0), (0.5, 12.5)]],
+    ]
+    for scenarios in groups:
+        assert len({report.batch_key(s) for s in scenarios}) == 1
+        for scn, rep in zip(scenarios, report.run_batch(scenarios)):
+            assert emit(rep, "json") == emit(run(scn), "json")

@@ -371,16 +371,27 @@ def test_initial_point_outside_domain_raises():
         geodesic_integrate(g, Particle(1.0), bad, IntegratorConfig())
 
 
-def test_single_step_matches_first_integrate_sample():
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_single_step_matches_first_integrate_sample(method):
     g = schwarzschild(1.0)
     initial = circular_orbit_state(1.0, 10.0)
-    cfg = IntegratorConfig(step=1e-2, tau_max=1.0)
+    cfg = IntegratorConfig(method=method, step=1e-2, tau_max=1.0)
     conn = gravitational_connection(g)
     one = step(conn, Particle(1.0), initial, cfg)
     traj = integrate(conn, Particle(1.0), initial, cfg)
     np.testing.assert_array_equal(one.x.coords, traj[1].state.x.coords)
     np.testing.assert_array_equal(one.u.components, traj[1].state.u.components)
     assert one.tau == traj[1].state.tau
+
+
+def test_single_step_raises_out_of_the_domain_and_at_the_horizon():
+    conn = gravitational_connection(schwarzschild(1.0))
+    plunge = state([0.0, 2.5, math.pi / 2, 0.0], [3.0, -2.0, 0.0, 0.0])
+    with pytest.raises(OutsideDomain, match="inside guarded radius"):
+        step(conn, Particle(1.0), plunge, IntegratorConfig(step=0.5, tau_max=5.0))
+    done = dataclasses.replace(circular_orbit_state(1.0, 10.0), tau=1.0)
+    with pytest.raises(ValueError, match="no step left"):
+        step(conn, Particle(1.0), done, IntegratorConfig(tau_max=1.0))
 
 
 def test_coordinate_force_input_validation():
@@ -431,7 +442,7 @@ def _spherical_states(rng, n=100):
 
 def _kernel_and_reference(conn, particle, states):
     """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state."""
-    rhs = _make_rhs(conn, particle)
+    rhs = _make_rhs(conn, particle.mass)
     for coords, u in states:
         got = rhs(np.concatenate([coords, u]))[4:]
         zeroth, first = acceleration_terms(
@@ -628,6 +639,38 @@ def test_batch_with_renormalization():
     assert all(abs(s.norm_residual) < 1e-14 for t in trajs for s in t)
 
 
+# flat uniform-field rows that differ in E, B, mass, charge, initial u and tau_max
+UNIFORM_ROWS = [
+    (([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]), Particle(1.0, 1.0), [0.1, 0.0, 0.05], 2.0),
+    (([0.0, 0.0, 0.0], [0.0, 0.0, 2.0]), Particle(0.7, -1.3), [0.3, 0.1, 0.0], 3.1),
+    (([0.05, 0.0, 0.0], [0.0, 0.5, 0.0]), Particle(2.5, 0.4), [0.0, 0.2, -0.1], 1.45),
+]
+
+
+@pytest.mark.parametrize("method,renormalize,curved", [
+    ("rk4-fixed", False, False), ("rk45-adaptive", True, False), ("rk4-fixed", False, True),
+])
+def test_batch_rows_in_different_uniform_fields_are_bit_identical(method, renormalize, curved):
+    # each row's K0 = e F is its own constant; the first row's connection is shared
+    conns = [electromagnetic_connection(uniform_faraday(*fields), particle.charge)
+             for fields, particle, _, _ in UNIFORM_ROWS]
+    order0 = np.stack([conn.order0_raw(np.zeros(4)) for conn in conns])
+    if curved:
+        gravity = gravitational_connection(weak_field(0.5))
+        conns = [superpose(gravity, conn) for conn in conns]
+    start = [0.0, 20.0, 0.0, 0.0] if curved else [0.0, 0.0, 0.0, 0.0]
+    initials = [state(start, [oracles.gamma_from_u(u), *u]) for _, _, u, _ in UNIFORM_ROWS]
+    particles = [particle for _, particle, _, _ in UNIFORM_ROWS]
+    cfgs = [IntegratorConfig(method=method, step=0.01, rtol=1e-10, atol=1e-12, tau_max=tau_max,
+                             renormalize=renormalize) for _, _, _, tau_max in UNIFORM_ROWS]
+    trajs = integrate_batch(conns[0], particles, initials, cfgs, order0)
+    for traj, conn, particle, initial, cfg in zip(trajs, conns, particles, initials, cfgs):
+        assert_same_trajectory(traj, integrate(conn, particle, initial, cfg))
+    assert [t.tau[-1] for t in trajs] == [2.0, 3.1, 1.45]
+    # the rows really moved apart: unlike fields and particles give unlike orbits
+    assert len({t.state[-1, 5] for t in trajs}) == 3
+
+
 def test_batch_configs_may_differ_only_in_tau_max():
     conn = gravitational_connection(schwarzschild(1.0))
     initials = [bound_orbit_state(1.0, 18.0, 22.0)] * 2
@@ -636,6 +679,11 @@ def test_batch_configs_may_differ_only_in_tau_max():
                         [IntegratorConfig(step=0.5), IntegratorConfig(step=0.25)])
     with pytest.raises(ValueError):
         integrate_batch(conn, Particle(1.0), initials, [IntegratorConfig()])
+    # per-row constants come one per row
+    with pytest.raises(ValueError, match="one particle"):
+        integrate_batch(conn, [Particle(1.0)] * 3, initials, [IntegratorConfig()] * 2)
+    with pytest.raises(ValueError, match="order0"):
+        integrate_batch(conn, Particle(1.0), initials, [IntegratorConfig()] * 2, np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
