@@ -12,21 +12,11 @@ from .connection import (
     NonLinearConnection,
     Particle,
     electromagnetic_connection,
-    eval_connection,
     gravitational_connection,
     superpose,
     zero_connection,
 )
-from .curvature import (
-    bianchi_residual,
-    christoffel,
-    closure_residual,
-    einstein_tensor,
-    faraday_field_of,
-    faraday_from_potential,
-    ricci,
-    scalar_curvature,
-)
+from .curvature import bianchi_residual, closure_residual, faraday_field_of
 from .errors import (
     IncompatibleChecker,
     MalformedFaraday,
@@ -58,14 +48,8 @@ from .tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
-    Tensor2,
-    Tensor3,
     Variance,
     flat_metric,
-    lower_index,
-    minkowski_norm,
-    partial_derivative,
-    raise_index,
 )
 from .report import CHECKERS, CSV_COLUMNS, RunReport, check, emit, run
 from .scenarios import (

@@ -1,52 +1,41 @@
 """Momentum-affine connections: the transport kernel and its builders.
 
-A connection here is the pair of coefficient fields in the momentum
-expansion of the transport kernel
+A connection is the pair of coefficient blocks of the transport law
 
-    f_mn(x; p) = order0_mn(x) + order1_mna(x) p^a
+    du^a/dtau = K1^a_mn(x) u^m u^n + g^ab(x) K0_bn(x) u^n / m,
 
-acting through  dp_m/dtau = f_mn(x; p) u^n.  Both coefficient blocks are
-stored all-covariant; contractions take metric-raised momenta.  The two
-physically distinguished builders are:
+stored as a zeroth-order block K0 (``order0_raw``, all-covariant, the
+momentum-independent force) and a first-order block K1 (``order1_raw``,
+first index raised, the momentum-linear geodesic term).  K1 is stored in
+that one raised form only; a caller that wants the covariant block
+lowers it with the metric.  The two physically distinguished builders
+are:
 
-* ``gravitational_connection(g)``: order0 = 0 and order1_mna equal to
-  minus the all-covariant connection coefficients of ``g`` (first slot
-  lowered with the metric).  Transporting a particle's own momentum then
-  reproduces geodesic motion exactly.
-* ``electromagnetic_connection(F, e)``: order1 = 0 and order0 = e F, the
+* ``gravitational_connection(g)``: K0 = 0 and K1 = -Gamma^a_mn, minus
+  the connection coefficients of ``g``.  Transporting a particle's own
+  momentum then reproduces geodesic motion exactly.
+* ``electromagnetic_connection(F, e)``: K1 = 0 and K0 = e F, the
   Lorentz coupling.  Independent of momentum, hence of mass.
 
-``superpose`` adds coefficient blocks so both forces act through a
-single law.
+``superpose`` adds the blocks so both forces act through a single law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import christoffel_raw
+from .curvature import _christoffel
 from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
-from .tensor import (
-    DIM,
-    DomainGuard,
-    EVERYWHERE,
-    FlatMetric,
-    FourVector,
-    MetricField,
-    SpacetimeEvent,
-    Tensor2,
-    Tensor3,
-    Variance,
-)
+from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField
 
 _EM_ANTISYMMETRY_TOL = 1e-10
 
 RawField2 = Callable[[np.ndarray], np.ndarray]
-RawField3 = Callable[[np.ndarray], np.ndarray]
+RawField3 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,55 +54,22 @@ class Particle:
 
 @dataclass(frozen=True)
 class NonLinearConnection:
-    """Coefficient fields of the transport kernel, plus the chart they live on.
+    """Coefficient blocks of the transport law, plus the chart they live on.
 
-    ``order0_raw`` and ``order1_raw`` evaluate the all-covariant blocks;
-    ``None`` stands for an identically zero block.  ``order1_contra_raw``
-    optionally evaluates the order-1 block with its first index already
-    raised (for metric-built connections this is exactly the standard
-    contravariant coefficient array, so the transport loop can use it
-    without a lower/raise round trip).  The built-in blocks take one
-    event ``(4,)`` or a batch ``(..., 4)``, as their metric and field
-    evaluators do.
+    ``order0_raw(coords)`` evaluates the all-covariant block K0_mn.
+    ``order1_raw(coords, ginv)`` evaluates the raised block K1^a_mn, given
+    the inverse metric ``ginv`` at the same coordinates: the compiled law
+    evaluates g^-1 once per point and hands the same array to K1 and to
+    the raising of K0.  ``None`` stands for an identically zero block.
+    The built-in blocks take one event ``(4,)`` or a batch ``(..., 4)``,
+    as their metric and field evaluators do.
     """
 
     metric: MetricField
     order0_raw: Optional[RawField2] = None
     order1_raw: Optional[RawField3] = None
-    order1_contra_raw: Optional[RawField3] = field(default=None, repr=False)
     guard: DomainGuard = EVERYWHERE
     label: str = "connection"
-
-    def order0(self, x: SpacetimeEvent) -> Tensor2:
-        """Momentum-independent block at `x` (zero tensor when absent)."""
-        self.guard.check(x)
-        vals = np.zeros((DIM, DIM)) if self.order0_raw is None else self.order0_raw(x.coords)
-        return Tensor2(vals, (Variance.DOWN, Variance.DOWN))
-
-    def order1(self, x: SpacetimeEvent) -> Tensor3:
-        """Momentum-linear block at `x` (zero tensor when absent)."""
-        self.guard.check(x)
-        vals = (
-            np.zeros((DIM, DIM, DIM)) if self.order1_raw is None else self.order1_raw(x.coords)
-        )
-        return Tensor3(vals, (Variance.DOWN, Variance.DOWN, Variance.DOWN))
-
-
-def eval_connection(c: NonLinearConnection, x: SpacetimeEvent, p: FourVector) -> Tensor2:
-    """Kernel f_mn(x; p) = order0_mn(x) + order1_mna(x) p^a, all-covariant.
-
-    `p` must be contravariant; the result is exactly linear in `p` by
-    construction.
-    """
-    if p.variance is not Variance.UP:
-        raise ValueError("eval_connection expects a contravariant momentum")
-    c.guard.check(x)
-    out = np.zeros((DIM, DIM))
-    if c.order0_raw is not None:
-        out = out + c.order0_raw(x.coords)
-    if c.order1_raw is not None:
-        out = out + c.order1_raw(x.coords) @ p.components
-    return Tensor2(out, (Variance.DOWN, Variance.DOWN))
 
 
 def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection:
@@ -122,23 +78,14 @@ def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection
 
 
 def gravitational_connection(g: MetricField) -> NonLinearConnection:
-    """Connection whose transport law is geodesic motion in `g`.
+    """Connection whose transport law is geodesic motion in `g`: K1 = -Gamma^a_mn."""
 
-    The stored covariant block is order1_mna = -g_mb Gamma^b_na; its
-    raised counterpart -Gamma^a_mn feeds the transport loop directly.
-    """
-
-    def contra(coords: np.ndarray) -> np.ndarray:
-        return -christoffel_raw(g, coords)
-
-    def lowered(coords: np.ndarray) -> np.ndarray:
-        gamma = christoffel_raw(g, coords)
-        return -np.einsum("...mb,...bna->...mna", g.matrix_fn(coords), gamma)
+    def block(coords: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+        return -_christoffel(g, coords, ginv)
 
     return NonLinearConnection(
         metric=g,
-        order1_raw=lowered,
-        order1_contra_raw=contra,
+        order1_raw=block,
         guard=g.guard,
         label=f"gravity[{g.name}]",
     )
@@ -181,7 +128,7 @@ def _sum_raw(a, b):
         return b
     if b is None:
         return a
-    return lambda coords: a(coords) + b(coords)
+    return lambda *args: a(*args) + b(*args)
 
 
 def superpose(a: NonLinearConnection, b: NonLinearConnection) -> NonLinearConnection:
@@ -199,22 +146,10 @@ def superpose(a: NonLinearConnection, b: NonLinearConnection) -> NonLinearConnec
         )
     metric = b.metric if a_flat and not b_flat else a.metric
 
-    # the raised block can only be reused when no covariant order-1 data
-    # from the other side would be silently dropped
-    if a.order1_raw is None:
-        contra = b.order1_contra_raw
-    elif b.order1_raw is None:
-        contra = a.order1_contra_raw
-    elif a.order1_contra_raw is not None and b.order1_contra_raw is not None:
-        contra = _sum_raw(a.order1_contra_raw, b.order1_contra_raw)
-    else:
-        contra = None
-
     return NonLinearConnection(
         metric=metric,
         order0_raw=_sum_raw(a.order0_raw, b.order0_raw),
         order1_raw=_sum_raw(a.order1_raw, b.order1_raw),
-        order1_contra_raw=contra,
         guard=a.guard.intersect(b.guard),
         label=f"{a.label} + {b.label}",
     )

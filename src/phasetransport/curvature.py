@@ -30,24 +30,19 @@ from .tensor import (
     FD_STEP_NESTED,
     MetricField,
     SpacetimeEvent,
-    Tensor2,
-    Tensor3,
-    Variance,
+    central_differences,
 )
 
 __all__ = [
-    "christoffel",
     "christoffel_raw",
-    "ricci",
     "ricci_raw",
-    "scalar_curvature",
-    "einstein_tensor",
     "einstein_raw",
     "bianchi_residual",
-    "faraday_from_potential",
     "faraday_matrix_raw",
     "closure_residual",
 ]
+
+_DET_FLOOR = 1e-250
 
 
 def _metric_deriv_raw(g: MetricField, coords: np.ndarray, step: Optional[float]) -> np.ndarray:
@@ -61,31 +56,13 @@ def _metric_deriv_raw(g: MetricField, coords: np.ndarray, step: Optional[float])
         return g.deriv_fn(coords)
     if coords.ndim > 1:
         return np.stack([_metric_deriv_raw(g, row, step) for row in coords])
-    out = np.empty((DIM, DIM, DIM))
-    shifted = coords.copy()
-    for s in range(DIM):
-        h = step if step is not None else FD_STEP_FIRST * max(1.0, abs(coords[s]))
-        shifted[s] = coords[s] + h
-        plus = g.matrix_fn(shifted)
-        shifted[s] = coords[s] - h
-        minus = g.matrix_fn(shifted)
-        shifted[s] = coords[s]
-        out[:, :, s] = (plus - minus) / (2.0 * h)
-    return out
+    return central_differences(g.matrix_fn, coords, FD_STEP_FIRST, step, axis=-1)
 
 
-def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Mixed symbols Gamma^a_mn as a (..., 4, 4, 4) array indexed [..., a, m, n].
-
-    `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
-    batch gets the same bits as on its own (the final product is one
-    4x4 by 4x16 matrix product per event either way).
-    """
+def _christoffel(g: MetricField, coords: np.ndarray, ginv: np.ndarray,
+                 step: Optional[float] = None) -> np.ndarray:
+    """``christoffel_raw`` with the inverse metric at `coords` already evaluated."""
     dg = _metric_deriv_raw(g, coords, step)
-    try:
-        ginv = g.inverse_raw(coords)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - mapped below
-        raise SingularMetric(f"{g.name}: not invertible at {coords}") from err
     # brackets[..., b, m, n] = g_bm,n + g_bn,m - g_mn,b
     if coords.ndim == 1:  # one event: the fixed-shape calls cost less
         brackets = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
@@ -95,33 +72,22 @@ def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = 
     return flat.reshape(flat.shape[:-1] + (DIM, DIM))
 
 
-def christoffel(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor3:
-    """Connection coefficients of the metric, first index contravariant."""
-    g.matrix(x)  # guard + invertibility check with a typed error
-    gamma = christoffel_raw(g, x.coords, step)
-    return Tensor3(gamma, (Variance.UP, Variance.DOWN, Variance.DOWN))
+def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Mixed symbols Gamma^a_mn as a (..., 4, 4, 4) array indexed [..., a, m, n].
 
-
-def _nested_step(coords: np.ndarray, s: int, step: Optional[float]) -> float:
-    if step is not None:
-        return step
-    return FD_STEP_NESTED * max(1.0, abs(coords[s]))
+    `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
+    batch gets the same bits as on its own (the final product is one
+    4x4 by 4x16 matrix product per event either way).
+    """
+    return _christoffel(g, coords, g.inverse_raw(coords), step)
 
 
 def ricci_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
     """Ricci components R_mn from one central-difference level over the symbols."""
     gamma = christoffel_raw(g, coords, step)
-    dgamma = np.empty((DIM, DIM, DIM, DIM))  # [a, m, n, s] = d_s Gamma^a_mn
-    shifted = coords.copy()
-    for s in range(DIM):
-        h = _nested_step(coords, s, step)
-        shifted[s] = coords[s] + h
-        plus = christoffel_raw(g, shifted, step)
-        shifted[s] = coords[s] - h
-        minus = christoffel_raw(g, shifted, step)
-        shifted[s] = coords[s]
-        dgamma[:, :, :, s] = (plus - minus) / (2.0 * h)
-
+    dgamma = central_differences(  # [a, m, n, s] = d_s Gamma^a_mn
+        lambda c: christoffel_raw(g, c, step), coords, FD_STEP_NESTED, step, axis=-1
+    )
     term1 = np.einsum("amna->mn", dgamma)
     term2 = np.einsum("aman->mn", dgamma)
     term3 = np.einsum("aba,bmn->mn", gamma, gamma)
@@ -129,28 +95,12 @@ def ricci_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) 
     return term1 - term2 + term3 - term4
 
 
-def ricci(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor2:
-    g.matrix(x)
-    return Tensor2(ricci_raw(g, x.coords, step), (Variance.DOWN, Variance.DOWN))
-
-
-def scalar_curvature(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> float:
-    g.matrix(x)
-    ginv = g.inverse_raw(x.coords)
-    return float(np.einsum("mn,mn->", ginv, ricci_raw(g, x.coords, step)))
-
-
 def einstein_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Trace-reversed Ricci, G_mn = R_mn - g_mn R / 2, no coupling factor."""
     r_mn = ricci_raw(g, coords, step)
     ginv = g.inverse_raw(coords)
     r_scalar = np.einsum("mn,mn->", ginv, r_mn)
     return r_mn - 0.5 * g.matrix_fn(coords) * r_scalar
-
-
-def einstein_tensor(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor2:
-    """Trace-reversed Ricci, G_mn = R_mn - g_mn R / 2, no coupling factor."""
-    g.matrix(x)
-    return Tensor2(einstein_raw(g, x.coords, step), (Variance.DOWN, Variance.DOWN))
 
 
 def bianchi_residual(g: MetricField, x: SpacetimeEvent, step: Optional[float] = None) -> float:
@@ -158,25 +108,21 @@ def bianchi_residual(g: MetricField, x: SpacetimeEvent, step: Optional[float] = 
 
     Every differencing level in the chain scales with `step`, so halving
     it shrinks the residual by about four for smooth curved metrics.  For
-    the flat default the residual is exactly zero.
+    the flat default the residual is exactly zero.  An event outside the
+    metric's guard raises ``OutsideDomain``; one where det g vanishes
+    raises ``SingularMetric``.
     """
-    g.matrix(x)
+    g.guard.check(x)
     coords = x.coords
+    det = np.linalg.det(g.matrix_fn(coords))
+    if not np.isfinite(det) or abs(det) < _DET_FLOOR:
+        raise SingularMetric(f"{g.name}: determinant {det:.3e} at {coords}")
     gamma = christoffel_raw(g, coords, step)
     ginv = g.inverse_raw(coords)
     g_here = einstein_raw(g, coords, step)
-
-    dG = np.empty((DIM, DIM, DIM))  # [m, n, a] = d_a G_mn
-    shifted = coords.copy()
-    for a in range(DIM):
-        h = _nested_step(coords, a, step)
-        shifted[a] = coords[a] + h
-        plus = einstein_raw(g, shifted, step)
-        shifted[a] = coords[a] - h
-        minus = einstein_raw(g, shifted, step)
-        shifted[a] = coords[a]
-        dG[:, :, a] = (plus - minus) / (2.0 * h)
-
+    dG = central_differences(  # [m, n, a] = d_a G_mn
+        lambda c: einstein_raw(g, c, step), coords, FD_STEP_NESTED, step, axis=-1
+    )
     cov = (
         dG
         - np.einsum("lma,ln->mna", gamma, g_here)
@@ -202,24 +148,8 @@ def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[fl
     elif coords.ndim > 1:
         return np.stack([faraday_matrix_raw(a, row, step) for row in coords])
     else:
-        da = np.empty((DIM, DIM))  # [m, n] = d_m A_n
-        shifted = coords.copy()
-        for m in range(DIM):
-            h = step if step is not None else FD_STEP_NESTED * max(1.0, abs(coords[m]))
-            shifted[m] = coords[m] + h
-            plus = a.values_fn(shifted)
-            shifted[m] = coords[m] - h
-            minus = a.values_fn(shifted)
-            shifted[m] = coords[m]
-            da[m, :] = (plus - minus) / (2.0 * h)
+        da = central_differences(a.values_fn, coords, FD_STEP_NESTED, step)  # [m, n] = d_m A_n
     return da - da.swapaxes(-1, -2)
-
-
-def faraday_from_potential(a: VectorPotential, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor2:
-    """Field strength of a potential at one event, antisymmetric by construction."""
-    a.guard.check(x)
-    f = faraday_matrix_raw(a, x.coords, step)
-    return Tensor2(f, (Variance.DOWN, Variance.DOWN), symmetry="antisymmetric")
 
 
 def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
@@ -244,17 +174,8 @@ def closure_residual(a: VectorPotential, x: SpacetimeEvent, step: Optional[float
     uniform.
     """
     a.guard.check(x)
-    coords = x.coords
-    dF = np.empty((DIM, DIM, DIM))  # [a, m, n] = d_a F_mn
-    shifted = coords.copy()
-    for s in range(DIM):
-        h = step if step is not None else FD_STEP_NESTED * max(1.0, abs(coords[s]))
-        shifted[s] = coords[s] + h
-        plus = faraday_matrix_raw(a, shifted, step)
-        shifted[s] = coords[s] - h
-        minus = faraday_matrix_raw(a, shifted, step)
-        shifted[s] = coords[s]
-        dF[s, :, :] = (plus - minus) / (2.0 * h)
-
+    dF = central_differences(  # [a, m, n] = d_a F_mn
+        lambda c: faraday_matrix_raw(a, c, step), x.coords, FD_STEP_NESTED, step
+    )
     cyclic = dF + dF.transpose(1, 2, 0) + dF.transpose(2, 0, 1)
     return float(np.max(np.abs(cyclic)))

@@ -22,15 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import (
-    DIM,
-    DomainGuard,
-    EVERYWHERE,
-    SpacetimeEvent,
-    Tensor2,
-    Variance,
-    batch_probe,
-)
+from .tensor import DIM, DomainGuard, EVERYWHERE, SpacetimeEvent, batch_probe
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -82,16 +74,6 @@ class FaradayField:
 
     def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix_fn(coords)
-
-    def matrix(self, x: SpacetimeEvent) -> Tensor2:
-        """Typed components at `x`; antisymmetry enforced to 1e-12.
-
-        ``require_antisymmetric`` is the one check (it raises
-        ``MalformedFaraday``), so the tensor carries no mark to re-check.
-        """
-        self.guard.check(x)
-        f = require_antisymmetric(self.matrix_fn(x.coords), self.name)
-        return Tensor2(f, (Variance.DOWN, Variance.DOWN))
 
 
 @dataclass(frozen=True)

@@ -150,13 +150,21 @@ def _measure_cyclotron(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     summary["oracle_period_error"] = abs(measured_period - expected_period) / expected_period
 
 
+def _elapsed_time(coords: np.ndarray, oracle: str) -> float:
+    """Coordinate time from the first sample to the last, which a rate divides by."""
+    elapsed = float(coords[-1, 0] - coords[0, 0])
+    if not (math.isfinite(elapsed) and elapsed != 0.0):
+        raise ValidationError(f"{oracle} oracle needs a nonzero elapsed time, not {elapsed:g}")
+    return elapsed
+
+
 def _measure_exb(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     em = scn.parameters["em"]
     if em.get("type") != "uniform":
         raise ValidationError("exb-drift oracle needs uniform fields")
     expected = oracles.drift_velocity(em["e"], em["b"])
     _, coords, _ = _arrays(traj)
-    elapsed = coords[-1, 0] - coords[0, 0]
+    elapsed = _elapsed_time(coords, "exb-drift")
     measured = (coords[-1, 1:] - coords[0, 1:]) / elapsed
     summary["oracle_drift_error"] = float(np.linalg.norm(measured - expected))
 
@@ -166,6 +174,8 @@ def _measure_circular(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     if "rate" not in init:
         raise ValidationError("circular-orbit oracle needs orbit = circular initial data")
     expected_rate = float(init["rate"])
+    if not (math.isfinite(expected_rate) and expected_rate != 0.0):
+        raise ValidationError(f"circular-orbit oracle needs a nonzero rate, not {expected_rate:g}")
     radius = float(init["radius"])
     _, coords, _ = _arrays(traj)
     if scn.chart == "spherical":
@@ -174,8 +184,7 @@ def _measure_circular(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     else:
         r = np.hypot(coords[:, 1], coords[:, 2])
         phi = _unwrapped_angle(coords[:, 1], coords[:, 2])
-    elapsed = coords[-1, 0] - coords[0, 0]
-    measured_rate = (phi[-1] - phi[0]) / elapsed
+    measured_rate = (phi[-1] - phi[0]) / _elapsed_time(coords, "circular-orbit")
     summary["oracle_rate_error"] = abs(measured_rate - expected_rate) / expected_rate
     summary["oracle_radius_drift"] = float(np.max(np.abs(r - radius)) / radius)
 

@@ -325,6 +325,12 @@ def _orbit_initial(
     raise ValidationError(f"unknown orbit keyword {orbit!r}")
 
 
+def _require_in_metric_domain(g: MetricField, coords: np.ndarray) -> None:
+    why = g.guard.reason(SpacetimeEvent(coords))
+    if why is not None:
+        raise ValidationError(f"initial point outside the metric domain: {why}")
+
+
 def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
     """Resolve a scenario document into a runnable Scenario."""
     doc = _parse_document(text)
@@ -365,17 +371,14 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
             [float(isec.get(k, 0.0)) for k in ("t", "x1", "x2", "x3")]
         )
         u_spatial = np.array([float(isec.get(k, 0.0)) for k in ("u1", "u2", "u3")])
-        why = g.guard.reason(SpacetimeEvent(coords))
-        if why is not None:
-            raise ValidationError(f"initial point outside the metric domain: {why}")
+        _require_in_metric_domain(g, coords)  # before the metric is evaluated there
         u0 = solve_time_component(g, coords, u_spatial)
         u_arr = np.concatenate([[u0], u_spatial])
 
     if not np.all(np.isfinite(u_arr)):
         raise ValidationError(f"initial four-velocity {u_arr.tolist()} is not finite")
-    why = g.guard.reason(SpacetimeEvent(coords))
-    if why is not None:
-        raise ValidationError(f"initial point outside the metric domain: {why}")
+    if "orbit" in isec:
+        _require_in_metric_domain(g, coords)
     if potential is not None:
         why = potential.guard.reason(SpacetimeEvent(coords))
         if why is not None:

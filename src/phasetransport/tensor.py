@@ -1,17 +1,18 @@
-"""Core tensor containers and pointwise operations.
+"""Core containers, the metric evaluator, and the central-difference stencil.
 
 Everything lives on a four-dimensional manifold with metric signature
 (-, +, +, +) and geometric units (c = 1).  Index variance is tracked
 explicitly: ``Variance.UP`` marks a contravariant slot, ``Variance.DOWN``
 a covariant one.  Containers are immutable; the arrays they wrap are
-frozen on construction.
+frozen on construction.  Every numerical derivative in the package is
+one call of ``central_differences`` over raw coordinates.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +27,6 @@ MINKOWSKI.setflags(write=False)
 FD_STEP_FIRST = float(np.cbrt(np.finfo(float).eps))
 #: Coarser relative step for nested (second-level) differences.
 FD_STEP_NESTED = float(np.finfo(float).eps ** 0.25)
-
-_SYMMETRY_TOL = 1e-12
-_DET_FLOOR = 1e-250
 
 
 class Variance(enum.Enum):
@@ -60,12 +58,6 @@ class SpacetimeEvent:
     @property
     def t(self) -> float:
         return float(self.coords[0])
-
-    def shifted(self, direction: int, amount: float) -> "SpacetimeEvent":
-        """Return the event displaced by `amount` along coordinate `direction`."""
-        out = self.coords.copy()
-        out[direction] += amount
-        return SpacetimeEvent(out)
 
     def __iter__(self):
         return iter(self.coords)
@@ -100,51 +92,6 @@ class FourVector:
         return FourVector(self.components * float(scalar), self.variance)
 
     __rmul__ = __mul__
-
-
-def _check_symmetry(values: np.ndarray, symmetry: Optional[str]):
-    if symmetry is None:
-        return
-    if symmetry == "symmetric":
-        gap = np.max(np.abs(values - values.T))
-    elif symmetry == "antisymmetric":
-        gap = np.max(np.abs(values + values.T))
-    else:
-        raise ValueError(f"unknown symmetry mark {symmetry!r}")
-    if gap > _SYMMETRY_TOL:
-        raise ValueError(f"{symmetry} mark violated by {gap:.3e}")
-
-
-@dataclass(frozen=True)
-class Tensor2:
-    """Dense rank-2 tensor with per-slot variance and an optional symmetry mark."""
-
-    values: np.ndarray
-    variance: tuple[Variance, Variance] = (Variance.DOWN, Variance.DOWN)
-    symmetry: Optional[str] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, (DIM, DIM)))
-        object.__setattr__(self, "variance", tuple(self.variance))
-        if len(self.variance) != 2 or not all(isinstance(v, Variance) for v in self.variance):
-            raise TypeError("variance must be two Variance members")
-        _check_symmetry(self.values, self.symmetry)
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    values: np.ndarray
-    variance: tuple[Variance, Variance, Variance] = (
-        Variance.DOWN,
-        Variance.DOWN,
-        Variance.DOWN,
-    )
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, (DIM, DIM, DIM)))
-        object.__setattr__(self, "variance", tuple(self.variance))
-        if len(self.variance) != 3 or not all(isinstance(v, Variance) for v in self.variance):
-            raise TypeError("variance must be three Variance members")
 
 
 @dataclass(frozen=True)
@@ -236,8 +183,6 @@ class MetricField:
     name: str = "metric"
     coordinate_names: tuple[str, str, str, str] = ("t", "x", "y", "z")
 
-    # -- raw accessors (hot path, no container overhead) --------------------
-
     def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix_fn(coords)
 
@@ -252,36 +197,6 @@ class MetricField:
             return np.linalg.inv(g)
         except np.linalg.LinAlgError as err:
             raise SingularMetric(f"{self.name}: not invertible at {coords}") from err
-
-    # -- typed accessors -----------------------------------------------------
-
-    def matrix(self, x: SpacetimeEvent) -> Tensor2:
-        """Covariant components at `x`, checked for symmetry and invertibility."""
-        self.guard.check(x)
-        g = self.matrix_fn(x.coords)
-        det = np.linalg.det(g)
-        if not np.isfinite(det) or abs(det) < _DET_FLOOR:
-            raise SingularMetric(f"{self.name}: determinant {det:.3e} at {x.coords}")
-        return Tensor2(g, (Variance.DOWN, Variance.DOWN), symmetry="symmetric")
-
-    def inverse(self, x: SpacetimeEvent) -> Tensor2:
-        self.matrix(x)  # runs the guard and the determinant check
-        return Tensor2(self.inverse_raw(x.coords), (Variance.UP, Variance.UP),
-                       symmetry="symmetric")
-
-    def derivative(self, x: SpacetimeEvent, step: Optional[float] = None) -> Tensor3:
-        """First derivatives d g_{mn} / d x^s as a rank-3 array [m, n, s]."""
-        self.guard.check(x)
-        if self.deriv_fn is not None:
-            return Tensor3(self.deriv_fn(x.coords))
-        out = np.empty((DIM, DIM, DIM))
-        for s in range(DIM):
-            h = step if step is not None else default_step(x.coords[s])
-            out[:, :, s] = (
-                self.matrix_fn(x.shifted(s, +h).coords)
-                - self.matrix_fn(x.shifted(s, -h).coords)
-            ) / (2.0 * h)
-        return Tensor3(out)
 
 
 @dataclass(frozen=True)
@@ -311,94 +226,29 @@ def flat_metric() -> FlatMetric:
     )
 
 
-def default_step(anchor: float) -> float:
-    """Central-difference step: cube root of machine eps, scaled by coordinate size."""
-    return FD_STEP_FIRST * max(1.0, abs(anchor))
-
-
-# ---------------------------------------------------------------------------
-# pointwise operations
-# ---------------------------------------------------------------------------
-
-TensorLike = Union[FourVector, Tensor2, Tensor3, float, np.ndarray]
-
-
-def raise_index(t: Union[Tensor2, FourVector], g: MetricField, x: SpacetimeEvent):
-    """Raise the first index with the inverse metric at `x`.
-
-    A (DOWN, DOWN) rank-2 input becomes (UP, DOWN); a covariant vector
-    becomes contravariant.
-    """
-    ginv = g.inverse(x).values
-    if isinstance(t, FourVector):
-        if t.variance is not Variance.DOWN:
-            raise VarianceMismatch("raise_index expects a covariant vector")
-        return FourVector(ginv @ t.components, Variance.UP)
-    if isinstance(t, Tensor2):
-        if t.variance[0] is not Variance.DOWN:
-            raise VarianceMismatch("raise_index expects the first slot covariant")
-        return Tensor2(ginv @ t.values, (Variance.UP, t.variance[1]))
-    raise TypeError("raise_index handles FourVector and Tensor2")
-
-
-def lower_index(t: Union[Tensor2, FourVector], g: MetricField, x: SpacetimeEvent):
-    """Lower the first index with the metric at `x` (inverse of raise_index)."""
-    gm = g.matrix(x).values
-    if isinstance(t, FourVector):
-        if t.variance is not Variance.UP:
-            raise VarianceMismatch("lower_index expects a contravariant vector")
-        return FourVector(gm @ t.components, Variance.DOWN)
-    if isinstance(t, Tensor2):
-        if t.variance[0] is not Variance.UP:
-            raise VarianceMismatch("lower_index expects the first slot contravariant")
-        return Tensor2(gm @ t.values, (Variance.DOWN, t.variance[1]))
-    raise TypeError("lower_index handles FourVector and Tensor2")
-
-
-def minkowski_norm(u: FourVector, g: MetricField, x: SpacetimeEvent) -> float:
-    """Scalar g_{mn} u^m u^n; equals -1 for unit timelike tangents."""
-    if u.variance is not Variance.UP:
-        raise VarianceMismatch("minkowski_norm expects a contravariant vector")
-    gm = g.matrix(x).values
-    return float(u.components @ gm @ u.components)
-
-
-def _values_of(obj: TensorLike):
-    if isinstance(obj, (FourVector,)):
-        return obj.components
-    if isinstance(obj, (Tensor2, Tensor3)):
-        return obj.values
-    return np.asarray(obj, dtype=float)
-
-
-def _rebuild_like(template: TensorLike, values):
-    if isinstance(template, FourVector):
-        return FourVector(values, template.variance)
-    if isinstance(template, Tensor2):
-        # a derivative need not inherit the symmetry mark
-        return Tensor2(values, template.variance)
-    if isinstance(template, Tensor3):
-        return Tensor3(values, template.variance)
-    if np.ndim(values) == 0:
-        return float(values)
-    return values
-
-
-def partial_derivative(
-    field_fn: Callable[[SpacetimeEvent], TensorLike],
-    x: SpacetimeEvent,
-    direction: int,
+def central_differences(
+    fn: Callable[[np.ndarray], np.ndarray],
+    coords: np.ndarray,
+    rel_step: float,
     step: Optional[float] = None,
-) -> TensorLike:
-    """Second-order central difference of a field along one coordinate.
+    axis: int = 0,
+) -> np.ndarray:
+    """Second-order central differences of `fn` along each coordinate of one event.
 
-    The default step is ``max(1, |x_direction|) * eps**(1/3)``; pass `step`
-    to override.  The result has the shape and variance of the field values.
+    The step along x^s is `step`, or ``rel_step * max(1, |x^s|)``
+    (``FD_STEP_FIRST`` for a first derivative, ``FD_STEP_NESTED`` for a
+    difference of differences).  Each slice is ``(fn(x + h e_s) - fn(x -
+    h e_s)) / (2 h)``; the slices stack along a new axis `axis` of the
+    result, so ``out.take(s, axis)`` is the derivative along x^s.
     """
-    if not 0 <= direction < DIM:
-        raise ValueError("direction must be 0..3")
-    h = step if step is not None else default_step(x.coords[direction])
-    plus = field_fn(x.shifted(direction, +h))
-    minus = field_fn(x.shifted(direction, -h))
-    diff = (_values_of(plus) - _values_of(minus)) / (2.0 * h)
-    return _rebuild_like(plus, diff)
+    shifted = coords.copy()
+    slices = []
+    for s in range(DIM):
+        h = step if step is not None else rel_step * max(1.0, abs(coords[s]))
+        shifted[s] = coords[s] + h
+        plus = fn(shifted)
+        shifted[s] = coords[s] - h
+        minus = fn(shifted)
+        shifted[s] = coords[s]
+        slices.append((plus - minus) / (2.0 * h))
+    return np.stack(slices, axis=axis)

@@ -1,16 +1,17 @@
 """Worldline integration under a momentum-affine connection.
 
-The integrated state is (x^m, u^m) with the four-velocity contravariant.
-The transport law supplies the covariant rate, raised with the local
-metric.  ``_make_rhs`` compiles the law once per connection: which
-blocks it has and how each term is raised are decided there, so the
-right-hand side does per-point work only, and on the flat chart it
-evaluates no inverse metric.  For metric-built connections the raised
-order-1 block is available directly, so the gravitational term is the
-standard contravariant geodesic form with no lower/raise round trip (the
-equivalence of the covariant and contravariant formulations is exercised
-by the canonical-momentum integrator below, which evolves covariant
-momenta and must land on the same worldline).
+The integrated state is (x^m, u^m) with the four-velocity contravariant,
+and the law is  du^a/dtau = K1^a_mn u^m u^n + g^ab K0_bn u^n / m.  The
+connection stores K1 with its first index already raised, so the
+geodesic term is the standard contravariant form; only K0 is raised
+here.  ``_make_rhs`` compiles the law once per connection: which blocks
+it has and how K0 is raised are decided there, so the right-hand side
+does per-point work only.  On a curved chart it evaluates the inverse
+metric once per point and feeds that one array to both K1 and the raise
+of K0; on the flat chart it evaluates none.  (The equivalence of this
+contravariant form and a covariant one is exercised by the
+canonical-momentum integrator below, which evolves covariant momenta and
+must land on the same worldline.)
 
 Two steppers are provided: a fixed-step classical RK4 and an embedded
 adaptive pair with absolute plus relative error control.  Step sizes are
@@ -42,6 +43,7 @@ from .tensor import (
     MetricField,
     SpacetimeEvent,
     Variance,
+    central_differences,
 )
 
 #: Hard lower bound on adaptive step size.
@@ -190,21 +192,24 @@ def acceleration_terms(
     Returns (zeroth, first): the momentum-independent force term scaled
     by 1/mass, and the momentum-linear (geodesic) term.  Their sum is
     the proper-time acceleration vector lowered with the local metric,
-    g_ma du^a/dtau.  (Note this is not d(u_m)/dtau, which picks up an
-    extra metric-gradient term where g varies; the canonical-momentum
+    g_ma du^a/dtau; the first term lowers the stored raised K1 block.
+    (Note this is not d(u_m)/dtau, which picks up an extra
+    metric-gradient term where g varies; the canonical-momentum
     integrator below evolves that form, and the two must trace the same
     worldline.)
     """
     if u.variance is not Variance.UP:
         raise ValueError("acceleration expects a contravariant velocity")
     c.guard.check(x)
-    uu = u.components
+    coords, uu = x.coords, u.components
     zeroth = np.zeros(DIM)
     if c.order0_raw is not None:
-        zeroth = (c.order0_raw(x.coords) @ uu) / particle.mass
+        zeroth = (c.order0_raw(coords) @ uu) / particle.mass
     first = np.zeros(DIM)
     if c.order1_raw is not None:
-        first = c.order1_raw(x.coords).dot(uu).dot(uu)
+        k1 = c.order1_raw(coords, c.metric.inverse_raw(coords))
+        lowered = np.einsum("...mb,...bna->...mna", c.metric.matrix_raw(coords), k1)
+        first = lowered.dot(uu).dot(uu)
     return (
         FourVector(zeroth, Variance.DOWN),
         FourVector(first, Variance.DOWN),
@@ -243,11 +248,12 @@ def _compile_acceleration(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
 
-    A raised K1 block, when the connection has one, supersedes the
-    covariant one.  The covariant remainder is raised with the inverse
-    metric, except on the flat chart: eta is a +-1 diagonal, so raising
-    (K0 u) * (1/m) is a per-row sign folded into the 1/m scale, with the
-    same bits as eta @ ((K0 u) * (1/m)) up to the sign of a zero.
+    The raised K1 block contracts with u twice as it is.  K0 u / m is
+    raised with the inverse metric, except on the flat chart: eta is a
+    +-1 diagonal, so raising (K0 u) * (1/m) is a per-row sign folded into
+    the 1/m scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the
+    sign of a zero.  Elsewhere g^-1 is evaluated once per point and the
+    same array goes to K1 and to the raise of K0.
     `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
     `mass` is the particle mass, one float or one per event ``(N,)``.
     `order0`, when given, is the constant K0 block of each event ``(N, 4,
@@ -255,8 +261,7 @@ def _compile_acceleration(
     connection's ``order0_raw``; an elementwise product per event has the
     bits of the scalar one, so a row gets what it gets alone.
     """
-    o1c = c.order1_contra_raw
-    o1 = c.order1_raw if o1c is None else None
+    o1 = c.order1_raw
     if order0 is None:
         o0 = c.order0_raw
     else:
@@ -268,36 +273,21 @@ def _compile_acceleration(
     inverse = c.metric.inverse_raw
 
     if o1 is None and o0 is None:
-        raised = None
-    elif o1 is None and isinstance(c.metric, FlatMetric):
+        zero = np.zeros(DIM)
+        return lambda coords, u: zero
+    if o1 is None and isinstance(c.metric, FlatMetric):
         scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m), per event
+        return lambda coords, u: _mv(o0(coords), u) * scale
+    if o1 is None:
+        return lambda coords, u: _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
+    if o0 is None:
+        return lambda coords, u: _quadratic(o1(coords, inverse(coords)), u)
 
-        def raised(coords, u):
-            return _mv(o0(coords), u) * scale
+    def accel(coords, u):
+        ginv = inverse(coords)
+        return _quadratic(o1(coords, ginv), u) + _mv(ginv, _mv(o0(coords), u) * inv_mass)
 
-    elif o1 is None:
-
-        def raised(coords, u):
-            return _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
-
-    elif o0 is None:
-
-        def raised(coords, u):
-            return _mv(inverse(coords), _quadratic(o1(coords), u))
-
-    else:
-
-        def raised(coords, u):
-            return _mv(inverse(coords), _quadratic(o1(coords), u) + _mv(o0(coords), u) * inv_mass)
-
-    if o1c is None:
-        if raised is None:
-            zero = np.zeros(DIM)
-            return lambda coords, u: zero
-        return raised
-    if raised is None:
-        return lambda coords, u: _quadratic(o1c(coords), u)
-    return lambda coords, u: _quadratic(o1c(coords), u) + raised(coords, u)
+    return accel
 
 
 def _make_rhs(
@@ -899,19 +889,7 @@ def minimal_substitution_trajectory(
 
     def d_potential(coords: np.ndarray) -> np.ndarray:
         da = a.deriv_raw(coords)
-        if da is not None:
-            return da
-        out = np.empty((DIM, DIM))
-        shifted = coords.copy()
-        for s in range(DIM):
-            h = FD_STEP_FIRST * max(1.0, abs(coords[s]))
-            shifted[s] = coords[s] + h
-            plus = a.values_fn(shifted)
-            shifted[s] = coords[s] - h
-            minus = a.values_fn(shifted)
-            shifted[s] = coords[s]
-            out[s, :] = (plus - minus) / (2.0 * h)
-        return out
+        return central_differences(a.values_fn, coords, FD_STEP_FIRST) if da is None else da
 
     def kinetic_up(coords: np.ndarray, pi: np.ndarray) -> np.ndarray:
         u_cov = (pi - e * a.values_fn(coords)) / m

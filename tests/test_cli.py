@@ -232,6 +232,28 @@ def test_value_outside_a_closed_form_domain_is_invalid_input(name, line, replace
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+#: built-in, key line, replacement: values that leave an oracle a 0/0 rate
+DEGENERATE_RATES = [
+    ("exb-drift", "t = 0.0", "t = 1e300"),  # elapsed coordinate time rounds to 0
+    ("coulomb", "mass = 1.0", "mass = 1e300"),  # expected angular rate underflows to 0
+]
+
+
+@pytest.mark.parametrize("name,line,replacement", DEGENERATE_RATES)
+def test_degenerate_oracle_rate_is_invalid_input(name, line, replacement, tmp_path, capsys):
+    text = builtin_text(name)
+    assert line in text
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text.replace(line, replacement, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--tau-max", "0.05", "--format", "json"])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("override", [["--tau-max", "inf"], ["--step", "inf"], ["--step", "nan"]])
 def test_non_finite_override_is_invalid_input(override, capsys):
     assert main(["run", "free", *override]) == 1

@@ -4,6 +4,8 @@ Reference values below come from the closed-form connection
 coefficients of the unit-mass vacuum metric at r = 10, theta = pi/2:
 Gamma^r_tt = (M/r^2)(1 - 2M/r) = 0.008, Gamma^theta_{r theta} = 1/r = 0.1,
 and the all-covariant (first slot lowered) Gamma_rtt = M/r^2 = 0.01.
+The connection stores K1 = -Gamma^a_mn raised; ``order1_raw`` takes the
+inverse metric at the same point.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ from phasetransport.connection import (
     NonLinearConnection,
     Particle,
     electromagnetic_connection,
-    eval_connection,
     gravitational_connection,
     superpose,
     zero_connection,
@@ -38,6 +39,11 @@ from phasetransport.transport import acceleration_terms
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
 
 
+def k1(c, x):
+    """The raised K1 block of `c` at the event `x`."""
+    return c.order1_raw(x.coords, c.metric.inverse_raw(x.coords))
+
+
 def test_particle_validation():
     Particle(1.0, -2.0)
     with pytest.raises(ValueError):
@@ -50,17 +56,20 @@ def test_particle_validation():
 
 def test_gravitational_block_reference_values():
     c = gravitational_connection(schwarzschild(1.0))
-    contra = -c.order1_contra_raw(X_REF.coords)  # Gamma^m_{n a}
+    contra = -k1(c, X_REF)  # Gamma^m_{n a}
     np.testing.assert_allclose(contra[1, 0, 0], 0.008, rtol=1e-13)
     np.testing.assert_allclose(contra[2, 1, 2], 0.1, rtol=1e-13)
-    lowered = c.order1(X_REF).values
-    np.testing.assert_allclose(lowered[1, 0, 0], -0.01, rtol=1e-13)
+    # the covariant block, lowered where a typed caller asks for it:
+    # with u = d/dt the first term is order1_mtt
+    u_t = FourVector([1.0, 0.0, 0.0, 0.0], Variance.UP)
+    _, lowered = acceleration_terms(c, Particle(1.0), X_REF, u_t)
+    np.testing.assert_allclose(lowered.components[1], -0.01, rtol=1e-13)
     assert c.order0_raw is None
 
 
 def test_gravitational_block_symmetric_in_trailing_slots():
     c = gravitational_connection(schwarzschild(1.0))
-    block = c.order1(SpacetimeEvent([0.0, 7.0, 1.2, 0.4])).values
+    block = k1(c, SpacetimeEvent([0.0, 7.0, 1.2, 0.4]))
     np.testing.assert_allclose(block, np.swapaxes(block, 1, 2), rtol=0, atol=1e-12)
 
 
@@ -68,7 +77,7 @@ def test_em_block_is_charge_times_field():
     e, b = [0.1, 0.0, 0.2], [0.0, 1.0, 0.0]
     c = electromagnetic_connection(uniform_faraday(e, b), charge=3.0)
     x = SpacetimeEvent([0, 0, 0, 0])
-    np.testing.assert_array_equal(c.order0(x).values, 3.0 * matrix_from_eb(e, b))
+    np.testing.assert_array_equal(c.order0_raw(x.coords), 3.0 * matrix_from_eb(e, b))
     assert c.order1_raw is None
 
 
@@ -76,33 +85,24 @@ def test_em_antisymmetry_gate_fires_on_evaluation():
     broken = FaradayField(lambda coords: np.eye(4), name="broken")
     c = electromagnetic_connection(broken, charge=1.0)
     with pytest.raises(MalformedFaraday):
-        c.order0(SpacetimeEvent([0, 0, 0, 0]))
+        c.order0_raw(np.zeros(4))
 
 
-def test_eval_connection_is_affine_in_momentum():
-    g = schwarzschild(1.0)
-    c = gravitational_connection(g)
-    p = FourVector([1.2, 0.3, 0.0, 0.01], Variance.UP)
-    q = FourVector([0.5, -0.2, 0.1, 0.0], Variance.UP)
-    f_p = eval_connection(c, X_REF, p).values
-    f_q = eval_connection(c, X_REF, q).values
-    f_sum = eval_connection(c, X_REF, p + q).values
-    np.testing.assert_allclose(f_sum, f_p + f_q, rtol=0, atol=1e-14)
-
-
-def test_eval_connection_requires_contravariant_momentum():
+def test_acceleration_requires_contravariant_velocity():
     c = zero_connection()
     with pytest.raises(ValueError):
-        eval_connection(
-            c, SpacetimeEvent([0, 0, 0, 0]), FourVector([1, 0, 0, 0], Variance.DOWN)
+        acceleration_terms(
+            c, Particle(1.0), SpacetimeEvent([0, 0, 0, 0]), FourVector([1, 0, 0, 0], Variance.DOWN)
         )
 
 
 def test_zero_connection_blocks_vanish():
     c = zero_connection()
     x = SpacetimeEvent([1, 2, 3, 4])
-    assert np.all(c.order0(x).values == 0.0)
-    assert np.all(c.order1(x).values == 0.0)
+    assert c.order0_raw is None and c.order1_raw is None
+    zeroth, first = acceleration_terms(c, Particle(1.0), x, FourVector([1.0, 0.5, 0, 0]))
+    assert np.all(zeroth.components == 0.0)
+    assert np.all(first.components == 0.0)
 
 
 def test_superpose_adds_blocks_and_intersects_guards():
@@ -110,11 +110,11 @@ def test_superpose_adds_blocks_and_intersects_guards():
     grav = gravitational_connection(g)
     em = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), charge=2.0)
     both = superpose(grav, em)
-    np.testing.assert_array_equal(both.order0(X_REF).values, em.order0(X_REF).values)
-    np.testing.assert_array_equal(both.order1(X_REF).values, grav.order1(X_REF).values)
+    np.testing.assert_array_equal(both.order0_raw(X_REF.coords), em.order0_raw(X_REF.coords))
+    np.testing.assert_allclose(k1(both, X_REF), k1(grav, X_REF), rtol=0, atol=0)
     assert both.metric is g
     with pytest.raises(OutsideDomain):
-        both.order0(SpacetimeEvent([0, 1.0, 1.0, 0.0]))  # inside the horizon guard
+        both.guard.check(SpacetimeEvent([0, 1.0, 1.0, 0.0]))  # inside the horizon guard
 
 
 def test_superpose_rejects_two_curved_charts():
@@ -144,7 +144,7 @@ def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
     assert all(isinstance(f, AntisymmetricFaraday) for f in built)
     for f in built:
         c = electromagnetic_connection(f, 2.0)
-        np.testing.assert_array_equal(c.order0(x).values, 2.0 * f.matrix_raw(x.coords))
+        np.testing.assert_array_equal(c.order0_raw(x.coords), 2.0 * f.matrix_raw(x.coords))
     # a user evaluator is re-checked on every evaluation, even if it is
     # antisymmetric at first and only later goes wrong
     calls = []
@@ -154,18 +154,16 @@ def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
         return matrix_from_eb([0.1, 0, 0], [0, 0, 1.0]) + (len(calls) > 1) * np.eye(4)
 
     c = electromagnetic_connection(FaradayField(drifting, name="drifting"), 1.0)
-    c.order0(x)
+    c.order0_raw(x.coords)
     with pytest.raises(MalformedFaraday):
-        c.order0(x)
+        c.order0_raw(x.coords)
 
 
 def test_superpose_same_curved_chart_doubles_coefficients():
     g = schwarzschild(1.0)
     c = gravitational_connection(g)
     doubled = superpose(c, c)
-    np.testing.assert_allclose(
-        doubled.order1(X_REF).values, 2.0 * c.order1(X_REF).values, rtol=0, atol=0
-    )
+    np.testing.assert_allclose(k1(doubled, X_REF), 2.0 * k1(c, X_REF), rtol=0, atol=0)
 
 
 @settings(max_examples=40, deadline=None)

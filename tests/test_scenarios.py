@@ -1,11 +1,12 @@
 """Scenario document parsing: strict schema, closed-form initial data."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from phasetransport import oracles
+from phasetransport import oracles, scenarios
 from phasetransport.errors import ParseError, ValidationError
 from phasetransport.scenarios import (
     builtin_names,
@@ -76,6 +77,26 @@ def test_inside_horizon_start_is_a_validation_error():
     doc = "[metric]\ntype = schwarzschild\nmass = 1.0\n\n[initial]\nx1 = 1.5\n"
     with pytest.raises(ValidationError):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize("initial", ["x1 = 10.0\nx2 = 1.0\nu3 = 0.01",
+                                     "orbit = circular\nradius = 10.0"])
+def test_initial_point_is_probed_once(initial, monkeypatch):
+    # each branch of [initial] probes the metric guard at the start point once
+    probes = []
+
+    def counted_schwarzschild(mass):
+        g = schwarzschild(mass)
+
+        def probe(coords):
+            probes.append(1)
+            return g.guard.probe(coords)
+
+        return dataclasses.replace(g, guard=dataclasses.replace(g.guard, probe=probe))
+
+    monkeypatch.setattr(scenarios, "schwarzschild", counted_schwarzschild)
+    load_scenario(f"[metric]\ntype = schwarzschild\nmass = 1.0\n\n[initial]\n{initial}\n")
+    assert len(probes) == 1
 
 
 def test_unknown_enums_are_validation_errors():

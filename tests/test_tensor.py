@@ -1,4 +1,4 @@
-"""Typed tensor containers, index movement, and finite differencing."""
+"""Containers, raw metric evaluators, index movement, and finite differencing."""
 
 import dataclasses
 
@@ -10,29 +10,27 @@ from hypothesis import strategies as st
 from phasetransport.errors import OutsideDomain, VarianceMismatch
 from phasetransport.metrics import schwarzschild
 from phasetransport.tensor import (
+    FD_STEP_FIRST,
     DomainGuard,
     FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
-    Tensor2,
     Variance,
+    central_differences,
     flat_metric,
-    lower_index,
-    minkowski_norm,
-    partial_derivative,
-    raise_index,
 )
+from phasetransport.transport import _trajectory
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def test_flat_metric_is_exact():
     g = flat_metric()
-    x = SpacetimeEvent([0.3, -2.0, 7.1, 0.0])
-    assert np.array_equal(g.matrix(x).values, ETA)
-    assert np.array_equal(g.inverse(x).values, ETA)
-    assert np.array_equal(g.derivative(x).values, np.zeros((4, 4, 4)))
+    c = np.array([0.3, -2.0, 7.1, 0.0])
+    assert np.array_equal(g.matrix_raw(c), ETA)
+    assert np.array_equal(g.inverse_raw(c), ETA)
+    assert np.array_equal(g.deriv_raw(c), np.zeros((4, 4, 4)))
 
 
 def test_flat_chart_identity_survives_evaluator_replacement():
@@ -64,16 +62,6 @@ def test_mixed_variance_addition_rejected():
         up + down
 
 
-def test_symmetry_marks():
-    Tensor2(np.eye(4), symmetry="symmetric")
-    with pytest.raises(ValueError):
-        Tensor2(np.eye(4), symmetry="antisymmetric")
-    lopsided = np.zeros((4, 4))
-    lopsided[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        Tensor2(lopsided, symmetry="symmetric")
-
-
 def test_domain_guard_reports_and_raises():
     guard = DomainGuard(lambda c: "outside" if c[1] < 0 else None, label="half")
     good = SpacetimeEvent([0, 1.0, 0, 0])
@@ -98,54 +86,55 @@ vector_strategy = st.tuples(*[st.floats(-10, 10) for _ in range(4)])
 @given(coords=coords_strategy, comps=vector_strategy)
 def test_raise_lower_round_trip(coords, comps):
     g = schwarzschild(1.0)
-    x = SpacetimeEvent(np.array(coords))
-    v = FourVector(np.array(comps), Variance.UP)
-    back = raise_index(lower_index(v, g, x), g, x)
-    np.testing.assert_allclose(back.components, v.components, rtol=0, atol=1e-12)
-    assert back.variance is Variance.UP
+    c = np.array(coords)
+    v = np.array(comps)
+    back = g.inverse_raw(c) @ (g.matrix_raw(c) @ v)
+    np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(coords=coords_strategy, comps=vector_strategy)
 def test_norm_computed_in_either_variance(coords, comps):
+    # a trajectory's norm residual and energy come from the lowered velocity
     g = schwarzschild(1.0)
-    x = SpacetimeEvent(np.array(coords))
-    v = FourVector(np.array(comps), Variance.UP)
-    lowered = lower_index(v, g, x)
-    direct = minkowski_norm(v, g, x)
-    contracted = float(lowered.components @ v.components)
-    np.testing.assert_allclose(direct, contracted, rtol=1e-12, atol=1e-12)
-
-
-def test_raise_index_variance_is_enforced():
-    g = flat_metric()
-    x = SpacetimeEvent([0, 0, 0, 0])
-    with pytest.raises(VarianceMismatch):
-        raise_index(FourVector([1.0, 0, 0, 0], Variance.UP), g, x)
-    with pytest.raises(VarianceMismatch):
-        lower_index(FourVector([1.0, 0, 0, 0], Variance.DOWN), g, x)
+    c = np.array(coords)
+    v = np.array(comps)
+    traj = _trajectory(g, np.zeros(1), np.concatenate([c, v])[None], "completed", None)
+    lowered = g.matrix_raw(c) @ v
+    direct = float(v @ g.matrix_raw(c) @ v)
+    np.testing.assert_allclose(traj.norm_residual[0] - 1.0, direct, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(traj.energy[0], -lowered[0], rtol=1e-12, atol=1e-12)
 
 
 def test_partial_derivative_of_polynomial_field():
     # f(x) = x1^2 * x2 has exact derivatives 2 x1 x2 and x1^2
-    def field(x):
-        return float(x.coords[1] ** 2 * x.coords[2])
+    def field(c):
+        return c[1] ** 2 * c[2]
 
-    x = SpacetimeEvent([0.0, 1.5, -2.0, 0.7])
-    d1 = partial_derivative(field, x, 1)
-    d2 = partial_derivative(field, x, 2)
-    np.testing.assert_allclose(d1, 2 * 1.5 * -2.0, rtol=1e-9)
-    np.testing.assert_allclose(d2, 1.5**2, rtol=1e-9)
-    with pytest.raises(ValueError):
-        partial_derivative(field, x, 4)
+    d = central_differences(field, np.array([0.0, 1.5, -2.0, 0.7]), FD_STEP_FIRST)
+    np.testing.assert_allclose(d[1], 2 * 1.5 * -2.0, rtol=1e-9)
+    np.testing.assert_allclose(d[2], 1.5**2, rtol=1e-9)
+
+
+def test_central_difference_step_override_applies_to_every_direction():
+    # the central quotient of a cubic is exactly f' + h^2 f''' / 6, with the given h
+    def field(c):
+        return c[0] ** 3 + 2.0 * c[3] ** 3
+
+    d = central_differences(field, np.array([0.5, 0.0, 0.0, -1.5]), FD_STEP_FIRST, step=0.25)
+    np.testing.assert_allclose(d, [3 * 0.25 + 0.0625, 0.0, 0.0, 6 * 2.25 + 2 * 0.0625],
+                               rtol=1e-14, atol=0)
 
 
 def test_partial_derivative_preserves_container_type():
-    def field(x):
-        return FourVector([x.coords[1], 0.0, 0.0, 0.0], Variance.DOWN)
+    # the derivative of a vector field keeps the field's shape, per direction,
+    # on the axis the caller asks for
+    def field(c):
+        return np.array([c[1], 0.0, 0.0, 0.0])
 
-    x = SpacetimeEvent([0, 2.0, 0, 0])
-    d = partial_derivative(field, x, 1)
-    assert isinstance(d, FourVector)
-    assert d.variance is Variance.DOWN
-    np.testing.assert_allclose(d.components, [1.0, 0, 0, 0], atol=1e-9)
+    c = np.array([0, 2.0, 0, 0])
+    first = central_differences(field, c, FD_STEP_FIRST)
+    last = central_differences(field, c, FD_STEP_FIRST, axis=-1)
+    assert first.shape == last.shape == (4, 4)
+    np.testing.assert_allclose(first[1], [1.0, 0, 0, 0], atol=1e-9)
+    np.testing.assert_array_equal(last, first.T)

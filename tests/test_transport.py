@@ -517,6 +517,26 @@ def test_flat_kernel_never_evaluates_the_inverse_metric():
     assert calls == []
 
 
+def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
+    # one g^-1 per point feeds both the Christoffel contraction and the K0 raise
+    calls = []
+    g = schwarzschild(1.0)
+
+    def counted_inverse(coords):
+        calls.append(1)
+        return g.inverse_fn(coords)
+
+    counted = dataclasses.replace(g, inverse_fn=counted_inverse)
+    field = faraday_field_of(axial_magnetic_potential_spherical(0.05))
+    conn = superpose(gravitational_connection(counted), electromagnetic_connection(field, 1.0))
+    rhs = _make_rhs(conn, 1.0)
+    y = np.array([0.0, 10.0, np.pi / 2, 0.0, 1.2, 0.01, 0.0, 0.03])
+    rhs(y)
+    assert len(calls) == 1
+    rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
+    assert len(calls) == 2
+
+
 def test_integrate_rejects_a_non_antisymmetric_user_field():
     broken = FaradayField(lambda coords: np.diag([0.0, 1.0, 0.0, 0.0]), name="broken")
     conn = electromagnetic_connection(broken, charge=1.0)
