@@ -8,11 +8,13 @@ With --checkers, also runs each property checker that is compatible with
 the scenario (slower; the dual-route comparisons re-integrate everything).
 With --out, the full JSON report of every run is written to DIR.
 Each scenario's row ends with the first 12 hex digits of the sha256 of
-its CSV output, so diffing this script's output across two checkouts
-shows whether their CSV bytes are identical.
+its CSV output, and each checker's row with those of its JSON report
+without the samples, so diffing this script's output across two
+checkouts shows whether their CSV bytes and checker numbers are identical.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -21,6 +23,10 @@ import time
 from phasetransport.errors import IncompatibleChecker
 from phasetransport.report import CHECKERS, check, emit, run
 from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
+
+
+def short_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def main() -> int:
@@ -40,7 +46,7 @@ def main() -> int:
         t0 = time.perf_counter()
         rep = run(load_builtin(name))
         dt = time.perf_counter() - t0
-        digest = hashlib.sha256(emit(rep, "csv").encode("utf-8")).hexdigest()[:12]
+        digest = short_sha256(emit(rep, "csv"))
         s = rep.summary
         oracle_bits = ", ".join(
             f"{k.removeprefix('oracle_')}={v:.2e}"
@@ -56,7 +62,7 @@ def main() -> int:
         return 0
 
     print()
-    print(f"{'scenario':28s} {'checker':22s} verdict")
+    print(f"{'scenario':28s} {'checker':22s} verdict json-sha256")
     failures = 0
     for name in BUILTIN_NAMES:
         for checker in CHECKERS:
@@ -66,7 +72,8 @@ def main() -> int:
                 continue
             verdict = "PASS" if rep.summary["passed"] else "FAIL"
             failures += rep.status != "passed"
-            print(f"{name:28s} {checker:22s} {verdict}")
+            digest = short_sha256(emit(dataclasses.replace(rep, samples=None), "json"))
+            print(f"{name:28s} {checker:22s} {verdict:7s} {digest}")
     return 1 if failures else 0
 
 

@@ -49,7 +49,6 @@ from .tensor import (
     MetricField,
     SpacetimeEvent,
     Variance,
-    flat_metric,
 )
 from .report import CHECKERS, CSV_COLUMNS, RunReport, check, emit, run
 from .scenarios import (
@@ -64,7 +63,6 @@ from .transport import (
     PhaseState,
     Trajectory,
     TrajectorySample,
-    acceleration,
     acceleration_terms,
     coordinate_force,
     geodesic_integrate,

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, SpacetimeEvent, batch_probe
+from .tensor import DIM, DomainGuard, EVERYWHERE, batch_probe, euclidean_radius
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -63,17 +63,15 @@ def require_antisymmetric(f: np.ndarray, name: str, tol: float = _ANTISYMMETRY_T
 class FaradayField:
     """Antisymmetric covariant field strength as an evaluator over events.
 
-    A plain ``FaradayField`` wraps a user-supplied evaluator, so every
-    consumer re-checks antisymmetry on each evaluation.  The built-in
-    evaluators take one event ``(4,)`` or a batch ``(..., 4)``.
+    Consumers call ``matrix_fn`` on raw coordinates.  A plain
+    ``FaradayField`` wraps a user-supplied evaluator, so every consumer
+    re-checks antisymmetry on each evaluation.  The built-in evaluators
+    take one event ``(4,)`` or a batch ``(..., 4)``.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     guard: DomainGuard = EVERYWHERE
     name: str = "faraday"
-
-    def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix_fn(coords)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,8 @@ def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Antisym
 class VectorPotential:
     """Covariant potential A_m as an evaluator over events.
 
-    ``deriv_fn`` optionally supplies closed-form gradients with layout
+    Consumers call ``values_fn`` and ``deriv_fn`` on raw coordinates and
+    probe ``guard`` themselves.  ``deriv_fn`` optionally supplies closed-form gradients with layout
     ``out[m, n] = d A_n / d x^m``; built-in potentials carry one so that
     the derived field strength (and hence its closure residual) is exact
     for linear potentials.  Built-in evaluators take one event ``(4,)``
@@ -109,16 +108,6 @@ class VectorPotential:
     deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     guard: DomainGuard = EVERYWHERE
     name: str = "potential"
-
-    def values_raw(self, coords: np.ndarray) -> np.ndarray:
-        return self.values_fn(coords)
-
-    def deriv_raw(self, coords: np.ndarray) -> Optional[np.ndarray]:
-        return None if self.deriv_fn is None else self.deriv_fn(coords)
-
-    def values(self, x: SpacetimeEvent) -> np.ndarray:
-        self.guard.check(x)
-        return self.values_fn(x.coords)
 
 
 def zero_potential() -> VectorPotential:
@@ -133,27 +122,17 @@ def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) ->
     """Potential for uniform E and B in a Cartesian chart.
 
     A_0 = E . x  (so F_0i = -E_i) plus the symmetric gauge
-    A_i = (B x r)_i / 2 for the magnetic part.
+    A_i = (B x r)_i / 2 for the magnetic part.  The potential is linear,
+    so it is its constant gradient applied to the event: A_n = x^m d_m A_n.
     """
     ev = np.array([float(v) for v in e_field])
     bv = np.array([float(v) for v in b_field])
-    # out[m, n] = d A_n / d x^m; the potential is linear, so constant
+    # out[m, n] = d A_n / d x^m
     grad = np.zeros((DIM, DIM))
     grad[1:, 0] = ev
-    for i in range(3):
-        basis = np.zeros(3)
-        basis[i] = 1.0
-        grad[1 + i, 1:] = 0.5 * np.cross(bv, basis)
+    grad[1:, 1:] = 0.5 * np.cross(bv, np.eye(3))  # row i: B x e_i / 2
     grad.setflags(write=False)
-
-    def values(c: np.ndarray) -> np.ndarray:
-        r = c[..., 1:]
-        out = np.empty(c.shape)
-        out[..., 0] = r @ ev
-        out[..., 1:] = 0.5 * np.cross(bv, r)
-        return out
-
-    return VectorPotential(values, deriv_fn=lambda c: grad, name="uniform-eb-gauge")
+    return VectorPotential(lambda c: c @ grad, deriv_fn=lambda c: grad, name="uniform-eb-gauge")
 
 
 def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> VectorPotential:
@@ -167,27 +146,24 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
 
     if radial_index is None:
 
-        def radius(ct: np.ndarray):
-            return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
-
         def values(c: np.ndarray) -> np.ndarray:
             out = np.zeros(c.shape)
-            out.T[0] = q / radius(c.T)
+            out.T[0] = q / euclidean_radius(c.T)
             return out
 
         def deriv(c: np.ndarray) -> np.ndarray:
             # out[..., m, n] = d A_n / d x^m, written as out.T[n, m, ...]
             ct = c.T
-            r = radius(ct)
+            r = euclidean_radius(ct)
             out = np.zeros(c.shape[:-1] + (DIM, DIM))
             out.T[0, 1:] = -q * ct[1:] / (r * r * r)
             return out
 
         def one(c: np.ndarray):
-            r = radius(c)
+            r = euclidean_radius(c)
             return None if r > 1e-9 else f"r = {r:.3e} at the potential singularity"
 
-        probe = batch_probe(one, lambda ct: (radius(ct) > 1e-9).all())
+        probe = batch_probe(one, lambda ct: (euclidean_radius(ct) > 1e-9).all())
 
     else:
         k = radial_index

@@ -2,14 +2,14 @@
 
 Three charts ship with the package:
 
-* ``minkowski()``      -- Cartesian (t, x, y, z), exact eta.
+* ``minkowski()``      -- Cartesian (t, x, y, z), exact eta, as a ``FlatMetric``.
 * ``schwarzschild(M)`` -- curvature coordinates (t, r, theta, phi),
   guarded to r > 2M(1 + 1e-6) and away from the polar axis.
 * ``weak_field(M)``    -- Cartesian chart with g_00 = -(1 + 2 Phi),
   Phi = -M/r, spatial part exactly flat.
 
-Each carries analytic derivative and inverse evaluators so that
-downstream consumers (Christoffel assembly, transport) avoid one level
+Each carries analytic derivative and inverse evaluators (``deriv_fn``,
+``inverse_fn``) so that downstream consumers (Christoffel assembly, transport) avoid one level
 of numerical differentiation.  Wrap any of them with
 ``without_closed_form`` to exercise the finite-difference fallbacks.
 """
@@ -18,7 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DIM, DomainGuard, MetricField, batch_probe, flat_metric
+from .tensor import (
+    DIM,
+    MINKOWSKI,
+    DomainGuard,
+    FlatMetric,
+    MetricField,
+    batch_probe,
+    euclidean_radius,
+)
 
 #: Relative safety margin kept outside the Schwarzschild horizon.
 HORIZON_MARGIN = 1e-6
@@ -26,8 +34,16 @@ HORIZON_MARGIN = 1e-6
 AXIS_MARGIN = 1e-8
 
 
-def minkowski() -> MetricField:
-    return flat_metric()
+def minkowski() -> FlatMetric:
+    """The flat chart: exact eta at every event, its own inverse, zero derivatives."""
+    zeros = np.zeros((DIM, DIM, DIM))
+    zeros.setflags(write=False)
+    return FlatMetric(
+        matrix_fn=lambda c: MINKOWSKI,
+        deriv_fn=lambda c: zeros,
+        inverse_fn=lambda c: MINKOWSKI,
+        name="minkowski",
+    )
 
 
 def _schwarzschild_guard(mass: float) -> DomainGuard:
@@ -120,11 +136,8 @@ def weak_field(mass: float = 1.0) -> MetricField:
     M = float(mass)
     r_min = 2.0 * M * (1.0 + HORIZON_MARGIN)
 
-    def radius(ct: np.ndarray):
-        return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
-
     def one(c: np.ndarray):
-        r = radius(c)
+        r = euclidean_radius(c)
         if not r > r_min:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
         return None
@@ -137,15 +150,15 @@ def weak_field(mass: float = 1.0) -> MetricField:
         return g
 
     def matrix(c: np.ndarray) -> np.ndarray:
-        return diagonal(c, -(1.0 - 2.0 * M / radius(c.T)))
+        return diagonal(c, -(1.0 - 2.0 * M / euclidean_radius(c.T)))
 
     def inverse(c: np.ndarray) -> np.ndarray:
-        return diagonal(c, -1.0 / (1.0 - 2.0 * M / radius(c.T)))
+        return diagonal(c, -1.0 / (1.0 - 2.0 * M / euclidean_radius(c.T)))
 
     def deriv(c: np.ndarray) -> np.ndarray:
         # d g_00 / d x^i = -2 dPhi/dx^i = -2 M x_i / r^3, written as d[i, 0, 0, ...]
         ct = c.T
-        r = radius(ct)
+        r = euclidean_radius(ct)
         r3 = r * r * r
         out = np.zeros(c.shape[:-1] + (DIM, DIM, DIM))
         d = out.T
@@ -159,7 +172,7 @@ def weak_field(mass: float = 1.0) -> MetricField:
         deriv_fn=deriv,
         inverse_fn=inverse,
         guard=DomainGuard(
-            batch_probe(one, lambda ct: (radius(ct) > r_min).all()),
+            batch_probe(one, lambda ct: (euclidean_radius(ct) > r_min).all()),
             label=f"weak-field(M={M:g})",
         ),
         name=f"weak-field(M={M:g})",

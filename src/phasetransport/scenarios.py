@@ -34,7 +34,7 @@ from .connection import (
     zero_connection,
 )
 from .curvature import faraday_field_of
-from .errors import OutsideDomain, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .fields import (
     FaradayField,
     VectorPotential,
@@ -44,7 +44,7 @@ from .fields import (
     uniform_field_potential,
 )
 from .metrics import minkowski, schwarzschild, weak_field
-from .tensor import FlatMetric, FourVector, MetricField, SpacetimeEvent, Variance
+from .tensor import DomainGuard, FlatMetric, FourVector, MetricField, SpacetimeEvent, Variance
 from .transport import IntegratorConfig, PhaseState
 
 __all__ = [
@@ -325,10 +325,10 @@ def _orbit_initial(
     raise ValidationError(f"unknown orbit keyword {orbit!r}")
 
 
-def _require_in_metric_domain(g: MetricField, coords: np.ndarray) -> None:
-    why = g.guard.reason(SpacetimeEvent(coords))
+def _require_in_domain(guard: DomainGuard, coords: np.ndarray, what: str) -> None:
+    why = guard.probe(coords)
     if why is not None:
-        raise ValidationError(f"initial point outside the metric domain: {why}")
+        raise ValidationError(f"initial point outside the {what} domain: {why}")
 
 
 def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
@@ -371,18 +371,16 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
             [float(isec.get(k, 0.0)) for k in ("t", "x1", "x2", "x3")]
         )
         u_spatial = np.array([float(isec.get(k, 0.0)) for k in ("u1", "u2", "u3")])
-        _require_in_metric_domain(g, coords)  # before the metric is evaluated there
+        _require_in_domain(g.guard, coords, "metric")  # before the metric is evaluated there
         u0 = solve_time_component(g, coords, u_spatial)
         u_arr = np.concatenate([[u0], u_spatial])
 
     if not np.all(np.isfinite(u_arr)):
         raise ValidationError(f"initial four-velocity {u_arr.tolist()} is not finite")
     if "orbit" in isec:
-        _require_in_metric_domain(g, coords)
+        _require_in_domain(g.guard, coords, "metric")
     if potential is not None:
-        why = potential.guard.reason(SpacetimeEvent(coords))
-        if why is not None:
-            raise ValidationError(f"initial point outside the field domain: {why}")
+        _require_in_domain(potential.guard, coords, "field")
 
     csec = doc.get("integrator", {})
     try:

@@ -1,4 +1,5 @@
-"""Core containers, the metric evaluator, and the central-difference stencil.
+"""Core containers, the metric evaluator and its flat-chart type, and the
+central-difference stencil.
 
 Everything lives on a four-dimensional manifold with metric signature
 (-, +, +, +) and geometric units (c = 1).  Index variance is tracked
@@ -11,6 +12,7 @@ one call of ``central_differences`` over raw coordinates.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -100,15 +102,12 @@ class DomainGuard:
 
     ``probe`` takes raw coordinates, one event ``(4,)`` or a batch
     ``(..., 4)``, and returns None when every event is admissible, or a
-    human-readable reason for the first rejected one.  ``reason`` and
-    ``check`` are the typed forms for a single ``SpacetimeEvent``.
+    human-readable reason for the first rejected one.  ``check`` is the
+    typed form for a single ``SpacetimeEvent``: it raises ``OutsideDomain``.
     """
 
     probe: Callable[[np.ndarray], Optional[str]]
     label: str = "domain"
-
-    def reason(self, x: SpacetimeEvent) -> Optional[str]:
-        return self.probe(x.coords)
 
     def check(self, x: SpacetimeEvent) -> None:
         why = self.probe(x.coords)
@@ -186,9 +185,6 @@ class MetricField:
     def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix_fn(coords)
 
-    def deriv_raw(self, coords: np.ndarray) -> Optional[np.ndarray]:
-        return None if self.deriv_fn is None else self.deriv_fn(coords)
-
     def inverse_raw(self, coords: np.ndarray) -> np.ndarray:
         if self.inverse_fn is not None:
             return self.inverse_fn(coords)
@@ -203,27 +199,28 @@ class MetricField:
 class FlatMetric(MetricField):
     """The Minkowski chart: g = eta exactly, at every event.
 
-    The type is the flat-chart identity: consumers that can exploit a
-    constant +-1 diagonal metric (the transport loop's index raising,
-    ``superpose``, scenario resolution) test ``isinstance(g, FlatMetric)``.
-    It survives ``dataclasses.replace`` of the evaluators, which keeps
-    the class.
+    ``metrics.minkowski()`` builds it.  The type is the flat-chart
+    identity: consumers that can exploit a constant +-1 diagonal metric
+    (the transport loop's index raising, ``superpose``, scenario
+    resolution) test ``isinstance(g, FlatMetric)``.  It survives
+    ``dataclasses.replace`` of the evaluators, which keeps the class.
     """
 
 
-def flat_metric() -> FlatMetric:
-    """The Minkowski default: exact eta everywhere, trivially invertible."""
-    eta = MINKOWSKI
-    inv = MINKOWSKI  # its own inverse
-    zeros = np.zeros((DIM, DIM, DIM))
-    zeros.setflags(write=False)
-    return FlatMetric(
-        matrix_fn=lambda c: eta,
-        deriv_fn=lambda c: zeros,
-        inverse_fn=lambda c: inv,
-        guard=EVERYWHERE,
-        name="minkowski",
-    )
+def euclidean_radius(ct: np.ndarray):
+    """The radius sqrt(x^2 + y^2 + z^2) of Cartesian events.
+
+    `ct` is one event ``(4,)`` or a transposed batch ``(4, ...)``, so
+    ``ct[1]`` is x either way.  A square that overflows gives r = inf
+    without a warning: one event is summed in Python floats, which never
+    warn and round as numpy's scalars do; a batch turns numpy's overflow
+    warning off.
+    """
+    if ct.ndim == 1:
+        x, y, z = ct[1:].tolist()
+        return np.float64(math.sqrt(x * x + y * y + z * z))
+    with np.errstate(over="ignore"):
+        return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
 
 
 def central_differences(

@@ -216,14 +216,6 @@ def acceleration_terms(
     )
 
 
-def acceleration(
-    c: NonLinearConnection, particle: Particle, x: SpacetimeEvent, u: FourVector
-) -> FourVector:
-    """Full covariant acceleration under the transport law at one point."""
-    zeroth, first = acceleration_terms(c, particle, x, u)
-    return FourVector(zeroth.components + first.components, Variance.DOWN)
-
-
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for one event; for a batch, per event, with the same bits."""
     if v.ndim == 1:
@@ -427,7 +419,9 @@ def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, bool, int
     (``limited``, status 'max-steps').  Full step number ``fin`` lands on
     tau_max itself (0: none does).
     """
-    n_full = int(math.floor((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12))
+    # a count past max_steps + 1 changes no outcome, and it may not fit an int
+    n_full = math.floor(min((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12,
+                            cfg.max_steps + 1))
     remainder = cfg.tau_max - (tau0 + n_full * cfg.step)
     remainder = 0.0 if remainder <= 1e-9 * cfg.step else remainder
     n_main = min(n_full, cfg.max_steps)
@@ -701,6 +695,7 @@ def _trajectory(
 ) -> Trajectory:
     """The columns of one integration; the norm residual g(u, u) + 1 and the
     energy -u_0 come from one metric evaluation over the whole coordinate column.
+    A huge velocity overflows the residual to inf without a warning.
     """
     g = metric.matrix_raw(state[:, :DIM])
     if np.shape(g) not in ((DIM, DIM), (len(state), DIM, DIM)):
@@ -710,9 +705,10 @@ def _trajectory(
             f" returns (N, 4, 4), or a constant (4, 4)"
         )
     u = state[:, DIM:]
-    u_cov = _mv(g, u)
-    # per event, the bits of the 1-D dot product u @ u_cov
-    residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_cov = _mv(g, u)
+        # per event, the bits of the 1-D dot product u @ u_cov
+        residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
     return Trajectory._of(tau, state, residual, -u_cov[:, 0], status, reason)
 
 
@@ -826,26 +822,17 @@ def geodesic_integrate(
 # ---------------------------------------------------------------------------
 
 
-def coordinate_force(
-    samples: Sequence[TrajectorySample], particle: Particle
-) -> list[tuple[float, np.ndarray]]:
-    """d(m u^i)/dt on a uniform coordinate-time grid.
-
-    `samples` is a ``Trajectory``, whose columns are read directly, or
-    any sequence of ``TrajectorySample``.
+def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, np.ndarray]]:
+    """d(m u^i)/dt along `traj` on a uniform coordinate-time grid.
 
     Since u^i equals gamma v^i, this is the coordinate force familiar
     from the low-velocity limit.  The samples are resampled onto a
     uniform grid in t with a cubic spline, then differenced (central in
     the interior, one-sided second order at the ends).
     """
-    if len(samples) < 4:
+    if len(traj) < 4:
         raise ValueError("need at least four samples for cubic resampling")
-    if isinstance(samples, Trajectory):
-        t, u = samples.state[:, 0], samples.state[:, DIM + 1:]
-    else:
-        t = np.array([s.state.x.coords[0] for s in samples])
-        u = np.array([s.state.u.components[1:] for s in samples])
+    t, u = traj.state[:, 0], traj.state[:, DIM + 1:]
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTime("coordinate time is not strictly increasing")
     momenta = particle.mass * u
@@ -878,18 +865,17 @@ def minimal_substitution_trajectory(
     which is the free-particle transport law with the momentum argument
     shifted by the potential.  No field-strength matrix is ever formed,
     so agreement with the Lorentz-coupling route is a genuine two-route
-    check.  Samples report the recovered kinetic velocity.
+    check.  Samples report the recovered kinetic velocity.  The run ends
+    where either the metric's or the potential's guard rejects a state.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
     m = particle.mass
     e = particle.charge
-    probe_g = g.guard.probe
-    probe_a = a.guard.probe
-
-    def d_potential(coords: np.ndarray) -> np.ndarray:
-        da = a.deriv_raw(coords)
-        return central_differences(a.values_fn, coords, FD_STEP_FIRST) if da is None else da
+    probe = g.guard.intersect(a.guard).probe
+    d_potential = a.deriv_fn or (
+        lambda coords: central_differences(a.values_fn, coords, FD_STEP_FIRST)
+    )
 
     def kinetic_up(coords: np.ndarray, pi: np.ndarray) -> np.ndarray:
         u_cov = (pi - e * a.values_fn(coords)) / m
@@ -898,7 +884,7 @@ def minimal_substitution_trajectory(
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[:4]
         pi = y[4:]
-        why = probe_g(coords) or probe_a(coords)
+        why = probe(coords)
         if why is not None:
             raise OutsideDomain(why)
         u = kinetic_up(coords, pi)
@@ -922,15 +908,12 @@ def minimal_substitution_trajectory(
             y[4:] = m * (g.matrix_raw(coords) @ u) + e * a.values_fn(coords)
             return y
 
-    def admit(coords: np.ndarray) -> Optional[str]:
-        return probe_g(coords) or probe_a(coords)
-
     x0 = initial.x.coords
     u0_cov = g.matrix_raw(x0) @ initial.u.components
     pi0 = m * u0_cov + e * a.values_fn(x0)
     y0 = np.concatenate([x0, pi0])
     tau, state, status, reason = _integrate_engine(
-        lambda rows: rhs, y0, [initial.tau], [cfg], renorm, admit
+        lambda rows: rhs, y0, [initial.tau], [cfg], renorm, probe
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
     state[:, DIM:] = [kinetic_up(x, pi) for x, pi in zip(state[:, :DIM], state[:, DIM:])]

@@ -159,6 +159,17 @@ def test_overflowing_field_ends_with_one_integration_error_line(tmp_path, capsys
     ]
 
 
+def test_horizon_past_the_step_budget_ends_at_max_steps(tmp_path, capsys):
+    # tau_max / step overflows to inf: the step count is capped, not converted
+    path = tmp_path / "far.cfg"
+    path.write_text("[initial]\nu1 = 1.0\n\n[integrator]\nstep = 1e-5\ntau_max = 1e308\n"
+                    "max_steps = 5\n")
+    assert main(["run", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "max-steps"
+    assert [row[0] for row in payload["rows"]] == [k * 1e-5 for k in range(6)]
+
+
 def test_unknown_scenario_token(capsys):
     assert main(["run", "does-not-exist"]) == 1
     err = capsys.readouterr().err
@@ -236,6 +247,9 @@ def test_value_outside_a_closed_form_domain_is_invalid_input(name, line, replace
 DEGENERATE_RATES = [
     ("exb-drift", "t = 0.0", "t = 1e300"),  # elapsed coordinate time rounds to 0
     ("coulomb", "mass = 1.0", "mass = 1e300"),  # expected angular rate underflows to 0
+    # r overflows to inf, so the expected acceleration is 0
+    ("weak-field-newtonian", "x1 = 1e4", "x1 = 1e300"),
+    ("weak-field-newtonian", "x1 = 1e4", "x1 = 1e4\nx2 = 1e300"),
 ]
 
 

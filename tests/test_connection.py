@@ -144,7 +144,7 @@ def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
     assert all(isinstance(f, AntisymmetricFaraday) for f in built)
     for f in built:
         c = electromagnetic_connection(f, 2.0)
-        np.testing.assert_array_equal(c.order0_raw(x.coords), 2.0 * f.matrix_raw(x.coords))
+        np.testing.assert_array_equal(c.order0_raw(x.coords), 2.0 * f.matrix_fn(x.coords))
     # a user evaluator is re-checked on every evaluation, even if it is
     # antisymmetric at first and only later goes wrong
     calls = []

@@ -47,33 +47,39 @@ def test_eb_round_trip(e, b):
 def test_faraday_antisymmetry_enforced():
     bad = FaradayField(lambda c: np.eye(4), name="broken")
     with pytest.raises(MalformedFaraday):
-        require_antisymmetric(bad.matrix_raw(np.zeros(4)), bad.name)
+        require_antisymmetric(bad.matrix_fn(np.zeros(4)), bad.name)
 
 
 def test_uniform_potential_reproduces_field_by_differentiation():
     e, b = [0.2, -0.1, 0.4], [1.0, 0.5, -0.3]
     pot = uniform_field_potential(e, b)
     x = SpacetimeEvent([0.7, 1.0, -2.0, 3.0])
-    da = pot.deriv_raw(x.coords)
+    da = pot.deriv_fn(x.coords)
     f = da - da.T
     np.testing.assert_allclose(f, matrix_from_eb(e, b), rtol=0, atol=1e-12)
+    # A_0 = E . r and A_i = (B x r)_i / 2, for one event and for a batch
+    r = x.coords[1:]
+    want = np.concatenate([[np.dot(e, r)], 0.5 * np.cross(b, r)])
+    np.testing.assert_allclose(pot.values_fn(x.coords), want, rtol=0, atol=1e-15)
+    batch = np.stack([x.coords] * 2)
+    np.testing.assert_array_equal(pot.values_fn(batch), [pot.values_fn(x.coords)] * 2)
 
 
 def test_zero_potential_is_exactly_zero():
     pot = zero_potential()
     x = SpacetimeEvent([1, 2, 3, 4])
-    assert np.all(pot.values_raw(x.coords) == 0.0)
-    assert np.all(pot.deriv_raw(x.coords) == 0.0)
+    assert np.all(pot.values_fn(x.coords) == 0.0)
+    assert np.all(pot.deriv_fn(x.coords) == 0.0)
 
 
 def test_coulomb_potential_cartesian_values_and_derivatives():
     pot = coulomb_potential(2.0)
     x = SpacetimeEvent([0.0, 3.0, 0.0, 4.0])  # r = 5
-    vals = pot.values_raw(x.coords)
+    vals = pot.values_fn(x.coords)
     np.testing.assert_allclose(vals[0], 2.0 / 5.0, rtol=1e-15)
     assert np.all(vals[1:] == 0.0)
     # E = -grad A_0 = q rhat / r^2 inward gradient: dA0/dx = -q x / r^3
-    da = pot.deriv_raw(x.coords)
+    da = pot.deriv_fn(x.coords)
     np.testing.assert_allclose(da[1, 0], -2.0 * 3.0 / 125.0, rtol=1e-14)
     np.testing.assert_allclose(da[3, 0], -2.0 * 4.0 / 125.0, rtol=1e-14)
 
@@ -81,19 +87,19 @@ def test_coulomb_potential_cartesian_values_and_derivatives():
 def test_coulomb_potential_guards_the_origin():
     pot = coulomb_potential(1.0)
     with pytest.raises(OutsideDomain):
-        pot.values(SpacetimeEvent([0, 0, 0, 0]))
+        pot.guard.check(SpacetimeEvent([0, 0, 0, 0]))
 
 
 def test_coulomb_potential_spherical_chart_uses_radial_coordinate():
     pot = coulomb_potential(1.0, radial_index=1)
     x = SpacetimeEvent([0.0, 4.0, 1.0, 2.0])
-    np.testing.assert_allclose(pot.values_raw(x.coords)[0], 0.25, rtol=1e-15)
+    np.testing.assert_allclose(pot.values_fn(x.coords)[0], 0.25, rtol=1e-15)
 
 
 def test_axial_potential_component():
     pot = axial_magnetic_potential_spherical(2.0)
     x = SpacetimeEvent([0.0, 3.0, np.pi / 2, 1.0])
-    vals = pot.values_raw(x.coords)
+    vals = pot.values_fn(x.coords)
     np.testing.assert_allclose(vals[3], 0.5 * 2.0 * 9.0, rtol=1e-15)
     assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] == 0.0
 
@@ -103,4 +109,4 @@ def test_axial_potential_component():
 def test_uniform_faraday_matches_matrix_builder(e, b):
     field = uniform_faraday(e, b)
     x = SpacetimeEvent([0, 1, 2, 3])
-    np.testing.assert_array_equal(field.matrix_raw(x.coords), matrix_from_eb(e, b))
+    np.testing.assert_array_equal(field.matrix_fn(x.coords), matrix_from_eb(e, b))

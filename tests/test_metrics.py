@@ -30,8 +30,8 @@ def test_schwarzschild_closed_form_derivative_matches_finite_difference():
     g = schwarzschild(1.0)
     bare = without_closed_form(g)
     x = event(0.0, 7.3, 1.1, 0.4)
-    closed = g.deriv_raw(x.coords)
-    assert bare.deriv_raw(x.coords) is None
+    closed = g.deriv_fn(x.coords)
+    assert bare.deriv_fn is None
     numeric = central_differences(bare.matrix_raw, x.coords, FD_STEP_FIRST, axis=-1)
     np.testing.assert_allclose(numeric, closed, rtol=0, atol=2e-8)
 
@@ -108,7 +108,7 @@ def test_schwarzschild_determinant_sign(mass, r_factor, th):
 def test_deriv_layout_last_slot_is_direction(mass, r_factor, th):
     g = schwarzschild(mass)
     x = event(0.0, r_factor * mass, th, 0.5)
-    d = g.deriv_raw(x.coords)
+    d = g.deriv_fn(x.coords)
     # static and axisymmetric: no t or phi dependence anywhere
     assert np.max(np.abs(d[:, :, 0])) == 0.0
     assert np.max(np.abs(d[:, :, 3])) == 0.0

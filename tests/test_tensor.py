@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasetransport.errors import OutsideDomain, VarianceMismatch
-from phasetransport.metrics import schwarzschild
+from phasetransport.metrics import minkowski, schwarzschild
 from phasetransport.tensor import (
     FD_STEP_FIRST,
     DomainGuard,
@@ -18,7 +18,6 @@ from phasetransport.tensor import (
     SpacetimeEvent,
     Variance,
     central_differences,
-    flat_metric,
 )
 from phasetransport.transport import _trajectory
 
@@ -26,15 +25,15 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def test_flat_metric_is_exact():
-    g = flat_metric()
+    g = minkowski()
     c = np.array([0.3, -2.0, 7.1, 0.0])
     assert np.array_equal(g.matrix_raw(c), ETA)
     assert np.array_equal(g.inverse_raw(c), ETA)
-    assert np.array_equal(g.deriv_raw(c), np.zeros((4, 4, 4)))
+    assert np.array_equal(g.deriv_fn(c), np.zeros((4, 4, 4)))
 
 
 def test_flat_chart_identity_survives_evaluator_replacement():
-    g = flat_metric()
+    g = minkowski()
     assert isinstance(g, FlatMetric)
     assert isinstance(dataclasses.replace(g, inverse_fn=lambda c: ETA), FlatMetric)
     assert not isinstance(MetricField(matrix_fn=lambda c: ETA, name="minkowski"), FlatMetric)
@@ -66,8 +65,8 @@ def test_domain_guard_reports_and_raises():
     guard = DomainGuard(lambda c: "outside" if c[1] < 0 else None, label="half")
     good = SpacetimeEvent([0, 1.0, 0, 0])
     bad = SpacetimeEvent([0, -1.0, 0, 0])
-    assert guard.reason(good) is None
-    assert guard.reason(bad) == "outside"
+    assert guard.probe(good.coords) is None
+    assert guard.probe(bad.coords) == "outside"
     with pytest.raises(OutsideDomain):
         guard.check(bad)
     guard.check(good)

@@ -27,6 +27,7 @@ from phasetransport.errors import MalformedFaraday, NonMonotoneTime, OutsideDoma
 from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
+    VectorPotential,
     axial_magnetic_potential_spherical,
     coulomb_potential,
     uniform_faraday,
@@ -34,10 +35,11 @@ from phasetransport.fields import (
     zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field
-from phasetransport.tensor import FourVector, MetricField, SpacetimeEvent, Variance
+from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent, Variance
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
+    Trajectory,
     TrajectorySample,
     _make_rhs,
     acceleration_terms,
@@ -205,7 +207,7 @@ def test_weak_field_release_reproduces_inverse_square_force():
         rest_state((0.0, 1e4, 0.0, 0.0)),
         IntegratorConfig(step=1e-2, tau_max=10.0),
     )
-    forces = coordinate_force(list(traj), Particle(1.0))
+    forces = coordinate_force(traj, Particle(1.0))
     worst = 0.0
     for t, f in forces[len(forces) // 10 : -len(forces) // 10]:
         expected = oracles.newtonian_acceleration(mass, [1e4, 0.0, 0.0])
@@ -330,6 +332,18 @@ def test_minimal_substitution_with_zero_potential_reduces_to_geodesic():
     assert gap < 1e-9
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_minimal_substitution_ends_at_the_potential_guard(renormalize):
+    # the flat metric admits every event, so only the potential's guard can end the run
+    half = DomainGuard(lambda c: "x1 below zero" if c[1] < 0 else None, label="half-space")
+    pot = VectorPotential(lambda c: np.zeros(4), deriv_fn=lambda c: np.zeros((4, 4)), guard=half)
+    initial = state([0.0, 0.5, 0.0, 0.0], [math.sqrt(1.25), -0.5, 0.0, 0.0])
+    cfg = IntegratorConfig(step=0.1, tau_max=5.0, renormalize=renormalize)
+    traj = minimal_substitution_trajectory(pot, minkowski(), Particle(1.0, 1.0), initial, cfg)
+    assert (traj.status, traj.reason) == ("domain-exit", "x1 below zero")
+    assert 5 < len(traj) < 12 and np.all(traj.state[:, 1] >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # terminal statuses and error paths
 
@@ -396,14 +410,14 @@ def test_single_step_raises_out_of_the_domain_and_at_the_horizon():
 
 def test_coordinate_force_input_validation():
     with pytest.raises(ValueError):
-        coordinate_force([], Particle(1.0))
+        coordinate_force(Trajectory(), Particle(1.0))
     # strictly decreasing coordinate time must be rejected
     samples = []
     for i, t in enumerate([0.0, 1.0, 0.5, 2.0]):
         st_i = state([t, float(i), 0.0, 0.0], [1.0, 0, 0, 0])
         samples.append(TrajectorySample(dataclasses.replace(st_i, tau=float(i)), 0.0))
     with pytest.raises(NonMonotoneTime):
-        coordinate_force(samples, Particle(1.0))
+        coordinate_force(Trajectory(samples), Particle(1.0))
 
 
 def test_rk4_error_shrinks_sixteen_fold_per_halving():
