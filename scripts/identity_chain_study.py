@@ -14,8 +14,13 @@ derivative vanishes, and the residual is exactly zero at any step.
 
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
+
+# the package sits in src/ of a plain checkout
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from phasetransport import fields, metrics
 from phasetransport.curvature import bianchi_residual, closure_residual

@@ -18,6 +18,11 @@ that the discrepancy belongs to the formula, not to the dynamics.
 """
 
 import argparse
+import os
+import sys
+
+# the package sits in src/ of a plain checkout
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from phasetransport import oracles
 from phasetransport.report import run_batch

@@ -16,9 +16,13 @@ checkouts shows whether their CSV bytes and checker numbers are identical.
 import argparse
 import dataclasses
 import hashlib
+import os
 import pathlib
 import sys
 import time
+
+# the package sits in src/ of a plain checkout
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from phasetransport.errors import IncompatibleChecker
 from phasetransport.report import CHECKERS, check, emit, run

@@ -27,7 +27,6 @@ from .errors import (
     StepRejected,
     TransportError,
     ValidationError,
-    VarianceMismatch,
 )
 from .fields import (
     AntisymmetricFaraday,
@@ -68,7 +67,6 @@ from .transport import (
     geodesic_integrate,
     integrate,
     minimal_substitution_trajectory,
-    step,
 )
 
 __version__ = "0.1.0"

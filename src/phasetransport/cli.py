@@ -91,22 +91,18 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
         if not math.isfinite(value):
             raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {value}")
     if overrides:
-        try:
-            config = dataclasses.replace(scenario.config, **overrides)
-        except ValueError as err:
-            raise ValidationError(str(err)) from None
-        parameters = dict(scenario.parameters)
-        parameters["integrator"] = {**parameters["integrator"], **overrides}
+        config = dataclasses.replace(scenario.config, **overrides)
+        parameters = {**scenario.parameters, "integrator": dataclasses.asdict(config)}
         scenario = dataclasses.replace(scenario, config=config, parameters=parameters)
     return scenario
 
 
-def _run_group(group: list, fmt: str) -> list[tuple[str, str]]:
-    """(scenario name, serialized report) for each scenario of one law, in order."""
+def _run_group(group: list, fmt: str) -> list[str]:
+    """The serialized report of each scenario of one law, in order."""
     reports = [run(group[0])] if len(group) == 1 else run_batch(group)
     texts = []
-    for i, scenario in enumerate(group):
-        texts.append((scenario.name, emit(reports[i], fmt)))
+    for i in range(len(group)):
+        texts.append(emit(reports[i], fmt))
         reports[i] = None  # its trajectory goes before the next text is built
     return texts
 
@@ -116,10 +112,14 @@ def _cmd_run(args) -> int:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     many = len(args.scenario) > 1
     if many and not args.out:
-        print("error: several scenarios need --out pointing at a directory", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValidationError("several scenarios need --out pointing at a directory")
 
     scenarios = [_load(t, args.step, args.tau_max) for t in args.scenario]
+    if many:
+        paths = [os.path.join(args.out, f"{s.name}.{args.format}") for s in scenarios]
+        twice = next((p for i, p in enumerate(paths) if p in paths[:i]), None)
+        if twice is not None:
+            raise ValidationError(f"two scenarios would write {twice}")
     groups: dict[str, list[int]] = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault(batch_key(scenario), []).append(i)
@@ -141,21 +141,20 @@ def _cmd_run(args) -> int:
         else:
             done += [r for members in phase for r in work(members)]
     order = [i for phase in phases for members in phase for i in members]
-    results = [result for _, result in sorted(zip(order, done))]
+    results = [text for _, text in sorted(zip(order, done))]
 
     if not args.out:
-        sys.stdout.write(results[0][1])
+        sys.stdout.write(results[0])
         return EXIT_OK
     if many:
         os.makedirs(args.out, exist_ok=True)
-        for name, text in results:
-            path = os.path.join(args.out, f"{name}.{args.format}")
+        for path, text in zip(paths, results):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             print(path)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(results[0][1])
+            fh.write(results[0])
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curvature import _christoffel
+from .errors import ValidationError
 from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
 from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField
@@ -47,9 +48,9 @@ class Particle:
 
     def __post_init__(self):
         if not (np.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+            raise ValidationError(f"particle mass must be finite and positive, got {self.mass}")
         if not np.isfinite(self.charge):
-            raise ValueError("charge must be finite")
+            raise ValidationError(f"particle charge must be finite, got {self.charge}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
     """
     e = float(charge)
     if not np.isfinite(e):
-        raise ValueError("charge must be finite")
+        raise ValidationError(f"charge must be finite, got {e}")
     matrix = f.matrix_fn
 
     if isinstance(f, AntisymmetricFaraday):

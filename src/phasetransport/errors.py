@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``ValidationError`` is invalid input, raised by the check that each type
+defines on its own values; it is also a ``ValueError``.  A plain
+``ValueError`` reports a broken call contract, not bad input.
+"""
 
 
 class TransportError(Exception):
@@ -15,10 +20,6 @@ class OutsideDomain(TransportError):
 
 class MalformedFaraday(TransportError):
     """A field-strength matrix failed the antisymmetry check."""
-
-
-class VarianceMismatch(TransportError):
-    """Tensor operands with incompatible index variance were combined."""
 
 
 class StepRejected(TransportError):
@@ -48,5 +49,6 @@ class ParseError(TransportError):
         super().__init__(message + suffix)
 
 
-class ValidationError(TransportError):
-    """Scenario document is well formed but semantically invalid."""
+class ValidationError(TransportError, ValueError):
+    """A value is invalid input: out of its type's range, or a scenario
+    document that is well formed but semantically invalid."""

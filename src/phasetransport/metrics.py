@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .tensor import (
     DIM,
     MINKOWSKI,
@@ -72,7 +73,7 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
     event costs about what a scalar formula does.
     """
     if not mass > 0:
-        raise ValueError("mass must be positive")
+        raise ValidationError("metric mass must be positive")
     M = float(mass)
 
     def matrix(c: np.ndarray) -> np.ndarray:
@@ -132,7 +133,7 @@ def weak_field(mass: float = 1.0) -> MetricField:
     guard as Schwarzschild applies.  Evaluators take one event or a batch.
     """
     if not mass > 0:
-        raise ValueError("mass must be positive")
+        raise ValidationError("metric mass must be positive")
     M = float(mass)
     r_min = 2.0 * M * (1.0 + HORIZON_MARGIN)
 

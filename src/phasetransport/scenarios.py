@@ -17,6 +17,7 @@ initial data the loader derives from the metric and field parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -212,12 +213,8 @@ def _metric_from(doc: dict) -> tuple[MetricField, str, float]:
     if kind == "minkowski":
         return minkowski(), "cartesian", 0.0
     if kind == "schwarzschild":
-        if mass <= 0:
-            raise ValidationError("metric mass must be positive")
         return schwarzschild(mass), "spherical", mass
     if kind == "weak-field":
-        if mass <= 0:
-            raise ValidationError("metric mass must be positive")
         return weak_field(mass), "cartesian", mass
     raise ValidationError(f"unknown metric type {kind!r}")
 
@@ -343,12 +340,7 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
 
     g, chart, metric_mass = _metric_from(doc)
 
-    psec = doc.get("particle", {})
-    pmass = float(psec.get("mass", 1.0))
-    pcharge = float(psec.get("charge", 0.0))
-    if pmass <= 0:
-        raise ValidationError("particle mass must be positive")
-    particle = Particle(pmass, pcharge)
+    particle = Particle(**{"mass": 1.0, **doc.get("particle", {})})
 
     em_kind = doc.get("em", {}).get("type", "none")
     potential, faraday, em_params = _em_from(doc, chart)
@@ -360,6 +352,8 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
             coords, u_arr, orbit_params = _orbit_initial(
                 doc, g, chart, metric_mass, em_params, em_kind, particle
             )
+        except ValidationError:
+            raise
         except (ValueError, ArithmeticError) as err:
             # the closed forms reject parameters outside their domain
             raise ValidationError(f"orbit = {isec['orbit']}: {err}") from None
@@ -375,26 +369,12 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
         u0 = solve_time_component(g, coords, u_spatial)
         u_arr = np.concatenate([[u0], u_spatial])
 
-    if not np.all(np.isfinite(u_arr)):
-        raise ValidationError(f"initial four-velocity {u_arr.tolist()} is not finite")
     if "orbit" in isec:
         _require_in_domain(g.guard, coords, "metric")
     if potential is not None:
         _require_in_domain(potential.guard, coords, "field")
 
-    csec = doc.get("integrator", {})
-    try:
-        config = IntegratorConfig(
-            method=str(csec.get("method", "rk4-fixed")),
-            step=float(csec.get("step", 1e-2)),
-            rtol=float(csec.get("rtol", 1e-9)),
-            atol=float(csec.get("atol", 1e-12)),
-            tau_max=float(csec.get("tau_max", 10.0)),
-            max_steps=int(csec.get("max_steps", 1_000_000)),
-            renormalize=bool(csec.get("renormalize", False)),
-        )
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
+    config = IntegratorConfig(**doc.get("integrator", {}))
 
     initial = PhaseState(
         tau=0.0,
@@ -408,17 +388,9 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
         "chart": chart,
         "metric": {"type": doc.get("metric", {}).get("type", "minkowski"), "mass": metric_mass},
         "em": {"type": em_kind, **em_params},
-        "particle": {"mass": pmass, "charge": pcharge},
+        "particle": dataclasses.asdict(particle),
         "initial": {"coords": coords.tolist(), "u": u_arr.tolist(), **orbit_params},
-        "integrator": {
-            "method": config.method,
-            "step": config.step,
-            "rtol": config.rtol,
-            "atol": config.atol,
-            "tau_max": config.tau_max,
-            "max_steps": config.max_steps,
-            "renormalize": config.renormalize,
-        },
+        "integrator": dataclasses.asdict(config),
     }
 
     return Scenario(

@@ -5,8 +5,10 @@ Everything lives on a four-dimensional manifold with metric signature
 (-, +, +, +) and geometric units (c = 1).  Index variance is tracked
 explicitly: ``Variance.UP`` marks a contravariant slot, ``Variance.DOWN``
 a covariant one.  Containers are immutable; the arrays they wrap are
-frozen on construction.  Every numerical derivative in the package is
-one call of ``central_differences`` over raw coordinates.
+frozen on construction, and a wrong shape or a component that is not
+finite raises ``ValidationError``.  They carry no arithmetic: array code
+works on the raw components.  Every numerical derivative in the package
+is one call of ``central_differences`` over raw coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutsideDomain, SingularMetric, VarianceMismatch
+from .errors import OutsideDomain, SingularMetric, ValidationError
 
 DIM = 4
 #: Minkowski matrix for the (-, +, +, +) signature used throughout.
@@ -41,9 +43,10 @@ class Variance(enum.Enum):
 def _frozen(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("components must be finite")
+        raise ValidationError(f"expected shape {shape}, got {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValidationError(f"components {bad.tolist()} of {arr.tolist()} are not finite")
     arr.setflags(write=False)
     return arr
 
@@ -57,21 +60,10 @@ class SpacetimeEvent:
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen(self.coords, (DIM,)))
 
-    @property
-    def t(self) -> float:
-        return float(self.coords[0])
-
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True, slots=True)
 class FourVector:
-    """Four components plus a variance tag.
-
-    Adding vectors of mixed variance raises ``VarianceMismatch``; there is
-    no implicit metric involved in arithmetic.
-    """
+    """Four components plus a variance tag."""
 
     components: np.ndarray
     variance: Variance = Variance.UP
@@ -80,20 +72,6 @@ class FourVector:
         object.__setattr__(self, "components", _frozen(self.components, (DIM,)))
         if not isinstance(self.variance, Variance):
             raise TypeError("variance must be a Variance member")
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        if not isinstance(other, FourVector):
-            return NotImplemented
-        if other.variance is not self.variance:
-            raise VarianceMismatch(
-                f"cannot add {self.variance.value} and {other.variance.value} vectors"
-            )
-        return FourVector(self.components + other.components, self.variance)
-
-    def __mul__(self, scalar: float) -> "FourVector":
-        return FourVector(self.components * float(scalar), self.variance)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

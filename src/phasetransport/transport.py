@@ -32,12 +32,13 @@ from scipy.interpolate import CubicSpline
 
 from .connection import NonLinearConnection, Particle, gravitational_connection
 from .curvature import _metric_deriv_raw
-from .errors import NonMonotoneTime, OutsideDomain, StepRejected
+from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
 from .tensor import (
     DIM,
     FD_STEP_FIRST,
     MINKOWSKI,
+    DomainGuard,
     FlatMetric,
     FourVector,
     MetricField,
@@ -64,9 +65,9 @@ class PhaseState:
 
     def __post_init__(self):
         if self.u.variance is not Variance.UP:
-            raise ValueError("PhaseState.u must be contravariant")
+            raise ValidationError("PhaseState.u must be contravariant")
         if not self.u.components[0] > 0:
-            raise ValueError("u^0 must be positive (future-directed)")
+            raise ValidationError("u^0 must be positive (future-directed)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,15 +169,15 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+            raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not self.step > 0:
-            raise ValueError("step must be positive")
+            raise ValidationError("step must be positive")
         if self.rtol < 0 or self.atol < 0 or self.rtol + self.atol <= 0:
-            raise ValueError("tolerances must be nonnegative and not both zero")
+            raise ValidationError("tolerances must be nonnegative and not both zero")
         if not self.tau_max > 0:
-            raise ValueError("tau_max must be positive")
+            raise ValidationError("tau_max must be positive")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise ValidationError("max_steps must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,8 @@ class _Rows:
     blocks once, at the end.
     """
 
-    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], renorm, admit):
-        self.law, self.renorm, self.admit = law, renorm, admit
+    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard, renorm):
+        self.law, self.guard, self.renorm = law, guard, renorm
         self.lone = y0.ndim == 1
         n = len(tau0)
         self.status, self.reason = ["completed"] * n, [None] * n
@@ -508,25 +509,26 @@ class _Rows:
         `y_new` and `taus` are those rows' states and proper times (one
         state and a float alone).  A step may jump clean across the guard
         margin without any stage evaluation failing; never retain such a
-        state: that row ends instead.  One finiteness test covers the rows
-        that landed.
+        state: that row ends instead.  The rows that stay are then
+        renormalized, and one finiteness test covers them.
         """
-        if self.renorm is not None:
-            y_new = self.renorm(y_new) if self.lone else np.stack([self.renorm(y) for y in y_new])
         if pos is None:
             pos = range(len(self.ids))
         left = []
-        if self.admit is not None and self.admit(y_new[..., :DIM]) is not None:
-            whys = [self.admit(y_new[:DIM])] if self.lone else [self.admit(y[:DIM]) for y in y_new]
+        probe = self.guard.probe
+        if probe(y_new[..., :DIM]) is not None:
+            whys = [probe(y_new[:DIM])] if self.lone else [probe(y[:DIM]) for y in y_new]
             for q, why in enumerate(whys):
                 if why is not None:
-                    self.end(pos[q], "domain-exit", why)
+                    self.end(pos[q], "domain-exit", f"{self.guard.label}: {why}")
                     left.append(pos[q])
             if self.lone:
                 self.keep([])
                 return
             inside = [q for q, why in enumerate(whys) if why is None]
             pos, y_new, taus = [pos[q] for q in inside], y_new[inside], taus[inside]
+        if self.renorm is not None and len(pos):
+            y_new = self.renorm(y_new) if self.lone else np.stack([self.renorm(y) for y in y_new])
         bad = _first_nonfinite(y_new)
         if bad is not None:
             raise StepRejected(
@@ -660,8 +662,8 @@ def _integrate_engine(
     y0: np.ndarray,
     tau0: Sequence[float],
     cfgs: Sequence[IntegratorConfig],
+    guard: DomainGuard,
     renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    admit: Optional[Callable[[np.ndarray], Optional[str]]] = None,
 ) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
     """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
@@ -670,8 +672,9 @@ def _integrate_engine(
     its 1-D state.  Row i starts at ``tau0[i]`` with ``cfgs[i]``; the
     configs may differ only in ``tau_max``.  Each row keeps its own clock,
     step size, step count, status and record, and takes exactly the
-    arithmetic it takes alone: a row whose stage leaves the domain ends
-    there while the others go on.  The live rows step as one state array
+    arithmetic it takes alone: a row whose stage or landed state leaves
+    `guard`'s domain ends there, with the reason ``"<label>: <why>"``,
+    while the others go on.  The live rows step as one state array
     (``_Rows``).  Returns, per row, its accepted proper times and states,
     the initial state included, with its status and reason.  A state that
     is not finite raises ``StepRejected``; numpy's overflow, invalid and
@@ -681,7 +684,7 @@ def _integrate_engine(
         bad = _first_nonfinite(y0)
         if bad is not None:
             raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
-        run = _Rows(law, y0, tau0, renorm, admit)
+        run = _Rows(law, y0, tau0, guard, renorm)
         run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
         if cfgs[0].method == "rk4-fixed":
             run.rk4(tau0, cfgs)
@@ -710,25 +713,6 @@ def _trajectory(
         # per event, the bits of the 1-D dot product u @ u_cov
         residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
     return Trajectory._of(tau, state, residual, -u_cov[:, 0], status, reason)
-
-
-def step(
-    c: NonLinearConnection, particle: Particle, state: PhaseState, cfg: IntegratorConfig
-) -> PhaseState:
-    """The state after the first step that ``integrate`` takes from `state` under `cfg`.
-
-    That is one RK4 step of ``cfg.step`` (or of the remainder up to
-    ``tau_max``), or one accepted adaptive step, renormalized when
-    ``cfg.renormalize``: the engine's run with ``max_steps = 1``.  A step
-    that leaves the domain raises ``OutsideDomain``; a state already at
-    ``tau_max`` has no step left and raises ``ValueError``.
-    """
-    traj = integrate(c, particle, state, dataclasses.replace(cfg, max_steps=1))
-    if traj.status == "domain-exit":
-        raise OutsideDomain(traj.reason)
-    if len(traj) < 2:
-        raise ValueError(f"no step left from tau = {state.tau:g} to tau_max = {cfg.tau_max:g}")
-    return traj[1].state
 
 
 def _metric_renorm(metric: MetricField) -> Callable[[np.ndarray], np.ndarray]:
@@ -804,8 +788,8 @@ def integrate_batch(
         states[0] if n == 1 else np.stack(states),
         [initial.tau for initial in initials],
         cfgs,
+        c.guard,
         _metric_renorm(c.metric) if first.renormalize else None,
-        c.guard.probe,
     )
     return [_trajectory(c.metric, *record) for record in records]
 
@@ -872,7 +856,8 @@ def minimal_substitution_trajectory(
     a.guard.check(initial.x)
     m = particle.mass
     e = particle.charge
-    probe = g.guard.intersect(a.guard).probe
+    guard = g.guard.intersect(a.guard)
+    probe, label = guard.probe, guard.label
     d_potential = a.deriv_fn or (
         lambda coords: central_differences(a.values_fn, coords, FD_STEP_FIRST)
     )
@@ -886,7 +871,7 @@ def minimal_substitution_trajectory(
         pi = y[4:]
         why = probe(coords)
         if why is not None:
-            raise OutsideDomain(why)
+            raise OutsideDomain(f"{label}: {why}")
         u = kinetic_up(coords, pi)
         dg = _metric_deriv_raw(g, coords, None)
         dpi = 0.5 * m * np.einsum("abs,a,b->s", dg, u, u)
@@ -913,7 +898,7 @@ def minimal_substitution_trajectory(
     pi0 = m * u0_cov + e * a.values_fn(x0)
     y0 = np.concatenate([x0, pi0])
     tau, state, status, reason = _integrate_engine(
-        lambda rows: rhs, y0, [initial.tau], [cfg], renorm, probe
+        lambda rows: rhs, y0, [initial.tau], [cfg], guard, renorm
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
     state[:, DIM:] = [kinetic_up(x, pi) for x, pi in zip(state[:, :DIM], state[:, DIM:])]

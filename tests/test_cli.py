@@ -77,6 +77,16 @@ def test_run_batch_requires_out(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_two_scenarios_writing_one_file_is_invalid_input(tmp_path, capsys):
+    other = tmp_path / "other.cfg"
+    other.write_text(builtin_text("exb-drift").replace("name = exb-drift", "name = free"))
+    out = tmp_path / "out"
+    assert main(["run", "free", str(other), "--out", str(out), "--tau-max", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: two scenarios would write {out / 'free.csv'}"]
+
+
 def test_run_batch_writes_directory(tmp_path, capsys):
     code = main(["run", "free", "exb-drift", "--out", str(tmp_path),
                  "--jobs", "2", "--tau-max", "1.0"])
@@ -268,6 +278,36 @@ def test_degenerate_oracle_rate_is_invalid_input(name, line, replacement, tmp_pa
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+#: built-in, two keys set to huge values: the oracle's closed forms overflow
+#: (each pair once let a numpy RuntimeWarning reach stderr)
+HUGE_PAIRS = [
+    (name, first, value, second)
+    for name, firsts in (("cyclotron", ("b_z",)), ("exb-drift", ("e_x", "b_z")))
+    for first in firsts
+    for value in ("1e300", "-1e300")
+    for second in ("mass", "step")
+]
+
+
+@pytest.mark.parametrize("name,first,value,second", HUGE_PAIRS)
+def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_path, capsys):
+    lines = builtin_text(name).splitlines()
+    for i, line in enumerate(lines):
+        key = line.split("=", 1)[0].strip()
+        if key in (first, second):
+            lines[i] = f"{key} = {value if key == first else '1e300'}"
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(path), "--tau-max", "0.05", "--format", "json"])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    # exit 1 with one error line, or exit 0 (a huge B and mass barely drift)
+    assert (code, len(err.splitlines())) in ((1, 1), (0, 0))
+    assert code == 0 or err.startswith("error:")
+
+
 @pytest.mark.parametrize("override", [["--tau-max", "inf"], ["--step", "inf"], ["--step", "nan"]])
 def test_non_finite_override_is_invalid_input(override, capsys):
     assert main(["run", "free", *override]) == 1
@@ -350,16 +390,19 @@ def test_module_entry_point():
     import subprocess
     import sys
 
+    # the child gets src/ on its path, as pytest's own import path has it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "phasetransport", "run", "free"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(HEADER)
 
 
 # ---------------------------------------------------------------------------
-# fuzzed exit-code contract: one key of a built-in set to a random literal
+# fuzzed exit-code contract: one or two keys of a built-in set to random literals
 
 
 def _keyed_lines():
@@ -404,17 +447,23 @@ LITERALS = st.one_of(
             min_size=1, max_size=8),
 )
 
+KEYED_LINES = _keyed_lines()
+
+#: one or two distinct lines of one built-in, each with its literal
+EDITS = st.sampled_from(builtin_names()).flatmap(
+    lambda name: st.lists(
+        st.tuples(st.sampled_from([ln for ln in KEYED_LINES if ln[0] == name]), LITERALS),
+        min_size=1, max_size=2, unique_by=lambda edit: edit[0][1],
+    )
+)
+
 
 @settings(max_examples=120, deadline=None)
-@given(
-    line=st.sampled_from(_keyed_lines()),
-    literal=LITERALS,
-    command=st.sampled_from([["run"], ["check", "--checker", "norm"]]),
-)
-def test_fuzzed_document_keeps_the_exit_code_contract(line, literal, command):
-    name, index, section, key, original = line
-    lines = builtin_text(name).splitlines()
-    lines[index] = f"{key} = {literal}"
+@given(edits=EDITS, command=st.sampled_from([["run"], ["check", "--checker", "norm"]]))
+def test_fuzzed_document_keeps_the_exit_code_contract(edits, command):
+    lines = builtin_text(edits[0][0][0]).splitlines()
+    for (_, index, _, key, _), literal in edits:
+        lines[index] = f"{key} = {literal}"
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.cfg")
@@ -425,8 +474,9 @@ def test_fuzzed_document_keeps_the_exit_code_contract(line, literal, command):
             code = main([command[0], path, *command[1:], "--tau-max", "0.05"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    value = _number(literal)
-    if value is not None and _number(original) is not None:
-        bound = OUT_OF_RANGE.get((section, key))
-        if not math.isfinite(value) or (bound is not None and bound(value)):
-            assert code == 1, (literal, err.getvalue())
+    for (_, _, section, key, original), literal in edits:
+        value = _number(literal)
+        if value is not None and _number(original) is not None:
+            bound = OUT_OF_RANGE.get((section, key))
+            if not math.isfinite(value) or (bound is not None and bound(value)):
+                assert code == 1, (edits, err.getvalue())

@@ -23,7 +23,7 @@ from phasetransport.connection import (
     superpose,
     zero_connection,
 )
-from phasetransport.errors import MalformedFaraday, OutsideDomain
+from phasetransport.errors import MalformedFaraday, OutsideDomain, ValidationError
 from phasetransport.curvature import faraday_field_of
 from phasetransport.fields import (
     AntisymmetricFaraday,
@@ -46,11 +46,11 @@ def k1(c, x):
 
 def test_particle_validation():
     Particle(1.0, -2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Particle(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Particle(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Particle(1.0, np.nan)
 
 

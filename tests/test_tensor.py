@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasetransport.errors import OutsideDomain, VarianceMismatch
+from phasetransport.errors import OutsideDomain, ValidationError
 from phasetransport.metrics import minkowski, schwarzschild
 from phasetransport.tensor import (
     FD_STEP_FIRST,
@@ -16,7 +16,6 @@ from phasetransport.tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
-    Variance,
     central_differences,
 )
 from phasetransport.transport import _trajectory
@@ -40,11 +39,11 @@ def test_flat_chart_identity_survives_evaluator_replacement():
 
 
 def test_event_rejects_bad_shapes_and_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         SpacetimeEvent([1.0, 2.0])
-    with pytest.raises(ValueError):
-        SpacetimeEvent([np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"components \[0, 2\] of \[nan, 0.0, inf, 0.0\]"):
+        SpacetimeEvent([np.nan, 0.0, np.inf, 0.0])
+    with pytest.raises(ValidationError):
         FourVector([np.inf, 0, 0, 0])
 
 
@@ -52,13 +51,6 @@ def test_components_are_frozen():
     v = FourVector([1.0, 0, 0, 0])
     with pytest.raises(ValueError):
         v.components[0] = 2.0
-
-
-def test_mixed_variance_addition_rejected():
-    up = FourVector([1.0, 0, 0, 0], Variance.UP)
-    down = FourVector([1.0, 0, 0, 0], Variance.DOWN)
-    with pytest.raises(VarianceMismatch):
-        up + down
 
 
 def test_domain_guard_reports_and_raises():
