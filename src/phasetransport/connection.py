@@ -70,12 +70,11 @@ class NonLinearConnection:
     order0_raw: Optional[RawField2] = None
     order1_raw: Optional[RawField3] = None
     guard: DomainGuard = EVERYWHERE
-    label: str = "connection"
 
 
 def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection:
     """The additive identity: both blocks vanish everywhere."""
-    return NonLinearConnection(metric=metric or minkowski(), label="zero")
+    return NonLinearConnection(metric=metric or minkowski())
 
 
 def gravitational_connection(g: MetricField) -> NonLinearConnection:
@@ -88,7 +87,6 @@ def gravitational_connection(g: MetricField) -> NonLinearConnection:
         metric=g,
         order1_raw=block,
         guard=g.guard,
-        label=f"gravity[{g.name}]",
     )
 
 
@@ -120,7 +118,6 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
         metric=minkowski(),
         order0_raw=block,
         guard=f.guard,
-        label=f"lorentz[{f.name}, e={e:g}]",
     )
 
 
@@ -152,5 +149,4 @@ def superpose(a: NonLinearConnection, b: NonLinearConnection) -> NonLinearConnec
         order0_raw=_sum_raw(a.order0_raw, b.order0_raw),
         order1_raw=_sum_raw(a.order1_raw, b.order1_raw),
         guard=a.guard.intersect(b.guard),
-        label=f"{a.label} + {b.label}",
     )

@@ -122,7 +122,6 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         inverse_fn=inverse,
         guard=_schwarzschild_guard(M),
         name=f"schwarzschild(M={M:g})",
-        coordinate_names=("t", "r", "theta", "phi"),
     )
 
 
@@ -177,7 +176,6 @@ def weak_field(mass: float = 1.0) -> MetricField:
             label=f"weak-field(M={M:g})",
         ),
         name=f"weak-field(M={M:g})",
-        coordinate_names=("t", "x", "y", "z"),
     )
 
 
@@ -193,5 +191,4 @@ def without_closed_form(g: MetricField) -> MetricField:
         inverse_fn=None,
         guard=g.guard,
         name=f"{g.name} [numeric]",
-        coordinate_names=g.coordinate_names,
     )

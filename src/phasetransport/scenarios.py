@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -334,6 +335,11 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
 
     meta = doc.get("scenario", {})
     scen_name = str(meta.get("name", name or "unnamed"))
+    # the name is the stem of the file `run --out DIR` writes, inside DIR
+    if scen_name in ("", ".", "..") or any(
+        sep and sep in scen_name for sep in ("/", os.sep, os.altsep)
+    ):
+        raise ValidationError(f"scenario name {scen_name!r} is not a plain file name")
     oracle = str(meta.get("oracle", "none"))
     if oracle not in _ORACLES:
         raise ValidationError(f"unknown oracle {oracle!r}; expected one of {_ORACLES}")
@@ -410,8 +416,6 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
 def load_scenario_file(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return load_scenario(text, name=stem)
 

@@ -158,7 +158,6 @@ class MetricField:
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     guard: DomainGuard = EVERYWHERE
     name: str = "metric"
-    coordinate_names: tuple[str, str, str, str] = ("t", "x", "y", "z")
 
     def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix_fn(coords)

@@ -13,10 +13,14 @@ contravariant form and a covariant one is exercised by the
 canonical-momentum integrator below, which evolves covariant momenta and
 must land on the same worldline.)
 
-Two steppers are provided: a fixed-step classical RK4 and an embedded
-adaptive pair with absolute plus relative error control.  Step sizes are
-clamped to [1e-8, tau_max / 10]; a tolerance that cannot be met at the
-minimum step raises ``StepRejected``.
+Two steppers are provided.  The fixed-step classical RK4 plans each
+row's run once (``_rk4_plan``): n steps, the last of which lands on
+tau_max, or ends the row at the step budget.  The embedded Dormand-Prince
+5(4) pair keeps absolute plus relative error control; its seventh stage
+is evaluated at the 5th-order result.  Adaptive step sizes are clamped to
+[1e-8, tau_max / 10]; a tolerance that cannot be met at the minimum step
+raises ``StepRejected``.  A run returns a ``Trajectory`` built from its
+columns.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -90,13 +94,14 @@ def _assembled(cls, **fields):
 class Trajectory(Sequence):
     """Accepted states of one integration, stored as columns, with a terminal status.
 
-    The columns are read-only arrays over the n samples: ``tau (n,)``,
+    ``Trajectory(tau, state, norm_residual, energy, status, reason)``
+    takes the columns as float arrays over the n samples: ``tau (n,)``,
     ``state (n, 8)`` (coordinates followed by the contravariant u),
-    ``norm_residual (n,)`` and ``energy (n,)``.  Indexing and iteration
-    build each ``TrajectorySample`` on demand, with ``diagnostics =
-    {"energy": ...}``; a slice is a ``Trajectory`` of those samples with
-    the default status.  ``Trajectory(samples)`` stores a sequence of
-    samples as columns (a sample without an energy diagnostic records NaN).
+    ``norm_residual (n,)`` and ``energy (n,)``; it marks them read-only
+    and keeps them without a copy.  Indexing and iteration build each
+    ``TrajectorySample`` on demand, with ``diagnostics = {"energy":
+    ...}``; a slice is a ``Trajectory`` of views of the columns with the
+    default status.
 
     status is one of 'completed', 'domain-exit', 'max-steps'; `reason`
     carries the guard message for domain exits.
@@ -104,26 +109,8 @@ class Trajectory(Sequence):
 
     __slots__ = ("tau", "state", "norm_residual", "energy", "status", "reason")
 
-    def __init__(self, samples: Iterable[TrajectorySample] = (), status: str = "completed",
-                 reason: Optional[str] = None):
-        samples = list(samples)
-        self._fill(
-            np.array([s.state.tau for s in samples], dtype=float),
-            np.array([np.concatenate([s.state.x.coords, s.state.u.components]) for s in samples],
-                     dtype=float).reshape(len(samples), 2 * DIM),
-            np.array([s.norm_residual for s in samples], dtype=float),
-            np.array([s.diagnostics.get("energy", math.nan) for s in samples], dtype=float),
-            status,
-            reason,
-        )
-
-    @classmethod
-    def _of(cls, tau, state, norm_residual, energy, status="completed", reason=None):
-        traj = object.__new__(cls)
-        traj._fill(tau, state, norm_residual, energy, status, reason)
-        return traj
-
-    def _fill(self, tau, state, norm_residual, energy, status, reason) -> None:
+    def __init__(self, tau: np.ndarray, state: np.ndarray, norm_residual: np.ndarray,
+                 energy: np.ndarray, status: str = "completed", reason: Optional[str] = None):
         for column in (tau, state, norm_residual, energy):
             column.setflags(write=False)
         self.tau, self.state, self.norm_residual, self.energy = tau, state, norm_residual, energy
@@ -134,7 +121,7 @@ class Trajectory(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Trajectory._of(self.tau[i], self.state[i], self.norm_residual[i], self.energy[i])
+            return Trajectory(self.tau[i], self.state[i], self.norm_residual[i], self.energy[i])
         i = range(len(self.tau))[i]  # negative indices count from the end; IndexError past it
         state = _assembled(
             PhaseState,
@@ -170,12 +157,14 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not self.step > 0:
-            raise ValidationError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError(f"step must be finite and positive, got {self.step}")
+        if not (math.isfinite(self.rtol) and math.isfinite(self.atol)):
+            raise ValidationError(f"tolerances must be finite, got {self.rtol}, {self.atol}")
         if self.rtol < 0 or self.atol < 0 or self.rtol + self.atol <= 0:
             raise ValidationError("tolerances must be nonnegative and not both zero")
-        if not self.tau_max > 0:
-            raise ValidationError("tau_max must be positive")
+        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ValidationError(f"tau_max must be finite and positive, got {self.tau_max}")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be at least 1")
 
@@ -347,7 +336,9 @@ def _rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit
 # proper-time dependence, so stage abscissae never enter).  Each stage and
-# each weight sum lists its nonzero terms as (stage index, coefficient).
+# the 4th-order weight sum list their nonzero terms as (stage index,
+# coefficient).  The last stage's row is the 5th-order weights, so the
+# seventh stage is evaluated at the 5th-order result itself.
 _DP_A = (
     ((0, 1 / 5),),
     ((0, 3 / 40), (1, 9 / 40)),
@@ -356,29 +347,23 @@ _DP_A = (
     ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176), (4, -5103 / 18656)),
     ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84)),
 )
-_DP_B5 = ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784), (5, 11 / 84))
 _DP_B4 = (
     (0, 5179 / 57600), (2, 7571 / 16695), (3, 393 / 640), (4, -92097 / 339200),
     (5, 187 / 2100), (6, 1 / 40),
 )
 
 
-def _dp_stages(rhs, y: np.ndarray, h):
+def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """One embedded trial step: (5th-order result, error-estimate vector)."""
     k = [rhs(y)]
     for (_, a0), *rest in _DP_A:
         acc = a0 * k[0]
         for j, a in rest:
             acc = acc + a * k[j]
-        k.append(rhs(y + h * acc))
-    return k
-
-
-def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """One embedded trial step: (5th-order result, error-estimate vector)."""
-    k = _dp_stages(rhs, y, h)
-    y5 = y + h * sum(b * k[j] for j, b in _DP_B5)
+        stage = y + h * acc
+        k.append(rhs(stage))
     y4 = y + h * sum(b * k[j] for j, b in _DP_B4)
-    return y5, y5 - y4
+    return stage, stage - y4
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
@@ -412,23 +397,24 @@ def _first_nonfinite(y: np.ndarray) -> Optional[int]:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, bool, int]:
-    """(n_main, extra, limited, fin) of a fixed-step run from tau0.
+def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, float, str]:
+    """(n, h_last, tau_last, status) of a fixed-step run from tau0.
 
-    ``n_main`` steps of ``cfg.step`` come first, then one ``extra`` step
-    of the remainder up to tau_max unless the step budget ran out
-    (``limited``, status 'max-steps').  Full step number ``fin`` lands on
-    tau_max itself (0: none does).
+    The run takes ``n`` steps: those before the last are of ``cfg.step``
+    and land on tau0 + k step; the last, of ``h_last``, lands on
+    ``tau_last``.  The row then ends with ``status``: 'completed' on
+    tau_max, or 'max-steps' when the step budget ran out short of it.
     """
     # a count past max_steps + 1 changes no outcome, and it may not fit an int
     n_full = math.floor(min((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12,
                             cfg.max_steps + 1))
     remainder = cfg.tau_max - (tau0 + n_full * cfg.step)
-    remainder = 0.0 if remainder <= 1e-9 * cfg.step else remainder
-    n_main = min(n_full, cfg.max_steps)
-    limited = n_full >= cfg.max_steps and n_full + (1 if remainder else 0) > cfg.max_steps
-    fin = n_full if not remainder and n_full <= n_main else 0
-    return n_main, 0.0 if limited else remainder, limited, fin
+    if remainder <= 1e-9 * cfg.step:
+        if n_full <= cfg.max_steps:
+            return n_full, cfg.step, cfg.tau_max, "completed"
+    elif n_full < cfg.max_steps:
+        return n_full + 1, remainder, cfg.tau_max, "completed"
+    return cfg.max_steps, cfg.step, tau0 + cfg.max_steps * cfg.step, "max-steps"
 
 
 class _Rows:
@@ -554,37 +540,31 @@ class _Rows:
 
     def rk4(self, tau0: Sequence[float], cfgs: Sequence[IntegratorConfig]) -> None:
         step = cfgs[0].step
-        n_main, extra, limited, fin = zip(*(_rk4_plan(cfg, t) for cfg, t in zip(cfgs, tau0)))
-        tau_max = [cfg.tau_max for cfg in cfgs]
-        last = [m + 1 if e else m for m, e in zip(n_main, extra)]
-        extra_at = {m + 1 for m, e in zip(n_main, extra) if e}
-        special = extra_at | set(fin)  # steps on which some row lands on tau_max
+        n, h_last, tau_last, status = zip(*(_rk4_plan(cfg, t) for cfg, t in zip(cfgs, tau0)))
         starts = np.array(tau0, dtype=float)
-        k = 0
-        ends_after = min(last[i] for i in self.ids) if self.ids else 0
+        k = ending = 0  # ending: the next step that is some live row's last
         while self.ids:
-            k += 1
-            if k > ends_after:
+            if k == ending:
                 for p, i in enumerate(self.ids):
-                    if last[i] < k and limited[i]:
-                        self.end(p, "max-steps")
-                self.keep([p for p, i in enumerate(self.ids) if last[i] >= k])
+                    if n[i] == k:
+                        self.end(p, status[i])
+                self.keep([p for p, i in enumerate(self.ids) if n[i] > k])
                 if not self.ids:
                     break
-                ends_after = min(last[i] for i in self.ids)
+                ending = min(n[i] for i in self.ids)
+            k += 1
             h = step
-            if k in extra_at:
-                hs = [extra[i] if n_main[i] < k else step for i in self.ids]
+            if k == ending:
+                hs = [h_last[i] if n[i] == k else step for i in self.ids]
                 h = hs[0] if self.lone else np.array(hs)[:, None]
-            y_new = self.attempt(_rk4_step, h)
+            y_new = self.attempt(_rk4_step, h)  # a row may leave the live set here
             if y_new is None:
                 break
-            if k in special:
-                taus = [tau_max[i] if fin[i] == k or n_main[i] < k else tau0[i] + k * step
-                        for i in self.ids]
-                taus = taus[0] if self.lone else np.array(taus)
-            else:
+            if k < ending:
                 taus = tau0[0] + k * step if self.lone else starts[self.rows] + k * step
+            else:
+                taus = [tau_last[i] if n[i] == k else tau0[i] + k * step for i in self.ids]
+                taus = taus[0] if self.lone else np.array(taus)
             self.land(y_new, taus)
 
     def rk45(self, tau0: Sequence[float], cfgs: Sequence[IntegratorConfig]) -> None:
@@ -712,7 +692,7 @@ def _trajectory(
         u_cov = _mv(g, u)
         # per event, the bits of the 1-D dot product u @ u_cov
         residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
-    return Trajectory._of(tau, state, residual, -u_cov[:, 0], status, reason)
+    return Trajectory(tau, state, residual, -u_cov[:, 0], status, reason)
 
 
 def _metric_renorm(metric: MetricField) -> Callable[[np.ndarray], np.ndarray]:
@@ -863,8 +843,8 @@ def minimal_substitution_trajectory(
     )
 
     def kinetic_up(coords: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        u_cov = (pi - e * a.values_fn(coords)) / m
-        return g.inverse_raw(coords) @ u_cov
+        # one event (4,) or, for the record, every sample (n, 4)
+        return _mv(g.inverse_raw(coords), (pi - e * a.values_fn(coords)) / m)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[:4]
@@ -901,5 +881,5 @@ def minimal_substitution_trajectory(
         lambda rows: rhs, y0, [initial.tau], [cfg], guard, renorm
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
-    state[:, DIM:] = [kinetic_up(x, pi) for x, pi in zip(state[:, :DIM], state[:, DIM:])]
+    state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])
     return _trajectory(g, tau, state, status, reason)

@@ -87,6 +87,17 @@ def test_two_scenarios_writing_one_file_is_invalid_input(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: two scenarios would write {out / 'free.csv'}"]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b"])
+def test_scenario_name_that_is_not_a_file_name_is_invalid_input(name, tmp_path, capsys):
+    doc = tmp_path / "doc.cfg"
+    doc.write_text(builtin_text("free").replace("name = free", f"name = {name}"))
+    out = tmp_path / "outdir"
+    assert main(["run", "free", str(doc), "--out", str(out), "--tau-max", "1.0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+    assert list(tmp_path.iterdir()) == [doc]
+
+
 def test_run_batch_writes_directory(tmp_path, capsys):
     code = main(["run", "free", "exb-drift", "--out", str(tmp_path),
                  "--jobs", "2", "--tau-max", "1.0"])
@@ -474,6 +485,9 @@ def test_fuzzed_document_keeps_the_exit_code_contract(edits, command):
             code = main([command[0], path, *command[1:], "--tau-max", "0.05"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, (edits, lines)
+    assert all(line.startswith(("error:", "integration error:")) for line in lines), (edits, lines)
     for (_, _, section, key, original), literal in edits:
         value = _number(literal)
         if value is not None and _number(original) is not None:

@@ -14,6 +14,12 @@ from phasetransport.scenarios import builtin_text, load_builtin, load_scenario
 from phasetransport.transport import Trajectory
 
 
+def cut_short(traj, drop):
+    """`traj` without its last `drop` samples, ended by a forced domain exit."""
+    return Trajectory(traj.tau[:-drop], traj.state[:-drop], traj.norm_residual[:-drop],
+                      traj.energy[:-drop], status="domain-exit", reason="forced")
+
+
 def test_free_run_is_eleven_linear_rows():
     rep = run(load_builtin("free"))
     assert rep.status == "completed"
@@ -152,7 +158,7 @@ def test_mass_invariance_fails_on_mismatched_trajectories(monkeypatch):
         traj = original(*args)
         calls.append(1)
         if len(calls) == 2:
-            traj = Trajectory(traj[:-3], status="domain-exit", reason="forced")
+            traj = cut_short(traj, 3)
         return traj
 
     monkeypatch.setattr(report, "integrate", integrate)
@@ -170,8 +176,7 @@ def test_minimal_substitution_fails_on_routes_that_end_apart(monkeypatch, capsys
     original = report.minimal_substitution_trajectory
 
     def truncated(*args):
-        traj = original(*args)
-        return Trajectory(traj[:-5], status="domain-exit", reason="forced")
+        return cut_short(original(*args), 5)
 
     monkeypatch.setattr(report, "minimal_substitution_trajectory", truncated)
     rep = check(load_builtin("cyclotron"), "minimal-substitution")
@@ -236,9 +241,11 @@ def test_json_rows_template_gives_the_bytes_of_json_dumps():
     no_samples = dataclasses.replace(check(load_builtin("free"), "bianchi"), samples=None)
     assert emit(no_samples, "json") == _json_reference(no_samples)
     # a value json spells its own way takes json's path for the rows
-    samples = list(rep.samples[:3])
-    samples[1] = dataclasses.replace(samples[1], norm_residual=float("nan"))
-    odd = dataclasses.replace(rep, samples=Trajectory(samples))
+    first = rep.samples[:3]
+    residual = first.norm_residual.copy()
+    residual[1] = float("nan")
+    odd = dataclasses.replace(
+        rep, samples=Trajectory(first.tau, first.state, residual, first.energy))
     assert emit(odd, "json") == _json_reference(odd)
     assert "NaN" in emit(odd, "json")
 

@@ -94,6 +94,10 @@ def test_integrator_config_rejects_bad_values():
         IntegratorConfig(tau_max=-1.0)
     with pytest.raises(ValidationError):
         IntegratorConfig(max_steps=0)
+    for key in ("step", "tau_max", "rtol", "atol"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                IntegratorConfig(**{key: value})
 
 
 def test_phase_state_requires_future_directed_contravariant_velocity():
@@ -389,6 +393,31 @@ def test_max_steps_status():
     assert len(traj) == 6  # initial sample plus five steps
 
 
+# (tau_max, max_steps) -> (status, samples, last tau), at step 0.25 from tau = 0
+RK4_PLAN_EDGES = {
+    "exact-multiple": ((1.0, 100), ("completed", 5, 1.0)),
+    "remainder-below-tolerance": ((1.0 + 1e-11, 100), ("completed", 5, 1.0 + 1e-11)),
+    "remainder-above-tolerance": ((1.1, 100), ("completed", 6, 1.1)),
+    "budget-exactly-enough": ((1.1, 5), ("completed", 6, 1.1)),
+    "budget-one-short": ((1.1, 4), ("max-steps", 5, 1.0)),
+    "multiple-budget-one-short": ((1.0, 3), ("max-steps", 4, 0.75)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RK4_PLAN_EDGES))
+def test_fixed_step_plan_at_its_edges_alone_and_in_a_batch(case):
+    (tau_max, max_steps), want = RK4_PLAN_EDGES[case]
+    conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
+    initial = state([0, 0, 0, 0], [oracles.gamma_from_u([0.3, 0, 0]), 0.3, 0, 0])
+    cfg = IntegratorConfig(step=0.25, tau_max=tau_max, max_steps=max_steps)
+    # the other rows end before, with and after this one
+    cfgs = [dataclasses.replace(cfg, tau_max=0.6), cfg, dataclasses.replace(cfg, tau_max=2.0)]
+    alone = integrate(conn, Particle(1.0, 1.0), initial, cfg)
+    batched = integrate_batch(conn, Particle(1.0, 1.0), [initial] * 3, cfgs)[1]
+    for traj in (alone, batched):
+        assert (traj.status, len(traj), traj.tau[-1]) == want
+
+
 def test_adaptive_rejects_impossible_tolerance():
     conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
     cfg = IntegratorConfig(
@@ -406,16 +435,22 @@ def test_initial_point_outside_domain_raises():
         geodesic_integrate(g, Particle(1.0), bad, IntegratorConfig())
 
 
+def columns_trajectory(coords, u):
+    """A Trajectory of the given per-sample coordinates and velocities."""
+    n = len(coords)
+    return Trajectory(np.arange(n, dtype=float), np.hstack([coords, u]), np.zeros(n), np.zeros(n))
+
+
 def test_coordinate_force_input_validation():
+    empty = columns_trajectory(np.empty((0, 4)), np.empty((0, 4)))
+    assert len(empty) == 0 and empty.status == "completed"
     with pytest.raises(ValueError):
-        coordinate_force(Trajectory(), Particle(1.0))
+        coordinate_force(empty, Particle(1.0))
     # strictly decreasing coordinate time must be rejected
-    samples = []
-    for i, t in enumerate([0.0, 1.0, 0.5, 2.0]):
-        st_i = state([t, float(i), 0.0, 0.0], [1.0, 0, 0, 0])
-        samples.append(TrajectorySample(dataclasses.replace(st_i, tau=float(i)), 0.0))
+    coords = np.array([[t, float(i), 0.0, 0.0] for i, t in enumerate([0.0, 1.0, 0.5, 2.0])])
     with pytest.raises(NonMonotoneTime):
-        coordinate_force(Trajectory(samples), Particle(1.0))
+        coordinate_force(columns_trajectory(coords, np.tile([1.0, 0, 0, 0], (4, 1))),
+                         Particle(1.0))
 
 
 def test_rk4_error_shrinks_sixteen_fold_per_halving():
@@ -785,18 +820,15 @@ def test_samples_built_from_columns_match_per_sample_values(case):
     assert len(part) == 3
     for sample, ref in zip(part, refs[2:7:2]):
         assert_samples_match(sample, ref)
-
-
-def test_trajectory_of_samples_keeps_values_status_and_reason():
-    conn, particle, initial, cfg = COLUMN_CASES["cyclotron"]()
-    traj = integrate(conn, particle, initial, cfg)
-    again = type(traj)(traj[:-3], status="domain-exit", reason="forced")
-    assert (again.status, again.reason, len(again)) == ("domain-exit", "forced", len(traj) - 3)
     for column in ("tau", "state", "norm_residual", "energy"):
-        np.testing.assert_array_equal(getattr(again, column), getattr(traj, column)[:-3])
-        with pytest.raises(ValueError):  # the columns are read-only
-            getattr(traj, column)[0] = 0.0
-    assert len(type(traj)()) == 0
+        for arrays in (traj, part):
+            with pytest.raises(ValueError):  # the columns are read-only
+                getattr(arrays, column)[0] = 0.0
+    cut = Trajectory(traj.tau[:-3], traj.state[:-3], traj.norm_residual[:-3], traj.energy[:-3],
+                     status="domain-exit", reason="forced")
+    assert (cut.status, cut.reason, len(cut)) == ("domain-exit", "forced", len(traj) - 3)
+    for sample, ref in zip(cut, refs[:-3]):
+        assert_samples_match(sample, ref)
 
 
 def test_integrate_builds_no_sample_until_one_is_indexed(monkeypatch):
