@@ -11,7 +11,12 @@ metric once per point and feeds that one array to both K1 and the raise
 of K0; on the flat chart it evaluates none.  (The equivalence of this
 contravariant form and a covariant one is exercised by the
 canonical-momentum integrator below, which evolves covariant momenta and
-must land on the same worldline.)
+must land on the same worldline.)  That integrator's law is compiled
+once per route in the same way (``_compile_canonical``): on the flat
+chart it divides by the signed mass m diag(eta) in place of the raise
+and drops the metric-gradient term, which is exactly zero there.  A
+state that is not finite is no event: no guard rejects it, and the run
+fails with ``StepRejected`` where the step lands.
 
 Two steppers are provided.  The fixed-step classical RK4 plans each
 row's run once (``_rk4_plan``): n steps, the last of which lands on
@@ -281,7 +286,7 @@ def _make_rhs(
     from ``_compile_acceleration`` (which takes `mass` and `order0`), and
     the 8-vector assembly.  The state is one point ``(8,)`` or a batch
     ``(N, 8)``; a batch with any point outside the domain raises
-    ``OutsideDomain`` as one point would.
+    ``OutsideDomain`` as one point would (``_rejected``).
     """
     probe = c.guard.probe
     label = c.guard.label
@@ -292,7 +297,7 @@ def _make_rhs(
         u = y[..., 4:]
         why = probe(coords)
         if why is not None:
-            raise OutsideDomain(f"{label}: {why}")
+            return _rejected(y, f"{label}: {why}")
         out = np.empty(y.shape)
         out[..., :4] = u
         out[..., 4:] = accel(coords, u)
@@ -395,6 +400,28 @@ def _first_nonfinite(y: np.ndarray) -> Optional[int]:
         return 0 if math.isnan(y @ _ZERO_STATE) else None
     bad = np.isnan(y @ _ZERO_STATE)
     return int(bad.argmax()) if bad.any() else None
+
+
+def _require_finite(y: np.ndarray, taus) -> None:
+    """Raise ``StepRejected`` if a row of `y` landed at `taus` is not finite."""
+    bad = _first_nonfinite(y)
+    if bad is not None:
+        raise StepRejected(
+            f"state became non-finite at tau = {taus if y.ndim == 1 else taus[bad]:g}"
+        )
+
+
+def _rejected(y: np.ndarray, reason: str) -> np.ndarray:
+    """The rate at a state `y` that a guard rejected with `reason`.
+
+    A finite state is outside the domain: raise ``OutsideDomain``.  A state
+    that is not finite is no event, whatever the guard says: its rate is
+    NaN, so the step lands on a state that is not finite and the run fails
+    with ``StepRejected`` there, as on a chart without a guard.
+    """
+    if _first_nonfinite(y) is None:
+        raise OutsideDomain(reason)
+    return np.full(y.shape, np.nan)
 
 
 def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, float, str]:
@@ -503,6 +530,7 @@ class _Rows:
         left = []
         probe = self.guard.probe
         if probe(y_new[..., :DIM]) is not None:
+            _require_finite(y_new, taus)  # a state that is not finite left no domain
             whys = [probe(y_new[:DIM])] if self.lone else [probe(y[:DIM]) for y in y_new]
             for q, why in enumerate(whys):
                 if why is not None:
@@ -515,11 +543,7 @@ class _Rows:
             pos, y_new, taus = [pos[q] for q in inside], y_new[inside], taus[inside]
         if self.renorm is not None and len(pos):
             y_new = self.renorm(y_new) if self.lone else np.stack([self.renorm(y) for y in y_new])
-        bad = _first_nonfinite(y_new)
-        if bad is not None:
-            raise StepRejected(
-                f"state became non-finite at tau = {taus if self.lone else taus[bad]:g}"
-            )
+        _require_finite(y_new, taus)
         if self.lone:
             self.y = y_new
             self.taus.append(taus)
@@ -811,6 +835,51 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
 # ---------------------------------------------------------------------------
 
 
+def _compile_canonical(
+    a: VectorPotential, g: MetricField, m: float, e: float
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+           Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """(kinetic u of (coords, pi), dpi/dtau of (coords, u)), shaped once per route.
+
+    The kinetic velocity is u^m = g^mn (pi_n - e A_n) / m.  On the flat
+    chart eta is a +-1 diagonal, so the raise is a division by the signed
+    mass m diag(eta), with the bits of eta @ ((pi - e A) / m) up to the
+    sign of a zero, and the metric-gradient term of dpi/dtau, exactly
+    zero there, is dropped.  Elsewhere the law is evaluated as written.
+    An uncharged particle feels no potential gradient.  `kinetic_up`
+    takes one event ``(4,)`` or every sample ``(n, 4)``; the rate takes
+    one event.
+    """
+    values = a.values_fn
+    d_potential = a.deriv_fn or (
+        lambda coords: central_differences(values, coords, FD_STEP_FIRST)
+    )
+
+    if isinstance(g, FlatMetric):
+        signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
+
+        def kinetic_up(coords, pi):
+            return (pi - e * values(coords)) / signed_mass
+
+        if e == 0.0:
+            zero = np.zeros(DIM)
+            return kinetic_up, lambda coords, u: zero
+        return kinetic_up, lambda coords, u: e * (d_potential(coords) @ u)
+
+    inverse = g.inverse_raw
+    d_metric = g.deriv_fn or (lambda coords: _metric_deriv_raw(g, coords, None))
+
+    def kinetic_up(coords, pi):
+        return _mv(inverse(coords), (pi - e * values(coords)) / m)
+
+    def gravity(coords, u):
+        return 0.5 * m * np.einsum("abs,a,b->s", d_metric(coords), u, u)
+
+    if e == 0.0:
+        return kinetic_up, gravity
+    return kinetic_up, lambda coords, u: gravity(coords, u) + e * (d_potential(coords) @ u)
+
+
 def minimal_substitution_trajectory(
     a: VectorPotential,
     g: MetricField,
@@ -829,8 +898,12 @@ def minimal_substitution_trajectory(
     which is the free-particle transport law with the momentum argument
     shifted by the potential.  No field-strength matrix is ever formed,
     so agreement with the Lorentz-coupling route is a genuine two-route
-    check.  Samples report the recovered kinetic velocity.  The run ends
-    where either the metric's or the potential's guard rejects a state.
+    check.  The law is compiled once per route (``_compile_canonical``):
+    on the flat chart it evaluates neither the inverse metric nor the
+    metric gradient.  Each right-hand side probes the intersection of
+    the metric's and the potential's guards once, and the run ends where
+    either rejects a state.  Samples report the recovered kinetic
+    velocity, recovered in one call over the recorded columns.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
@@ -838,28 +911,17 @@ def minimal_substitution_trajectory(
     e = particle.charge
     guard = g.guard.intersect(a.guard)
     probe, label = guard.probe, guard.label
-    d_potential = a.deriv_fn or (
-        lambda coords: central_differences(a.values_fn, coords, FD_STEP_FIRST)
-    )
-
-    def kinetic_up(coords: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        # one event (4,) or, for the record, every sample (n, 4)
-        return _mv(g.inverse_raw(coords), (pi - e * a.values_fn(coords)) / m)
+    kinetic_up, momentum_rate = _compile_canonical(a, g, m, e)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         coords = y[:4]
-        pi = y[4:]
         why = probe(coords)
         if why is not None:
-            raise OutsideDomain(f"{label}: {why}")
-        u = kinetic_up(coords, pi)
-        dg = _metric_deriv_raw(g, coords, None)
-        dpi = 0.5 * m * np.einsum("abs,a,b->s", dg, u, u)
-        if e != 0.0:
-            dpi = dpi + e * (d_potential(coords) @ u)
+            return _rejected(y, f"{label}: {why}")
+        u = kinetic_up(coords, y[4:])
         out = np.empty(2 * DIM)
         out[:4] = u
-        out[4:] = dpi
+        out[4:] = momentum_rate(coords, u)
         return out
 
     renorm = None

@@ -202,7 +202,7 @@ def test_criterion_7_rk4_order_and_norm_residuals():
         )
         traj = integrate(scn.connection(), scn.particle, scn.initial, cfg)
         assert traj.status == "completed"
-        worst_norm = max(worst_norm, max(abs(s.norm_residual) for s in traj))
+        worst_norm = max(worst_norm, float(np.max(np.abs(traj.norm_residual))))
 
     ok = all(12.8 < r < 19.2 for r in ratios) and worst_norm < 1e-8
     assert _verdict(

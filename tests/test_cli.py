@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -165,19 +166,48 @@ def test_run_output_is_the_same_alone_grouped_and_in_parallel(tmp_path, capsys):
             assert (out / f"{name}.json").read_bytes() == alone[path]
 
 
+def _outcome(text, command, tmp_path, capsys):
+    """(exit code, warnings, stderr lines) of `command` on the document `text`,
+    with `--out` pointing into `tmp_path`."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], str(path), *command[1:], "--out", str(tmp_path / "huge.out")])
+    return code, [str(w.message) for w in caught], capsys.readouterr().err.splitlines()
+
+
 def test_overflowing_field_ends_with_one_integration_error_line(tmp_path, capsys):
     # finite input whose force overflows: the run fails (exit 2) with its one
     # line, and numpy's overflow warnings stay off stderr
-    path = tmp_path / "huge.cfg"
-    path.write_text(builtin_text("cyclotron").replace("b_z = 1.0", "b_z = 1e300"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["run", str(path), "--out", str(tmp_path / "huge.csv")])
-    assert code == 2
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err.splitlines() == [
-        "integration error: state became non-finite at tau = 0.001"
-    ]
+    text = builtin_text("cyclotron").replace("b_z = 1.0", "b_z = 1e300")
+    assert _outcome(text, ["run"], tmp_path, capsys) == (
+        2, [], ["integration error: state became non-finite at tau = 0.001"]
+    )
+
+
+#: built-in, replacements, command, the tau where the state overflows
+OVERFLOWS = {
+    # e F itself overflows, before the batch is integrated
+    "cyclotron-e-b": ("cyclotron", [("b_z = 1.0", "b_z = 1e200"), ("charge = 1.0", "charge = 1e200")],
+                      ["run"], "0.001"),
+    # on a guarded chart the NaN state once ended the run as a domain exit
+    "combined-b": ("combined-schwarzschild-B", [("b = 1e-3", "b = 1e200")], ["run"], "0.05"),
+    "combined-b-canonical": ("combined-schwarzschild-B", [("b = 1e-3", "b = 1e200")],
+                             ["check", "--checker", "minimal-substitution"], "0.05"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_coupling_ends_with_one_integration_error_line(case, tmp_path, capsys):
+    name, replacements, command, tau = OVERFLOWS[case]
+    text = builtin_text(name)
+    for line, replacement in replacements:
+        assert line in text
+        text = text.replace(line, replacement)
+    assert _outcome(text, command, tmp_path, capsys) == (
+        2, [], [f"integration error: state became non-finite at tau = {tau}"]
+    )
 
 
 def test_horizon_past_the_step_budget_ends_at_max_steps(tmp_path, capsys):
@@ -317,6 +347,26 @@ def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_pa
     # exit 1 with one error line, or exit 0 (a huge B and mass barely drift)
     assert (code, len(err.splitlines())) in ((1, 1), (0, 0))
     assert code == 0 or err.startswith("error:")
+
+
+#: built-in, key line, replacement, checker: a huge coordinate overflows r^3
+#: in the potential gradient or the metric's closed forms (each once let a
+#: numpy RuntimeWarning reach stderr on a passing check)
+HUGE_CHECKS = [
+    ("coulomb", "radius = 10.0", "radius = 1e150", "mass-invariance"),
+    ("coulomb", "radius = 10.0", "radius = 1e150", "closure"),
+    ("weak-field-newtonian", "x1 = 1e4", "x1 = 1e150", "bianchi"),
+    ("weak-field-newtonian", "x1 = 1e4", "x1 = -1e150", "bianchi"),
+]
+
+
+@pytest.mark.parametrize("name,line,replacement,checker", HUGE_CHECKS)
+def test_checks_at_huge_coordinates_warn_nothing(name, line, replacement, checker,
+                                                tmp_path, capsys):
+    text = builtin_text(name)
+    assert line in text
+    command = ["check", "--checker", checker, "--tau-max", "0.05"]
+    assert _outcome(text.replace(line, replacement), command, tmp_path, capsys) == (0, [], [])
 
 
 @pytest.mark.parametrize("override", [["--tau-max", "inf"], ["--step", "inf"], ["--step", "nan"]])
@@ -469,8 +519,22 @@ EDITS = st.sampled_from(builtin_names()).flatmap(
 )
 
 
+def _nan_summary_values(command, stdout):
+    """The printed summary values of `command` that hold a NaN."""
+    if command[0] == "run":
+        summary = json.loads(stdout)["summary"] if stdout else {}
+        values = [json.dumps(value) for value in summary.values()]
+    else:  # check prints "  key = value" under its verdict line
+        values = [line.partition(" = ")[2] for line in stdout.splitlines()[1:]]
+    return [value for value in values if re.search(r"\bnan\b", value, re.IGNORECASE)]
+
+
 @settings(max_examples=120, deadline=None)
-@given(edits=EDITS, command=st.sampled_from([["run"], ["check", "--checker", "norm"]]))
+@given(edits=EDITS, command=st.sampled_from([
+    ["run", "--format", "json"],
+    ["check", "--checker", "norm"],
+    ["check", "--checker", "minimal-substitution"],
+]))
 def test_fuzzed_document_keeps_the_exit_code_contract(edits, command):
     lines = builtin_text(edits[0][0][0]).splitlines()
     for (_, index, _, key, _), literal in edits:
@@ -488,6 +552,7 @@ def test_fuzzed_document_keeps_the_exit_code_contract(edits, command):
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1, (edits, lines)
     assert all(line.startswith(("error:", "integration error:")) for line in lines), (edits, lines)
+    assert _nan_summary_values(command, out.getvalue()) == [], (edits, out.getvalue())
     for (_, _, section, key, original), literal in edits:
         value = _number(literal)
         if value is not None and _number(original) is not None:

@@ -584,6 +584,59 @@ def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
     assert len(calls) == 2
 
 
+CANONICAL_POTENTIALS = {
+    "uniform": lambda: uniform_field_potential([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]),
+    "coulomb": lambda: coulomb_potential(2.0),
+}
+
+
+def _canonical_initial():
+    u = [0.05, 0.2, -0.1]
+    return state([0.0, 5.0, 1.0, -0.5], [math.sqrt(1.0 + sum(v * v for v in u)), *u])
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_flat_canonical_route_never_evaluates_the_inverse_or_the_metric_gradient(renormalize):
+    calls = []
+
+    def counted(fn):
+        def wrapped(coords):
+            calls.append(1)
+            return fn(coords)
+
+        return wrapped
+
+    eta = minkowski()
+    g = dataclasses.replace(eta, inverse_fn=counted(eta.inverse_fn), deriv_fn=counted(eta.deriv_fn))
+    cfg = IntegratorConfig(step=0.1, tau_max=2.0, renormalize=renormalize)
+    traj = minimal_substitution_trajectory(
+        CANONICAL_POTENTIALS["coulomb"](), g, Particle(3.0, 1.3), _canonical_initial(), cfg
+    )
+    assert traj.status == "completed" and len(traj) == 21
+    assert calls == []
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("charge", [1.3, 0.0])
+@pytest.mark.parametrize("potential", sorted(CANONICAL_POTENTIALS))
+def test_flat_canonical_route_lands_where_the_general_formula_does(potential, charge,
+                                                                   renormalize):
+    # the same evaluators as a plain MetricField take the curved-chart law:
+    # the raise by eta and the exactly-zero metric-gradient term
+    eta = minkowski()
+    plain = MetricField(eta.matrix_fn, deriv_fn=eta.deriv_fn, inverse_fn=eta.inverse_fn)
+    pot = CANONICAL_POTENTIALS[potential]()
+    cfg = IntegratorConfig(step=0.05, tau_max=2.0, renormalize=renormalize)
+    particle, initial = Particle(3.0, charge), _canonical_initial()
+    flat = minimal_substitution_trajectory(pot, eta, particle, initial, cfg)
+    general = minimal_substitution_trajectory(pot, plain, particle, initial, cfg)
+    assert flat.status == general.status == "completed"
+    assert np.array_equal(flat.tau, general.tau)
+    assert np.array_equal(flat.state[-1], general.state[-1])
+    moved = np.max(np.abs(flat.state[-1, 4:] - initial.u.components))
+    assert (moved > 1e-6) == (charge != 0.0)  # only a charge feels the potential
+
+
 def test_integrate_rejects_a_non_antisymmetric_user_field():
     broken = FaradayField(lambda coords: np.diag([0.0, 1.0, 0.0, 0.0]), name="broken")
     conn = electromagnetic_connection(broken, charge=1.0)
@@ -859,8 +912,7 @@ def nan_beyond_x_one():
     return electromagnetic_connection(AntisymmetricFaraday(matrix, name="nan-beyond"), 1.0)
 
 
-def test_non_finite_state_raises_step_rejected_alone_and_in_a_batch():
-    conn = nan_beyond_x_one()
+def _assert_non_finite_state_raises_step_rejected_alone_and_in_a_batch(conn):
     moving = state([0, 0, 0, 0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0, 0])
     behind = state([0, -0.5, 0, 0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0, 0])
     cfg = IntegratorConfig(step=0.25, tau_max=5.0)
@@ -869,6 +921,19 @@ def test_non_finite_state_raises_step_rejected_alone_and_in_a_batch():
         integrate(conn, Particle(1.0, 1.0), moving, cfg)
     with pytest.raises(StepRejected, match=message):
         integrate_batch(conn, Particle(1.0, 1.0), [behind, moving], [cfg, cfg])
+
+
+def test_non_finite_state_raises_step_rejected_alone_and_in_a_batch():
+    _assert_non_finite_state_raises_step_rejected_alone_and_in_a_batch(nan_beyond_x_one())
+
+
+def test_non_finite_state_is_no_domain_exit():
+    # a NaN coordinate fails this guard's test; the run still fails as unguarded
+    def probe(c):
+        return None if np.all(c[..., 1] < 100.0) else "x1 beyond 100"
+
+    conn = dataclasses.replace(nan_beyond_x_one(), guard=DomainGuard(probe, "x1 < 100"))
+    _assert_non_finite_state_raises_step_rejected_alone_and_in_a_batch(conn)
 
 
 def test_matrix_evaluator_without_batch_axes_is_a_clear_error():
