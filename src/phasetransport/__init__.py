@@ -47,7 +47,6 @@ from .tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
-    Variance,
 )
 from .report import CHECKERS, CSV_COLUMNS, RunReport, check, emit, run
 from .scenarios import (

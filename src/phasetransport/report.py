@@ -418,17 +418,15 @@ def _check_mass_invariance(scn: Scenario) -> tuple[bool, dict, Optional[Trajecto
     zeroth, first = acceleration_terms(conn, scn.particle, x, u)
     double_mass = Particle(scn.particle.mass * 2.0, scn.particle.charge)
     zeroth_2m, first_2m = acceleration_terms(conn, double_mass, x, u)
-    scale = float(np.max(np.abs(zeroth.components))) or 1.0
-    mass_dev = float(np.max(np.abs(zeroth_2m.components - 0.5 * zeroth.components)) / scale)
-    geom_dev = float(np.max(np.abs(first_2m.components - first.components)))
+    scale = float(np.max(np.abs(zeroth))) or 1.0
+    mass_dev = float(np.max(np.abs(zeroth_2m - 0.5 * zeroth)) / scale)
+    geom_dev = float(np.max(np.abs(first_2m - first)))
 
     # gravity never contributes to the velocity-independent term, so the
     # zeroth term of the full connection is already the pure field piece
     doubled_e = electromagnetic_connection(scn.faraday, scn.particle.charge * 2.0)
     zeroth_2e, _ = acceleration_terms(doubled_e, scn.particle, x, u)
-    charge_dev = float(
-        np.max(np.abs(zeroth_2e.components - 2.0 * zeroth.components)) / scale
-    )
+    charge_dev = float(np.max(np.abs(zeroth_2e - 2.0 * zeroth)) / scale)
     details = {
         "mode": "term-scaling",
         "inverse_mass_deviation": mass_dev,

@@ -46,7 +46,7 @@ from .fields import (
     uniform_field_potential,
 )
 from .metrics import minkowski, schwarzschild, weak_field
-from .tensor import DomainGuard, FlatMetric, FourVector, MetricField, SpacetimeEvent, Variance
+from .tensor import DomainGuard, FlatMetric, FourVector, MetricField, SpacetimeEvent
 from .transport import IntegratorConfig, PhaseState
 
 __all__ = [
@@ -191,7 +191,7 @@ def solve_time_component(g: MetricField, coords: np.ndarray, u_spatial: np.ndarr
     """u^0 > 0 making the velocity unit-norm at `coords`; the metrics here
     are block-diagonal in time so the quadratic has at most one positive
     root."""
-    gmat = g.matrix_raw(coords)
+    gmat = g.matrix_fn(coords)
     a = gmat[0, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # a huge velocity gives inf, caught later
         b = 2.0 * float(gmat[0, 1:] @ u_spatial)
@@ -385,7 +385,7 @@ def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
     initial = PhaseState(
         tau=0.0,
         x=SpacetimeEvent(coords),
-        u=FourVector(u_arr, Variance.UP),
+        u=FourVector(u_arr),
     )
 
     parameters = {

@@ -2,18 +2,18 @@
 central-difference stencil.
 
 Everything lives on a four-dimensional manifold with metric signature
-(-, +, +, +) and geometric units (c = 1).  Index variance is tracked
-explicitly: ``Variance.UP`` marks a contravariant slot, ``Variance.DOWN``
-a covariant one.  Containers are immutable; the arrays they wrap are
-frozen on construction, and a wrong shape or a component that is not
-finite raises ``ValidationError``.  They carry no arithmetic: array code
-works on the raw components.  Every numerical derivative in the package
-is one call of ``central_differences`` over raw coordinates.
+(-, +, +, +) and geometric units (c = 1).  Index variance is not tagged:
+the slot that holds the components says it (a ``PhaseState``'s u is
+contravariant, ``acceleration_terms`` returns covariant arrays).
+Containers are immutable; the arrays they wrap are frozen on
+construction, and a wrong shape or a component that is not finite raises
+``ValidationError``.  They carry no arithmetic: array code works on the
+raw components.  Every numerical derivative in the package is one call
+of ``central_differences`` over raw coordinates.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,13 +31,6 @@ MINKOWSKI.setflags(write=False)
 FD_STEP_FIRST = float(np.cbrt(np.finfo(float).eps))
 #: Coarser relative step for nested (second-level) differences.
 FD_STEP_NESTED = float(np.finfo(float).eps ** 0.25)
-
-
-class Variance(enum.Enum):
-    """Index variance tag: UP is contravariant, DOWN is covariant."""
-
-    UP = "up"
-    DOWN = "down"
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -63,15 +56,12 @@ class SpacetimeEvent:
 
 @dataclass(frozen=True, slots=True)
 class FourVector:
-    """Four components plus a variance tag."""
+    """Four components; the slot that holds them says their variance."""
 
     components: np.ndarray
-    variance: Variance = Variance.UP
 
     def __post_init__(self):
         object.__setattr__(self, "components", _frozen(self.components, (DIM,)))
-        if not isinstance(self.variance, Variance):
-            raise TypeError("variance must be a Variance member")
 
 
 @dataclass(frozen=True)
@@ -158,9 +148,6 @@ class MetricField:
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     guard: DomainGuard = EVERYWHERE
     name: str = "metric"
-
-    def matrix_raw(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix_fn(coords)
 
     def inverse_raw(self, coords: np.ndarray) -> np.ndarray:
         if self.inverse_fn is not None:

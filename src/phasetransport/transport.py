@@ -4,18 +4,20 @@ The integrated state is (x^m, u^m) with the four-velocity contravariant,
 and the law is  du^a/dtau = K1^a_mn u^m u^n + g^ab K0_bn u^n / m.  The
 connection stores K1 with its first index already raised, so the
 geodesic term is the standard contravariant form; only K0 is raised
-here.  ``_make_rhs`` compiles the law once per connection: which blocks
-it has and how K0 is raised are decided there, so the right-hand side
-does per-point work only.  On a curved chart it evaluates the inverse
-metric once per point and feeds that one array to both K1 and the raise
-of K0; on the flat chart it evaluates none.  (The equivalence of this
-contravariant form and a covariant one is exercised by the
-canonical-momentum integrator below, which evolves covariant momenta and
-must land on the same worldline.)  That integrator's law is compiled
-once per route in the same way (``_compile_canonical``): on the flat
-chart it divides by the signed mass m diag(eta) in place of the raise
-and drops the metric-gradient term, which is exactly zero there.  A
-state that is not finite is no event: no guard rejects it, and the run
+here.  ``_compile_acceleration`` compiles the law once per connection:
+which blocks it has and how K0 is raised are decided there, so the
+right-hand side does per-point work only.  On a curved chart it
+evaluates the inverse metric once per point and feeds that one array to
+both K1 and the raise of K0; on the flat chart it evaluates none.
+
+The equivalence of this contravariant form and a covariant one is
+exercised by the canonical-momentum route below, which evolves the
+covariant momentum pi = m u + e A and must land on the same worldline.
+Its law is compiled once per route in the same way
+(``_compile_canonical``), and the two routes differ only in that law:
+they share one right-hand-side shell (``_make_rhs``), one
+renormalization of the landed state (``_metric_renorm``) and one engine.
+A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
 
 Two steppers are provided.  The fixed-step classical RK4 plans each
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -52,7 +55,6 @@ from .tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
-    Variance,
     central_differences,
 )
 
@@ -73,8 +75,6 @@ class PhaseState:
     u: FourVector
 
     def __post_init__(self):
-        if self.u.variance is not Variance.UP:
-            raise ValidationError("PhaseState.u must be contravariant")
         if not self.u.components[0] > 0:
             raise ValidationError("u^0 must be positive (future-directed)")
 
@@ -132,7 +132,7 @@ class Trajectory(Sequence):
             PhaseState,
             tau=float(self.tau[i]),
             x=_assembled(SpacetimeEvent, coords=self.state[i, :DIM]),
-            u=_assembled(FourVector, components=self.state[i, DIM:], variance=Variance.UP),
+            u=_assembled(FourVector, components=self.state[i, DIM:]),
         )
         return TrajectorySample(state, float(self.norm_residual[i]),
                                 {"energy": float(self.energy[i])})
@@ -170,8 +170,11 @@ class IntegratorConfig:
             raise ValidationError("tolerances must be nonnegative and not both zero")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
             raise ValidationError(f"tau_max must be finite and positive, got {self.tau_max}")
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be at least 1")
+        steps = self.max_steps
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+            raise ValidationError(f"max_steps must be an integer of at least 1, got {steps!r}")
+        if not isinstance(self.renormalize, bool):
+            raise ValidationError(f"renormalize must be a bool, got {self.renormalize!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +184,12 @@ class IntegratorConfig:
 
 def acceleration_terms(
     c: NonLinearConnection, particle: Particle, x: SpacetimeEvent, u: FourVector
-) -> tuple[FourVector, FourVector]:
-    """Covariant acceleration components, split by momentum order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariant acceleration components at a contravariant `u`, split by momentum order.
 
-    Returns (zeroth, first): the momentum-independent force term scaled
-    by 1/mass, and the momentum-linear (geodesic) term.  Their sum is
+    Returns (zeroth, first), two covariant ``(4,)`` arrays: the
+    momentum-independent force term scaled by 1/mass, and the
+    momentum-linear (geodesic) term.  Their sum is
     the proper-time acceleration vector lowered with the local metric,
     g_ma du^a/dtau; the first term lowers the stored raised K1 block.
     (Note this is not d(u_m)/dtau, which picks up an extra
@@ -193,8 +197,6 @@ def acceleration_terms(
     integrator below evolves that form, and the two must trace the same
     worldline.)
     """
-    if u.variance is not Variance.UP:
-        raise ValueError("acceleration expects a contravariant velocity")
     c.guard.check(x)
     coords, uu = x.coords, u.components
     zeroth = np.zeros(DIM)
@@ -203,12 +205,9 @@ def acceleration_terms(
     first = np.zeros(DIM)
     if c.order1_raw is not None:
         k1 = c.order1_raw(coords, c.metric.inverse_raw(coords))
-        lowered = np.einsum("...mb,...bna->...mna", c.metric.matrix_raw(coords), k1)
+        lowered = np.einsum("...mb,...bna->...mna", c.metric.matrix_fn(coords), k1)
         first = lowered.dot(uu).dot(uu)
-    return (
-        FourVector(zeroth, Variance.DOWN),
-        FourVector(first, Variance.DOWN),
-    )
+    return zeroth, first
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -278,29 +277,31 @@ def _compile_acceleration(
 
 
 def _make_rhs(
-    c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None
+    guard: DomainGuard,
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    velocity: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the ODE right-hand side for the (x, u-contravariant) state.
+    """The ODE right-hand side of a state (x, p): (dx/dtau, dp/dtau) = (u, rate(x, u)).
 
-    The body does per-point work only: one guard probe, the acceleration
-    from ``_compile_acceleration`` (which takes `mass` and `order0`), and
-    the 8-vector assembly.  The state is one point ``(8,)`` or a batch
-    ``(N, 8)``; a batch with any point outside the domain raises
-    ``OutsideDomain`` as one point would (``_rejected``).
+    Both routes share this shell.  The force law's p is the contravariant
+    u itself (`velocity` None); the canonical route's p is the momentum
+    pi, and ``velocity(x, pi)`` recovers u.  The body probes `guard` once
+    and hands a rejected state to ``_rejected`` with the reason ``"<label>:
+    <why>"``.  The state is one point ``(8,)`` or a batch ``(N, 8)``; a
+    batch with any point outside the domain raises ``OutsideDomain`` as
+    one point would.
     """
-    probe = c.guard.probe
-    label = c.guard.label
-    accel = _compile_acceleration(c, mass, order0)
+    probe, label = guard.probe, guard.label
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        coords = y[..., :4]
-        u = y[..., 4:]
+        coords = y[..., :DIM]
         why = probe(coords)
         if why is not None:
             return _rejected(y, f"{label}: {why}")
+        u = y[..., DIM:] if velocity is None else velocity(coords, y[..., DIM:])
         out = np.empty(y.shape)
-        out[..., :4] = u
-        out[..., 4:] = accel(coords, u)
+        out[..., :DIM] = u
+        out[..., DIM:] = rate(coords, u)
         return out
 
     return rhs
@@ -704,7 +705,7 @@ def _trajectory(
     energy -u_0 come from one metric evaluation over the whole coordinate column.
     A huge velocity overflows the residual to inf without a warning.
     """
-    g = metric.matrix_raw(state[:, :DIM])
+    g = metric.matrix_fn(state[:, :DIM])
     if np.shape(g) not in ((DIM, DIM), (len(state), DIM, DIM)):
         raise ValueError(
             f"{metric.name}: matrix_fn returned shape {np.shape(g)} for {len(state)} events;"
@@ -719,10 +720,25 @@ def _trajectory(
     return Trajectory(tau, state, residual, -u_cov[:, 0], status, reason)
 
 
-def _metric_renorm(metric: MetricField) -> Callable[[np.ndarray], np.ndarray]:
+def _metric_renorm(
+    metric: MetricField,
+    velocity: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    momentum: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The renormalization of a landed state (x, p) of either route.
+
+    The metric is evaluated once per state.  u (p itself, or ``velocity(x,
+    p)`` as in ``_make_rhs``) is scaled to g(u, u) = -1, and p becomes that
+    u, or ``momentum(x, g, u)`` on a route that carries a momentum.
+    """
+
     def renorm(y: np.ndarray) -> np.ndarray:
         y = y.copy()
-        y[4:] = _renormalized(y[4:], metric.matrix_raw(y[:4]))
+        coords = y[:DIM]
+        gmat = metric.matrix_fn(coords)
+        u = y[DIM:] if velocity is None else velocity(coords, y[DIM:])
+        u = _renormalized(u, gmat)
+        y[DIM:] = u if momentum is None else momentum(coords, gmat, u)
         return y
 
     return renorm
@@ -784,7 +800,8 @@ def integrate_batch(
     masses = np.array([p.mass for p in particles])
 
     def law(rows):
-        return _make_rhs(c, masses[rows], None if order0 is None else order0[rows])
+        row_order0 = None if order0 is None else order0[rows]
+        return _make_rhs(c.guard, _compile_acceleration(c, masses[rows], row_order0))
 
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
     records = _integrate_engine(
@@ -900,45 +917,28 @@ def minimal_substitution_trajectory(
     so agreement with the Lorentz-coupling route is a genuine two-route
     check.  The law is compiled once per route (``_compile_canonical``):
     on the flat chart it evaluates neither the inverse metric nor the
-    metric gradient.  Each right-hand side probes the intersection of
-    the metric's and the potential's guards once, and the run ends where
-    either rejects a state.  Samples report the recovered kinetic
-    velocity, recovered in one call over the recorded columns.
+    metric gradient.  The right-hand side is the force route's shell
+    (``_make_rhs``) with u recovered from pi: it probes the intersection
+    of the metric's and the potential's guards once, and the run ends
+    where either rejects a state.  One map, pi = m g u + e A, builds the
+    initial momentum and, with ``renormalize``, the momentum of each
+    renormalized u (``_metric_renorm``).  Samples report the recovered
+    kinetic velocity, recovered in one call over the recorded columns.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
     m = particle.mass
     e = particle.charge
     guard = g.guard.intersect(a.guard)
-    probe, label = guard.probe, guard.label
     kinetic_up, momentum_rate = _compile_canonical(a, g, m, e)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        coords = y[:4]
-        why = probe(coords)
-        if why is not None:
-            return _rejected(y, f"{label}: {why}")
-        u = kinetic_up(coords, y[4:])
-        out = np.empty(2 * DIM)
-        out[:4] = u
-        out[4:] = momentum_rate(coords, u)
-        return out
-
-    renorm = None
-    if cfg.renormalize:
-
-        def renorm(y: np.ndarray) -> np.ndarray:
-            y = y.copy()
-            coords = y[:4]
-            u = kinetic_up(coords, y[4:])
-            u = _renormalized(u, g.matrix_raw(coords))
-            y[4:] = m * (g.matrix_raw(coords) @ u) + e * a.values_fn(coords)
-            return y
+    def momentum(coords, gmat, u):
+        return m * (gmat @ u) + e * a.values_fn(coords)
 
     x0 = initial.x.coords
-    u0_cov = g.matrix_raw(x0) @ initial.u.components
-    pi0 = m * u0_cov + e * a.values_fn(x0)
-    y0 = np.concatenate([x0, pi0])
+    y0 = np.concatenate([x0, momentum(x0, g.matrix_fn(x0), initial.u.components)])
+    rhs = _make_rhs(guard, momentum_rate, kinetic_up)
+    renorm = _metric_renorm(g, kinetic_up, momentum) if cfg.renormalize else None
     tau, state, status, reason = _integrate_engine(
         lambda rows: rhs, y0, [initial.tau], [cfg], guard, renorm
     )[0]

@@ -33,7 +33,7 @@ from phasetransport.fields import (
     uniform_faraday,
 )
 from phasetransport.metrics import minkowski, schwarzschild
-from phasetransport.tensor import FourVector, SpacetimeEvent, Variance
+from phasetransport.tensor import FourVector, SpacetimeEvent
 from phasetransport.transport import acceleration_terms
 
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
@@ -61,9 +61,9 @@ def test_gravitational_block_reference_values():
     np.testing.assert_allclose(contra[2, 1, 2], 0.1, rtol=1e-13)
     # the covariant block, lowered where a typed caller asks for it:
     # with u = d/dt the first term is order1_mtt
-    u_t = FourVector([1.0, 0.0, 0.0, 0.0], Variance.UP)
+    u_t = FourVector([1.0, 0.0, 0.0, 0.0])
     _, lowered = acceleration_terms(c, Particle(1.0), X_REF, u_t)
-    np.testing.assert_allclose(lowered.components[1], -0.01, rtol=1e-13)
+    np.testing.assert_allclose(lowered[1], -0.01, rtol=1e-13)
     assert c.order0_raw is None
 
 
@@ -88,21 +88,13 @@ def test_em_antisymmetry_gate_fires_on_evaluation():
         c.order0_raw(np.zeros(4))
 
 
-def test_acceleration_requires_contravariant_velocity():
-    c = zero_connection()
-    with pytest.raises(ValueError):
-        acceleration_terms(
-            c, Particle(1.0), SpacetimeEvent([0, 0, 0, 0]), FourVector([1, 0, 0, 0], Variance.DOWN)
-        )
-
-
 def test_zero_connection_blocks_vanish():
     c = zero_connection()
     x = SpacetimeEvent([1, 2, 3, 4])
     assert c.order0_raw is None and c.order1_raw is None
     zeroth, first = acceleration_terms(c, Particle(1.0), x, FourVector([1.0, 0.5, 0, 0]))
-    assert np.all(zeroth.components == 0.0)
-    assert np.all(first.components == 0.0)
+    assert np.all(zeroth == 0.0)
+    assert np.all(first == 0.0)
 
 
 def test_superpose_adds_blocks_and_intersects_guards():
@@ -175,29 +167,25 @@ def test_superpose_same_curved_chart_doubles_coefficients():
 def test_em_acceleration_scales_inverse_mass_and_linear_charge(mass, charge, factor):
     field = uniform_faraday([0.1, 0.0, 0.0], [0.0, 0.0, 1.0])
     x = SpacetimeEvent([0, 0, 0, 0])
-    u = FourVector([np.sqrt(1.26), 0.5, 0.0, -0.1], Variance.UP)
+    u = FourVector([np.sqrt(1.26), 0.5, 0.0, -0.1])
 
     base = electromagnetic_connection(field, charge)
     zeroth, first = acceleration_terms(base, Particle(mass, charge), x, u)
-    assert np.all(first.components == 0.0)
+    assert np.all(first == 0.0)
 
     heavier = acceleration_terms(base, Particle(mass * factor, charge), x, u)[0]
-    np.testing.assert_allclose(
-        heavier.components * factor, zeroth.components, rtol=1e-14, atol=1e-300
-    )
+    np.testing.assert_allclose(heavier * factor, zeroth, rtol=1e-14, atol=1e-300)
 
     scaled_conn = electromagnetic_connection(field, charge * factor)
     scaled, _ = acceleration_terms(scaled_conn, Particle(mass, charge * factor), x, u)
-    np.testing.assert_allclose(
-        scaled.components, factor * zeroth.components, rtol=1e-14, atol=1e-300
-    )
+    np.testing.assert_allclose(scaled, factor * zeroth, rtol=1e-14, atol=1e-300)
 
 
 @settings(max_examples=30, deadline=None)
 @given(mass=st.floats(0.5, 8.0), factor=st.floats(1.5, 16.0))
 def test_geodesic_block_ignores_particle_mass(mass, factor):
     c = gravitational_connection(schwarzschild(1.0))
-    u = FourVector([1.2, 0.01, 0.0, 0.03], Variance.UP)
+    u = FourVector([1.2, 0.01, 0.0, 0.03])
     _, first_a = acceleration_terms(c, Particle(mass), X_REF, u)
     _, first_b = acceleration_terms(c, Particle(mass * factor), X_REF, u)
-    np.testing.assert_array_equal(first_a.components, first_b.components)
+    np.testing.assert_array_equal(first_a, first_b)

@@ -73,7 +73,7 @@ def test_christoffel_variance_tags():
     # first-kind symbol Gamma_rtt = M/r^2, while Gamma^r_tt = (M/r^2)(1 - 2M/r)
     g = schwarzschild(1.0)
     gamma = christoffel_raw(g, X10.coords)
-    lowered = np.einsum("ab,bmn->amn", g.matrix_raw(X10.coords), gamma)
+    lowered = np.einsum("ab,bmn->amn", g.matrix_fn(X10.coords), gamma)
     np.testing.assert_allclose(gamma[1, 0, 0], 0.008, rtol=1e-12)
     np.testing.assert_allclose(lowered[1, 0, 0], 0.01, rtol=1e-12)
 

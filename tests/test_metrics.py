@@ -17,7 +17,7 @@ def event(t, r, th, ph):
 def test_schwarzschild_components_at_reference_point():
     g = schwarzschild(1.0)
     x = event(0.0, 10.0, np.pi / 2, 0.0)
-    m = g.matrix_raw(x.coords)
+    m = g.matrix_fn(x.coords)
     f = 1.0 - 2.0 / 10.0
     np.testing.assert_allclose(m[0, 0], -f, rtol=1e-15)
     np.testing.assert_allclose(m[1, 1], 1.0 / f, rtol=1e-15)
@@ -32,14 +32,14 @@ def test_schwarzschild_closed_form_derivative_matches_finite_difference():
     x = event(0.0, 7.3, 1.1, 0.4)
     closed = g.deriv_fn(x.coords)
     assert bare.deriv_fn is None
-    numeric = central_differences(bare.matrix_raw, x.coords, FD_STEP_FIRST, axis=-1)
+    numeric = central_differences(bare.matrix_fn, x.coords, FD_STEP_FIRST, axis=-1)
     np.testing.assert_allclose(numeric, closed, rtol=0, atol=2e-8)
 
 
 def test_schwarzschild_inverse_is_closed_form_and_consistent():
     g = schwarzschild(2.5)
     x = event(1.0, 30.0, 0.8, -2.0)
-    prod = g.matrix_raw(x.coords) @ g.inverse_raw(x.coords)
+    prod = g.matrix_fn(x.coords) @ g.inverse_raw(x.coords)
     np.testing.assert_allclose(prod, np.eye(4), rtol=0, atol=1e-14)
 
 
@@ -61,7 +61,7 @@ def test_polar_axis_guard():
 def test_weak_field_reduces_to_newtonian_potential():
     g = weak_field(1.0)
     x = SpacetimeEvent([0.0, 1e4, 0.0, 0.0])
-    m = g.matrix_raw(x.coords)
+    m = g.matrix_fn(x.coords)
     np.testing.assert_allclose(m[0, 0], -(1.0 - 2.0 * 1e-4), rtol=1e-15)
     np.testing.assert_allclose(m[1:, 1:], np.eye(3), rtol=0, atol=0)
 
@@ -83,7 +83,7 @@ def test_without_closed_form_strips_but_preserves_values():
     assert bare.deriv_fn is None
     assert bare.inverse_fn is None
     x = event(0.0, 12.0, 1.2, 0.3)
-    np.testing.assert_array_equal(bare.matrix_raw(x.coords), g.matrix_raw(x.coords))
+    np.testing.assert_array_equal(bare.matrix_fn(x.coords), g.matrix_fn(x.coords))
     with pytest.raises(OutsideDomain):
         bare.guard.check(event(0, 1.0, 1.0, 0.0))  # guard carried over
 
@@ -99,7 +99,7 @@ def test_schwarzschild_determinant_sign(mass, r_factor, th):
     g = schwarzschild(mass)
     r = r_factor * mass
     x = event(0.0, r, th, 1.0)
-    det = np.linalg.det(g.matrix_raw(x.coords))
+    det = np.linalg.det(g.matrix_fn(x.coords))
     np.testing.assert_allclose(det, -(r**4) * np.sin(th) ** 2, rtol=1e-10)
 
 

@@ -26,7 +26,7 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 def test_flat_metric_is_exact():
     g = minkowski()
     c = np.array([0.3, -2.0, 7.1, 0.0])
-    assert np.array_equal(g.matrix_raw(c), ETA)
+    assert np.array_equal(g.matrix_fn(c), ETA)
     assert np.array_equal(g.inverse_raw(c), ETA)
     assert np.array_equal(g.deriv_fn(c), np.zeros((4, 4, 4)))
 
@@ -79,7 +79,7 @@ def test_raise_lower_round_trip(coords, comps):
     g = schwarzschild(1.0)
     c = np.array(coords)
     v = np.array(comps)
-    back = g.inverse_raw(c) @ (g.matrix_raw(c) @ v)
+    back = g.inverse_raw(c) @ (g.matrix_fn(c) @ v)
     np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
 
 
@@ -91,8 +91,8 @@ def test_norm_computed_in_either_variance(coords, comps):
     c = np.array(coords)
     v = np.array(comps)
     traj = _trajectory(g, np.zeros(1), np.concatenate([c, v])[None], "completed", None)
-    lowered = g.matrix_raw(c) @ v
-    direct = float(v @ g.matrix_raw(c) @ v)
+    lowered = g.matrix_fn(c) @ v
+    direct = float(v @ g.matrix_fn(c) @ v)
     np.testing.assert_allclose(traj.norm_residual[0] - 1.0, direct, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(traj.energy[0], -lowered[0], rtol=1e-12, atol=1e-12)
 

@@ -41,12 +41,14 @@ from phasetransport.fields import (
     zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field
-from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent, Variance
+from phasetransport.scenarios import load_builtin
+from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
     Trajectory,
     TrajectorySample,
+    _compile_acceleration,
     _make_rhs,
     acceleration_terms,
     coordinate_force,
@@ -58,7 +60,7 @@ from phasetransport.transport import (
 
 
 def state(coords, u):
-    return PhaseState(0.0, SpacetimeEvent(coords), FourVector(u, Variance.UP))
+    return PhaseState(0.0, SpacetimeEvent(coords), FourVector(u))
 
 
 def rest_state(coords=(0.0, 0.0, 0.0, 0.0)):
@@ -98,14 +100,20 @@ def test_integrator_config_rejects_bad_values():
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="finite"):
                 IntegratorConfig(**{key: value})
+    # only construct: a fractional step budget never ends an RK4 run
+    for value in (2.5, math.nan, math.inf, True, "10", 0, -3):
+        with pytest.raises(ValidationError, match="max_steps"):
+            IntegratorConfig(max_steps=value)
+    for value in ("no", 1, None):
+        with pytest.raises(ValidationError, match="renormalize"):
+            IntegratorConfig(renormalize=value)
+    assert IntegratorConfig(max_steps=np.int64(7)).max_steps == 7
 
 
 def test_phase_state_requires_future_directed_contravariant_velocity():
     x = SpacetimeEvent([0, 0, 0, 0])
     with pytest.raises(ValidationError):
-        PhaseState(0.0, x, FourVector([1, 0, 0, 0], Variance.DOWN))
-    with pytest.raises(ValidationError):
-        PhaseState(0.0, x, FourVector([-1.0, 0, 0, 0], Variance.UP))
+        PhaseState(0.0, x, FourVector([-1.0, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +257,7 @@ def test_gravity_retraces_under_spatial_velocity_flip():
     end = forward[-1].state
     u_back = end.u.components * np.array([1.0, -1.0, -1.0, -1.0])
     back = geodesic_integrate(
-        g, Particle(1.0), PhaseState(0.0, end.x, FourVector(u_back, Variance.UP)), cfg
+        g, Particle(1.0), PhaseState(0.0, end.x, FourVector(u_back)), cfg
     )
     final = back[-1].state
     np.testing.assert_allclose(
@@ -273,7 +281,7 @@ def test_magnetic_motion_retraces_under_field_reversal():
     back = integrate(
         reverse_conn,
         Particle(1.0, 1.0),
-        PhaseState(0.0, end.x, FourVector(u_back, Variance.UP)),
+        PhaseState(0.0, end.x, FourVector(u_back)),
         cfg,
     )
     np.testing.assert_allclose(
@@ -289,7 +297,7 @@ def test_magnetic_motion_retraces_under_field_reversal():
 )
 def test_norm_residual_stays_small_on_random_orbits(u_phi, r0, step_size):
     g = schwarzschild(1.0)
-    gmat = g.matrix_raw(np.array([0.0, r0, math.pi / 2, 0.0]))
+    gmat = g.matrix_fn(np.array([0.0, r0, math.pi / 2, 0.0]))
     u0 = math.sqrt((1.0 + gmat[3, 3] * u_phi**2) / -gmat[0, 0])
     initial = state([0.0, r0, math.pi / 2, 0.0], [u0, 0.0, 0.0, u_phi])
     traj = geodesic_integrate(
@@ -341,6 +349,27 @@ def test_minimal_substitution_with_zero_potential_reduces_to_geodesic():
     assert gap < 1e-9
 
 
+def test_both_routes_share_the_renormalization_on_a_curved_chart():
+    # gravity and a vector potential together: the canonical route's
+    # renormalization recovers u from pi, rescales it and rebuilds pi
+    scn = load_builtin("combined-schwarzschild-B")
+    runs = {}
+    for renormalize in (False, True):
+        cfg = dataclasses.replace(scn.config, tau_max=50.0, renormalize=renormalize)
+        runs[renormalize] = (
+            integrate(scn.connection(), scn.particle, scn.initial, cfg),
+            minimal_substitution_trajectory(
+                scn.potential, scn.metric, scn.particle, scn.initial, cfg
+            ),
+        )
+    force, canonical = runs[True]
+    assert force.status == canonical.status == "completed"
+    assert np.max(np.abs(force.state[-1] - canonical.state[-1])) <= 1e-12
+    assert np.max(np.abs(force.norm_residual)) <= 1e-14
+    assert np.max(np.abs(canonical.norm_residual)) <= 1e-14
+    assert not np.array_equal(canonical.state[-1], runs[False][1].state[-1])
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_minimal_substitution_ends_at_the_potential_guard(renormalize):
     # the flat metric admits every event, so only the potential's guard can end the run
@@ -359,7 +388,7 @@ def test_minimal_substitution_ends_at_the_potential_guard(renormalize):
 
 def test_plunge_exits_domain_instead_of_crashing():
     g = schwarzschild(1.0)
-    gmat = g.matrix_raw(np.array([0.0, 6.0, math.pi / 2, 0.0]))
+    gmat = g.matrix_fn(np.array([0.0, 6.0, math.pi / 2, 0.0]))
     initial = state([0.0, 6.0, math.pi / 2, 0.0], [math.sqrt(-1.0 / gmat[0, 0]), 0, 0, 0])
     traj = geodesic_integrate(
         g, Particle(1.0), initial, IntegratorConfig(step=1e-2, tau_max=40.0)
@@ -377,7 +406,7 @@ def test_plunge_ends_with_the_guard_labelled_reason(h, renormalize):
     # (its velocity is no longer timelike there), and the reason is worded
     # alike whether a stage (h = 2) or the landing test (h = 0.5) caught it
     g = schwarzschild(1.0)
-    gmat = g.matrix_raw(np.array([0.0, 6.0, math.pi / 2, 0.0]))
+    gmat = g.matrix_fn(np.array([0.0, 6.0, math.pi / 2, 0.0]))
     initial = state([0.0, 6.0, math.pi / 2, 0.0], [math.sqrt(-1.0 / gmat[0, 0]), 0, 0, 0])
     cfg = IntegratorConfig(step=h, tau_max=40.0, renormalize=renormalize)
     traj = geodesic_integrate(g, Particle(1.0), initial, cfg)
@@ -489,13 +518,11 @@ def _spherical_states(rng, n=100):
 
 def _kernel_and_reference(conn, particle, states):
     """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state."""
-    rhs = _make_rhs(conn, particle.mass)
+    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
     for coords, u in states:
         got = rhs(np.concatenate([coords, u]))[4:]
-        zeroth, first = acceleration_terms(
-            conn, particle, SpacetimeEvent(coords), FourVector(u, Variance.UP)
-        )
-        yield got, conn.metric.inverse_raw(coords) @ (zeroth.components + first.components)
+        zeroth, first = acceleration_terms(conn, particle, SpacetimeEvent(coords), FourVector(u))
+        yield got, conn.metric.inverse_raw(coords) @ (zeroth + first)
 
 
 FLAT_EM = {
@@ -576,7 +603,7 @@ def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
     counted = dataclasses.replace(g, inverse_fn=counted_inverse)
     field = faraday_field_of(axial_magnetic_potential_spherical(0.05))
     conn = superpose(gravitational_connection(counted), electromagnetic_connection(field, 1.0))
-    rhs = _make_rhs(conn, 1.0)
+    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
     y = np.array([0.0, 10.0, np.pi / 2, 0.0, 1.2, 0.01, 0.0, 0.03])
     rhs(y)
     assert len(calls) == 1
@@ -816,7 +843,7 @@ def per_sample_reference(metric, traj):
     out = []
     for tau, y in zip(traj.tau.tolist(), traj.state):
         coords, u = y[:4].copy(), y[4:].copy()
-        u_cov = metric.matrix_raw(coords) @ u
+        u_cov = metric.matrix_fn(coords) @ u
         out.append((tau, coords, u, float(u @ u_cov + 1.0), -float(u_cov[0])))
     return out
 
@@ -826,7 +853,6 @@ def assert_samples_match(sample, ref):
     assert sample.state.tau == tau
     np.testing.assert_array_equal(sample.state.x.coords, coords)
     np.testing.assert_array_equal(sample.state.u.components, u)
-    assert sample.state.u.variance is Variance.UP
     assert sample.norm_residual == residual
     assert sample.diagnostics == {"energy": energy}
 
