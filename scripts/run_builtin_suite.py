@@ -9,13 +9,16 @@ the scenario (slower; the dual-route comparisons re-integrate everything).
 With --out, the full JSON report of every run is written to DIR.
 Each scenario's row ends with the first 12 hex digits of the sha256 of
 its CSV output, and each checker's row with those of its JSON report
-without the samples, so diffing this script's output across two
-checkouts shows whether their CSV bytes and checker numbers are identical.
+without the samples; both then give those of the report's summary alone.
+Diffing this script's output across two checkouts shows whether their
+CSV bytes and numbers are identical, and a full-report digest that moved
+while the summary digest did not says that only the parameter echo moved.
 """
 
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import pathlib
 import sys
@@ -33,6 +36,10 @@ def short_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+def summary_sha256(report) -> str:
+    return short_sha256(json.dumps(report.summary))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--checkers", action="store_true",
@@ -45,7 +52,7 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     print(f"{'scenario':28s} {'samples':>8s} {'tau':>10s} "
-          f"{'max |g u.u + 1|':>16s}  oracle errors  [time] csv-sha256")
+          f"{'max |g u.u + 1|':>16s}  oracle errors  [time] csv-sha256 summary-sha256")
     for name in BUILTIN_NAMES:
         t0 = time.perf_counter()
         rep = run(load_builtin(name))
@@ -58,7 +65,8 @@ def main() -> int:
             if k.startswith("oracle_") or k in ("precession_exact_error",)
         ) or "-"
         print(f"{name:28s} {s['n_samples']:8d} {s['tau_final']:10.2f} "
-              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  [{dt:.2f}s] {digest}")
+              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  [{dt:.2f}s] {digest} "
+              f"{summary_sha256(rep)}")
         if args.out:
             emit(rep, "json", args.out / f"{name}.json")
 
@@ -66,7 +74,7 @@ def main() -> int:
         return 0
 
     print()
-    print(f"{'scenario':28s} {'checker':22s} verdict json-sha256")
+    print(f"{'scenario':28s} {'checker':22s} verdict json-sha256  summary-sha256")
     failures = 0
     for name in BUILTIN_NAMES:
         for checker in CHECKERS:
@@ -77,7 +85,7 @@ def main() -> int:
             verdict = "PASS" if rep.summary["passed"] else "FAIL"
             failures += rep.status != "passed"
             digest = short_sha256(emit(dataclasses.replace(rep, samples=None), "json"))
-            print(f"{name:28s} {checker:22s} {verdict:7s} {digest}")
+            print(f"{name:28s} {checker:22s} {verdict:7s} {digest} {summary_sha256(rep)}")
     return 1 if failures else 0
 
 

@@ -31,7 +31,7 @@ from .curvature import _christoffel
 from .errors import ValidationError
 from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
-from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField
+from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField, _finite_real
 
 _EM_ANTISYMMETRY_TOL = 1e-10
 
@@ -47,10 +47,10 @@ class Particle:
     charge: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise ValidationError(f"particle mass must be finite and positive, got {self.mass}")
-        if not np.isfinite(self.charge):
-            raise ValidationError(f"particle charge must be finite, got {self.charge}")
+        _finite_real("particle mass", self.mass)
+        _finite_real("particle charge", self.charge)
+        if not self.mass > 0:
+            raise ValidationError(f"particle mass must be positive, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,8 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
     (``uniform_faraday``, checked once when built, and
     ``faraday_field_of``, exact by construction) is used as it is.
     """
+    _finite_real("charge", charge)
     e = float(charge)
-    if not np.isfinite(e):
-        raise ValidationError(f"charge must be finite, got {e}")
     matrix = f.matrix_fn
 
     if isinstance(f, AntisymmetricFaraday):

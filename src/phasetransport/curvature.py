@@ -137,18 +137,21 @@ def bianchi_residual(g: MetricField, x: SpacetimeEvent, step: Optional[float] = 
 # ---------------------------------------------------------------------------
 
 
-def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Covariant F_mn = d_m A_n - d_n A_m; exact when A carries derivatives.
-
-    `coords` may be a batch ``(N, 4)`` (the differencing fallback then
-    loops over its events).
-    """
+def _potential_deriv_raw(a: VectorPotential, coords: np.ndarray, step: Optional[float] = None,
+                         rel_step: float = FD_STEP_FIRST) -> np.ndarray:
+    """d A_n / d x^m, layout [..., m, n]: the closed form, else central differences
+    per event at `step` or `rel_step`; both transport routes use this one fallback."""
     if a.deriv_fn is not None:
-        da = a.deriv_fn(coords)
-    elif coords.ndim > 1:
-        return np.stack([faraday_matrix_raw(a, row, step) for row in coords])
-    else:
-        da = central_differences(a.values_fn, coords, FD_STEP_NESTED, step)  # [m, n] = d_m A_n
+        return a.deriv_fn(coords)
+    if coords.ndim > 1:
+        return np.stack([_potential_deriv_raw(a, row, step, rel_step) for row in coords])
+    return central_differences(a.values_fn, coords, rel_step, step)
+
+
+def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Covariant F_mn = d_m A_n - d_n A_m at one event or a batch ``(N, 4)``;
+    exact when A carries derivatives, else from ``_potential_deriv_raw``'s differences."""
+    da = _potential_deriv_raw(a, coords, step)
     return da - da.swapaxes(-1, -2)
 
 
@@ -174,8 +177,11 @@ def closure_residual(a: VectorPotential, x: SpacetimeEvent, step: Optional[float
     uniform.
     """
     a.guard.check(x)
-    dF = central_differences(  # [a, m, n] = d_a F_mn
-        lambda c: faraday_matrix_raw(a, c, step), x.coords, FD_STEP_NESTED, step
-    )
+
+    def faraday(c):  # differenced again, so at the nested step
+        da = _potential_deriv_raw(a, c, step, FD_STEP_NESTED)
+        return da - da.swapaxes(-1, -2)
+
+    dF = central_differences(faraday, x.coords, FD_STEP_NESTED, step)  # [a, m, n] = d_a F_mn
     cyclic = dF + dF.transpose(1, 2, 0) + dF.transpose(2, 0, 1)
     return float(np.max(np.abs(cyclic)))

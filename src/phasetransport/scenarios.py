@@ -94,20 +94,11 @@ _SCHEMA = {
     "em": {"type": str},
     "particle": {},
     "initial": {"orbit": str},
-    "integrator": {"method": str, "max_steps": int, "renormalize": bool},
+    "integrator": {"method": str, "max_steps": int},
 }
 for _sec, _keys in _FLOAT_KEYS.items():
     for _k in _keys:
         _SCHEMA[_sec][_k] = float
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_document(text: str) -> dict[str, dict[str, object]]:
@@ -140,10 +131,7 @@ def _parse_document(text: str) -> dict[str, dict[str, object]]:
             raise ParseError(f"duplicate key in [{section}]", line=lineno, key=key)
         conv = schema[key]
         try:
-            if conv is bool:
-                out[section][key] = _parse_bool(value)
-            else:
-                out[section][key] = conv(value)
+            out[section][key] = conv(value)
         except ValueError as err:
             raise ParseError(str(err), line=lineno, key=key) from None
         if conv is float and not math.isfinite(out[section][key]):

@@ -15,6 +15,7 @@ of ``central_differences`` over raw coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +43,12 @@ def _frozen(values, shape) -> np.ndarray:
         raise ValidationError(f"components {bad.tolist()} of {arr.tolist()} are not finite")
     arr.setflags(write=False)
     return arr
+
+
+def _finite_real(name: str, value) -> None:
+    """Raise ``ValidationError`` naming `name` unless `value` is a finite real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

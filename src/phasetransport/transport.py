@@ -15,8 +15,8 @@ exercised by the canonical-momentum route below, which evolves the
 covariant momentum pi = m u + e A and must land on the same worldline.
 Its law is compiled once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
-they share one right-hand-side shell (``_make_rhs``), one
-renormalization of the landed state (``_metric_renorm``) and one engine.
+they share one right-hand-side shell (``_make_rhs``) and one engine.
+Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
 
@@ -43,19 +43,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .connection import NonLinearConnection, Particle, gravitational_connection
-from .curvature import _metric_deriv_raw
+from .curvature import _metric_deriv_raw, _potential_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
 from .tensor import (
     DIM,
-    FD_STEP_FIRST,
     MINKOWSKI,
     DomainGuard,
     FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
-    central_differences,
+    _finite_real,
 )
 
 #: Hard lower bound on adaptive step size.
@@ -146,9 +145,8 @@ class IntegratorConfig:
     """Integration policy.
 
     ``step`` is the fixed RK4 step and the initial guess for the adaptive
-    method; ``rtol``/``atol`` drive the embedded error control.
-    Renormalization of the velocity norm is off by default; the norm
-    residual is monitored either way and recorded per sample.
+    method; ``rtol``/``atol`` drive the embedded error control.  The
+    velocity norm is never rescaled; its residual is recorded per sample.
     """
 
     method: str = "rk4-fixed"
@@ -157,24 +155,20 @@ class IntegratorConfig:
     atol: float = 1e-12
     tau_max: float = 10.0
     max_steps: int = 1_000_000
-    renormalize: bool = False
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValidationError(f"step must be finite and positive, got {self.step}")
-        if not (math.isfinite(self.rtol) and math.isfinite(self.atol)):
-            raise ValidationError(f"tolerances must be finite, got {self.rtol}, {self.atol}")
+        for name in ("step", "rtol", "atol", "tau_max"):
+            _finite_real(name, getattr(self, name))
+        if not (self.step > 0 and self.tau_max > 0):
+            raise ValidationError(
+                f"step and tau_max must be positive, got {self.step} and {self.tau_max}")
         if self.rtol < 0 or self.atol < 0 or self.rtol + self.atol <= 0:
             raise ValidationError("tolerances must be nonnegative and not both zero")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ValidationError(f"tau_max must be finite and positive, got {self.tau_max}")
         steps = self.max_steps
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValidationError(f"max_steps must be an integer of at least 1, got {steps!r}")
-        if not isinstance(self.renormalize, bool):
-            raise ValidationError(f"renormalize must be a bool, got {self.renormalize!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +378,6 @@ def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _renormalized(u: np.ndarray, gmat: np.ndarray) -> np.ndarray:
-    norm = float(u @ gmat @ u)
-    if norm >= 0:
-        raise StepRejected(f"cannot renormalize non-timelike velocity (norm {norm:.3e})")
-    return u / math.sqrt(-norm)
-
-
 #: y @ 0 is NaN exactly when a component of y is NaN or infinite.
 _ZERO_STATE = np.zeros(2 * DIM)
 
@@ -458,8 +445,8 @@ class _Rows:
     blocks once, at the end.
     """
 
-    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard, renorm):
-        self.law, self.guard, self.renorm = law, guard, renorm
+    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard):
+        self.law, self.guard = law, guard
         self.lone = y0.ndim == 1
         n = len(tau0)
         self.status, self.reason = ["completed"] * n, [None] * n
@@ -521,17 +508,16 @@ class _Rows:
         """Move the live rows at positions `pos` (all by default) to their accepted states.
 
         `y_new` and `taus` are those rows' states and proper times (one
-        state and a float alone).  A step may jump clean across the guard
-        margin without any stage evaluation failing; never retain such a
-        state: that row ends instead.  The rows that stay are then
-        renormalized, and one finiteness test covers them.
+        state and a float alone).  A state that is not finite raises; a
+        finite one may jump clean across the guard margin without any stage
+        evaluation failing: never retain it, that row ends instead.
         """
         if pos is None:
             pos = range(len(self.ids))
+        _require_finite(y_new, taus)
         left = []
         probe = self.guard.probe
         if probe(y_new[..., :DIM]) is not None:
-            _require_finite(y_new, taus)  # a state that is not finite left no domain
             whys = [probe(y_new[:DIM])] if self.lone else [probe(y[:DIM]) for y in y_new]
             for q, why in enumerate(whys):
                 if why is not None:
@@ -542,9 +528,6 @@ class _Rows:
                 return
             inside = [q for q, why in enumerate(whys) if why is None]
             pos, y_new, taus = [pos[q] for q in inside], y_new[inside], taus[inside]
-        if self.renorm is not None and len(pos):
-            y_new = self.renorm(y_new) if self.lone else np.stack([self.renorm(y) for y in y_new])
-        _require_finite(y_new, taus)
         if self.lone:
             self.y = y_new
             self.taus.append(taus)
@@ -668,7 +651,6 @@ def _integrate_engine(
     tau0: Sequence[float],
     cfgs: Sequence[IntegratorConfig],
     guard: DomainGuard,
-    renorm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
     """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
@@ -689,7 +671,7 @@ def _integrate_engine(
         bad = _first_nonfinite(y0)
         if bad is not None:
             raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
-        run = _Rows(law, y0, tau0, guard, renorm)
+        run = _Rows(law, y0, tau0, guard)
         run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
         if cfgs[0].method == "rk4-fixed":
             run.rk4(tau0, cfgs)
@@ -718,30 +700,6 @@ def _trajectory(
         # per event, the bits of the 1-D dot product u @ u_cov
         residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
     return Trajectory(tau, state, residual, -u_cov[:, 0], status, reason)
-
-
-def _metric_renorm(
-    metric: MetricField,
-    velocity: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    momentum: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The renormalization of a landed state (x, p) of either route.
-
-    The metric is evaluated once per state.  u (p itself, or ``velocity(x,
-    p)`` as in ``_make_rhs``) is scaled to g(u, u) = -1, and p becomes that
-    u, or ``momentum(x, g, u)`` on a route that carries a momentum.
-    """
-
-    def renorm(y: np.ndarray) -> np.ndarray:
-        y = y.copy()
-        coords = y[:DIM]
-        gmat = metric.matrix_fn(coords)
-        u = y[DIM:] if velocity is None else velocity(coords, y[DIM:])
-        u = _renormalized(u, gmat)
-        y[DIM:] = u if momentum is None else momentum(coords, gmat, u)
-        return y
-
-    return renorm
 
 
 def integrate(
@@ -810,7 +768,6 @@ def integrate_batch(
         [initial.tau for initial in initials],
         cfgs,
         c.guard,
-        _metric_renorm(c.metric) if first.renormalize else None,
     )
     return [_trajectory(c.metric, *record) for record in records]
 
@@ -868,9 +825,7 @@ def _compile_canonical(
     one event.
     """
     values = a.values_fn
-    d_potential = a.deriv_fn or (
-        lambda coords: central_differences(values, coords, FD_STEP_FIRST)
-    )
+    d_potential = a.deriv_fn or (lambda coords: _potential_deriv_raw(a, coords))
 
     if isinstance(g, FlatMetric):
         signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
@@ -920,10 +875,9 @@ def minimal_substitution_trajectory(
     metric gradient.  The right-hand side is the force route's shell
     (``_make_rhs``) with u recovered from pi: it probes the intersection
     of the metric's and the potential's guards once, and the run ends
-    where either rejects a state.  One map, pi = m g u + e A, builds the
-    initial momentum and, with ``renormalize``, the momentum of each
-    renormalized u (``_metric_renorm``).  Samples report the recovered
-    kinetic velocity, recovered in one call over the recorded columns.
+    where either rejects a state.  The initial momentum is pi = m g u +
+    e A.  Samples report the recovered kinetic velocity, recovered in one
+    call over the recorded columns.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
@@ -931,16 +885,11 @@ def minimal_substitution_trajectory(
     e = particle.charge
     guard = g.guard.intersect(a.guard)
     kinetic_up, momentum_rate = _compile_canonical(a, g, m, e)
-
-    def momentum(coords, gmat, u):
-        return m * (gmat @ u) + e * a.values_fn(coords)
-
     x0 = initial.x.coords
-    y0 = np.concatenate([x0, momentum(x0, g.matrix_fn(x0), initial.u.components)])
+    pi0 = m * (g.matrix_fn(x0) @ initial.u.components) + e * a.values_fn(x0)
     rhs = _make_rhs(guard, momentum_rate, kinetic_up)
-    renorm = _metric_renorm(g, kinetic_up, momentum) if cfg.renormalize else None
     tau, state, status, reason = _integrate_engine(
-        lambda rows: rhs, y0, [initial.tau], [cfg], guard, renorm
+        lambda rows: rhs, np.concatenate([x0, pi0]), [initial.tau], [cfg], guard
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
     state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])

@@ -235,6 +235,15 @@ def test_invalid_config_file(tmp_path, capsys):
     assert "masss" in capsys.readouterr().err
 
 
+def test_renormalize_key_is_invalid_input(tmp_path, capsys):
+    doc = tmp_path / "renormalize.cfg"
+    doc.write_text("[integrator]\nrenormalize = false\n")
+    assert main(["run", str(doc)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "renormalize" in lines[0]
+
+
 def test_validation_failure_exit(tmp_path, capsys):
     bad = tmp_path / "horizon.cfg"
     bad.write_text(

@@ -52,6 +52,13 @@ def test_particle_validation():
         Particle(-1.0)
     with pytest.raises(ValidationError):
         Particle(1.0, np.nan)
+    # a bool or a string is no number, whatever it converts to
+    for value in (True, "2.0", None, np.inf):
+        with pytest.raises(ValidationError, match="particle mass must be a finite real number"):
+            Particle(mass=value)
+        with pytest.raises(ValidationError, match="particle charge must be a finite real number"):
+            Particle(1.0, charge=value)
+    assert Particle(np.float64(2.0), 3).mass == 2.0
 
 
 def test_gravitational_block_reference_values():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from phasetransport import report
+from phasetransport.curvature import faraday_field_of
 from phasetransport.errors import IncompatibleChecker, ValidationError
 from phasetransport.report import CSV_COLUMNS, check, emit, run
 from phasetransport.scenarios import builtin_text, load_builtin, load_scenario
@@ -196,6 +197,18 @@ def test_minimal_substitution_checker_on_combined_scenario():
     rep = check(load_builtin("combined-schwarzschild-B"), "minimal-substitution")
     assert rep.summary["passed"]
     assert rep.summary["endpoint_position_separation"] < 1e-6
+
+
+def test_minimal_substitution_routes_difference_a_derivative_free_potential_alike():
+    # without a closed-form gradient both routes difference A at the
+    # first-derivative step; the force route once took the nested one
+    scn = load_builtin("coulomb")
+    pot = dataclasses.replace(scn.potential, deriv_fn=None)
+    scn = dataclasses.replace(scn, potential=pot, faraday=faraday_field_of(pot),
+                              config=dataclasses.replace(scn.config, tau_max=20.0))
+    rep = check(scn, "minimal-substitution")
+    assert rep.summary["endpoint_position_separation"] <= 1e-9
+    assert rep.summary["endpoint_velocity_separation"] <= 1e-9
 
 
 def test_unknown_checker_name():

@@ -66,11 +66,11 @@ def test_malformed_lines_rejected():
         load_scenario("[particle]\nmass = not-a-number\n")
 
 
-def test_booleans_parse_strictly():
-    s = load_scenario("[integrator]\nrenormalize = yes\n")
-    assert s.config.renormalize is True
-    with pytest.raises(ParseError):
-        load_scenario("[integrator]\nrenormalize = maybe\n")
+def test_renormalize_is_an_unknown_integrator_key():
+    # the law keeps g(u, u) = -1 by itself; no option rescales u
+    with pytest.raises(ParseError, match="unknown key in \\[integrator\\]") as err:
+        load_scenario("[integrator]\nrenormalize = true\n")
+    assert (err.value.key, err.value.line) == ("renormalize", 2)
 
 
 def test_inside_horizon_start_is_a_validation_error():
@@ -186,7 +186,7 @@ def test_solve_time_component_on_curved_chart():
 def test_integrator_section_round_trips_to_config():
     doc = (
         "[integrator]\nmethod = rk45-adaptive\nstep = 0.5\nrtol = 1e-8\n"
-        "atol = 1e-10\ntau_max = 42.0\nmax_steps = 777\nrenormalize = true\n"
+        "atol = 1e-10\ntau_max = 42.0\nmax_steps = 777\n"
     )
     cfg = load_scenario(doc).config
     assert cfg.method == "rk45-adaptive"
@@ -195,7 +195,6 @@ def test_integrator_section_round_trips_to_config():
     assert cfg.atol == 1e-10
     assert cfg.tau_max == 42.0
     assert cfg.max_steps == 777
-    assert cfg.renormalize is True
 
 
 def test_bad_integrator_values_become_validation_errors():
