@@ -5,11 +5,11 @@ A connection is the pair of coefficient blocks of the transport law
     du^a/dtau = K1^a_mn(x) u^m u^n + g^ab(x) K0_bn(x) u^n / m,
 
 stored as a zeroth-order block K0 (``order0_raw``, all-covariant, the
-momentum-independent force) and a first-order block K1 (``order1_raw``,
-first index raised, the momentum-linear geodesic term).  K1 is stored in
-that one raised form only; a caller that wants the covariant block
-lowers it with the metric.  The two physically distinguished builders
-are:
+momentum-independent force) and a first-order term (``order1_raw``, the
+momentum-linear geodesic term).  K1 is stored contracted and raised:
+``order1_raw(coords, u)`` is the vector K1^a_mn u^m u^n, which is all the
+law reads of it; a caller that wants it covariant lowers that vector
+with the metric.  The two physically distinguished builders are:
 
 * ``gravitational_connection(g)``: K0 = 0 and K1 = -Gamma^a_mn, minus
   the connection coefficients of ``g``.  Transporting a particle's own
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import _christoffel
+from .curvature import christoffel_raw
 from .errors import ValidationError
 from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
@@ -36,7 +36,7 @@ from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField, _finite_re
 _EM_ANTISYMMETRY_TOL = 1e-10
 
 RawField2 = Callable[[np.ndarray], np.ndarray]
-RawField3 = Callable[[np.ndarray, np.ndarray], np.ndarray]
+RawQuadratic = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,16 @@ class NonLinearConnection:
     """Coefficient blocks of the transport law, plus the chart they live on.
 
     ``order0_raw(coords)`` evaluates the all-covariant block K0_mn.
-    ``order1_raw(coords, ginv)`` evaluates the raised block K1^a_mn, given
-    the inverse metric ``ginv`` at the same coordinates: the compiled law
-    evaluates g^-1 once per point and hands the same array to K1 and to
-    the raising of K0.  ``None`` stands for an identically zero block.
-    The built-in blocks take one event ``(4,)`` or a batch ``(..., 4)``,
-    as their metric and field evaluators do.
+    ``order1_raw(coords, u)`` evaluates the contracted, raised term
+    K1^a_mn u^m u^n at the contravariant velocity `u`.  ``None`` stands
+    for an identically zero block.  The built-in blocks take one event
+    ``(4,)`` or a batch (``(..., 4)`` for K0, ``(N, 4)`` with ``u (N, 4)``
+    for K1), as their metric and field evaluators do.
     """
 
     metric: MetricField
     order0_raw: Optional[RawField2] = None
-    order1_raw: Optional[RawField3] = None
+    order1_raw: Optional[RawQuadratic] = None
     guard: DomainGuard = EVERYWHERE
 
 
@@ -77,15 +76,37 @@ def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection
     return NonLinearConnection(metric=metric or minkowski())
 
 
-def gravitational_connection(g: MetricField) -> NonLinearConnection:
-    """Connection whose transport law is geodesic motion in `g`: K1 = -Gamma^a_mn."""
+def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k[a, m, n] u^m u^n with the bits of k.dot(u).dot(u) on every event.
 
-    def block(coords: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-        return -_christoffel(g, coords, ginv)
+    For a batch, each inner product is a (1, 4) @ (4, 1) slice, the dot
+    product that ``k.dot(u)`` takes per element on one event.
+    """
+    if u.ndim == 1:
+        return k.dot(u).dot(u)
+    ku = np.matmul(k[..., None, :], u[..., None, None, :, None])[..., 0, 0]
+    return np.matmul(ku, u[..., None])[..., 0]
+
+
+def gravitational_connection(g: MetricField) -> NonLinearConnection:
+    """Connection whose transport law is geodesic motion in `g`: K1 = -Gamma^a_mn.
+
+    The term is the metric's own closed form ``g.geodesic_fn`` when it has
+    one: no inverse metric, no metric gradient and no symbols per point.
+    Otherwise the symbols are assembled from g^-1 and dg and contracted
+    twice with u; in a charged run that evaluates g^-1 here and again for
+    the raise of K0, twice per point.
+    """
+    if g.geodesic_fn is not None:
+        term = g.geodesic_fn
+    else:
+
+        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return -_quadratic(christoffel_raw(g, coords), u)
 
     return NonLinearConnection(
         metric=g,
-        order1_raw=block,
+        order1_raw=term,
         guard=g.guard,
     )
 

@@ -59,9 +59,14 @@ def _metric_deriv_raw(g: MetricField, coords: np.ndarray, step: Optional[float])
     return central_differences(g.matrix_fn, coords, FD_STEP_FIRST, step, axis=-1)
 
 
-def _christoffel(g: MetricField, coords: np.ndarray, ginv: np.ndarray,
-                 step: Optional[float] = None) -> np.ndarray:
-    """``christoffel_raw`` with the inverse metric at `coords` already evaluated."""
+def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Mixed symbols Gamma^a_mn as a (..., 4, 4, 4) array indexed [..., a, m, n].
+
+    `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
+    batch gets the same bits as on its own (the final product is one
+    4x4 by 4x16 matrix product per event either way).
+    """
+    ginv = g.inverse_raw(coords)
     dg = _metric_deriv_raw(g, coords, step)
     # brackets[..., b, m, n] = g_bm,n + g_bn,m - g_mn,b
     if coords.ndim == 1:  # one event: the fixed-shape calls cost less
@@ -70,16 +75,6 @@ def _christoffel(g: MetricField, coords: np.ndarray, ginv: np.ndarray,
     brackets = dg + dg.swapaxes(-1, -2) - dg.swapaxes(-1, -3).swapaxes(-1, -2)
     flat = (0.5 * ginv) @ brackets.reshape(brackets.shape[:-2] + (DIM * DIM,))
     return flat.reshape(flat.shape[:-1] + (DIM, DIM))
-
-
-def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Mixed symbols Gamma^a_mn as a (..., 4, 4, 4) array indexed [..., a, m, n].
-
-    `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
-    batch gets the same bits as on its own (the final product is one
-    4x4 by 4x16 matrix product per event either way).
-    """
-    return _christoffel(g, coords, g.inverse_raw(coords), step)
 
 
 def ricci_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = None) -> np.ndarray:

@@ -10,11 +10,22 @@ Three charts ship with the package:
 
 Each carries analytic derivative and inverse evaluators (``deriv_fn``,
 ``inverse_fn``) so that downstream consumers (Christoffel assembly, transport) avoid one level
-of numerical differentiation.  Wrap any of them with
+of numerical differentiation.  The two curved charts also carry their
+geodesic term -Gamma^a_mn u^m u^n in closed form (``geodesic_fn``), so
+geodesic transport assembles no symbols at all.  Wrap any of them with
 ``without_closed_form`` to exercise the finite-difference fallbacks.
+
+A ``geodesic_fn`` here is one formula over the columns of its
+arguments: one event runs it on Python floats (``math.sin``, one
+``tolist`` per argument), a batch on numpy columns (``np.sin``).  Each
+operation is the same correctly rounded IEEE one either way, and numpy's
+float64 ``sin``/``cos`` give ``math``'s bits, so a row of a batch gets
+the bits of its lone call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,10 +127,38 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         d[2, 3, 3] = 2.0 * r * r * sin_th * cos_th
         return out
 
+    def terms(r, s, cs, ut, ur, uth, uph):
+        # the nine nonzero symbols: Gamma^t_tr = -Gamma^r_rr = k, Gamma^r_tt
+        # = M f / r^2, Gamma^r_thth = -r f, Gamma^r_phph = -r f s^2,
+        # Gamma^th_rth = Gamma^ph_rph = 1/r, Gamma^th_phph = -s cs and
+        # Gamma^ph_thph = cs / s
+        f = 1.0 - 2.0 * M / r
+        k = M / (r * r * f)
+        two_ur_r = 2.0 * ur / r
+        uph2 = uph * uph
+        return (
+            -2.0 * k * ut * ur,
+            k * ur * ur - M * f / (r * r) * ut * ut + r * f * (uth * uth + s * s * uph2),
+            s * cs * uph2 - two_ur_r * uth,
+            -(two_ur_r + 2.0 * cs / s * uth) * uph,
+        )
+
+    def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if c.ndim == 1:
+            _, r, th, _ = c.tolist()
+            # math.sin raises on an infinite angle, where np.sin gives nan
+            s, cs = (math.sin(th), math.cos(th)) if math.isfinite(th) else (math.nan, math.nan)
+            return np.array(terms(r, s, cs, *u.tolist()))
+        ct = c.T
+        out = np.empty(u.shape)
+        out.T[:] = terms(ct[1], np.sin(ct[2]), np.cos(ct[2]), *u.T)
+        return out
+
     return MetricField(
         matrix_fn=matrix,
         deriv_fn=deriv,
         inverse_fn=inverse,
+        geodesic_fn=geodesic,
         guard=_schwarzschild_guard(M),
         name=f"schwarzschild(M={M:g})",
     )
@@ -167,10 +206,27 @@ def weak_field(mass: float = 1.0) -> MetricField:
         d[3, 0, 0] = -2.0 * M * ct[3] / r3
         return out
 
+    def terms(r, x, y, z, ut, ux, uy, uz):
+        # Gamma^i_00 = M x_i / r^3 and Gamma^0_0i = Gamma^i_00 / (1 - 2M/r)
+        w = M / (r * r * r)
+        a0 = -2.0 * w / (1.0 - 2.0 * M / r) * ut * (x * ux + y * uy + z * uz)
+        wt2 = w * ut * ut
+        return a0, -wt2 * x, -wt2 * y, -wt2 * z
+
+    def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if c.ndim == 1:
+            _, x, y, z = c.tolist()
+            return np.array(terms(math.sqrt(x * x + y * y + z * z), x, y, z, *u.tolist()))
+        ct = c.T
+        out = np.empty(u.shape)
+        out.T[:] = terms(euclidean_radius(ct), ct[1], ct[2], ct[3], *u.T)
+        return out
+
     return MetricField(
         matrix_fn=matrix,
         deriv_fn=deriv,
         inverse_fn=inverse,
+        geodesic_fn=geodesic,
         guard=DomainGuard(
             batch_probe(one, lambda ct: (euclidean_radius(ct) > r_min).all()),
             label=f"weak-field(M={M:g})",
@@ -182,13 +238,15 @@ def weak_field(mass: float = 1.0) -> MetricField:
 def without_closed_form(g: MetricField) -> MetricField:
     """Copy of `g` stripped to its bare matrix evaluator.
 
-    Forces downstream code onto the finite-difference path; used to test
-    the documented looser tolerances for user-supplied metrics.
+    Forces downstream code onto the finite-difference path (and the
+    geodesic term onto the Christoffel assembly); used to test the
+    documented looser tolerances for user-supplied metrics.
     """
     return MetricField(
         matrix_fn=g.matrix_fn,
         deriv_fn=None,
         inverse_fn=None,
+        geodesic_fn=None,
         guard=g.guard,
         name=f"{g.name} [numeric]",
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,8 +47,14 @@ def _frozen(values, shape) -> np.ndarray:
 
 
 def _finite_real(name: str, value) -> None:
-    """Raise ``ValidationError`` naming `name` unless `value` is a finite real, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Raise ``ValidationError`` naming `name` unless `value` is a finite real, not a bool.
+
+    The bound is the largest float, so an int too large for one (say
+    ``10**400``) is rejected here instead of overflowing in a later
+    conversion; a NaN fails the comparison.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -140,6 +147,11 @@ class MetricField:
         back to central differences of `matrix_fn`.
     inverse_fn : callable, optional
         Closed-form inverse metric; defaults to numerical inversion.
+    geodesic_fn : callable, optional
+        Closed-form geodesic term ``(coords, u) -> (4,)``, the contracted
+        -Gamma^a_mn u^m u^n at a contravariant `u`.  When absent, the
+        gravitational connection assembles the symbols from `deriv_fn`
+        (or differences) and `inverse_fn` and contracts them.
     guard : DomainGuard
         Admissible region of the chart.
     name : str
@@ -147,12 +159,16 @@ class MetricField:
 
     The built-in evaluators also take a batch ``coords (..., 4)`` and
     return ``(..., 4, 4)`` (``(..., 4, 4, 4)``), or a constant that
-    broadcasts to it; batched integration relies on that.
+    broadcasts to it; batched integration relies on that.  A
+    ``geodesic_fn`` takes one event ``(4,)`` with ``u (4,)`` or a batch
+    ``(N, 4)`` of each, and gives every row of a batch the bits of its
+    lone call.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    geodesic_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     guard: DomainGuard = EVERYWHERE
     name: str = "metric"
 

@@ -2,13 +2,14 @@
 
 The integrated state is (x^m, u^m) with the four-velocity contravariant,
 and the law is  du^a/dtau = K1^a_mn u^m u^n + g^ab K0_bn u^n / m.  The
-connection stores K1 with its first index already raised, so the
-geodesic term is the standard contravariant form; only K0 is raised
-here.  ``_compile_acceleration`` compiles the law once per connection:
-which blocks it has and how K0 is raised are decided there, so the
+connection stores K1 contracted with u and raised, so the geodesic term
+is the standard contravariant vector as it is; only K0 is raised here.
+``_compile_acceleration`` compiles the law once per connection: which
+blocks it has and how K0 is raised are decided there, so the
 right-hand side does per-point work only.  On a curved chart it
-evaluates the inverse metric once per point and feeds that one array to
-both K1 and the raise of K0; on the flat chart it evaluates none.
+evaluates the inverse metric once per point, for the raise of K0 only
+(a geodesic-only law evaluates none); on the flat chart it evaluates
+none.
 
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
@@ -185,7 +186,7 @@ def acceleration_terms(
     momentum-independent force term scaled by 1/mass, and the
     momentum-linear (geodesic) term.  Their sum is
     the proper-time acceleration vector lowered with the local metric,
-    g_ma du^a/dtau; the first term lowers the stored raised K1 block.
+    g_ma du^a/dtau; the first term lowers the stored K1^a_mn u^m u^n.
     (Note this is not d(u_m)/dtau, which picks up an extra
     metric-gradient term where g varies; the canonical-momentum
     integrator below evolves that form, and the two must trace the same
@@ -198,9 +199,7 @@ def acceleration_terms(
         zeroth = (c.order0_raw(coords) @ uu) / particle.mass
     first = np.zeros(DIM)
     if c.order1_raw is not None:
-        k1 = c.order1_raw(coords, c.metric.inverse_raw(coords))
-        lowered = np.einsum("...mb,...bna->...mna", c.metric.matrix_fn(coords), k1)
-        first = lowered.dot(uu).dot(uu)
+        first = c.metric.matrix_fn(coords) @ c.order1_raw(coords, uu)
     return zeroth, first
 
 
@@ -211,29 +210,17 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(a, v[..., None])[..., 0]
 
 
-def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """k[a, m, n] u^m u^n with the bits of k.dot(u).dot(u) on every event.
-
-    For a batch, each inner product is a (1, 4) @ (4, 1) slice, the dot
-    product that ``k.dot(u)`` takes per element on one event.
-    """
-    if u.ndim == 1:
-        return k.dot(u).dot(u)
-    ku = np.matmul(k[..., None, :], u[..., None, None, :, None])[..., 0, 0]
-    return np.matmul(ku, u[..., None])[..., 0]
-
-
 def _compile_acceleration(
     c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
 
-    The raised K1 block contracts with u twice as it is.  K0 u / m is
-    raised with the inverse metric, except on the flat chart: eta is a
+    The K1 term is the connection's contracted vector as it is.  K0 u / m
+    is raised with the inverse metric, except on the flat chart: eta is a
     +-1 diagonal, so raising (K0 u) * (1/m) is a per-row sign folded into
     the 1/m scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the
-    sign of a zero.  Elsewhere g^-1 is evaluated once per point and the
-    same array goes to K1 and to the raise of K0.
+    sign of a zero.  Elsewhere g^-1 is evaluated once per point, for that
+    raise only; a law without K0 evaluates none here.
     `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
     `mass` is the particle mass, one float or one per event ``(N,)``.
     `order0`, when given, is the constant K0 block of each event ``(N, 4,
@@ -261,13 +248,8 @@ def _compile_acceleration(
     if o1 is None:
         return lambda coords, u: _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
     if o0 is None:
-        return lambda coords, u: _quadratic(o1(coords, inverse(coords)), u)
-
-    def accel(coords, u):
-        ginv = inverse(coords)
-        return _quadratic(o1(coords, ginv), u) + _mv(ginv, _mv(o0(coords), u) * inv_mass)
-
-    return accel
+        return o1
+    return lambda coords, u: o1(coords, u) + _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
 
 
 def _make_rhs(

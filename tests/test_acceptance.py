@@ -214,24 +214,35 @@ def test_criterion_7_rk4_order_and_norm_residuals():
     )
 
 
+def exact_gamma(r, th, M=1.0):
+    """The Schwarzschild symbols Gamma^a_mn at (r, theta), written out."""
+    f = 1.0 - 2.0 * M / r
+    G = np.zeros((4, 4, 4))
+    G[1, 0, 0] = M * f / r**2
+    G[0, 0, 1] = G[0, 1, 0] = M / (r**2 * f)
+    G[1, 1, 1] = -M / (r**2 * f)
+    G[2, 1, 2] = G[2, 2, 1] = 1.0 / r
+    G[3, 1, 3] = G[3, 3, 1] = 1.0 / r
+    G[1, 2, 2] = -r * f
+    G[1, 3, 3] = -r * f * np.sin(th) ** 2
+    G[3, 2, 3] = G[3, 3, 2] = np.cos(th) / np.sin(th)
+    G[2, 3, 3] = -np.sin(th) * np.cos(th)
+    return G
+
+
+def exact_weak_field_gamma(x, M=1.0):
+    """The weak-field symbols: Gamma^i_00 = M x_i / r^3, Gamma^0_0i = that / (1 - 2M/r)."""
+    r = np.linalg.norm(x)
+    G = np.zeros((4, 4, 4))
+    G[1:, 0, 0] = M * x / r**3
+    G[0, 0, 1:] = G[0, 1:, 0] = G[1:, 0, 0] / (1.0 - 2.0 * M / r)
+    return G
+
+
 def test_criterion_8_curvature_correctness():
     M = 1.0
     g = metrics.schwarzschild(M)
     g_fd = metrics.without_closed_form(g)
-
-    def exact_gamma(r, th):
-        f = 1.0 - 2.0 * M / r
-        G = np.zeros((4, 4, 4))
-        G[1, 0, 0] = M * f / r**2
-        G[0, 0, 1] = G[0, 1, 0] = M / (r**2 * f)
-        G[1, 1, 1] = -M / (r**2 * f)
-        G[2, 1, 2] = G[2, 2, 1] = 1.0 / r
-        G[3, 1, 3] = G[3, 3, 1] = 1.0 / r
-        G[1, 2, 2] = -r * f
-        G[1, 3, 3] = -r * f * np.sin(th) ** 2
-        G[3, 2, 3] = G[3, 3, 2] = np.cos(th) / np.sin(th)
-        G[2, 3, 3] = -np.sin(th) * np.cos(th)
-        return G
 
     worst_closed = worst_fd = worst_vacuum = 0.0
     for r in (4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 70.0, 100.0):
@@ -257,4 +268,38 @@ def test_criterion_8_curvature_correctness():
         f"christoffel error {worst_closed:.1e} closed-form (< 1e-8) / "
         f"{worst_fd:.1e} differenced (< 1e-6), vacuum ricci/einstein "
         f"{worst_vacuum:.1e} (< 1e-5) for r in [4M, 100M]",
+    )
+
+
+def _random_velocities(rng, n):
+    return np.column_stack([rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, (n, 3))])
+
+
+def test_criterion_8_companion_closed_form_geodesic_terms():
+    # each chart's geodesic_fn is -Gamma^a_mn u^m u^n of the assembled
+    # symbols and of the symbols written out, to 1e-14 of the term's size
+    rng = np.random.default_rng(8)
+    n = 400
+    schwarzschild_events = np.column_stack([
+        rng.uniform(0.0, 5.0, n), rng.uniform(3.0, 40.0, n),
+        rng.uniform(0.3, 2.8, n), rng.uniform(0.0, 6.0, n)])
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    radii = 10.0 ** rng.uniform(np.log10(3.0), 4.0, n)  # 3 M to 1e4 M
+    weak_events = np.column_stack([rng.uniform(0.0, 5.0, n), directions * radii[:, None]])
+    cases = [
+        (metrics.schwarzschild(1.0), schwarzschild_events, lambda c: exact_gamma(c[1], c[2])),
+        (metrics.weak_field(1.0), weak_events, lambda c: exact_weak_field_gamma(c[1:])),
+    ]
+    worst = 0.0
+    for g, events, exact in cases:
+        for coords, u in zip(events, _random_velocities(rng, n)):
+            got = g.geodesic_fn(coords, u)
+            for gamma in (christoffel_raw(g, coords), exact(coords)):
+                want = -gamma.dot(u).dot(u)
+                worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert _verdict(
+        "8 companion",
+        worst < 1e-14,
+        f"closed-form geodesic term vs -Gamma u u: relative error {worst:.1e} (< 1e-14)",
     )

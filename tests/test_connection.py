@@ -4,8 +4,9 @@ Reference values below come from the closed-form connection
 coefficients of the unit-mass vacuum metric at r = 10, theta = pi/2:
 Gamma^r_tt = (M/r^2)(1 - 2M/r) = 0.008, Gamma^theta_{r theta} = 1/r = 0.1,
 and the all-covariant (first slot lowered) Gamma_rtt = M/r^2 = 0.01.
-The connection stores K1 = -Gamma^a_mn raised; ``order1_raw`` takes the
-inverse metric at the same point.
+The connection stores K1 = -Gamma^a_mn raised and contracted:
+``order1_raw(coords, u)`` is K1^a_mn u^m u^n, and polarization recovers
+the symmetric bilinear form K1^a_mn u^m v^n from it.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from phasetransport.connection import (
     zero_connection,
 )
 from phasetransport.errors import MalformedFaraday, OutsideDomain, ValidationError
-from phasetransport.curvature import faraday_field_of
+from phasetransport.curvature import christoffel_raw, faraday_field_of
 from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
@@ -39,9 +40,18 @@ from phasetransport.transport import acceleration_terms
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
 
 
-def k1(c, x):
-    """The raised K1 block of `c` at the event `x`."""
-    return c.order1_raw(x.coords, c.metric.inverse_raw(x.coords))
+E_T, E_R, E_TH, E_PH = np.eye(4)
+
+
+def k1(c, x, u, v=None):
+    """K1^a_mn u^m v^n of `c` at the event `x` (v defaults to u).
+
+    The connection stores only the contracted K1(u, u); the bilinear form
+    is its polarization (K1(u + v, u + v) - K1(u - v, u - v)) / 4.
+    """
+    if v is None:
+        return c.order1_raw(x.coords, u)
+    return (c.order1_raw(x.coords, u + v) - c.order1_raw(x.coords, u - v)) / 4.0
 
 
 def test_particle_validation():
@@ -63,9 +73,8 @@ def test_particle_validation():
 
 def test_gravitational_block_reference_values():
     c = gravitational_connection(schwarzschild(1.0))
-    contra = -k1(c, X_REF)  # Gamma^m_{n a}
-    np.testing.assert_allclose(contra[1, 0, 0], 0.008, rtol=1e-13)
-    np.testing.assert_allclose(contra[2, 1, 2], 0.1, rtol=1e-13)
+    np.testing.assert_allclose(-k1(c, X_REF, E_T)[1], 0.008, rtol=1e-13)  # Gamma^r_tt
+    np.testing.assert_allclose(-k1(c, X_REF, E_R, E_TH)[2], 0.1, rtol=1e-13)  # Gamma^th_rth
     # the covariant block, lowered where a typed caller asks for it:
     # with u = d/dt the first term is order1_mtt
     u_t = FourVector([1.0, 0.0, 0.0, 0.0])
@@ -75,9 +84,19 @@ def test_gravitational_block_reference_values():
 
 
 def test_gravitational_block_symmetric_in_trailing_slots():
-    c = gravitational_connection(schwarzschild(1.0))
-    block = k1(c, SpacetimeEvent([0.0, 7.0, 1.2, 0.4]))
-    np.testing.assert_allclose(block, np.swapaxes(block, 1, 2), rtol=0, atol=1e-12)
+    # the contracted term keeps the symmetric part of the block only; the
+    # bilinear form it gives by polarization is -Gamma(u, v) and -Gamma(v, u)
+    g = schwarzschild(1.0)
+    c = gravitational_connection(g)
+    x = SpacetimeEvent([0.0, 7.0, 1.2, 0.4])
+    gamma = christoffel_raw(g, x.coords)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        u, v = rng.uniform(-1.0, 1.0, (2, 4))
+        bilinear = k1(c, x, u, v)
+        for first, second in ((u, v), (v, u)):
+            np.testing.assert_allclose(bilinear, -gamma.dot(second).dot(first),
+                                       rtol=0, atol=1e-13)
 
 
 def test_em_block_is_charge_times_field():
@@ -110,7 +129,8 @@ def test_superpose_adds_blocks_and_intersects_guards():
     em = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), charge=2.0)
     both = superpose(grav, em)
     np.testing.assert_array_equal(both.order0_raw(X_REF.coords), em.order0_raw(X_REF.coords))
-    np.testing.assert_allclose(k1(both, X_REF), k1(grav, X_REF), rtol=0, atol=0)
+    u = np.array([1.2, 0.01, 0.02, 0.03])
+    np.testing.assert_array_equal(k1(both, X_REF, u), k1(grav, X_REF, u))
     assert both.metric is g
     with pytest.raises(OutsideDomain):
         both.guard.check(SpacetimeEvent([0, 1.0, 1.0, 0.0]))  # inside the horizon guard
@@ -162,7 +182,13 @@ def test_superpose_same_curved_chart_doubles_coefficients():
     g = schwarzschild(1.0)
     c = gravitational_connection(g)
     doubled = superpose(c, c)
-    np.testing.assert_allclose(k1(doubled, X_REF), 2.0 * k1(c, X_REF), rtol=0, atol=0)
+    rng = np.random.default_rng(4)
+    for u in rng.uniform(-1.0, 1.0, (20, 4)):
+        np.testing.assert_array_equal(k1(doubled, X_REF, u), 2.0 * k1(c, X_REF, u))
+    batch = rng.uniform(-1.0, 1.0, (5, 4))
+    coords = np.tile(X_REF.coords, (5, 1))
+    np.testing.assert_array_equal(doubled.order1_raw(coords, batch),
+                                  2.0 * c.order1_raw(coords, batch))
 
 
 @settings(max_examples=40, deadline=None)

@@ -79,9 +79,12 @@ def test_minkowski_has_no_guard_surprises():
 
 def test_without_closed_form_strips_but_preserves_values():
     g = schwarzschild(1.0)
+    assert g.geodesic_fn is not None
     bare = without_closed_form(g)
     assert bare.deriv_fn is None
     assert bare.inverse_fn is None
+    assert bare.geodesic_fn is None
+    assert without_closed_form(weak_field(1.0)).geodesic_fn is None
     x = event(0.0, 12.0, 1.2, 0.3)
     np.testing.assert_array_equal(bare.matrix_fn(x.coords), g.matrix_fn(x.coords))
     with pytest.raises(OutsideDomain):
@@ -114,3 +117,24 @@ def test_deriv_layout_last_slot_is_direction(mass, r_factor, th):
     assert np.max(np.abs(d[:, :, 3])) == 0.0
     # g_tt varies with r
     assert d[0, 0, 1] != 0.0
+
+
+@pytest.mark.parametrize("chart", ["schwarzschild", "weak-field"])
+def test_geodesic_term_of_a_batch_row_is_its_lone_call(chart):
+    # one event runs the formula on Python floats, a batch on numpy
+    # columns; every row must get the bits of its lone call
+    rng = np.random.default_rng(17)
+    n = 2000
+    if chart == "schwarzschild":
+        g = schwarzschild(1.5)
+        coords = np.column_stack([rng.uniform(0.0, 5.0, n), rng.uniform(4.5, 60.0, n),
+                                  rng.uniform(0.3, 2.8, n), rng.uniform(-6.0, 6.0, n)])
+    else:
+        g = weak_field(1.5)
+        coords = np.column_stack([rng.uniform(0.0, 5.0, n), rng.uniform(-1e4, 1e4, (n, 3))])
+        coords[:, 1] += np.sign(coords[:, 1]) * 4.0  # keep r > 2M
+    u = np.column_stack([rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, (n, 3))])
+    batch = g.geodesic_fn(coords, u)
+    assert batch.shape == (n, 4)
+    lone = np.array([g.geodesic_fn(c, v) for c, v in zip(coords, u)])
+    assert np.array_equal(batch.view(np.int64), lone.view(np.int64))

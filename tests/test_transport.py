@@ -8,6 +8,7 @@ structural fails loudly.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from phasetransport.fields import (
     uniform_field_potential,
     zero_potential,
 )
-from phasetransport.metrics import minkowski, schwarzschild, weak_field
+from phasetransport.metrics import minkowski, schwarzschild, weak_field, without_closed_form
 from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent
 from phasetransport.transport import (
     IntegratorConfig,
@@ -76,6 +77,16 @@ def bound_orbit_state(mass, rp, ra):
     energy, ell = oracles.bound_orbit_constants(mass, rp, ra)
     ut = energy / (1.0 - 2.0 * mass / rp)
     return state([0.0, rp, math.pi / 2, 0.0], [ut, 0.0, 0.0, ell / rp**2])
+
+
+def counting(fn, calls):
+    """`fn`, appending to `calls` on every call."""
+
+    def wrapped(coords):
+        calls.append(1)
+        return fn(coords)
+
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +552,19 @@ def test_flat_kernel_never_evaluates_the_inverse_metric():
     # the flat-chart identity is the metric's type, so it survives the
     # evaluator replacement that instrumentation performs
     calls = []
-
-    def counted_inverse(coords):
-        calls.append(1)
-        return minkowski().inverse_raw(coords)
-
     conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
-    conn = dataclasses.replace(
-        conn, metric=dataclasses.replace(conn.metric, inverse_fn=counted_inverse)
-    )
+    counted = counting(minkowski().inverse_raw, calls)
+    conn = dataclasses.replace(conn, metric=dataclasses.replace(conn.metric, inverse_fn=counted))
     initial = state([0, 0, 0, 0], [oracles.gamma_from_u([0.1, 0, 0]), 0.1, 0, 0])
     integrate(conn, Particle(1.0, 1.0), initial, IntegratorConfig(step=0.1, tau_max=1.0))
     assert calls == []
 
 
 def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
-    # one g^-1 per point feeds both the Christoffel contraction and the K0 raise
+    # the closed-form geodesic term needs no g^-1: the one per point raises K0
     calls = []
     g = schwarzschild(1.0)
-
-    def counted_inverse(coords):
-        calls.append(1)
-        return g.inverse_fn(coords)
-
-    counted = dataclasses.replace(g, inverse_fn=counted_inverse)
+    counted = dataclasses.replace(g, inverse_fn=counting(g.inverse_fn, calls))
     field = faraday_field_of(axial_magnetic_potential_spherical(0.05))
     conn = superpose(gravitational_connection(counted), electromagnetic_connection(field, 1.0))
     rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
@@ -573,6 +573,52 @@ def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
     assert len(calls) == 1
     rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("chart", ["schwarzschild", "weak-field"])
+def test_geodesic_law_on_a_built_in_chart_evaluates_no_inverse_and_no_gradient(chart):
+    calls = []
+    g = schwarzschild(1.0) if chart == "schwarzschild" else weak_field(1.0)
+    g = dataclasses.replace(g, inverse_fn=counting(g.inverse_fn, calls),
+                            deriv_fn=counting(g.deriv_fn, calls))
+    initial = (circular_orbit_state(1.0, 10.0) if chart == "schwarzschild"
+               else state([0.0, 10.0, 0.0, 0.0], [1.2, 0.0, 0.3, 0.0]))
+    conn = gravitational_connection(g)
+    for cfg in (IntegratorConfig(step=0.5, tau_max=5.0),
+                IntegratorConfig(method="rk45-adaptive", step=0.5, tau_max=5.0)):
+        assert integrate(conn, Particle(1.0), initial, cfg).status == "completed"
+        batch = integrate_batch(conn, Particle(1.0), [initial] * 2, [cfg] * 2)
+        assert [t.status for t in batch] == ["completed"] * 2
+    assert calls == []
+
+
+def test_geodesic_run_without_closed_forms_lands_near_the_closed_form_run():
+    # the Christoffel assembly over differenced dg and a numerical g^-1
+    # traces the closed-form orbit to criterion 8's differenced bound
+    g = schwarzschild(1.0)
+    cfg = IntegratorConfig(step=0.5, tau_max=200.0)
+    initial = bound_orbit_state(1.0, 18.0, 22.0)
+    closed = geodesic_integrate(g, Particle(1.0), initial, cfg)
+    numeric = geodesic_integrate(without_closed_form(g), Particle(1.0), initial, cfg)
+    assert closed.status == numeric.status == "completed"
+    assert np.array_equal(closed.tau, numeric.tau)
+    assert np.max(np.abs(closed.state - numeric.state)) < 1e-6
+
+
+def test_integers_beyond_float_range_are_invalid_input():
+    for value in (10**400, -(10**400)):
+        for key in ("step", "tau_max", "rtol", "atol"):
+            with pytest.raises(ValidationError, match=f"{key} must be a finite real number"):
+                IntegratorConfig(**{key: value})
+        with pytest.raises(ValidationError, match="particle mass must be a finite real number"):
+            Particle(mass=value)
+        with pytest.raises(ValidationError, match="particle charge must be a finite real number"):
+            Particle(1.0, charge=value)
+        with pytest.raises(ValidationError, match="charge must be a finite real number"):
+            electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), value)
+    largest = int(sys.float_info.max)
+    assert IntegratorConfig(tau_max=largest).tau_max == largest
+    assert Particle(largest).mass == largest
 
 
 CANONICAL_POTENTIALS = {
@@ -588,16 +634,9 @@ def _canonical_initial():
 
 def test_flat_canonical_route_never_evaluates_the_inverse_or_the_metric_gradient():
     calls = []
-
-    def counted(fn):
-        def wrapped(coords):
-            calls.append(1)
-            return fn(coords)
-
-        return wrapped
-
     eta = minkowski()
-    g = dataclasses.replace(eta, inverse_fn=counted(eta.inverse_fn), deriv_fn=counted(eta.deriv_fn))
+    g = dataclasses.replace(eta, inverse_fn=counting(eta.inverse_fn, calls),
+                            deriv_fn=counting(eta.deriv_fn, calls))
     cfg = IntegratorConfig(step=0.1, tau_max=2.0)
     traj = minimal_substitution_trajectory(
         CANONICAL_POTENTIALS["coulomb"](), g, Particle(3.0, 1.3), _canonical_initial(), cfg
