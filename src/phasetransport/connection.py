@@ -1,15 +1,16 @@
 """Momentum-affine connections: the transport kernel and its builders.
 
-A connection is the pair of coefficient blocks of the transport law
+A connection is the pair of coefficient terms of the transport law
 
     du^a/dtau = K1^a_mn(x) u^m u^n + g^ab(x) K0_bn(x) u^n / m,
 
-stored as a zeroth-order block K0 (``order0_raw``, all-covariant, the
-momentum-independent force) and a first-order term (``order1_raw``, the
-momentum-linear geodesic term).  K1 is stored contracted and raised:
-``order1_raw(coords, u)`` is the vector K1^a_mn u^m u^n, which is all the
-law reads of it; a caller that wants it covariant lowers that vector
-with the metric.  The two physically distinguished builders are:
+a zeroth-order term (``order0_raw``, the momentum-independent force) and
+a first-order term (``order1_raw``, the momentum-linear geodesic term).
+Both are stored contracted with the velocity, since that is all the law
+reads of them: ``order0_raw(coords, u)`` is the covariant vector
+K0_mn u^n, and ``order1_raw(coords, u)`` the raised vector
+K1^a_mn u^m u^n (a caller that wants it covariant lowers it with the
+metric).  The two physically distinguished builders are:
 
 * ``gravitational_connection(g)``: K0 = 0 and K1 = -Gamma^a_mn, minus
   the connection coefficients of ``g``.  Transporting a particle's own
@@ -17,7 +18,12 @@ with the metric.  The two physically distinguished builders are:
 * ``electromagnetic_connection(F, e)``: K1 = 0 and K0 = e F, the
   Lorentz coupling.  Independent of momentum, hence of mass.
 
-``superpose`` adds the blocks so both forces act through a single law.
+Each builder takes its field's closed form of the contracted term when
+the field has one (``MetricField.geodesic_fn``,
+``FaradayField.lorentz_fn``), and otherwise builds the block and
+contracts it.
+
+``superpose`` adds the terms so both forces act through a single law.
 """
 
 from __future__ import annotations
@@ -35,8 +41,7 @@ from .tensor import DomainGuard, EVERYWHERE, FlatMetric, MetricField, _finite_re
 
 _EM_ANTISYMMETRY_TOL = 1e-10
 
-RawField2 = Callable[[np.ndarray], np.ndarray]
-RawQuadratic = Callable[[np.ndarray, np.ndarray], np.ndarray]
+RawTerm = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,25 +60,32 @@ class Particle:
 
 @dataclass(frozen=True)
 class NonLinearConnection:
-    """Coefficient blocks of the transport law, plus the chart they live on.
+    """Coefficient terms of the transport law, plus the chart they live on.
 
-    ``order0_raw(coords)`` evaluates the all-covariant block K0_mn.
-    ``order1_raw(coords, u)`` evaluates the contracted, raised term
-    K1^a_mn u^m u^n at the contravariant velocity `u`.  ``None`` stands
-    for an identically zero block.  The built-in blocks take one event
-    ``(4,)`` or a batch (``(..., 4)`` for K0, ``(N, 4)`` with ``u (N, 4)``
-    for K1), as their metric and field evaluators do.
+    Both terms are evaluated at the contravariant velocity `u`:
+    ``order0_raw(coords, u)`` gives the covariant K0_mn u^n and
+    ``order1_raw(coords, u)`` the raised K1^a_mn u^m u^n.  ``None``
+    stands for an identically zero term.  The built-in terms take one
+    event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of each, as
+    their metric and field evaluators do.
     """
 
     metric: MetricField
-    order0_raw: Optional[RawField2] = None
-    order1_raw: Optional[RawQuadratic] = None
+    order0_raw: Optional[RawTerm] = None
+    order1_raw: Optional[RawTerm] = None
     guard: DomainGuard = EVERYWHERE
 
 
 def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection:
     """The additive identity: both blocks vanish everywhere."""
     return NonLinearConnection(metric=metric or minkowski())
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for one event; for a batch, per event, with the same bits."""
+    if v.ndim == 1:
+        return a @ v
+    return np.matmul(a, v[..., None])[..., 0]
 
 
 def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -114,29 +126,38 @@ def gravitational_connection(g: MetricField) -> NonLinearConnection:
 def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConnection:
     """Connection for the Lorentz coupling of charge `charge` to field `f`.
 
-    The antisymmetry check runs only where it can fail.  A user-supplied
-    ``FaradayField`` is re-checked (to 1e-10) on every evaluation and
-    raises ``MalformedFaraday`` on failure; an ``AntisymmetricFaraday``
+    The term K0_mn u^n = e F_mn u^n is the field's own closed form
+    ``f.lorentz_fn`` when it has one (the built-in Coulomb and axial
+    fields): F is never built, so never checked.  Otherwise it is
+    ``(e * F) @ u`` with F from ``f.matrix_fn``, and the antisymmetry
+    check runs only where it can fail.  A user-supplied ``FaradayField``
+    is re-checked (to 1e-10) on every evaluation and raises
+    ``MalformedFaraday`` on failure; an ``AntisymmetricFaraday``
     (``uniform_faraday``, checked once when built, and
     ``faraday_field_of``, exact by construction) is used as it is.
     """
     _finite_real("charge", charge)
     e = float(charge)
-    matrix = f.matrix_fn
+    matrix, lorentz = f.matrix_fn, f.lorentz_fn
 
-    if isinstance(f, AntisymmetricFaraday):
+    if lorentz is not None:
 
-        def block(coords: np.ndarray) -> np.ndarray:
-            return e * matrix(coords)
+        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return lorentz(coords, u, e)
+
+    elif isinstance(f, AntisymmetricFaraday):
+
+        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _mv(e * matrix(coords), u)
 
     else:
 
-        def block(coords: np.ndarray) -> np.ndarray:
-            return e * require_antisymmetric(matrix(coords), f.name, _EM_ANTISYMMETRY_TOL)
+        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _mv(e * require_antisymmetric(matrix(coords), f.name, _EM_ANTISYMMETRY_TOL), u)
 
     return NonLinearConnection(
         metric=minkowski(),
-        order0_raw=block,
+        order0_raw=term,
         guard=f.guard,
     )
 
@@ -150,7 +171,7 @@ def _sum_raw(a, b):
 
 
 def superpose(a: NonLinearConnection, b: NonLinearConnection) -> NonLinearConnection:
-    """Blockwise sum of two connections; guards intersect.
+    """Termwise sum of two connections; guards intersect.
 
     Both operands must live on the same chart: at most one may carry a
     non-flat metric, which the sum inherits.

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularMetric
-from .fields import AntisymmetricFaraday, VectorPotential
+from .fields import AntisymmetricFaraday, LorentzFn, VectorPotential
 from .tensor import (
     DIM,
     FD_STEP_FIRST,
@@ -150,16 +150,22 @@ def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[fl
     return da - da.swapaxes(-1, -2)
 
 
-def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
+def faraday_field_of(
+    a: VectorPotential, lorentz_fn: Optional[LorentzFn] = None
+) -> AntisymmetricFaraday:
     """Wrap a potential as a FaradayField evaluator (F = dA pointwise).
 
     dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
-    is marked as such and never re-checked.
+    is marked as such and never re-checked.  `lorentz_fn`, when given,
+    is the field's closed-form Lorentz term (``fields.coulomb_lorentz``
+    for a Coulomb potential, say), with the bits of
+    ``(e * faraday_matrix_raw(a, coords)) @ u``.
     """
     return AntisymmetricFaraday(
         matrix_fn=lambda coords: faraday_matrix_raw(a, coords),
         guard=a.guard,
         name=f"d({a.name})",
+        lorentz_fn=lorentz_fn,
     )
 
 

@@ -296,10 +296,11 @@ def run_batch(scenarios) -> list[RunReport]:
     conn = scenarios[0].connection()
     order0 = None
     if scenarios[0].parameters["em"]["type"] == "uniform" and conn.order0_raw is not None:
-        # the same everywhere: evaluate each row's block where the row starts;
-        # e F may overflow, which the integration reports without a warning
+        # the same everywhere: evaluate each row's e F where the row starts, as
+        # its own connection would; it may overflow, which the integration
+        # reports without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            order0 = np.stack([s.connection().order0_raw(s.initial.x.coords)
+            order0 = np.stack([float(s.particle.charge) * s.faraday.matrix_fn(s.initial.x.coords)
                                for s in scenarios])
     trajs = integrate_batch(
         conn,

@@ -2,8 +2,9 @@
 
 The integrated state is (x^m, u^m) with the four-velocity contravariant,
 and the law is  du^a/dtau = K1^a_mn u^m u^n + g^ab K0_bn u^n / m.  The
-connection stores K1 contracted with u and raised, so the geodesic term
-is the standard contravariant vector as it is; only K0 is raised here.
+connection stores both terms contracted with u: K1 raised, so the
+geodesic term is the standard contravariant vector as it is, and K0
+covariant, so only K0 u is raised here.
 ``_compile_acceleration`` compiles the law once per connection: which
 blocks it has and how K0 is raised are decided there, so the
 right-hand side does per-point work only.  On a curved chart it
@@ -43,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .connection import NonLinearConnection, Particle, gravitational_connection
+from .connection import NonLinearConnection, Particle, _mv, gravitational_connection
 from .curvature import _metric_deriv_raw, _potential_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
@@ -182,9 +183,9 @@ def acceleration_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covariant acceleration components at a contravariant `u`, split by momentum order.
 
-    Returns (zeroth, first), two covariant ``(4,)`` arrays: the
-    momentum-independent force term scaled by 1/mass, and the
-    momentum-linear (geodesic) term.  Their sum is
+    Returns (zeroth, first), two covariant ``(4,)`` arrays: the stored
+    K0_mn u^n divided by the mass (the momentum-independent force term),
+    and the momentum-linear (geodesic) term.  Their sum is
     the proper-time acceleration vector lowered with the local metric,
     g_ma du^a/dtau; the first term lowers the stored K1^a_mn u^m u^n.
     (Note this is not d(u_m)/dtau, which picks up an extra
@@ -196,18 +197,11 @@ def acceleration_terms(
     coords, uu = x.coords, u.components
     zeroth = np.zeros(DIM)
     if c.order0_raw is not None:
-        zeroth = (c.order0_raw(coords) @ uu) / particle.mass
+        zeroth = c.order0_raw(coords, uu) / particle.mass
     first = np.zeros(DIM)
     if c.order1_raw is not None:
         first = c.metric.matrix_fn(coords) @ c.order1_raw(coords, uu)
     return zeroth, first
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for one event; for a batch, per event, with the same bits."""
-    if v.ndim == 1:
-        return a @ v
-    return np.matmul(a, v[..., None])[..., 0]
 
 
 def _compile_acceleration(
@@ -215,26 +209,28 @@ def _compile_acceleration(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
 
-    The K1 term is the connection's contracted vector as it is.  K0 u / m
-    is raised with the inverse metric, except on the flat chart: eta is a
-    +-1 diagonal, so raising (K0 u) * (1/m) is a per-row sign folded into
-    the 1/m scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the
-    sign of a zero.  Elsewhere g^-1 is evaluated once per point, for that
+    Both terms are the connection's contracted vectors, ``o1(coords, u)``
+    and ``o0(coords, u)``.  K1 is used as it is.  K0 u / m is raised with
+    the inverse metric, except on the flat chart: eta is a +-1 diagonal,
+    so raising (K0 u) * (1/m) is a per-row sign folded into the 1/m
+    scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the sign
+    of a zero.  Elsewhere g^-1 is evaluated once per point, for that
     raise only; a law without K0 evaluates none here.
     `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
     `mass` is the particle mass, one float or one per event ``(N,)``.
     `order0`, when given, is the constant K0 block of each event ``(N, 4,
-    4)`` (``(4, 4)`` for one), e F of a uniform field, in place of the
-    connection's ``order0_raw``; an elementwise product per event has the
-    bits of the scalar one, so a row gets what it gets alone.
+    4)`` (``(4, 4)`` for one), e F of a uniform field, contracted here as
+    ``_mv(order0, u)`` in place of the connection's ``order0_raw``; a
+    matrix-vector product per event has the bits of the lone one, so a
+    row gets what it gets alone.
     """
     o1 = c.order1_raw
     if order0 is None:
         o0 = c.order0_raw
     else:
 
-        def o0(coords):
-            return order0
+        def o0(coords, u):
+            return _mv(order0, u)
 
     inv_mass = 1.0 / (mass if np.ndim(mass) == 0 else mass[:, None])
     inverse = c.metric.inverse_raw
@@ -244,12 +240,12 @@ def _compile_acceleration(
         return lambda coords, u: zero
     if o1 is None and isinstance(c.metric, FlatMetric):
         scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m), per event
-        return lambda coords, u: _mv(o0(coords), u) * scale
+        return lambda coords, u: o0(coords, u) * scale
     if o1 is None:
-        return lambda coords, u: _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
+        return lambda coords, u: _mv(inverse(coords), o0(coords, u) * inv_mass)
     if o0 is None:
         return o1
-    return lambda coords, u: o1(coords, u) + _mv(inverse(coords), _mv(o0(coords), u) * inv_mass)
+    return lambda coords, u: o1(coords, u) + _mv(inverse(coords), o0(coords, u) * inv_mass)
 
 
 def _make_rhs(

@@ -6,7 +6,9 @@ Gamma^r_tt = (M/r^2)(1 - 2M/r) = 0.008, Gamma^theta_{r theta} = 1/r = 0.1,
 and the all-covariant (first slot lowered) Gamma_rtt = M/r^2 = 0.01.
 The connection stores K1 = -Gamma^a_mn raised and contracted:
 ``order1_raw(coords, u)`` is K1^a_mn u^m u^n, and polarization recovers
-the symmetric bilinear form K1^a_mn u^m v^n from it.
+the symmetric bilinear form K1^a_mn u^m v^n from it.  K0 is stored
+contracted too: ``order0_raw(coords, u)`` is K0_mn u^n, so its block is
+read column by column at the basis velocities.
 """
 
 import dataclasses
@@ -52,6 +54,11 @@ def k1(c, x, u, v=None):
     if v is None:
         return c.order1_raw(x.coords, u)
     return (c.order1_raw(x.coords, u + v) - c.order1_raw(x.coords, u - v)) / 4.0
+
+
+def k0_block(c, coords):
+    """The block K0_mn of `c` at `coords`: column n is K0 contracted with e_n."""
+    return np.stack([c.order0_raw(coords, e_n) for e_n in np.eye(4)], axis=1)
 
 
 def test_particle_validation():
@@ -103,7 +110,9 @@ def test_em_block_is_charge_times_field():
     e, b = [0.1, 0.0, 0.2], [0.0, 1.0, 0.0]
     c = electromagnetic_connection(uniform_faraday(e, b), charge=3.0)
     x = SpacetimeEvent([0, 0, 0, 0])
-    np.testing.assert_array_equal(c.order0_raw(x.coords), 3.0 * matrix_from_eb(e, b))
+    np.testing.assert_array_equal(k0_block(c, x.coords), 3.0 * matrix_from_eb(e, b))
+    u = np.array([1.3, 0.2, -0.4, 0.1])
+    np.testing.assert_array_equal(c.order0_raw(x.coords, u), (3.0 * matrix_from_eb(e, b)) @ u)
     assert c.order1_raw is None
 
 
@@ -111,7 +120,7 @@ def test_em_antisymmetry_gate_fires_on_evaluation():
     broken = FaradayField(lambda coords: np.eye(4), name="broken")
     c = electromagnetic_connection(broken, charge=1.0)
     with pytest.raises(MalformedFaraday):
-        c.order0_raw(np.zeros(4))
+        c.order0_raw(np.zeros(4), E_T)
 
 
 def test_zero_connection_blocks_vanish():
@@ -128,8 +137,8 @@ def test_superpose_adds_blocks_and_intersects_guards():
     grav = gravitational_connection(g)
     em = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), charge=2.0)
     both = superpose(grav, em)
-    np.testing.assert_array_equal(both.order0_raw(X_REF.coords), em.order0_raw(X_REF.coords))
     u = np.array([1.2, 0.01, 0.02, 0.03])
+    np.testing.assert_array_equal(both.order0_raw(X_REF.coords, u), em.order0_raw(X_REF.coords, u))
     np.testing.assert_array_equal(k1(both, X_REF, u), k1(grav, X_REF, u))
     assert both.metric is g
     with pytest.raises(OutsideDomain):
@@ -163,7 +172,7 @@ def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
     assert all(isinstance(f, AntisymmetricFaraday) for f in built)
     for f in built:
         c = electromagnetic_connection(f, 2.0)
-        np.testing.assert_array_equal(c.order0_raw(x.coords), 2.0 * f.matrix_fn(x.coords))
+        np.testing.assert_array_equal(k0_block(c, x.coords), 2.0 * f.matrix_fn(x.coords))
     # a user evaluator is re-checked on every evaluation, even if it is
     # antisymmetric at first and only later goes wrong
     calls = []
@@ -173,9 +182,9 @@ def test_em_antisymmetry_is_trusted_only_for_fields_built_antisymmetric():
         return matrix_from_eb([0.1, 0, 0], [0, 0, 1.0]) + (len(calls) > 1) * np.eye(4)
 
     c = electromagnetic_connection(FaradayField(drifting, name="drifting"), 1.0)
-    c.order0_raw(x.coords)
+    c.order0_raw(x.coords, E_T)
     with pytest.raises(MalformedFaraday):
-        c.order0_raw(x.coords)
+        c.order0_raw(x.coords, E_T)
 
 
 def test_superpose_same_curved_chart_doubles_coefficients():

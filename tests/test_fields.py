@@ -5,14 +5,19 @@ matrix has F_0i = -E_i and F_12 = B_z, which produces d(m v)/dt =
 e (E + v x B) in the flat-chart slow-motion limit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasetransport.curvature import faraday_matrix_raw
 from phasetransport.errors import MalformedFaraday, OutsideDomain
 from phasetransport.fields import (
+    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
+    coulomb_lorentz,
     coulomb_potential,
     eb_from_matrix,
     matrix_from_eb,
@@ -110,3 +115,68 @@ def test_uniform_faraday_matches_matrix_builder(e, b):
     field = uniform_faraday(e, b)
     x = SpacetimeEvent([0, 1, 2, 3])
     np.testing.assert_array_equal(field.matrix_fn(x.coords), matrix_from_eb(e, b))
+
+
+# ---------------------------------------------------------------------------
+# closed-form Lorentz terms: the bits of (e F) @ u, lone and batched
+
+
+def _velocities(rng, n):
+    u = np.column_stack([rng.uniform(1.0, 3.0, n), rng.uniform(-1.0, 1.0, (n, 3))])
+    for k in range(4):  # exact zeros, whose products' signs the row sums must keep
+        u[k::7, k] = 0.0
+    return u
+
+
+def _cartesian_events(rng, n):
+    r = np.exp(rng.uniform(math.log(0.5), math.log(1e4), n))
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    coords = np.column_stack([rng.uniform(-5.0, 5.0, n), r[:, None] * direction])
+    for k in (1, 2, 3):  # events on the coordinate planes, where coulomb orbits run
+        coords[k::5, k] = 0.0
+    return coords
+
+
+def _spherical_events(r_low, r_high):
+    def events(rng, n):
+        r = np.exp(rng.uniform(math.log(r_low), math.log(r_high), n))
+        return np.column_stack([rng.uniform(-5.0, 5.0, n), r, rng.uniform(0.3, 2.8, n),
+                                rng.uniform(0.0, 6.0, n)])
+
+    return events
+
+
+CLOSED_FORMS = {
+    "cartesian-coulomb": (_cartesian_events, [
+        (coulomb_potential(q), coulomb_lorentz(q)) for q in (2.0, -1.5)]),
+    "spherical-coulomb": (_spherical_events(0.5, 1e4), [
+        (coulomb_potential(q, radial_index=1), coulomb_lorentz(q, radial_index=1))
+        for q in (0.5, -1.5)]),
+    "axial-b": (_spherical_events(3.0, 40.0), [
+        (axial_magnetic_potential_spherical(b), axial_magnetic_lorentz_spherical(b))
+        for b in (1e-3, -0.3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_lorentz_term_has_the_bits_of_the_contracted_block(name):
+    # bit for bit, signed zeros included: the closed form sums each row as
+    # numpy's 4x4 matrix-vector product does
+    events, cases = CLOSED_FORMS[name]
+    rng = np.random.default_rng(sorted(CLOSED_FORMS).index(name))
+    coords, u = events(rng, 400), _velocities(rng, 400)
+    for potential, lorentz in cases:
+        for e in (1.0, -0.7, 3.0):
+            batch = lorentz(coords, u, e)
+            for i in range(len(coords)):
+                lone = lorentz(coords[i], u[i], e)
+                want = (e * faraday_matrix_raw(potential, coords[i])) @ u[i]
+                assert lone.tobytes() == want.tobytes(), (coords[i], u[i], e)
+                assert batch[i].tobytes() == lone.tobytes(), (coords[i], u[i], e)
+
+
+def test_coulomb_closed_form_is_written_for_two_charts_only():
+    coulomb_lorentz(1.0, radial_index=1)
+    with pytest.raises(ValueError, match="radial_index=2"):
+        coulomb_lorentz(1.0, radial_index=2)

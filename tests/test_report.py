@@ -211,6 +211,47 @@ def test_minimal_substitution_routes_difference_a_derivative_free_potential_alik
     assert rep.summary["endpoint_velocity_separation"] <= 1e-9
 
 
+SPHERICAL_COULOMB = """
+[scenario]
+name = spherical-coulomb
+
+[metric]
+type = schwarzschild
+mass = 1.0
+
+[em]
+type = coulomb
+q = 0.5
+
+[particle]
+mass = 1.0
+charge = 1.0
+
+[initial]
+orbit = bound
+r_peri = 18.0
+r_apo = 22.0
+
+[integrator]
+method = rk4-fixed
+step = 5e-2
+tau_max = 20.0
+"""
+
+
+def test_spherical_coulomb_closed_form_runs_with_the_generic_fields_bits():
+    # no built-in puts a coulomb field on the spherical chart; this one does
+    scn = load_scenario(SPHERICAL_COULOMB)
+    assert scn.faraday.lorentz_fn is not None
+    closed = run(scn)
+    generic = run(dataclasses.replace(scn, faraday=faraday_field_of(scn.potential)))
+    assert closed.status == generic.status == "completed"
+    assert emit(closed, "csv") == emit(generic, "csv")
+    assert closed.summary == generic.summary
+    rep = check(scn, "minimal-substitution")
+    assert rep.summary["passed"]
+
+
 def test_unknown_checker_name():
     with pytest.raises(ValidationError):
         check(load_builtin("free"), "entropy")

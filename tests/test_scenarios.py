@@ -228,3 +228,12 @@ def test_uniform_field_requires_cartesian_chart():
     )
     with pytest.raises(ValidationError):
         load_scenario(doc)
+
+
+def test_coulomb_and_axial_fields_carry_their_closed_form_lorentz_terms():
+    # the uniform field keeps its constant block; the other two give (e F) u directly
+    fields = {name: load_builtin(name).faraday for name in
+              ("cyclotron", "coulomb", "combined-schwarzschild-B")}
+    assert fields["cyclotron"].lorentz_fn is None
+    assert fields["coulomb"].lorentz_fn is not None
+    assert fields["combined-schwarzschild-B"].lorentz_fn is not None

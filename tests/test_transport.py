@@ -35,7 +35,9 @@ from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
     VectorPotential,
+    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
+    coulomb_lorentz,
     coulomb_potential,
     uniform_faraday,
     uniform_field_potential,
@@ -592,6 +594,39 @@ def test_geodesic_law_on_a_built_in_chart_evaluates_no_inverse_and_no_gradient(c
     assert calls == []
 
 
+@pytest.mark.parametrize("field", ["coulomb", "axial-b"])
+def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
+    # the closed form gives (e F) u directly: neither dA nor F is evaluated
+    calls = []
+    if field == "coulomb":
+        potential, lorentz, gravity = coulomb_potential(2.0), coulomb_lorentz(2.0), None
+        u0 = oracles.gamma_from_u([0.0, 0.4, 0.0])
+        initial = state([0.0, 10.0, 0.0, 0.0], [u0, 0.0, 0.4, 0.0])
+    else:
+        potential = axial_magnetic_potential_spherical(1e-3)
+        lorentz = axial_magnetic_lorentz_spherical(1e-3)
+        gravity = gravitational_connection(schwarzschild(1.0))
+        initial = bound_orbit_state(1.0, 18.0, 22.0)
+    potential = dataclasses.replace(potential, deriv_fn=counting(potential.deriv_fn, calls))
+    f = faraday_field_of(potential, lorentz)
+    f = dataclasses.replace(f, matrix_fn=counting(f.matrix_fn, calls))
+
+    def law(f):
+        em = electromagnetic_connection(f, 1.0)
+        return em if gravity is None else superpose(gravity, em)
+
+    particle = Particle(1.0, 1.0)
+    for cfg in (IntegratorConfig(step=0.5, tau_max=5.0),
+                IntegratorConfig(method="rk45-adaptive", step=0.5, tau_max=5.0)):
+        assert integrate(law(f), particle, initial, cfg).status == "completed"
+        batch = integrate_batch(law(f), particle, [initial] * 2, [cfg] * 2)
+        assert [t.status for t in batch] == ["completed"] * 2
+    assert calls == []
+    # the counters see the field strength being built where it is built
+    integrate(law(dataclasses.replace(f, lorentz_fn=None)), particle, initial, cfg)
+    assert len(calls) > 0
+
+
 def test_geodesic_run_without_closed_forms_lands_near_the_closed_form_run():
     # the Christoffel assembly over differenced dg and a numerical g^-1
     # traces the closed-form orbit to criterion 8's differenced bound
@@ -789,9 +824,11 @@ UNIFORM_ROWS = [
 ])
 def test_batch_rows_in_different_uniform_fields_are_bit_identical(method, curved):
     # each row's K0 = e F is its own constant; the first row's connection is shared
-    conns = [electromagnetic_connection(uniform_faraday(*fields), particle.charge)
-             for fields, particle, _, _ in UNIFORM_ROWS]
-    order0 = np.stack([conn.order0_raw(np.zeros(4)) for conn in conns])
+    faradays = [uniform_faraday(*fields) for fields, _, _, _ in UNIFORM_ROWS]
+    conns = [electromagnetic_connection(f, particle.charge)
+             for f, (_, particle, _, _) in zip(faradays, UNIFORM_ROWS)]
+    order0 = np.stack([particle.charge * f.matrix_fn(np.zeros(4))
+                       for f, (_, particle, _, _) in zip(faradays, UNIFORM_ROWS)])
     if curved:
         gravity = gravitational_connection(weak_field(0.5))
         conns = [superpose(gravity, conn) for conn in conns]
