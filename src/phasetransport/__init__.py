@@ -31,6 +31,7 @@ from .errors import (
 from .fields import (
     AntisymmetricFaraday,
     FaradayField,
+    UniformFaraday,
     VectorPotential,
     axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,

@@ -24,7 +24,8 @@ infinite component is a NaN) and each F_mn written as the subtraction
 dA_mn - dA_nm that gives it, times its component of u, and each row
 summed as numpy's 4x4 matrix-vector product sums it with the OpenBLAS
 it ships (0.3.31, x86-64), ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0,
-the last term turning a zero sum's sign to +0.
+the last term turning a zero sum's sign to +0.  The Python-float
+formula is also the term's float lane (``tensor.with_floats``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, batch_probe, euclidean_radius
+from .tensor import DIM, DomainGuard, EVERYWHERE, batch_probe, euclidean_radius, sin_cos, with_floats
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -111,11 +112,19 @@ class AntisymmetricFaraday(FaradayField):
     """
 
 
-def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> AntisymmetricFaraday:
+@dataclass(frozen=True)
+class UniformFaraday(AntisymmetricFaraday):
+    """A field strength that is the same at every event (``uniform_faraday``).
+
+    The electromagnetic connection forms e F once for this type.
+    """
+
+
+def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> UniformFaraday:
     """Constant E and B throughout a Cartesian chart (checked once, here)."""
     f = require_antisymmetric(matrix_from_eb(e_field, b_field), "uniform-eb")
     f.setflags(write=False)
-    return AntisymmetricFaraday(lambda c: f, name="uniform-eb")
+    return UniformFaraday(lambda c: f, name="uniform-eb")
 
 
 @dataclass(frozen=True)
@@ -185,8 +194,9 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
             out.T[0, 1:] = -q * ct[1:] / (r * r * r)
             return out
 
-        def one(c: np.ndarray):
-            r = euclidean_radius(c)
+        def one(c: list):
+            _, x, y, z = c
+            r = math.sqrt(x * x + y * y + z * z)
             return None if r > 1e-9 else f"r = {r:.3e} at the potential singularity"
 
         probe = batch_probe(one, lambda ct: (euclidean_radius(ct) > 1e-9).all())
@@ -205,7 +215,7 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
             out.T[0, k] = -q / (ct[k] * ct[k])
             return out
 
-        def one(c: np.ndarray):
+        def one(c: list):
             return None if c[k] > 1e-9 else "radial coordinate at singularity"
 
         probe = batch_probe(one, lambda ct: (ct[k] > 1e-9).all())
@@ -218,19 +228,23 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
 def _columnwise(terms, one, many) -> LorentzFn:
     """The ``LorentzFn`` that evaluates ``terms(*leading, e, u0, u1, u2, u3)``.
 
-    `one(coords)` gives the leading arguments of one event as Python
-    floats, `many(coords.T)` those of a batch as numpy columns; the
-    formula is the same for both, so a batch row gets its lone bits.
+    `one(x)` gives the leading arguments of one event, given as four
+    Python floats, `many(coords.T)` those of a batch as numpy columns; the
+    formula is the same for both, so a batch row gets its lone bits.  The
+    one-event formula is the term's float lane.
     """
+
+    def floats(x: list, u: list, e: float):
+        return terms(*one(x), e, *u)
 
     def lorentz(c: np.ndarray, u: np.ndarray, e: float) -> np.ndarray:
         if c.ndim == 1:
-            return np.array(terms(*one(c), e, *u.tolist()))
+            return np.array(floats(c.tolist(), u.tolist(), e))
         out = np.empty(u.shape)
         out.T[:] = terms(*many(c.T), e, *u.T)
         return out
 
-    return lorentz
+    return with_floats(lorentz, floats)
 
 
 def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> LorentzFn:
@@ -258,7 +272,7 @@ def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> Lorent
             )
 
         def one(c):
-            _, x, y, z = c.tolist()
+            _, x, y, z = c
             return math.sqrt(x * x + y * y + z * z), x, y, z
 
         return _columnwise(terms, one, lambda ct: (euclidean_radius(ct), ct[1], ct[2], ct[3]))
@@ -274,7 +288,7 @@ def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> Lorent
         return (z02 + (e * (0.0 - d) * u1 + z3) + 0.0,
                 (e * d * u0 + z0 * u2) + (z0 * u1 + z3) + 0.0, zz, zz)
 
-    return _columnwise(terms, lambda c: (c.item(1),), lambda ct: (ct[1],))
+    return _columnwise(terms, lambda c: (c[1],), lambda ct: (ct[1],))
 
 
 def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
@@ -327,8 +341,7 @@ def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:
         )
 
     def one(c):
-        _, r, th, _ = c.tolist()
-        # math.sin raises on an infinite angle, where np.sin gives nan
-        return (r, math.sin(th), math.cos(th)) if math.isfinite(th) else (r, math.nan, math.nan)
+        _, r, th, _ = c
+        return (r, *sin_cos(th))
 
     return _columnwise(terms, one, lambda ct: (ct[1], np.sin(ct[2]), np.cos(ct[2])))

@@ -20,7 +20,11 @@ arguments: one event runs it on Python floats (``math.sin``, one
 ``tolist`` per argument), a batch on numpy columns (``np.sin``).  Each
 operation is the same correctly rounded IEEE one either way, and numpy's
 float64 ``sin``/``cos`` give ``math``'s bits, so a row of a batch gets
-the bits of its lone call.
+the bits of its lone call.  The Python-float formula is also the
+term's float lane (``tensor.with_floats``), and so are the guards'
+one-event probes and, for the two curved charts, the rows of the
+inverse metric: both are diagonal, and a lone trajectory raises K0 u
+with those rows in numpy's own summation order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .tensor import (
     MetricField,
     batch_probe,
     euclidean_radius,
+    sin_cos,
+    with_floats,
 )
 
 #: Relative safety margin kept outside the Schwarzschild horizon.
@@ -50,10 +56,11 @@ def minkowski() -> FlatMetric:
     """The flat chart: exact eta at every event, its own inverse, zero derivatives."""
     zeros = np.zeros((DIM, DIM, DIM))
     zeros.setflags(write=False)
+    rows = MINKOWSKI.tolist()
     return FlatMetric(
         matrix_fn=lambda c: MINKOWSKI,
         deriv_fn=lambda c: zeros,
-        inverse_fn=lambda c: MINKOWSKI,
+        inverse_fn=with_floats(lambda c: MINKOWSKI, lambda x: rows),
         name="minkowski",
     )
 
@@ -61,13 +68,12 @@ def minkowski() -> FlatMetric:
 def _schwarzschild_guard(mass: float) -> DomainGuard:
     r_min = 2.0 * mass * (1.0 + HORIZON_MARGIN)
 
-    def one(c: np.ndarray):
-        r = c[1]
+    def one(c: list):
+        _, r, th, _ = c
         if not r > r_min:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
-        s = abs(np.sin(c[2]))
-        if s < AXIS_MARGIN:
-            return f"theta = {c[2]:.6g} too close to the polar axis"
+        if abs(sin_cos(th)[0]) < AXIS_MARGIN:
+            return f"theta = {th:.6g} too close to the polar axis"
         return None
 
     def every(ct: np.ndarray) -> bool:
@@ -111,6 +117,13 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         git[3, 3] = 1.0 / (r * r * (s * s))
         return gi
 
+    def inverse_rows(c: list):
+        _, r, th, _ = c
+        s = sin_cos(th)[0]
+        f = 1.0 - 2.0 * M / r
+        return ((-1.0 / f, 0.0, 0.0, 0.0), (0.0, f, 0.0, 0.0),
+                (0.0, 0.0, 1.0 / (r * r), 0.0), (0.0, 0.0, 0.0, 1.0 / (r * r * (s * s))))
+
     def deriv(c: np.ndarray) -> np.ndarray:
         # out[..., m, n, s] = d g_mn / d x^s, written as d[s, n, m, ...]
         ct = c.T
@@ -143,12 +156,13 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
             -(two_ur_r + 2.0 * cs / s * uth) * uph,
         )
 
+    def geodesic_floats(c: list, u: list):
+        _, r, th, _ = c
+        return terms(r, *sin_cos(th), *u)
+
     def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
         if c.ndim == 1:
-            _, r, th, _ = c.tolist()
-            # math.sin raises on an infinite angle, where np.sin gives nan
-            s, cs = (math.sin(th), math.cos(th)) if math.isfinite(th) else (math.nan, math.nan)
-            return np.array(terms(r, s, cs, *u.tolist()))
+            return np.array(geodesic_floats(c.tolist(), u.tolist()))
         ct = c.T
         out = np.empty(u.shape)
         out.T[:] = terms(ct[1], np.sin(ct[2]), np.cos(ct[2]), *u.T)
@@ -157,8 +171,8 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
     return MetricField(
         matrix_fn=matrix,
         deriv_fn=deriv,
-        inverse_fn=inverse,
-        geodesic_fn=geodesic,
+        inverse_fn=with_floats(inverse, inverse_rows),
+        geodesic_fn=with_floats(geodesic, geodesic_floats),
         guard=_schwarzschild_guard(M),
         name=f"schwarzschild(M={M:g})",
     )
@@ -175,8 +189,9 @@ def weak_field(mass: float = 1.0) -> MetricField:
     M = float(mass)
     r_min = 2.0 * M * (1.0 + HORIZON_MARGIN)
 
-    def one(c: np.ndarray):
-        r = euclidean_radius(c)
+    def one(c: list):
+        _, x, y, z = c
+        r = math.sqrt(x * x + y * y + z * z)
         if not r > r_min:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
         return None
@@ -193,6 +208,12 @@ def weak_field(mass: float = 1.0) -> MetricField:
 
     def inverse(c: np.ndarray) -> np.ndarray:
         return diagonal(c, -1.0 / (1.0 - 2.0 * M / euclidean_radius(c.T)))
+
+    def inverse_rows(c: list):
+        _, x, y, z = c
+        g00 = -1.0 / (1.0 - 2.0 * M / math.sqrt(x * x + y * y + z * z))
+        return ((g00, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
     def deriv(c: np.ndarray) -> np.ndarray:
         # d g_00 / d x^i = -2 dPhi/dx^i = -2 M x_i / r^3, written as d[i, 0, 0, ...]
@@ -213,10 +234,13 @@ def weak_field(mass: float = 1.0) -> MetricField:
         wt2 = w * ut * ut
         return a0, -wt2 * x, -wt2 * y, -wt2 * z
 
+    def geodesic_floats(c: list, u: list):
+        _, x, y, z = c
+        return terms(math.sqrt(x * x + y * y + z * z), x, y, z, *u)
+
     def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
         if c.ndim == 1:
-            _, x, y, z = c.tolist()
-            return np.array(terms(math.sqrt(x * x + y * y + z * z), x, y, z, *u.tolist()))
+            return np.array(geodesic_floats(c.tolist(), u.tolist()))
         ct = c.T
         out = np.empty(u.shape)
         out.T[:] = terms(euclidean_radius(ct), ct[1], ct[2], ct[3], *u.T)
@@ -225,8 +249,8 @@ def weak_field(mass: float = 1.0) -> MetricField:
     return MetricField(
         matrix_fn=matrix,
         deriv_fn=deriv,
-        inverse_fn=inverse,
-        geodesic_fn=geodesic,
+        inverse_fn=with_floats(inverse, inverse_rows),
+        geodesic_fn=with_floats(geodesic, geodesic_floats),
         guard=DomainGuard(
             batch_probe(one, lambda ct: (euclidean_radius(ct) > r_min).all()),
             label=f"weak-field(M={M:g})",

@@ -10,6 +10,10 @@ construction, and a wrong shape or a component that is not finite raises
 ``ValidationError``.  They carry no arithmetic: array code works on the
 raw components.  Every numerical derivative in the package is one call
 of ``central_differences`` over raw coordinates.
+
+A built-in evaluator may also carry a lane for one event on Python
+floats (``with_floats``), which a lone RK4 trajectory steps on; a
+callable without one is called on arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +38,39 @@ MINKOWSKI.setflags(write=False)
 FD_STEP_FIRST = float(np.cbrt(np.finfo(float).eps))
 #: Coarser relative step for nested (second-level) differences.
 FD_STEP_NESTED = float(np.finfo(float).eps ** 0.25)
+
+
+#: The one-event Python-float lane of each evaluator that has one, keyed by
+#: the evaluator itself, so that a wrapper of it is never taken for it.
+_FLOAT_LANES = weakref.WeakKeyDictionary()
+
+
+def with_floats(fn, lane):
+    """Register `lane` as `fn`'s lane for one event on Python floats; return `fn`.
+
+    `lane` takes what `fn` takes for one event with each ``(4,)`` array
+    as four Python floats, and gives what `fn` gives in Python floats (a
+    vector as four, a matrix as four rows of four), with the same bits.
+    """
+    _FLOAT_LANES[fn] = lane
+    return fn
+
+
+def float_lane(fn):
+    """The lane that ``with_floats`` registered for `fn`, or None."""
+    try:
+        return _FLOAT_LANES.get(fn)
+    except TypeError:  # not weakly referenceable, so never registered
+        return None
+
+
+def sin_cos(th: float) -> tuple[float, float]:
+    """(sin, cos) of one angle on Python floats, as np.sin and np.cos give them.
+
+    numpy's float64 sin and cos give math's bits; math raises on an
+    infinite angle, where numpy gives NaN, so that angle gives NaN here.
+    """
+    return (math.sin(th), math.cos(th)) if math.isfinite(th) else (math.nan, math.nan)
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -100,6 +138,9 @@ class DomainGuard:
         def both(coords: np.ndarray) -> Optional[str]:
             return self.probe(coords) or other.probe(coords)
 
+        a, b = float_lane(self.probe), float_lane(other.probe)
+        if a is not None and b is not None:
+            with_floats(both, lambda x: a(x) or b(x))
         return DomainGuard(both, label=f"{self.label} & {other.label}")
 
 
@@ -108,28 +149,33 @@ def batch_probe(
 ) -> Callable[[np.ndarray], Optional[str]]:
     """A guard probe for one event ``(4,)`` or a batch ``(..., 4)``.
 
-    `one(coords)` probes a single event.  `every(coords.T)` is the
-    vectorized test that every event of a batch is admissible; a batch
-    that fails it is probed event by event, so its reason is the first
-    offending event's, worded as for that event alone.
+    `one(x)` probes a single event given as four Python floats; it is
+    also the probe's float lane.  `every(coords.T)` is the vectorized
+    test that every event of a batch is admissible; a batch that fails
+    it is probed event by event, so its reason is the first offending
+    event's, worded as for that event alone.
     """
 
     def probe(coords: np.ndarray) -> Optional[str]:
         if coords.ndim == 1:
-            return one(coords)
+            return one(coords.tolist())
         if every(coords.T):
             return None
-        for row in coords.reshape(-1, DIM):
+        for row in coords.reshape(-1, DIM).tolist():
             why = one(row)
             if why is not None:
                 return why
         return None
 
-    return probe
+    return with_floats(probe, one)
+
+
+def _admit(coords) -> None:
+    return None
 
 
 #: Guard that admits every event.
-EVERYWHERE = DomainGuard(lambda coords: None, label="everywhere")
+EVERYWHERE = DomainGuard(with_floats(_admit, _admit), label="everywhere")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,25 @@ evaluates the inverse metric once per point, for the raise of K0 only
 (a geodesic-only law evaluates none); on the flat chart it evaluates
 none.
 
+There are two lanes.  A batch, and any adaptive run, steps on numpy
+arrays: one state (8,) or (N, 8).  A lone RK4 trajectory steps on
+Python floats, eight per state (``_rk4_step_floats``,
+``_make_lone_rhs``, ``_compile_lone_acceleration``): each term, guard
+probe and inverse metric that registered a float lane
+(``tensor.with_floats``) runs its Python-float formula, and any other
+callable is called on arrays, ``fn(np.array(x), np.array(u)).tolist()``.
+Both lanes take the same IEEE operations in the same order, so a lone
+run has the bits of its row in a batch; where Python floats raise and
+numpy gives inf or NaN, the float lane evaluates that point on arrays.
+
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
-covariant momentum pi = m u + e A and must land on the same worldline.
+covariant momentum pi = m u + e (A - A(x0)), the potential anchored at
+the start event, and must land on the same worldline.
 Its law is compiled once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
-they share one right-hand-side shell (``_make_rhs``) and one engine.
+they share one right-hand-side shell per lane (``_make_rhs``,
+``_make_lone_rhs``) and one engine.
 Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
@@ -44,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .connection import NonLinearConnection, Particle, _mv, gravitational_connection
+from .connection import NonLinearConnection, Particle, _mv, _mv_floats, gravitational_connection
 from .curvature import _metric_deriv_raw, _potential_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
@@ -57,6 +70,7 @@ from .tensor import (
     MetricField,
     SpacetimeEvent,
     _finite_real,
+    float_lane,
 )
 
 #: Hard lower bound on adaptive step size.
@@ -248,6 +262,76 @@ def _compile_acceleration(
     return lambda coords, u: o1(coords, u) + _mv(inverse(coords), o0(coords, u) * inv_mass)
 
 
+def _on_floats(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable[[list, list], list]:
+    """`fn` of (coords, u) for one event on Python floats: its own float lane
+    (``tensor.with_floats``), or `fn` called on arrays, with the same bits."""
+    lane = float_lane(fn)
+    if lane is not None:
+        return lane
+    return lambda x, u: fn(np.array(x), np.array(u)).tolist()
+
+
+def _compile_lone_acceleration(
+    c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None
+) -> Callable[[list, list], list]:
+    """``_compile_acceleration`` for one event on Python floats: four floats each
+    for the coordinates, u and the rate.
+
+    Each term is its float lane where it has one (the built-in closed
+    forms, a uniform field's block and the curved charts' inverse-metric
+    rows), and is called on arrays otherwise (``_on_floats``).  The law
+    takes the array law's operations in its order, so it has its bits.
+    Where Python floats raise (a division by zero, a math-domain error, an
+    overflow), the event is evaluated again by the array law as a batch of
+    one, on numpy columns, which give inf or NaN there as they do for any
+    batch row; an error of the law's own raises again.  `order0`, when
+    given, is the event's constant K0 block ``(4, 4)``.
+    """
+    arrays = _compile_acceleration(c, mass, order0)
+    o1 = None if c.order1_raw is None else _on_floats(c.order1_raw)
+    if order0 is not None:
+        rows = order0.tolist()
+
+        def o0(x, u):
+            return _mv_floats(rows, u)
+
+    else:
+        o0 = None if c.order0_raw is None else _on_floats(c.order0_raw)
+    inv_mass = 1.0 / float(mass)
+
+    if o1 is None and o0 is None:
+        return lambda x, u: [0.0] * DIM
+    if o1 is None and isinstance(c.metric, FlatMetric):
+        scale = (np.diag(MINKOWSKI) * inv_mass).tolist()
+
+        def rate(x, u):
+            return [a * s for a, s in zip(o0(x, u), scale)]
+
+    elif o0 is None:
+        rate = o1
+    else:
+        inverse, inverse_rows = c.metric.inverse_raw, float_lane(c.metric.inverse_fn)
+        if inverse_rows is None:
+            raised = _on_floats(lambda coords, v: _mv(inverse(coords), v))
+        else:
+
+            def raised(x, v):
+                return _mv_floats(inverse_rows(x), v)
+
+        def k0(x, u):
+            return raised(x, [a * inv_mass for a in o0(x, u)])
+
+        rate = k0 if o1 is None else lambda x, u: [a + b for a, b in zip(o1(x, u), k0(x, u))]
+
+    def lone(x: list, u: list) -> list:
+        try:
+            return rate(x, u)
+        except (ArithmeticError, ValueError):
+            return arrays(np.array([x]), np.array([u]))[0].tolist()
+
+    return lone
+
+
 def _make_rhs(
     guard: DomainGuard,
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -279,12 +363,38 @@ def _make_rhs(
     return rhs
 
 
+def _make_lone_rhs(
+    guard: DomainGuard,
+    rate: Callable[[list, list], list],
+    velocity: Optional[Callable[[list, list], list]] = None,
+) -> Callable[[list], list]:
+    """``_make_rhs`` for one state held as eight Python floats.
+
+    `rate` and `velocity` take and give four floats each.  The probe is
+    `guard`'s float lane, or its probe called on an array; a rejected
+    state goes to ``_rejected`` as an array, so a state that is not
+    finite gets a NaN rate and never raises ``OutsideDomain``.
+    """
+    probe, label = float_lane(guard.probe), guard.label
+
+    def rhs(y: list) -> list:
+        x = y[:DIM]
+        why = guard.probe(np.array(x)) if probe is None else probe(x)
+        if why is not None:
+            return _rejected(np.array(y), f"{label}: {why}").tolist()
+        u = y[DIM:] if velocity is None else velocity(x, y[DIM:])
+        return [*u, *rate(x, u)]
+
+    return rhs
+
+
 # ---------------------------------------------------------------------------
 # steppers
 #
 # Both take one state (8,) with a float step, or a batch (N, 8) with a
 # step per row (N, 1).  Every operation is elementwise or per row, so a
-# row of a batch gets the bits it gets alone.
+# row of a batch gets the bits it gets alone.  ``_rk4_step_floats`` takes
+# the RK4 step of one state held as eight Python floats.
 # ---------------------------------------------------------------------------
 
 
@@ -310,6 +420,18 @@ def _rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
     acc *= h / 6.0
     acc += y
     return acc
+
+
+def _rk4_step_floats(rhs, y: list, h: float) -> list:
+    # _rk4_step's operations in its order, one component at a time: IEEE
+    # addition and multiplication of Python floats give numpy's bits
+    half = 0.5 * h
+    k1 = rhs(y)
+    k2 = rhs([half * k + v for k, v in zip(k1, y)])
+    k3 = rhs([half * k + v for k, v in zip(k2, y)])
+    k4 = rhs([h * k + v for k, v in zip(k3, y)])
+    sixth = h / 6.0
+    return [(2.0 * b + a + 2.0 * c + d) * sixth + v for a, b, c, d, v in zip(k1, k2, k3, k4, y)]
 
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit
@@ -416,22 +538,24 @@ class _Rows:
     ``rows`` indexes the rows that still step (an index array into the
     batch; 0 for a lone trajectory, whose state stays 1-D), ``ids`` lists
     the same rows as ints, ``y`` holds their states in that order and
-    ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.  A row
-    leaves the set when it ends, with its status and reason.  Each landing
-    appends one block to the record: the rows that landed, their proper
-    times and their states; ``records`` cuts each row's record from the
-    blocks once, at the end.
+    ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.  With
+    `floats` (a lone trajectory), ``y`` is eight Python floats and ``rhs``
+    is ``law(None)``, the right-hand side on floats.  A row leaves the set
+    when it ends, with its status and reason.  Each landing appends one
+    block to the record: the rows that landed, their proper times and
+    their states (a state as an array); ``records`` cuts each row's record
+    from the blocks once, at the end.
     """
 
-    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard):
-        self.law, self.guard = law, guard
+    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard, floats: bool):
+        self.law, self.guard, self.floats = law, guard, floats
         self.lone = y0.ndim == 1
         n = len(tau0)
         self.status, self.reason = ["completed"] * n, [None] * n
         self.rows = 0 if self.lone else np.arange(n)
         self.ids = list(range(n))
-        self.y = y0
-        self.rhs = law(self.rows)
+        self.y = y0.tolist() if floats else y0
+        self.rhs = law(None if floats else self.rows)
         self.landed = [self.rows]
         self.taus = [tau0[0]] if self.lone else [np.array(tau0, dtype=float)]
         self.states = [y0]
@@ -490,27 +614,31 @@ class _Rows:
         finite one may jump clean across the guard margin without any stage
         evaluation failing: never retain it, that row ends instead.
         """
+        if self.lone:
+            state = np.array(y_new) if self.floats else y_new
+            _require_finite(state, taus)
+            why = self.guard.probe(state[:DIM])
+            if why is not None:
+                self.end(0, "domain-exit", f"{self.guard.label}: {why}")
+                self.keep([])
+                return
+            self.y = y_new
+            self.taus.append(taus)
+            self.states.append(state)
+            return
         if pos is None:
             pos = range(len(self.ids))
         _require_finite(y_new, taus)
         left = []
         probe = self.guard.probe
         if probe(y_new[..., :DIM]) is not None:
-            whys = [probe(y_new[:DIM])] if self.lone else [probe(y[:DIM]) for y in y_new]
+            whys = [probe(y[:DIM]) for y in y_new]
             for q, why in enumerate(whys):
                 if why is not None:
                     self.end(pos[q], "domain-exit", f"{self.guard.label}: {why}")
                     left.append(pos[q])
-            if self.lone:
-                self.keep([])
-                return
             inside = [q for q, why in enumerate(whys) if why is None]
             pos, y_new, taus = [pos[q] for q in inside], y_new[inside], taus[inside]
-        if self.lone:
-            self.y = y_new
-            self.taus.append(taus)
-            self.states.append(y_new)
-            return
         if len(pos) == len(self.ids):
             self.y = y_new
             self.landed.append(self.rows)
@@ -543,7 +671,8 @@ class _Rows:
             if k == ending:
                 hs = [h_last[i] if n[i] == k else step for i in self.ids]
                 h = hs[0] if self.lone else np.array(hs)[:, None]
-            y_new = self.attempt(_rk4_step, h)  # a row may leave the live set here
+            # a row may leave the live set here
+            y_new = self.attempt(_rk4_step_floats if self.floats else _rk4_step, h)
             if y_new is None:
                 break
             if k < ending:
@@ -634,7 +763,10 @@ def _integrate_engine(
 
     ``law(rows)`` is the right-hand side for the states of `rows`: an
     index array into the batch, or 0 for a lone trajectory, which keeps
-    its 1-D state.  Row i starts at ``tau0[i]`` with ``cfgs[i]``; the
+    its 1-D state.  A lone RK4 trajectory steps on Python floats instead,
+    with ``law(None)``, the right-hand side of its state as eight floats
+    (``_make_lone_rhs``), and records each landed state as an array.
+    Row i starts at ``tau0[i]`` with ``cfgs[i]``; the
     configs may differ only in ``tau_max``.  Each row keeps its own clock,
     step size, step count, status and record, and takes exactly the
     arithmetic it takes alone: a row whose stage or landed state leaves
@@ -649,7 +781,7 @@ def _integrate_engine(
         bad = _first_nonfinite(y0)
         if bad is not None:
             raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
-        run = _Rows(law, y0, tau0, guard)
+        run = _Rows(law, y0, tau0, guard, floats=y0.ndim == 1 and cfgs[0].method == "rk4-fixed")
         run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
         if cfgs[0].method == "rk4-fixed":
             run.rk4(tau0, cfgs)
@@ -736,7 +868,9 @@ def integrate_batch(
     masses = np.array([p.mass for p in particles])
 
     def law(rows):
-        row_order0 = None if order0 is None else order0[rows]
+        row_order0 = None if order0 is None else order0[0 if rows is None else rows]
+        if rows is None:  # the lone row, on Python floats
+            return _make_lone_rhs(c.guard, _compile_lone_acceleration(c, masses[0], row_order0))
         return _make_rhs(c.guard, _compile_acceleration(c, masses[rows], row_order0))
 
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
@@ -788,12 +922,13 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
 
 
 def _compile_canonical(
-    a: VectorPotential, g: MetricField, m: float, e: float
+    a: VectorPotential, g: MetricField, m: float, e: float, a0: np.ndarray
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
            Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """(kinetic u of (coords, pi), dpi/dtau of (coords, u)), shaped once per route.
 
-    The kinetic velocity is u^m = g^mn (pi_n - e A_n) / m.  On the flat
+    The kinetic velocity is u^m = g^mn (pi_n - e (A_n - a0_n)) / m, with
+    the potential anchored at its value `a0` at the start event.  On the flat
     chart eta is a +-1 diagonal, so the raise is a division by the signed
     mass m diag(eta), with the bits of eta @ ((pi - e A) / m) up to the
     sign of a zero, and the metric-gradient term of dpi/dtau, exactly
@@ -802,7 +937,9 @@ def _compile_canonical(
     takes one event ``(4,)`` or every sample ``(n, 4)``; the rate takes
     one event.
     """
-    values = a.values_fn
+    def values(coords):
+        return a.values_fn(coords) - a0
+
     d_potential = a.deriv_fn or (lambda coords: _potential_deriv_raw(a, coords))
 
     if isinstance(g, FlatMetric):
@@ -853,21 +990,27 @@ def minimal_substitution_trajectory(
     metric gradient.  The right-hand side is the force route's shell
     (``_make_rhs``) with u recovered from pi: it probes the intersection
     of the metric's and the potential's guards once, and the run ends
-    where either rejects a state.  The initial momentum is pi = m g u +
-    e A.  Samples report the recovered kinetic velocity, recovered in one
-    call over the recorded columns.
+    where either rejects a state.  The potential is anchored at the start
+    event x0: the route evolves pi = m g u + e (A - A(x0)), a constant
+    gauge change that leaves F and dpi/dtau as they are, so pi starts at m
+    g u and never carries e A(x0), however far x0 is from the chart's
+    origin.  A lone RK4 run steps on Python floats, with the law called on
+    arrays.  Samples report the recovered kinetic velocity, recovered in
+    one call over the recorded columns.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
     m = particle.mass
     e = particle.charge
     guard = g.guard.intersect(a.guard)
-    kinetic_up, momentum_rate = _compile_canonical(a, g, m, e)
     x0 = initial.x.coords
-    pi0 = m * (g.matrix_fn(x0) @ initial.u.components) + e * a.values_fn(x0)
+    kinetic_up, momentum_rate = _compile_canonical(a, g, m, e, a.values_fn(x0))
+    pi0 = m * (g.matrix_fn(x0) @ initial.u.components)
     rhs = _make_rhs(guard, momentum_rate, kinetic_up)
+    lone = _make_lone_rhs(guard, _on_floats(momentum_rate), _on_floats(kinetic_up))
     tau, state, status, reason = _integrate_engine(
-        lambda rows: rhs, np.concatenate([x0, pi0]), [initial.tau], [cfg], guard
+        lambda rows: lone if rows is None else rhs,
+        np.concatenate([x0, pi0]), [initial.tau], [cfg], guard,
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum
     state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])

@@ -186,6 +186,23 @@ def test_overflowing_field_ends_with_one_integration_error_line(tmp_path, capsys
     )
 
 
+def test_overflow_on_the_float_lane_ends_with_one_integration_error_line(tmp_path, capsys,
+                                                                        monkeypatch):
+    # a lone RK4 run steps on Python floats, which overflow to inf and never
+    # warn: the run fails with its one line and no traceback
+    from phasetransport import transport
+
+    array_steps = []
+    step = transport._rk4_step
+    monkeypatch.setattr(transport, "_rk4_step",
+                        lambda *args: array_steps.append(1) or step(*args))
+    text = builtin_text("exb-drift").replace("e_x = 0.1", "e_x = 1e300")
+    assert _outcome(text, ["run"], tmp_path, capsys) == (
+        2, [], ["integration error: state became non-finite at tau = 0.01"]
+    )
+    assert array_steps == []
+
+
 #: built-in, replacements, command, the tau where the state overflows
 OVERFLOWS = {
     # e F itself overflows, before the batch is integrated

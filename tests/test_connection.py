@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from phasetransport.connection import (
     NonLinearConnection,
     Particle,
+    _mv_floats,
     electromagnetic_connection,
     gravitational_connection,
     superpose,
@@ -31,12 +32,16 @@ from phasetransport.curvature import christoffel_raw, faraday_field_of
 from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
+    UniformFaraday,
+    axial_magnetic_lorentz_spherical,
+    axial_magnetic_potential_spherical,
+    coulomb_lorentz,
     coulomb_potential,
     matrix_from_eb,
     uniform_faraday,
 )
-from phasetransport.metrics import minkowski, schwarzschild
-from phasetransport.tensor import FourVector, SpacetimeEvent
+from phasetransport.metrics import minkowski, schwarzschild, weak_field
+from phasetransport.tensor import FourVector, SpacetimeEvent, float_lane
 from phasetransport.transport import acceleration_terms
 
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
@@ -231,3 +236,108 @@ def test_geodesic_block_ignores_particle_mass(mass, factor):
     _, first_a = acceleration_terms(c, Particle(mass), X_REF, u)
     _, first_b = acceleration_terms(c, Particle(mass * factor), X_REF, u)
     np.testing.assert_array_equal(first_a, first_b)
+
+
+# ---------------------------------------------------------------------------
+# float lanes: one event on Python floats, with the bits of the array call
+
+
+def _with_specials(values, rng):
+    """`values` with some components set to exact zeros of either sign, inf or NaN."""
+    values = values.copy()
+    n = len(values)
+    for special in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        rows = rng.choice(n, n // 20, replace=False)
+        values[rows, rng.integers(0, 4, len(rows))] = special
+    return values
+
+
+def _bits(values) -> bytes:
+    """The bytes of `values` as floats, every NaN made one NaN: a NaN's sign
+    bit is not kept by either lane, and no trajectory records a NaN."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def test_float_matrix_vector_product_has_the_bits_of_numpys():
+    rng = np.random.default_rng(5)
+    vs = _with_specials(rng.normal(size=(500, 4)), rng)
+    with np.errstate(invalid="ignore"):
+        for k, v in enumerate(vs):
+            a = rng.normal(size=(4, 4))
+            if k % 2:  # a diagonal matrix, as the curved charts' inverses are
+                a = np.diag(np.diag(a))
+            if k % 3 == 0:
+                a[rng.integers(0, 4), rng.integers(0, 4)] = 0.0
+            assert _bits(_mv_floats(a.tolist(), v.tolist())) == _bits(a @ v), (a, v)
+
+
+def _flat_events(rng, n):
+    coords = np.column_stack([rng.uniform(-5, 5, n), rng.normal(0.0, 20.0, (n, 3))])
+    coords[::9, 1:] = 0.0  # the origin, where the closed Coulomb form divides 0 by 0
+    return coords
+
+
+def _spherical_events(rng, n):
+    return np.column_stack([rng.uniform(-5, 5, n), rng.uniform(2.5, 60.0, n),
+                            rng.uniform(0.3, 2.8, n), rng.uniform(0, 6, n)])
+
+
+LANE_CONNECTIONS = {
+    "uniform": (_flat_events, lambda: electromagnetic_connection(
+        uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]), 1.3)),
+    "coulomb": (_flat_events, lambda: electromagnetic_connection(
+        faraday_field_of(coulomb_potential(2.0), coulomb_lorentz(2.0)), -0.7)),
+    "coulomb-radial": (_spherical_events, lambda: electromagnetic_connection(
+        faraday_field_of(coulomb_potential(2.0, 1), coulomb_lorentz(2.0, 1)), 1.1)),
+    "axial-b": (_spherical_events, lambda: electromagnetic_connection(
+        faraday_field_of(axial_magnetic_potential_spherical(0.3),
+                         axial_magnetic_lorentz_spherical(0.3)), 1.1)),
+    "schwarzschild": (_spherical_events, lambda: gravitational_connection(schwarzschild(1.2))),
+    "weak-field": (_flat_events, lambda: gravitational_connection(weak_field(1.2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CONNECTIONS))
+def test_built_in_float_lanes_have_the_bits_of_their_array_calls(name):
+    # the term, the guard's probe and the inverse metric's rows, signed
+    # zeros, infinities and NaN included; Python floats raise where numpy
+    # divides by zero, and no more than that
+    events, build = LANE_CONNECTIONS[name]
+    conn = build()
+    rng = np.random.default_rng(sorted(LANE_CONNECTIONS).index(name))
+    coords = _with_specials(events(rng, 400), rng)
+    us = _with_specials(np.column_stack([rng.uniform(1, 2, 400), rng.normal(0, 0.4, (400, 3))]),
+                        rng)
+    term = conn.order0_raw or conn.order1_raw
+    lanes = [float_lane(f) for f in (term, conn.guard.probe, conn.metric.inverse_fn)]
+    assert None not in lanes
+    term_lane, probe_lane, inverse_lane = lanes
+    with np.errstate(all="ignore"):
+        for x, u in zip(coords, us):
+            assert probe_lane(x.tolist()) == conn.guard.probe(x)
+            try:
+                got = term_lane(x.tolist(), u.tolist())
+            except ZeroDivisionError:
+                assert not np.all(np.isfinite(term(x[None], u[None])))
+                continue
+            assert _bits(got) == _bits(term(x, u)), (x, u)
+            try:
+                rows = inverse_lane(x.tolist())
+            except ZeroDivisionError:
+                continue
+            assert _bits(rows) == _bits(conn.metric.inverse_fn(x)), x
+
+
+def test_a_uniform_field_forms_its_block_once():
+    calls = []
+    f = uniform_faraday(b_field=[0.0, 0.0, 1.0])
+    counted = dataclasses.replace(f, matrix_fn=lambda c: calls.append(1) or f.matrix_fn(c))
+    assert isinstance(counted, UniformFaraday)
+    conn = electromagnetic_connection(counted, 2.0)
+    assert len(calls) == 1
+    u = np.array([1.2, 0.3, -0.1, 0.2])
+    for _ in range(3):
+        assert conn.order0_raw(np.zeros(4), u).tobytes() == ((2.0 * f.matrix_fn(None)) @ u).tobytes()
+        assert conn.order0_raw(np.zeros((2, 4)), np.stack([u, u])).shape == (2, 4)
+    assert len(calls) == 1

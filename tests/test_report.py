@@ -12,7 +12,7 @@ from phasetransport.curvature import faraday_field_of
 from phasetransport.errors import IncompatibleChecker, ValidationError
 from phasetransport.report import CSV_COLUMNS, check, emit, run
 from phasetransport.scenarios import builtin_text, load_builtin, load_scenario
-from phasetransport.transport import Trajectory
+from phasetransport.transport import Trajectory, minimal_substitution_trajectory
 
 
 def cut_short(traj, drop):
@@ -356,3 +356,20 @@ def test_run_batch_rows_with_their_own_field_and_particle_match_run():
         assert len({report.batch_key(s) for s in scenarios}) == 1
         for scn, rep in zip(scenarios, report.run_batch(scenarios)):
             assert emit(rep, "json") == emit(run(scn), "json")
+
+
+@pytest.mark.parametrize("x1", [1e6, 1e9, 1e12])
+def test_canonical_route_starts_at_the_initial_state_wherever_the_origin_is(x1):
+    # the route anchors the potential at the start event, so pi starts at m g u
+    # and never carries e A(x0): the first recovered velocity is the initial
+    # one bit for bit.  Out to 1e9 the two routes still meet the checker's
+    # absolute bound; at 1e12 the chart resolves x only to 1.2e-4, which
+    # reaches the recovered u through A(x), and the check fails.
+    text = builtin_text("exb-drift").replace("t = 0.0", f"t = 0.0\nx1 = {x1!r}\nu2 = 0.3")
+    scn = load_scenario(text)
+    scn = dataclasses.replace(scn, config=dataclasses.replace(scn.config, tau_max=1.0))
+    route = minimal_substitution_trajectory(scn.potential, scn.metric, scn.particle,
+                                            scn.initial, scn.config)
+    start = np.concatenate([scn.initial.x.coords, scn.initial.u.components])
+    assert route.state[0].tobytes() == start.tobytes()
+    assert check(scn, "minimal-substitution").summary["passed"] == (x1 < 1e12)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasetransport import oracles
+from phasetransport import oracles, transport
 from phasetransport.connection import (
     Particle,
     electromagnetic_connection,
@@ -44,6 +44,7 @@ from phasetransport.fields import (
     zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field, without_closed_form
+from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
 from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent
 from phasetransport.transport import (
     IntegratorConfig,
@@ -1000,3 +1001,127 @@ def test_matrix_evaluator_without_batch_axes_is_a_clear_error():
     initial = state([0, 0.1, 0, 0], [1.0, 0, 0, 0])
     with pytest.raises(ValueError, match=r"one-event: matrix_fn returned shape \(4,\) for 11"):
         geodesic_integrate(g, Particle(1.0), initial, IntegratorConfig(step=0.1, tau_max=1.0))
+
+
+# ---------------------------------------------------------------------------
+# one lane per row count: a lone RK4 run on Python floats, a batch on arrays
+
+
+@pytest.fixture
+def array_steps(monkeypatch):
+    """The number of rows of each call of the array RK4 stepper."""
+    calls = []
+    step = transport._rk4_step
+
+    def counted(rhs, y, h):
+        calls.append(len(y) if np.ndim(y) == 2 else 1)
+        return step(rhs, y, h)
+
+    monkeypatch.setattr(transport, "_rk4_step", counted)
+    return calls
+
+
+def assert_same_bits(got, want):
+    # tobytes, so that a zero's sign counts
+    assert (got.status, got.reason, len(got)) == (want.status, want.reason, len(want))
+    for column in ("tau", "state", "norm_residual", "energy"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+def assert_lone_on_floats_matches_its_batch_row(conn, particle, initial, cfg, array_steps):
+    lone = integrate(conn, particle, initial, cfg)
+    assert array_steps == []  # the lone run stepped on floats
+    pair = integrate_batch(conn, particle, [initial, initial], [cfg, cfg])
+    assert array_steps[0] == 2  # the pair stepped as one array
+    for row in pair:
+        assert_same_bits(row, lone)
+    return lone
+
+
+RK4_BUILTINS = [n for n in BUILTIN_NAMES if load_builtin(n).config.method == "rk4-fixed"]
+
+
+@pytest.mark.parametrize("name", RK4_BUILTINS)
+def test_lone_built_in_run_on_floats_has_the_bits_of_its_batch_row(name, array_steps):
+    # at most 6,400 steps, which cuts only coulomb's horizon (to a third)
+    scn = load_builtin(name)
+    cfg = dataclasses.replace(scn.config,
+                              tau_max=min(scn.config.tau_max, 6400 * scn.config.step))
+    traj = assert_lone_on_floats_matches_its_batch_row(
+        scn.connection(), scn.particle, scn.initial, cfg, array_steps)
+    assert traj.status == "completed"
+
+
+def test_user_field_on_floats_has_the_bits_of_its_batch_row(array_steps):
+    # a plain FaradayField has no float lane: its K0 is called on arrays
+    f = uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7])
+    conn = electromagnetic_connection(FaradayField(f.matrix_fn, name="user"), 0.8)
+    initial = state([0.0, 0.3, -0.2, 0.1], [oracles.gamma_from_u([0.1, -0.3, 0.0]), 0.1, -0.3, 0.0])
+    assert_lone_on_floats_matches_its_batch_row(conn, Particle(1.5, 0.8), initial,
+                                                IntegratorConfig(step=0.05, tau_max=5.0),
+                                                array_steps)
+
+
+def _wrapped_as_traced(conn, calls):
+    """`conn` with its terms, guard probe and inverse metric rebound to counting
+    wrappers, as an outside tracer rebinds them with ``dataclasses.replace``."""
+
+    def leaf(fn, key):
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+
+        return counted
+
+    return dataclasses.replace(
+        conn,
+        order0_raw=leaf(conn.order0_raw, "k0"),
+        order1_raw=leaf(conn.order1_raw, "k1"),
+        guard=dataclasses.replace(conn.guard, probe=leaf(conn.guard.probe, "guard")),
+        metric=dataclasses.replace(conn.metric, inverse_fn=leaf(conn.metric.inverse_fn, "inverse")),
+    )
+
+
+def test_wrapped_terms_on_floats_have_the_bits_and_the_calls_of_the_bare_ones(array_steps):
+    # a wrapper has no float lane, so each wrapped callable is called on
+    # arrays, as often as before: once per RHS, and the guard once more per
+    # sample (the RHS count a tracer derives is probe calls less samples)
+    scn = load_builtin("combined-schwarzschild-B")
+    cfg = dataclasses.replace(scn.config, tau_max=20.0)
+    calls = {}
+    conn = _wrapped_as_traced(scn.connection(), calls)
+    lone = integrate(conn, scn.particle, scn.initial, cfg)
+    assert array_steps == []
+    rhs = 4 * (len(lone) - 1)
+    assert calls == {"k0": rhs, "k1": rhs, "inverse": rhs, "guard": rhs + len(lone)}
+    assert_same_bits(lone, integrate(scn.connection(), scn.particle, scn.initial, cfg))
+    for row in integrate_batch(conn, scn.particle, [scn.initial] * 2, [cfg] * 2):
+        assert_same_bits(row, lone)
+
+
+def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
+    # the closed Coulomb form, here without its guard, divides 0 by 0 at the
+    # origin: Python floats raise where numpy gives NaN, so the lone run takes
+    # numpy's NaN there and fails where its batch row fails
+    field = FaradayField(faraday_field_of(coulomb_potential(1.0)).matrix_fn,
+                         name="unguarded", lorentz_fn=coulomb_lorentz(1.0))
+    conn = electromagnetic_connection(field, 1.0)
+    cfg = IntegratorConfig(step=0.1, tau_max=1.0)
+    with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
+        integrate(conn, Particle(1.0, 1.0), rest_state(), cfg)
+    assert array_steps == []
+    with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
+        integrate_batch(conn, Particle(1.0, 1.0), [rest_state()] * 2, [cfg] * 2)
+
+
+def test_a_run_into_the_coulomb_singularity_ends_at_its_guard_on_floats(array_steps):
+    # a charge too small to deflect the particle: x1 = -1 + 0.25 k exactly, and
+    # the last stage of the fourth step lands on the origin itself
+    conn = electromagnetic_connection(
+        faraday_field_of(coulomb_potential(1.0), coulomb_lorentz(1.0)), 1e-300)
+    initial = state([0.0, -1.0, 0.0, 0.0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0.0, 0.0])
+    traj = assert_lone_on_floats_matches_its_batch_row(
+        conn, Particle(1.0, 1e-300), initial, IntegratorConfig(step=0.5, tau_max=5.0), array_steps)
+    assert (traj.status, traj.reason) == ("domain-exit",
+                                          "coulomb: r = 0.000e+00 at the potential singularity")
+    assert traj.tau.tolist() == [0.0, 0.5, 1.0, 1.5]
