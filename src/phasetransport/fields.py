@@ -17,15 +17,16 @@ The Coulomb and axial potentials also come with their Lorentz term
 (e F_mn) u^n in closed form (``coulomb_lorentz``,
 ``axial_magnetic_lorentz_spherical``), a ``FaradayField.lorentz_fn``
 for ``curvature.faraday_field_of``.  Each is one formula over the
-columns of its arguments, run on Python floats for one event and on
-numpy columns for a batch, and keeps the bits of ``(e * F) @ u``: every
+columns of its arguments: numpy columns for a batch, numpy scalars for
+one event ``(4,)``, and Python floats for the term's float lane
+(``tensor.with_floats``), which a lone trajectory steps on.  It keeps
+the bits of ``(e * F) @ u`` either way: every
 entry of e F that the matrix would hold, zeros included (a zero times an
 infinite component is a NaN) and each F_mn written as the subtraction
 dA_mn - dA_nm that gives it, times its component of u, and each row
 summed as numpy's 4x4 matrix-vector product sums it with the OpenBLAS
 it ships (0.3.31, x86-64), ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0,
-the last term turning a zero sum's sign to +0.  The Python-float
-formula is also the term's float lane (``tensor.with_floats``).
+the last term turning a zero sum's sign to +0.
 """
 
 from __future__ import annotations
@@ -228,18 +229,17 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
 def _columnwise(terms, one, many) -> LorentzFn:
     """The ``LorentzFn`` that evaluates ``terms(*leading, e, u0, u1, u2, u3)``.
 
-    `one(x)` gives the leading arguments of one event, given as four
-    Python floats, `many(coords.T)` those of a batch as numpy columns; the
-    formula is the same for both, so a batch row gets its lone bits.  The
-    one-event formula is the term's float lane.
+    `many(coords.T)` gives the leading arguments of a batch as numpy
+    columns (of one event ``(4,)`` as numpy scalars), and `one(x)` those
+    of one event given as four Python floats, for the term's float lane.
+    The formula is the same for both, so a row of a batch, a one-event
+    call and the float lane get the same bits.
     """
 
     def floats(x: list, u: list, e: float):
         return terms(*one(x), e, *u)
 
     def lorentz(c: np.ndarray, u: np.ndarray, e: float) -> np.ndarray:
-        if c.ndim == 1:
-            return np.array(floats(c.tolist(), u.tolist(), e))
         out = np.empty(u.shape)
         out.T[:] = terms(*many(c.T), e, *u.T)
         return out

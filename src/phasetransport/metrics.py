@@ -16,15 +16,16 @@ geodesic transport assembles no symbols at all.  Wrap any of them with
 ``without_closed_form`` to exercise the finite-difference fallbacks.
 
 A ``geodesic_fn`` here is one formula over the columns of its
-arguments: one event runs it on Python floats (``math.sin``, one
-``tolist`` per argument), a batch on numpy columns (``np.sin``).  Each
-operation is the same correctly rounded IEEE one either way, and numpy's
-float64 ``sin``/``cos`` give ``math``'s bits, so a row of a batch gets
-the bits of its lone call.  The Python-float formula is also the
-term's float lane (``tensor.with_floats``), and so are the guards'
-one-event probes and, for the two curved charts, the rows of the
-inverse metric: both are diagonal, and a lone trajectory raises K0 u
-with those rows in numpy's own summation order.
+arguments: a batch runs it on numpy columns (``np.sin``), one event
+``(4,)`` on numpy scalars, and the term's float lane
+(``tensor.with_floats``), which a lone trajectory steps on, on Python
+floats (``math.sin``).  Each operation is the same correctly rounded
+IEEE one every way, and numpy's float64 ``sin``/``cos`` give ``math``'s
+bits, so a row of a batch gets the bits of its lone call.  The guards'
+one-event probes have float lanes too, and so, for the two curved
+charts, do the rows of the inverse metric: both are diagonal, and a
+lone trajectory raises K0 u with those rows in numpy's own summation
+order.
 """
 
 from __future__ import annotations
@@ -161,8 +162,6 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         return terms(r, *sin_cos(th), *u)
 
     def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if c.ndim == 1:
-            return np.array(geodesic_floats(c.tolist(), u.tolist()))
         ct = c.T
         out = np.empty(u.shape)
         out.T[:] = terms(ct[1], np.sin(ct[2]), np.cos(ct[2]), *u.T)
@@ -239,8 +238,6 @@ def weak_field(mass: float = 1.0) -> MetricField:
         return terms(math.sqrt(x * x + y * y + z * z), x, y, z, *u)
 
     def geodesic(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if c.ndim == 1:
-            return np.array(geodesic_floats(c.tolist(), u.tolist()))
         ct = c.T
         out = np.empty(u.shape)
         out.T[:] = terms(euclidean_radius(ct), ct[1], ct[2], ct[3], *u.T)

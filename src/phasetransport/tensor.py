@@ -12,7 +12,7 @@ raw components.  Every numerical derivative in the package is one call
 of ``central_differences`` over raw coordinates.
 
 A built-in evaluator may also carry a lane for one event on Python
-floats (``with_floats``), which a lone RK4 trajectory steps on; a
+floats (``with_floats``), which a lone trajectory steps on; a
 callable without one is called on arrays.
 """
 

@@ -12,16 +12,18 @@ evaluates the inverse metric once per point, for the raise of K0 only
 (a geodesic-only law evaluates none); on the flat chart it evaluates
 none.
 
-There are two lanes.  A batch, and any adaptive run, steps on numpy
-arrays: one state (8,) or (N, 8).  A lone RK4 trajectory steps on
-Python floats, eight per state (``_rk4_step_floats``,
-``_make_lone_rhs``, ``_compile_lone_acceleration``): each term, guard
-probe and inverse metric that registered a float lane
-(``tensor.with_floats``) runs its Python-float formula, and any other
-callable is called on arrays, ``fn(np.array(x), np.array(u)).tolist()``.
-Both lanes take the same IEEE operations in the same order, so a lone
-run has the bits of its row in a batch; where Python floats raise and
-numpy gives inf or NaN, the float lane evaluates that point on arrays.
+There are two lanes, and the row count alone picks one.  A batch steps
+on numpy arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``,
+``_make_rhs``, ``_compile_acceleration``).  A lone trajectory steps on
+Python floats, eight per state, whatever its method or route
+(``_rk4_step_floats``, ``_rk45_step_floats``, ``_make_lone_rhs``,
+``_compile_lone_acceleration``): each term, guard probe and inverse
+metric that registered a float lane (``tensor.with_floats``) runs its
+Python-float formula, and any other callable is called on arrays,
+``fn(np.array(x), np.array(u)).tolist()``.  Both lanes take the same
+IEEE operations in the same order, so a lone run has the bits of its row
+in a batch; where Python floats raise and numpy gives inf or NaN, the
+float lane evaluates that point on arrays.
 
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
@@ -29,8 +31,8 @@ covariant momentum pi = m u + e (A - A(x0)), the potential anchored at
 the start event, and must land on the same worldline.
 Its law is compiled once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
-they share one right-hand-side shell per lane (``_make_rhs``,
-``_make_lone_rhs``) and one engine.
+a run of this route is always lone, so it shares the float lane's
+shell (``_make_lone_rhs``) and the engine.
 Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
@@ -230,13 +232,14 @@ def _compile_acceleration(
     scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the sign
     of a zero.  Elsewhere g^-1 is evaluated once per point, for that
     raise only; a law without K0 evaluates none here.
-    `coords` and `u` are one event ``(4,)`` or a batch ``(N, 4)``.
-    `mass` is the particle mass, one float or one per event ``(N,)``.
-    `order0`, when given, is the constant K0 block of each event ``(N, 4,
-    4)`` (``(4, 4)`` for one), e F of a uniform field, contracted here as
-    ``_mv(order0, u)`` in place of the connection's ``order0_raw``; a
-    matrix-vector product per event has the bits of the lone one, so a
-    row gets what it gets alone.
+    `coords` and `u` are a batch ``(N, 4)``: this is the array lane's
+    law, and ``_compile_lone_acceleration`` falls back on it with a batch
+    of one.  `mass` is the particle mass, one float or one per event
+    ``(N,)``.  `order0`, when given, is the constant K0 block of each
+    event ``(N, 4, 4)`` (or one ``(4, 4)`` for all), e F of a uniform
+    field, contracted here as ``_mv(order0, u)`` in place of the
+    connection's ``order0_raw``; a matrix-vector product per event has
+    the bits of the lone one, so a row gets what it gets alone.
     """
     o1 = c.order1_raw
     if order0 is None:
@@ -333,31 +336,27 @@ def _compile_lone_acceleration(
 
 
 def _make_rhs(
-    guard: DomainGuard,
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    velocity: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    guard: DomainGuard, rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The ODE right-hand side of a state (x, p): (dx/dtau, dp/dtau) = (u, rate(x, u)).
+    """The ODE right-hand side of a batch of states (x, u) ``(N, 8)``:
+    (dx/dtau, du/dtau) = (u, rate(x, u)).
 
-    Both routes share this shell.  The force law's p is the contravariant
-    u itself (`velocity` None); the canonical route's p is the momentum
-    pi, and ``velocity(x, pi)`` recovers u.  The body probes `guard` once
-    and hands a rejected state to ``_rejected`` with the reason ``"<label>:
-    <why>"``.  The state is one point ``(8,)`` or a batch ``(N, 8)``; a
-    batch with any point outside the domain raises ``OutsideDomain`` as
-    one point would.
+    This is the force route's shell on arrays.  The body probes `guard`
+    once and hands a rejected batch to ``_rejected`` with the reason
+    ``"<label>: <why>"``: a batch with any point outside the domain
+    raises ``OutsideDomain`` as one point would.
     """
     probe, label = guard.probe, guard.label
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        coords = y[..., :DIM]
+        coords = y[:, :DIM]
         why = probe(coords)
         if why is not None:
             return _rejected(y, f"{label}: {why}")
-        u = y[..., DIM:] if velocity is None else velocity(coords, y[..., DIM:])
+        u = y[:, DIM:]
         out = np.empty(y.shape)
-        out[..., :DIM] = u
-        out[..., DIM:] = rate(coords, u)
+        out[:, :DIM] = u
+        out[:, DIM:] = rate(coords, u)
         return out
 
     return rhs
@@ -368,11 +367,15 @@ def _make_lone_rhs(
     rate: Callable[[list, list], list],
     velocity: Optional[Callable[[list, list], list]] = None,
 ) -> Callable[[list], list]:
-    """``_make_rhs`` for one state held as eight Python floats.
+    """The ODE right-hand side of one state (x, p) held as eight Python floats:
+    (dx/dtau, dp/dtau) = (u, rate(x, u)).
 
-    `rate` and `velocity` take and give four floats each.  The probe is
-    `guard`'s float lane, or its probe called on an array; a rejected
-    state goes to ``_rejected`` as an array, so a state that is not
+    Both routes share this shell.  The force law's p is the contravariant
+    u itself (`velocity` None); the canonical route's p is the momentum
+    pi, and ``velocity(x, pi)`` recovers u.  `rate` and `velocity` take
+    and give four floats each.  The probe is `guard`'s float lane, or its
+    probe called on an array; a rejected state goes to ``_rejected`` as
+    an array with the reason ``"<label>: <why>"``, so a state that is not
     finite gets a NaN rate and never raises ``OutsideDomain``.
     """
     probe, label = float_lane(guard.probe), guard.label
@@ -391,10 +394,11 @@ def _make_lone_rhs(
 # ---------------------------------------------------------------------------
 # steppers
 #
-# Both take one state (8,) with a float step, or a batch (N, 8) with a
-# step per row (N, 1).  Every operation is elementwise or per row, so a
-# row of a batch gets the bits it gets alone.  ``_rk4_step_floats`` takes
-# the RK4 step of one state held as eight Python floats.
+# Each comes twice: on a batch (N, 8) with a step per row (N, 1), and
+# (``_floats``) on one state held as eight Python floats with a float
+# step.  Every array operation is elementwise or per row, and the float
+# twin takes it in its order one component at a time, so a row of a
+# batch gets the bits it gets alone.
 # ---------------------------------------------------------------------------
 
 
@@ -466,11 +470,44 @@ def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     return stage, stage - y4
 
 
+def _rk45_step_floats(rhs, y: list, h: float) -> tuple[list, list]:
+    # _rk45_step's operations in its order, one component at a time; the
+    # 4th-order sum starts from 0, as Python's sum over the arrays does
+    k = [rhs(y)]
+    for (_, a0), *rest in _DP_A:
+        stage = []
+        for v, ks in zip(y, zip(*k)):
+            acc = a0 * ks[0]
+            for j, a in rest:
+                acc = acc + a * ks[j]
+            stage.append(v + h * acc)
+        k.append(rhs(stage))
+    y4 = [v + h * sum(b * ks[j] for j, b in _DP_B4) for v, ks in zip(y, zip(*k))]
+    return stage, [a - b for a, b in zip(stage, y4)]
+
+
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
                 rtol: float, atol: float) -> np.ndarray:
     """RMS of the scaled error over the last axis: one value per row."""
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
+
+
+def _error_norm_floats(err: list, y_old: list, y_new: list, rtol: float, atol: float) -> float:
+    """``_error_norm`` of one state held as eight Python floats, with its bits.
+
+    The larger magnitude is NaN where either is, as ``np.maximum`` gives
+    it, and the squares are summed in numpy's pairwise order.  Where
+    Python floats raise (a zero scale, with ``atol = 0``), the norm is
+    ``_error_norm``'s on arrays, inf or NaN.
+    """
+    try:
+        q = [e / (atol + rtol * (a if a > b or a != a else b))
+             for e, a, b in zip(err, map(abs, y_old), map(abs, y_new))]
+    except ArithmeticError:
+        return float(_error_norm(np.array(err), np.array(y_old), np.array(y_new), rtol, atol))
+    q0, q1, q2, q3, q4, q5, q6, q7 = (v * v for v in q)
+    return math.sqrt((((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) / 8)
 
 
 # ---------------------------------------------------------------------------
@@ -533,29 +570,30 @@ def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, float, st
 
 
 class _Rows:
-    """The rows of one integration: the live ones as one state array, and the record.
+    """The rows of one integration: the live ones as one state, and the record.
 
-    ``rows`` indexes the rows that still step (an index array into the
-    batch; 0 for a lone trajectory, whose state stays 1-D), ``ids`` lists
-    the same rows as ints, ``y`` holds their states in that order and
-    ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.  With
-    `floats` (a lone trajectory), ``y`` is eight Python floats and ``rhs``
-    is ``law(None)``, the right-hand side on floats.  A row leaves the set
-    when it ends, with its status and reason.  Each landing appends one
-    block to the record: the rows that landed, their proper times and
-    their states (a state as an array); ``records`` cuts each row's record
+    A lone trajectory (`y0` of shape (8,)) steps on Python floats: ``y``
+    is its state as eight floats, ``rows`` is None and ``rhs`` is
+    ``law(None)``, the right-hand side on floats.  A batch steps on
+    arrays: ``rows`` indexes the rows that still step (an index array
+    into the batch), ``y`` holds their states in that order ``(n, 8)``
+    and ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.
+    ``ids`` lists the live rows as ints.  A row leaves the set when it
+    ends, with its status and reason.  Each landing appends one block to
+    the record: the rows that landed, their proper times and their
+    states (a lone state as an array); ``records`` cuts each row's record
     from the blocks once, at the end.
     """
 
-    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard, floats: bool):
-        self.law, self.guard, self.floats = law, guard, floats
+    def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard):
+        self.law, self.guard = law, guard
         self.lone = y0.ndim == 1
         n = len(tau0)
         self.status, self.reason = ["completed"] * n, [None] * n
-        self.rows = 0 if self.lone else np.arange(n)
+        self.rows = None if self.lone else np.arange(n)
         self.ids = list(range(n))
-        self.y = y0.tolist() if floats else y0
-        self.rhs = law(None if floats else self.rows)
+        self.y = y0.tolist() if self.lone else y0
+        self.rhs = law(self.rows)
         self.landed = [self.rows]
         self.taus = [tau0[0]] if self.lone else [np.array(tau0, dtype=float)]
         self.states = [y0]
@@ -615,7 +653,7 @@ class _Rows:
         evaluation failing: never retain it, that row ends instead.
         """
         if self.lone:
-            state = np.array(y_new) if self.floats else y_new
+            state = np.array(y_new)
             _require_finite(state, taus)
             why = self.guard.probe(state[:DIM])
             if why is not None:
@@ -672,7 +710,7 @@ class _Rows:
                 hs = [h_last[i] if n[i] == k else step for i in self.ids]
                 h = hs[0] if self.lone else np.array(hs)[:, None]
             # a row may leave the live set here
-            y_new = self.attempt(_rk4_step_floats if self.floats else _rk4_step, h)
+            y_new = self.attempt(_rk4_step_floats if self.lone else _rk4_step, h)
             if y_new is None:
                 break
             if k < ending:
@@ -690,9 +728,12 @@ class _Rows:
         h = [min(max(cfg.step, H_MIN), t * H_MAX_FRACTION) for t in tau_max]
         steps = [0] * len(cfgs)
 
+        step, norm = ((_rk45_step_floats, _error_norm_floats) if self.lone
+                      else (_rk45_step, _error_norm))
+
         def rk45(rhs, y, hs):
-            y5, err = _rk45_step(rhs, y, hs)
-            return y5, _error_norm(err, y, y5, cfg.rtol, cfg.atol)
+            y5, err = step(rhs, y, hs)
+            return y5, norm(err, y, y5, cfg.rtol, cfg.atol)
 
         while self.ids:
             going = []
@@ -712,7 +753,7 @@ class _Rows:
             if result is None:
                 break
             y_new, enorms = result
-            enorms = [float(enorms)] if self.lone else enorms.tolist()
+            enorms = [enorms] if self.lone else enorms.tolist()
             accepted, taus = [], []
             for p, (i, enorm) in enumerate(zip(self.ids, enorms)):
                 h_max = tau_max[i] * H_MAX_FRACTION
@@ -761,13 +802,13 @@ def _integrate_engine(
 ) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
     """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
 
-    ``law(rows)`` is the right-hand side for the states of `rows`: an
-    index array into the batch, or 0 for a lone trajectory, which keeps
-    its 1-D state.  A lone RK4 trajectory steps on Python floats instead,
-    with ``law(None)``, the right-hand side of its state as eight floats
-    (``_make_lone_rhs``), and records each landed state as an array.
-    Row i starts at ``tau0[i]`` with ``cfgs[i]``; the
-    configs may differ only in ``tau_max``.  Each row keeps its own clock,
+    ``law(rows)`` is the right-hand side for the states of `rows`, an
+    index array into the batch (``_make_rhs``).  A lone trajectory steps
+    on Python floats, whatever its method, with ``law(None)``, the
+    right-hand side of its state as eight floats (``_make_lone_rhs``),
+    and records each landed state as an array.  Row i starts at
+    ``tau0[i]`` with ``cfgs[i]``; the configs may differ only in
+    ``tau_max``.  Each row keeps its own clock,
     step size, step count, status and record, and takes exactly the
     arithmetic it takes alone: a row whose stage or landed state leaves
     `guard`'s domain ends there, with the reason ``"<label>: <why>"``,
@@ -781,7 +822,7 @@ def _integrate_engine(
         bad = _first_nonfinite(y0)
         if bad is not None:
             raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
-        run = _Rows(law, y0, tau0, guard, floats=y0.ndim == 1 and cfgs[0].method == "rk4-fixed")
+        run = _Rows(law, y0, tau0, guard)
         run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
         if cfgs[0].method == "rk4-fixed":
             run.rk4(tau0, cfgs)
@@ -849,8 +890,8 @@ def integrate_batch(
     An error that a lone run raises (a non-finite state, an unreachable
     tolerance) ends the whole batch.  The connection's evaluators must
     take a batch of coordinates, as the built-in ones do.  A single row
-    runs on 1-D state, as ``integrate`` does; its metric still gets the
-    batch call that fills the columns.
+    runs on Python floats, as ``integrate`` does; its metric still gets
+    the batch call that fills the columns.
     """
     n = len(cfgs)
     if len(initials) != n or not cfgs:
@@ -987,15 +1028,16 @@ def minimal_substitution_trajectory(
     so agreement with the Lorentz-coupling route is a genuine two-route
     check.  The law is compiled once per route (``_compile_canonical``):
     on the flat chart it evaluates neither the inverse metric nor the
-    metric gradient.  The right-hand side is the force route's shell
-    (``_make_rhs``) with u recovered from pi: it probes the intersection
-    of the metric's and the potential's guards once, and the run ends
-    where either rejects a state.  The potential is anchored at the start
+    metric gradient.  A run of this route is one row, so it steps on
+    Python floats: the right-hand side is the float lane's shell
+    (``_make_lone_rhs``) with u recovered from pi, and the law called on
+    arrays.  It probes the intersection of the metric's and the
+    potential's guards once, and the run ends where either rejects a
+    state.  The potential is anchored at the start
     event x0: the route evolves pi = m g u + e (A - A(x0)), a constant
     gauge change that leaves F and dpi/dtau as they are, so pi starts at m
     g u and never carries e A(x0), however far x0 is from the chart's
-    origin.  A lone RK4 run steps on Python floats, with the law called on
-    arrays.  Samples report the recovered kinetic velocity, recovered in
+    origin.  Samples report the recovered kinetic velocity, recovered in
     one call over the recorded columns.
     """
     g.guard.check(initial.x)
@@ -1006,10 +1048,9 @@ def minimal_substitution_trajectory(
     x0 = initial.x.coords
     kinetic_up, momentum_rate = _compile_canonical(a, g, m, e, a.values_fn(x0))
     pi0 = m * (g.matrix_fn(x0) @ initial.u.components)
-    rhs = _make_rhs(guard, momentum_rate, kinetic_up)
     lone = _make_lone_rhs(guard, _on_floats(momentum_rate), _on_floats(kinetic_up))
     tau, state, status, reason = _integrate_engine(
-        lambda rows: lone if rows is None else rhs,
+        lambda rows: lone,
         np.concatenate([x0, pi0]), [initial.tau], [cfg], guard,
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum

@@ -203,6 +203,17 @@ def test_overflow_on_the_float_lane_ends_with_one_integration_error_line(tmp_pat
     assert array_steps == []
 
 
+def test_zero_error_scale_on_the_float_lane_ends_with_one_integration_error_line(tmp_path,
+                                                                                capsys):
+    # atol = 0 and a planar cyclotron's z, exactly zero in both states, give
+    # a zero error scale: Python floats raise there, and the run must fail
+    # with numpy's NaN norm and its one line, not a traceback
+    text = builtin_text("cyclotron").replace("method = rk4-fixed",
+                                             "method = rk45-adaptive\natol = 0.0")
+    unreachable = "integration error: tolerance unreachable at minimum step 1e-08 (err norm nan)"
+    assert _outcome(text, ["run"], tmp_path, capsys) == (2, [], [unreachable])
+
+
 #: built-in, replacements, command, the tau where the state overflows
 OVERFLOWS = {
     # e F itself overflows, before the batch is integrated

@@ -52,6 +52,8 @@ from phasetransport.transport import (
     Trajectory,
     TrajectorySample,
     _compile_acceleration,
+    _compile_lone_acceleration,
+    _make_lone_rhs,
     _make_rhs,
     acceleration_terms,
     coordinate_force,
@@ -495,12 +497,16 @@ def _spherical_states(rng, n=100):
 
 
 def _kernel_and_reference(conn, particle, states):
-    """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state."""
-    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
+    """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state, the
+    compiled law taken on each lane: a batch of one, and one state on floats."""
+    batch = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
+    lone = _make_lone_rhs(conn.guard, _compile_lone_acceleration(conn, particle.mass))
     for coords, u in states:
-        got = rhs(np.concatenate([coords, u]))[4:]
+        y = np.concatenate([coords, u])
         zeroth, first = acceleration_terms(conn, particle, SpacetimeEvent(coords), FourVector(u))
-        yield got, conn.metric.inverse_raw(coords) @ (zeroth + first)
+        reference = conn.metric.inverse_raw(coords) @ (zeroth + first)
+        yield batch(y[None])[0, 4:], reference
+        yield np.array(lone(y.tolist())[4:]), reference
 
 
 FLAT_EM = {
@@ -572,7 +578,7 @@ def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
     conn = superpose(gravitational_connection(counted), electromagnetic_connection(field, 1.0))
     rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
     y = np.array([0.0, 10.0, np.pi / 2, 0.0, 1.2, 0.01, 0.0, 0.03])
-    rhs(y)
+    rhs(y[None])
     assert len(calls) == 1
     rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
     assert len(calls) == 2
@@ -1004,20 +1010,23 @@ def test_matrix_evaluator_without_batch_axes_is_a_clear_error():
 
 
 # ---------------------------------------------------------------------------
-# one lane per row count: a lone RK4 run on Python floats, a batch on arrays
+# one lane per row count: a lone run on Python floats, a batch on arrays
 
 
 @pytest.fixture
 def array_steps(monkeypatch):
-    """The number of rows of each call of the array RK4 stepper."""
+    """The number of rows of each call of an array stepper, RK4 or RK45."""
     calls = []
-    step = transport._rk4_step
 
-    def counted(rhs, y, h):
-        calls.append(len(y) if np.ndim(y) == 2 else 1)
-        return step(rhs, y, h)
+    def counting(step):
+        def counted(rhs, y, h):
+            calls.append(len(y) if np.ndim(y) == 2 else 1)
+            return step(rhs, y, h)
 
-    monkeypatch.setattr(transport, "_rk4_step", counted)
+        return counted
+
+    for name in ("_rk4_step", "_rk45_step"):
+        monkeypatch.setattr(transport, name, counting(getattr(transport, name)))
     return calls
 
 
@@ -1038,12 +1047,10 @@ def assert_lone_on_floats_matches_its_batch_row(conn, particle, initial, cfg, ar
     return lone
 
 
-RK4_BUILTINS = [n for n in BUILTIN_NAMES if load_builtin(n).config.method == "rk4-fixed"]
-
-
-@pytest.mark.parametrize("name", RK4_BUILTINS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_lone_built_in_run_on_floats_has_the_bits_of_its_batch_row(name, array_steps):
-    # at most 6,400 steps, which cuts only coulomb's horizon (to a third)
+    # at most 6,400 steps of the configured step, which cuts coulomb's
+    # horizon to a third and schwarzschild-precession's (RK45) to 90%
     scn = load_builtin(name)
     cfg = dataclasses.replace(scn.config,
                               tau_max=min(scn.config.tau_max, 6400 * scn.config.step))
@@ -1057,9 +1064,11 @@ def test_user_field_on_floats_has_the_bits_of_its_batch_row(array_steps):
     f = uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7])
     conn = electromagnetic_connection(FaradayField(f.matrix_fn, name="user"), 0.8)
     initial = state([0.0, 0.3, -0.2, 0.1], [oracles.gamma_from_u([0.1, -0.3, 0.0]), 0.1, -0.3, 0.0])
-    assert_lone_on_floats_matches_its_batch_row(conn, Particle(1.5, 0.8), initial,
-                                                IntegratorConfig(step=0.05, tau_max=5.0),
-                                                array_steps)
+    for method in ("rk4-fixed", "rk45-adaptive"):
+        array_steps.clear()
+        cfg = IntegratorConfig(method=method, step=0.05, tau_max=5.0)
+        assert_lone_on_floats_matches_its_batch_row(conn, Particle(1.5, 0.8), initial, cfg,
+                                                    array_steps)
 
 
 def _wrapped_as_traced(conn, calls):
@@ -1085,18 +1094,21 @@ def _wrapped_as_traced(conn, calls):
 def test_wrapped_terms_on_floats_have_the_bits_and_the_calls_of_the_bare_ones(array_steps):
     # a wrapper has no float lane, so each wrapped callable is called on
     # arrays, as often as before: once per RHS, and the guard once more per
-    # sample (the RHS count a tracer derives is probe calls less samples)
+    # sample (the RHS count a tracer derives is probe calls less samples);
+    # RK45 rejects no step over this horizon, so it takes 7 RHS per sample
     scn = load_builtin("combined-schwarzschild-B")
-    cfg = dataclasses.replace(scn.config, tau_max=20.0)
-    calls = {}
-    conn = _wrapped_as_traced(scn.connection(), calls)
-    lone = integrate(conn, scn.particle, scn.initial, cfg)
-    assert array_steps == []
-    rhs = 4 * (len(lone) - 1)
-    assert calls == {"k0": rhs, "k1": rhs, "inverse": rhs, "guard": rhs + len(lone)}
-    assert_same_bits(lone, integrate(scn.connection(), scn.particle, scn.initial, cfg))
-    for row in integrate_batch(conn, scn.particle, [scn.initial] * 2, [cfg] * 2):
-        assert_same_bits(row, lone)
+    for method, stages in (("rk4-fixed", 4), ("rk45-adaptive", 7)):
+        cfg = dataclasses.replace(scn.config, method=method, tau_max=20.0)
+        calls = {}
+        conn = _wrapped_as_traced(scn.connection(), calls)
+        lone = integrate(conn, scn.particle, scn.initial, cfg)
+        assert array_steps == []
+        rhs = stages * (len(lone) - 1)
+        assert calls == {"k0": rhs, "k1": rhs, "inverse": rhs, "guard": rhs + len(lone)}
+        assert_same_bits(lone, integrate(scn.connection(), scn.particle, scn.initial, cfg))
+        for row in integrate_batch(conn, scn.particle, [scn.initial] * 2, [cfg] * 2):
+            assert_same_bits(row, lone)
+        array_steps.clear()
 
 
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
@@ -1112,6 +1124,22 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
     assert array_steps == []
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
         integrate_batch(conn, Particle(1.0, 1.0), [rest_state()] * 2, [cfg] * 2)
+
+
+def test_a_zero_error_scale_takes_numpys_norm_and_fails_as_its_batch_row(array_steps):
+    # with atol = 0, a component exactly zero in both states (a planar
+    # cyclotron's z) has the error scale 0: Python floats raise where numpy
+    # gives a NaN norm, so the lone run takes numpy's norm and fails where
+    # its batch row fails
+    conn = electromagnetic_connection(uniform_faraday(b_field=[0, 0, 1.0]), 1.0)
+    initial = state([0, 0, 0, 0], [oracles.gamma_from_u([0.1, 0, 0]), 0.1, 0, 0])
+    cfg = IntegratorConfig(method="rk45-adaptive", step=1e-3, atol=0.0, tau_max=1.0)
+    unreachable = r"^tolerance unreachable at minimum step 1e-08 \(err norm nan\)$"
+    with pytest.raises(StepRejected, match=unreachable):
+        integrate(conn, Particle(1.0, 1.0), initial, cfg)
+    assert array_steps == []
+    with pytest.raises(StepRejected, match=unreachable):
+        integrate_batch(conn, Particle(1.0, 1.0), [initial] * 2, [cfg] * 2)
 
 
 def test_a_run_into_the_coulomb_singularity_ends_at_its_guard_on_floats(array_steps):
