@@ -470,7 +470,8 @@ def _check_minimal_substitution(scn: Scenario) -> tuple[bool, dict, Optional[Tra
         "bound": ENDPOINT_BOUND,
         "tau_final": tau_a,
     }
-    return max(sep_x, sep_u) < ENDPOINT_BOUND, details, force_route
+    # np.max keeps a NaN separation, which the builtin max() would drop
+    return bool(np.max(gap) < ENDPOINT_BOUND), details, force_route
 
 
 _CHECK_FNS = {

@@ -1038,7 +1038,8 @@ def minimal_substitution_trajectory(
     gauge change that leaves F and dpi/dtau as they are, so pi starts at m
     g u and never carries e A(x0), however far x0 is from the chart's
     origin.  Samples report the recovered kinetic velocity, recovered in
-    one call over the recorded columns.
+    one call over the recorded columns; a sample whose velocity is not
+    finite raises ``StepRejected``, as a state that lands non-finite does.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
@@ -1053,6 +1054,10 @@ def minimal_substitution_trajectory(
         lambda rows: lone,
         np.concatenate([x0, pi0]), [initial.tau], [cfg], guard,
     )[0]
-    # record the recovered kinetic velocity in place of the canonical momentum
-    state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])
+    # record the recovered kinetic velocity in place of the canonical momentum;
+    # a potential that overflows at a sample (even the start event, where
+    # A - A(x0) is inf - inf) recovers no velocity, and the run fails there
+    with np.errstate(over="ignore", invalid="ignore"):
+        state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])
+    _require_finite(state, tau)
     return _trajectory(g, tau, state, status, reason)

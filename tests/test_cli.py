@@ -223,6 +223,11 @@ OVERFLOWS = {
     "combined-b": ("combined-schwarzschild-B", [("b = 1e-3", "b = 1e200")], ["run"], "0.05"),
     "combined-b-canonical": ("combined-schwarzschild-B", [("b = 1e-3", "b = 1e200")],
                              ["check", "--checker", "minimal-substitution"], "0.05"),
+    # A(x0) overflows, so the velocity recovered at the start event is
+    # inf - inf; a step past tau_max takes no step that could catch it
+    "combined-b-canonical-start": ("combined-schwarzschild-B",
+                                   [("b = 1e-3", "b = 1e307"), ("step = 5e-2", "step = 1e200")],
+                                   ["check", "--checker", "minimal-substitution"], "0"),
 }
 
 
