@@ -92,9 +92,8 @@ def zero_connection(metric: Optional[MetricField] = None) -> NonLinearConnection
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for one event; for a batch, per event, with the same bits."""
-    if v.ndim == 1:
-        return a @ v
+    """a @ v per event, for one event ``(4,)`` or a batch ``(N, 4)``: every
+    event gets the bits of its own ``a @ v``."""
     return np.matmul(a, v[..., None])[..., 0]
 
 
@@ -112,11 +111,10 @@ def _mv_floats(rows, v) -> list:
 def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """k[a, m, n] u^m u^n with the bits of k.dot(u).dot(u) on every event.
 
-    For a batch, each inner product is a (1, 4) @ (4, 1) slice, the dot
-    product that ``k.dot(u)`` takes per element on one event.
+    `u` is one event ``(4,)`` or a batch ``(N, 4)``.  Each inner product
+    is a (1, 4) @ (4, 1) slice, the dot product that ``k.dot(u)`` takes
+    per element on one event.
     """
-    if u.ndim == 1:
-        return k.dot(u).dot(u)
     ku = np.matmul(k[..., None, :], u[..., None, None, :, None])[..., 0, 0]
     return np.matmul(ku, u[..., None])[..., 0]
 

@@ -64,14 +64,11 @@ def christoffel_raw(g: MetricField, coords: np.ndarray, step: Optional[float] = 
 
     `coords` is one event ``(4,)`` or a batch ``(N, 4)``; each event of a
     batch gets the same bits as on its own (the final product is one
-    4x4 by 4x16 matrix product per event either way).
+    4x4 by 4x16 matrix product per event).
     """
     ginv = g.inverse_raw(coords)
     dg = _metric_deriv_raw(g, coords, step)
     # brackets[..., b, m, n] = g_bm,n + g_bn,m - g_mn,b
-    if coords.ndim == 1:  # one event: the fixed-shape calls cost less
-        brackets = dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
-        return ((0.5 * ginv) @ brackets.reshape(DIM, DIM * DIM)).reshape(DIM, DIM, DIM)
     brackets = dg + dg.swapaxes(-1, -2) - dg.swapaxes(-1, -3).swapaxes(-1, -2)
     flat = (0.5 * ginv) @ brackets.reshape(brackets.shape[:-2] + (DIM * DIM,))
     return flat.reshape(flat.shape[:-1] + (DIM, DIM))

@@ -151,14 +151,12 @@ def batch_probe(
 
     `one(x)` probes a single event given as four Python floats; it is
     also the probe's float lane.  `every(coords.T)` is the vectorized
-    test that every event of a batch is admissible; a batch that fails
-    it is probed event by event, so its reason is the first offending
-    event's, worded as for that event alone.
+    test that every event is admissible; coordinates that fail it are
+    probed event by event, so the reason is the first offending event's,
+    worded as for that event alone.
     """
 
     def probe(coords: np.ndarray) -> Optional[str]:
-        if coords.ndim == 1:
-            return one(coords.tolist())
         if every(coords.T):
             return None
         for row in coords.reshape(-1, DIM).tolist():

@@ -274,6 +274,15 @@ def _on_floats(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable[[
     return lambda x, u: fn(np.array(x), np.array(u)).tolist()
 
 
+def _probe_on_floats(guard: DomainGuard) -> Callable[[list], Optional[str]]:
+    """`guard`'s probe of one event given as four Python floats: its float
+    lane, or its probe called on an array."""
+    lane, probe = float_lane(guard.probe), guard.probe
+    if lane is not None:
+        return lane
+    return lambda x: probe(np.array(x))
+
+
 def _compile_lone_acceleration(
     c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None
 ) -> Callable[[list, list], list]:
@@ -373,18 +382,18 @@ def _make_lone_rhs(
     Both routes share this shell.  The force law's p is the contravariant
     u itself (`velocity` None); the canonical route's p is the momentum
     pi, and ``velocity(x, pi)`` recovers u.  `rate` and `velocity` take
-    and give four floats each.  The probe is `guard`'s float lane, or its
-    probe called on an array; a rejected state goes to ``_rejected`` as
-    an array with the reason ``"<label>: <why>"``, so a state that is not
-    finite gets a NaN rate and never raises ``OutsideDomain``.
+    and give four floats each.  The probe is ``_probe_on_floats(guard)``;
+    a rejected state goes to ``_rejected`` as a batch of one with the
+    reason ``"<label>: <why>"``, so a state that is not finite gets a NaN
+    rate and never raises ``OutsideDomain``.
     """
-    probe, label = float_lane(guard.probe), guard.label
+    probe, label = _probe_on_floats(guard), guard.label
 
     def rhs(y: list) -> list:
         x = y[:DIM]
-        why = guard.probe(np.array(x)) if probe is None else probe(x)
+        why = probe(x)
         if why is not None:
-            return _rejected(np.array(y), f"{label}: {why}").tolist()
+            return _rejected(np.array([y]), f"{label}: {why}")[0].tolist()
         u = y[DIM:] if velocity is None else velocity(x, y[DIM:])
         return [*u, *rate(x, u)]
 
@@ -520,29 +529,27 @@ _ZERO_STATE = np.zeros(2 * DIM)
 
 
 def _first_nonfinite(y: np.ndarray) -> Optional[int]:
-    """The first row of `y` ((8,) or (N, 8)) with a component that is not finite, or None."""
-    if y.ndim == 1:
-        return 0 if math.isnan(y @ _ZERO_STATE) else None
+    """The first row of a batch `y` (N, 8) with a component that is not finite, or None."""
     bad = np.isnan(y @ _ZERO_STATE)
     return int(bad.argmax()) if bad.any() else None
 
 
 def _require_finite(y: np.ndarray, taus) -> None:
-    """Raise ``StepRejected`` if a row of `y` landed at `taus` is not finite."""
+    """Raise ``StepRejected`` if a row of a batch `y` (N, 8) landed at `taus` (N,)
+    is not finite."""
     bad = _first_nonfinite(y)
     if bad is not None:
-        raise StepRejected(
-            f"state became non-finite at tau = {taus if y.ndim == 1 else taus[bad]:g}"
-        )
+        raise StepRejected(f"state became non-finite at tau = {taus[bad]:g}")
 
 
 def _rejected(y: np.ndarray, reason: str) -> np.ndarray:
-    """The rate at a state `y` that a guard rejected with `reason`.
+    """The rate at a batch `y` (N, 8) that a guard rejected with `reason`.
 
-    A finite state is outside the domain: raise ``OutsideDomain``.  A state
-    that is not finite is no event, whatever the guard says: its rate is
-    NaN, so the step lands on a state that is not finite and the run fails
-    with ``StepRejected`` there, as on a chart without a guard.
+    A batch of finite states has a point outside the domain: raise
+    ``OutsideDomain``.  A state that is not finite is no event, whatever
+    the guard says: the rate is NaN, so the step lands on a state that is
+    not finite and the run fails with ``StepRejected`` there, as on a
+    chart without a guard.
     """
     if _first_nonfinite(y) is None:
         raise OutsideDomain(reason)
@@ -557,11 +564,12 @@ def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, float, st
     ``tau_last``.  The row then ends with ``status``: 'completed' on
     tau_max, or 'max-steps' when the step budget ran out short of it.
     """
+    span = cfg.tau_max - tau0
     # a count past max_steps + 1 changes no outcome, and it may not fit an int
-    n_full = math.floor(min((cfg.tau_max - tau0) / cfg.step * (1.0 + 1e-12) + 1e-12,
-                            cfg.max_steps + 1))
+    n_full = math.floor(min(span / cfg.step * (1.0 + 1e-12) + 1e-12, cfg.max_steps + 1))
     remainder = cfg.tau_max - (tau0 + n_full * cfg.step)
-    if remainder <= 1e-9 * cfg.step:
+    # rounding leaves less than a step and less than the span (a huge step leaves it all)
+    if remainder <= 1e-9 * min(cfg.step, span):
         if n_full <= cfg.max_steps:
             return n_full, cfg.step, cfg.tau_max, "completed"
     elif n_full < cfg.max_steps:
@@ -572,31 +580,34 @@ def _rk4_plan(cfg: IntegratorConfig, tau0: float) -> tuple[int, float, float, st
 class _Rows:
     """The rows of one integration: the live ones as one state, and the record.
 
-    A lone trajectory (`y0` of shape (8,)) steps on Python floats: ``y``
-    is its state as eight floats, ``rows`` is None and ``rhs`` is
-    ``law(None)``, the right-hand side on floats.  A batch steps on
-    arrays: ``rows`` indexes the rows that still step (an index array
-    into the batch), ``y`` holds their states in that order ``(n, 8)``
-    and ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.
+    `y0` is the batch's start states ``(N, 8)``.  A lone row (N = 1)
+    steps on Python floats from its first right-hand side to its record:
+    ``y`` is its state as eight floats, ``rows`` is None and ``rhs`` is
+    ``law(None)``, the right-hand side on floats, and each landed state
+    is recorded as its list of floats.  A batch steps on arrays:
+    ``rows`` indexes the rows that still step (an index array into the
+    batch), ``y`` holds their states in that order ``(n, 8)`` and
+    ``rhs`` is ``law(rows)``, bound again whenever the set shrinks.
     ``ids`` lists the live rows as ints.  A row leaves the set when it
     ends, with its status and reason.  Each landing appends one block to
     the record: the rows that landed, their proper times and their
-    states (a lone state as an array); ``records`` cuts each row's record
-    from the blocks once, at the end.
+    states; ``records`` cuts each row's record from the blocks once, at
+    the end.
     """
 
     def __init__(self, law, y0: np.ndarray, tau0: Sequence[float], guard):
         self.law, self.guard = law, guard
-        self.lone = y0.ndim == 1
         n = len(tau0)
+        self.lone = n == 1
         self.status, self.reason = ["completed"] * n, [None] * n
         self.rows = None if self.lone else np.arange(n)
         self.ids = list(range(n))
-        self.y = y0.tolist() if self.lone else y0
+        self.y = y0[0].tolist() if self.lone else y0
         self.rhs = law(self.rows)
         self.landed = [self.rows]
         self.taus = [tau0[0]] if self.lone else [np.array(tau0, dtype=float)]
-        self.states = [y0]
+        self.states = [self.y]
+        self.probe = _probe_on_floats(guard) if self.lone else guard.probe
 
     def end(self, p: int, status: str, reason: Optional[str] = None) -> None:
         """Give the live row at position `p` its final status (it leaves at the next `keep`)."""
@@ -647,28 +658,30 @@ class _Rows:
     def land(self, y_new: np.ndarray, taus, pos: Optional[list[int]] = None) -> None:
         """Move the live rows at positions `pos` (all by default) to their accepted states.
 
-        `y_new` and `taus` are those rows' states and proper times (one
-        state and a float alone).  A state that is not finite raises; a
+        `y_new` and `taus` are those rows' states and proper times (alone,
+        eight floats and a float).  A state that is not finite raises; a
         finite one may jump clean across the guard margin without any stage
         evaluation failing: never retain it, that row ends instead.
         """
         if self.lone:
-            state = np.array(y_new)
-            _require_finite(state, taus)
-            why = self.guard.probe(state[:DIM])
+            # v * 0.0 is NaN exactly where v is NaN or infinite; a sum of
+            # the components themselves could overflow on finite ones
+            if math.isnan(sum([v * 0.0 for v in y_new])):
+                raise StepRejected(f"state became non-finite at tau = {taus:g}")
+            why = self.probe(y_new[:DIM])
             if why is not None:
                 self.end(0, "domain-exit", f"{self.guard.label}: {why}")
                 self.keep([])
                 return
             self.y = y_new
             self.taus.append(taus)
-            self.states.append(state)
+            self.states.append(y_new)
             return
         if pos is None:
             pos = range(len(self.ids))
         _require_finite(y_new, taus)
         left = []
-        probe = self.guard.probe
+        probe = self.probe
         if probe(y_new[..., :DIM]) is not None:
             whys = [probe(y[:DIM]) for y in y_new]
             for q, why in enumerate(whys):
@@ -800,13 +813,13 @@ def _integrate_engine(
     cfgs: Sequence[IntegratorConfig],
     guard: DomainGuard,
 ) -> list[tuple[np.ndarray, np.ndarray, str, Optional[str]]]:
-    """Integrate one trajectory (`y0` of shape (8,)) or a batch (N, 8) under one law.
+    """Integrate a batch of start states `y0` (N, 8) under one law.
 
     ``law(rows)`` is the right-hand side for the states of `rows`, an
-    index array into the batch (``_make_rhs``).  A lone trajectory steps
+    index array into the batch (``_make_rhs``).  A lone row (N = 1) steps
     on Python floats, whatever its method, with ``law(None)``, the
     right-hand side of its state as eight floats (``_make_lone_rhs``),
-    and records each landed state as an array.  Row i starts at
+    and records its landed states as floats too.  Row i starts at
     ``tau0[i]`` with ``cfgs[i]``; the configs may differ only in
     ``tau_max``.  Each row keeps its own clock,
     step size, step count, status and record, and takes exactly the
@@ -889,9 +902,10 @@ def integrate_batch(
     samples included; one row leaving the domain never stops the others.
     An error that a lone run raises (a non-finite state, an unreachable
     tolerance) ends the whole batch.  The connection's evaluators must
-    take a batch of coordinates, as the built-in ones do.  A single row
-    runs on Python floats, as ``integrate`` does; its metric still gets
-    the batch call that fills the columns.
+    take a batch of coordinates, as the built-in ones do.  The engine
+    gets the start states as one ``(N, 8)`` array; a single row runs on
+    Python floats, as ``integrate`` does, and its metric still gets the
+    batch call that fills the columns.
     """
     n = len(cfgs)
     if len(initials) != n or not cfgs:
@@ -915,13 +929,8 @@ def integrate_batch(
         return _make_rhs(c.guard, _compile_acceleration(c, masses[rows], row_order0))
 
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
-    records = _integrate_engine(
-        law,
-        states[0] if n == 1 else np.stack(states),
-        [initial.tau for initial in initials],
-        cfgs,
-        c.guard,
-    )
+    records = _integrate_engine(law, np.stack(states), [initial.tau for initial in initials],
+                                cfgs, c.guard)
     return [_trajectory(c.metric, *record) for record in records]
 
 
@@ -1052,7 +1061,7 @@ def minimal_substitution_trajectory(
     lone = _make_lone_rhs(guard, _on_floats(momentum_rate), _on_floats(kinetic_up))
     tau, state, status, reason = _integrate_engine(
         lambda rows: lone,
-        np.concatenate([x0, pi0]), [initial.tau], [cfg], guard,
+        np.concatenate([x0, pi0])[None], [initial.tau], [cfg], guard,
     )[0]
     # record the recovered kinetic velocity in place of the canonical momentum;
     # a potential that overflows at a sample (even the start event, where

@@ -7,9 +7,10 @@ fails here.  The pins hold for numpy's float64 arithmetic with the
 OpenBLAS it ships (0.3.31, x86-64): a BLAS that sums a 4x4
 matrix-vector product in another order moves them without being wrong.
 
-The runs that have no batch to be compared with are pinned the same way:
-the summaries of ``schwarzschild-precession``'s checks, two of which
-integrate it alone with RK45, and the states of the canonical-momentum
+Every check is pinned the same way: the summary of each built-in's check
+by each checker it is compatible with, which takes the paths that a run
+does not (the canonical-momentum route, the symbols behind the Bianchi
+residual, the lone RK45 runs).  So are the states of the canonical
 route, which always runs alone, with RK45.
 """
 
@@ -19,7 +20,8 @@ import json
 
 import pytest
 
-from phasetransport.report import check, emit, run
+from phasetransport.errors import IncompatibleChecker
+from phasetransport.report import CHECKERS, check, emit, run
 from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
 from phasetransport.transport import minimal_substitution_trajectory
 
@@ -50,18 +52,56 @@ def test_built_in_csv_and_summary_keep_their_digests(name):
     assert (short_sha256(emit(rep, "csv")), short_sha256(json.dumps(rep.summary))) == DIGESTS[name]
 
 
-#: schwarzschild-precession's checker -> its summary's sha256, 12 hex digits
-PRECESSION_CHECKS = {
-    "bianchi": "9e65193edc35",
-    "norm": "c7d5acd5a7f9",
-    "mass-invariance": "949cd967b3cf",
+#: (built-in, checker) -> its check's summary sha256, 12 hex digits, for
+#: every checker that the built-in is compatible with
+CHECK_DIGESTS = {
+    ("free", "bianchi"): "ceeff9a3e414",
+    ("free", "norm"): "8cc0e4acadb3",
+    ("free", "mass-invariance"): "949cd967b3cf",
+    ("cyclotron", "bianchi"): "ceeff9a3e414",
+    ("cyclotron", "closure"): "f7cc2180092d",
+    ("cyclotron", "norm"): "40ee4b299ddb",
+    ("cyclotron", "mass-invariance"): "8e16296054f8",
+    ("cyclotron", "minimal-substitution"): "a9750cbea916",
+    ("exb-drift", "bianchi"): "ceeff9a3e414",
+    ("exb-drift", "closure"): "f7cc2180092d",
+    ("exb-drift", "norm"): "bf257e7cf6ff",
+    ("exb-drift", "mass-invariance"): "8e16296054f8",
+    ("exb-drift", "minimal-substitution"): "5abf589f2727",
+    ("coulomb", "bianchi"): "8f4869d24dea",
+    ("coulomb", "closure"): "43fb61458842",
+    ("coulomb", "norm"): "badc56ac4c2e",
+    ("coulomb", "mass-invariance"): "8e16296054f8",
+    ("coulomb", "minimal-substitution"): "d4e68151e831",
+    ("schwarzschild-circular", "bianchi"): "bf81375dccee",
+    ("schwarzschild-circular", "norm"): "266d3d3fa1a1",
+    ("schwarzschild-circular", "mass-invariance"): "949cd967b3cf",
+    ("schwarzschild-precession", "bianchi"): "9e65193edc35",
+    ("schwarzschild-precession", "norm"): "c7d5acd5a7f9",
+    ("schwarzschild-precession", "mass-invariance"): "949cd967b3cf",
+    ("weak-field-newtonian", "bianchi"): "a911c50db0ad",
+    ("weak-field-newtonian", "norm"): "d2daa450c412",
+    ("weak-field-newtonian", "mass-invariance"): "949cd967b3cf",
+    ("combined-schwarzschild-B", "bianchi"): "9e65193edc35",
+    ("combined-schwarzschild-B", "closure"): "d50791da6b74",
+    ("combined-schwarzschild-B", "norm"): "271a282dea83",
+    ("combined-schwarzschild-B", "mass-invariance"): "8e16296054f8",
+    ("combined-schwarzschild-B", "minimal-substitution"): "bf22be18ea97",
 }
 
 
-@pytest.mark.parametrize("checker", sorted(PRECESSION_CHECKS))
-def test_precession_checks_keep_their_digests(checker):
-    rep = check(load_builtin("schwarzschild-precession"), checker)
-    assert short_sha256(json.dumps(rep.summary)) == PRECESSION_CHECKS[checker]
+def test_every_compatible_check_is_pinned():
+    for name in BUILTIN_NAMES:
+        for checker in CHECKERS:
+            if (name, checker) not in CHECK_DIGESTS:
+                with pytest.raises(IncompatibleChecker):
+                    check(load_builtin(name), checker)
+
+
+@pytest.mark.parametrize("name,checker", sorted(CHECK_DIGESTS))
+def test_check_keeps_its_digest(name, checker):
+    rep = check(load_builtin(name), checker)
+    assert short_sha256(json.dumps(rep.summary)) == CHECK_DIGESTS[name, checker]
 
 
 #: built-in -> (tau_max, sha256 of the canonical route's state column, 12 hex

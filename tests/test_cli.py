@@ -224,10 +224,10 @@ OVERFLOWS = {
     "combined-b-canonical": ("combined-schwarzschild-B", [("b = 1e-3", "b = 1e200")],
                              ["check", "--checker", "minimal-substitution"], "0.05"),
     # A(x0) overflows, so the velocity recovered at the start event is
-    # inf - inf; a step past tau_max takes no step that could catch it
+    # inf - inf; a step past tau_max is one step of tau_max, which lands on it
     "combined-b-canonical-start": ("combined-schwarzschild-B",
                                    [("b = 1e-3", "b = 1e307"), ("step = 5e-2", "step = 1e200")],
-                                   ["check", "--checker", "minimal-substitution"], "0"),
+                                   ["check", "--checker", "minimal-substitution"], "166"),
 }
 
 
@@ -252,6 +252,36 @@ def test_horizon_past_the_step_budget_ends_at_max_steps(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "max-steps"
     assert [row[0] for row in payload["rows"]] == [k * 1e-5 for k in range(6)]
+
+
+@pytest.mark.parametrize("names", [["free"], ["free", "free-twin"]])
+def test_step_past_the_horizon_takes_one_step_of_the_horizon(names, tmp_path, capsys):
+    # the whole horizon is no rounding remainder of a step that dwarfs it,
+    # alone and in a batch of two rows (two scenarios of one law)
+    twin = tmp_path / "free-twin.cfg"
+    twin.write_text(builtin_text("free").replace("name = free", "name = free-twin"))
+    out = tmp_path / "out"
+    out.mkdir()
+    tokens = ["free", str(twin)][:len(names)]
+    target = out if len(names) > 1 else out / "free.json"
+    assert main(["run", *tokens, "--step", "1e200", "--tau-max", "0.05", "--format", "json",
+                 "--out", str(target)]) == 0
+    for name in names:
+        payload = json.loads((out / f"{name}.json").read_text())
+        assert payload["status"] == "completed"
+        assert [row[0] for row in payload["rows"]] == [0.0, 0.05]
+
+
+def test_huge_finite_coordinates_land_and_complete(tmp_path, capsys):
+    # a landed state is finite component by component: the sum of these
+    # coordinates overflows, and the run must not fail on it
+    path = tmp_path / "far.cfg"
+    path.write_text("[initial]\nx1 = 1e308\nx2 = 1e308\nu1 = 1.0\n\n"
+                    "[integrator]\nstep = 0.1\ntau_max = 1.0\n")
+    assert main(["run", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "completed"
+    assert payload["summary"]["n_samples"] == 11
 
 
 def test_unknown_scenario_token(capsys):
@@ -386,6 +416,11 @@ def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_pa
         code = main(["run", str(path), "--tau-max", "0.05", "--format", "json"])
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
+    if second == "step":
+        # the huge step is one step of the horizon, and the huge field overflows it
+        assert (code, err.splitlines()) == (
+            2, ["integration error: state became non-finite at tau = 0.05"])
+        return
     # exit 1 with one error line, or exit 0 (a huge B and mass barely drift)
     assert (code, len(err.splitlines())) in ((1, 1), (0, 0))
     assert code == 0 or err.startswith("error:")

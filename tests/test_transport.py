@@ -364,6 +364,19 @@ def test_minimal_substitution_ends_at_the_potential_guard():
     assert 5 < len(traj) < 12 and np.all(traj.state[:, 1] >= 0.0)
 
 
+def test_canonical_run_without_a_step_fails_on_a_start_velocity_that_is_not_finite():
+    # A(x0) overflows (with numpy's warning off, as ``report.check`` has it), so
+    # the start velocity is recovered from inf - inf; a run that starts at
+    # tau_max takes no step whose law could catch it
+    pot = axial_magnetic_potential_spherical(1e307)
+    start = circular_orbit_state(1.0, 10.0)
+    initial = PhaseState(5.0, start.x, start.u)
+    cfg = IntegratorConfig(step=0.1, tau_max=5.0)
+    with np.errstate(over="ignore"), pytest.raises(
+            StepRejected, match="state became non-finite at tau = 5$"):
+        minimal_substitution_trajectory(pot, schwarzschild(1.0), Particle(1.0, 1.0), initial, cfg)
+
+
 # ---------------------------------------------------------------------------
 # terminal statuses and error paths
 
