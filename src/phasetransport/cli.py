@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when the command line or a document fails to
 parse or validate (including an incompatible checker), 2 when
-integration itself fails or a requested check does not pass.
+integration itself fails or a requested check does not pass.  numpy's
+warnings are off for the whole command: stderr holds at most one line.
 
 `run` integrates the scenarios that share a transport law and
 integrator (equal ``report.batch_key``) as one batch: they may differ in
@@ -14,11 +15,14 @@ and charge, which each row brings to the law as its own constants.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import dataclasses
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .errors import IncompatibleChecker, ParseError, TransportError, ValidationError
 from .report import CHECKERS, batch_key, check, emit, run_batch
@@ -140,8 +144,10 @@ def _cmd_run(args) -> int:
     done = []
     for phase in phases:
         if args.jobs > 1 and len(phase) > 1:
+            # pool threads start in numpy's default error state: pass main's on
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                done += [r for part in pool.map(work, phase) for r in part]
+                runs = [pool.submit(contextvars.copy_context().run, work, m) for m in phase]
+                done += [r for run in runs for r in run.result()]
         else:
             done += [r for members in phase for r in work(members)]
     order = [i for phase in phases for members in phase for i in members]
@@ -187,6 +193,7 @@ def _cmd_list() -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)

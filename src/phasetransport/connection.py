@@ -170,9 +170,8 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
             with_floats(term, lambda x, u: lane(x, u, e))
 
     elif isinstance(f, UniformFaraday):
-        # it may overflow, which the integration reports without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = e * matrix(np.zeros(DIM))
+        # it may overflow, which the integration reports
+        block = e * matrix(np.zeros(DIM))
         rows = block.tolist()
 
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -297,11 +297,9 @@ def run_batch(scenarios) -> list[RunReport]:
     order0 = None
     if scenarios[0].parameters["em"]["type"] == "uniform" and conn.order0_raw is not None:
         # the same everywhere: evaluate each row's e F where the row starts, as
-        # its own connection would; it may overflow, which the integration
-        # reports without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            order0 = np.stack([float(s.particle.charge) * s.faraday.matrix_fn(s.initial.x.coords)
-                               for s in scenarios])
+        # its own connection would; it may overflow, which the integration reports
+        order0 = np.stack([float(s.particle.charge) * s.faraday.matrix_fn(s.initial.x.coords)
+                           for s in scenarios])
     trajs = integrate_batch(
         conn,
         [s.particle for s in scenarios],
@@ -324,9 +322,7 @@ def _run_report(scenario: Scenario, traj: Trajectory) -> RunReport:
         summary["terminal_reason"] = traj.reason
     if scenario.oracle != "none":
         try:
-            # numpy's overflow warnings stay off stderr, as during the integration
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _MEASURES[scenario.oracle](scenario, traj, summary)
+            _MEASURES[scenario.oracle](scenario, traj, summary)
         except ValidationError:
             raise
         except (ValueError, ArithmeticError) as err:
@@ -489,9 +485,7 @@ def check(scenario: Scenario, checker: str) -> RunReport:
         raise ValidationError(
             f"unknown checker {checker!r}; expected one of {', '.join(CHECKERS)}"
         )
-    # numpy's overflow warnings stay off stderr, as for the oracles of a run
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        passed, details, traj = _CHECK_FNS[checker](scenario)
+    passed, details, traj = _CHECK_FNS[checker](scenario)
     summary = _plain({"checker": checker, "passed": passed, **details})
     status = "passed" if passed else "failed"
     return RunReport(

@@ -183,17 +183,16 @@ def solve_time_component(g: MetricField, coords: np.ndarray, u_spatial: np.ndarr
     root."""
     gmat = g.matrix_fn(coords)
     a = gmat[0, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge velocity gives inf, caught later
-        b = 2.0 * float(gmat[0, 1:] @ u_spatial)
-        c = float(u_spatial @ gmat[1:, 1:] @ u_spatial) + 1.0
+    b = 2.0 * float(gmat[0, 1:] @ u_spatial)
+    c = float(u_spatial @ gmat[1:, 1:] @ u_spatial) + 1.0
     if a >= 0:
         raise ValidationError("metric time-time component is not negative here")
     disc = b * b - 4.0 * a * c
     if disc < 0:
         raise ValidationError("no real unit-norm time component for the given spatial velocity")
     root = (-b - math.sqrt(disc)) / (2.0 * a)  # positive branch since a < 0
-    if root <= 0:
-        raise ValidationError("normalization admits no future-directed solution")
+    if not 0 < root < math.inf:  # NaN too
+        raise ValidationError(f"the unit-norm u^0 is {root:g} here, not finite and positive")
     return root
 
 

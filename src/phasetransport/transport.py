@@ -828,19 +828,18 @@ def _integrate_engine(
     while the others go on.  The live rows step as one state array
     (``_Rows``).  Returns, per row, its accepted proper times and states,
     the initial state included, with its status and reason.  A state that
-    is not finite raises ``StepRejected``; numpy's overflow, invalid and
-    divide warnings are off for the run, so that error is all one sees.
+    is not finite raises ``StepRejected``; the two callers keep numpy's
+    warnings off, so that error is all one sees.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bad = _first_nonfinite(y0)
-        if bad is not None:
-            raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
-        run = _Rows(law, y0, tau0, guard)
-        run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
-        if cfgs[0].method == "rk4-fixed":
-            run.rk4(tau0, cfgs)
-        else:
-            run.rk45(tau0, cfgs)
+    bad = _first_nonfinite(y0)
+    if bad is not None:
+        raise StepRejected(f"state became non-finite at tau = {tau0[bad]:g}")
+    run = _Rows(law, y0, tau0, guard)
+    run.keep([p for p, cfg in enumerate(cfgs) if cfg.tau_max - tau0[p] > 0])
+    if cfgs[0].method == "rk4-fixed":
+        run.rk4(tau0, cfgs)
+    else:
+        run.rk45(tau0, cfgs)
     return run.records()
 
 
@@ -849,7 +848,7 @@ def _trajectory(
 ) -> Trajectory:
     """The columns of one integration; the norm residual g(u, u) + 1 and the
     energy -u_0 come from one metric evaluation over the whole coordinate column.
-    A huge velocity overflows the residual to inf without a warning.
+    A huge velocity or coordinate overflows them to inf; its callers keep that quiet.
     """
     g = metric.matrix_fn(state[:, :DIM])
     if np.shape(g) not in ((DIM, DIM), (len(state), DIM, DIM)):
@@ -859,10 +858,9 @@ def _trajectory(
             f" returns (N, 4, 4), or a constant (4, 4)"
         )
     u = state[:, DIM:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_cov = _mv(g, u)
-        # per event, the bits of the 1-D dot product u @ u_cov
-        residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
+    u_cov = _mv(g, u)
+    # per event, the bits of the 1-D dot product u @ u_cov
+    residual = np.matmul(u[:, None, :], u_cov[:, :, None])[:, 0, 0] + 1.0
     return Trajectory(tau, state, residual, -u_cov[:, 0], status, reason)
 
 
@@ -882,6 +880,7 @@ def integrate(
     return integrate_batch(c, particle, [initial], [cfg])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_batch(
     c: NonLinearConnection,
     particle,
@@ -905,7 +904,8 @@ def integrate_batch(
     take a batch of coordinates, as the built-in ones do.  The engine
     gets the start states as one ``(N, 8)`` array; a single row runs on
     Python floats, as ``integrate`` does, and its metric still gets the
-    batch call that fills the columns.
+    batch call that fills the columns.  numpy's warnings are off for the
+    whole call: a value that is not finite ends a row or raises, never warns.
     """
     n = len(cfgs)
     if len(initials) != n or not cfgs:
@@ -1017,6 +1017,7 @@ def _compile_canonical(
     return kinetic_up, lambda coords, u: gravity(coords, u) + e * (d_potential(coords) @ u)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimal_substitution_trajectory(
     a: VectorPotential,
     g: MetricField,
@@ -1049,6 +1050,7 @@ def minimal_substitution_trajectory(
     origin.  Samples report the recovered kinetic velocity, recovered in
     one call over the recorded columns; a sample whose velocity is not
     finite raises ``StepRejected``, as a state that lands non-finite does.
+    As in ``integrate_batch``, numpy's warnings are off for the whole call.
     """
     g.guard.check(initial.x)
     a.guard.check(initial.x)
@@ -1066,7 +1068,6 @@ def minimal_substitution_trajectory(
     # record the recovered kinetic velocity in place of the canonical momentum;
     # a potential that overflows at a sample (even the start event, where
     # A - A(x0) is inf - inf) recovers no velocity, and the run fails there
-    with np.errstate(over="ignore", invalid="ignore"):
-        state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])
+    state[:, DIM:] = kinetic_up(state[:, :DIM], state[:, DIM:])
     _require_finite(state, tau)
     return _trajectory(g, tau, state, status, reason)

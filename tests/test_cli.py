@@ -351,6 +351,9 @@ OUT_OF_DOMAIN = [
     ("cyclotron", "charge = 1.0", "charge = 0"),
     ("exb-drift", "e_x = 0.1", "e_x = 3"),
     ("weak-field-newtonian", "step = 1e-2", "step = 3"),
+    # r^2 overflows in the metric, so the unit-norm u^0 is NaN
+    ("schwarzschild-circular", "orbit = circular\nradius = 10.0",
+     "x1 = 1e160\nx2 = 1.5707963267948966"),
 ]
 
 
@@ -359,11 +362,10 @@ def test_value_outside_a_closed_form_domain_is_invalid_input(name, line, replace
                                                              tmp_path, capsys):
     text = builtin_text(name)
     assert line in text
-    path = tmp_path / f"{name}.cfg"
-    path.write_text(text.replace(line, replacement))
-    assert main(["run", str(path), "--tau-max", "2.0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, caught, err = _outcome(text.replace(line, replacement), ["run", "--tau-max", "2.0"],
+                                 tmp_path, capsys)
+    assert (code, caught, len(err)) == (1, [], 1)
+    assert err[0].startswith("error:")
 
 
 #: built-in, key line, replacement: values that leave an oracle a 0/0 rate
@@ -402,18 +404,25 @@ HUGE_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("name,first,value,second", HUGE_PAIRS)
-def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_path, capsys):
+def _huge_doc(name, first, value, second, path):
+    """Write built-in `name` with `first` set to `value` and `second` to 1e300."""
     lines = builtin_text(name).splitlines()
     for i, line in enumerate(lines):
         key = line.split("=", 1)[0].strip()
         if key in (first, second):
             lines[i] = f"{key} = {value if key == first else '1e300'}"
-    path = tmp_path / f"{name}.cfg"
+        elif key == "name":
+            lines[i] = f"name = {path.stem}"
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name,first,value,second", HUGE_PAIRS)
+def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_path, capsys):
+    path = _huge_doc(name, first, value, second, tmp_path / f"{name}.cfg")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["run", str(path), "--tau-max", "0.05", "--format", "json"])
+        code = main(["run", path, "--tau-max", "0.05", "--format", "json"])
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     if second == "step":
@@ -424,6 +433,50 @@ def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_pa
     # exit 1 with one error line, or exit 0 (a huge B and mass barely drift)
     assert (code, len(err.splitlines())) in ((1, 1), (0, 0))
     assert code == 0 or err.startswith("error:")
+
+
+def test_parallel_batches_whose_closed_forms_overflow_warn_nothing(tmp_path, capsys):
+    # two batch groups of two rows on the pool's threads: each group's e F and
+    # oracle overflow outside the integration, in a thread of its own
+    paths = [_huge_doc(name, "b_z", "1e300", "mass", tmp_path / f"{name}-{k}.cfg")
+             for name in ("cyclotron", "exb-drift") for k in (1, 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", *paths, "--out", str(tmp_path / "out"), "--tau-max", "0.05",
+                     "--jobs", "2"])
+    assert [str(w.message) for w in caught] == []
+    # the cyclotron oracle's rate is 0/0; the exb-drift group completes
+    assert (code, capsys.readouterr().err.splitlines()) == (
+        1, ["error: cyclotron oracle: float division by zero"])
+
+
+#: a Schwarzschild document that escapes to r ~ 1e157 in four steps, where
+#: r^2 in the metric overflows: the run completes, and its norm residual is NaN
+ESCAPE = ("[metric]\ntype = schwarzschild\nmass = 1.0\n\n"
+          "[initial]\nx1 = 1e150\nx2 = 1.5707963267948966\nu1 = 1e3\n\n"
+          "[integrator]\nstep = 1e154\ntau_max = 4e154\n")
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_escape_to_where_the_metric_overflows_completes_without_a_warning(rows, tmp_path,
+                                                                         capsys):
+    # alone and as one batch of two rows
+    paths = []
+    for k in range(rows):
+        paths.append(tmp_path / f"escape{k}.cfg")
+        paths[-1].write_text(f"[scenario]\nname = escape{k}\n\n{ESCAPE}")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out if rows > 1 else out / "escape0.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", *map(str, paths), "--format", "json", "--out", str(target)])
+    assert (code, [str(w.message) for w in caught], capsys.readouterr().err) == (0, [], "")
+    for k in range(rows):
+        payload = json.loads((out / f"escape{k}.json").read_text())
+        assert payload["status"] == "completed"
+        assert payload["summary"]["n_samples"] == 5
+        assert math.isnan(payload["summary"]["max_norm_residual"])
 
 
 #: built-in, key line, replacement, checker: a huge coordinate overflows r^3
@@ -524,19 +577,33 @@ def test_list_scenarios(capsys):
         assert name in out
 
 
-def test_module_entry_point():
+def _module_run(*args):
+    """`python -m phasetransport run *args` in a child process."""
     import subprocess
     import sys
 
     # the child gets src/ on its path, as pytest's own import path has it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "phasetransport", "run", "free"],
+    return subprocess.run(
+        [sys.executable, "-m", "phasetransport", "run", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _module_run("free")
     assert proc.returncode == 0
     assert proc.stdout.startswith(HEADER)
+
+
+def test_module_entry_point_keeps_stderr_empty_on_an_overflowing_escape(tmp_path):
+    # the child's real stderr, with Python's own warning filters
+    path = tmp_path / "escape.cfg"
+    path.write_text(ESCAPE)
+    proc = _module_run(str(path), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["status"] == "completed"
 
 
 # ---------------------------------------------------------------------------

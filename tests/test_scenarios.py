@@ -183,6 +183,16 @@ def test_solve_time_component_on_curved_chart():
     np.testing.assert_allclose(u0, 1.0 / math.sqrt(0.8), rtol=1e-15)
 
 
+@pytest.mark.parametrize("coords,u_spatial", [
+    ([0.0, 1e160, math.pi / 2, 0.0], [0.0, 0.0, 0.0]),  # r^2 overflows: 0 * inf
+    ([0.0, 10.0, math.pi / 2, 0.0], [1e300, 0.0, 0.0]),  # u^r u^r overflows
+])
+def test_solve_time_component_rejects_a_u0_that_is_not_finite(coords, u_spatial):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValidationError, match=r"unit-norm u\^0 is (nan|inf) here"):
+        solve_time_component(schwarzschild(1.0), np.array(coords), np.array(u_spatial))
+
+
 def test_integrator_section_round_trips_to_config():
     doc = (
         "[integrator]\nmethod = rk45-adaptive\nstep = 0.5\nrtol = 1e-8\n"
