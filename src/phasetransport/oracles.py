@@ -4,6 +4,10 @@ Everything here is derived independently of the integrator modules:
 textbook relativistic kinematics (gyration, crossed-field drift), exact
 central-orbit quadratures reduced to complete elliptic integrals, and
 the leading-order apsidal-advance formula.  Geometric units, c = 1.
+
+Only the two quadratures, `apsidal_advance_exact` and
+`radial_period_proper`, use scipy; each imports it at its first call,
+so importing this module does not.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipk
 
 __all__ = [
     "lorentz_gamma",
@@ -186,6 +188,8 @@ def apsidal_advance_exact(mass: float, r_peri: float, r_apo: float) -> float:
     closed form (see apsidal_advance_circular_limit for the r_p -> r_a
     reduction).
     """
+    from scipy.integrate import quad
+
     u_a, u_p, u_3 = _cubic_roots(mass, r_peri, r_apo)
 
     def integrand(psi: float) -> float:
@@ -199,10 +203,19 @@ def apsidal_advance_exact(mass: float, r_peri: float, r_apo: float) -> float:
 
 
 def apsidal_advance_elliptic(mass: float, r_peri: float, r_apo: float) -> float:
-    """Same quantity as apsidal_advance_exact via ellipk; independent route."""
+    """Same quantity as apsidal_advance_exact via K(m); independent route.
+
+    The complete elliptic integral K(m) = pi / (2 AGM(1, sqrt(1 - m)))
+    comes from the arithmetic-geometric mean (Abramowitz & Stegun 17.6),
+    which converges quadratically: once a and b agree to 1e-9, their
+    mean is the limit to rounding.
+    """
     u_a, u_p, u_3 = _cubic_roots(mass, r_peri, r_apo)
     m_par = (u_p - u_a) / (u_3 - u_a)
-    total = 4.0 / math.sqrt(2.0 * mass * (u_3 - u_a)) * float(ellipk(m_par))
+    a, b = 1.0, math.sqrt(1.0 - m_par)
+    while abs(a - b) > 1e-9 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    total = 4.0 / math.sqrt(2.0 * mass * (u_3 - u_a)) * math.pi / (a + b)
     return total - 2.0 * math.pi
 
 
@@ -215,6 +228,8 @@ def apsidal_advance_circular_limit(mass: float, radius: float) -> float:
 
 def radial_period_proper(mass: float, r_peri: float, r_apo: float) -> float:
     """Proper time between successive perihelion passages, exact quadrature."""
+    from scipy.integrate import quad
+
     u_a, u_p, u_3 = _cubic_roots(mass, r_peri, r_apo)
     _, ang_mom = bound_orbit_constants(mass, r_peri, r_apo)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import oracles
 from .connection import Particle, electromagnetic_connection
@@ -107,7 +106,12 @@ def _unwrapped_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _radial_extrema(tau: np.ndarray, r: np.ndarray):
-    """Proper times of interior minima and maxima of r(tau) via spline roots."""
+    """Proper times of interior minima and maxima of r(tau) via spline roots.
+
+    scipy is imported here, at the first call, not with the package.
+    """
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(tau, r)
     crit = spline.derivative().roots(extrapolate=False)
     curv = spline.derivative(2)(crit)
@@ -130,7 +134,7 @@ def _measure_cyclotron(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     em = scn.parameters["em"]
     if em.get("type") != "uniform" or any(em.get("e", [0, 0, 0])):
         raise ValidationError("cyclotron oracle needs a purely magnetic uniform field")
-    b_mag = float(np.linalg.norm(em["b"]))
+    b_mag = math.hypot(*em["b"])  # a sum of squares would overflow at b_z = 1e300
     if b_mag == 0:
         raise ValidationError("cyclotron oracle needs a nonzero magnetic field")
     tau, coords, u = _arrays(traj)
@@ -197,6 +201,8 @@ def _measure_precession(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     spline_r, minima, maxima = _radial_extrema(tau, coords[:, 1])
     if len(minima) < 2:
         raise ValidationError("trajectory too short to measure an apsidal advance")
+    from scipy.interpolate import CubicSpline
+
     phi_spline = CubicSpline(tau, coords[:, 3])
     phi_at_min = phi_spline(minima)
     n_gaps = len(minima) - 1
@@ -220,6 +226,8 @@ def _measure_newtonian(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     mass = float(scn.parameters["metric"]["mass"])
     if mass <= 0 or scn.chart != "cartesian":
         raise ValidationError("newtonian-force oracle needs a massive Cartesian-chart metric")
+    from scipy.interpolate import CubicSpline
+
     forces = coordinate_force(traj, scn.particle)
     _, coords, _ = _arrays(traj)
     pos_spline = CubicSpline(coords[:, 0], coords[:, 1:])

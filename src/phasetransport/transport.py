@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .connection import NonLinearConnection, Particle, _mv, _mv_floats, gravitational_connection
 from .curvature import _metric_deriv_raw, _potential_deriv_raw
@@ -952,8 +951,11 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
     Since u^i equals gamma v^i, this is the coordinate force familiar
     from the low-velocity limit.  The samples are resampled onto a
     uniform grid in t with a cubic spline, then differenced (central in
-    the interior, one-sided second order at the ends).
+    the interior, one-sided second order at the ends).  scipy's spline is
+    imported at the first call, not with the package.
     """
+    from scipy.interpolate import CubicSpline
+
     if len(traj) < 4:
         raise ValueError("need at least four samples for cubic resampling")
     t, u = traj.state[:, 0], traj.state[:, DIM + 1:]

@@ -445,9 +445,9 @@ def test_parallel_batches_whose_closed_forms_overflow_warn_nothing(tmp_path, cap
         code = main(["run", *paths, "--out", str(tmp_path / "out"), "--tau-max", "0.05",
                      "--jobs", "2"])
     assert [str(w.message) for w in caught] == []
-    # the cyclotron oracle's rate is 0/0; the exb-drift group completes
+    # the cyclotron group turns too little for its oracle; the exb-drift group completes
     assert (code, capsys.readouterr().err.splitlines()) == (
-        1, ["error: cyclotron oracle: float division by zero"])
+        1, ["error: cyclotron oracle needs at least a quarter turn"])
 
 
 #: a Schwarzschild document that escapes to r ~ 1e157 in four steps, where
@@ -577,8 +577,8 @@ def test_list_scenarios(capsys):
         assert name in out
 
 
-def _module_run(*args):
-    """`python -m phasetransport run *args` in a child process."""
+def _child(*args):
+    """`python *args` in a fresh child process."""
     import subprocess
     import sys
 
@@ -586,15 +586,58 @@ def _module_run(*args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "phasetransport", "run", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _module_run(*args):
+    """`python -m phasetransport run *args` in a child process."""
+    return _child("-m", "phasetransport", "run", *args)
 
 
 def test_module_entry_point():
     proc = _module_run("free")
     assert proc.returncode == 0
     assert proc.stdout.startswith(HEADER)
+
+
+#: a child that runs commands and prints, after the import and after each
+#: command, whether scipy has been imported
+SCIPY_PROBE = """
+import contextlib, io, sys
+from phasetransport import cli
+loaded = ["scipy" in sys.modules]
+for argv in (["list-scenarios"], ["run", "cyclotron"], ["run", "coulomb"],
+             ["check", "cyclotron", "--checker", "minimal-substitution"],
+             ["run", "schwarzschild-precession"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_the_oracles_that_need_scipy_import_it():
+    proc = _child("-c", SCIPY_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the precession oracle's splines are the first to need it
+    assert proc.stdout == f"{[False] * 5 + [True]}\n"
+
+
+def test_two_threads_first_importing_scipy_at_once_write_what_one_does(tmp_path):
+    # two groups on the pool's threads, each reaching its oracle's first
+    # scipy import in a fresh interpreter
+    names = ("schwarzschild-precession", "weak-field-newtonian")
+    out = {}
+    for jobs in ("1", "2"):
+        out[jobs] = tmp_path / f"jobs{jobs}"
+        proc = _module_run(*names, "--out", str(out[jobs]), "--jobs", jobs)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    files = sorted(os.listdir(out["1"]))
+    assert files == sorted(os.listdir(out["2"])) == sorted(f"{name}.csv" for name in names)
+    for name in files:
+        assert (out["2"] / name).read_bytes() == (out["1"] / name).read_bytes()
 
 
 def test_module_entry_point_keeps_stderr_empty_on_an_overflowing_escape(tmp_path):

@@ -35,6 +35,19 @@ def test_cyclotron_summary_oracle_errors():
     assert rep.summary["oracle_period_error"] < 1e-6
 
 
+def test_cyclotron_oracle_measures_a_field_whose_square_overflows():
+    # B and mass both 1e300 gyrate as the built-in does, while |B|^2 is inf
+    text = (builtin_text("cyclotron").replace("b_z = 1.0", "b_z = 1e300")
+            .replace("mass = 1.0", "mass = 1e300"))
+    assert text.count("= 1e300") == 2
+    rep = run(load_scenario(text))
+    assert rep.summary["oracle_radius_error"] < 1e-6
+    assert rep.summary["oracle_period_error"] < 1e-6
+    short = text.replace("tau_max = 6.283185307179586", "tau_max = 0.05")
+    with pytest.raises(ValidationError, match="needs at least a quarter turn"):
+        run(load_scenario(short))
+
+
 def test_exb_summary_drift_error():
     rep = run(load_builtin("exb-drift"))
     assert rep.summary["oracle_drift_error"] < 1e-4
