@@ -27,6 +27,15 @@ dA_mn - dA_nm that gives it, times its component of u, and each row
 summed as numpy's 4x4 matrix-vector product sums it with the OpenBLAS
 it ships (0.3.31, x86-64), ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0,
 the last term turning a zero sum's sign to +0.
+
+The built-in potentials carry float lanes too, for the canonical-momentum
+route, which always steps alone: the Coulomb and axial potentials' values
+and gradients, the uniform potential's constant gradient rows and the zero
+potential.  Each lane takes the array formula's operations in its order.
+The uniform potential's values ``x @ grad`` keep none: numpy sums that
+vector-matrix product as a fused multiply-add chain, which Python floats
+cannot take (there is no ``math.fma`` before Python 3.13), so the route
+calls it on arrays.
 """
 
 from __future__ import annotations
@@ -137,7 +146,10 @@ class VectorPotential:
     ``out[m, n] = d A_n / d x^m``; built-in potentials carry one so that
     the derived field strength (and hence its closure residual) is exact
     for linear potentials.  Built-in evaluators take one event ``(4,)``
-    or a batch ``(..., 4)``; a constant may be returned unbroadcast.
+    or a batch ``(..., 4)``; a constant may be returned unbroadcast.  Most
+    also carry a float lane (``tensor.with_floats``), which the
+    canonical-momentum route steps on; a callable without one is called
+    on arrays.
     """
 
     values_fn: Callable[[np.ndarray], np.ndarray]
@@ -151,7 +163,9 @@ def zero_potential() -> VectorPotential:
     z.setflags(write=False)
     zz = np.zeros((DIM, DIM))
     zz.setflags(write=False)
-    return VectorPotential(lambda c: z, deriv_fn=lambda c: zz, name="zero")
+    rows = zz.tolist()
+    return VectorPotential(with_floats(lambda c: z, lambda x: rows[0]),
+                           deriv_fn=with_floats(lambda c: zz, lambda x: rows), name="zero")
 
 
 def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> VectorPotential:
@@ -168,7 +182,11 @@ def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) ->
     grad[1:, 0] = ev
     grad[1:, 1:] = 0.5 * np.cross(bv, np.eye(3))  # row i: B x e_i / 2
     grad.setflags(write=False)
-    return VectorPotential(lambda c: c @ grad, deriv_fn=lambda c: grad, name="uniform-eb-gauge")
+    rows = grad.tolist()
+    # c @ grad keeps no float lane: numpy sums it as a fused multiply-add
+    # chain, which Python floats cannot take
+    return VectorPotential(lambda c: c @ grad, deriv_fn=with_floats(lambda c: grad, lambda x: rows),
+                           name="uniform-eb-gauge")
 
 
 def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> VectorPotential:
@@ -195,6 +213,17 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
             out.T[0, 1:] = -q * ct[1:] / (r * r * r)
             return out
 
+        def values_floats(c: list) -> list:
+            _, x, y, z = c
+            return [q / math.sqrt(x * x + y * y + z * z), 0.0, 0.0, 0.0]
+
+        def deriv_floats(c: list) -> list:
+            _, x, y, z = c
+            r = math.sqrt(x * x + y * y + z * z)
+            r3 = r * r * r
+            return [[0.0] * DIM, [-q * x / r3, 0.0, 0.0, 0.0],
+                    [-q * y / r3, 0.0, 0.0, 0.0], [-q * z / r3, 0.0, 0.0, 0.0]]
+
         def one(c: list):
             _, x, y, z = c
             r = math.sqrt(x * x + y * y + z * z)
@@ -216,13 +245,24 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
             out.T[0, k] = -q / (ct[k] * ct[k])
             return out
 
+        def values_floats(c: list) -> list:
+            out = [0.0] * DIM
+            out[0] = q / c[k]
+            return out
+
+        def deriv_floats(c: list) -> list:
+            out = [[0.0] * DIM for _ in range(DIM)]
+            out[k][0] = -q / (c[k] * c[k])
+            return out
+
         def one(c: list):
             return None if c[k] > 1e-9 else "radial coordinate at singularity"
 
         probe = batch_probe(one, lambda ct: (ct[k] > 1e-9).all())
 
     return VectorPotential(
-        values, deriv_fn=deriv, guard=DomainGuard(probe, "coulomb"), name=f"coulomb(q={q:g})"
+        with_floats(values, values_floats), deriv_fn=with_floats(deriv, deriv_floats),
+        guard=DomainGuard(probe, "coulomb"), name=f"coulomb(q={q:g})"
     )
 
 
@@ -318,7 +358,19 @@ def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
         d[3, 2] = B * r * r * s * np.cos(th)
         return out
 
-    return VectorPotential(values, deriv_fn=deriv, name=f"axial-b(B={B:g})")
+    def values_floats(c: list) -> list:
+        _, r, th, _ = c
+        s = sin_cos(th)[0]
+        return [0.0, 0.0, 0.0, 0.5 * B * r * r * (s * s)]
+
+    def deriv_floats(c: list) -> list:
+        _, r, th, _ = c
+        s, cs = sin_cos(th)
+        return [[0.0] * DIM, [0.0, 0.0, 0.0, B * r * (s * s)],
+                [0.0, 0.0, 0.0, B * r * r * s * cs], [0.0] * DIM]
+
+    return VectorPotential(with_floats(values, values_floats),
+                           deriv_fn=with_floats(deriv, deriv_floats), name=f"axial-b(B={B:g})")
 
 
 def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:

@@ -242,13 +242,9 @@ def euclidean_radius(ct: np.ndarray):
     """The radius sqrt(x^2 + y^2 + z^2) of Cartesian events.
 
     `ct` is one event ``(4,)`` or a transposed batch ``(4, ...)``, so
-    ``ct[1]`` is x either way.  A square that overflows gives r = inf.
-    One event is summed in Python floats, which round as numpy's scalars
-    do and never warn; a batch warns unless its caller's error state is off.
+    ``ct[1]`` is x either way.  A square that overflows gives r = inf,
+    and warns unless its caller's error state is off.
     """
-    if ct.ndim == 1:
-        x, y, z = ct[1:].tolist()
-        return np.float64(math.sqrt(x * x + y * y + z * z))
     return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
 
 

@@ -32,7 +32,8 @@ the start event, and must land on the same worldline.
 Its law is compiled once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
 a run of this route is always lone, so it shares the float lane's
-shell (``_make_lone_rhs``) and the engine.
+shell (``_make_lone_rhs``) and the engine, and its law steps on floats
+too.
 Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
@@ -264,13 +265,40 @@ def _compile_acceleration(
     return lambda coords, u: o1(coords, u) + _mv(inverse(coords), o0(coords, u) * inv_mass)
 
 
-def _on_floats(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable[[list, list], list]:
-    """`fn` of (coords, u) for one event on Python floats: its own float lane
-    (``tensor.with_floats``), or `fn` called on arrays, with the same bits."""
+def _on_floats(fn: Callable[..., np.ndarray]) -> Callable[..., list]:
+    """`fn` of one event on Python floats, four per ``(4,)`` argument: its own
+    float lane (``tensor.with_floats``), or `fn` called on arrays, with the
+    same bits."""
     lane = float_lane(fn)
     if lane is not None:
         return lane
-    return lambda x, u: fn(np.array(x), np.array(u)).tolist()
+    return lambda *args: fn(*map(np.array, args)).tolist()
+
+
+def _or_on_arrays(
+    lane: Callable[[list, list], list], fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> Callable[[list, list], list]:
+    """`lane` of (x, v), except where Python floats raise (a division by
+    zero, a math-domain error, an overflow): there `fn`, the same law on
+    numpy values, evaluates the event again and gives inf or NaN as numpy
+    does.  An error of the law's own raises again."""
+
+    def guarded(x: list, v: list) -> list:
+        try:
+            return lane(x, v)
+        except (ArithmeticError, ValueError):
+            return fn(np.array(x), np.array(v)).tolist()
+
+    return guarded
+
+
+def _raised_on_floats(g: MetricField) -> Callable[[list, list], list]:
+    """``_mv(g.inverse_raw(coords), v)`` of one event on Python floats: the
+    inverse metric's float rows where it has them, else on arrays."""
+    inverse, rows = g.inverse_raw, float_lane(g.inverse_fn)
+    if rows is None:
+        return _on_floats(lambda coords, v: _mv(inverse(coords), v))
+    return lambda x, v: _mv_floats(rows(x), v)
 
 
 def _probe_on_floats(guard: DomainGuard) -> Callable[[list], Optional[str]]:
@@ -292,10 +320,9 @@ def _compile_lone_acceleration(
     forms, a uniform field's block and the curved charts' inverse-metric
     rows), and is called on arrays otherwise (``_on_floats``).  The law
     takes the array law's operations in its order, so it has its bits.
-    Where Python floats raise (a division by zero, a math-domain error, an
-    overflow), the event is evaluated again by the array law as a batch of
-    one, on numpy columns, which give inf or NaN there as they do for any
-    batch row; an error of the law's own raises again.  `order0`, when
+    Where Python floats raise, the event is evaluated again by the array
+    law as a batch of one (``_or_on_arrays``), on numpy columns, which
+    give inf or NaN there as they do for any batch row.  `order0`, when
     given, is the event's constant K0 block ``(4, 4)``.
     """
     arrays = _compile_acceleration(c, mass, order0)
@@ -321,26 +348,14 @@ def _compile_lone_acceleration(
     elif o0 is None:
         rate = o1
     else:
-        inverse, inverse_rows = c.metric.inverse_raw, float_lane(c.metric.inverse_fn)
-        if inverse_rows is None:
-            raised = _on_floats(lambda coords, v: _mv(inverse(coords), v))
-        else:
-
-            def raised(x, v):
-                return _mv_floats(inverse_rows(x), v)
+        raised = _raised_on_floats(c.metric)
 
         def k0(x, u):
             return raised(x, [a * inv_mass for a in o0(x, u)])
 
         rate = k0 if o1 is None else lambda x, u: [a + b for a, b in zip(o1(x, u), k0(x, u))]
 
-    def lone(x: list, u: list) -> list:
-        try:
-            return rate(x, u)
-        except (ArithmeticError, ValueError):
-            return arrays(np.array([x]), np.array([u]))[0].tolist()
-
-    return lone
+    return _or_on_arrays(rate, lambda coords, u: arrays(coords[None], u[None])[0])
 
 
 def _make_rhs(
@@ -976,8 +991,9 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
 def _compile_canonical(
     a: VectorPotential, g: MetricField, m: float, e: float, a0: np.ndarray
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-           Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """(kinetic u of (coords, pi), dpi/dtau of (coords, u)), shaped once per route.
+           Callable[[list, list], list], Callable[[list, list], list]]:
+    """(kinetic u of (coords, pi) on arrays, and on Python floats the kinetic
+    u of (x, pi) and dpi/dtau of (x, u)), shaped once per route.
 
     The kinetic velocity is u^m = g^mn (pi_n - e (A_n - a0_n)) / m, with
     the potential anchored at its value `a0` at the start event.  On the flat
@@ -985,38 +1001,75 @@ def _compile_canonical(
     mass m diag(eta), with the bits of eta @ ((pi - e A) / m) up to the
     sign of a zero, and the metric-gradient term of dpi/dtau, exactly
     zero there, is dropped.  Elsewhere the law is evaluated as written.
-    An uncharged particle feels no potential gradient.  `kinetic_up`
-    takes one event ``(4,)`` or every sample ``(n, 4)``; the rate takes
-    one event.
+    An uncharged particle feels no potential gradient.  The kinetic u on
+    arrays takes one event ``(4,)`` or every sample ``(n, 4)``.
+
+    The float law takes and gives four floats per vector, and takes the
+    array law's operations at one event in its order, so it has its bits.
+    Each term is its float lane where it has one (the built-in potentials'
+    values and gradients, the curved charts' inverse-metric rows) and is
+    called on arrays otherwise (``_on_floats``), once per evaluation: a
+    user potential, a wrapper, the uniform potential's values and the
+    metric-gradient term (its 64 products on floats cost more than the
+    einsum on arrays).  The contraction dA @ u is ``_mv_floats``, the
+    order of numpy's 4x4 matrix-vector product.  Where Python floats
+    raise, the array law evaluates that event (``_or_on_arrays``).
     """
     def values(coords):
         return a.values_fn(coords) - a0
 
     d_potential = a.deriv_fn or (lambda coords: _potential_deriv_raw(a, coords))
+    values_floats, d_potential_floats, a0_floats = (
+        _on_floats(a.values_fn), _on_floats(d_potential), a0.tolist())
+
+    def kinetic_momentum(x, pi):  # pi - e (A - a0), on floats
+        return [p - e * (v - b) for p, v, b in zip(pi, values_floats(x), a0_floats)]
+
+    def lorentz(x, u):  # e (dA @ u), on floats
+        return [e * w for w in _mv_floats(d_potential_floats(x), u)]
 
     if isinstance(g, FlatMetric):
         signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
+        signed_masses = signed_mass.tolist()
 
         def kinetic_up(coords, pi):
             return (pi - e * values(coords)) / signed_mass
 
+        def velocity(x, pi):
+            return [p / s for p, s in zip(kinetic_momentum(x, pi), signed_masses)]
+
         if e == 0.0:
             zero = np.zeros(DIM)
-            return kinetic_up, lambda coords, u: zero
-        return kinetic_up, lambda coords, u: e * (d_potential(coords) @ u)
+            rate, rate_floats = (lambda coords, u: zero), (lambda x, u: [0.0] * DIM)
+        else:
+            rate, rate_floats = (lambda coords, u: e * (d_potential(coords) @ u)), lorentz
+        return kinetic_up, _or_on_arrays(velocity, kinetic_up), _or_on_arrays(rate_floats, rate)
 
     inverse = g.inverse_raw
+    raised = _raised_on_floats(g)
     d_metric = g.deriv_fn or (lambda coords: _metric_deriv_raw(g, coords, None))
 
     def kinetic_up(coords, pi):
         return _mv(inverse(coords), (pi - e * values(coords)) / m)
 
+    def velocity(x, pi):
+        return raised(x, [p / m for p in kinetic_momentum(x, pi)])
+
     def gravity(coords, u):
         return 0.5 * m * np.einsum("abs,a,b->s", d_metric(coords), u, u)
 
+    gravity_floats = _on_floats(gravity)
     if e == 0.0:
-        return kinetic_up, gravity
-    return kinetic_up, lambda coords, u: gravity(coords, u) + e * (d_potential(coords) @ u)
+        rate, rate_floats = gravity, gravity_floats
+    else:
+
+        def rate(coords, u):
+            return gravity(coords, u) + e * (d_potential(coords) @ u)
+
+        def rate_floats(x, u):
+            return [s + t for s, t in zip(gravity_floats(x, u), lorentz(x, u))]
+
+    return kinetic_up, _or_on_arrays(velocity, kinetic_up), _or_on_arrays(rate_floats, rate)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -1042,8 +1095,8 @@ def minimal_substitution_trajectory(
     on the flat chart it evaluates neither the inverse metric nor the
     metric gradient.  A run of this route is one row, so it steps on
     Python floats: the right-hand side is the float lane's shell
-    (``_make_lone_rhs``) with u recovered from pi, and the law called on
-    arrays.  It probes the intersection of the metric's and the
+    (``_make_lone_rhs``) with u recovered from pi, and the law on floats,
+    each term on its float lane where it has one.  It probes the intersection of the metric's and the
     potential's guards once, and the run ends where either rejects a
     state.  The potential is anchored at the start
     event x0: the route evolves pi = m g u + e (A - A(x0)), a constant
@@ -1060,9 +1113,9 @@ def minimal_substitution_trajectory(
     e = particle.charge
     guard = g.guard.intersect(a.guard)
     x0 = initial.x.coords
-    kinetic_up, momentum_rate = _compile_canonical(a, g, m, e, a.values_fn(x0))
+    kinetic_up, velocity, momentum_rate = _compile_canonical(a, g, m, e, a.values_fn(x0))
     pi0 = m * (g.matrix_fn(x0) @ initial.u.components)
-    lone = _make_lone_rhs(guard, _on_floats(momentum_rate), _on_floats(kinetic_up))
+    lone = _make_lone_rhs(guard, momentum_rate, velocity)
     tau, state, status, reason = _integrate_engine(
         lambda rows: lone,
         np.concatenate([x0, pi0])[None], [initial.tau], [cfg], guard,

@@ -11,19 +11,30 @@ Every check is pinned the same way: the summary of each built-in's check
 by each checker it is compatible with, which takes the paths that a run
 does not (the canonical-momentum route, the symbols behind the Bianchi
 residual, the lone RK45 runs).  So are the states of the canonical
-route, which always runs alone, with RK45.
+route, which always runs alone, with RK45, and on starts off the axes,
+where a row of dA @ u or a component of a uniform potential sums three
+nonzero terms, so that the order of the sum shows in the bits.
 """
 
 import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from phasetransport.connection import Particle
 from phasetransport.errors import IncompatibleChecker
+from phasetransport.fields import (
+    axial_magnetic_potential_spherical,
+    coulomb_potential,
+    uniform_field_potential,
+)
+from phasetransport.metrics import minkowski, schwarzschild
 from phasetransport.report import CHECKERS, check, emit, run
-from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
-from phasetransport.transport import minimal_substitution_trajectory
+from phasetransport.scenarios import BUILTIN_NAMES, load_builtin, solve_time_component
+from phasetransport.tensor import FourVector, SpacetimeEvent
+from phasetransport.transport import IntegratorConfig, PhaseState, minimal_substitution_trajectory
 
 #: built-in -> (csv sha256, summary sha256), 12 hex digits each
 DIGESTS = {
@@ -119,4 +130,38 @@ def test_canonical_route_with_rk45_keeps_its_digest(name):
     cfg = dataclasses.replace(scn.config, method="rk45-adaptive", tau_max=tau_max)
     traj = minimal_substitution_trajectory(scn.potential, scn.metric, scn.particle,
                                            scn.initial, cfg)
+    assert hashlib.sha256(traj.state.tobytes()).hexdigest()[:12] == digest
+
+
+def _start(g, x, u):
+    u0 = solve_time_component(g, np.array(x), np.array(u))
+    return PhaseState(0.0, SpacetimeEvent(x), FourVector([u0, *u]))
+
+
+#: case -> (potential, metric, start, config, sha256 of the canonical route's
+#: state column, 12 hex digits), for a unit charge of unit mass, off the axes
+#: where the built-ins keep E and B, the start and u
+CANONICAL_OFF_AXES = {
+    # exb-drift's E and B turned so that E, B, x and u have three nonzero components
+    "exb-drift-rotated": (
+        lambda: uniform_field_potential([0.2 / 3, -0.1 / 3, 0.2 / 3], [2 / 3, 2 / 3, -1 / 3]),
+        minkowski, [0.0, 0.3, -0.2, 0.1], [0.1, -0.05, 0.08],
+        IntegratorConfig(step=1e-2, tau_max=5.0), "8ae64cf57501"),
+    "coulomb-off-axes": (
+        lambda: coulomb_potential(1.0), minkowski, [0.0, 6.0, -5.0, 4.0], [0.1, 0.15, 0.05],
+        IntegratorConfig(step=5e-2, tau_max=20.0), "79c14b8a4544"),
+    # combined-schwarzschild-B's field at theta = 1.1, with u^theta
+    "combined-schwarzschild-B-off-equator": (
+        lambda: axial_magnetic_potential_spherical(1e-3), lambda: schwarzschild(1.0),
+        [0.0, 20.0, 1.1, 0.4], [0.01, 0.005, 0.01],
+        IntegratorConfig(step=5e-2, tau_max=50.0), "a08ad2471e4c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_OFF_AXES))
+def test_canonical_route_off_the_axes_keeps_its_digest(case):
+    potential, metric, x, u, cfg, digest = CANONICAL_OFF_AXES[case]
+    g = metric()
+    traj = minimal_substitution_trajectory(potential(), g, Particle(1.0, 1.0), _start(g, x, u), cfg)
+    assert traj.status == "completed"
     assert hashlib.sha256(traj.state.tobytes()).hexdigest()[:12] == digest

@@ -45,7 +45,15 @@ from phasetransport.fields import (
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field, without_closed_form
 from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
-from phasetransport.tensor import DomainGuard, FourVector, MetricField, SpacetimeEvent
+from phasetransport.tensor import (
+    EVERYWHERE,
+    DomainGuard,
+    FourVector,
+    MetricField,
+    SpacetimeEvent,
+    float_lane,
+    with_floats,
+)
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
@@ -687,16 +695,24 @@ def _canonical_initial():
 
 
 def test_flat_canonical_route_never_evaluates_the_inverse_or_the_metric_gradient():
-    calls = []
+    # nor the potential's array evaluators per RHS: its float lanes, kept on
+    # the counting wrappers, step the run, and the arrays serve the anchor
+    # A(x0) and the one recovery of u over the recorded columns
+    calls, values_calls, deriv_calls = [], [], []
     eta = minkowski()
     g = dataclasses.replace(eta, inverse_fn=counting(eta.inverse_fn, calls),
                             deriv_fn=counting(eta.deriv_fn, calls))
-    cfg = IntegratorConfig(step=0.1, tau_max=2.0)
-    traj = minimal_substitution_trajectory(
-        CANONICAL_POTENTIALS["coulomb"](), g, Particle(3.0, 1.3), _canonical_initial(), cfg
+    pot = CANONICAL_POTENTIALS["coulomb"]()
+    pot = dataclasses.replace(
+        pot,
+        values_fn=with_floats(counting(pot.values_fn, values_calls), float_lane(pot.values_fn)),
+        deriv_fn=with_floats(counting(pot.deriv_fn, deriv_calls), float_lane(pot.deriv_fn)),
     )
+    cfg = IntegratorConfig(step=0.1, tau_max=2.0)
+    traj = minimal_substitution_trajectory(pot, g, Particle(3.0, 1.3), _canonical_initial(), cfg)
     assert traj.status == "completed" and len(traj) == 21
-    assert calls == []
+    assert calls == [] and deriv_calls == []
+    assert len(values_calls) == 2
 
 
 @pytest.mark.parametrize("charge", [1.3, 0.0])
@@ -1123,6 +1139,58 @@ def test_wrapped_terms_on_floats_have_the_bits_and_the_calls_of_the_bare_ones(ar
         array_steps.clear()
 
 
+def _canonical_run(scn, potential, tau_max):
+    cfg = dataclasses.replace(scn.config, tau_max=tau_max)
+    return minimal_substitution_trajectory(potential, scn.metric, scn.particle, scn.initial, cfg)
+
+
+@pytest.mark.parametrize("name,tau_max", [("coulomb", 10.0), ("combined-schwarzschild-B", 20.0)])
+def test_canonical_terms_without_a_float_lane_have_the_bits_and_the_calls_of_the_bare_ones(
+        name, tau_max):
+    # a traced potential's wrappers and a user potential's lambdas have no
+    # float lane, so each is called on arrays, once per RHS (RK4 takes 4 per
+    # step); the values also give the anchor A(x0) and the recovered u
+    scn = load_builtin(name)
+    bare = scn.potential
+    want = _canonical_run(scn, bare, tau_max)
+    assert want.status == "completed"
+    rhs = 4 * (len(want) - 1)
+    calls = {}
+
+    def leaf(fn, key):
+        def counted(coords):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(coords)
+
+        return counted
+
+    traced = dataclasses.replace(bare, values_fn=leaf(bare.values_fn, "values"),
+                                 deriv_fn=leaf(bare.deriv_fn, "deriv"))
+    assert_same_bits(_canonical_run(scn, traced, tau_max), want)
+    assert calls == {"values": rhs + 2, "deriv": rhs}
+    user = VectorPotential(lambda c: bare.values_fn(c), deriv_fn=lambda c: bare.deriv_fn(c),
+                           guard=bare.guard, name="user")
+    assert_same_bits(_canonical_run(scn, user, tau_max), want)
+
+
+@pytest.mark.parametrize("name,per_rhs", [
+    ("coulomb", 0), ("combined-schwarzschild-B", 0), ("exb-drift", 1)])
+def test_canonical_route_calls_a_built_in_potential_on_arrays_only_outside_the_rhs(
+        name, per_rhs):
+    # the float lanes step the run; the arrays give the anchor A(x0) and the
+    # recovered u, and the uniform potential's values x @ grad on every RHS
+    scn = load_builtin(name)
+    pot, values_calls, deriv_calls = scn.potential, [], []
+    pot = dataclasses.replace(
+        pot,
+        values_fn=with_floats(counting(pot.values_fn, values_calls), float_lane(pot.values_fn)),
+        deriv_fn=with_floats(counting(pot.deriv_fn, deriv_calls), float_lane(pot.deriv_fn)),
+    )
+    traj = _canonical_run(scn, pot, 20 * scn.config.step)
+    assert_same_bits(traj, _canonical_run(scn, scn.potential, 20 * scn.config.step))
+    assert (len(values_calls), len(deriv_calls)) == (2 + per_rhs * 4 * 20, 0)
+
+
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
     # the closed Coulomb form, here without its guard, divides 0 by 0 at the
     # origin: Python floats raise where numpy gives NaN, so the lone run takes
@@ -1136,6 +1204,23 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
     assert array_steps == []
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
         integrate_batch(conn, Particle(1.0, 1.0), [rest_state()] * 2, [cfg] * 2)
+
+
+def test_a_float_hazard_on_the_canonical_route_takes_numpys_values():
+    # the Coulomb potential without its guard, and a charge too small to
+    # deflect: a stage lands on the origin, where the float lanes divide by
+    # zero; the array law gives numpy's inf there, so the run fails as it did
+    # on arrays, and the potential's array evaluators run only at that stage
+    calls = []
+    pot = coulomb_potential(1.0)
+    pot = dataclasses.replace(
+        pot, guard=EVERYWHERE,
+        values_fn=with_floats(counting(pot.values_fn, calls), float_lane(pot.values_fn)))
+    initial = state([0.0, -1.0, 0.0, 0.0], [math.sqrt(1.25), 0.5, 0.0, 0.0])
+    with pytest.raises(StepRejected, match=r"state became non-finite at tau = 2$"):
+        minimal_substitution_trajectory(pot, minkowski(), Particle(1.0, 1e-300), initial,
+                                        IntegratorConfig(step=0.5, tau_max=5.0))
+    assert len(calls) == 2  # the anchor and the stage on the origin
 
 
 def test_a_zero_error_scale_takes_numpys_norm_and_fails_as_its_batch_row(array_steps):
