@@ -21,7 +21,9 @@ metric).  The two physically distinguished builders are:
 Each builder takes its field's closed form of the contracted term when
 the field has one (``MetricField.geodesic_fn``,
 ``FaradayField.lorentz_fn``), and otherwise builds the block and
-contracts it.  A closed form's float lane (``tensor.with_floats``), and
+contracts it.  A built-in closed form is one formula, run on numpy
+columns for a batch and on Python floats for a lone trajectory
+(``tensor.columnwise``).  Its float lane (``tensor.with_floats``), and
 that of a uniform field's constant block, is the term's float lane.
 
 ``superpose`` adds the terms so both forces act through a single law.

@@ -16,26 +16,25 @@ the usual E = -grad(phi).
 The Coulomb and axial potentials also come with their Lorentz term
 (e F_mn) u^n in closed form (``coulomb_lorentz``,
 ``axial_magnetic_lorentz_spherical``), a ``FaradayField.lorentz_fn``
-for ``curvature.faraday_field_of``.  Each is one formula over the
-columns of its arguments: numpy columns for a batch, numpy scalars for
-one event ``(4,)``, and Python floats for the term's float lane
-(``tensor.with_floats``), which a lone trajectory steps on.  It keeps
-the bits of ``(e * F) @ u`` either way: every
-entry of e F that the matrix would hold, zeros included (a zero times an
-infinite component is a NaN) and each F_mn written as the subtraction
-dA_mn - dA_nm that gives it, times its component of u, and each row
-summed as numpy's 4x4 matrix-vector product sums it with the OpenBLAS
-it ships (0.3.31, x86-64), ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0,
-the last term turning a zero sum's sign to +0.
+for ``curvature.faraday_field_of``.  It keeps the bits of
+``(e * F) @ u``: every entry of e F that the matrix would hold, zeros
+included (a zero times an infinite component is a NaN) and each F_mn
+written as the subtraction dA_mn - dA_nm that gives it, times its
+component of u, and each row summed as numpy's 4x4 matrix-vector
+product sums it with the OpenBLAS it ships (0.3.31, x86-64),
+((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0, the last term turning a zero
+sum's sign to +0.
 
-The built-in potentials carry float lanes too, for the canonical-momentum
-route, which always steps alone: the Coulomb and axial potentials' values
-and gradients, the uniform potential's constant gradient rows and the zero
-potential.  Each lane takes the array formula's operations in its order.
-The uniform potential's values ``x @ grad`` keep none: numpy sums that
-vector-matrix product as a fused multiply-add chain, which Python floats
-cannot take (there is no ``math.fma`` before Python 3.13), so the route
-calls it on arrays.
+Each closed form here (the Coulomb and axial potentials' values and
+gradients, the Lorentz terms and the Coulomb guard) is one formula, run
+on numpy columns or on Python floats (``tensor.closed_form``,
+``tensor.columnwise``, ``tensor.guard_probe``).  A lone trajectory and
+the canonical-momentum route, which always steps alone, run it on
+floats.  The zero and uniform potentials' constant gradients carry
+their rows as float lanes.  The uniform potential's values ``x @ grad``
+keep none: numpy sums that vector-matrix product as a fused
+multiply-add chain, which Python floats cannot take (there is no
+``math.fma`` before Python 3.13), so the route calls it on arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, batch_probe, euclidean_radius, sin_cos, with_floats
+from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, columnwise, guard_probe, with_floats
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -200,91 +199,45 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
 
     if radial_index is None:
 
-        def values(c: np.ndarray) -> np.ndarray:
-            out = np.zeros(c.shape)
-            out.T[0] = q / euclidean_radius(c.T)
-            return out
-
-        def deriv(c: np.ndarray) -> np.ndarray:
-            # out[..., m, n] = d A_n / d x^m, written as out.T[n, m, ...]
-            ct = c.T
-            r = euclidean_radius(ct)
-            out = np.zeros(c.shape[:-1] + (DIM, DIM))
-            out.T[0, 1:] = -q * ct[1:] / (r * r * r)
-            return out
-
-        def values_floats(c: list) -> list:
+        def values(ops, c):
             _, x, y, z = c
-            return [q / math.sqrt(x * x + y * y + z * z), 0.0, 0.0, 0.0]
+            return (q / ops.sqrt(x * x + y * y + z * z),)
 
-        def deriv_floats(c: list) -> list:
+        def deriv(ops, c):
+            # out[m, n] = d A_n / d x^m
             _, x, y, z = c
-            r = math.sqrt(x * x + y * y + z * z)
+            r = ops.sqrt(x * x + y * y + z * z)
             r3 = r * r * r
-            return [[0.0] * DIM, [-q * x / r3, 0.0, 0.0, 0.0],
-                    [-q * y / r3, 0.0, 0.0, 0.0], [-q * z / r3, 0.0, 0.0, 0.0]]
+            return -q * x / r3, -q * y / r3, -q * z / r3
 
-        def one(c: list):
+        def admits(ops, c):
             _, x, y, z = c
-            r = math.sqrt(x * x + y * y + z * z)
-            return None if r > 1e-9 else f"r = {r:.3e} at the potential singularity"
+            return ops.sqrt(x * x + y * y + z * z) > 1e-9
 
-        probe = batch_probe(one, lambda ct: (euclidean_radius(ct) > 1e-9).all())
+        def why(c):
+            _, x, y, z = c
+            return f"r = {math.sqrt(x * x + y * y + z * z):.3e} at the potential singularity"
+
+        probe = guard_probe(admits, why)
+        nonzero = ((1, 0), (2, 0), (3, 0))
 
     else:
         k = radial_index
 
-        def values(c: np.ndarray) -> np.ndarray:
-            out = np.zeros(c.shape)
-            out.T[0] = q / c.T[k]
-            return out
+        def values(ops, c):
+            return (q / c[k],)
 
-        def deriv(c: np.ndarray) -> np.ndarray:
-            ct = c.T
-            out = np.zeros(c.shape[:-1] + (DIM, DIM))
-            out.T[0, k] = -q / (ct[k] * ct[k])
-            return out
+        def deriv(ops, c):
+            return (-q / (c[k] * c[k]),)
 
-        def values_floats(c: list) -> list:
-            out = [0.0] * DIM
-            out[0] = q / c[k]
-            return out
-
-        def deriv_floats(c: list) -> list:
-            out = [[0.0] * DIM for _ in range(DIM)]
-            out[k][0] = -q / (c[k] * c[k])
-            return out
-
-        def one(c: list):
-            return None if c[k] > 1e-9 else "radial coordinate at singularity"
-
-        probe = batch_probe(one, lambda ct: (ct[k] > 1e-9).all())
+        probe = guard_probe(lambda ops, c: c[k] > 1e-9,
+                            lambda c: "radial coordinate at singularity")
+        nonzero = ((k, 0),)
 
     return VectorPotential(
-        with_floats(values, values_floats), deriv_fn=with_floats(deriv, deriv_floats),
+        closed_form(((0,),), values), deriv_fn=closed_form(nonzero, deriv),
         guard=DomainGuard(probe, "coulomb"), name=f"coulomb(q={q:g})"
     )
-
-
-def _columnwise(terms, one, many) -> LorentzFn:
-    """The ``LorentzFn`` that evaluates ``terms(*leading, e, u0, u1, u2, u3)``.
-
-    `many(coords.T)` gives the leading arguments of a batch as numpy
-    columns (of one event ``(4,)`` as numpy scalars), and `one(x)` those
-    of one event given as four Python floats, for the term's float lane.
-    The formula is the same for both, so a row of a batch, a one-event
-    call and the float lane get the same bits.
-    """
-
-    def floats(x: list, u: list, e: float):
-        return terms(*one(x), e, *u)
-
-    def lorentz(c: np.ndarray, u: np.ndarray, e: float) -> np.ndarray:
-        out = np.empty(u.shape)
-        out.T[:] = terms(*many(c.T), e, *u.T)
-        return out
-
-    return with_floats(lorentz, floats)
 
 
 def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> LorentzFn:
@@ -298,7 +251,10 @@ def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> Lorent
 
     if radial_index is None:
 
-        def terms(r, x, y, z, e, u0, u1, u2, u3):
+        def terms(ops, c, u, e):
+            _, x, y, z = c
+            u0, u1, u2, u3 = u
+            r = ops.sqrt(x * x + y * y + z * z)
             r3 = r * r * r
             d1, d2, d3 = -q * x / r3, -q * y / r3, -q * z / r3
             z0 = e * 0.0
@@ -311,16 +267,14 @@ def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> Lorent
                 (e * d3 * u0 + z2) + zs + 0.0,
             )
 
-        def one(c):
-            _, x, y, z = c
-            return math.sqrt(x * x + y * y + z * z), x, y, z
-
-        return _columnwise(terms, one, lambda ct: (euclidean_radius(ct), ct[1], ct[2], ct[3]))
+        return columnwise(terms)
 
     if radial_index != 1:
         raise ValueError(f"no closed form for radial_index={radial_index}; it is written for 1")
 
-    def terms(r, e, u0, u1, u2, u3):
+    def terms(ops, c, u, e):
+        r = c[1]
+        u0, u1, u2, u3 = u
         d = -q / (r * r)
         z0 = e * 0.0
         z02, z3 = z0 * u0 + z0 * u2, z0 * u3
@@ -328,7 +282,7 @@ def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> Lorent
         return (z02 + (e * (0.0 - d) * u1 + z3) + 0.0,
                 (e * d * u0 + z0 * u2) + (z0 * u1 + z3) + 0.0, zz, zz)
 
-    return _columnwise(terms, lambda c: (c[1],), lambda ct: (ct[1],))
+    return columnwise(terms)
 
 
 def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
@@ -340,37 +294,19 @@ def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
     """
     B = float(b_strength)
 
-    def values(c: np.ndarray) -> np.ndarray:
-        ct = c.T
-        r, s = ct[1], np.sin(ct[2])
-        out = np.zeros(c.shape)
-        out.T[3] = 0.5 * B * r * r * (s * s)
-        return out
-
-    def deriv(c: np.ndarray) -> np.ndarray:
-        # out[..., m, n] = d A_n / d x^m, written as out.T[n, m, ...]
-        ct = c.T
-        r, th = ct[1], ct[2]
-        s = np.sin(th)
-        out = np.zeros(c.shape[:-1] + (DIM, DIM))
-        d = out.T
-        d[3, 1] = B * r * (s * s)
-        d[3, 2] = B * r * r * s * np.cos(th)
-        return out
-
-    def values_floats(c: list) -> list:
+    def values(ops, c):
         _, r, th, _ = c
-        s = sin_cos(th)[0]
-        return [0.0, 0.0, 0.0, 0.5 * B * r * r * (s * s)]
+        s = ops.sin(th)
+        return (0.5 * B * r * r * (s * s),)
 
-    def deriv_floats(c: list) -> list:
+    def deriv(ops, c):
+        # out[m, n] = d A_n / d x^m
         _, r, th, _ = c
-        s, cs = sin_cos(th)
-        return [[0.0] * DIM, [0.0, 0.0, 0.0, B * r * (s * s)],
-                [0.0, 0.0, 0.0, B * r * r * s * cs], [0.0] * DIM]
+        s = ops.sin(th)
+        return B * r * (s * s), B * r * r * s * ops.cos(th)
 
-    return VectorPotential(with_floats(values, values_floats),
-                           deriv_fn=with_floats(deriv, deriv_floats), name=f"axial-b(B={B:g})")
+    return VectorPotential(closed_form(((3,),), values),
+                           deriv_fn=closed_form(((1, 3), (2, 3)), deriv), name=f"axial-b(B={B:g})")
 
 
 def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:
@@ -381,7 +317,10 @@ def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:
     """
     B = float(b_strength)
 
-    def terms(r, s, cs, e, u0, u1, u2, u3):
+    def terms(ops, c, u, e):
+        _, r, th, _ = c
+        u0, u1, u2, u3 = u
+        s, cs = ops.sin(th), ops.cos(th)
         d13, d23 = B * r * (s * s), B * r * r * s * cs
         z0 = e * 0.0
         z02, z1 = z0 * u0 + z0 * u2, z0 * u1
@@ -392,8 +331,4 @@ def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:
             (z0 * u0 + e * (0.0 - d23) * u2) + (e * (0.0 - d13) * u1 + z0 * u3) + 0.0,
         )
 
-    def one(c):
-        _, r, th, _ = c
-        return (r, *sin_cos(th))
-
-    return _columnwise(terms, one, lambda ct: (ct[1], np.sin(ct[2]), np.cos(ct[2])))
+    return columnwise(terms)

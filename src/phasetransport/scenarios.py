@@ -318,8 +318,13 @@ def _require_in_domain(guard: DomainGuard, coords: np.ndarray, what: str) -> Non
         raise ValidationError(f"initial point outside the {what} domain: {why}")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def load_scenario(text: str, name: Optional[str] = None) -> Scenario:
-    """Resolve a scenario document into a runnable Scenario."""
+    """Resolve a scenario document into a runnable Scenario.
+
+    numpy's warnings are off for the whole call: a start whose square
+    overflows is rejected or loaded, never warned about.
+    """
     doc = _parse_document(text)
 
     meta = doc.get("scenario", {})

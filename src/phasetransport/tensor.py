@@ -1,5 +1,5 @@
-"""Core containers, the metric evaluator and its flat-chart type, and the
-central-difference stencil.
+"""Core containers, the metric evaluator and its flat-chart type, the
+builders of the built-in closed forms, and the central-difference stencil.
 
 Everything lives on a four-dimensional manifold with metric signature
 (-, +, +, +) and geometric units (c = 1).  Index variance is not tagged:
@@ -11,16 +11,29 @@ construction, and a wrong shape or a component that is not finite raises
 raw components.  Every numerical derivative in the package is one call
 of ``central_differences`` over raw coordinates.
 
-A built-in evaluator may also carry a lane for one event on Python
-floats (``with_floats``), which a lone trajectory steps on; a
-callable without one is called on arrays.
+Each built-in closed form is one formula over the coordinate columns,
+written once and run two ways: on numpy columns, for a batch or one
+event ``(4,)``, and on Python floats, for the lane that a lone
+trajectory steps on (``with_floats``).  The formula takes an ``ops``
+namespace for its square roots, sines and cosines: numpy itself, or
+math's functions, with numpy's NaN for the sine or cosine of an
+infinite angle.  Addition, subtraction, multiplication, division and
+the square root round correctly both ways, and numpy's float64 sin and
+cos give math's bits, so both runs give the same bits.
+``closed_form`` builds a potential's or a metric's evaluator from the
+nonzero entries of its result, ``columnwise`` a contracted geodesic or
+Lorentz term, and ``guard_probe`` a guard's probe from its admission
+tests.  A callable without a float lane is called on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 import sys
+import types
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -64,13 +77,119 @@ def float_lane(fn):
         return None
 
 
-def sin_cos(th: float) -> tuple[float, float]:
-    """(sin, cos) of one angle on Python floats, as np.sin and np.cos give them.
+# ---------------------------------------------------------------------------
+# closed forms: one formula, run on numpy columns or on Python floats
 
-    numpy's float64 sin and cos give math's bits; math raises on an
-    infinite angle, where numpy gives NaN, so that angle gives NaN here.
+
+def _nan_if_infinite(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """math's `fn` of one angle, NaN where the angle is infinite, as numpy gives it."""
+
+    def angle_fn(a: float) -> float:
+        try:
+            return fn(a)
+        except ValueError:
+            return math.nan
+
+    return angle_fn
+
+
+#: The ``ops`` a closed form runs with on Python floats; on arrays it is numpy.
+_FLOAT_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=_nan_if_infinite(math.sin),
+                                   cos=_nan_if_infinite(math.cos), logical_not=operator.not_)
+
+
+@functools.cache
+def _dense_lane_maker(indices: tuple) -> Callable:
+    """``make(formula, ops) -> lane``, where ``lane(x)`` is the nested tuples of
+    a result that is zero but at `indices`, where it holds ``formula(ops, x)``.
+
+    The layout is written out as a literal and compiled once per `indices`.
     """
-    return (math.sin(th), math.cos(th)) if math.isfinite(th) else (math.nan, math.nan)
+
+    def literal(prefix):
+        if len(prefix) == len(indices[0]):
+            return f"v{indices.index(prefix)}" if prefix in indices else "0.0"
+        return "(" + ", ".join(literal(prefix + (i,)) for i in range(DIM)) + ")"
+
+    names = "".join(f"v{k}, " for k in range(len(indices)))
+    namespace: dict = {}
+    exec(f"def make(formula, ops):\n"
+         f"    def lane(x):\n"
+         f"        {names}= formula(ops, x)\n"
+         f"        return {literal(())}\n"
+         f"    return lane\n", namespace)
+    return namespace["make"]
+
+
+def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator of a ``(4,)``, ``(4, 4)`` or ``(4, 4, 4)`` result that is
+    zero but at `indices`, where ``formula(ops, c)`` gives its values in
+    their order, from the four coordinate columns ``c``.
+
+    On arrays the formula runs once with ``ops`` numpy and ``c`` the
+    transposed coordinates, columns of a batch ``(..., 4)`` or the numpy
+    scalars of one event ``(4,)``, and the result is ``(..., 4, ...)``.
+    Its float lane runs it on one event's four Python floats with math's
+    operations and gives nested tuples.  Each operation rounds the same
+    way every time, so a row of a batch, a lone call and the lane get
+    the same bits.
+    """
+    indices = tuple(tuple(i % DIM for i in index) for index in indices)
+    shape = (DIM,) * len(indices[0])
+    slots = [index[::-1] for index in indices]  # of out.T
+
+    def on_arrays(c: np.ndarray) -> np.ndarray:
+        out = np.zeros(c.shape[:-1] + shape)
+        t = out.T
+        for slot, value in zip(slots, formula(np, c.T)):
+            t[slot] = value
+        return out
+
+    return with_floats(on_arrays, _dense_lane_maker(indices)(formula, _FLOAT_OPS))
+
+
+def columnwise(terms) -> Callable[..., np.ndarray]:
+    """The contracted term ``(coords, u, *args) -> (4,)`` whose four
+    components are ``terms(ops, c, u, *args)``, from the four columns
+    each of the coordinates and of u.
+
+    It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
+    each, run as ``closed_form`` runs its formula, and its float lane
+    takes four Python floats each, so every way gets the same bits.
+    """
+
+    def on_arrays(c: np.ndarray, u: np.ndarray, *args) -> np.ndarray:
+        out = np.empty(u.shape)
+        out.T[:] = terms(np, c.T, u.T, *args)
+        return out
+
+    return with_floats(on_arrays, functools.partial(terms, _FLOAT_OPS))
+
+
+def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
+    """A ``DomainGuard`` probe from its admission test and the reason it gives.
+
+    ``admits(ops, c)`` is true where an event is admissible, run as
+    ``closed_form`` runs its formula; ``why(x)`` words the rejection of
+    one event given as four Python floats.  The probe takes one event
+    ``(4,)`` or a batch ``(..., 4)``: a batch that fails is probed event
+    by event, so the reason is the first rejected event's, worded as for
+    that event alone.  The float lane probes one event.
+    """
+
+    def lane(x: list) -> Optional[str]:
+        return None if admits(_FLOAT_OPS, x) else why(x)
+
+    def probe(coords: np.ndarray) -> Optional[str]:
+        if admits(np, coords.T).all():
+            return None
+        for row in coords.reshape(-1, DIM).tolist():
+            reason = lane(row)
+            if reason is not None:
+                return reason
+        return None
+
+    return with_floats(probe, lane)
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -144,30 +263,6 @@ class DomainGuard:
         return DomainGuard(both, label=f"{self.label} & {other.label}")
 
 
-def batch_probe(
-    one: Callable[[np.ndarray], Optional[str]], every: Callable[[np.ndarray], bool]
-) -> Callable[[np.ndarray], Optional[str]]:
-    """A guard probe for one event ``(4,)`` or a batch ``(..., 4)``.
-
-    `one(x)` probes a single event given as four Python floats; it is
-    also the probe's float lane.  `every(coords.T)` is the vectorized
-    test that every event is admissible; coordinates that fail it are
-    probed event by event, so the reason is the first offending event's,
-    worded as for that event alone.
-    """
-
-    def probe(coords: np.ndarray) -> Optional[str]:
-        if every(coords.T):
-            return None
-        for row in coords.reshape(-1, DIM).tolist():
-            why = one(row)
-            if why is not None:
-                return why
-        return None
-
-    return with_floats(probe, one)
-
-
 def _admit(coords) -> None:
     return None
 
@@ -236,16 +331,6 @@ class FlatMetric(MetricField):
     resolution) test ``isinstance(g, FlatMetric)``.  It survives
     ``dataclasses.replace`` of the evaluators, which keeps the class.
     """
-
-
-def euclidean_radius(ct: np.ndarray):
-    """The radius sqrt(x^2 + y^2 + z^2) of Cartesian events.
-
-    `ct` is one event ``(4,)`` or a transposed batch ``(4, ...)``, so
-    ``ct[1]`` is x either way.  A square that overflows gives r = inf,
-    and warns unless its caller's error state is off.
-    """
-    return np.sqrt(ct[1] * ct[1] + ct[2] * ct[2] + ct[3] * ct[3])
 
 
 def central_differences(

@@ -17,9 +17,11 @@ on numpy arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``,
 ``_make_rhs``, ``_compile_acceleration``).  A lone trajectory steps on
 Python floats, eight per state, whatever its method or route
 (``_rk4_step_floats``, ``_rk45_step_floats``, ``_make_lone_rhs``,
-``_compile_lone_acceleration``): each term, guard probe and inverse
-metric that registered a float lane (``tensor.with_floats``) runs its
-Python-float formula, and any other callable is called on arrays,
+``_compile_lone_acceleration``).  Each built-in closed form, guard
+probe and inverse metric is one formula, run on numpy columns or on
+Python floats (``tensor.closed_form``, ``tensor.columnwise``,
+``tensor.guard_probe``), and the lone law takes its float lane
+(``tensor.with_floats``); any other callable is called on arrays,
 ``fn(np.array(x), np.array(u)).tolist()``.  Both lanes take the same
 IEEE operations in the same order, so a lone run has the bits of its row
 in a batch; where Python floats raise and numpy gives inf or NaN, the

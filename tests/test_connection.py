@@ -39,9 +39,11 @@ from phasetransport.fields import (
     coulomb_potential,
     matrix_from_eb,
     uniform_faraday,
+    uniform_field_potential,
+    zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field
-from phasetransport.tensor import FourVector, SpacetimeEvent, float_lane
+from phasetransport.tensor import EVERYWHERE, FourVector, SpacetimeEvent, float_lane
 from phasetransport.transport import acceleration_terms
 
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
@@ -327,6 +329,107 @@ def test_built_in_float_lanes_have_the_bits_of_their_array_calls(name):
             except ZeroDivisionError:
                 continue
             assert _bits(rows) == _bits(conn.metric.inverse_fn(x)), x
+
+
+def _lane_evaluators():
+    """(events, evaluator, velocity?, trailing arguments) of every built-in
+    evaluator that registers a float lane, by name."""
+    potentials = {
+        "coulomb": (_flat_events, coulomb_potential(2.0)),
+        "coulomb-radial": (_spherical_events, coulomb_potential(2.0, 1)),
+        "axial-b": (_spherical_events, axial_magnetic_potential_spherical(0.3)),
+        "zero": (_flat_events, zero_potential()),
+        "uniform": (_flat_events, uniform_field_potential([0.1, -0.2, 0.3], [1.0, 0.4, -0.7])),
+    }
+    metrics = {
+        "minkowski": (_flat_events, minkowski()),
+        "schwarzschild": (_spherical_events, schwarzschild(1.2)),
+        "weak-field": (_flat_events, weak_field(1.2)),
+    }
+    cases = {"everywhere.probe": (_flat_events, EVERYWHERE.probe, False, ())}
+    for name, (events, a) in potentials.items():
+        cases[f"{name}.values_fn"] = (events, a.values_fn, False, ())
+        cases[f"{name}.deriv_fn"] = (events, a.deriv_fn, False, ())
+        if a.guard is not EVERYWHERE:
+            cases[f"{name}.probe"] = (events, a.guard.probe, False, ())
+    for name, (events, g) in metrics.items():
+        for attr in ("matrix_fn", "deriv_fn", "inverse_fn"):
+            cases[f"{name}.{attr}"] = (events, getattr(g, attr), False, ())
+        cases[f"{name}.geodesic_fn"] = (events, g.geodesic_fn, True, ())
+        if g.guard is not EVERYWHERE:
+            cases[f"{name}.probe"] = (events, g.guard.probe, False, ())
+    cases["coulomb.lorentz_fn"] = (_flat_events, coulomb_lorentz(2.0), True, (-0.7,))
+    cases["coulomb-radial.lorentz_fn"] = (_spherical_events, coulomb_lorentz(2.0, 1), True, (1.1,))
+    cases["axial-b.lorentz_fn"] = (_spherical_events, axial_magnetic_lorentz_spherical(0.3), True,
+                                   (1.1,))
+    both = schwarzschild(1.2).guard.intersect(coulomb_potential(2.0, 1).guard)
+    cases["schwarzschild&coulomb-radial.probe"] = (_spherical_events, both.probe, False, ())
+    return {name: case for name, case in cases.items() if float_lane(case[1]) is not None}
+
+
+LANE_EVALUATORS = _lane_evaluators()
+
+
+def test_the_built_in_evaluators_that_must_carry_a_float_lane_carry_one():
+    # the uniform potential's values x @ grad keep none: numpy sums them as
+    # a fused multiply-add chain
+    must = {f"{a}.{f}" for a in ("coulomb", "coulomb-radial", "axial-b", "zero")
+            for f in ("values_fn", "deriv_fn")}
+    must |= {f"{g}.{f}" for g in ("schwarzschild", "weak-field")
+             for f in ("inverse_fn", "geodesic_fn")}
+    must |= {f"{name}.probe" for name in ("everywhere", "coulomb", "coulomb-radial",
+                                          "schwarzschild", "weak-field",
+                                          "schwarzschild&coulomb-radial")}
+    must |= {"uniform.deriv_fn", "minkowski.inverse_fn", "coulomb.lorentz_fn",
+             "coulomb-radial.lorentz_fn", "axial-b.lorentz_fn"}
+    assert must <= set(LANE_EVALUATORS)
+    assert "uniform.values_fn" not in LANE_EVALUATORS
+
+
+def _numpy_fails_at(fn, *args) -> bool:
+    """Whether the array call gives a value that is not finite, or divides by
+    zero on the way (weak-field's g^00 at the origin is -1 / (1 - inf) = 0)."""
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        try:
+            return not np.all(np.isfinite(fn(*args)))
+        except FloatingPointError:
+            return True
+
+
+@pytest.mark.parametrize("name", sorted(LANE_EVALUATORS))
+def test_every_built_in_float_lane_has_the_bits_of_its_array_calls(name):
+    # one event (4,) on the lane, on arrays and as its row of a batch, signed
+    # zeros, infinities and NaN included; a lane raises only where numpy
+    # divides by zero or gives inf or NaN, and a probe's batch gives its
+    # first rejected row's reason
+    events, fn, with_u, tail = LANE_EVALUATORS[name]
+    lane = float_lane(fn)
+    rng = np.random.default_rng(sorted(LANE_EVALUATORS).index(name))
+    coords = _with_specials(events(rng, 300), rng)
+    us = _with_specials(np.column_stack([rng.uniform(1, 2, 300), rng.normal(0, 0.4, (300, 3))]),
+                        rng)
+
+    def args(c, u):
+        return (c, u, *tail) if with_u else (c,)
+
+    with np.errstate(all="ignore"):
+        if name.endswith(".probe"):
+            for x in coords:
+                assert lane(x.tolist()) == fn(x) == fn(x[None]), x
+            first = next((w for w in map(lane, coords.tolist()) if w is not None), None)
+            assert fn(coords) == first
+            return
+        batch = fn(*args(coords, us))
+        rows = np.broadcast_to(batch, (len(coords),) + np.shape(fn(*args(coords[0], us[0]))))
+        for x, u, row in zip(coords, us, rows):
+            one = fn(*args(x, u))
+            assert _bits(row) == _bits(one), (x, u)
+            try:
+                got = lane(*args(x.tolist(), u.tolist()))
+            except (ArithmeticError, ValueError):
+                assert _numpy_fails_at(fn, *args(x, u)), (x, u)
+                continue
+            assert _bits(got) == _bits(one), (x, u)
 
 
 def test_a_uniform_field_forms_its_block_once():

@@ -1,13 +1,22 @@
 """Metric charts: closed-form components, derivatives, and domain guards."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasetransport.errors import OutsideDomain
-from phasetransport.metrics import minkowski, schwarzschild, weak_field, without_closed_form
-from phasetransport.tensor import FD_STEP_FIRST, SpacetimeEvent, central_differences
+from phasetransport.fields import coulomb_potential
+from phasetransport.metrics import (
+    HORIZON_MARGIN,
+    minkowski,
+    schwarzschild,
+    weak_field,
+    without_closed_form,
+)
+from phasetransport.tensor import FD_STEP_FIRST, SpacetimeEvent, central_differences, float_lane
 
 
 def event(t, r, th, ph):
@@ -138,3 +147,90 @@ def test_geodesic_term_of_a_batch_row_is_its_lone_call(chart):
     assert batch.shape == (n, 4)
     lone = np.array([g.geodesic_fn(c, v) for c, v in zip(coords, u)])
     assert np.array_equal(batch.view(np.int64), lone.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# guard verdicts: the exact reason (or None) of each built-in guard on
+# degenerate events, on arrays and on the probe's float lane
+
+_R_MIN = 2.0 * (1.0 + HORIZON_MARGIN)  # the guarded radius at M = 1
+
+
+def _verdict_events():
+    base = (0.0, 10.0, 1.0, 0.5)
+    events = {"base": base}
+    for i in range(4):
+        for label, v in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf),
+                         ("1e200", 1e200)):
+            events[f"x{i}={label}"] = base[:i] + (v,) + base[i + 1:]
+    events["r=r_min"] = (0.0, _R_MIN, 1.0, 0.5)
+    events["x1=r_min"] = (0.0, _R_MIN, 0.0, 0.0)
+    events["theta=0"] = (0.0, 10.0, 0.0, 0.5)
+    events["theta=pi"] = (0.0, 10.0, math.pi, 0.5)
+    events["origin"] = (0.0, 0.0, 0.0, 0.0)
+    return events
+
+
+VERDICT_EVENTS = _verdict_events()
+
+_SCHWARZSCHILD_REJECTS = {
+    "x1=nan": "r = nan inside guarded radius 2",
+    "x1=-inf": "r = -inf inside guarded radius 2",
+    "r=r_min": "r = 2 inside guarded radius 2",
+    "x1=r_min": "r = 2 inside guarded radius 2",
+    "theta=0": "theta = 0 too close to the polar axis",
+    "theta=pi": "theta = 3.14159 too close to the polar axis",
+    "origin": "r = 0 inside guarded radius 2",
+}
+
+#: Each guard's rejected events and their reasons; it admits every other event.
+GUARD_REJECTS = {
+    "coulomb": (lambda: coulomb_potential(2.0).guard, {
+        "x1=nan": "r = nan at the potential singularity",
+        "x2=nan": "r = nan at the potential singularity",
+        "x3=nan": "r = nan at the potential singularity",
+        "origin": "r = 0.000e+00 at the potential singularity",
+    }),
+    "coulomb-radial": (lambda: coulomb_potential(2.0, 1).guard, {
+        "x1=nan": "radial coordinate at singularity",
+        "x1=-inf": "radial coordinate at singularity",
+        "origin": "radial coordinate at singularity",
+    }),
+    "schwarzschild": (lambda: schwarzschild(1.0).guard, _SCHWARZSCHILD_REJECTS),
+    "weak-field": (lambda: weak_field(1.0).guard, {
+        "x1=nan": "r = nan inside guarded radius 2",
+        "x2=nan": "r = nan inside guarded radius 2",
+        "x3=nan": "r = nan inside guarded radius 2",
+        "x1=r_min": "r = 2 inside guarded radius 2",
+        "origin": "r = 0 inside guarded radius 2",
+    }),
+    "schwarzschild&coulomb-radial": (
+        lambda: schwarzschild(1.0).guard.intersect(coulomb_potential(2.0, 1).guard),
+        _SCHWARZSCHILD_REJECTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_REJECTS))
+def test_guard_verdicts_on_degenerate_events(name):
+    # a NaN radius is rejected, a NaN or infinite angle admitted (its sine
+    # is NaN), and r = r_min exactly is inside
+    build, rejects = GUARD_REJECTS[name]
+    probe = build().probe
+    lane = float_lane(probe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for event, coords in VERDICT_EVENTS.items():
+            want = rejects.get(event)
+            assert probe(np.array(coords)) == want, event
+            assert lane(list(coords)) == want, event
+
+
+@pytest.mark.parametrize("name, rows, want", [
+    ("schwarzschild", ("base", "theta=0", "origin"), "theta = 0 too close to the polar axis"),
+    ("schwarzschild", ("base", "origin", "theta=pi"), "r = 0 inside guarded radius 2"),
+    ("weak-field", ("base", "x1=r_min", "x2=nan"), "r = 2 inside guarded radius 2"),
+    ("coulomb", ("base", "x3=nan", "origin"), "r = nan at the potential singularity"),
+])
+def test_a_batch_probe_gives_its_first_rejected_rows_reason(name, rows, want):
+    probe = GUARD_REJECTS[name][0]().probe
+    with np.errstate(invalid="ignore"):
+        assert probe(np.array([VERDICT_EVENTS[r] for r in rows])) == want
