@@ -33,9 +33,7 @@ from .fields import (
     FaradayField,
     UniformFaraday,
     VectorPotential,
-    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
-    coulomb_lorentz,
     coulomb_potential,
     eb_from_matrix,
     matrix_from_eb,

@@ -23,8 +23,10 @@ the field has one (``MetricField.geodesic_fn``,
 ``FaradayField.lorentz_fn``), and otherwise builds the block and
 contracts it.  A built-in closed form is one formula, run on numpy
 columns for a batch and on Python floats for a lone trajectory
-(``tensor.columnwise``).  Its float lane (``tensor.with_floats``), and
-that of a uniform field's constant block, is the term's float lane.
+(``tensor.columnwise``); a field's Lorentz term is derived from its
+potential's gradient formula (``curvature.faraday_field_of``).  Its
+float lane (``tensor.with_floats``), and that of a uniform field's
+constant block, is the term's float lane.
 
 ``superpose`` adds the terms so both forces act through a single law.
 """
@@ -148,15 +150,15 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
     """Connection for the Lorentz coupling of charge `charge` to field `f`.
 
     The term K0_mn u^n = e F_mn u^n is the field's own closed form
-    ``f.lorentz_fn`` when it has one (the built-in Coulomb and axial
-    fields): F is never built, so never checked.  Otherwise it is
-    ``(e * F) @ u`` with F from ``f.matrix_fn``, and the antisymmetry
-    check runs only where it can fail.  A user-supplied ``FaradayField``
-    is re-checked (to 1e-10) on every evaluation and raises
-    ``MalformedFaraday`` on failure; an ``AntisymmetricFaraday``
-    (``uniform_faraday``, checked once when built, and
-    ``faraday_field_of``, exact by construction) is used as it is.  For a
-    ``UniformFaraday`` the block e F is formed once, here.
+    ``f.lorentz_fn`` when it has one (as ``faraday_field_of`` gives a
+    potential with a closed-form gradient): F is never built, so never
+    checked.  Otherwise it is ``(e * F) @ u`` with F from
+    ``f.matrix_fn``, and the antisymmetry check runs only where it can
+    fail.  A user-supplied ``FaradayField`` is re-checked (to 1e-10) on
+    every evaluation and raises ``MalformedFaraday`` on failure; an
+    ``AntisymmetricFaraday`` (``uniform_faraday``, checked once when
+    built, and ``faraday_field_of``, exact by construction) is used as
+    it is.  For a ``UniformFaraday`` the block e F is formed once, here.
     """
     _finite_real("charge", charge)
     e = float(charge)

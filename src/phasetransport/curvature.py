@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularMetric
-from .fields import AntisymmetricFaraday, LorentzFn, VectorPotential
+from .fields import AntisymmetricFaraday, VectorPotential
 from .tensor import (
     DIM,
     FD_STEP_FIRST,
@@ -31,6 +31,7 @@ from .tensor import (
     MetricField,
     SpacetimeEvent,
     central_differences,
+    closed_form_curl,
 )
 
 __all__ = [
@@ -147,22 +148,21 @@ def faraday_matrix_raw(a: VectorPotential, coords: np.ndarray, step: Optional[fl
     return da - da.swapaxes(-1, -2)
 
 
-def faraday_field_of(
-    a: VectorPotential, lorentz_fn: Optional[LorentzFn] = None
-) -> AntisymmetricFaraday:
+def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
     """Wrap a potential as a FaradayField evaluator (F = dA pointwise).
 
     dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
-    is marked as such and never re-checked.  `lorentz_fn`, when given,
-    is the field's closed-form Lorentz term (``fields.coulomb_lorentz``
-    for a Coulomb potential, say), with the bits of
+    is marked as such and never re-checked.  When ``a.deriv_fn`` is a
+    ``tensor.closed_form`` gradient (every built-in one that varies), the
+    field also carries its Lorentz term in closed form, derived from that
+    same formula (``tensor.closed_form_curl``), with the bits of
     ``(e * faraday_matrix_raw(a, coords)) @ u``.
     """
     return AntisymmetricFaraday(
         matrix_fn=lambda coords: faraday_matrix_raw(a, coords),
         guard=a.guard,
         name=f"d({a.name})",
-        lorentz_fn=lorentz_fn,
+        lorentz_fn=closed_form_curl(a.deriv_fn),
     )
 
 

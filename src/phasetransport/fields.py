@@ -13,28 +13,17 @@ Potentials are stored covariantly, A_m = (A_0, A_i), with F = dA, i.e.
 F_mn = d_m A_n - d_n A_m.  For a static potential A_0 = -phi this gives
 the usual E = -grad(phi).
 
-The Coulomb and axial potentials also come with their Lorentz term
-(e F_mn) u^n in closed form (``coulomb_lorentz``,
-``axial_magnetic_lorentz_spherical``), a ``FaradayField.lorentz_fn``
-for ``curvature.faraday_field_of``.  It keeps the bits of
-``(e * F) @ u``: every entry of e F that the matrix would hold, zeros
-included (a zero times an infinite component is a NaN) and each F_mn
-written as the subtraction dA_mn - dA_nm that gives it, times its
-component of u, and each row summed as numpy's 4x4 matrix-vector
-product sums it with the OpenBLAS it ships (0.3.31, x86-64),
-((a0 u0 + a2 u2) + (a1 u1 + a3 u3)) + 0.0, the last term turning a zero
-sum's sign to +0.
-
 Each closed form here (the Coulomb and axial potentials' values and
-gradients, the Lorentz terms and the Coulomb guard) is one formula, run
-on numpy columns or on Python floats (``tensor.closed_form``,
-``tensor.columnwise``, ``tensor.guard_probe``).  A lone trajectory and
-the canonical-momentum route, which always steps alone, run it on
-floats.  The zero and uniform potentials' constant gradients carry
-their rows as float lanes.  The uniform potential's values ``x @ grad``
-keep none: numpy sums that vector-matrix product as a fused
-multiply-add chain, which Python floats cannot take (there is no
-``math.fma`` before Python 3.13), so the route calls it on arrays.
+gradients and the Coulomb guard) is one formula, run on numpy columns or
+on Python floats (``tensor.closed_form``, ``tensor.guard_probe``).  A
+lone trajectory and the canonical-momentum route, which always steps
+alone, run it on floats.  ``curvature.faraday_field_of`` derives the
+Lorentz term of a potential's field from its gradient formula.  The zero
+and uniform potentials' constant gradients carry their rows as float
+lanes.  The uniform potential's values ``x @ grad`` keep none: numpy
+sums that vector-matrix product as a fused multiply-add chain, which
+Python floats cannot take (there is no ``math.fma`` before Python 3.13),
+so the route calls it on arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, columnwise, guard_probe, with_floats
+from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, guard_probe, with_floats
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -240,51 +229,6 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
     )
 
 
-def coulomb_lorentz(charge: float, radial_index: Optional[int] = None) -> LorentzFn:
-    """(e F_mn) u^n for ``coulomb_potential(charge, radial_index)``, in closed form.
-
-    The Cartesian chart (``radial_index=None``) and the spherical-type
-    chart with the radius at ``radial_index=1`` are written out; the
-    only nonzero F are F_i0 = -F_0i = d_i A_0.
-    """
-    q = float(charge)
-
-    if radial_index is None:
-
-        def terms(ops, c, u, e):
-            _, x, y, z = c
-            u0, u1, u2, u3 = u
-            r = ops.sqrt(x * x + y * y + z * z)
-            r3 = r * r * r
-            d1, d2, d3 = -q * x / r3, -q * y / r3, -q * z / r3
-            z0 = e * 0.0
-            z2, zs = z0 * u2, z0 * u1 + z0 * u3
-            return (
-                (z0 * u0 + e * (0.0 - d2) * u2)
-                + (e * (0.0 - d1) * u1 + e * (0.0 - d3) * u3) + 0.0,
-                (e * d1 * u0 + z2) + zs + 0.0,
-                (e * d2 * u0 + z2) + zs + 0.0,
-                (e * d3 * u0 + z2) + zs + 0.0,
-            )
-
-        return columnwise(terms)
-
-    if radial_index != 1:
-        raise ValueError(f"no closed form for radial_index={radial_index}; it is written for 1")
-
-    def terms(ops, c, u, e):
-        r = c[1]
-        u0, u1, u2, u3 = u
-        d = -q / (r * r)
-        z0 = e * 0.0
-        z02, z3 = z0 * u0 + z0 * u2, z0 * u3
-        zz = z02 + (z0 * u1 + z3) + 0.0
-        return (z02 + (e * (0.0 - d) * u1 + z3) + 0.0,
-                (e * d * u0 + z0 * u2) + (z0 * u1 + z3) + 0.0, zz, zz)
-
-    return columnwise(terms)
-
-
 def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
     """Asymptotically uniform magnetic field along the polar axis, spherical chart.
 
@@ -308,27 +252,3 @@ def axial_magnetic_potential_spherical(b_strength: float) -> VectorPotential:
     return VectorPotential(closed_form(((3,),), values),
                            deriv_fn=closed_form(((1, 3), (2, 3)), deriv), name=f"axial-b(B={B:g})")
 
-
-def axial_magnetic_lorentz_spherical(b_strength: float) -> LorentzFn:
-    """(e F_mn) u^n for ``axial_magnetic_potential_spherical(b_strength)``, in closed form.
-
-    The only nonzero F are F_r phi = -F_phi r = d_r A_phi and
-    F_theta phi = -F_phi theta = d_theta A_phi.
-    """
-    B = float(b_strength)
-
-    def terms(ops, c, u, e):
-        _, r, th, _ = c
-        u0, u1, u2, u3 = u
-        s, cs = ops.sin(th), ops.cos(th)
-        d13, d23 = B * r * (s * s), B * r * r * s * cs
-        z0 = e * 0.0
-        z02, z1 = z0 * u0 + z0 * u2, z0 * u1
-        return (
-            z02 + (z1 + z0 * u3) + 0.0,
-            z02 + (z1 + e * d13 * u3) + 0.0,
-            z02 + (z1 + e * d23 * u3) + 0.0,
-            (z0 * u0 + e * (0.0 - d23) * u2) + (e * (0.0 - d13) * u1 + z0 * u3) + 0.0,
-        )
-
-    return columnwise(terms)

@@ -40,9 +40,7 @@ from .errors import ParseError, ValidationError
 from .fields import (
     FaradayField,
     VectorPotential,
-    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
-    coulomb_lorentz,
     coulomb_potential,
     uniform_faraday,
     uniform_field_potential,
@@ -235,16 +233,15 @@ def _em_from(doc: dict, chart: str):
     if kind == "coulomb":
         allow("q")
         q = float(sec.get("q", 1.0))
-        radial = 1 if chart == "spherical" else None
-        pot = coulomb_potential(q, radial_index=radial)
-        return pot, faraday_field_of(pot, coulomb_lorentz(q, radial_index=radial)), {"q": q}
+        pot = coulomb_potential(q, radial_index=1 if chart == "spherical" else None)
+        return pot, faraday_field_of(pot), {"q": q}
     if kind == "axial-b":
         allow("b")
         if chart != "spherical":
             raise ValidationError("the axial potential is written in the spherical chart")
         b = float(sec.get("b", 0.0))
         pot = axial_magnetic_potential_spherical(b)
-        return pot, faraday_field_of(pot, axial_magnetic_lorentz_spherical(b)), {"b": b}
+        return pot, faraday_field_of(pot), {"b": b}
     raise ValidationError(f"unknown em type {kind!r}")
 
 

@@ -21,9 +21,11 @@ infinite angle.  Addition, subtraction, multiplication, division and
 the square root round correctly both ways, and numpy's float64 sin and
 cos give math's bits, so both runs give the same bits.
 ``closed_form`` builds a potential's or a metric's evaluator from the
-nonzero entries of its result, ``columnwise`` a contracted geodesic or
-Lorentz term, and ``guard_probe`` a guard's probe from its admission
-tests.  A callable without a float lane is called on arrays.
+nonzero entries of its result, ``columnwise`` a contracted geodesic
+term, ``closed_form_curl`` the contracted Lorentz term of a
+``closed_form`` gradient from that gradient's own formula, and
+``guard_probe`` a guard's probe from its admission tests.  A callable
+without a float lane is called on arrays.
 """
 
 from __future__ import annotations
@@ -69,12 +71,21 @@ def with_floats(fn, lane):
     return fn
 
 
-def float_lane(fn):
-    """The lane that ``with_floats`` registered for `fn`, or None."""
+#: The sparse spec ``(indices, formula)`` of each evaluator that
+#: ``closed_form`` built, kept by the same rule.
+_SPECS = weakref.WeakKeyDictionary()
+
+
+def _registered(registry, fn):
     try:
-        return _FLOAT_LANES.get(fn)
+        return registry.get(fn)
     except TypeError:  # not weakly referenceable, so never registered
         return None
+
+
+def float_lane(fn):
+    """The lane that ``with_floats`` registered for `fn`, or None."""
+    return _registered(_FLOAT_LANES, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +156,55 @@ def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
             t[slot] = value
         return out
 
+    _SPECS[on_arrays] = indices, formula
     return with_floats(on_arrays, _dense_lane_maker(indices)(formula, _FLOAT_OPS))
+
+
+@functools.cache
+def _curl_terms_maker(indices: tuple) -> Callable:
+    """``make(formula) -> terms``, where ``terms(ops, c, u, e)`` is the
+    contracted e (dA[m, n] - dA[n, m]) u^n of a gradient dA that is zero
+    but at `indices`, where it holds ``formula(ops, c)``.
+
+    Every entry is written out, zeros included (a zero times an infinite
+    component is a NaN), and each row is summed as numpy's 4x4
+    matrix-vector product sums it with the OpenBLAS it ships (0.3.31,
+    x86-64), ((p0 + p2) + (p1 + p3)) + 0.0, the last term turning a zero
+    sum's sign to +0: the bits of ``(e * (dA - dA^T)) @ u``.  Compiled
+    once per `indices`.
+    """
+
+    def entry(m, n):
+        a, b = (f"v{indices.index(i)}" if i in indices else "0.0" for i in ((m, n), (n, m)))
+        return f"zu{n}" if a == b == "0.0" else f"e * ({a} - {b}) * u{n}"
+
+    def row(m):
+        p0, p1, p2, p3 = (entry(m, n) for n in range(DIM))
+        return f"(({p0} + {p2}) + ({p1} + {p3})) + 0.0"
+
+    names = "".join(f"v{k}, " for k in range(len(indices)))
+    namespace: dict = {}
+    exec(f"def make(formula):\n"
+         f"    def terms(ops, c, u, e):\n"
+         f"        {names}= formula(ops, c)\n"
+         f"        u0, u1, u2, u3 = u\n"
+         f"        z = e * 0.0\n"
+         f"        zu0, zu1, zu2, zu3 = z * u0, z * u1, z * u2, z * u3\n"
+         f"        return ({', '.join(row(m) for m in range(DIM))})\n"
+         f"    return terms\n", namespace)
+    return namespace["make"]
+
+
+def closed_form_curl(gradient) -> Optional[Callable[..., np.ndarray]]:
+    """The contracted term ``(coords, u, e) -> e (dA - dA^T) u`` of the
+    closed-form gradient ``dA[..., m, n]`` that ``closed_form`` built, run
+    as ``columnwise`` runs it, or None for any other callable (a wrapper
+    of one included)."""
+    spec = _registered(_SPECS, gradient)
+    if spec is None:
+        return None
+    indices, formula = spec
+    return columnwise(_curl_terms_maker(indices)(formula))
 
 
 def columnwise(terms) -> Callable[..., np.ndarray]:
@@ -255,7 +314,12 @@ class DomainGuard:
 
     def intersect(self, other: "DomainGuard") -> "DomainGuard":
         def both(coords: np.ndarray) -> Optional[str]:
-            return self.probe(coords) or other.probe(coords)
+            why = self.probe(coords) or other.probe(coords)
+            if why is None or coords.ndim == 1:
+                return why
+            # a batch that fails is probed event by event, as ``guard_probe``
+            # does, so the reason is its first rejected event's
+            return next(filter(None, map(both, coords.reshape(-1, DIM))), why)
 
         a, b = float_lane(self.probe), float_lane(other.probe)
         if a is not None and b is not None:

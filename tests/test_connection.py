@@ -33,9 +33,7 @@ from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
     UniformFaraday,
-    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
-    coulomb_lorentz,
     coulomb_potential,
     matrix_from_eb,
     uniform_faraday,
@@ -289,12 +287,11 @@ LANE_CONNECTIONS = {
     "uniform": (_flat_events, lambda: electromagnetic_connection(
         uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]), 1.3)),
     "coulomb": (_flat_events, lambda: electromagnetic_connection(
-        faraday_field_of(coulomb_potential(2.0), coulomb_lorentz(2.0)), -0.7)),
+        faraday_field_of(coulomb_potential(2.0)), -0.7)),
     "coulomb-radial": (_spherical_events, lambda: electromagnetic_connection(
-        faraday_field_of(coulomb_potential(2.0, 1), coulomb_lorentz(2.0, 1)), 1.1)),
+        faraday_field_of(coulomb_potential(2.0, 1)), 1.1)),
     "axial-b": (_spherical_events, lambda: electromagnetic_connection(
-        faraday_field_of(axial_magnetic_potential_spherical(0.3),
-                         axial_magnetic_lorentz_spherical(0.3)), 1.1)),
+        faraday_field_of(axial_magnetic_potential_spherical(0.3)), 1.1)),
     "schwarzschild": (_spherical_events, lambda: gravitational_connection(schwarzschild(1.2))),
     "weak-field": (_flat_events, lambda: gravitational_connection(weak_field(1.2))),
 }
@@ -358,10 +355,9 @@ def _lane_evaluators():
         cases[f"{name}.geodesic_fn"] = (events, g.geodesic_fn, True, ())
         if g.guard is not EVERYWHERE:
             cases[f"{name}.probe"] = (events, g.guard.probe, False, ())
-    cases["coulomb.lorentz_fn"] = (_flat_events, coulomb_lorentz(2.0), True, (-0.7,))
-    cases["coulomb-radial.lorentz_fn"] = (_spherical_events, coulomb_lorentz(2.0, 1), True, (1.1,))
-    cases["axial-b.lorentz_fn"] = (_spherical_events, axial_magnetic_lorentz_spherical(0.3), True,
-                                   (1.1,))
+    for name, e in (("coulomb", -0.7), ("coulomb-radial", 1.1), ("axial-b", 1.1)):
+        events, a = potentials[name]
+        cases[f"{name}.lorentz_fn"] = (events, faraday_field_of(a).lorentz_fn, True, (e,))
     both = schwarzschild(1.2).guard.intersect(coulomb_potential(2.0, 1).guard)
     cases["schwarzschild&coulomb-radial.probe"] = (_spherical_events, both.probe, False, ())
     return {name: case for name, case in cases.items() if float_lane(case[1]) is not None}

@@ -5,6 +5,7 @@ matrix has F_0i = -E_i and F_12 = B_z, which produces d(m v)/dt =
 e (E + v x B) in the flat-chart slow-motion limit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasetransport.curvature import faraday_matrix_raw
+from phasetransport.connection import electromagnetic_connection
+from phasetransport.curvature import faraday_field_of, faraday_matrix_raw
 from phasetransport.errors import MalformedFaraday, OutsideDomain
 from phasetransport.fields import (
-    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
-    coulomb_lorentz,
     coulomb_potential,
     eb_from_matrix,
     matrix_from_eb,
@@ -25,9 +25,10 @@ from phasetransport.fields import (
     uniform_field_potential,
     zero_potential,
     FaradayField,
+    VectorPotential,
     require_antisymmetric,
 )
-from phasetransport.tensor import SpacetimeEvent
+from phasetransport.tensor import SpacetimeEvent, float_lane
 
 three_vec = st.tuples(*[st.floats(-5, 5) for _ in range(3)])
 
@@ -148,35 +149,68 @@ def _spherical_events(r_low, r_high):
 
 
 CLOSED_FORMS = {
-    "cartesian-coulomb": (_cartesian_events, [
-        (coulomb_potential(q), coulomb_lorentz(q)) for q in (2.0, -1.5)]),
+    "cartesian-coulomb": (_cartesian_events, [coulomb_potential(q) for q in (2.0, -1.5)]),
     "spherical-coulomb": (_spherical_events(0.5, 1e4), [
-        (coulomb_potential(q, radial_index=1), coulomb_lorentz(q, radial_index=1))
-        for q in (0.5, -1.5)]),
+        coulomb_potential(q, radial_index=1) for q in (0.5, -1.5)]),
     "axial-b": (_spherical_events(3.0, 40.0), [
-        (axial_magnetic_potential_spherical(b), axial_magnetic_lorentz_spherical(b))
-        for b in (1e-3, -0.3)]),
+        axial_magnetic_potential_spherical(b) for b in (1e-3, -0.3)]),
 }
+
+
+def _assert_lorentz_bits(potential, coords, u, charges):
+    """The derived term has the bits of (e F) @ u, lone, batched and on floats."""
+    lorentz = faraday_field_of(potential).lorentz_fn
+    lane = float_lane(lorentz)
+    for e in charges:
+        batch = lorentz(coords, u, e)
+        for i in range(len(coords)):
+            lone = lorentz(coords[i], u[i], e)
+            want = (e * faraday_matrix_raw(potential, coords[i])) @ u[i]
+            assert lone.tobytes() == want.tobytes(), (coords[i], u[i], e)
+            assert batch[i].tobytes() == lone.tobytes(), (coords[i], u[i], e)
+            floats = np.array(lane(coords[i].tolist(), u[i].tolist(), e))
+            assert floats.tobytes() == lone.tobytes(), (coords[i], u[i], e)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_closed_form_lorentz_term_has_the_bits_of_the_contracted_block(name):
-    # bit for bit, signed zeros included: the closed form sums each row as
+    # bit for bit, signed zeros included: the derived term sums each row as
     # numpy's 4x4 matrix-vector product does
-    events, cases = CLOSED_FORMS[name]
+    events, potentials = CLOSED_FORMS[name]
     rng = np.random.default_rng(sorted(CLOSED_FORMS).index(name))
     coords, u = events(rng, 400), _velocities(rng, 400)
-    for potential, lorentz in cases:
-        for e in (1.0, -0.7, 3.0):
-            batch = lorentz(coords, u, e)
-            for i in range(len(coords)):
-                lone = lorentz(coords[i], u[i], e)
-                want = (e * faraday_matrix_raw(potential, coords[i])) @ u[i]
-                assert lone.tobytes() == want.tobytes(), (coords[i], u[i], e)
-                assert batch[i].tobytes() == lone.tobytes(), (coords[i], u[i], e)
+    for potential in potentials:
+        _assert_lorentz_bits(potential, coords, u, (1.0, -0.7, 3.0, 0.0, -0.0))
 
 
-def test_coulomb_closed_form_is_written_for_two_charts_only():
-    coulomb_lorentz(1.0, radial_index=1)
-    with pytest.raises(ValueError, match="radial_index=2"):
-        coulomb_lorentz(1.0, radial_index=2)
+@pytest.mark.parametrize("radial_index", [2, 3])
+def test_coulomb_on_any_radial_coordinate_gets_a_derived_lorentz_term(radial_index):
+    rng = np.random.default_rng(radial_index)
+    coords = rng.uniform(-5.0, 5.0, (200, 4))
+    coords[:, radial_index] = np.exp(rng.uniform(math.log(0.5), math.log(1e4), 200))
+    _assert_lorentz_bits(coulomb_potential(1.5, radial_index=radial_index), coords,
+                         _velocities(rng, 200), (1.0, -0.7))
+
+
+def test_a_gradient_without_its_closed_form_falls_back_to_the_matrix_path():
+    # a pass-through wrapper of a closed-form gradient, as instrumentation
+    # rebinds one, and a user potential of lambdas carry no formula to derive
+    # the term from: the connection contracts e F, with the same bits
+    coulomb = coulomb_potential(2.0)
+    wrapped = dataclasses.replace(coulomb, deriv_fn=lambda c: coulomb.deriv_fn(c))
+    user = VectorPotential(lambda c: np.array([0.0, c[2], -c[1], 0.0]) / 2,
+                           deriv_fn=lambda c: np.array([[0.0] * 4, [0.0, 0.0, -0.5, 0.0],
+                                                        [0.0, 0.5, 0.0, 0.0], [0.0] * 4]))
+    assert faraday_field_of(coulomb).lorentz_fn is not None
+    rng = np.random.default_rng(5)
+    coords, u = _cartesian_events(rng, 100), _velocities(rng, 100)
+    for potential in (wrapped, user):
+        field = faraday_field_of(potential)
+        assert field.lorentz_fn is None
+        k0 = electromagnetic_connection(field, -0.7).order0_raw
+        for x, v in zip(coords, u):
+            want = (-0.7 * faraday_matrix_raw(potential, x)) @ v
+            assert k0(x, v).tobytes() == want.tobytes(), (x, v)
+    derived = electromagnetic_connection(faraday_field_of(coulomb), -0.7).order0_raw
+    fallback = electromagnetic_connection(faraday_field_of(wrapped), -0.7).order0_raw
+    assert derived(coords, u).tobytes() == fallback(coords, u).tobytes()

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasetransport.errors import OutsideDomain, ValidationError
-from phasetransport.metrics import minkowski, schwarzschild
+from phasetransport.fields import coulomb_potential
+from phasetransport.metrics import minkowski, schwarzschild, weak_field
 from phasetransport.tensor import (
     FD_STEP_FIRST,
     DomainGuard,
@@ -62,6 +63,16 @@ def test_domain_guard_reports_and_raises():
     with pytest.raises(OutsideDomain):
         guard.check(bad)
     guard.check(good)
+
+
+def test_an_intersected_guard_names_the_first_rejected_event_of_a_batch():
+    # the Coulomb guard rejects only the third event, the weak field's the
+    # second and third: the batch's reason is the second's
+    both = coulomb_potential(2.0).guard.intersect(weak_field(1.0).guard)
+    rows = np.array([(0.0, 10.0, 1.0, 0.5), (0.0, 1.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    assert both.probe(rows) == both.probe(rows[1]) == "r = 1.5 inside guarded radius 2"
+    assert both.probe(rows[::2]) == "r = 0.000e+00 at the potential singularity"
+    assert both.probe(rows[:1]) is None
 
 
 coords_strategy = st.tuples(

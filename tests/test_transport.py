@@ -35,9 +35,7 @@ from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
     VectorPotential,
-    axial_magnetic_lorentz_spherical,
     axial_magnetic_potential_spherical,
-    coulomb_lorentz,
     coulomb_potential,
     uniform_faraday,
     uniform_field_potential,
@@ -626,17 +624,17 @@ def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
     # the closed form gives (e F) u directly: neither dA nor F is evaluated
     calls = []
     if field == "coulomb":
-        potential, lorentz, gravity = coulomb_potential(2.0), coulomb_lorentz(2.0), None
+        potential, gravity = coulomb_potential(2.0), None
         u0 = oracles.gamma_from_u([0.0, 0.4, 0.0])
         initial = state([0.0, 10.0, 0.0, 0.0], [u0, 0.0, 0.4, 0.0])
     else:
         potential = axial_magnetic_potential_spherical(1e-3)
-        lorentz = axial_magnetic_lorentz_spherical(1e-3)
         gravity = gravitational_connection(schwarzschild(1.0))
         initial = bound_orbit_state(1.0, 18.0, 22.0)
+    lorentz = faraday_field_of(potential).lorentz_fn
     potential = dataclasses.replace(potential, deriv_fn=counting(potential.deriv_fn, calls))
-    f = faraday_field_of(potential, lorentz)
-    f = dataclasses.replace(f, matrix_fn=counting(f.matrix_fn, calls))
+    f = faraday_field_of(potential)
+    f = dataclasses.replace(f, lorentz_fn=lorentz, matrix_fn=counting(f.matrix_fn, calls))
 
     def law(f):
         em = electromagnetic_connection(f, 1.0)
@@ -1195,8 +1193,8 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
     # the closed Coulomb form, here without its guard, divides 0 by 0 at the
     # origin: Python floats raise where numpy gives NaN, so the lone run takes
     # numpy's NaN there and fails where its batch row fails
-    field = FaradayField(faraday_field_of(coulomb_potential(1.0)).matrix_fn,
-                         name="unguarded", lorentz_fn=coulomb_lorentz(1.0))
+    coulomb = faraday_field_of(coulomb_potential(1.0))
+    field = FaradayField(coulomb.matrix_fn, name="unguarded", lorentz_fn=coulomb.lorentz_fn)
     conn = electromagnetic_connection(field, 1.0)
     cfg = IntegratorConfig(step=0.1, tau_max=1.0)
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
@@ -1243,7 +1241,7 @@ def test_a_run_into_the_coulomb_singularity_ends_at_its_guard_on_floats(array_st
     # a charge too small to deflect the particle: x1 = -1 + 0.25 k exactly, and
     # the last stage of the fourth step lands on the origin itself
     conn = electromagnetic_connection(
-        faraday_field_of(coulomb_potential(1.0), coulomb_lorentz(1.0)), 1e-300)
+        faraday_field_of(coulomb_potential(1.0)), 1e-300)
     initial = state([0.0, -1.0, 0.0, 0.0], [oracles.gamma_from_u([0.5, 0, 0]), 0.5, 0.0, 0.0])
     traj = assert_lone_on_floats_matches_its_batch_row(
         conn, Particle(1.0, 1e-300), initial, IntegratorConfig(step=0.5, tau_max=5.0), array_steps)
