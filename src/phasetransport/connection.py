@@ -25,8 +25,9 @@ contracts it.  A built-in closed form is one formula, run on numpy
 columns for a batch and on Python floats for a lone trajectory
 (``tensor.columnwise``); a field's Lorentz term is derived from its
 potential's gradient formula (``curvature.faraday_field_of``).  Its
-float lane (``tensor.with_floats``), and that of a uniform field's
-constant block, is the term's float lane.
+float lane and spec (``tensor.with_floats``), and a uniform field's
+constant block, are the term's, so a lone run's generated right-hand
+side writes the term out.
 
 ``superpose`` adds the terms so both forces act through a single law.
 """
@@ -44,12 +45,14 @@ from .fields import AntisymmetricFaraday, FaradayField, UniformFaraday, require_
 from .metrics import minkowski
 from .tensor import (
     DIM,
+    Contracted,
     DomainGuard,
     EVERYWHERE,
     FlatMetric,
     MetricField,
     _finite_real,
     float_lane,
+    spec,
     with_floats,
 )
 
@@ -169,9 +172,10 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return lorentz(coords, u, e)
 
-        lane = float_lane(lorentz)
-        if lane is not None:
-            with_floats(term, lambda x, u: lane(x, u, e))
+        lane, contracted = float_lane(lorentz), spec(lorentz)
+        if lane is not None:  # a closed-form term's spec takes e as its argument
+            with_floats(term, lambda x, u: lane(x, u, e),
+                        contracted and contracted._replace(args=(e,)))
 
     elif isinstance(f, UniformFaraday):
         # it may overflow, which the integration reports
@@ -181,7 +185,7 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return _mv(block, u)
 
-        with_floats(term, lambda x, u: _mv_floats(rows, u))
+        with_floats(term, lambda x, u: _mv_floats(rows, u), Contracted(block=rows))
 
     elif isinstance(f, AntisymmetricFaraday):
 

@@ -20,9 +20,10 @@ gradient, the geodesic term and the guard's admission tests) is one
 formula over the coordinate columns, run on numpy columns for a batch
 or one event and on Python floats for its float lane
 (``tensor.closed_form``, ``tensor.columnwise``, ``tensor.guard_probe``).
-A lone trajectory raises K0 u with the diagonal inverse metric's float
-rows, in numpy's own summation order.  The canonical route's
-metric-gradient term stays on arrays, one einsum per evaluation.
+A lone trajectory's generated right-hand side calls the inverse
+metric's formula and raises K0 u with its rows, in numpy's own
+summation order.  The canonical route's metric-gradient term stays on
+arrays, one einsum per evaluation.
 """
 
 from __future__ import annotations

@@ -16,16 +16,22 @@ written once and run two ways: on numpy columns, for a batch or one
 event ``(4,)``, and on Python floats, for the lane that a lone
 trajectory steps on (``with_floats``).  The formula takes an ``ops``
 namespace for its square roots, sines and cosines: numpy itself, or
-math's functions, with numpy's NaN for the sine or cosine of an
-infinite angle.  Addition, subtraction, multiplication, division and
+math's functions.  Addition, subtraction, multiplication, division and
 the square root round correctly both ways, and numpy's float64 sin and
-cos give math's bits, so both runs give the same bits.
+cos give math's bits, so both runs give the same bits.  A float lane
+and a guard probe run with numpy's NaN for the sine or cosine of an
+infinite angle (``_FLOAT_OPS``); the generated body of a lone
+right-hand side calls the formulas with math's own (``_MATH_OPS``) and
+evaluates an event where they raise again on arrays.
 ``closed_form`` builds a potential's or a metric's evaluator from the
 nonzero entries of its result, ``columnwise`` a contracted geodesic
 term, ``closed_form_curl`` the contracted Lorentz term of a
 ``closed_form`` gradient from that gradient's own formula, and
-``guard_probe`` a guard's probe from its admission tests.  A callable
-without a float lane is called on arrays.
+``guard_probe`` a guard's probe from its admission tests.  Each
+evaluator keeps its spec (``spec``: a ``ClosedForm`` or a
+``Contracted``), from which ``transport`` writes a lone right-hand side
+out as one function.  A callable without a float lane is called on
+arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import sys
 import types
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,22 +64,45 @@ FD_STEP_NESTED = float(np.finfo(float).eps ** 0.25)
 #: The one-event Python-float lane of each evaluator that has one, keyed by
 #: the evaluator itself, so that a wrapper of it is never taken for it.
 _FLOAT_LANES = weakref.WeakKeyDictionary()
+#: The spec of each evaluator built from a formula here, kept by the same rule.
+_SPECS = weakref.WeakKeyDictionary()
 
 
-def with_floats(fn, lane):
-    """Register `lane` as `fn`'s lane for one event on Python floats; return `fn`.
+class ClosedForm(NamedTuple):
+    """The spec of a ``closed_form`` evaluator: ``formula(ops, c)`` gives the
+    entries at `indices`, in their order; every other entry is zero."""
+
+    indices: tuple
+    formula: Callable
+
+
+class Contracted(NamedTuple):
+    """The spec of a contracted term ``(coords, u) -> (4,)`` on Python floats.
+
+    ``terms(ops, c, u, *args)`` gives its four components (``columnwise``).
+    A ``closed_form_curl`` term also keeps its gradient's ``ClosedForm`` as
+    `curl`, and a uniform field's term is ``block @ u`` with `block` its
+    constant rows, summed as ``connection._mv_floats`` sums them.
+    """
+
+    terms: Optional[Callable] = None
+    args: tuple = ()
+    curl: Optional[ClosedForm] = None
+    block: Optional[list] = None
+
+
+def with_floats(fn, lane, spec=None):
+    """Register `lane` as `fn`'s lane for one event on Python floats, and
+    `spec`, when given, as its spec; return `fn`.
 
     `lane` takes what `fn` takes for one event with each ``(4,)`` array
     as four Python floats, and gives what `fn` gives in Python floats (a
     vector as four, a matrix as four rows of four), with the same bits.
     """
     _FLOAT_LANES[fn] = lane
+    if spec is not None:
+        _SPECS[fn] = spec
     return fn
-
-
-#: The sparse spec ``(indices, formula)`` of each evaluator that
-#: ``closed_form`` built, kept by the same rule.
-_SPECS = weakref.WeakKeyDictionary()
 
 
 def _registered(registry, fn):
@@ -86,6 +115,11 @@ def _registered(registry, fn):
 def float_lane(fn):
     """The lane that ``with_floats`` registered for `fn`, or None."""
     return _registered(_FLOAT_LANES, fn)
+
+
+def spec(fn):
+    """The ``ClosedForm`` or ``Contracted`` spec registered for `fn`, or None."""
+    return _registered(_SPECS, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +141,9 @@ def _nan_if_infinite(fn: Callable[[float], float]) -> Callable[[float], float]:
 #: The ``ops`` a closed form runs with on Python floats; on arrays it is numpy.
 _FLOAT_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=_nan_if_infinite(math.sin),
                                    cos=_nan_if_infinite(math.cos), logical_not=operator.not_)
+#: The same with math's own sine and cosine, which raise at an infinite angle.
+_MATH_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=math.sin, cos=math.cos,
+                                  logical_not=operator.not_)
 
 
 @functools.cache
@@ -156,41 +193,59 @@ def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
             t[slot] = value
         return out
 
-    _SPECS[on_arrays] = indices, formula
-    return with_floats(on_arrays, _dense_lane_maker(indices)(formula, _FLOAT_OPS))
+    return with_floats(on_arrays, _dense_lane_maker(indices)(formula, _FLOAT_OPS),
+                       ClosedForm(indices, formula))
+
+
+def row_source(products) -> str:
+    """The source of the sum of one row's four products, in the order numpy's
+    4x4 matrix-vector product sums it with the OpenBLAS it ships (0.3.31,
+    x86-64): ((p0 + p2) + (p1 + p3)) + 0.0, the last term turning a zero
+    sum's sign to +0 (``connection._mv_floats``)."""
+    p0, p1, p2, p3 = products
+    return f"(({p0} + {p2}) + ({p1} + {p3})) + 0.0"
+
+
+def curl_source(indices: tuple, v: list, u: list, e: str, z: str) -> tuple[list, list]:
+    """(lines, rows): the source of the contracted e (dA[m, n] - dA[n, m]) u^n
+    of a gradient dA that is zero but at `indices`, where it holds the names
+    `v`, with u's components named `u` and the charge `e`.
+
+    Every entry is written out, zeros included (a zero times an infinite
+    component is a NaN): the `lines` set `z` to e * 0.0 and ``z<n>`` to
+    z * u^n for each n that a zero entry needs.  Each row is summed as
+    numpy sums it (``row_source``): the bits of ``(e * (dA - dA^T)) @ u``.
+    """
+    zeros = set()
+
+    def entry(m, n):
+        a, b = (v[indices.index(i)] if i in indices else "0.0" for i in ((m, n), (n, m)))
+        if a == b == "0.0":
+            zeros.add(n)
+            return f"{z}{n}"
+        return f"{e} * ({a} - {b}) * {u[n]}"
+
+    rows = [row_source([entry(m, n) for n in range(DIM)]) for m in range(DIM)]
+    used = sorted(zeros)
+    lines = [f"{z} = {e} * 0.0"] if used else []
+    return lines + [f"{z}{n} = {z} * {u[n]}" for n in used], rows
 
 
 @functools.cache
 def _curl_terms_maker(indices: tuple) -> Callable:
     """``make(formula) -> terms``, where ``terms(ops, c, u, e)`` is the
-    contracted e (dA[m, n] - dA[n, m]) u^n of a gradient dA that is zero
-    but at `indices`, where it holds ``formula(ops, c)``.
-
-    Every entry is written out, zeros included (a zero times an infinite
-    component is a NaN), and each row is summed as numpy's 4x4
-    matrix-vector product sums it with the OpenBLAS it ships (0.3.31,
-    x86-64), ((p0 + p2) + (p1 + p3)) + 0.0, the last term turning a zero
-    sum's sign to +0: the bits of ``(e * (dA - dA^T)) @ u``.  Compiled
-    once per `indices`.
-    """
-
-    def entry(m, n):
-        a, b = (f"v{indices.index(i)}" if i in indices else "0.0" for i in ((m, n), (n, m)))
-        return f"zu{n}" if a == b == "0.0" else f"e * ({a} - {b}) * u{n}"
-
-    def row(m):
-        p0, p1, p2, p3 = (entry(m, n) for n in range(DIM))
-        return f"(({p0} + {p2}) + ({p1} + {p3})) + 0.0"
-
-    names = "".join(f"v{k}, " for k in range(len(indices)))
+    contracted term of ``curl_source`` for the gradient that
+    ``formula(ops, c)`` gives at `indices`.  Compiled once per `indices`."""
+    v = [f"v{k}" for k in range(len(indices))]
+    lines, rows = curl_source(indices, v, ["u0", "u1", "u2", "u3"], "e", "z")
+    body = "".join(f"        {line}\n" for line in lines)
     namespace: dict = {}
     exec(f"def make(formula):\n"
          f"    def terms(ops, c, u, e):\n"
-         f"        {names}= formula(ops, c)\n"
+         f"        {', '.join(v)}, = formula(ops, c)\n"
          f"        u0, u1, u2, u3 = u\n"
-         f"        z = e * 0.0\n"
-         f"        zu0, zu1, zu2, zu3 = z * u0, z * u1, z * u2, z * u3\n"
-         f"        return ({', '.join(row(m) for m in range(DIM))})\n"
+         f"{body}"
+         f"        return ({', '.join(rows)})\n"
          f"    return terms\n", namespace)
     return namespace["make"]
 
@@ -199,22 +254,22 @@ def closed_form_curl(gradient) -> Optional[Callable[..., np.ndarray]]:
     """The contracted term ``(coords, u, e) -> e (dA - dA^T) u`` of the
     closed-form gradient ``dA[..., m, n]`` that ``closed_form`` built, run
     as ``columnwise`` runs it, or None for any other callable (a wrapper
-    of one included)."""
-    spec = _registered(_SPECS, gradient)
-    if spec is None:
+    of one included).  Its spec keeps the gradient's as ``curl``."""
+    closed = spec(gradient)
+    if not isinstance(closed, ClosedForm):
         return None
-    indices, formula = spec
-    return columnwise(_curl_terms_maker(indices)(formula))
+    return columnwise(_curl_terms_maker(closed.indices)(closed.formula), closed)
 
 
-def columnwise(terms) -> Callable[..., np.ndarray]:
+def columnwise(terms, curl: Optional[ClosedForm] = None) -> Callable[..., np.ndarray]:
     """The contracted term ``(coords, u, *args) -> (4,)`` whose four
     components are ``terms(ops, c, u, *args)``, from the four columns
     each of the coordinates and of u.
 
     It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
     each, run as ``closed_form`` runs its formula, and its float lane
-    takes four Python floats each, so every way gets the same bits.
+    takes four Python floats each, so every way gets the same bits.  Its
+    spec is ``Contracted(terms, curl=curl)``.
     """
 
     def on_arrays(c: np.ndarray, u: np.ndarray, *args) -> np.ndarray:
@@ -222,7 +277,8 @@ def columnwise(terms) -> Callable[..., np.ndarray]:
         out.T[:] = terms(np, c.T, u.T, *args)
         return out
 
-    return with_floats(on_arrays, functools.partial(terms, _FLOAT_OPS))
+    return with_floats(on_arrays, functools.partial(terms, _FLOAT_OPS),
+                       Contracted(terms, curl=curl))
 
 
 def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
@@ -323,7 +379,8 @@ class DomainGuard:
 
         a, b = float_lane(self.probe), float_lane(other.probe)
         if a is not None and b is not None:
-            with_floats(both, lambda x: a(x) or b(x))
+            # the lane that admits everything adds nothing to the other
+            with_floats(both, a if b is _admit else b if a is _admit else lambda x: a(x) or b(x))
         return DomainGuard(both, label=f"{self.label} & {other.label}")
 
 

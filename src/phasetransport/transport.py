@@ -16,16 +16,22 @@ There are two lanes, and the row count alone picks one.  A batch steps
 on numpy arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``,
 ``_make_rhs``, ``_compile_acceleration``).  A lone trajectory steps on
 Python floats, eight per state, whatever its method or route
-(``_rk4_step_floats``, ``_rk45_step_floats``, ``_make_lone_rhs``,
-``_compile_lone_acceleration``).  Each built-in closed form, guard
-probe and inverse metric is one formula, run on numpy columns or on
-Python floats (``tensor.closed_form``, ``tensor.columnwise``,
-``tensor.guard_probe``), and the lone law takes its float lane
-(``tensor.with_floats``); any other callable is called on arrays,
-``fn(np.array(x), np.array(u)).tolist()``.  Both lanes take the same
-IEEE operations in the same order, so a lone run has the bits of its row
-in a batch; where Python floats raise and numpy gives inf or NaN, the
-float lane evaluates that point on arrays.
+(``_rk4_step_floats`` and ``_rk45_step_floats``, written out over eight
+named components).  Its right-hand side is one generated function
+(``_LoneSource``, ``_lone_rhs``), compiled once per law shape: it
+unpacks the state, probes the guard's float lane once, and writes the
+law out in the array law's operations and order.  Each built-in closed
+form, guard probe and inverse metric is one formula, run on numpy
+columns or on Python floats (``tensor.closed_form``,
+``tensor.columnwise``, ``tensor.guard_probe``); the generated body
+calls a formula directly from its spec, and spells out a uniform
+field's block, a Lorentz term's rows and the raise of K0 u.  A term
+without a spec is one call of its float lane (``tensor.with_floats``),
+and any other callable is called on arrays, ``fn(np.array(x),
+np.array(u)).tolist()``.  Both lanes take the same IEEE operations in
+the same order, so a lone run has the bits of its row in a batch; where
+Python floats raise and numpy gives inf or NaN, the body's one
+``except`` evaluates that state again with the array law.
 
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
@@ -33,9 +39,9 @@ covariant momentum pi = m u + e (A - A(x0)), the potential anchored at
 the start event, and must land on the same worldline.
 Its law is compiled once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
-a run of this route is always lone, so it shares the float lane's
-shell (``_make_lone_rhs``) and the engine, and its law steps on floats
-too.
+a run of this route is always lone, so its right-hand side comes from
+the same generator, with u recovered from pi in the body, and it shares
+the engine.
 Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
@@ -53,6 +59,8 @@ columns.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -61,20 +69,27 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .connection import NonLinearConnection, Particle, _mv, _mv_floats, gravitational_connection
+from .connection import NonLinearConnection, Particle, _mv, gravitational_connection
 from .curvature import _metric_deriv_raw, _potential_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
 from .tensor import (
+    _MATH_OPS,
     DIM,
+    EVERYWHERE,
     MINKOWSKI,
+    ClosedForm,
+    Contracted,
     DomainGuard,
     FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
     _finite_real,
+    curl_source,
     float_lane,
+    row_source,
+    spec,
 )
 
 #: Hard lower bound on adaptive step size.
@@ -235,13 +250,13 @@ def _compile_acceleration(
     of a zero.  Elsewhere g^-1 is evaluated once per point, for that
     raise only; a law without K0 evaluates none here.
     `coords` and `u` are a batch ``(N, 4)``: this is the array lane's
-    law, and ``_compile_lone_acceleration`` falls back on it with a batch
-    of one.  `mass` is the particle mass, one float or one per event
-    ``(N,)``.  `order0`, when given, is the constant K0 block of each
-    event ``(N, 4, 4)`` (or one ``(4, 4)`` for all), e F of a uniform
-    field, contracted here as ``_mv(order0, u)`` in place of the
-    connection's ``order0_raw``; a matrix-vector product per event has
-    the bits of the lone one, so a row gets what it gets alone.
+    law, and ``_lone_rhs`` falls back on it with a batch of one.  `mass`
+    is the particle mass, one float or one per event ``(N,)``.  `order0`,
+    when given, is the constant K0 block of each event ``(N, 4, 4)`` (or
+    one ``(4, 4)`` for all), e F of a uniform field, contracted here as
+    ``_mv(order0, u)`` in place of the connection's ``order0_raw``; a
+    matrix-vector product per event has the bits of the lone one, so a
+    row gets what it gets alone.
     """
     o1 = c.order1_raw
     if order0 is None:
@@ -277,32 +292,6 @@ def _on_floats(fn: Callable[..., np.ndarray]) -> Callable[..., list]:
     return lambda *args: fn(*map(np.array, args)).tolist()
 
 
-def _or_on_arrays(
-    lane: Callable[[list, list], list], fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> Callable[[list, list], list]:
-    """`lane` of (x, v), except where Python floats raise (a division by
-    zero, a math-domain error, an overflow): there `fn`, the same law on
-    numpy values, evaluates the event again and gives inf or NaN as numpy
-    does.  An error of the law's own raises again."""
-
-    def guarded(x: list, v: list) -> list:
-        try:
-            return lane(x, v)
-        except (ArithmeticError, ValueError):
-            return fn(np.array(x), np.array(v)).tolist()
-
-    return guarded
-
-
-def _raised_on_floats(g: MetricField) -> Callable[[list, list], list]:
-    """``_mv(g.inverse_raw(coords), v)`` of one event on Python floats: the
-    inverse metric's float rows where it has them, else on arrays."""
-    inverse, rows = g.inverse_raw, float_lane(g.inverse_fn)
-    if rows is None:
-        return _on_floats(lambda coords, v: _mv(inverse(coords), v))
-    return lambda x, v: _mv_floats(rows(x), v)
-
-
 def _probe_on_floats(guard: DomainGuard) -> Callable[[list], Optional[str]]:
     """`guard`'s probe of one event given as four Python floats: its float
     lane, or its probe called on an array."""
@@ -310,54 +299,6 @@ def _probe_on_floats(guard: DomainGuard) -> Callable[[list], Optional[str]]:
     if lane is not None:
         return lane
     return lambda x: probe(np.array(x))
-
-
-def _compile_lone_acceleration(
-    c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None
-) -> Callable[[list, list], list]:
-    """``_compile_acceleration`` for one event on Python floats: four floats each
-    for the coordinates, u and the rate.
-
-    Each term is its float lane where it has one (the built-in closed
-    forms, a uniform field's block and the curved charts' inverse-metric
-    rows), and is called on arrays otherwise (``_on_floats``).  The law
-    takes the array law's operations in its order, so it has its bits.
-    Where Python floats raise, the event is evaluated again by the array
-    law as a batch of one (``_or_on_arrays``), on numpy columns, which
-    give inf or NaN there as they do for any batch row.  `order0`, when
-    given, is the event's constant K0 block ``(4, 4)``.
-    """
-    arrays = _compile_acceleration(c, mass, order0)
-    o1 = None if c.order1_raw is None else _on_floats(c.order1_raw)
-    if order0 is not None:
-        rows = order0.tolist()
-
-        def o0(x, u):
-            return _mv_floats(rows, u)
-
-    else:
-        o0 = None if c.order0_raw is None else _on_floats(c.order0_raw)
-    inv_mass = 1.0 / float(mass)
-
-    if o1 is None and o0 is None:
-        return lambda x, u: [0.0] * DIM
-    if o1 is None and isinstance(c.metric, FlatMetric):
-        scale = (np.diag(MINKOWSKI) * inv_mass).tolist()
-
-        def rate(x, u):
-            return [a * s for a, s in zip(o0(x, u), scale)]
-
-    elif o0 is None:
-        rate = o1
-    else:
-        raised = _raised_on_floats(c.metric)
-
-        def k0(x, u):
-            return raised(x, [a * inv_mass for a in o0(x, u)])
-
-        rate = k0 if o1 is None else lambda x, u: [a + b for a, b in zip(o1(x, u), k0(x, u))]
-
-    return _or_on_arrays(rate, lambda coords, u: arrays(coords[None], u[None])[0])
 
 
 def _make_rhs(
@@ -387,33 +328,182 @@ def _make_rhs(
     return rhs
 
 
-def _make_lone_rhs(
-    guard: DomainGuard,
-    rate: Callable[[list, list], list],
-    velocity: Optional[Callable[[list, list], list]] = None,
-) -> Callable[[list], list]:
-    """The ODE right-hand side of one state (x, p) held as eight Python floats:
-    (dx/dtau, dp/dtau) = (u, rate(x, u)).
+def _rejected_lone(y: list, reason: str) -> list:
+    """``_rejected`` of one state held as eight Python floats."""
+    return _rejected(np.array([y]), reason)[0].tolist()
 
-    Both routes share this shell.  The force law's p is the contravariant
-    u itself (`velocity` None); the canonical route's p is the momentum
-    pi, and ``velocity(x, pi)`` recovers u.  `rate` and `velocity` take
-    and give four floats each.  The probe is ``_probe_on_floats(guard)``;
-    a rejected state goes to ``_rejected`` as a batch of one with the
-    reason ``"<label>: <why>"``, so a state that is not finite gets a NaN
-    rate and never raises ``OutsideDomain``.
+
+_U = ("u0", "u1", "u2", "u3")
+
+
+@functools.cache
+def _lone_rhs_maker(params: tuple, body: str) -> Callable:
+    """``make(*values) -> rhs``: the lone right-hand side whose body is `body`,
+    reading the names `params` bound to `values`.  Compiled once per law shape."""
+    namespace: dict = {}
+    exec(f"def make({', '.join(params)}):\n    def rhs(y):\n{body}    return rhs\n", namespace)
+    return namespace["make"]
+
+
+class _LoneSource:
+    """The source of one lone right-hand side, a function of the state held
+    as eight Python floats, and the values of the names it reads.
+
+    The body unpacks the state into x0..x3 and the route's momentum (u0..u3
+    on the force route, p0..p3 on the canonical one), probes the guard's
+    float lane once and hands a rejected state to ``_rejected`` with the
+    reason ``"<label>: <why>"``, as ``_make_rhs`` does.  The law follows
+    in the array law's operations and order: a closed form is its
+    formula's call (``tensor.ClosedForm``, with math's own ``ops``), a
+    constant block or a curl its rows, a ``columnwise`` term its terms'
+    call, and any other callable one call on floats (``_on_floats``).
+    Where Python floats raise, the one ``except`` evaluates the state again
+    with the route's array law.  Every constant and callable is a bound
+    name, so the source depends on the law's shape alone and is compiled
+    once per shape (``_lone_rhs_maker``).
     """
-    probe, label = _probe_on_floats(guard), guard.label
 
-    def rhs(y: list) -> list:
-        x = y[:DIM]
-        why = probe(x)
-        if why is not None:
-            return _rejected(np.array([y]), f"{label}: {why}")[0].tolist()
-        u = y[DIM:] if velocity is None else velocity(x, y[DIM:])
-        return [*u, *rate(x, u)]
+    def __init__(self, guard: DomainGuard, momentum: str):
+        self.names = {"ops": _MATH_OPS}
+        self.made = set()
+        self.head = [f"x0, x1, x2, x3, {momentum}0, {momentum}1, {momentum}2, {momentum}3 = y"]
+        self.lines = []
+        probe = _probe_on_floats(guard)
+        if probe is not EVERYWHERE.probe:  # that lane admits everything
+            self.made.add("c")
+            self.head += [
+                "c = (x0, x1, x2, x3)",
+                f"why = {self.bind('probe', probe)}(c)",
+                "if why is not None:",
+                f"    return {self.bind('rejected', _rejected_lone)}"
+                f"(y, f'{{{self.bind('label', guard.label)}}}: {{why}}')",
+            ]
 
-    return rhs
+    def bind(self, name: str, value) -> str:
+        self.names[name] = value
+        return name
+
+    def need(self, name: str) -> None:
+        """Pack the coordinates as ``c`` or the velocity as ``u``, once."""
+        if name not in self.made:
+            self.made.add(name)
+            parts = ("x0", "x1", "x2", "x3") if name == "c" else _U
+            self.lines.append(f"{name} = ({', '.join(parts)})")
+
+    def let(self, name: str, exprs) -> list:
+        """Assign each expression to a name of its own; the names."""
+        names = [f"{name}{n}" for n in range(len(exprs))]
+        self.lines += [f"{n} = {expr}" for n, expr in zip(names, exprs)]
+        return names
+
+    def formula(self, closed: ClosedForm, name: str) -> list:
+        """Call a closed form's formula at c; the names of its values."""
+        self.need("c")
+        values = [f"{name}{k}" for k in range(len(closed.indices))]
+        call = f"{self.bind(name + '_fn', closed.formula)}(ops, c)"
+        self.lines.append(f"{', '.join(values)}, = {call}")
+        return values
+
+    def entries(self, fn: Callable, name: str, rank: int) -> list:
+        """The entries of ``fn(c)``, a vector (`rank` 1) or the rows of a matrix
+        (`rank` 2): a closed form's values and "0.0" elsewhere, or the
+        entries of one call on floats."""
+        index = list(itertools.product(range(DIM), repeat=rank))
+        closed = spec(fn)
+        if isinstance(closed, ClosedForm):
+            at = dict(zip(closed.indices, self.formula(closed, name)))
+            flat = [at.get(i, "0.0") for i in index]
+        else:
+            self.need("c")
+            flat = [name + "".join(map(str, i)) for i in index]
+            groups = [", ".join(flat[m:m + DIM]) for m in range(0, len(flat), DIM)]
+            target = groups[0] if rank == 1 else ", ".join(f"({group})" for group in groups)
+            self.lines.append(f"{target} = {self.bind(name + '_fn', _on_floats(fn))}(c)")
+        return flat if rank == 1 else [flat[m:m + DIM] for m in range(0, len(flat), DIM)]
+
+    def term(self, fn: Callable, name: str) -> list:
+        """The four components of the contracted term ``fn(c, u)``."""
+        contracted = spec(fn)
+        if isinstance(contracted, Contracted) and contracted.block is not None:
+            return self.block(contracted.block, name)
+        if isinstance(contracted, Contracted) and contracted.curl is not None:
+            e = self.bind(name + "_e", *contracted.args)
+            lines, rows = curl_source(contracted.curl.indices,
+                                      self.formula(contracted.curl, name), _U, e, name + "_z")
+            self.lines += lines
+            return rows
+        self.need("c")
+        self.need("u")
+        outs = [f"{name}{n}" for n in range(DIM)]
+        if isinstance(contracted, Contracted):
+            args = "".join(f", {self.bind(f'{name}_arg{k}', a)}"
+                           for k, a in enumerate(contracted.args))
+            call = f"{self.bind(name + '_fn', contracted.terms)}(ops, c, u{args})"
+        else:
+            call = f"{self.bind(name + '_fn', _on_floats(fn))}(c, u)"
+        self.lines.append(f"{', '.join(outs)} = {call}")
+        return outs
+
+    def block(self, rows: list, name: str) -> list:
+        """The four components of ``rows @ u`` for a constant matrix's rows."""
+        return self.rows([[self.bind(f"{name}{m}{n}", a) for n, a in enumerate(row)]
+                          for m, row in enumerate(rows)], _U)
+
+    @staticmethod
+    def rows(matrix: list, v) -> list:
+        """``connection._mv_floats(matrix, v)``: each row summed in numpy's order."""
+        return [row_source([f"{a} * {w}" for a, w in zip(row, v)]) for row in matrix]
+
+    def function(self, rate: list, fallback: Callable[[list], list]) -> Callable[[list], list]:
+        """The right-hand side ``[u0..u3, rate]``, with ``fallback(y)`` giving
+        the eight rates on arrays where floats raise."""
+        body = self.head + [
+            "try:",
+            *(f"    {line}" for line in self.lines),
+            f"    return [{', '.join(_U)}, {', '.join(rate)}]",
+            "except (ArithmeticError, ValueError):",
+            f"    return {self.bind('fallback', fallback)}(y)",
+        ]
+        make = _lone_rhs_maker(tuple(self.names), "".join(f"        {line}\n" for line in body))
+        return make(*self.names.values())
+
+
+def _lone_rhs(
+    c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None
+) -> Callable[[list], list]:
+    """The force route's right-hand side of one state (x, u) held as eight
+    Python floats, (dx/dtau, du/dtau) = (u, du/dtau), written out as one
+    function (``_LoneSource``).
+
+    It takes ``_compile_acceleration``'s operations in its order, one
+    component at a time, so it has the bits of its batch-of-one row, and
+    that law evaluates an event again where Python floats raise.  `order0`,
+    when given, is the event's constant K0 block ``(4, 4)``.
+    """
+    arrays = _compile_acceleration(c, mass, order0)
+    src = _LoneSource(c.guard, "u")
+    k0 = k1 = None
+    if order0 is not None:
+        k0 = src.block(order0.tolist(), "k")
+    elif c.order0_raw is not None:
+        k0 = src.term(c.order0_raw, "k")
+    if c.order1_raw is not None:
+        k1 = src.term(c.order1_raw, "g")
+    inv_mass = 1.0 / float(mass)
+    if k0 is None:
+        rate = ["0.0"] * DIM if k1 is None else k1
+    elif k1 is None and isinstance(c.metric, FlatMetric):
+        scale = (np.diag(MINKOWSKI) * inv_mass).tolist()  # eta / m, a per-row sign
+        rate = [f"({a}) * {src.bind(f's{n}', s)}" for n, (a, s) in enumerate(zip(k0, scale))]
+    else:
+        w = src.let("w", [f"({a}) * {src.bind('inv_mass', inv_mass)}" for a in k0])
+        raised = src.rows(src.entries(c.metric.inverse_fn or c.metric.inverse_raw, "n", 2), w)
+        rate = raised if k1 is None else [f"({g}) + ({r})" for g, r in zip(k1, raised)]
+
+    def fallback(y: list) -> list:
+        return [*y[DIM:], *arrays(np.array([y[:DIM]]), np.array([y[DIM:]]))[0].tolist()]
+
+    return src.function(rate, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +542,26 @@ def _rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
 
 
 def _rk4_step_floats(rhs, y: list, h: float) -> list:
-    # _rk4_step's operations in its order, one component at a time: IEEE
-    # addition and multiplication of Python floats give numpy's bits
+    # _rk4_step's operations in its order, one named component at a time:
+    # IEEE addition and multiplication of Python floats give numpy's bits
     half = 0.5 * h
-    k1 = rhs(y)
-    k2 = rhs([half * k + v for k, v in zip(k1, y)])
-    k3 = rhs([half * k + v for k, v in zip(k2, y)])
-    k4 = rhs([h * k + v for k, v in zip(k3, y)])
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    a0, a1, a2, a3, a4, a5, a6, a7 = rhs(y)
+    b0, b1, b2, b3, b4, b5, b6, b7 = rhs([
+        half * a0 + y0, half * a1 + y1, half * a2 + y2, half * a3 + y3,
+        half * a4 + y4, half * a5 + y5, half * a6 + y6, half * a7 + y7])
+    c0, c1, c2, c3, c4, c5, c6, c7 = rhs([
+        half * b0 + y0, half * b1 + y1, half * b2 + y2, half * b3 + y3,
+        half * b4 + y4, half * b5 + y5, half * b6 + y6, half * b7 + y7])
+    d0, d1, d2, d3, d4, d5, d6, d7 = rhs([
+        h * c0 + y0, h * c1 + y1, h * c2 + y2, h * c3 + y3,
+        h * c4 + y4, h * c5 + y5, h * c6 + y6, h * c7 + y7])
     sixth = h / 6.0
-    return [(2.0 * b + a + 2.0 * c + d) * sixth + v for a, b, c, d, v in zip(k1, k2, k3, k4, y)]
+    return [
+        (2.0 * b0 + a0 + 2.0 * c0 + d0) * sixth + y0, (2.0 * b1 + a1 + 2.0 * c1 + d1) * sixth + y1,
+        (2.0 * b2 + a2 + 2.0 * c2 + d2) * sixth + y2, (2.0 * b3 + a3 + 2.0 * c3 + d3) * sixth + y3,
+        (2.0 * b4 + a4 + 2.0 * c4 + d4) * sixth + y4, (2.0 * b5 + a5 + 2.0 * c5 + d5) * sixth + y5,
+        (2.0 * b6 + a6 + 2.0 * c6 + d6) * sixth + y6, (2.0 * b7 + a7 + 2.0 * c7 + d7) * sixth + y7]
 
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit
@@ -495,20 +596,29 @@ def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     return stage, stage - y4
 
 
-def _rk45_step_floats(rhs, y: list, h: float) -> tuple[list, list]:
-    # _rk45_step's operations in its order, one component at a time; the
-    # 4th-order sum starts from 0, as Python's sum over the arrays does
-    k = [rhs(y)]
-    for (_, a0), *rest in _DP_A:
-        stage = []
-        for v, ks in zip(y, zip(*k)):
-            acc = a0 * ks[0]
-            for j, a in rest:
-                acc = acc + a * ks[j]
-            stage.append(v + h * acc)
-        k.append(rhs(stage))
-    y4 = [v + h * sum(b * ks[j] for j, b in _DP_B4) for v, ks in zip(y, zip(*k))]
-    return stage, [a - b for a, b in zip(stage, y4)]
+def _rk45_step_floats_maker() -> Callable[..., tuple[list, list]]:
+    """``_rk45_step``'s operations in its order, one named state component
+    at a time, as one function written out from the tableau once: stage s's
+    derivative is k<s>_<i>, and the 4th-order sum starts from 0, as Python's
+    sum over the arrays does.  Each coefficient is its exact literal."""
+    def each(expr) -> str:
+        return ", ".join(expr(i) for i in range(2 * DIM))
+
+    def combination(pairs, i) -> str:
+        return " + ".join(f"{a!r} * k{j}_{i}" for j, a in pairs)
+
+    lines = [f"{each(lambda i: f'y{i}')} = y", f"{each(lambda i: f'k0_{i}')} = rhs(y)"]
+    for s, row in enumerate(_DP_A, 1):
+        lines.append(f"s = [{each(lambda i: f'y{i} + h * ({combination(row, i)})')}]")
+        lines.append(f"{each(lambda i: f'k{s}_{i}')} = rhs(s)")
+    y4 = each(lambda i: f"s[{i}] - (y{i} + h * (0 + {combination(_DP_B4, i)}))")
+    lines.append(f"return s, [{y4}]")
+    namespace: dict = {}
+    exec("def step(rhs, y, h):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["step"]
+
+
+_rk45_step_floats = _rk45_step_floats_maker()
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
@@ -834,7 +944,7 @@ def _integrate_engine(
     ``law(rows)`` is the right-hand side for the states of `rows`, an
     index array into the batch (``_make_rhs``).  A lone row (N = 1) steps
     on Python floats, whatever its method, with ``law(None)``, the
-    right-hand side of its state as eight floats (``_make_lone_rhs``),
+    right-hand side of its state as eight floats (``_lone_rhs``),
     and records its landed states as floats too.  Row i starts at
     ``tau0[i]`` with ``cfgs[i]``; the configs may differ only in
     ``tau_max``.  Each row keeps its own clock,
@@ -941,7 +1051,7 @@ def integrate_batch(
     def law(rows):
         row_order0 = None if order0 is None else order0[0 if rows is None else rows]
         if rows is None:  # the lone row, on Python floats
-            return _make_lone_rhs(c.guard, _compile_lone_acceleration(c, masses[0], row_order0))
+            return _lone_rhs(c, masses[0], row_order0)
         return _make_rhs(c.guard, _compile_acceleration(c, masses[rows], row_order0))
 
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
@@ -991,11 +1101,12 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
 
 
 def _compile_canonical(
-    a: VectorPotential, g: MetricField, m: float, e: float, a0: np.ndarray
+    a: VectorPotential, g: MetricField, m: float, e: float, a0: np.ndarray, guard: DomainGuard
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-           Callable[[list, list], list], Callable[[list, list], list]]:
-    """(kinetic u of (coords, pi) on arrays, and on Python floats the kinetic
-    u of (x, pi) and dpi/dtau of (x, u)), shaped once per route.
+           Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[list], list]]:
+    """(kinetic u of (coords, pi) and dpi/dtau of (coords, u), both on arrays,
+    and the right-hand side of one state (x, pi) held as eight Python
+    floats), shaped once per route.
 
     The kinetic velocity is u^m = g^mn (pi_n - e (A_n - a0_n)) / m, with
     the potential anchored at its value `a0` at the start event.  On the flat
@@ -1006,72 +1117,68 @@ def _compile_canonical(
     An uncharged particle feels no potential gradient.  The kinetic u on
     arrays takes one event ``(4,)`` or every sample ``(n, 4)``.
 
-    The float law takes and gives four floats per vector, and takes the
-    array law's operations at one event in its order, so it has its bits.
-    Each term is its float lane where it has one (the built-in potentials'
-    values and gradients, the curved charts' inverse-metric rows) and is
-    called on arrays otherwise (``_on_floats``), once per evaluation: a
-    user potential, a wrapper, the uniform potential's values and the
+    The right-hand side (dx/dtau, dpi/dtau) = (u, dpi/dtau) is written out
+    as one function (``_LoneSource``) in the array law's operations at one
+    event, in its order, so it has its bits.  The potential's values and
+    gradient and the curved charts' inverse metric are their closed forms'
+    formulas where they have them, and one call each otherwise: a user
+    potential, a wrapper, the uniform potential's values and the
     metric-gradient term (its 64 products on floats cost more than the
-    einsum on arrays).  The contraction dA @ u is ``_mv_floats``, the
-    order of numpy's 4x4 matrix-vector product.  Where Python floats
-    raise, the array law evaluates that event (``_or_on_arrays``).
+    einsum on arrays) are called on arrays.  The contraction dA @ u is
+    summed in the order of numpy's 4x4 matrix-vector product.  Where
+    Python floats raise, the array law evaluates that event.
     """
     def values(coords):
         return a.values_fn(coords) - a0
 
     d_potential = a.deriv_fn or (lambda coords: _potential_deriv_raw(a, coords))
-    values_floats, d_potential_floats, a0_floats = (
-        _on_floats(a.values_fn), _on_floats(d_potential), a0.tolist())
+    src = _LoneSource(guard, "p")
+    charge = src.bind("e", e)
+    kinetic = [f"p{n} - {charge} * ({v} - {src.bind(f'a0_{n}', b)})"
+               for n, (v, b) in enumerate(zip(src.entries(a.values_fn, "A", 1), a0.tolist()))]
 
-    def kinetic_momentum(x, pi):  # pi - e (A - a0), on floats
-        return [p - e * (v - b) for p, v, b in zip(pi, values_floats(x), a0_floats)]
-
-    def lorentz(x, u):  # e (dA @ u), on floats
-        return [e * w for w in _mv_floats(d_potential_floats(x), u)]
+    def lorentz():  # e (dA @ u)
+        return [f"{charge} * ({w})" for w in src.rows(src.entries(d_potential, "dA", 2), _U)]
 
     if isinstance(g, FlatMetric):
         signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
-        signed_masses = signed_mass.tolist()
 
         def kinetic_up(coords, pi):
             return (pi - e * values(coords)) / signed_mass
 
-        def velocity(x, pi):
-            return [p / s for p, s in zip(kinetic_momentum(x, pi), signed_masses)]
+        def rate(coords, u):
+            return np.zeros(DIM) if e == 0.0 else e * (d_potential(coords) @ u)
 
-        if e == 0.0:
-            zero = np.zeros(DIM)
-            rate, rate_floats = (lambda coords, u: zero), (lambda x, u: [0.0] * DIM)
-        else:
-            rate, rate_floats = (lambda coords, u: e * (d_potential(coords) @ u)), lorentz
-        return kinetic_up, _or_on_arrays(velocity, kinetic_up), _or_on_arrays(rate_floats, rate)
-
-    inverse = g.inverse_raw
-    raised = _raised_on_floats(g)
-    d_metric = g.deriv_fn or (lambda coords: _metric_deriv_raw(g, coords, None))
-
-    def kinetic_up(coords, pi):
-        return _mv(inverse(coords), (pi - e * values(coords)) / m)
-
-    def velocity(x, pi):
-        return raised(x, [p / m for p in kinetic_momentum(x, pi)])
-
-    def gravity(coords, u):
-        return 0.5 * m * np.einsum("abs,a,b->s", d_metric(coords), u, u)
-
-    gravity_floats = _on_floats(gravity)
-    if e == 0.0:
-        rate, rate_floats = gravity, gravity_floats
+        src.let("u", [f"({q}) / {src.bind(f's{n}', s)}"
+                      for n, (q, s) in enumerate(zip(kinetic, signed_mass.tolist()))])
+        rate_floats = ["0.0"] * DIM if e == 0.0 else lorentz()
     else:
+        inverse = g.inverse_raw
+        d_metric = g.deriv_fn or (lambda coords: _metric_deriv_raw(g, coords, None))
+
+        def kinetic_up(coords, pi):
+            return _mv(inverse(coords), (pi - e * values(coords)) / m)
+
+        def gravity(coords, u):
+            return 0.5 * m * np.einsum("abs,a,b->s", d_metric(coords), u, u)
 
         def rate(coords, u):
+            if e == 0.0:
+                return gravity(coords, u)
             return gravity(coords, u) + e * (d_potential(coords) @ u)
 
-        def rate_floats(x, u):
-            return [s + t for s, t in zip(gravity_floats(x, u), lorentz(x, u))]
+        w = src.let("w", [f"({q}) / {src.bind('m', m)}" for q in kinetic])
+        src.let("u", src.rows(src.entries(g.inverse_fn or inverse, "n", 2), w))
+        rate_floats = src.term(gravity, "gr")
+        if e != 0.0:
+            rate_floats = [f"{s} + ({t})" for s, t in zip(rate_floats, lorentz())]
 
-    return kinetic_up, _or_on_arrays(velocity, kinetic_up), _or_on_arrays(rate_floats, rate)
+    def fallback(y: list) -> list:
+        coords = np.array(y[:DIM])
+        u = kinetic_up(coords, np.array(y[DIM:]))
+        return [*u.tolist(), *rate(coords, u).tolist()]
+
+    return kinetic_up, rate, src.function(rate_floats, fallback)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -1096,15 +1203,14 @@ def minimal_substitution_trajectory(
     check.  The law is compiled once per route (``_compile_canonical``):
     on the flat chart it evaluates neither the inverse metric nor the
     metric gradient.  A run of this route is one row, so it steps on
-    Python floats: the right-hand side is the float lane's shell
-    (``_make_lone_rhs``) with u recovered from pi, and the law on floats,
-    each term on its float lane where it has one.  It probes the intersection of the metric's and the
-    potential's guards once, and the run ends where either rejects a
-    state.  The potential is anchored at the start
-    event x0: the route evolves pi = m g u + e (A - A(x0)), a constant
-    gauge change that leaves F and dpi/dtau as they are, so pi starts at m
-    g u and never carries e A(x0), however far x0 is from the chart's
-    origin.  Samples report the recovered kinetic velocity, recovered in
+    Python floats, with a right-hand side generated as the force route's
+    is (``_LoneSource``) that recovers u from pi in its body.  It probes
+    the intersection of the metric's and the potential's guards once, and
+    the run ends where either rejects a state.  The potential is anchored
+    at the start event x0: the route evolves pi = m g u + e (A - A(x0)), a
+    constant gauge change that leaves F and dpi/dtau as they are, so pi
+    starts at m g u and never carries e A(x0), however far x0 is from the
+    chart's origin.  Samples report the recovered kinetic velocity, recovered in
     one call over the recorded columns; a sample whose velocity is not
     finite raises ``StepRejected``, as a state that lands non-finite does.
     As in ``integrate_batch``, numpy's warnings are off for the whole call.
@@ -1115,9 +1221,8 @@ def minimal_substitution_trajectory(
     e = particle.charge
     guard = g.guard.intersect(a.guard)
     x0 = initial.x.coords
-    kinetic_up, velocity, momentum_rate = _compile_canonical(a, g, m, e, a.values_fn(x0))
+    kinetic_up, _, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
     pi0 = m * (g.matrix_fn(x0) @ initial.u.components)
-    lone = _make_lone_rhs(guard, momentum_rate, velocity)
     tau, state, status, reason = _integrate_engine(
         lambda rows: lone,
         np.concatenate([x0, pi0])[None], [initial.tau], [cfg], guard,

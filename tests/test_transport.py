@@ -58,9 +58,10 @@ from phasetransport.transport import (
     Trajectory,
     TrajectorySample,
     _compile_acceleration,
-    _compile_lone_acceleration,
-    _make_lone_rhs,
+    _compile_canonical,
+    _lone_rhs,
     _make_rhs,
+    _rejected,
     acceleration_terms,
     coordinate_force,
     geodesic_integrate,
@@ -518,7 +519,7 @@ def _kernel_and_reference(conn, particle, states):
     """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state, the
     compiled law taken on each lane: a batch of one, and one state on floats."""
     batch = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
-    lone = _make_lone_rhs(conn.guard, _compile_lone_acceleration(conn, particle.mass))
+    lone = _lone_rhs(conn, particle.mass)
     for coords, u in states:
         y = np.concatenate([coords, u])
         zeroth, first = acceleration_terms(conn, particle, SpacetimeEvent(coords), FourVector(u))
@@ -1187,6 +1188,118 @@ def test_canonical_route_calls_a_built_in_potential_on_arrays_only_outside_the_r
     traj = _canonical_run(scn, pot, 20 * scn.config.step)
     assert_same_bits(traj, _canonical_run(scn, scn.potential, 20 * scn.config.step))
     assert (len(values_calls), len(deriv_calls)) == (2 + per_rhs * 4 * 20, 0)
+
+
+#: Components that Python floats and numpy treat with care: signed zeros,
+#: values whose products overflow, infinities and NaN.
+SPECIAL = (0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+
+def _special_states(y0, seed):
+    """Random states about `y0` (8,), then `y0` with each component in turn
+    set to each special value, then random states with special components."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        yield y0 * (1.0 + 0.2 * rng.standard_normal(8))
+    for i in range(8):
+        for v in SPECIAL:
+            y = y0.copy()
+            y[i] = v
+            yield y
+    for _ in range(80):
+        y = y0 * (1.0 + 0.2 * rng.standard_normal(8))
+        special = rng.random(8) < 0.25
+        y[special] = rng.choice(SPECIAL, special.sum())
+        yield y
+
+
+def _bits(values):
+    # tobytes, so that a zero's sign counts; a NaN's sign follows the operand
+    # order of the machine instruction, which CPython's specialized float
+    # operations and numpy do not share, and no NaN reaches a record
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def _assert_same_bits_or_rejection(lone, reference, y):
+    # the same rate bits, or the same OutsideDomain text
+    try:
+        want = reference(y)
+    except OutsideDomain as err:
+        with pytest.raises(OutsideDomain) as got:
+            lone(y.tolist())
+        assert str(got.value) == str(err), y
+        return 1
+    got = np.array(lone(y.tolist()))
+    assert _bits(got) == _bits(want), (y, got, want)
+    return 0
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generated_lone_rhs_has_the_bits_of_its_batch_row_on_special_states(name):
+    scn = load_builtin(name)
+    conn, mass = scn.connection(), scn.particle.mass
+    lone = _lone_rhs(conn, mass)
+    batch = _make_rhs(conn.guard, _compile_acceleration(conn, mass))
+    y0 = np.concatenate([scn.initial.x.coords, scn.initial.u.components])
+    with np.errstate(all="ignore"):
+        rejected = sum(_assert_same_bits_or_rejection(lone, lambda y: batch(y[None])[0], y)
+                       for y in _special_states(y0, BUILTIN_NAMES.index(name)))
+    # the guarded charts reject some finite states, the others none
+    assert (rejected > 0) == (conn.guard.label != "everywhere")
+
+
+@pytest.mark.parametrize("name,charge", [
+    ("cyclotron", None), ("exb-drift", None), ("coulomb", None),
+    ("combined-schwarzschild-B", None), ("coulomb", 0.0), ("combined-schwarzschild-B", 0.0)])
+def test_canonical_lone_rhs_has_the_bits_of_its_array_law_on_special_states(name, charge):
+    scn = load_builtin(name)
+    a, g, m = scn.potential, scn.metric, scn.particle.mass
+    e = scn.particle.charge if charge is None else charge
+    guard = g.guard.intersect(a.guard)
+    x0 = scn.initial.x.coords
+    kinetic_up, rate, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
+
+    def reference(y):  # the route's law on arrays, in the force route's shell
+        why = guard.probe(y[:4])
+        if why is not None:
+            return _rejected(y[None], f"{guard.label}: {why}")[0]
+        u = kinetic_up(y[:4], y[4:])
+        return np.concatenate([u, rate(y[:4], u)])
+
+    y0 = np.concatenate([x0, m * (g.matrix_fn(x0) @ scn.initial.u.components)])
+    with np.errstate(all="ignore"):
+        for y in _special_states(y0, len(name)):
+            _assert_same_bits_or_rejection(lone, reference, y)
+
+
+#: Python calls per lone right-hand side, the right-hand side's own included:
+#: the guard's float lane and what it calls, and each formula the law calls.
+LONE_RHS_CALLS = {
+    "free": 1,
+    "cyclotron": 1,
+    "exb-drift": 1,
+    "coulomb": 4,  # the guard's lane and its test, the gradient formula
+    "schwarzschild-circular": 5,  # the lane, its test and its sine, the geodesic terms
+    "schwarzschild-precession": 5,
+    "weak-field-newtonian": 4,
+    # the lane, its test and its sine, and the formulas of the gradient, the
+    # inverse metric and the geodesic terms
+    "combined-schwarzschild-B": 7,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_lone_rhs_takes_its_pinned_number_of_python_calls(name):
+    scn = load_builtin(name)
+    rhs = _lone_rhs(scn.connection(), scn.particle.mass)
+    y = np.concatenate([scn.initial.x.coords, scn.initial.u.components]).tolist()
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
+    try:
+        rhs(y)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == LONE_RHS_CALLS[name], [f.f_code.co_name for f in calls]
 
 
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
