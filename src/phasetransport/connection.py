@@ -25,8 +25,8 @@ contracts it.  A built-in closed form is one formula, run on numpy
 columns for a batch and on Python floats for a lone trajectory
 (``tensor.columnwise``); a field's Lorentz term is derived from its
 potential's gradient formula (``curvature.faraday_field_of``).  Its
-float lane and spec (``tensor.with_floats``), and a uniform field's
-constant block, are the term's, so a lone run's generated right-hand
+spec (``tensor.spec``), with the charge bound, and a uniform field's
+constant block are the term's, so a lone run's generated right-hand
 side writes the term out.
 
 ``superpose`` adds the terms so both forces act through a single law.
@@ -51,9 +51,8 @@ from .tensor import (
     FlatMetric,
     MetricField,
     _finite_real,
-    float_lane,
     spec,
-    with_floats,
+    with_spec,
 )
 
 _EM_ANTISYMMETRY_TOL = 1e-10
@@ -102,17 +101,6 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v per event, for one event ``(4,)`` or a batch ``(N, 4)``: every
     event gets the bits of its own ``a @ v``."""
     return np.matmul(a, v[..., None])[..., 0]
-
-
-def _mv_floats(rows, v) -> list:
-    """``_mv`` of one event on Python floats: `rows` are the matrix's four rows.
-
-    Each row is summed as numpy's 4x4 matrix-vector product sums it with
-    the OpenBLAS it ships (0.3.31, x86-64), ((a0 v0 + a2 v2) + (a1 v1 + a3
-    v3)) + 0.0, zero entries included, so the result has its bits.
-    """
-    v0, v1, v2, v3 = v
-    return [((a0 * v0 + a2 * v2) + (a1 * v1 + a3 * v3)) + 0.0 for a0, a1, a2, a3 in rows]
 
 
 def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,10 +160,9 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return lorentz(coords, u, e)
 
-        lane, contracted = float_lane(lorentz), spec(lorentz)
-        if lane is not None:  # a closed-form term's spec takes e as its argument
-            with_floats(term, lambda x, u: lane(x, u, e),
-                        contracted and contracted._replace(args=(e,)))
+        contracted = spec(lorentz)
+        if isinstance(contracted, Contracted):  # its terms take e as their argument
+            with_spec(term, contracted._replace(args=(e,)))
 
     elif isinstance(f, UniformFaraday):
         # it may overflow, which the integration reports
@@ -185,7 +172,7 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return _mv(block, u)
 
-        with_floats(term, lambda x, u: _mv_floats(rows, u), Contracted(block=rows))
+        with_spec(term, Contracted(block=rows))
 
     elif isinstance(f, AntisymmetricFaraday):
 

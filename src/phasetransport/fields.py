@@ -19,11 +19,12 @@ on Python floats (``tensor.closed_form``, ``tensor.guard_probe``).  A
 lone trajectory and the canonical-momentum route, which always steps
 alone, run it on floats.  ``curvature.faraday_field_of`` derives the
 Lorentz term of a potential's field from its gradient formula.  The zero
-and uniform potentials' constant gradients carry their rows as float
-lanes.  The uniform potential's values ``x @ grad`` keep none: numpy
-sums that vector-matrix product as a fused multiply-add chain, which
-Python floats cannot take (there is no ``math.fma`` before Python 3.13),
-so the route calls it on arrays.
+potential and the uniform potential's constant gradient are
+``tensor.constant`` evaluators, whose every entry is bound as it is.
+The uniform potential's values ``x @ grad`` keep no spec: numpy sums
+that vector-matrix product as a fused multiply-add chain, which Python
+floats cannot take (there is no ``math.fma`` before Python 3.13), so
+the route calls it on arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, guard_probe, with_floats
+from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, constant, guard_probe
 
 _ANTISYMMETRY_TOL = 1e-12
 
@@ -135,9 +136,9 @@ class VectorPotential:
     the derived field strength (and hence its closure residual) is exact
     for linear potentials.  Built-in evaluators take one event ``(4,)``
     or a batch ``(..., 4)``; a constant may be returned unbroadcast.  Most
-    also carry a float lane (``tensor.with_floats``), which the
-    canonical-momentum route steps on; a callable without one is called
-    on arrays.
+    also carry a spec (``tensor.spec``), which the canonical-momentum
+    route's generated right-hand side writes out; a callable without one
+    is called on arrays.
     """
 
     values_fn: Callable[[np.ndarray], np.ndarray]
@@ -147,13 +148,8 @@ class VectorPotential:
 
 
 def zero_potential() -> VectorPotential:
-    z = np.zeros(DIM)
-    z.setflags(write=False)
-    zz = np.zeros((DIM, DIM))
-    zz.setflags(write=False)
-    rows = zz.tolist()
-    return VectorPotential(with_floats(lambda c: z, lambda x: rows[0]),
-                           deriv_fn=with_floats(lambda c: zz, lambda x: rows), name="zero")
+    return VectorPotential(constant(np.zeros(DIM)), deriv_fn=constant(np.zeros((DIM, DIM))),
+                           name="zero")
 
 
 def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> VectorPotential:
@@ -169,12 +165,9 @@ def uniform_field_potential(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) ->
     grad = np.zeros((DIM, DIM))
     grad[1:, 0] = ev
     grad[1:, 1:] = 0.5 * np.cross(bv, np.eye(3))  # row i: B x e_i / 2
-    grad.setflags(write=False)
-    rows = grad.tolist()
-    # c @ grad keeps no float lane: numpy sums it as a fused multiply-add
-    # chain, which Python floats cannot take
-    return VectorPotential(lambda c: c @ grad, deriv_fn=with_floats(lambda c: grad, lambda x: rows),
-                           name="uniform-eb-gauge")
+    # c @ grad keeps no spec: numpy sums it as a fused multiply-add chain,
+    # which Python floats cannot take
+    return VectorPotential(lambda c: c @ grad, deriv_fn=constant(grad), name="uniform-eb-gauge")
 
 
 def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> VectorPotential:

@@ -18,8 +18,9 @@ geodesic transport assembles no symbols at all.  Wrap any of them with
 On the two curved charts each closed form (the metric, its inverse and
 gradient, the geodesic term and the guard's admission tests) is one
 formula over the coordinate columns, run on numpy columns for a batch
-or one event and on Python floats for its float lane
-(``tensor.closed_form``, ``tensor.columnwise``, ``tensor.guard_probe``).
+or one event and on Python floats from its spec (``tensor.closed_form``,
+``tensor.columnwise``, ``tensor.guard_probe``); Minkowski's inverse is
+a ``tensor.constant``.
 A lone trajectory's generated right-hand side calls the inverse
 metric's formula and raises K0 u with its rows, in numpy's own
 summation order.  The canonical route's metric-gradient term stays on
@@ -41,8 +42,8 @@ from .tensor import (
     MetricField,
     closed_form,
     columnwise,
+    constant,
     guard_probe,
-    with_floats,
 )
 
 #: Relative safety margin kept outside the Schwarzschild horizon.
@@ -55,11 +56,10 @@ def minkowski() -> FlatMetric:
     """The flat chart: exact eta at every event, its own inverse, zero derivatives."""
     zeros = np.zeros((DIM, DIM, DIM))
     zeros.setflags(write=False)
-    rows = MINKOWSKI.tolist()
     return FlatMetric(
         matrix_fn=lambda c: MINKOWSKI,
         deriv_fn=lambda c: zeros,
-        inverse_fn=with_floats(lambda c: MINKOWSKI, lambda x: rows),
+        inverse_fn=constant(MINKOWSKI),
         name="minkowski",
     )
 

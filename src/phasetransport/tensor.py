@@ -13,30 +13,33 @@ of ``central_differences`` over raw coordinates.
 
 Each built-in closed form is one formula over the coordinate columns,
 written once and run two ways: on numpy columns, for a batch or one
-event ``(4,)``, and on Python floats, for the lane that a lone
-trajectory steps on (``with_floats``).  The formula takes an ``ops``
-namespace for its square roots, sines and cosines: numpy itself, or
-math's functions.  Addition, subtraction, multiplication, division and
-the square root round correctly both ways, and numpy's float64 sin and
-cos give math's bits, so both runs give the same bits.  A float lane
-and a guard probe run with numpy's NaN for the sine or cosine of an
-infinite angle (``_FLOAT_OPS``); the generated body of a lone
-right-hand side calls the formulas with math's own (``_MATH_OPS``) and
-evaluates an event where they raise again on arrays.
+event ``(4,)``, and on Python floats, in the generated right-hand side
+of a lone trajectory.  The formula takes an ``ops`` namespace for its
+square roots, sines and cosines: numpy itself, or math's functions.
+Addition, subtraction, multiplication, division and the square root
+round correctly both ways, and numpy's float64 sin and cos give math's
+bits, so both runs give the same bits.  A guard's admission tests run
+on floats with numpy's NaN for the sine or cosine of an infinite angle
+(``_FLOAT_OPS``); the generated body of a lone right-hand side calls
+the formulas with math's own (``_MATH_OPS``) and evaluates an event
+where they raise again on arrays.
 ``closed_form`` builds a potential's or a metric's evaluator from the
-nonzero entries of its result, ``columnwise`` a contracted geodesic
-term, ``closed_form_curl`` the contracted Lorentz term of a
-``closed_form`` gradient from that gradient's own formula, and
-``guard_probe`` a guard's probe from its admission tests.  Each
-evaluator keeps its spec (``spec``: a ``ClosedForm`` or a
-``Contracted``), from which ``transport`` writes a lone right-hand side
-out as one function.  A callable without a float lane is called on
-arrays.
+nonzero entries of its result, ``constant`` one that gives the same
+array at every event, ``columnwise`` a contracted geodesic term,
+``closed_form_curl`` the contracted Lorentz term of a ``closed_form``
+gradient from that gradient's own formula, and ``guard_probe`` a
+guard's probe from its admission tests.  Each evaluator keeps its spec
+(``spec``: a ``ClosedForm``, a ``Contracted`` or an ``Admission``),
+from which ``transport`` writes a lone right-hand side out as one
+function (``compiled``), and ``float_probe`` runs a probe on floats.  A
+callable without a spec is called on arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import linecache
 import math
 import numbers
 import operator
@@ -61,11 +64,11 @@ FD_STEP_FIRST = float(np.cbrt(np.finfo(float).eps))
 FD_STEP_NESTED = float(np.finfo(float).eps ** 0.25)
 
 
-#: The one-event Python-float lane of each evaluator that has one, keyed by
-#: the evaluator itself, so that a wrapper of it is never taken for it.
-_FLOAT_LANES = weakref.WeakKeyDictionary()
-#: The spec of each evaluator built from a formula here, kept by the same rule.
+#: The spec of each evaluator built from a formula here, keyed by the
+#: evaluator itself, so that a wrapper of it is never taken for it.
 _SPECS = weakref.WeakKeyDictionary()
+#: Tells apart the files that ``compiled`` gives generated source.
+_GENERATED = itertools.count()
 
 
 class ClosedForm(NamedTuple):
@@ -82,7 +85,7 @@ class Contracted(NamedTuple):
     ``terms(ops, c, u, *args)`` gives its four components (``columnwise``).
     A ``closed_form_curl`` term also keeps its gradient's ``ClosedForm`` as
     `curl`, and a uniform field's term is ``block @ u`` with `block` its
-    constant rows, summed as ``connection._mv_floats`` sums them.
+    constant rows, each row summed as ``row_source`` sums it.
     """
 
     terms: Optional[Callable] = None
@@ -91,35 +94,41 @@ class Contracted(NamedTuple):
     block: Optional[list] = None
 
 
-def with_floats(fn, lane, spec=None):
-    """Register `lane` as `fn`'s lane for one event on Python floats, and
-    `spec`, when given, as its spec; return `fn`.
+class Admission(NamedTuple):
+    """The spec of a guard probe: its ``(admits, why)`` tests, in order.
 
-    `lane` takes what `fn` takes for one event with each ``(4,)`` array
-    as four Python floats, and gives what `fn` gives in Python floats (a
-    vector as four, a matrix as four rows of four), with the same bits.
+    An event is admissible where every ``admits(ops, c)`` is true; a
+    rejected event gets ``why(x)`` of the first test that rejects it,
+    worded from its four Python floats.  ``EVERYWHERE`` has no tests.
     """
-    _FLOAT_LANES[fn] = lane
-    if spec is not None:
-        _SPECS[fn] = spec
+
+    tests: tuple
+
+
+def with_spec(fn, spec):
+    """Register `spec` (a ``ClosedForm``, ``Contracted`` or ``Admission``, or
+    None) as `fn`'s spec; return `fn`."""
+    _SPECS[fn] = spec
     return fn
 
 
-def _registered(registry, fn):
+def spec(fn):
+    """The spec registered for `fn`, or None."""
     try:
-        return registry.get(fn)
+        return _SPECS.get(fn)
     except TypeError:  # not weakly referenceable, so never registered
         return None
 
 
-def float_lane(fn):
-    """The lane that ``with_floats`` registered for `fn`, or None."""
-    return _registered(_FLOAT_LANES, fn)
-
-
-def spec(fn):
-    """The ``ClosedForm`` or ``Contracted`` spec registered for `fn`, or None."""
-    return _registered(_SPECS, fn)
+def compiled(source: str, name: str) -> Callable:
+    """The function `name` that `source` defines, compiled under a filename of
+    its own that ``linecache`` serves, so that a traceback or a profile
+    shows the generated lines."""
+    filename = f"<phasetransport-generated-{next(_GENERATED)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +147,13 @@ def _nan_if_infinite(fn: Callable[[float], float]) -> Callable[[float], float]:
     return angle_fn
 
 
-#: The ``ops`` a closed form runs with on Python floats; on arrays it is numpy.
+#: The ``ops`` a guard's admission tests run with on Python floats; on
+#: arrays they run with numpy.
 _FLOAT_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=_nan_if_infinite(math.sin),
                                    cos=_nan_if_infinite(math.cos), logical_not=operator.not_)
 #: The same with math's own sine and cosine, which raise at an infinite angle.
 _MATH_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=math.sin, cos=math.cos,
                                   logical_not=operator.not_)
-
-
-@functools.cache
-def _dense_lane_maker(indices: tuple) -> Callable:
-    """``make(formula, ops) -> lane``, where ``lane(x)`` is the nested tuples of
-    a result that is zero but at `indices`, where it holds ``formula(ops, x)``.
-
-    The layout is written out as a literal and compiled once per `indices`.
-    """
-
-    def literal(prefix):
-        if len(prefix) == len(indices[0]):
-            return f"v{indices.index(prefix)}" if prefix in indices else "0.0"
-        return "(" + ", ".join(literal(prefix + (i,)) for i in range(DIM)) + ")"
-
-    names = "".join(f"v{k}, " for k in range(len(indices)))
-    namespace: dict = {}
-    exec(f"def make(formula, ops):\n"
-         f"    def lane(x):\n"
-         f"        {names}= formula(ops, x)\n"
-         f"        return {literal(())}\n"
-         f"    return lane\n", namespace)
-    return namespace["make"]
 
 
 def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
@@ -177,10 +164,10 @@ def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
     On arrays the formula runs once with ``ops`` numpy and ``c`` the
     transposed coordinates, columns of a batch ``(..., 4)`` or the numpy
     scalars of one event ``(4,)``, and the result is ``(..., 4, ...)``.
-    Its float lane runs it on one event's four Python floats with math's
-    operations and gives nested tuples.  Each operation rounds the same
-    way every time, so a row of a batch, a lone call and the lane get
-    the same bits.
+    On one event's four Python floats it runs with math's operations
+    (``ClosedForm``, its spec).  Each operation rounds the same way every
+    time, so a row of a batch, a lone call and the floats get the same
+    bits.
     """
     indices = tuple(tuple(i % DIM for i in index) for index in indices)
     shape = (DIM,) * len(indices[0])
@@ -193,15 +180,25 @@ def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
             t[slot] = value
         return out
 
-    return with_floats(on_arrays, _dense_lane_maker(indices)(formula, _FLOAT_OPS),
-                       ClosedForm(indices, formula))
+    return with_spec(on_arrays, ClosedForm(indices, formula))
+
+
+def constant(value) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluator that gives the array `value`, frozen and unbroadcast, at
+    every event.  Its spec is a ``ClosedForm`` over every entry, so each
+    entry's bits are bound as they are, signed zeros included."""
+    value = np.asarray(value, dtype=float)
+    value.setflags(write=False)
+    entries = tuple(value.ravel().tolist())
+    return with_spec(lambda c: value, ClosedForm(tuple(np.ndindex(value.shape)),
+                                                 lambda ops, c: entries))
 
 
 def row_source(products) -> str:
     """The source of the sum of one row's four products, in the order numpy's
     4x4 matrix-vector product sums it with the OpenBLAS it ships (0.3.31,
-    x86-64): ((p0 + p2) + (p1 + p3)) + 0.0, the last term turning a zero
-    sum's sign to +0 (``connection._mv_floats``)."""
+    x86-64): ((p0 + p2) + (p1 + p3)) + 0.0, zero products included, the
+    last term turning a zero sum's sign to +0."""
     p0, p1, p2, p3 = products
     return f"(({p0} + {p2}) + ({p1} + {p3})) + 0.0"
 
@@ -239,22 +236,21 @@ def _curl_terms_maker(indices: tuple) -> Callable:
     v = [f"v{k}" for k in range(len(indices))]
     lines, rows = curl_source(indices, v, ["u0", "u1", "u2", "u3"], "e", "z")
     body = "".join(f"        {line}\n" for line in lines)
-    namespace: dict = {}
-    exec(f"def make(formula):\n"
-         f"    def terms(ops, c, u, e):\n"
-         f"        {', '.join(v)}, = formula(ops, c)\n"
-         f"        u0, u1, u2, u3 = u\n"
-         f"{body}"
-         f"        return ({', '.join(rows)})\n"
-         f"    return terms\n", namespace)
-    return namespace["make"]
+    return compiled(f"def make(formula):\n"
+                    f"    def terms(ops, c, u, e):\n"
+                    f"        {', '.join(v)}, = formula(ops, c)\n"
+                    f"        u0, u1, u2, u3 = u\n"
+                    f"{body}"
+                    f"        return ({', '.join(rows)})\n"
+                    f"    return terms\n", "make")
 
 
 def closed_form_curl(gradient) -> Optional[Callable[..., np.ndarray]]:
     """The contracted term ``(coords, u, e) -> e (dA - dA^T) u`` of the
-    closed-form gradient ``dA[..., m, n]`` that ``closed_form`` built, run
-    as ``columnwise`` runs it, or None for any other callable (a wrapper
-    of one included).  Its spec keeps the gradient's as ``curl``."""
+    closed-form gradient ``dA[..., m, n]`` that ``closed_form`` or
+    ``constant`` built, run as ``columnwise`` runs it, or None for any
+    other callable (a wrapper of one included).  Its spec keeps the
+    gradient's as ``curl``."""
     closed = spec(gradient)
     if not isinstance(closed, ClosedForm):
         return None
@@ -267,9 +263,9 @@ def columnwise(terms, curl: Optional[ClosedForm] = None) -> Callable[..., np.nda
     each of the coordinates and of u.
 
     It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
-    each, run as ``closed_form`` runs its formula, and its float lane
-    takes four Python floats each, so every way gets the same bits.  Its
-    spec is ``Contracted(terms, curl=curl)``.
+    each, run as ``closed_form`` runs its formula; its spec,
+    ``Contracted(terms, curl=curl)``, runs the terms on four Python
+    floats each, so every way gets the same bits.
     """
 
     def on_arrays(c: np.ndarray, u: np.ndarray, *args) -> np.ndarray:
@@ -277,8 +273,7 @@ def columnwise(terms, curl: Optional[ClosedForm] = None) -> Callable[..., np.nda
         out.T[:] = terms(np, c.T, u.T, *args)
         return out
 
-    return with_floats(on_arrays, functools.partial(terms, _FLOAT_OPS),
-                       Contracted(terms, curl=curl))
+    return with_spec(on_arrays, Contracted(terms, curl=curl))
 
 
 def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
@@ -288,23 +283,20 @@ def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
     ``closed_form`` runs its formula; ``why(x)`` words the rejection of
     one event given as four Python floats.  The probe takes one event
     ``(4,)`` or a batch ``(..., 4)``: a batch that fails is probed event
-    by event, so the reason is the first rejected event's, worded as for
-    that event alone.  The float lane probes one event.
+    by event on floats, so the reason is the first rejected event's,
+    worded as for that event alone.  Its spec is the one test's
+    ``Admission`` (``float_probe``).
     """
-
-    def lane(x: list) -> Optional[str]:
-        return None if admits(_FLOAT_OPS, x) else why(x)
 
     def probe(coords: np.ndarray) -> Optional[str]:
         if admits(np, coords.T).all():
             return None
         for row in coords.reshape(-1, DIM).tolist():
-            reason = lane(row)
-            if reason is not None:
-                return reason
+            if not admits(_FLOAT_OPS, row):
+                return why(row)
         return None
 
-    return with_floats(probe, lane)
+    return with_spec(probe, Admission(((admits, why),)))
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -377,10 +369,9 @@ class DomainGuard:
             # does, so the reason is its first rejected event's
             return next(filter(None, map(both, coords.reshape(-1, DIM))), why)
 
-        a, b = float_lane(self.probe), float_lane(other.probe)
-        if a is not None and b is not None:
-            # the lane that admits everything adds nothing to the other
-            with_floats(both, a if b is _admit else b if a is _admit else lambda x: a(x) or b(x))
+        a, b = spec(self.probe), spec(other.probe)
+        if isinstance(a, Admission) and isinstance(b, Admission):
+            with_spec(both, Admission(a.tests + b.tests))
         return DomainGuard(both, label=f"{self.label} & {other.label}")
 
 
@@ -389,7 +380,34 @@ def _admit(coords) -> None:
 
 
 #: Guard that admits every event.
-EVERYWHERE = DomainGuard(with_floats(_admit, _admit), label="everywhere")
+EVERYWHERE = DomainGuard(with_spec(_admit, Admission(())), label="everywhere")
+
+
+def float_probe(probe: Callable[[np.ndarray], Optional[str]]) -> Callable[[list], Optional[str]]:
+    """`probe` of one event given as four Python floats, with the reason it
+    gives on an array.
+
+    A probe with an ``Admission`` spec runs its tests in order with
+    ``_FLOAT_OPS`` (one that has none is ``EVERYWHERE.probe`` itself);
+    any other probe is called on an array.
+    """
+    admission = spec(probe)
+    if not isinstance(admission, Admission):
+        return lambda x: probe(np.array(x))
+    tests = admission.tests
+    if not tests:
+        return _admit
+    if len(tests) == 1:  # as fast as a test can be, on every lone right-hand side
+        (admits, why), = tests
+        return lambda x: None if admits(_FLOAT_OPS, x) else why(x)
+
+    def on_floats(x: list) -> Optional[str]:
+        for admits, why in tests:
+            if not admits(_FLOAT_OPS, x):
+                return why(x)
+        return None
+
+    return on_floats
 
 
 @dataclass(frozen=True)

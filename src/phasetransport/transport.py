@@ -12,23 +12,22 @@ evaluates the inverse metric once per point, for the raise of K0 only
 (a geodesic-only law evaluates none); on the flat chart it evaluates
 none.
 
-There are two lanes, and the row count alone picks one.  A batch steps
-on numpy arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``,
-``_make_rhs``, ``_compile_acceleration``).  A lone trajectory steps on
-Python floats, eight per state, whatever its method or route
-(``_rk4_step_floats`` and ``_rk45_step_floats``, written out over eight
-named components).  Its right-hand side is one generated function
-(``_LoneSource``, ``_lone_rhs``), compiled once per law shape: it
-unpacks the state, probes the guard's float lane once, and writes the
-law out in the array law's operations and order.  Each built-in closed
-form, guard probe and inverse metric is one formula, run on numpy
-columns or on Python floats (``tensor.closed_form``,
-``tensor.columnwise``, ``tensor.guard_probe``); the generated body
-calls a formula directly from its spec, and spells out a uniform
-field's block, a Lorentz term's rows and the raise of K0 u.  A term
-without a spec is one call of its float lane (``tensor.with_floats``),
-and any other callable is called on arrays, ``fn(np.array(x),
-np.array(u)).tolist()``.  Both lanes take the same IEEE operations in
+The row count alone picks how a run steps.  A batch steps on numpy
+arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``, ``_make_rhs``,
+``_compile_acceleration``).  A lone trajectory steps on Python floats,
+eight per state, whatever its method or route (``_rk4_step_floats`` and
+``_rk45_step_floats``, written out over eight named components).  Its
+right-hand side is one generated function (``_LoneSource``,
+``_lone_rhs``), compiled once per law shape: it unpacks the state,
+probes the guard on floats once (``tensor.float_probe``), and writes
+the law out in the array law's operations and order.  Each built-in
+closed form, guard probe and inverse metric is one formula, run on
+numpy columns or on Python floats (``tensor.closed_form``,
+``tensor.constant``, ``tensor.columnwise``, ``tensor.guard_probe``);
+the generated body calls a formula directly from its spec, and spells
+out a uniform field's block, a Lorentz term's rows and the raise of K0
+u.  A callable without a spec is called on arrays, ``fn(np.array(x),
+np.array(u)).tolist()``.  Both ways take the same IEEE operations in
 the same order, so a lone run has the bits of its row in a batch; where
 Python floats raise and numpy gives inf or NaN, the body's one
 ``except`` evaluates that state again with the array law.
@@ -86,8 +85,9 @@ from .tensor import (
     MetricField,
     SpacetimeEvent,
     _finite_real,
+    compiled,
     curl_source,
-    float_lane,
+    float_probe,
     row_source,
     spec,
 )
@@ -249,8 +249,8 @@ def _compile_acceleration(
     scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the sign
     of a zero.  Elsewhere g^-1 is evaluated once per point, for that
     raise only; a law without K0 evaluates none here.
-    `coords` and `u` are a batch ``(N, 4)``: this is the array lane's
-    law, and ``_lone_rhs`` falls back on it with a batch of one.  `mass`
+    `coords` and `u` are a batch ``(N, 4)``: this is the law on arrays,
+    and ``_lone_rhs`` falls back on it with a batch of one.  `mass`
     is the particle mass, one float or one per event ``(N,)``.  `order0`,
     when given, is the constant K0 block of each event ``(N, 4, 4)`` (or
     one ``(4, 4)`` for all), e F of a uniform field, contracted here as
@@ -283,22 +283,9 @@ def _compile_acceleration(
 
 
 def _on_floats(fn: Callable[..., np.ndarray]) -> Callable[..., list]:
-    """`fn` of one event on Python floats, four per ``(4,)`` argument: its own
-    float lane (``tensor.with_floats``), or `fn` called on arrays, with the
-    same bits."""
-    lane = float_lane(fn)
-    if lane is not None:
-        return lane
+    """`fn` of one event on Python floats, four per ``(4,)`` argument: `fn`
+    called on arrays, for a callable without a spec."""
     return lambda *args: fn(*map(np.array, args)).tolist()
-
-
-def _probe_on_floats(guard: DomainGuard) -> Callable[[list], Optional[str]]:
-    """`guard`'s probe of one event given as four Python floats: its float
-    lane, or its probe called on an array."""
-    lane, probe = float_lane(guard.probe), guard.probe
-    if lane is not None:
-        return lane
-    return lambda x: probe(np.array(x))
 
 
 def _make_rhs(
@@ -340,9 +327,8 @@ _U = ("u0", "u1", "u2", "u3")
 def _lone_rhs_maker(params: tuple, body: str) -> Callable:
     """``make(*values) -> rhs``: the lone right-hand side whose body is `body`,
     reading the names `params` bound to `values`.  Compiled once per law shape."""
-    namespace: dict = {}
-    exec(f"def make({', '.join(params)}):\n    def rhs(y):\n{body}    return rhs\n", namespace)
-    return namespace["make"]
+    return compiled(f"def make({', '.join(params)}):\n    def rhs(y):\n{body}    return rhs\n",
+                    "make")
 
 
 class _LoneSource:
@@ -350,13 +336,14 @@ class _LoneSource:
     as eight Python floats, and the values of the names it reads.
 
     The body unpacks the state into x0..x3 and the route's momentum (u0..u3
-    on the force route, p0..p3 on the canonical one), probes the guard's
-    float lane once and hands a rejected state to ``_rejected`` with the
-    reason ``"<label>: <why>"``, as ``_make_rhs`` does.  The law follows
-    in the array law's operations and order: a closed form is its
-    formula's call (``tensor.ClosedForm``, with math's own ``ops``), a
-    constant block or a curl its rows, a ``columnwise`` term its terms'
-    call, and any other callable one call on floats (``_on_floats``).
+    on the force route, p0..p3 on the canonical one), probes the guard on
+    floats once (``tensor.float_probe``) and hands a rejected state to
+    ``_rejected`` with the reason ``"<label>: <why>"``, as ``_make_rhs``
+    does.  The law follows in the array law's operations and order: a
+    closed form is its formula's call (``tensor.ClosedForm``, with math's
+    own ``ops``), a constant block or a curl its rows, a ``columnwise``
+    term its terms' call, and any other callable one call on arrays
+    (``_on_floats``).
     Where Python floats raise, the one ``except`` evaluates the state again
     with the route's array law.  Every constant and callable is a bound
     name, so the source depends on the law's shape alone and is compiled
@@ -368,8 +355,8 @@ class _LoneSource:
         self.made = set()
         self.head = [f"x0, x1, x2, x3, {momentum}0, {momentum}1, {momentum}2, {momentum}3 = y"]
         self.lines = []
-        probe = _probe_on_floats(guard)
-        if probe is not EVERYWHERE.probe:  # that lane admits everything
+        probe = float_probe(guard.probe)
+        if probe is not EVERYWHERE.probe:  # that probe admits everything
             self.made.add("c")
             self.head += [
                 "c = (x0, x1, x2, x3)",
@@ -451,7 +438,7 @@ class _LoneSource:
 
     @staticmethod
     def rows(matrix: list, v) -> list:
-        """``connection._mv_floats(matrix, v)``: each row summed in numpy's order."""
+        """``matrix @ v`` for a matrix's rows: each row summed in numpy's order."""
         return [row_source([f"{a} * {w}" for a, w in zip(row, v)]) for row in matrix]
 
     def function(self, rate: list, fallback: Callable[[list], list]) -> Callable[[list], list]:
@@ -613,9 +600,7 @@ def _rk45_step_floats_maker() -> Callable[..., tuple[list, list]]:
         lines.append(f"{each(lambda i: f'k{s}_{i}')} = rhs(s)")
     y4 = each(lambda i: f"s[{i}] - (y{i} + h * (0 + {combination(_DP_B4, i)}))")
     lines.append(f"return s, [{y4}]")
-    namespace: dict = {}
-    exec("def step(rhs, y, h):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace["step"]
+    return compiled("def step(rhs, y, h):\n" + "".join(f"    {line}\n" for line in lines), "step")
 
 
 _rk45_step_floats = _rk45_step_floats_maker()
@@ -733,7 +718,7 @@ class _Rows:
         self.landed = [self.rows]
         self.taus = [tau0[0]] if self.lone else [np.array(tau0, dtype=float)]
         self.states = [self.y]
-        self.probe = _probe_on_floats(guard) if self.lone else guard.probe
+        self.probe = float_probe(guard.probe) if self.lone else guard.probe
 
     def end(self, p: int, status: str, reason: Optional[str] = None) -> None:
         """Give the live row at position `p` its final status (it leaves at the next `keep`)."""
@@ -792,7 +777,9 @@ class _Rows:
         if self.lone:
             # v * 0.0 is NaN exactly where v is NaN or infinite; a sum of
             # the components themselves could overflow on finite ones
-            if math.isnan(sum([v * 0.0 for v in y_new])):
+            y0, y1, y2, y3, y4, y5, y6, y7 = y_new
+            if math.isnan(y0 * 0.0 + y1 * 0.0 + y2 * 0.0 + y3 * 0.0
+                          + y4 * 0.0 + y5 * 0.0 + y6 * 0.0 + y7 * 0.0):
                 raise StepRejected(f"state became non-finite at tau = {taus:g}")
             why = self.probe(y_new[:DIM])
             if why is not None:

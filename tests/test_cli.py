@@ -186,8 +186,8 @@ def test_overflowing_field_ends_with_one_integration_error_line(tmp_path, capsys
     )
 
 
-def test_overflow_on_the_float_lane_ends_with_one_integration_error_line(tmp_path, capsys,
-                                                                        monkeypatch):
+def test_overflow_on_python_floats_ends_with_one_integration_error_line(tmp_path, capsys,
+                                                                       monkeypatch):
     # a lone RK4 run steps on Python floats, which overflow to inf and never
     # warn: the run fails with its one line and no traceback
     from phasetransport import transport
@@ -203,8 +203,8 @@ def test_overflow_on_the_float_lane_ends_with_one_integration_error_line(tmp_pat
     assert array_steps == []
 
 
-def test_zero_error_scale_on_the_float_lane_ends_with_one_integration_error_line(tmp_path,
-                                                                                capsys):
+def test_zero_error_scale_on_python_floats_ends_with_one_integration_error_line(tmp_path,
+                                                                               capsys):
     # atol = 0 and a planar cyclotron's z, exactly zero in both states, give
     # a zero error scale: Python floats raise there, and the run must fail
     # with numpy's NaN norm and its one line, not a traceback

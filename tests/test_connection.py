@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from phasetransport.connection import (
     NonLinearConnection,
     Particle,
-    _mv_floats,
     electromagnetic_connection,
     gravitational_connection,
     superpose,
@@ -41,7 +40,18 @@ from phasetransport.fields import (
     zero_potential,
 )
 from phasetransport.metrics import minkowski, schwarzschild, weak_field
-from phasetransport.tensor import EVERYWHERE, FourVector, SpacetimeEvent, float_lane
+from phasetransport.tensor import (
+    _MATH_OPS,
+    EVERYWHERE,
+    Admission,
+    ClosedForm,
+    Contracted,
+    FourVector,
+    SpacetimeEvent,
+    float_probe,
+    row_source,
+    spec,
+)
 from phasetransport.transport import acceleration_terms
 
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
@@ -239,7 +249,8 @@ def test_geodesic_block_ignores_particle_mass(mass, factor):
 
 
 # ---------------------------------------------------------------------------
-# float lanes: one event on Python floats, with the bits of the array call
+# specs: one event on Python floats, as the generated right-hand side runs
+# it, with the bits of the array call
 
 
 def _with_specials(values, rng):
@@ -254,9 +265,19 @@ def _with_specials(values, rng):
 
 def _bits(values) -> bytes:
     """The bytes of `values` as floats, every NaN made one NaN: a NaN's sign
-    bit is not kept by either lane, and no trajectory records a NaN."""
+    bit is not kept by Python floats, and no trajectory records a NaN."""
     values = np.asarray(values, dtype=float)
     return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+#: ``a @ v`` on Python floats, each row the source that ``row_source`` writes
+#: for the generated right-hand side, with `a` a matrix's rows and `v` a vector.
+MATRIX_VECTOR = compile("[" + ", ".join(row_source([f"a[{m}][{n}] * v[{n}]" for n in range(4)])
+                                        for m in range(4)) + "]", "<row_source>", "eval")
+
+
+def _row_sums(a, v) -> list:
+    return eval(MATRIX_VECTOR, {"a": a, "v": v})
 
 
 def test_float_matrix_vector_product_has_the_bits_of_numpys():
@@ -269,7 +290,29 @@ def test_float_matrix_vector_product_has_the_bits_of_numpys():
                 a = np.diag(np.diag(a))
             if k % 3 == 0:
                 a[rng.integers(0, 4), rng.integers(0, 4)] = 0.0
-            assert _bits(_mv_floats(a.tolist(), v.tolist())) == _bits(a @ v), (a, v)
+            assert _bits(_row_sums(a.tolist(), v.tolist())) == _bits(a @ v), (a, v)
+
+
+def _assert_spec_bits(fn, one, x, u=None, tail=()):
+    """What the generated right-hand side computes of `fn` at one event `x`
+    (and `u`) from its spec has the bits of `fn`'s array result `one` there:
+    a closed form's values at its indices, and zeros elsewhere, or a
+    contracted term's four components.  Python floats may raise."""
+    given = spec(fn)
+    if isinstance(given, ClosedForm):
+        values = given.formula(_MATH_OPS, x.tolist())
+        rest = np.ones(np.shape(one), dtype=bool)
+        for index in given.indices:
+            rest[index] = False
+        assert _bits([one[index] for index in given.indices]) == _bits(values), x
+        assert _bits(one[rest]) == _bits(np.zeros(rest.sum())), x
+        return
+    assert isinstance(given, Contracted), fn
+    if given.block is not None:
+        got = _row_sums(given.block, u.tolist())
+    else:
+        got = given.terms(_MATH_OPS, x.tolist(), u.tolist(), *given.args, *tail)
+    assert _bits(got) == _bits(one), (x, u)
 
 
 def _flat_events(rng, n):
@@ -283,7 +326,7 @@ def _spherical_events(rng, n):
                             rng.uniform(0.3, 2.8, n), rng.uniform(0, 6, n)])
 
 
-LANE_CONNECTIONS = {
+SPEC_CONNECTIONS = {
     "uniform": (_flat_events, lambda: electromagnetic_connection(
         uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7]), 1.3)),
     "coulomb": (_flat_events, lambda: electromagnetic_connection(
@@ -297,40 +340,38 @@ LANE_CONNECTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LANE_CONNECTIONS))
-def test_built_in_float_lanes_have_the_bits_of_their_array_calls(name):
+@pytest.mark.parametrize("name", sorted(SPEC_CONNECTIONS))
+def test_built_in_specs_have_the_bits_of_their_array_calls(name):
     # the term, the guard's probe and the inverse metric's rows, signed
     # zeros, infinities and NaN included; Python floats raise where numpy
-    # divides by zero, and no more than that
-    events, build = LANE_CONNECTIONS[name]
+    # gives inf or NaN, and no more than that
+    events, build = SPEC_CONNECTIONS[name]
     conn = build()
-    rng = np.random.default_rng(sorted(LANE_CONNECTIONS).index(name))
+    rng = np.random.default_rng(sorted(SPEC_CONNECTIONS).index(name))
     coords = _with_specials(events(rng, 400), rng)
     us = _with_specials(np.column_stack([rng.uniform(1, 2, 400), rng.normal(0, 0.4, (400, 3))]),
                         rng)
     term = conn.order0_raw or conn.order1_raw
-    lanes = [float_lane(f) for f in (term, conn.guard.probe, conn.metric.inverse_fn)]
-    assert None not in lanes
-    term_lane, probe_lane, inverse_lane = lanes
+    inverse = conn.metric.inverse_fn
+    assert None not in (spec(term), spec(conn.guard.probe), spec(inverse))
+    probe = float_probe(conn.guard.probe)
     with np.errstate(all="ignore"):
         for x, u in zip(coords, us):
-            assert probe_lane(x.tolist()) == conn.guard.probe(x)
+            assert probe(x.tolist()) == conn.guard.probe(x)
             try:
-                got = term_lane(x.tolist(), u.tolist())
-            except ZeroDivisionError:
+                _assert_spec_bits(term, term(x, u), x, u)
+            except (ArithmeticError, ValueError):
                 assert not np.all(np.isfinite(term(x[None], u[None])))
                 continue
-            assert _bits(got) == _bits(term(x, u)), (x, u)
             try:
-                rows = inverse_lane(x.tolist())
-            except ZeroDivisionError:
-                continue
-            assert _bits(rows) == _bits(conn.metric.inverse_fn(x)), x
+                _assert_spec_bits(inverse, inverse(x), x)
+            except (ArithmeticError, ValueError):
+                assert _numpy_fails_at(inverse, x), x
 
 
-def _lane_evaluators():
+def _spec_evaluators():
     """(events, evaluator, velocity?, trailing arguments) of every built-in
-    evaluator that registers a float lane, by name."""
+    evaluator that registers a spec, by name."""
     potentials = {
         "coulomb": (_flat_events, coulomb_potential(2.0)),
         "coulomb-radial": (_spherical_events, coulomb_potential(2.0, 1)),
@@ -360,13 +401,13 @@ def _lane_evaluators():
         cases[f"{name}.lorentz_fn"] = (events, faraday_field_of(a).lorentz_fn, True, (e,))
     both = schwarzschild(1.2).guard.intersect(coulomb_potential(2.0, 1).guard)
     cases["schwarzschild&coulomb-radial.probe"] = (_spherical_events, both.probe, False, ())
-    return {name: case for name, case in cases.items() if float_lane(case[1]) is not None}
+    return {name: case for name, case in cases.items() if spec(case[1]) is not None}
 
 
-LANE_EVALUATORS = _lane_evaluators()
+SPEC_EVALUATORS = _spec_evaluators()
 
 
-def test_the_built_in_evaluators_that_must_carry_a_float_lane_carry_one():
+def test_the_built_in_evaluators_that_must_carry_a_spec_carry_one():
     # the uniform potential's values x @ grad keep none: numpy sums them as
     # a fused multiply-add chain
     must = {f"{a}.{f}" for a in ("coulomb", "coulomb-radial", "axial-b", "zero")
@@ -378,8 +419,11 @@ def test_the_built_in_evaluators_that_must_carry_a_float_lane_carry_one():
                                           "schwarzschild&coulomb-radial")}
     must |= {"uniform.deriv_fn", "minkowski.inverse_fn", "coulomb.lorentz_fn",
              "coulomb-radial.lorentz_fn", "axial-b.lorentz_fn"}
-    assert must <= set(LANE_EVALUATORS)
-    assert "uniform.values_fn" not in LANE_EVALUATORS
+    assert must <= set(SPEC_EVALUATORS)
+    assert "uniform.values_fn" not in SPEC_EVALUATORS
+    # an intersection's tests are its two sides' one each; EVERYWHERE has none
+    assert len(spec(SPEC_EVALUATORS["schwarzschild&coulomb-radial.probe"][1]).tests) == 2
+    assert spec(EVERYWHERE.probe) == Admission(())
 
 
 def _numpy_fails_at(fn, *args) -> bool:
@@ -392,15 +436,14 @@ def _numpy_fails_at(fn, *args) -> bool:
             return True
 
 
-@pytest.mark.parametrize("name", sorted(LANE_EVALUATORS))
-def test_every_built_in_float_lane_has_the_bits_of_its_array_calls(name):
-    # one event (4,) on the lane, on arrays and as its row of a batch, signed
-    # zeros, infinities and NaN included; a lane raises only where numpy
-    # divides by zero or gives inf or NaN, and a probe's batch gives its
-    # first rejected row's reason
-    events, fn, with_u, tail = LANE_EVALUATORS[name]
-    lane = float_lane(fn)
-    rng = np.random.default_rng(sorted(LANE_EVALUATORS).index(name))
+@pytest.mark.parametrize("name", sorted(SPEC_EVALUATORS))
+def test_every_built_in_spec_has_the_bits_of_its_array_calls(name):
+    # one event (4,) from the spec on floats, on arrays and as its row of a
+    # batch, signed zeros, infinities and NaN included; a formula raises
+    # only where numpy divides by zero or gives inf or NaN, and a probe's
+    # batch gives its first rejected row's reason
+    events, fn, with_u, tail = SPEC_EVALUATORS[name]
+    rng = np.random.default_rng(sorted(SPEC_EVALUATORS).index(name))
     coords = _with_specials(events(rng, 300), rng)
     us = _with_specials(np.column_stack([rng.uniform(1, 2, 300), rng.normal(0, 0.4, (300, 3))]),
                         rng)
@@ -410,9 +453,10 @@ def test_every_built_in_float_lane_has_the_bits_of_its_array_calls(name):
 
     with np.errstate(all="ignore"):
         if name.endswith(".probe"):
+            probe = float_probe(fn)
             for x in coords:
-                assert lane(x.tolist()) == fn(x) == fn(x[None]), x
-            first = next((w for w in map(lane, coords.tolist()) if w is not None), None)
+                assert probe(x.tolist()) == fn(x) == fn(x[None]), x
+            first = next((w for w in map(probe, coords.tolist()) if w is not None), None)
             assert fn(coords) == first
             return
         batch = fn(*args(coords, us))
@@ -421,11 +465,9 @@ def test_every_built_in_float_lane_has_the_bits_of_its_array_calls(name):
             one = fn(*args(x, u))
             assert _bits(row) == _bits(one), (x, u)
             try:
-                got = lane(*args(x.tolist(), u.tolist()))
+                _assert_spec_bits(fn, one, x, u, tail)
             except (ArithmeticError, ValueError):
                 assert _numpy_fails_at(fn, *args(x, u)), (x, u)
-                continue
-            assert _bits(got) == _bits(one), (x, u)
 
 
 def test_a_uniform_field_forms_its_block_once():

@@ -28,7 +28,7 @@ from phasetransport.fields import (
     VectorPotential,
     require_antisymmetric,
 )
-from phasetransport.tensor import SpacetimeEvent, float_lane
+from phasetransport.tensor import _MATH_OPS, SpacetimeEvent, spec
 
 three_vec = st.tuples(*[st.floats(-5, 5) for _ in range(3)])
 
@@ -160,7 +160,7 @@ CLOSED_FORMS = {
 def _assert_lorentz_bits(potential, coords, u, charges):
     """The derived term has the bits of (e F) @ u, lone, batched and on floats."""
     lorentz = faraday_field_of(potential).lorentz_fn
-    lane = float_lane(lorentz)
+    terms = spec(lorentz).terms  # as the generated right-hand side calls them
     for e in charges:
         batch = lorentz(coords, u, e)
         for i in range(len(coords)):
@@ -168,7 +168,7 @@ def _assert_lorentz_bits(potential, coords, u, charges):
             want = (e * faraday_matrix_raw(potential, coords[i])) @ u[i]
             assert lone.tobytes() == want.tobytes(), (coords[i], u[i], e)
             assert batch[i].tobytes() == lone.tobytes(), (coords[i], u[i], e)
-            floats = np.array(lane(coords[i].tolist(), u[i].tolist(), e))
+            floats = np.array(terms(_MATH_OPS, coords[i].tolist(), u[i].tolist(), e))
             assert floats.tobytes() == lone.tobytes(), (coords[i], u[i], e)
 
 
@@ -214,3 +214,41 @@ def test_a_gradient_without_its_closed_form_falls_back_to_the_matrix_path():
     derived = electromagnetic_connection(faraday_field_of(coulomb), -0.7).order0_raw
     fallback = electromagnetic_connection(faraday_field_of(wrapped), -0.7).order0_raw
     assert derived(coords, u).tobytes() == fallback(coords, u).tobytes()
+
+
+def _bits(values) -> bytes:
+    # tobytes, so that a zero's sign counts; every NaN made one NaN, as
+    # Python floats do not keep a NaN's sign
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@pytest.mark.parametrize("name", ["zero", "uniform"])
+def test_a_constant_gradient_derives_a_lorentz_term_with_the_matrix_paths_bits(name):
+    # every entry of a constant gradient is bound as it is, so the derived
+    # term keeps the signs of its zeros: B = (-0.7, 0.4, -1.2) gives the
+    # gradient 0.5 (B x e_i) entries of -0.0, and the term has the bits of
+    # e (dA - dA^T) @ u on signed zeros, infinities and NaN
+    if name == "zero":
+        potential = zero_potential()
+    else:
+        potential = uniform_field_potential([0.3, -0.1, 0.0], [-0.7, 0.4, -1.2])
+        grad = potential.deriv_fn(np.zeros(4))
+        assert np.any((grad == 0.0) & np.signbit(grad))
+    lorentz = faraday_field_of(potential).lorentz_fn
+    assert lorentz is not None
+    terms = spec(lorentz).terms
+    rng = np.random.default_rng(len(name))
+    coords, u = _cartesian_events(rng, 200), _velocities(rng, 200)
+    for special in (-0.0, math.inf, -math.inf, math.nan):
+        rows = rng.choice(200, 20, replace=False)
+        u[rows, rng.integers(0, 4, 20)] = special
+    with np.errstate(invalid="ignore"):
+        for e in (1.0, -0.7, 0.0, -0.0):
+            batch = lorentz(coords, u, e)
+            for i in range(len(coords)):
+                want = _bits((e * faraday_matrix_raw(potential, coords[i])) @ u[i])
+                assert _bits(lorentz(coords[i], u[i], e)) == want, (u[i], e)
+                assert _bits(batch[i]) == want, (u[i], e)
+                floats = terms(_MATH_OPS, coords[i].tolist(), u[i].tolist(), e)
+                assert _bits(floats) == want, (u[i], e)

@@ -16,7 +16,7 @@ from phasetransport.metrics import (
     weak_field,
     without_closed_form,
 )
-from phasetransport.tensor import FD_STEP_FIRST, SpacetimeEvent, central_differences, float_lane
+from phasetransport.tensor import FD_STEP_FIRST, SpacetimeEvent, central_differences, float_probe
 
 
 def event(t, r, th, ph):
@@ -151,7 +151,7 @@ def test_geodesic_term_of_a_batch_row_is_its_lone_call(chart):
 
 # ---------------------------------------------------------------------------
 # guard verdicts: the exact reason (or None) of each built-in guard on
-# degenerate events, on arrays and on the probe's float lane
+# degenerate events, on arrays and on Python floats (``tensor.float_probe``)
 
 _R_MIN = 2.0 * (1.0 + HORIZON_MARGIN)  # the guarded radius at M = 1
 
@@ -216,12 +216,12 @@ def test_guard_verdicts_on_degenerate_events(name):
     # is NaN), and r = r_min exactly is inside
     build, rejects = GUARD_REJECTS[name]
     probe = build().probe
-    lane = float_lane(probe)
+    on_floats = float_probe(probe)
     with np.errstate(over="ignore", invalid="ignore"):
         for event, coords in VERDICT_EVENTS.items():
             want = rejects.get(event)
             assert probe(np.array(coords)) == want, event
-            assert lane(list(coords)) == want, event
+            assert on_floats(list(coords)) == want, event
 
 
 @pytest.mark.parametrize("name, rows, want", [

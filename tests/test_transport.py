@@ -9,6 +9,7 @@ structural fails loudly.
 import dataclasses
 import math
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from phasetransport import oracles, transport
 from phasetransport.connection import (
+    NonLinearConnection,
     Particle,
     electromagnetic_connection,
     gravitational_connection,
@@ -49,8 +51,8 @@ from phasetransport.tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
-    float_lane,
-    with_floats,
+    spec,
+    with_spec,
 )
 from phasetransport.transport import (
     IntegratorConfig,
@@ -517,7 +519,7 @@ def _spherical_states(rng, n=100):
 
 def _kernel_and_reference(conn, particle, states):
     """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state, the
-    compiled law taken on each lane: a batch of one, and one state on floats."""
+    compiled law taken both ways: a batch of one, and one state on floats."""
     batch = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
     lone = _lone_rhs(conn, particle.mass)
     for coords, u in states:
@@ -694,9 +696,9 @@ def _canonical_initial():
 
 
 def test_flat_canonical_route_never_evaluates_the_inverse_or_the_metric_gradient():
-    # nor the potential's array evaluators per RHS: its float lanes, kept on
-    # the counting wrappers, step the run, and the arrays serve the anchor
-    # A(x0) and the one recovery of u over the recorded columns
+    # nor the potential's array evaluators per RHS: its specs, kept on the
+    # counting wrappers, step the run, and the arrays serve the anchor A(x0)
+    # and the one recovery of u over the recorded columns
     calls, values_calls, deriv_calls = [], [], []
     eta = minkowski()
     g = dataclasses.replace(eta, inverse_fn=counting(eta.inverse_fn, calls),
@@ -704,8 +706,8 @@ def test_flat_canonical_route_never_evaluates_the_inverse_or_the_metric_gradient
     pot = CANONICAL_POTENTIALS["coulomb"]()
     pot = dataclasses.replace(
         pot,
-        values_fn=with_floats(counting(pot.values_fn, values_calls), float_lane(pot.values_fn)),
-        deriv_fn=with_floats(counting(pot.deriv_fn, deriv_calls), float_lane(pot.deriv_fn)),
+        values_fn=with_spec(counting(pot.values_fn, values_calls), spec(pot.values_fn)),
+        deriv_fn=with_spec(counting(pot.deriv_fn, deriv_calls), spec(pot.deriv_fn)),
     )
     cfg = IntegratorConfig(step=0.1, tau_max=2.0)
     traj = minimal_substitution_trajectory(pot, g, Particle(3.0, 1.3), _canonical_initial(), cfg)
@@ -1037,7 +1039,8 @@ def test_matrix_evaluator_without_batch_axes_is_a_clear_error():
 
 
 # ---------------------------------------------------------------------------
-# one lane per row count: a lone run on Python floats, a batch on arrays
+# the row count picks the arithmetic: a lone run on Python floats, a batch
+# on arrays
 
 
 @pytest.fixture
@@ -1087,7 +1090,7 @@ def test_lone_built_in_run_on_floats_has_the_bits_of_its_batch_row(name, array_s
 
 
 def test_user_field_on_floats_has_the_bits_of_its_batch_row(array_steps):
-    # a plain FaradayField has no float lane: its K0 is called on arrays
+    # a plain FaradayField's K0 has no spec: it is called on arrays
     f = uniform_faraday([0.1, -0.2, 0.3], [1.0, 0.4, -0.7])
     conn = electromagnetic_connection(FaradayField(f.matrix_fn, name="user"), 0.8)
     initial = state([0.0, 0.3, -0.2, 0.1], [oracles.gamma_from_u([0.1, -0.3, 0.0]), 0.1, -0.3, 0.0])
@@ -1119,7 +1122,7 @@ def _wrapped_as_traced(conn, calls):
 
 
 def test_wrapped_terms_on_floats_have_the_bits_and_the_calls_of_the_bare_ones(array_steps):
-    # a wrapper has no float lane, so each wrapped callable is called on
+    # a wrapper has no spec, so each wrapped callable is called on
     # arrays, as often as before: once per RHS, and the guard once more per
     # sample (the RHS count a tracer derives is probe calls less samples);
     # RK45 rejects no step over this horizon, so it takes 7 RHS per sample
@@ -1144,10 +1147,10 @@ def _canonical_run(scn, potential, tau_max):
 
 
 @pytest.mark.parametrize("name,tau_max", [("coulomb", 10.0), ("combined-schwarzschild-B", 20.0)])
-def test_canonical_terms_without_a_float_lane_have_the_bits_and_the_calls_of_the_bare_ones(
+def test_canonical_terms_without_a_spec_have_the_bits_and_the_calls_of_the_bare_ones(
         name, tau_max):
     # a traced potential's wrappers and a user potential's lambdas have no
-    # float lane, so each is called on arrays, once per RHS (RK4 takes 4 per
+    # spec, so each is called on arrays, once per RHS (RK4 takes 4 per
     # step); the values also give the anchor A(x0) and the recovered u
     scn = load_builtin(name)
     bare = scn.potential
@@ -1176,14 +1179,14 @@ def test_canonical_terms_without_a_float_lane_have_the_bits_and_the_calls_of_the
     ("coulomb", 0), ("combined-schwarzschild-B", 0), ("exb-drift", 1)])
 def test_canonical_route_calls_a_built_in_potential_on_arrays_only_outside_the_rhs(
         name, per_rhs):
-    # the float lanes step the run; the arrays give the anchor A(x0) and the
+    # the specs step the run; the arrays give the anchor A(x0) and the
     # recovered u, and the uniform potential's values x @ grad on every RHS
     scn = load_builtin(name)
     pot, values_calls, deriv_calls = scn.potential, [], []
     pot = dataclasses.replace(
         pot,
-        values_fn=with_floats(counting(pot.values_fn, values_calls), float_lane(pot.values_fn)),
-        deriv_fn=with_floats(counting(pot.deriv_fn, deriv_calls), float_lane(pot.deriv_fn)),
+        values_fn=with_spec(counting(pot.values_fn, values_calls), spec(pot.values_fn)),
+        deriv_fn=with_spec(counting(pot.deriv_fn, deriv_calls), spec(pot.deriv_fn)),
     )
     traj = _canonical_run(scn, pot, 20 * scn.config.step)
     assert_same_bits(traj, _canonical_run(scn, scn.potential, 20 * scn.config.step))
@@ -1273,16 +1276,16 @@ def test_canonical_lone_rhs_has_the_bits_of_its_array_law_on_special_states(name
 
 
 #: Python calls per lone right-hand side, the right-hand side's own included:
-#: the guard's float lane and what it calls, and each formula the law calls.
+#: the guard's float probe and what it calls, and each formula the law calls.
 LONE_RHS_CALLS = {
     "free": 1,
     "cyclotron": 1,
     "exb-drift": 1,
-    "coulomb": 4,  # the guard's lane and its test, the gradient formula
-    "schwarzschild-circular": 5,  # the lane, its test and its sine, the geodesic terms
+    "coulomb": 4,  # the guard's probe and its test, the gradient formula
+    "schwarzschild-circular": 5,  # the probe, its test and its sine, the geodesic terms
     "schwarzschild-precession": 5,
     "weak-field-newtonian": 4,
-    # the lane, its test and its sine, and the formulas of the gradient, the
+    # the probe, its test and its sine, and the formulas of the gradient, the
     # inverse metric and the geodesic terms
     "combined-schwarzschild-B": 7,
 }
@@ -1302,6 +1305,29 @@ def test_a_lone_rhs_takes_its_pinned_number_of_python_calls(name):
     assert len(calls) == LONE_RHS_CALLS[name], [f.f_code.co_name for f in calls]
 
 
+class _TermFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_a_raising_user_term_shows_its_generated_lines_in_the_traceback(method):
+    # the generated right-hand side and RK45 step are compiled under filenames
+    # of their own that linecache serves, so a traceback (and a profile)
+    # shows the generated lines that called the term
+    def term(coords, u):
+        raise _TermFailed
+
+    conn = NonLinearConnection(metric=minkowski(), order0_raw=term)
+    cfg = IntegratorConfig(method=method, step=0.1, tau_max=1.0)
+    with pytest.raises(_TermFailed) as info:
+        integrate(conn, Particle(1.0, 1.0), rest_state(), cfg)
+    generated = [frame.line for frame in traceback.extract_tb(info.tb)
+                 if frame.filename.startswith("<phasetransport-generated-")]
+    stepper = ["k0_0, k0_1, k0_2, k0_3, k0_4, k0_5, k0_6, k0_7 = rhs(y)"]
+    assert generated == (stepper if method == "rk45-adaptive" else []) + [
+        "k0, k1, k2, k3 = k_fn(c, u)"]
+
+
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
     # the closed Coulomb form, here without its guard, divides 0 by 0 at the
     # origin: Python floats raise where numpy gives NaN, so the lone run takes
@@ -1319,14 +1345,15 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
 
 def test_a_float_hazard_on_the_canonical_route_takes_numpys_values():
     # the Coulomb potential without its guard, and a charge too small to
-    # deflect: a stage lands on the origin, where the float lanes divide by
-    # zero; the array law gives numpy's inf there, so the run fails as it did
-    # on arrays, and the potential's array evaluators run only at that stage
+    # deflect: a stage lands on the origin, where the formulas on floats
+    # divide by zero; the array law gives numpy's inf there, so the run fails
+    # as it did on arrays, and the potential's array evaluators run only at
+    # that stage
     calls = []
     pot = coulomb_potential(1.0)
     pot = dataclasses.replace(
         pot, guard=EVERYWHERE,
-        values_fn=with_floats(counting(pot.values_fn, calls), float_lane(pot.values_fn)))
+        values_fn=with_spec(counting(pot.values_fn, calls), spec(pot.values_fn)))
     initial = state([0.0, -1.0, 0.0, 0.0], [math.sqrt(1.25), 0.5, 0.0, 0.0])
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 2$"):
         minimal_substitution_trajectory(pot, minkowski(), Particle(1.0, 1e-300), initial,
