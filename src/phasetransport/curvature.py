@@ -153,9 +153,9 @@ def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
 
     dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
     is marked as such and never re-checked.  When ``a.deriv_fn`` is a
-    ``tensor.closed_form`` gradient (every built-in one that varies), the
-    field also carries its Lorentz term in closed form, derived from that
-    same formula (``tensor.closed_form_curl``), with the bits of
+    ``tensor.closed_form`` or ``tensor.constant`` gradient (every built-in
+    one), the field also carries its Lorentz term in closed form, derived
+    from that same formula (``tensor.closed_form_curl``), with the bits of
     ``(e * faraday_matrix_raw(a, coords)) @ u``.
     """
     return AntisymmetricFaraday(

@@ -187,7 +187,7 @@ def constant(value) -> Callable[[np.ndarray], np.ndarray]:
     """The evaluator that gives the array `value`, frozen and unbroadcast, at
     every event.  Its spec is a ``ClosedForm`` over every entry, so each
     entry's bits are bound as they are, signed zeros included."""
-    value = np.asarray(value, dtype=float)
+    value = np.array(value, dtype=float)  # a copy: the caller's array stays writable
     value.setflags(write=False)
     entries = tuple(value.ravel().tolist())
     return with_spec(lambda c: value, ClosedForm(tuple(np.ndindex(value.shape)),
@@ -397,9 +397,6 @@ def float_probe(probe: Callable[[np.ndarray], Optional[str]]) -> Callable[[list]
     tests = admission.tests
     if not tests:
         return _admit
-    if len(tests) == 1:  # as fast as a test can be, on every lone right-hand side
-        (admits, why), = tests
-        return lambda x: None if admits(_FLOAT_OPS, x) else why(x)
 
     def on_floats(x: list) -> Optional[str]:
         for admits, why in tests:

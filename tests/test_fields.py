@@ -29,6 +29,7 @@ from phasetransport.fields import (
     require_antisymmetric,
 )
 from phasetransport.tensor import _MATH_OPS, SpacetimeEvent, spec
+from test_connection import _bits
 
 three_vec = st.tuples(*[st.floats(-5, 5) for _ in range(3)])
 
@@ -214,13 +215,6 @@ def test_a_gradient_without_its_closed_form_falls_back_to_the_matrix_path():
     derived = electromagnetic_connection(faraday_field_of(coulomb), -0.7).order0_raw
     fallback = electromagnetic_connection(faraday_field_of(wrapped), -0.7).order0_raw
     assert derived(coords, u).tobytes() == fallback(coords, u).tobytes()
-
-
-def _bits(values) -> bytes:
-    # tobytes, so that a zero's sign counts; every NaN made one NaN, as
-    # Python floats do not keep a NaN's sign
-    values = np.asarray(values, dtype=float)
-    return np.where(np.isnan(values), np.nan, values).tobytes()
 
 
 @pytest.mark.parametrize("name", ["zero", "uniform"])

@@ -18,6 +18,7 @@ from phasetransport.tensor import (
     MetricField,
     SpacetimeEvent,
     central_differences,
+    constant,
 )
 from phasetransport.transport import _trajectory
 
@@ -140,3 +141,14 @@ def test_partial_derivative_preserves_container_type():
     assert first.shape == last.shape == (4, 4)
     np.testing.assert_allclose(first[1], [1.0, 0, 0, 0], atol=1e-9)
     np.testing.assert_array_equal(last, first.T)
+
+
+def test_constant_freezes_a_copy_of_its_value():
+    # the evaluator's array is read-only, and the caller's array is left
+    # as it was, writable and free to change without changing the evaluator
+    value = np.array([[1.0, -0.0], [0.0, 2.0]])
+    fn = constant(value)
+    value[0, 0] = 5.0
+    got = fn(np.zeros(4))
+    assert not got.flags.writeable and value.flags.writeable
+    assert got.tobytes() == np.array([[1.0, -0.0], [0.0, 2.0]]).tobytes()
