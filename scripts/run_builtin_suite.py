@@ -10,9 +10,10 @@ With --out, the full JSON report of every run is written to DIR.
 Each scenario's row ends with the first 12 hex digits of the sha256 of
 its CSV output, and each checker's row with those of its JSON report
 without the samples; both then give those of the report's summary alone.
-Diffing this script's output across two checkouts shows whether their
-CSV bytes and numbers are identical, and a full-report digest that moved
-while the summary digest did not says that only the parameter echo moved.
+Each scenario's wall time goes to stderr, so stdout holds no timing:
+diffing it across two checkouts shows whether their CSV bytes and
+numbers are identical, and a full-report digest that moved while the
+summary digest did not says that only the parameter echo moved.
 """
 
 import argparse
@@ -52,7 +53,7 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     print(f"{'scenario':28s} {'samples':>8s} {'tau':>10s} "
-          f"{'max |g u.u + 1|':>16s}  oracle errors  [time] csv-sha256 summary-sha256")
+          f"{'max |g u.u + 1|':>16s}  oracle errors  csv-sha256 summary-sha256")
     for name in BUILTIN_NAMES:
         t0 = time.perf_counter()
         rep = run(load_builtin(name))
@@ -65,8 +66,8 @@ def main() -> int:
             if k.startswith("oracle_") or k in ("precession_exact_error",)
         ) or "-"
         print(f"{name:28s} {s['n_samples']:8d} {s['tau_final']:10.2f} "
-              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  [{dt:.2f}s] {digest} "
-              f"{summary_sha256(rep)}")
+              f"{s['max_norm_residual']:16.3e}  {oracle_bits}  {digest} {summary_sha256(rep)}")
+        print(f"{name:28s} [{dt:.2f}s]", file=sys.stderr)
         if args.out:
             emit(rep, "json", args.out / f"{name}.json")
 

@@ -31,7 +31,6 @@ from .errors import (
 from .fields import (
     AntisymmetricFaraday,
     FaradayField,
-    UniformFaraday,
     VectorPotential,
     axial_magnetic_potential_spherical,
     coulomb_potential,

@@ -18,16 +18,14 @@ metric).  The two physically distinguished builders are:
 * ``electromagnetic_connection(F, e)``: K1 = 0 and K0 = e F, the
   Lorentz coupling.  Independent of momentum, hence of mass.
 
-Each builder takes its field's closed form of the contracted term when
-the field has one (``MetricField.geodesic_fn``,
-``FaradayField.lorentz_fn``), and otherwise builds the block and
-contracts it.  A built-in closed form is one formula, run on numpy
-columns for a batch and on Python floats for a lone trajectory
-(``tensor.columnwise``); a field's Lorentz term is derived from its
-potential's gradient formula (``curvature.faraday_field_of``).  Its
-spec (``tensor.spec``), with the charge bound, and a uniform field's
-constant block are the term's, so a lone run's generated right-hand
-side writes the term out.
+The gravitational builder takes the metric's closed form of the
+contracted term when it has one (``MetricField.geodesic_fn``, one
+formula run on numpy columns for a batch and on Python floats for a lone
+trajectory, ``tensor.columnwise``), and otherwise builds the block and
+contracts it.  The Lorentz term is always (e F) u on arrays; it keeps
+F's spec (``tensor.spec``: a uniform field's rows, or the gradient
+formula of ``curvature.faraday_field_of``) with the charge bound, so a
+lone run's generated right-hand side writes the term out.
 
 ``superpose`` adds the terms so both forces act through a single law.
 """
@@ -41,10 +39,9 @@ import numpy as np
 
 from .curvature import christoffel_raw
 from .errors import ValidationError
-from .fields import AntisymmetricFaraday, FaradayField, UniformFaraday, require_antisymmetric
+from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
 from .tensor import (
-    DIM,
     Contracted,
     DomainGuard,
     EVERYWHERE,
@@ -140,44 +137,27 @@ def gravitational_connection(g: MetricField) -> NonLinearConnection:
 def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConnection:
     """Connection for the Lorentz coupling of charge `charge` to field `f`.
 
-    The term K0_mn u^n = e F_mn u^n is the field's own closed form
-    ``f.lorentz_fn`` when it has one (as ``faraday_field_of`` gives a
-    potential with a closed-form gradient): F is never built, so never
-    checked.  Otherwise it is ``(e * F) @ u`` with F from
-    ``f.matrix_fn``, and the antisymmetry check runs only where it can
-    fail.  A user-supplied ``FaradayField`` is re-checked (to 1e-10) on
-    every evaluation and raises ``MalformedFaraday`` on failure; an
+    The term K0_mn u^n is ``(e * F) @ u`` with F from ``f.matrix_fn``,
+    and the antisymmetry check runs only where it can fail.  A
+    user-supplied ``FaradayField`` is re-checked (to 1e-10) on every
+    evaluation and raises ``MalformedFaraday`` on failure; an
     ``AntisymmetricFaraday`` (``uniform_faraday``, checked once when
     built, and ``faraday_field_of``, exact by construction) is used as
-    it is.  For a ``UniformFaraday`` the block e F is formed once, here.
+    it is, and its F's spec, with e bound, is the term's: a lone run
+    writes the term out from it and never builds F.
     """
     _finite_real("charge", charge)
     e = float(charge)
-    matrix, lorentz = f.matrix_fn, f.lorentz_fn
+    matrix = f.matrix_fn
 
-    if lorentz is not None:
-
-        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return lorentz(coords, u, e)
-
-        contracted = spec(lorentz)
-        if isinstance(contracted, Contracted):  # its terms take e as their argument
-            with_spec(term, contracted._replace(args=(e,)))
-
-    elif isinstance(f, UniformFaraday):
-        # it may overflow, which the integration reports
-        block = e * matrix(np.zeros(DIM))
-        rows = block.tolist()
-
-        def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _mv(block, u)
-
-        with_spec(term, Contracted(block=rows))
-
-    elif isinstance(f, AntisymmetricFaraday):
+    if isinstance(f, AntisymmetricFaraday):
 
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return _mv(e * matrix(coords), u)
+
+        contracted = spec(matrix)
+        if isinstance(contracted, Contracted):
+            with_spec(term, contracted._replace(args=(e,)))
 
     else:
 

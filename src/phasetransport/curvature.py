@@ -28,10 +28,13 @@ from .tensor import (
     DIM,
     FD_STEP_FIRST,
     FD_STEP_NESTED,
+    ClosedForm,
+    Contracted,
     MetricField,
     SpacetimeEvent,
     central_differences,
-    closed_form_curl,
+    spec,
+    with_spec,
 )
 
 __all__ = [
@@ -154,16 +157,17 @@ def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
     dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
     is marked as such and never re-checked.  When ``a.deriv_fn`` is a
     ``tensor.closed_form`` or ``tensor.constant`` gradient (every built-in
-    one), the field also carries its Lorentz term in closed form, derived
-    from that same formula (``tensor.closed_form_curl``), with the bits of
+    one), F's spec is ``Contracted(curl=<its ClosedForm>)``, from which a
+    lone run writes the Lorentz term out with the bits of
     ``(e * faraday_matrix_raw(a, coords)) @ u``.
     """
-    return AntisymmetricFaraday(
-        matrix_fn=lambda coords: faraday_matrix_raw(a, coords),
-        guard=a.guard,
-        name=f"d({a.name})",
-        lorentz_fn=closed_form_curl(a.deriv_fn),
-    )
+    def matrix(coords: np.ndarray) -> np.ndarray:
+        return faraday_matrix_raw(a, coords)
+
+    gradient = spec(a.deriv_fn)
+    if isinstance(gradient, ClosedForm):
+        with_spec(matrix, Contracted(curl=gradient))
+    return AntisymmetricFaraday(matrix, guard=a.guard, name=f"d({a.name})")
 
 
 def closure_residual(a: VectorPotential, x: SpacetimeEvent, step: Optional[float] = None) -> float:

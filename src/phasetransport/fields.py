@@ -11,14 +11,16 @@ linear-acceleration oracles in the test suite pin this choice.
 
 Potentials are stored covariantly, A_m = (A_0, A_i), with F = dA, i.e.
 F_mn = d_m A_n - d_n A_m.  For a static potential A_0 = -phi this gives
-the usual E = -grad(phi).
+the usual E = -grad(phi).  The uniform field's F keeps its constant rows
+as its spec (``tensor.Contracted``), from which a lone run writes the
+Lorentz term (e F) u out.
 
 Each closed form here (the Coulomb and axial potentials' values and
 gradients and the Coulomb guard) is one formula, run on numpy columns or
 on Python floats (``tensor.closed_form``, ``tensor.guard_probe``).  A
 lone trajectory and the canonical-momentum route, which always steps
-alone, run it on floats.  ``curvature.faraday_field_of`` derives the
-Lorentz term of a potential's field from its gradient formula.  The zero
+alone, run it on floats.  ``curvature.faraday_field_of`` gives a
+potential's field the spec of its gradient formula.  The zero
 potential and the uniform potential's constant gradient are
 ``tensor.constant`` evaluators, whose every entry is bound as it is.
 The uniform potential's values ``x @ grad`` keep no spec: numpy sums
@@ -36,12 +38,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import MalformedFaraday
-from .tensor import DIM, DomainGuard, EVERYWHERE, closed_form, constant, guard_probe
+from .tensor import (DIM, Contracted, DomainGuard, EVERYWHERE, closed_form, constant, guard_probe,
+                     with_spec)
 
 _ANTISYMMETRY_TOL = 1e-12
-
-#: A closed-form Lorentz term: ``(coords, u, e) -> (e F_mn) u^n``.
-LorentzFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def matrix_from_eb(e_field, b_field) -> np.ndarray:
@@ -83,21 +83,14 @@ class FaradayField:
     Consumers call ``matrix_fn`` on raw coordinates.  A plain
     ``FaradayField`` wraps a user-supplied evaluator, so every consumer
     re-checks antisymmetry on each evaluation.  The built-in evaluators
-    take one event ``(4,)`` or a batch ``(..., 4)``.
-
-    ``lorentz_fn``, optional, is the Lorentz term in closed form:
-    ``lorentz_fn(coords, u, e)`` gives the covariant (e F_mn) u^n at a
-    contravariant `u`, with the bits of ``(e * matrix_fn(coords)) @ u``.
-    It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
-    each, and gives every row of a batch the bits of its lone call.  The
-    electromagnetic connection always uses it when present, so it never
-    builds F (nor re-checks it) for such a field.
+    take one event ``(4,)`` or a batch ``(..., 4)``, and carry a spec
+    (``tensor.Contracted``: a uniform F's rows, or the gradient whose curl
+    F is), from which a lone run writes (e F) u out without building F.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     guard: DomainGuard = EVERYWHERE
     name: str = "faraday"
-    lorentz_fn: Optional[LorentzFn] = None
 
 
 @dataclass(frozen=True)
@@ -111,19 +104,12 @@ class AntisymmetricFaraday(FaradayField):
     """
 
 
-@dataclass(frozen=True)
-class UniformFaraday(AntisymmetricFaraday):
-    """A field strength that is the same at every event (``uniform_faraday``).
-
-    The electromagnetic connection forms e F once for this type.
-    """
-
-
-def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> UniformFaraday:
+def uniform_faraday(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> AntisymmetricFaraday:
     """Constant E and B throughout a Cartesian chart (checked once, here)."""
     f = require_antisymmetric(matrix_from_eb(e_field, b_field), "uniform-eb")
     f.setflags(write=False)
-    return UniformFaraday(lambda c: f, name="uniform-eb")
+    return AntisymmetricFaraday(with_spec(lambda c: f, Contracted(block=f.tolist())),
+                                name="uniform-eb")
 
 
 @dataclass(frozen=True)

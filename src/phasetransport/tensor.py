@@ -25,19 +25,19 @@ the formulas with math's own (``_MATH_OPS``) and evaluates an event
 where they raise again on arrays.
 ``closed_form`` builds a potential's or a metric's evaluator from the
 nonzero entries of its result, ``constant`` one that gives the same
-array at every event, ``columnwise`` a contracted geodesic term,
-``closed_form_curl`` the contracted Lorentz term of a ``closed_form``
-gradient from that gradient's own formula, and ``guard_probe`` a
-guard's probe from its admission tests.  Each evaluator keeps its spec
-(``spec``: a ``ClosedForm``, a ``Contracted`` or an ``Admission``),
-from which ``transport`` writes a lone right-hand side out as one
-function (``compiled``), and ``float_probe`` runs a probe on floats.  A
-callable without a spec is called on arrays.
+array at every event, ``columnwise`` a contracted geodesic term, and
+``guard_probe`` a guard's probe from its admission tests.  Each
+evaluator keeps its spec (``spec``: a ``ClosedForm``, a ``Contracted``
+or an ``Admission``), from which ``transport`` writes a lone right-hand
+side out as one function (``compiled``), and ``float_probe`` runs a
+probe on floats.  A field strength's spec is a ``Contracted`` too: the
+rows of a uniform F, or the gradient whose curl F is (``curl_source``
+writes e F u out from that gradient's formula).  A callable without a
+spec is called on arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import linecache
 import math
@@ -80,12 +80,15 @@ class ClosedForm(NamedTuple):
 
 
 class Contracted(NamedTuple):
-    """The spec of a contracted term ``(coords, u) -> (4,)`` on Python floats.
+    """The spec of a contracted term ``(coords, u) -> (4,)`` on Python floats,
+    or of a field strength F, which the Lorentz term contracts with u.
 
-    ``terms(ops, c, u, *args)`` gives its four components (``columnwise``).
-    A ``closed_form_curl`` term also keeps its gradient's ``ClosedForm`` as
-    `curl`, and a uniform field's term is ``block @ u`` with `block` its
-    constant rows, each row summed as ``row_source`` sums it.
+    ``terms(ops, c, u)`` gives a ``columnwise`` term's four
+    components.  A field strength keeps the constant rows of a uniform F
+    as `block`, or the ``ClosedForm`` of the gradient dA whose curl F is
+    as `curl`; the Lorentz term (e F) u keeps F's spec with the charge as
+    `args`, ``(e,)``, and each row of it is summed as ``row_source`` sums
+    it.
     """
 
     terms: Optional[Callable] = None
@@ -228,52 +231,22 @@ def curl_source(indices: tuple, v: list, u: list, e: str, z: str) -> tuple[list,
     return lines + [f"{z}{n} = {z} * {u[n]}" for n in used], rows
 
 
-@functools.cache
-def _curl_terms_maker(indices: tuple) -> Callable:
-    """``make(formula) -> terms``, where ``terms(ops, c, u, e)`` is the
-    contracted term of ``curl_source`` for the gradient that
-    ``formula(ops, c)`` gives at `indices`.  Compiled once per `indices`."""
-    v = [f"v{k}" for k in range(len(indices))]
-    lines, rows = curl_source(indices, v, ["u0", "u1", "u2", "u3"], "e", "z")
-    body = "".join(f"        {line}\n" for line in lines)
-    return compiled(f"def make(formula):\n"
-                    f"    def terms(ops, c, u, e):\n"
-                    f"        {', '.join(v)}, = formula(ops, c)\n"
-                    f"        u0, u1, u2, u3 = u\n"
-                    f"{body}"
-                    f"        return ({', '.join(rows)})\n"
-                    f"    return terms\n", "make")
-
-
-def closed_form_curl(gradient) -> Optional[Callable[..., np.ndarray]]:
-    """The contracted term ``(coords, u, e) -> e (dA - dA^T) u`` of the
-    closed-form gradient ``dA[..., m, n]`` that ``closed_form`` or
-    ``constant`` built, run as ``columnwise`` runs it, or None for any
-    other callable (a wrapper of one included).  Its spec keeps the
-    gradient's as ``curl``."""
-    closed = spec(gradient)
-    if not isinstance(closed, ClosedForm):
-        return None
-    return columnwise(_curl_terms_maker(closed.indices)(closed.formula), closed)
-
-
-def columnwise(terms, curl: Optional[ClosedForm] = None) -> Callable[..., np.ndarray]:
-    """The contracted term ``(coords, u, *args) -> (4,)`` whose four
-    components are ``terms(ops, c, u, *args)``, from the four columns
-    each of the coordinates and of u.
+def columnwise(terms) -> Callable[..., np.ndarray]:
+    """The contracted term ``(coords, u) -> (4,)`` whose four components are
+    ``terms(ops, c, u)``, from the four columns each of the coordinates and of u.
 
     It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
     each, run as ``closed_form`` runs its formula; its spec,
-    ``Contracted(terms, curl=curl)``, runs the terms on four Python
-    floats each, so every way gets the same bits.
+    ``Contracted(terms)``, runs the terms on four Python floats each, so
+    every way gets the same bits.
     """
 
-    def on_arrays(c: np.ndarray, u: np.ndarray, *args) -> np.ndarray:
+    def on_arrays(c: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape)
-        out.T[:] = terms(np, c.T, u.T, *args)
+        out.T[:] = terms(np, c.T, u.T)
         return out
 
-    return with_spec(on_arrays, Contracted(terms, curl=curl))
+    return with_spec(on_arrays, Contracted(terms))
 
 
 def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:

@@ -412,7 +412,8 @@ class _LoneSource:
         """The four components of the contracted term ``fn(c, u)``."""
         contracted = spec(fn)
         if isinstance(contracted, Contracted) and contracted.block is not None:
-            return self.block(contracted.block, name)
+            e, = contracted.args  # e F, entry by entry, as numpy scales it
+            return self.block([[e * a for a in row] for row in contracted.block], name)
         if isinstance(contracted, Contracted) and contracted.curl is not None:
             e = self.bind(name + "_e", *contracted.args)
             lines, rows = curl_source(contracted.curl.indices,
@@ -423,9 +424,7 @@ class _LoneSource:
         self.need("u")
         outs = [f"{name}{n}" for n in range(DIM)]
         if isinstance(contracted, Contracted):
-            args = "".join(f", {self.bind(f'{name}_arg{k}', a)}"
-                           for k, a in enumerate(contracted.args))
-            call = f"{self.bind(name + '_fn', contracted.terms)}(ops, c, u{args})"
+            call = f"{self.bind(name + '_fn', contracted.terms)}(ops, c, u)"
         else:
             call = f"{self.bind(name + '_fn', _on_floats(fn))}(c, u)"
         self.lines.append(f"{', '.join(outs)} = {call}")
@@ -1089,11 +1088,9 @@ def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, 
 
 def _compile_canonical(
     a: VectorPotential, g: MetricField, m: float, e: float, a0: np.ndarray, guard: DomainGuard
-) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-           Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[list], list]]:
-    """(kinetic u of (coords, pi) and dpi/dtau of (coords, u), both on arrays,
-    and the right-hand side of one state (x, pi) held as eight Python
-    floats), shaped once per route.
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[list], list]]:
+    """(kinetic u of (coords, pi) on arrays, and the right-hand side of one
+    state (x, pi) held as eight Python floats), shaped once per route.
 
     The kinetic velocity is u^m = g^mn (pi_n - e (A_n - a0_n)) / m, with
     the potential anchored at its value `a0` at the start event.  On the flat
@@ -1113,7 +1110,8 @@ def _compile_canonical(
     metric-gradient term (its 64 products on floats cost more than the
     einsum on arrays) are called on arrays.  The contraction dA @ u is
     summed in the order of numpy's 4x4 matrix-vector product.  Where
-    Python floats raise, the array law evaluates that event.
+    Python floats raise, the array law, kinetic u and dpi/dtau of
+    (coords, u), evaluates that event.
     """
     def values(coords):
         return a.values_fn(coords) - a0
@@ -1165,7 +1163,7 @@ def _compile_canonical(
         u = kinetic_up(coords, np.array(y[DIM:]))
         return [*u.tolist(), *rate(coords, u).tolist()]
 
-    return kinetic_up, rate, src.function(rate_floats, fallback)
+    return kinetic_up, src.function(rate_floats, fallback)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -1208,7 +1206,7 @@ def minimal_substitution_trajectory(
     e = particle.charge
     guard = g.guard.intersect(a.guard)
     x0 = initial.x.coords
-    kinetic_up, _, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
+    kinetic_up, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
     pi0 = m * (g.matrix_fn(x0) @ initial.u.components)
     tau, state, status, reason = _integrate_engine(
         lambda rows: lone,

@@ -31,7 +31,6 @@ from phasetransport.curvature import christoffel_raw, faraday_field_of
 from phasetransport.fields import (
     AntisymmetricFaraday,
     FaradayField,
-    UniformFaraday,
     axial_magnetic_potential_spherical,
     coulomb_potential,
     matrix_from_eb,
@@ -51,8 +50,15 @@ from phasetransport.tensor import (
     float_probe,
     row_source,
     spec,
+    with_spec,
 )
-from phasetransport.transport import acceleration_terms
+from phasetransport.transport import (
+    IntegratorConfig,
+    PhaseState,
+    _LoneSource,
+    acceleration_terms,
+    integrate,
+)
 
 X_REF = SpacetimeEvent([0.0, 10.0, np.pi / 2, 0.0])
 
@@ -293,7 +299,20 @@ def test_float_matrix_vector_product_has_the_bits_of_numpys():
             assert _bits(_row_sums(a.tolist(), v.tolist())) == _bits(a @ v), (a, v)
 
 
-def _assert_spec_bits(fn, one, x, u=None, tail=()):
+def _float_hazard(y):
+    raise ArithmeticError("Python floats raise here, where the array law takes over")
+
+
+def _lone_term(term):
+    """The contracted `term` of one event ``(x, u)``, four Python floats each,
+    as a lone run's generated right-hand side writes it out from its spec.
+    It raises where Python floats raise."""
+    src = _LoneSource(EVERYWHERE, "u")
+    rhs = src.function(src.term(term, "k"), _float_hazard)
+    return lambda x, u: rhs([*x, *u])[4:]
+
+
+def _assert_spec_bits(fn, one, x, u=None):
     """What the generated right-hand side computes of `fn` at one event `x`
     (and `u`) from its spec has the bits of `fn`'s array result `one` there:
     a closed form's values at its indices, and zeros elsewhere, or a
@@ -308,11 +327,7 @@ def _assert_spec_bits(fn, one, x, u=None, tail=()):
         assert _bits(one[rest]) == _bits(np.zeros(rest.sum())), x
         return
     assert isinstance(given, Contracted), fn
-    if given.block is not None:
-        got = _row_sums(given.block, u.tolist())
-    else:
-        got = given.terms(_MATH_OPS, x.tolist(), u.tolist(), *given.args, *tail)
-    assert _bits(got) == _bits(one), (x, u)
+    assert _bits(_lone_term(fn)(x.tolist(), u.tolist())) == _bits(one), (x, u)
 
 
 def _flat_events(rng, n):
@@ -370,8 +385,8 @@ def test_built_in_specs_have_the_bits_of_their_array_calls(name):
 
 
 def _spec_evaluators():
-    """(events, evaluator, velocity?, trailing arguments) of every built-in
-    evaluator that registers a spec, by name."""
+    """(events, evaluator, velocity?) of every built-in evaluator that
+    registers a spec, by name."""
     potentials = {
         "coulomb": (_flat_events, coulomb_potential(2.0)),
         "coulomb-radial": (_spherical_events, coulomb_potential(2.0, 1)),
@@ -384,23 +399,24 @@ def _spec_evaluators():
         "schwarzschild": (_spherical_events, schwarzschild(1.2)),
         "weak-field": (_flat_events, weak_field(1.2)),
     }
-    cases = {"everywhere.probe": (_flat_events, EVERYWHERE.probe, False, ())}
+    cases = {"everywhere.probe": (_flat_events, EVERYWHERE.probe, False)}
     for name, (events, a) in potentials.items():
-        cases[f"{name}.values_fn"] = (events, a.values_fn, False, ())
-        cases[f"{name}.deriv_fn"] = (events, a.deriv_fn, False, ())
+        cases[f"{name}.values_fn"] = (events, a.values_fn, False)
+        cases[f"{name}.deriv_fn"] = (events, a.deriv_fn, False)
         if a.guard is not EVERYWHERE:
-            cases[f"{name}.probe"] = (events, a.guard.probe, False, ())
+            cases[f"{name}.probe"] = (events, a.guard.probe, False)
     for name, (events, g) in metrics.items():
         for attr in ("matrix_fn", "deriv_fn", "inverse_fn"):
-            cases[f"{name}.{attr}"] = (events, getattr(g, attr), False, ())
-        cases[f"{name}.geodesic_fn"] = (events, g.geodesic_fn, True, ())
+            cases[f"{name}.{attr}"] = (events, getattr(g, attr), False)
+        cases[f"{name}.geodesic_fn"] = (events, g.geodesic_fn, True)
         if g.guard is not EVERYWHERE:
-            cases[f"{name}.probe"] = (events, g.guard.probe, False, ())
+            cases[f"{name}.probe"] = (events, g.guard.probe, False)
     for name, e in (("coulomb", -0.7), ("coulomb-radial", 1.1), ("axial-b", 1.1)):
         events, a = potentials[name]
-        cases[f"{name}.lorentz_fn"] = (events, faraday_field_of(a).lorentz_fn, True, (e,))
+        term = electromagnetic_connection(faraday_field_of(a), e).order0_raw
+        cases[f"{name}.order0_raw"] = (events, term, True)
     both = schwarzschild(1.2).guard.intersect(coulomb_potential(2.0, 1).guard)
-    cases["schwarzschild&coulomb-radial.probe"] = (_spherical_events, both.probe, False, ())
+    cases["schwarzschild&coulomb-radial.probe"] = (_spherical_events, both.probe, False)
     return {name: case for name, case in cases.items() if spec(case[1]) is not None}
 
 
@@ -417,8 +433,8 @@ def test_the_built_in_evaluators_that_must_carry_a_spec_carry_one():
     must |= {f"{name}.probe" for name in ("everywhere", "coulomb", "coulomb-radial",
                                           "schwarzschild", "weak-field",
                                           "schwarzschild&coulomb-radial")}
-    must |= {"uniform.deriv_fn", "minkowski.inverse_fn", "coulomb.lorentz_fn",
-             "coulomb-radial.lorentz_fn", "axial-b.lorentz_fn"}
+    must |= {"uniform.deriv_fn", "minkowski.inverse_fn", "coulomb.order0_raw",
+             "coulomb-radial.order0_raw", "axial-b.order0_raw"}
     assert must <= set(SPEC_EVALUATORS)
     assert "uniform.values_fn" not in SPEC_EVALUATORS
     # an intersection's tests are its two sides' one each; EVERYWHERE has none
@@ -442,14 +458,14 @@ def test_every_built_in_spec_has_the_bits_of_its_array_calls(name):
     # batch, signed zeros, infinities and NaN included; a formula raises
     # only where numpy divides by zero or gives inf or NaN, and a probe's
     # batch gives its first rejected row's reason
-    events, fn, with_u, tail = SPEC_EVALUATORS[name]
+    events, fn, with_u = SPEC_EVALUATORS[name]
     rng = np.random.default_rng(sorted(SPEC_EVALUATORS).index(name))
     coords = _with_specials(events(rng, 300), rng)
     us = _with_specials(np.column_stack([rng.uniform(1, 2, 300), rng.normal(0, 0.4, (300, 3))]),
                         rng)
 
     def args(c, u):
-        return (c, u, *tail) if with_u else (c,)
+        return (c, u) if with_u else (c,)
 
     with np.errstate(all="ignore"):
         if name.endswith(".probe"):
@@ -465,20 +481,37 @@ def test_every_built_in_spec_has_the_bits_of_its_array_calls(name):
             one = fn(*args(x, u))
             assert _bits(row) == _bits(one), (x, u)
             try:
-                _assert_spec_bits(fn, one, x, u, tail)
+                _assert_spec_bits(fn, one, x, u)
             except (ArithmeticError, ValueError):
                 assert _numpy_fails_at(fn, *args(x, u)), (x, u)
 
 
-def test_a_uniform_field_forms_its_block_once():
+def test_a_uniform_lone_run_never_calls_matrix_fn_per_rhs():
+    # the lone right-hand side writes (e F) u out from F's rows, scaled by e
+    # once; on arrays the term evaluates F on each call
     calls = []
     f = uniform_faraday(b_field=[0.0, 0.0, 1.0])
-    counted = dataclasses.replace(f, matrix_fn=lambda c: calls.append(1) or f.matrix_fn(c))
-    assert isinstance(counted, UniformFaraday)
+    counted = dataclasses.replace(f, matrix_fn=with_spec(
+        lambda c: calls.append(1) or f.matrix_fn(c), spec(f.matrix_fn)))
     conn = electromagnetic_connection(counted, 2.0)
-    assert len(calls) == 1
     u = np.array([1.2, 0.3, -0.1, 0.2])
+    initial = PhaseState(0.0, SpacetimeEvent(np.zeros(4)), FourVector(u))
+    traj = integrate(conn, Particle(1.0, 2.0), initial, IntegratorConfig(step=0.1, tau_max=1.0))
+    assert len(traj) == 11
+    assert calls == []
     for _ in range(3):
         assert conn.order0_raw(np.zeros(4), u).tobytes() == ((2.0 * f.matrix_fn(None)) @ u).tobytes()
         assert conn.order0_raw(np.zeros((2, 4)), np.stack([u, u])).shape == (2, 4)
-    assert len(calls) == 1
+    assert len(calls) == 6
+
+
+def test_a_uniform_field_whose_e_f_overflows_builds_without_a_warning():
+    # nothing forms e F when the connection is built; a lone run scales F's
+    # rows by e on floats, to numpy's infinities
+    f = uniform_faraday(b_field=[0.0, 0.0, 1e300])
+    conn = electromagnetic_connection(f, 1e300)
+    u = np.array([1.0, 0.0, 1.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (1e300 * f.matrix_fn(None)) @ u
+    assert np.isinf(want[1]) and np.isnan(want[2])
+    assert _bits(_lone_term(conn.order0_raw)([0.0] * 4, u.tolist())) == _bits(want)

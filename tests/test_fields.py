@@ -28,8 +28,8 @@ from phasetransport.fields import (
     VectorPotential,
     require_antisymmetric,
 )
-from phasetransport.tensor import _MATH_OPS, SpacetimeEvent, spec
-from test_connection import _bits
+from phasetransport.tensor import Contracted, SpacetimeEvent, spec
+from test_connection import _bits, _lone_term
 
 three_vec = st.tuples(*[st.floats(-5, 5) for _ in range(3)])
 
@@ -159,18 +159,21 @@ CLOSED_FORMS = {
 
 
 def _assert_lorentz_bits(potential, coords, u, charges):
-    """The derived term has the bits of (e F) @ u, lone, batched and on floats."""
-    lorentz = faraday_field_of(potential).lorentz_fn
-    terms = spec(lorentz).terms  # as the generated right-hand side calls them
+    """The term has the bits of (e F) @ u, lone, batched and written out on
+    floats from the gradient's formula."""
+    field = faraday_field_of(potential)
+    assert isinstance(spec(field.matrix_fn), Contracted)
     for e in charges:
-        batch = lorentz(coords, u, e)
+        lorentz = electromagnetic_connection(field, e).order0_raw
+        floats = _lone_term(lorentz)  # as the generated right-hand side writes it out
+        batch = lorentz(coords, u)
         for i in range(len(coords)):
-            lone = lorentz(coords[i], u[i], e)
+            lone = lorentz(coords[i], u[i])
             want = (e * faraday_matrix_raw(potential, coords[i])) @ u[i]
             assert lone.tobytes() == want.tobytes(), (coords[i], u[i], e)
             assert batch[i].tobytes() == lone.tobytes(), (coords[i], u[i], e)
-            floats = np.array(terms(_MATH_OPS, coords[i].tolist(), u[i].tolist(), e))
-            assert floats.tobytes() == lone.tobytes(), (coords[i], u[i], e)
+            written = np.array(floats(coords[i].tolist(), u[i].tolist()))
+            assert written.tobytes() == lone.tobytes(), (coords[i], u[i], e)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
@@ -202,12 +205,12 @@ def test_a_gradient_without_its_closed_form_falls_back_to_the_matrix_path():
     user = VectorPotential(lambda c: np.array([0.0, c[2], -c[1], 0.0]) / 2,
                            deriv_fn=lambda c: np.array([[0.0] * 4, [0.0, 0.0, -0.5, 0.0],
                                                         [0.0, 0.5, 0.0, 0.0], [0.0] * 4]))
-    assert faraday_field_of(coulomb).lorentz_fn is not None
+    assert spec(faraday_field_of(coulomb).matrix_fn) is not None
     rng = np.random.default_rng(5)
     coords, u = _cartesian_events(rng, 100), _velocities(rng, 100)
     for potential in (wrapped, user):
         field = faraday_field_of(potential)
-        assert field.lorentz_fn is None
+        assert spec(field.matrix_fn) is None
         k0 = electromagnetic_connection(field, -0.7).order0_raw
         for x, v in zip(coords, u):
             want = (-0.7 * faraday_matrix_raw(potential, x)) @ v
@@ -217,32 +220,39 @@ def test_a_gradient_without_its_closed_form_falls_back_to_the_matrix_path():
     assert derived(coords, u).tobytes() == fallback(coords, u).tobytes()
 
 
-@pytest.mark.parametrize("name", ["zero", "uniform"])
+@pytest.mark.parametrize("name", ["zero", "uniform", "uniform-eb"])
 def test_a_constant_gradient_derives_a_lorentz_term_with_the_matrix_paths_bits(name):
     # every entry of a constant gradient is bound as it is, so the derived
     # term keeps the signs of its zeros: B = (-0.7, 0.4, -1.2) gives the
     # gradient 0.5 (B x e_i) entries of -0.0, and the term has the bits of
-    # e (dA - dA^T) @ u on signed zeros, infinities and NaN
-    if name == "zero":
-        potential = zero_potential()
+    # e (dA - dA^T) @ u on signed zeros, infinities and NaN.  A uniform F's
+    # rows are scaled by e on floats as numpy scales them: this F has
+    # entries of -0.0 and 1e300, so e = 1e300 overflows some of e F to inf
+    if name == "uniform-eb":
+        field = uniform_faraday([0.3, 0.0, -0.1], [-0.7, 1e300, -1.2])
+        f = field.matrix_fn(np.zeros(4))
+        assert np.any((f == 0.0) & np.signbit(f)) and np.max(f) == 1e300
     else:
-        potential = uniform_field_potential([0.3, -0.1, 0.0], [-0.7, 0.4, -1.2])
-        grad = potential.deriv_fn(np.zeros(4))
-        assert np.any((grad == 0.0) & np.signbit(grad))
-    lorentz = faraday_field_of(potential).lorentz_fn
-    assert lorentz is not None
-    terms = spec(lorentz).terms
+        if name == "zero":
+            potential = zero_potential()
+        else:
+            potential = uniform_field_potential([0.3, -0.1, 0.0], [-0.7, 0.4, -1.2])
+            grad = potential.deriv_fn(np.zeros(4))
+            assert np.any((grad == 0.0) & np.signbit(grad))
+        field = faraday_field_of(potential)
+    assert isinstance(spec(field.matrix_fn), Contracted)
     rng = np.random.default_rng(len(name))
     coords, u = _cartesian_events(rng, 200), _velocities(rng, 200)
     for special in (-0.0, math.inf, -math.inf, math.nan):
         rows = rng.choice(200, 20, replace=False)
         u[rows, rng.integers(0, 4, 20)] = special
-    with np.errstate(invalid="ignore"):
-        for e in (1.0, -0.7, 0.0, -0.0):
-            batch = lorentz(coords, u, e)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for e in (1.0, -0.7, 0.0, -0.0, 1e300):
+            lorentz = electromagnetic_connection(field, e).order0_raw
+            floats = _lone_term(lorentz)
+            batch = lorentz(coords, u)
             for i in range(len(coords)):
-                want = _bits((e * faraday_matrix_raw(potential, coords[i])) @ u[i])
-                assert _bits(lorentz(coords[i], u[i], e)) == want, (u[i], e)
+                want = _bits((e * field.matrix_fn(coords[i])) @ u[i])
+                assert _bits(lorentz(coords[i], u[i])) == want, (u[i], e)
                 assert _bits(batch[i]) == want, (u[i], e)
-                floats = terms(_MATH_OPS, coords[i].tolist(), u[i].tolist(), e)
-                assert _bits(floats) == want, (u[i], e)
+                assert _bits(floats(coords[i].tolist(), u[i].tolist())) == want, (u[i], e)

@@ -12,6 +12,7 @@ from phasetransport.curvature import faraday_field_of
 from phasetransport.errors import IncompatibleChecker, ValidationError
 from phasetransport.report import CSV_COLUMNS, check, emit, run
 from phasetransport.scenarios import builtin_text, load_builtin, load_scenario
+from phasetransport.tensor import spec
 from phasetransport.transport import Trajectory, minimal_substitution_trajectory
 
 
@@ -255,9 +256,10 @@ tau_max = 20.0
 def test_spherical_coulomb_closed_form_runs_with_the_generic_fields_bits():
     # no built-in puts a coulomb field on the spherical chart; this one does
     scn = load_scenario(SPHERICAL_COULOMB)
-    assert scn.faraday.lorentz_fn is not None
+    assert spec(scn.faraday.matrix_fn) is not None
     closed = run(scn)
-    generic_field = dataclasses.replace(scn.faraday, lorentz_fn=None)
+    # a wrapper keeps no spec: its lone run builds F on arrays
+    generic_field = dataclasses.replace(scn.faraday, matrix_fn=lambda c: scn.faraday.matrix_fn(c))
     generic = run(dataclasses.replace(scn, faraday=generic_field))
     assert closed.status == generic.status == "completed"
     assert emit(closed, "csv") == emit(generic, "csv")

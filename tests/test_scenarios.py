@@ -16,6 +16,7 @@ from phasetransport.scenarios import (
     solve_time_component,
 )
 from phasetransport.metrics import schwarzschild
+from phasetransport.tensor import spec
 
 
 def test_minimal_document_is_a_free_particle():
@@ -258,9 +259,10 @@ def test_uniform_field_requires_cartesian_chart():
 
 
 def test_coulomb_and_axial_fields_carry_their_closed_form_lorentz_terms():
-    # the uniform field keeps its constant block; the other two give (e F) u directly
-    fields = {name: load_builtin(name).faraday for name in
-              ("cyclotron", "coulomb", "combined-schwarzschild-B")}
-    assert fields["cyclotron"].lorentz_fn is None
-    assert fields["coulomb"].lorentz_fn is not None
-    assert fields["combined-schwarzschild-B"].lorentz_fn is not None
+    # F's spec: the uniform field's constant rows; the other two the closed
+    # form of the gradient whose curl F is, from which (e F) u is written out
+    specs = {name: spec(load_builtin(name).faraday.matrix_fn) for name in
+             ("cyclotron", "coulomb", "combined-schwarzschild-B")}
+    assert specs["cyclotron"].block is not None
+    assert specs["coulomb"].curl is not None
+    assert specs["combined-schwarzschild-B"].curl is not None

@@ -48,6 +48,7 @@ from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
 from phasetransport.tensor import (
     EVERYWHERE,
     DomainGuard,
+    FlatMetric,
     FourVector,
     MetricField,
     SpacetimeEvent,
@@ -624,7 +625,8 @@ def test_geodesic_law_on_a_built_in_chart_evaluates_no_inverse_and_no_gradient(c
 
 @pytest.mark.parametrize("field", ["coulomb", "axial-b"])
 def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
-    # the closed form gives (e F) u directly: neither dA nor F is evaluated
+    # a lone run writes (e F) u out from F's spec: neither dA nor F is
+    # evaluated; a batch builds F on arrays, with the lone run's bits
     calls = []
     if field == "coulomb":
         potential, gravity = coulomb_potential(2.0), None
@@ -634,10 +636,11 @@ def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
         potential = axial_magnetic_potential_spherical(1e-3)
         gravity = gravitational_connection(schwarzschild(1.0))
         initial = bound_orbit_state(1.0, 18.0, 22.0)
-    lorentz = faraday_field_of(potential).lorentz_fn
-    potential = dataclasses.replace(potential, deriv_fn=counting(potential.deriv_fn, calls))
+    potential = dataclasses.replace(potential, deriv_fn=with_spec(
+        counting(potential.deriv_fn, calls), spec(potential.deriv_fn)))
     f = faraday_field_of(potential)
-    f = dataclasses.replace(f, lorentz_fn=lorentz, matrix_fn=counting(f.matrix_fn, calls))
+    f = dataclasses.replace(f, matrix_fn=with_spec(counting(f.matrix_fn, calls),
+                                                   spec(f.matrix_fn)))
 
     def law(f):
         em = electromagnetic_connection(f, 1.0)
@@ -646,13 +649,15 @@ def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
     particle = Particle(1.0, 1.0)
     for cfg in (IntegratorConfig(step=0.5, tau_max=5.0),
                 IntegratorConfig(method="rk45-adaptive", step=0.5, tau_max=5.0)):
-        assert integrate(law(f), particle, initial, cfg).status == "completed"
+        calls.clear()
+        lone = integrate(law(f), particle, initial, cfg)
+        assert lone.status == "completed"
+        assert calls == []
         batch = integrate_batch(law(f), particle, [initial] * 2, [cfg] * 2)
-        assert [t.status for t in batch] == ["completed"] * 2
-    assert calls == []
-    # the counters see the field strength being built where it is built
-    integrate(law(dataclasses.replace(f, lorentz_fn=None)), particle, initial, cfg)
-    assert len(calls) > 0
+        for row in batch:
+            assert_same_bits(row, lone)
+        # the counters see the field strength being built where it is built
+        assert len(calls) > 0
 
 
 def test_geodesic_run_without_closed_forms_lands_near_the_closed_form_run():
@@ -1260,7 +1265,13 @@ def test_canonical_lone_rhs_has_the_bits_of_its_array_law_on_special_states(name
     e = scn.particle.charge if charge is None else charge
     guard = g.guard.intersect(a.guard)
     x0 = scn.initial.x.coords
-    kinetic_up, rate, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
+    kinetic_up, lone = _compile_canonical(a, g, m, e, a.values_fn(x0), guard)
+
+    def rate(coords, u):  # dpi/dtau = (m/2) g_ab,s u^a u^b + e A_a,s u^a on arrays
+        if isinstance(g, FlatMetric):  # where dg is zero
+            return np.zeros(4) if e == 0.0 else e * (a.deriv_fn(coords) @ u)
+        gravity = 0.5 * m * np.einsum("abs,a,b->s", g.deriv_fn(coords), u, u)
+        return gravity if e == 0.0 else gravity + e * (a.deriv_fn(coords) @ u)
 
     def reference(y):  # the route's law on arrays, in the force route's shell
         why = guard.probe(y[:4])
@@ -1332,8 +1343,8 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
     # the closed Coulomb form, here without its guard, divides 0 by 0 at the
     # origin: Python floats raise where numpy gives NaN, so the lone run takes
     # numpy's NaN there and fails where its batch row fails
-    coulomb = faraday_field_of(coulomb_potential(1.0))
-    field = FaradayField(coulomb.matrix_fn, name="unguarded", lorentz_fn=coulomb.lorentz_fn)
+    field = dataclasses.replace(faraday_field_of(coulomb_potential(1.0)), guard=EVERYWHERE,
+                                name="unguarded")
     conn = electromagnetic_connection(field, 1.0)
     cfg = IntegratorConfig(step=0.1, tau_max=1.0)
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
