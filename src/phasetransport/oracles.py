@@ -5,14 +5,15 @@ textbook relativistic kinematics (gyration, crossed-field drift), exact
 central-orbit quadratures reduced to complete elliptic integrals, and
 the leading-order apsidal-advance formula.  Geometric units, c = 1.
 
-Only the two quadratures, `apsidal_advance_exact` and
-`radial_period_proper`, use scipy; each imports it at its first call,
-so importing this module does not.
+The two quadratures, `apsidal_advance_exact` and `radial_period_proper`,
+are trapezoidal sums over a period on Python floats, so the module needs
+`math` and numpy only.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -178,28 +179,42 @@ def _cubic_roots(mass: float, r_peri: float, r_apo: float) -> tuple[float, float
     return u_a, u_p, u_3
 
 
+def _periodic_quadrature(integrand: Callable[[float], float]) -> float:
+    """Integral of integrand(sin^2 psi) over psi from 0 to pi/2.
+
+    integrand(sin^2 psi) is pi-periodic and even, so the integral is half
+    its trapezoidal sum over one period, and for a smooth integrand that
+    sum converges geometrically (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385).  The n nodes double from 8, each new sum the mean of the
+    last and the midpoint sum on its grid, until two agree to 1e-14
+    relative; past 2**16 nodes the quadrature has failed to converge.
+    """
+    n = 8
+    total = math.fsum(integrand(math.sin(k * math.pi / n) ** 2) for k in range(n)) / n
+    while n < 2**16:
+        mid = math.fsum(integrand(math.sin((k + 0.5) * math.pi / n) ** 2) for k in range(n)) / n
+        last, total, n = total, 0.5 * (total + mid), 2 * n
+        if abs(total - last) <= 1e-14 * abs(total):
+            return 0.5 * math.pi * total
+    raise RuntimeError(f"periodic quadrature failed to converge in {n} nodes")
+
+
 def apsidal_advance_exact(mass: float, r_peri: float, r_apo: float) -> float:
     """Azimuth swept between successive perihelia minus 2*pi, exact.
 
     The orbit quadrature d(phi)/du = L / sqrt(E^2 - (1-2Mu)(1+L^2 u^2))
     has turning-point singularities; u = u_a + (u_p - u_a) sin^2(psi)
-    removes them, leaving a smooth integrand handled by adaptive
-    quadrature.  Cross-checked against the complete-elliptic-integral
-    closed form (see apsidal_advance_circular_limit for the r_p -> r_a
-    reduction).
+    removes them, leaving a smooth periodic integrand for
+    `_periodic_quadrature`.  Cross-checked against the
+    complete-elliptic-integral closed form (see
+    apsidal_advance_circular_limit for the r_p -> r_a reduction).
     """
-    from scipy.integrate import quad
-
     u_a, u_p, u_3 = _cubic_roots(mass, r_peri, r_apo)
 
-    def integrand(psi: float) -> float:
-        u = u_a + (u_p - u_a) * math.sin(psi) ** 2
-        return 4.0 / math.sqrt(2.0 * mass * (u_3 - u))
+    def integrand(sin2: float) -> float:
+        return 4.0 / math.sqrt(2.0 * mass * (u_3 - u_a - (u_p - u_a) * sin2))
 
-    total, err = quad(integrand, 0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-13)
-    if err > 1e-9:
-        raise RuntimeError(f"orbit quadrature failed to converge (err {err:.2e})")
-    return total - 2.0 * math.pi
+    return _periodic_quadrature(integrand) - 2.0 * math.pi
 
 
 def apsidal_advance_elliptic(mass: float, r_peri: float, r_apo: float) -> float:
@@ -228,19 +243,14 @@ def apsidal_advance_circular_limit(mass: float, radius: float) -> float:
 
 def radial_period_proper(mass: float, r_peri: float, r_apo: float) -> float:
     """Proper time between successive perihelion passages, exact quadrature."""
-    from scipy.integrate import quad
-
     u_a, u_p, u_3 = _cubic_roots(mass, r_peri, r_apo)
     _, ang_mom = bound_orbit_constants(mass, r_peri, r_apo)
 
-    def integrand(psi: float) -> float:
-        u = u_a + (u_p - u_a) * math.sin(psi) ** 2
+    def integrand(sin2: float) -> float:
+        u = u_a + (u_p - u_a) * sin2
         return 4.0 / (u * u * ang_mom * math.sqrt(2.0 * mass * (u_3 - u)))
 
-    total, err = quad(integrand, 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12)
-    if err > 1e-7:
-        raise RuntimeError(f"period quadrature failed to converge (err {err:.2e})")
-    return total
+    return _periodic_quadrature(integrand)
 
 
 # ---------------------------------------------------------------------------

@@ -105,19 +105,40 @@ def _unwrapped_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.unwrap(np.arctan2(y, x))
 
 
-def _radial_extrema(tau: np.ndarray, r: np.ndarray):
-    """Proper times of interior minima and maxima of r(tau) via spline roots.
+def _hermite(k: np.ndarray, s: np.ndarray, tau: np.ndarray, y: np.ndarray, v: np.ndarray):
+    """Cubic Hermite interpolant of samples y with exact tau-derivatives v,
+    at fraction s of each step [tau_k, tau_k+1]."""
+    h = tau[k + 1] - tau[k]
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y[k] + s * (1.0 - s) ** 2 * h * v[k]
+            + s * s * (3.0 - 2.0 * s) * y[k + 1] - s * s * (1.0 - s) * h * v[k + 1])
 
-    scipy is imported here, at the first call, not with the package.
+
+def _radial_extrema(tau: np.ndarray, r: np.ndarray, ur: np.ndarray):
+    """Minima and maxima of r(tau) from the samples of r and u^r.
+
+    On each step where u^r changes sign, or is exactly zero at the step's
+    left end (as at a periapsis start), the derivative of the cubic
+    Hermite interpolant of (r, u^r) is a quadratic in the step fraction s
+    with exactly one root in [0, 1], solved in closed form.  Returns the
+    step index k and fraction s of each extremum, and whether it is a
+    minimum (u^r turns from negative to positive).
     """
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(tau, r)
-    crit = spline.derivative().roots(extrapolate=False)
-    curv = spline.derivative(2)(crit)
-    minima = crit[curv > 0]
-    maxima = crit[curv < 0]
-    return spline, minima, maxima
+    v0, v1 = ur[:-1], ur[1:]
+    k = np.flatnonzero((v0 == 0.0) & (v1 != 0.0) | (v0 < 0.0) & (v1 > 0.0)
+                       | (v0 > 0.0) & (v1 < 0.0))
+    h = tau[k + 1] - tau[k]
+    hv0, hv1, d = h * v0[k], h * v1[k], r[k + 1] - r[k]
+    # d(hermite)/ds = a s^2 + b s + c
+    a = 3.0 * (hv0 + hv1) - 6.0 * d
+    b = 6.0 * d - 4.0 * hv0 - 2.0 * hv1
+    c = hv0
+    # the two roots without cancellation: c / q, and q / a unless a = 0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    small = np.divide(c, q, out=np.zeros_like(q), where=q != 0.0)
+    large = np.divide(q, a, out=np.full_like(q, np.inf), where=a != 0.0)
+    # the one in [0, 1] is the nearer to it, whatever the rounding
+    nearer = np.abs(small - np.clip(small, 0.0, 1.0)) <= np.abs(large - np.clip(large, 0.0, 1.0))
+    return k, np.clip(np.where(nearer, small, large), 0.0, 1.0), v1[k] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +218,19 @@ def _measure_precession(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     mass = float(scn.parameters["metric"]["mass"])
     if mass <= 0 or scn.chart != "spherical":
         raise ValidationError("precession oracle needs a massive spherical-chart metric")
-    tau, coords, _ = _arrays(traj)
-    spline_r, minima, maxima = _radial_extrema(tau, coords[:, 1])
-    if len(minima) < 2:
+    tau, coords, u = _arrays(traj)
+    k, s, minimum = _radial_extrema(tau, coords[:, 1], u[:, 1])
+    if np.count_nonzero(minimum) < 2:
         raise ValidationError("trajectory too short to measure an apsidal advance")
-    from scipy.interpolate import CubicSpline
-
-    phi_spline = CubicSpline(tau, coords[:, 3])
-    phi_at_min = phi_spline(minima)
-    n_gaps = len(minima) - 1
+    r_at = _hermite(k, s, tau, coords[:, 1], u[:, 1])
+    kmin, smin = k[minimum], s[minimum]
+    phi_at_min = _hermite(kmin, smin, tau, coords[:, 3], u[:, 3])
+    n_gaps = len(kmin) - 1
     advance = (phi_at_min[-1] - phi_at_min[0]) / n_gaps - 2.0 * math.pi
 
-    r_peri = float(np.median(spline_r(minima)))
-    r_apo = float(np.median(spline_r(maxima))) if len(maxima) else float(np.max(coords[:, 1]))
+    r_peri = float(np.median(r_at[minimum]))
+    maximum = ~minimum
+    r_apo = float(np.median(r_at[maximum])) if maximum.any() else float(np.max(coords[:, 1]))
     leading = oracles.apsidal_advance_leading_order(mass, r_peri, r_apo)
     init = scn.parameters["initial"]
     exact = oracles.apsidal_advance_exact(
@@ -219,24 +240,21 @@ def _measure_precession(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     summary["precession_orbits"] = n_gaps
     summary["precession_error"] = abs(advance - leading) / leading
     summary["precession_exact_error"] = abs(advance - exact) / exact
-    summary["radial_period_measured"] = float(np.mean(np.diff(minima)))
+    tau_at_min = tau[kmin] + smin * (tau[kmin + 1] - tau[kmin])
+    summary["radial_period_measured"] = float(np.mean(np.diff(tau_at_min)))
 
 
 def _measure_newtonian(scn: Scenario, traj: Trajectory, summary: dict) -> None:
     mass = float(scn.parameters["metric"]["mass"])
     if mass <= 0 or scn.chart != "cartesian":
         raise ValidationError("newtonian-force oracle needs a massive Cartesian-chart metric")
-    from scipy.interpolate import CubicSpline
-
     forces = coordinate_force(traj, scn.particle)
     _, coords, _ = _arrays(traj)
-    pos_spline = CubicSpline(coords[:, 0], coords[:, 1:])
-    grid_t = np.array([t for t, _ in forces])
-    grid_f = np.array([f for _, f in forces])
-    lo, hi = len(grid_t) // 10, len(grid_t) - len(grid_t) // 10
+    lo, hi = len(forces) // 10, len(forces) - len(forces) // 10
     worst = 0.0
-    for t, f in zip(grid_t[lo:hi], grid_f[lo:hi]):
-        expected = oracles.newtonian_acceleration(mass, pos_spline(t))
+    for (t, f), position in zip(forces[lo:hi], coords[lo:hi, 1:]):
+        # the force at a sample against the acceleration at its own position
+        expected = oracles.newtonian_acceleration(mass, position)
         scale = np.linalg.norm(expected)
         if not (np.isfinite(scale) and scale > 0.0):
             # an error relative to it would be NaN, which max() drops

@@ -1059,26 +1059,20 @@ def geodesic_integrate(
 
 
 def coordinate_force(traj: Trajectory, particle: Particle) -> list[tuple[float, np.ndarray]]:
-    """d(m u^i)/dt along `traj` on a uniform coordinate-time grid.
+    """d(m u^i)/dt along `traj`, at each sample's own coordinate time.
 
     Since u^i equals gamma v^i, this is the coordinate force familiar
-    from the low-velocity limit.  The samples are resampled onto a
-    uniform grid in t with a cubic spline, then differenced (central in
-    the interior, one-sided second order at the ends).  scipy's spline is
-    imported at the first call, not with the package.
+    from the low-velocity limit.  The momenta are differenced against the
+    samples' coordinate times, which need not be evenly spaced: central
+    second order in the interior, one-sided second order at the ends.
     """
-    from scipy.interpolate import CubicSpline
-
-    if len(traj) < 4:
-        raise ValueError("need at least four samples for cubic resampling")
+    if len(traj) < 3:
+        raise ValueError("need at least three samples for second-order differences")
     t, u = traj.state[:, 0], traj.state[:, DIM + 1:]
     if np.any(np.diff(t) <= 0):
         raise NonMonotoneTime("coordinate time is not strictly increasing")
-    momenta = particle.mass * u
-    grid = np.linspace(t[0], t[-1], len(t))
-    resampled = CubicSpline(t, momenta, axis=0)(grid)
-    force = np.gradient(resampled, grid[1] - grid[0], axis=0)
-    return [(float(tc), force[i]) for i, tc in enumerate(grid)]
+    force = np.gradient(particle.mass * u, t, axis=0, edge_order=2)
+    return [(float(tc), force[i]) for i, tc in enumerate(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ DIGESTS = {
     "exb-drift": ("bc367cbd5fbd", "6a4a8cbf481c"),
     "coulomb": ("c4f628cfdaca", "4fb67d58739f"),
     "schwarzschild-circular": ("be0af0eab2dc", "9f61dddd45c1"),
-    "schwarzschild-precession": ("b4370af892a0", "ad6ded4fc20a"),
-    "weak-field-newtonian": ("0ec294239dd3", "e2e8adedc061"),
+    "schwarzschild-precession": ("b4370af892a0", "6dfec6856974"),
+    "weak-field-newtonian": ("0ec294239dd3", "807d066e5c58"),
     "combined-schwarzschild-B": ("a0cd6e0222d6", "29c008f524a8"),
 }
 

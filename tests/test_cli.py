@@ -610,7 +610,7 @@ from phasetransport import cli
 loaded = ["scipy" in sys.modules]
 for argv in (["list-scenarios"], ["run", "cyclotron"], ["run", "coulomb"],
              ["check", "cyclotron", "--checker", "minimal-substitution"],
-             ["run", "schwarzschild-precession"]):
+             ["run", "schwarzschild-precession"], ["run", "weak-field-newtonian"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     loaded.append("scipy" in sys.modules)
@@ -618,16 +618,16 @@ print(loaded)
 """
 
 
-def test_only_the_oracles_that_need_scipy_import_it():
+def test_no_command_imports_scipy():
     proc = _child("-c", SCIPY_PROBE)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # the precession oracle's splines are the first to need it
-    assert proc.stdout == f"{[False] * 5 + [True]}\n"
+    # the apsides, the Newtonian force and both quadratures need numpy and math only
+    assert proc.stdout == f"{[False] * 7}\n"
 
 
-def test_two_threads_first_importing_scipy_at_once_write_what_one_does(tmp_path):
-    # two groups on the pool's threads, each reaching its oracle's first
-    # scipy import in a fresh interpreter
+def test_two_threads_running_the_two_curved_oracles_write_what_one_does(tmp_path):
+    # the precession and Newtonian-force groups on the pool's threads, in a
+    # fresh interpreter, against the same run on one thread
     names = ("schwarzschild-precession", "weak-field-newtonian")
     out = {}
     for jobs in ("1", "2"):

@@ -1,6 +1,6 @@
 """Internal consistency of the closed-form reference solutions.
 
-Where two independent routes to the same number exist (adaptive
+Where two independent routes to the same number exist (trapezoidal
 quadrature vs. complete elliptic integral for the apsidal advance),
 they are required to agree far below the tolerances used elsewhere.
 """
@@ -93,6 +93,21 @@ def test_apsidal_advance_two_routes_agree():
     elliptic = oracles.apsidal_advance_elliptic(1.0, 18.0, 22.0)
     np.testing.assert_allclose(quad, 1.2432620006629547, rtol=1e-13)
     np.testing.assert_allclose(elliptic, quad, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_peri=st.floats(6.5, 40.0), ecc=st.floats(0.0, 0.95))
+def test_apsidal_advance_quadrature_matches_the_elliptic_route(r_peri, ecc):
+    r_apo = r_peri * (1.0 + ecc) / (1.0 - ecc)
+    np.testing.assert_allclose(oracles.apsidal_advance_exact(1.0, r_peri, r_apo),
+                               oracles.apsidal_advance_elliptic(1.0, r_peri, r_apo), rtol=1e-12)
+
+
+def test_periodic_quadrature_raises_on_a_kinked_integrand():
+    # |sin psi - 1/2| has a kink at psi = pi/6, where the trapezoidal rule
+    # converges only as n^-2 and cannot reach 1e-14 in 2**16 nodes
+    with pytest.raises(RuntimeError):
+        oracles._periodic_quadrature(lambda sin2: abs(math.sqrt(sin2) - 0.5))
 
 
 def test_apsidal_advance_circular_limit_agrees_with_nearly_circular_orbit():
