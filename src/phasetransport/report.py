@@ -80,10 +80,6 @@ def _plain(value):
     return value
 
 
-def _rows(traj: Trajectory) -> list[list[float]]:
-    return np.column_stack([traj.tau, traj.state, traj.norm_residual]).tolist()
-
-
 def _arrays(traj: Trajectory):
     """(tau, coords, u) columns of a trajectory."""
     return traj.tau, traj.state[:, :DIM], traj.state[:, DIM:]
@@ -523,14 +519,31 @@ def check(scenario: Scenario, checker: str) -> RunReport:
 # emission
 
 
+# rows per `%` template: a chunk's floats are the only per-row Python objects
+_CHUNK = 1024
+
+
+def _table(traj: Trajectory, a: int = 0, b: Optional[int] = None) -> np.ndarray:
+    """Rows a:b of the emitted columns ``(n, 10)``."""
+    return np.column_stack([traj.tau[a:b], traj.state[a:b], traj.norm_residual[a:b]])
+
+
+def _chunks(traj: Trajectory, row: str, sep: str) -> list[str]:
+    """The samples through the template `row` of one row's ten floats,
+    joined by `sep`: one string per `_CHUNK` rows, from one `%` each."""
+    chunks = []
+    for a in range(0, len(traj), _CHUNK):
+        block = _table(traj, a, a + _CHUNK)
+        chunks.append(sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+    return chunks
+
+
 def _csv_text(report: RunReport) -> str:
+    """The header, then one line per sample, each float as ``%.17g``."""
     if report.samples is None:
         raise ValidationError("report has no samples to write as CSV")
-    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS))
-    lines = [",".join(CSV_COLUMNS)]
-    for row in _rows(report.samples):
-        lines.append(row_format % tuple(row))
-    return "\n".join(lines) + "\n"
+    row = "\n" + ",".join(["%.17g"] * len(CSV_COLUMNS))
+    return "".join([",".join(CSV_COLUMNS), *_chunks(report.samples, row, ""), "\n"])
 
 
 _ROWS_MARK = "rows are spliced in here"
@@ -543,24 +556,28 @@ def _json_text(report: RunReport) -> str:
 
     The rows are the bulk of the text, and an indenting dump runs
     json's pure-Python encoder; a ``%r`` template gives the same bytes
-    for floats.  Anything json spells otherwise (nan, inf, numpy
-    scalars: all contain an "n") falls back to json for the rows.
+    for floats, a chunk of rows at a time, and the text is one join of
+    json's dump around the chunks.  A chunk that holds what json spells
+    otherwise (nan, inf: both contain an "n") sends all the rows through
+    json, as does a report without rows.
     """
-    rows = _rows(report.samples) if report.samples is not None else []
     payload = {
         "scenario": report.scenario,
         "status": report.status,
         "columns": list(CSV_COLUMNS),
-        "rows": rows,
+        "rows": _ROWS_MARK,
         "summary": report.summary,
     }
-    body = ",\n".join(_JSON_ROW % tuple(row) for row in rows)
-    if not rows or "n" in body:
+    traj = report.samples
+    chunks = [] if traj is None else _chunks(traj, _JSON_ROW, ",\n")
+    if not chunks or any("n" in chunk for chunk in chunks):
+        payload["rows"] = [] if traj is None else _table(traj).tolist()
         return json.dumps(payload, indent=2) + "\n"
-    payload["rows"] = _ROWS_MARK
-    text = json.dumps(payload, indent=2)
-    mark = '\n  "rows": ' + json.dumps(_ROWS_MARK)
-    return text.replace(mark, '\n  "rows": [\n' + body + "\n  ]", 1) + "\n"
+    head, _, tail = json.dumps(payload, indent=2).partition(
+        '\n  "rows": ' + json.dumps(_ROWS_MARK))
+    rows = [",\n"] * (2 * len(chunks) - 1)
+    rows[::2] = chunks
+    return "".join([head, '\n  "rows": [\n', *rows, "\n  ]", tail, "\n"])
 
 
 def emit(report: RunReport, format: str = "csv", destination=None) -> str:

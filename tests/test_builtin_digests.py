@@ -1,9 +1,9 @@
 """The built-in scenarios' output, pinned to the bit.
 
-Each built-in's CSV and run summary hash to the first 12 hex digits of
-sha256 that ``scripts/run_builtin_suite.py`` prints for them.  A change
-to the stepper, the law or a closed form that moves one bit of a run
-fails here.  The pins hold for numpy's float64 arithmetic with the
+Each built-in's CSV, run summary and run JSON hash to the first 12 hex
+digits of sha256 that ``scripts/run_builtin_suite.py`` prints for them.
+A change to the stepper, the law, a closed form or an emitter that moves
+one bit of a run fails here.  The pins hold for numpy's float64 arithmetic with the
 OpenBLAS it ships (0.3.31, x86-64): a BLAS that sums a 4x4
 matrix-vector product in another order moves them without being wrong.
 
@@ -36,16 +36,16 @@ from phasetransport.scenarios import BUILTIN_NAMES, load_builtin, solve_time_com
 from phasetransport.tensor import FourVector, SpacetimeEvent
 from phasetransport.transport import IntegratorConfig, PhaseState, minimal_substitution_trajectory
 
-#: built-in -> (csv sha256, summary sha256), 12 hex digits each
+#: built-in -> (csv sha256, summary sha256, run-json sha256), 12 hex digits each
 DIGESTS = {
-    "free": ("6687c1350b04", "65ea6a64c75f"),
-    "cyclotron": ("15e8e38b20d8", "c9766f2512f5"),
-    "exb-drift": ("bc367cbd5fbd", "6a4a8cbf481c"),
-    "coulomb": ("c4f628cfdaca", "4fb67d58739f"),
-    "schwarzschild-circular": ("be0af0eab2dc", "9f61dddd45c1"),
-    "schwarzschild-precession": ("b4370af892a0", "6dfec6856974"),
-    "weak-field-newtonian": ("0ec294239dd3", "807d066e5c58"),
-    "combined-schwarzschild-B": ("a0cd6e0222d6", "29c008f524a8"),
+    "free": ("6687c1350b04", "65ea6a64c75f", "39e6546c24ff"),
+    "cyclotron": ("15e8e38b20d8", "c9766f2512f5", "7fa73c4c8ebb"),
+    "exb-drift": ("bc367cbd5fbd", "6a4a8cbf481c", "83a903a8d0d0"),
+    "coulomb": ("c4f628cfdaca", "4fb67d58739f", "1fbae783da6f"),
+    "schwarzschild-circular": ("be0af0eab2dc", "9f61dddd45c1", "13d717c85176"),
+    "schwarzschild-precession": ("b4370af892a0", "6dfec6856974", "96bb0d841fe1"),
+    "weak-field-newtonian": ("0ec294239dd3", "807d066e5c58", "23e1ec1129f8"),
+    "combined-schwarzschild-B": ("a0cd6e0222d6", "29c008f524a8", "186b76614ffd"),
 }
 
 
@@ -59,8 +59,10 @@ def test_every_built_in_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_built_in_csv_and_summary_keep_their_digests(name):
+    # the run JSON is pinned with them: its rows are written by a template of their own
     rep = run(load_builtin(name))
-    assert (short_sha256(emit(rep, "csv")), short_sha256(json.dumps(rep.summary))) == DIGESTS[name]
+    assert (short_sha256(emit(rep, "csv")), short_sha256(json.dumps(rep.summary)),
+            short_sha256(emit(rep, "json"))) == DIGESTS[name]
 
 
 #: (built-in, checker) -> its check's summary sha256, 12 hex digits, for

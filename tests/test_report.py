@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,64 @@ def test_json_rows_template_gives_the_bytes_of_json_dumps():
         rep, samples=Trajectory(first.tau, first.state, residual, first.energy))
     assert emit(odd, "json") == _json_reference(odd)
     assert "NaN" in emit(odd, "json")
+
+
+def _csv_reference(rep) -> str:
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS))
+    lines = [",".join(CSV_COLUMNS)]
+    for s in rep.samples:
+        lines.append(row % (s.state.tau, *s.state.x.coords, *s.state.u.components,
+                            s.norm_residual))
+    return "\n".join(lines) + "\n"
+
+
+def _with_rows(rep, n):
+    return dataclasses.replace(rep, samples=rep.samples[:n])
+
+
+@pytest.fixture(scope="module")
+def cyclotron_report():
+    rep = run(load_builtin("cyclotron"))
+    assert len(rep.samples) > 2 * report._CHUNK + 1
+    return rep
+
+
+@pytest.mark.parametrize("chunks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_chunked_emission_gives_the_bytes_of_a_row_at_a_time(cyclotron_report, chunks, extra):
+    n = chunks * report._CHUNK + extra
+    cut = _with_rows(cyclotron_report, n)
+    text = emit(cut, "csv")
+    assert text == _csv_reference(cut)
+    # one line per row and the header: without rows, exactly the header line
+    assert text.count("\n") == n + 1
+    assert emit(cut, "json") == _json_reference(cut)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_value_json_spells_in_a_later_chunk_takes_jsons_path(cyclotron_report, bad):
+    cut = cyclotron_report.samples[:2 * report._CHUNK]
+    state = cut.state.copy()
+    state[report._CHUNK + 5, 6] = bad
+    odd = dataclasses.replace(cyclotron_report, samples=Trajectory(
+        cut.tau, state, cut.norm_residual, cut.energy))
+    text = emit(odd, "json")
+    assert text == _json_reference(odd)
+    assert ("NaN" if bad != bad else "Infinity") in text
+    assert emit(odd, "csv") == _csv_reference(odd)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emission_peaks_at_about_twice_its_text(cyclotron_report, fmt):
+    # at the join, the chunks and the text are alive at once; no Python
+    # object per row outlives its chunk
+    emit(cyclotron_report, fmt)
+    tracemalloc.start()
+    try:
+        text = emit(cyclotron_report, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1092,6 +1093,23 @@ def test_lone_built_in_run_on_floats_has_the_bits_of_its_batch_row(name, array_s
     traj = assert_lone_on_floats_matches_its_batch_row(
         scn.connection(), scn.particle, scn.initial, cfg, array_steps)
     assert traj.status == "completed"
+
+
+def test_a_lone_run_keeps_its_samples_as_doubles():
+    # the record is eight doubles and tau per sample (72 B) while the run
+    # goes, handed over without a copy; the metric's columns add the rest
+    scn = load_builtin("coulomb")
+    conn = scn.connection()
+    cfg = dataclasses.replace(scn.config, tau_max=50.0)
+    integrate(conn, scn.particle, scn.initial, dataclasses.replace(cfg, tau_max=1.0))
+    tracemalloc.start()
+    try:
+        traj = integrate(conn, scn.particle, scn.initial, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 5001
+    assert peak / len(traj) <= 160.0
 
 
 def test_user_field_on_floats_has_the_bits_of_its_batch_row(array_steps):
