@@ -18,11 +18,11 @@ metric).  The two physically distinguished builders are:
 * ``electromagnetic_connection(F, e)``: K1 = 0 and K0 = e F, the
   Lorentz coupling.  Independent of momentum, hence of mass.
 
-The gravitational builder takes the metric's closed form of the
-contracted term when it has one (``MetricField.geodesic_fn``, one
-formula run on numpy columns for a batch and on Python floats for a lone
-trajectory, ``tensor.columnwise``), and otherwise builds the block and
-contracts it.  The Lorentz term is always (e F) u on arrays; it keeps
+The gravitational builder sums the contracted term from the metric's
+closed forms of g^-1 and dg when it has both, on numpy columns for a
+batch and on Python floats for a lone trajectory
+(``tensor.metric_contraction``), and otherwise builds the symbols and
+contracts them.  The Lorentz term is always (e F) u on arrays; it keeps
 F's spec (``tensor.spec``: a uniform field's rows, or the gradient
 formula of ``curvature.faraday_field_of``) with the charge bound, so a
 lone run's generated right-hand side writes the term out.
@@ -42,12 +42,14 @@ from .errors import ValidationError
 from .fields import AntisymmetricFaraday, FaradayField, require_antisymmetric
 from .metrics import minkowski
 from .tensor import (
+    ClosedForm,
     Contracted,
     DomainGuard,
     EVERYWHERE,
     FlatMetric,
     MetricField,
     _finite_real,
+    metric_contraction,
     spec,
     with_spec,
 )
@@ -114,24 +116,21 @@ def _quadratic(k: np.ndarray, u: np.ndarray) -> np.ndarray:
 def gravitational_connection(g: MetricField) -> NonLinearConnection:
     """Connection whose transport law is geodesic motion in `g`: K1 = -Gamma^a_mn.
 
-    The term is the metric's own closed form ``g.geodesic_fn`` when it has
-    one: no inverse metric, no metric gradient and no symbols per point.
+    When ``g.inverse_fn`` and ``g.deriv_fn`` both carry a ``ClosedForm``
+    spec, the term is summed from those two formulas over their nonzero
+    entries (``tensor.metric_contraction``), with no symbols per point.
     Otherwise the symbols are assembled from g^-1 and dg and contracted
-    twice with u; in a charged run that evaluates g^-1 here and again for
-    the raise of K0, twice per point.
+    twice with u.
     """
-    if g.geodesic_fn is not None:
-        term = g.geodesic_fn
+    inverse, dg = spec(g.inverse_fn), spec(g.deriv_fn)
+    if isinstance(inverse, ClosedForm) and isinstance(dg, ClosedForm):
+        term = metric_contraction(dg, inverse)
     else:
 
         def term(coords: np.ndarray, u: np.ndarray) -> np.ndarray:
             return -_quadratic(christoffel_raw(g, coords), u)
 
-    return NonLinearConnection(
-        metric=g,
-        order1_raw=term,
-        guard=g.guard,
-    )
+    return NonLinearConnection(metric=g, order1_raw=term, guard=g.guard)
 
 
 def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConnection:

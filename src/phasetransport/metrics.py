@@ -9,22 +9,18 @@ Three charts ship with the package:
   Phi = -M/r, spatial part exactly flat.
 
 Each carries analytic derivative and inverse evaluators (``deriv_fn``,
-``inverse_fn``) so that downstream consumers (Christoffel assembly, transport) avoid one level
-of numerical differentiation.  The two curved charts also carry their
-geodesic term -Gamma^a_mn u^m u^n in closed form (``geodesic_fn``), so
-geodesic transport assembles no symbols at all.  Wrap any of them with
-``without_closed_form`` to exercise the finite-difference fallbacks.
+``inverse_fn``), so that consumers avoid one level of numerical
+differentiation; each chart writes g, g^-1 and dg once, and no Gamma:
+the geodesic term and the canonical route's d_s g(u, u) are summed from
+the closed forms of g^-1 and dg (``tensor.metric_contraction``).  Wrap
+any of them with ``without_closed_form`` to exercise the
+finite-difference fallbacks.
 
 On the two curved charts each closed form (the metric, its inverse and
-gradient, the geodesic term and the guard's admission tests) is one
-formula over the coordinate columns, run on numpy columns for a batch
-or one event and on Python floats from its spec (``tensor.closed_form``,
-``tensor.columnwise``, ``tensor.guard_probe``); Minkowski's inverse is
-a ``tensor.constant``.
-A lone trajectory's generated right-hand side calls the inverse
-metric's formula and raises K0 u with its rows, in numpy's own
-summation order.  The canonical route's metric-gradient term stays on
-arrays, one einsum per evaluation.
+gradient, and the guard's admission tests) is one formula over the
+coordinate columns, run on numpy columns for a batch or one event and
+on Python floats from its spec (``tensor.closed_form``,
+``tensor.guard_probe``); Minkowski's inverse is a ``tensor.constant``.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from .tensor import (
     FlatMetric,
     MetricField,
     closed_form,
-    columnwise,
     constant,
     guard_probe,
 )
@@ -99,43 +94,24 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
 
     def inverse(ops, c):
         _, r, th, _ = c
-        s = ops.sin(th)
+        s, r2 = ops.sin(th), r * r
         f = 1.0 - 2.0 * M / r
-        return -1.0 / f, f, 1.0 / (r * r), 1.0 / (r * r * (s * s))
+        return -1.0 / f, f, 1.0 / r2, 1.0 / (r2 * (s * s))
 
     def deriv(ops, c):
         # out[m, n, s] = d g_mn / d x^s
         _, r, th, _ = c
         f = 1.0 - 2.0 * M / r
-        df = 2.0 * M / (r * r)
+        minus_df, two_r = -(2.0 * M / (r * r)), 2.0 * r
         sin_th, cos_th = ops.sin(th), ops.cos(th)
-        return (-df, -df / (f * f), 2.0 * r, 2.0 * r * (sin_th * sin_th),
-                2.0 * r * r * sin_th * cos_th)
-
-    def geodesic(ops, c, u):
-        # the nine nonzero symbols: Gamma^t_tr = -Gamma^r_rr = k, Gamma^r_tt
-        # = M f / r^2, Gamma^r_thth = -r f, Gamma^r_phph = -r f s^2,
-        # Gamma^th_rth = Gamma^ph_rph = 1/r, Gamma^th_phph = -s cs and
-        # Gamma^ph_thph = cs / s
-        _, r, th, _ = c
-        ut, ur, uth, uph = u
-        s, cs = ops.sin(th), ops.cos(th)
-        f = 1.0 - 2.0 * M / r
-        k = M / (r * r * f)
-        two_ur_r = 2.0 * ur / r
-        uph2 = uph * uph
-        return (
-            -2.0 * k * ut * ur,
-            k * ur * ur - M * f / (r * r) * ut * ut + r * f * (uth * uth + s * s * uph2),
-            s * cs * uph2 - two_ur_r * uth,
-            -(two_ur_r + 2.0 * cs / s * uth) * uph,
-        )
+        # r (sin cos) first, so that the last entry overflows only where its value does
+        return (minus_df, minus_df / (f * f), two_r, two_r * (sin_th * sin_th),
+                two_r * (r * (sin_th * cos_th)))
 
     return MetricField(
         matrix_fn=closed_form(_DIAGONAL, matrix),
         deriv_fn=closed_form(((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1), (3, 3, 2)), deriv),
         inverse_fn=closed_form(_DIAGONAL, inverse),
-        geodesic_fn=columnwise(geodesic),
         guard=_schwarzschild_guard(M),
         name=f"schwarzschild(M={M:g})",
     )
@@ -175,21 +151,10 @@ def weak_field(mass: float = 1.0) -> MetricField:
         r3 = r * r * r
         return -2.0 * M * x / r3, -2.0 * M * y / r3, -2.0 * M * z / r3
 
-    def geodesic(ops, c, u):
-        # Gamma^i_00 = M x_i / r^3 and Gamma^0_0i = Gamma^i_00 / (1 - 2M/r)
-        _, x, y, z = c
-        ut, ux, uy, uz = u
-        r = ops.sqrt(x * x + y * y + z * z)
-        w = M / (r * r * r)
-        a0 = -2.0 * w / (1.0 - 2.0 * M / r) * ut * (x * ux + y * uy + z * uz)
-        wt2 = w * ut * ut
-        return a0, -wt2 * x, -wt2 * y, -wt2 * z
-
     return MetricField(
         matrix_fn=closed_form(_DIAGONAL, matrix),
         deriv_fn=closed_form(((0, 0, 1), (0, 0, 2), (0, 0, 3)), deriv),
         inverse_fn=closed_form(_DIAGONAL, inverse),
-        geodesic_fn=columnwise(geodesic),
         guard=DomainGuard(guard_probe(outside, why), label=f"weak-field(M={M:g})"),
         name=f"weak-field(M={M:g})",
     )
@@ -199,14 +164,7 @@ def without_closed_form(g: MetricField) -> MetricField:
     """Copy of `g` stripped to its bare matrix evaluator.
 
     Forces downstream code onto the finite-difference path (and the
-    geodesic term onto the Christoffel assembly); used to test the
+    geodesic term onto the assembled symbols); used to test the
     documented looser tolerances for user-supplied metrics.
     """
-    return MetricField(
-        matrix_fn=g.matrix_fn,
-        deriv_fn=None,
-        inverse_fn=None,
-        geodesic_fn=None,
-        guard=g.guard,
-        name=f"{g.name} [numeric]",
-    )
+    return MetricField(g.matrix_fn, guard=g.guard, name=f"{g.name} [numeric]")

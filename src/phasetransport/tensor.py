@@ -25,19 +25,20 @@ the formulas with math's own (``_MATH_OPS``) and evaluates an event
 where they raise again on arrays.
 ``closed_form`` builds a potential's or a metric's evaluator from the
 nonzero entries of its result, ``constant`` one that gives the same
-array at every event, ``columnwise`` a contracted geodesic term, and
-``guard_probe`` a guard's probe from its admission tests.  Each
-evaluator keeps its spec (``spec``: a ``ClosedForm``, a ``Contracted``
-or an ``Admission``), from which ``transport`` writes a lone right-hand
-side out as one function (``compiled``), and ``float_probe`` runs a
-probe on floats.  A field strength's spec is a ``Contracted`` too: the
-rows of a uniform F, or the gradient whose curl F is (``curl_source``
-writes e F u out from that gradient's formula).  A callable without a
-spec is called on arrays.
+array at every event, ``metric_contraction`` a metric's d_s g(u, u) or
+geodesic term from its closed forms, and ``guard_probe`` a guard's
+probe from its admission tests.  Each evaluator keeps its spec
+(``spec``: a ``ClosedForm``, a ``Contracted`` or an ``Admission``),
+from which ``transport`` writes a lone right-hand side out as one
+function (``compiled``), and ``float_probe`` runs a probe on floats.  A
+field strength's spec is a ``Contracted`` too: the rows of a uniform F,
+or the gradient whose curl F is (``curl_source`` writes e F u out from
+that gradient's formula).  A callable without a spec is called on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import linecache
 import math
@@ -80,21 +81,22 @@ class ClosedForm(NamedTuple):
 
 
 class Contracted(NamedTuple):
-    """The spec of a contracted term ``(coords, u) -> (4,)`` on Python floats,
-    or of a field strength F, which the Lorentz term contracts with u.
+    """The spec of a contracted term ``(coords, u) -> (4,)``, or of a field
+    strength F, which the Lorentz term contracts with u.
 
-    ``terms(ops, c, u)`` gives a ``columnwise`` term's four
-    components.  A field strength keeps the constant rows of a uniform F
-    as `block`, or the ``ClosedForm`` of the gradient dA whose curl F is
-    as `curl`; the Lorentz term (e F) u keeps F's spec with the charge as
-    `args`, ``(e,)``, and each row of it is summed as ``row_source`` sums
-    it.
+    A ``metric_contraction`` keeps the ``ClosedForm``s of dg and of g^-1
+    (if any) as `dg` and `inverse`.  A field strength keeps the constant
+    rows of a uniform F as `block`, or the ``ClosedForm`` of the gradient
+    dA whose curl F is as `curl`; the Lorentz term (e F) u keeps F's spec
+    with the charge as `args`, ``(e,)``, and each row of it is summed as
+    ``row_source`` sums it.
     """
 
-    terms: Optional[Callable] = None
     args: tuple = ()
     curl: Optional[ClosedForm] = None
     block: Optional[list] = None
+    dg: Optional[ClosedForm] = None
+    inverse: Optional[ClosedForm] = None
 
 
 class Admission(NamedTuple):
@@ -231,22 +233,60 @@ def curl_source(indices: tuple, v: list, u: list, e: str, z: str) -> tuple[list,
     return lines + [f"{z}{n} = {z} * {u[n]}" for n in used], rows
 
 
-def columnwise(terms) -> Callable[..., np.ndarray]:
-    """The contracted term ``(coords, u) -> (4,)`` whose four components are
-    ``terms(ops, c, u)``, from the four columns each of the coordinates and of u.
+#: The names of u's components in generated source.
+U_NAMES = ("u0", "u1", "u2", "u3")
 
-    It takes one event ``(4,)`` with ``u (4,)`` or a batch ``(N, 4)`` of
-    each, run as ``closed_form`` runs its formula; its spec,
-    ``Contracted(terms)``, runs the terms on four Python floats each, so
-    every way gets the same bits.
-    """
 
-    def on_arrays(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+def metric_source(dg: tuple, v: list, inverse: tuple = (), w: list = ()) -> tuple[list, list]:
+    """(lines, terms): the source of the sums d_s g(u, u) = dg[m, n, s] u^m u^n
+    of a metric gradient that is zero but at the indices `dg`, where it holds
+    the names `v`, with u named ``U_NAMES``; or, given g^-1's nonzero
+    `inverse` entries named `w`, of K1 (u, u) = -Gamma^a_mn u^m u^n =
+    g^ad (d_d g(u, u) / 2 - dg[d, n, m] u^n u^m).  Only nonzero entries
+    are summed, in index order; a term with none is "0.0"."""
+    u, at = U_NAMES, list(enumerate(dg))
+    lines = [f"dgu{k} = {value} * {u[n]}" for (k, (_, n, _)), value in zip(at, v)]
+    # dgu<k> enters both sums: dg[d, n, s] u^n u^s and dg[m, n, d] u^m u^n
+    first = [[f"dgu{k} * {u[s]}" for k, (m, _, s) in at if m == d] for d in range(DIM)]
+    second = [[f"dgu{k} * {u[m]}" for k, (m, _, s) in at if s == d] for d in range(DIM)]
+    if not inverse:
+        return lines, [" + ".join(q) or "0.0" for q in second]
+    live = [d for d in range(DIM) if first[d] or second[d]]
+    for d in live:  # d_d g(u, u) / 2 - dg[d, n, m] u^n u^m, without a half that is zero
+        half = f"0.5 * ({' + '.join(second[d])})" if second[d] else ""
+        lines.append(f"dgw{d} = {half}" + (f" - ({' + '.join(first[d])})" if first[d] else ""))
+    rows = [[f"{value} * dgw{d}" for (b, d), value in zip(inverse, w) if b == a and d in live]
+            for a in range(DIM)]
+    return lines, [" + ".join(row) or "0.0" for row in rows]
+
+
+@functools.cache
+def _metric_sums(dg: tuple, inverse: tuple) -> Callable:
+    """``metric_source``'s terms as a function of dg's values, g^-1's and u's, compiled once."""
+    v, w = [f"v{k}" for k in range(len(dg))], [f"w{k}" for k in range(len(inverse))]
+    lines, terms = metric_source(dg, v, inverse, w)
+    body = "".join(f"    {line}\n" for line in lines + [f"return {', '.join(terms)}"])
+    return compiled(f"def sums({', '.join([*v, *w, *U_NAMES])}):\n{body}", "sums")
+
+
+def metric_contraction(dg: ClosedForm,
+                       inverse: Optional[ClosedForm] = None) -> Callable[..., np.ndarray]:
+    """The term ``(coords, u) -> (4,)`` d_s g(u, u) of the gradient whose spec
+    is `dg`, or, given g^-1's, -Gamma(u, u) (``metric_source``), for one
+    event or a batch: the formulas run as ``closed_form`` runs them (g^-1
+    read from `ginv` where given), and the sums on the columns.  Its spec,
+    ``Contracted(dg=, inverse=)``, lets a lone run write them out on floats."""
+    sums = _metric_sums(dg.indices, inverse.indices if inverse else ())
+
+    def on_arrays(c: np.ndarray, u: np.ndarray, ginv: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.empty(u.shape)
-        out.T[:] = terms(np, c.T, u.T)
+        w = () if inverse is None else inverse.formula(np, c.T) if ginv is None else [
+            ginv[..., a, d] for a, d in inverse.indices]
+        for a, term in enumerate(sums(*dg.formula(np, c.T), *w, *u.T)):
+            out[..., a] = term
         return out
 
-    return with_spec(on_arrays, Contracted(terms))
+    return with_spec(on_arrays, Contracted(dg=dg, inverse=inverse))
 
 
 def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
@@ -395,11 +435,6 @@ class MetricField:
         back to central differences of `matrix_fn`.
     inverse_fn : callable, optional
         Closed-form inverse metric; defaults to numerical inversion.
-    geodesic_fn : callable, optional
-        Closed-form geodesic term ``(coords, u) -> (4,)``, the contracted
-        -Gamma^a_mn u^m u^n at a contravariant `u`.  When absent, the
-        gravitational connection assembles the symbols from `deriv_fn`
-        (or differences) and `inverse_fn` and contracts them.
     guard : DomainGuard
         Admissible region of the chart.
     name : str
@@ -407,16 +442,14 @@ class MetricField:
 
     The built-in evaluators also take a batch ``coords (..., 4)`` and
     return ``(..., 4, 4)`` (``(..., 4, 4, 4)``), or a constant that
-    broadcasts to it; batched integration relies on that.  A
-    ``geodesic_fn`` takes one event ``(4,)`` with ``u (4,)`` or a batch
-    ``(N, 4)`` of each, and gives every row of a batch the bits of its
-    lone call.
+    broadcasts to it; batched integration relies on that.  When
+    `inverse_fn` and `deriv_fn` are both ``closed_form`` evaluators, the
+    geodesic term is summed from their formulas (``metric_contraction``).
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    geodesic_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     guard: DomainGuard = EVERYWHERE
     name: str = "metric"
 

@@ -7,10 +7,9 @@ geodesic term is the standard contravariant vector as it is, and K0
 covariant, so only K0 u is raised here.
 ``_compile_acceleration`` compiles the law once per connection: which
 blocks it has and how K0 is raised are decided there, so the
-right-hand side does per-point work only.  On a curved chart it
-evaluates the inverse metric once per point, for the raise of K0 only
-(a geodesic-only law evaluates none); on the flat chart it evaluates
-none.
+right-hand side does per-point work only.  On a curved chart g^-1 is
+evaluated once per point, shared by the raise of K0 and a geodesic term
+summed from its closed form; on the flat chart none is evaluated.
 
 The row count alone picks how a run steps.  A batch steps on numpy
 arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``, ``_make_rhs``,
@@ -23,14 +22,15 @@ probes the guard on floats once (``tensor.float_probe``), and writes
 the law out in the array law's operations and order.  Each built-in
 closed form, guard probe and inverse metric is one formula, run on
 numpy columns or on Python floats (``tensor.closed_form``,
-``tensor.constant``, ``tensor.columnwise``, ``tensor.guard_probe``);
-the generated body calls a formula directly from its spec, and spells
-out a uniform field's block, a Lorentz term's rows and the raise of K0
-u.  A callable without a spec is called on arrays, ``fn(np.array(x),
-np.array(u)).tolist()``.  Both ways take the same IEEE operations in
-the same order, so a lone run has the bits of its row in a batch; where
-Python floats raise and numpy gives inf or NaN, the body's one
-``except`` evaluates that state again with the array law.
+``tensor.constant``, ``tensor.guard_probe``); the generated body calls
+a formula directly from its spec, once, and spells out a metric
+gradient's sums (``tensor.metric_source``), a uniform field's block, a
+Lorentz term's rows and the raise of K0 u.  A callable without a spec
+is called on arrays, ``fn(np.array(x), np.array(u)).tolist()``.  Both
+ways take the same IEEE operations in the same order, so a lone run has
+the bits of its row in a batch; where Python floats raise and numpy
+gives inf or NaN, the body's one ``except`` evaluates that state again
+with the array law.
 
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
@@ -69,7 +69,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .connection import NonLinearConnection, Particle, _mv, gravitational_connection
+from .connection import NonLinearConnection, Particle, _mv, _quadratic, gravitational_connection
 from .curvature import _metric_deriv_raw, _potential_deriv_raw
 from .errors import NonMonotoneTime, OutsideDomain, StepRejected, ValidationError
 from .fields import VectorPotential
@@ -78,6 +78,7 @@ from .tensor import (
     DIM,
     EVERYWHERE,
     MINKOWSKI,
+    U_NAMES,
     ClosedForm,
     Contracted,
     DomainGuard,
@@ -89,6 +90,8 @@ from .tensor import (
     compiled,
     curl_source,
     float_probe,
+    metric_contraction,
+    metric_source,
     row_source,
     spec,
 )
@@ -248,8 +251,8 @@ def _compile_acceleration(
     the inverse metric, except on the flat chart: eta is a +-1 diagonal,
     so raising (K0 u) * (1/m) is a per-row sign folded into the 1/m
     scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the sign
-    of a zero.  Elsewhere g^-1 is evaluated once per point, for that
-    raise only; a law without K0 evaluates none here.
+    of a zero.  Elsewhere g^-1 is evaluated once per point for that
+    raise, and a K1 summed from its closed form reads that evaluation.
     `coords` and `u` are a batch ``(N, 4)``: this is the law on arrays,
     and ``_lone_rhs`` falls back on it with a batch of one.  `mass`
     is the particle mass, one float or one per event ``(N,)``.  `order0`,
@@ -280,7 +283,15 @@ def _compile_acceleration(
         return lambda coords, u: _mv(inverse(coords), o0(coords, u) * inv_mass)
     if o0 is None:
         return o1
-    return lambda coords, u: o1(coords, u) + _mv(inverse(coords), o0(coords, u) * inv_mass)
+    summed = getattr(spec(o1), "inverse", None)  # the g^-1 that K1's sums read, if any
+    shared = summed is not None and summed is spec(c.metric.inverse_fn)
+
+    def both(coords, u):
+        ginv = inverse(coords)  # once, for K1's sums too where they read it
+        k1 = o1(coords, u, ginv) if shared else o1(coords, u)
+        return k1 + _mv(ginv, o0(coords, u) * inv_mass)
+
+    return both
 
 
 def _on_floats(fn: Callable[..., np.ndarray]) -> Callable[..., list]:
@@ -321,9 +332,6 @@ def _rejected_lone(y: list, reason: str) -> list:
     return _rejected(np.array([y]), reason)[0].tolist()
 
 
-_U = ("u0", "u1", "u2", "u3")
-
-
 @functools.cache
 def _lone_rhs_maker(params: tuple, body: str) -> Callable:
     """``make(*values) -> rhs``: the lone right-hand side whose body is `body`,
@@ -342,9 +350,9 @@ class _LoneSource:
     ``_rejected`` with the reason ``"<label>: <why>"``, as ``_make_rhs``
     does.  The law follows in the array law's operations and order: a
     closed form is its formula's call (``tensor.ClosedForm``, with math's
-    own ``ops``), a constant block or a curl its rows, a ``columnwise``
-    term its terms' call, and any other callable one call on arrays
-    (``_on_floats``).
+    own ``ops``, made once for every term that reads it), a metric
+    contraction its sums, a constant block or a curl its rows, and any
+    other callable one call on arrays (``_on_floats``).
     Where Python floats raise, the one ``except`` evaluates the state again
     with the route's array law.  Every constant and callable is a bound
     name, so the source depends on the law's shape alone and is compiled
@@ -354,6 +362,7 @@ class _LoneSource:
     def __init__(self, guard: DomainGuard, momentum: str):
         self.names = {"ops": _MATH_OPS}
         self.made = set()
+        self.values = {}
         self.head = [f"x0, x1, x2, x3, {momentum}0, {momentum}1, {momentum}2, {momentum}3 = y"]
         self.lines = []
         probe = float_probe(guard.probe)
@@ -375,7 +384,7 @@ class _LoneSource:
         """Pack the coordinates as ``c`` or the velocity as ``u``, once."""
         if name not in self.made:
             self.made.add(name)
-            parts = ("x0", "x1", "x2", "x3") if name == "c" else _U
+            parts = ("x0", "x1", "x2", "x3") if name == "c" else U_NAMES
             self.lines.append(f"{name} = ({', '.join(parts)})")
 
     def let(self, name: str, exprs) -> list:
@@ -385,12 +394,13 @@ class _LoneSource:
         return names
 
     def formula(self, closed: ClosedForm, name: str) -> list:
-        """Call a closed form's formula at c; the names of its values."""
-        self.need("c")
-        values = [f"{name}{k}" for k in range(len(closed.indices))]
-        call = f"{self.bind(name + '_fn', closed.formula)}(ops, c)"
-        self.lines.append(f"{', '.join(values)}, = {call}")
-        return values
+        """Call a closed form's formula at c, once; the names of its values."""
+        if closed not in self.values:
+            self.need("c")
+            self.values[closed] = values = [f"{name}{k}" for k in range(len(closed.indices))]
+            call = f"{self.bind(name + '_fn', closed.formula)}(ops, c)"
+            self.lines.append(f"{', '.join(values)}, = {call}")
+        return self.values[closed]
 
     def entries(self, fn: Callable, name: str, rank: int) -> list:
         """The entries of ``fn(c)``, a vector (`rank` 1) or the rows of a matrix
@@ -418,23 +428,23 @@ class _LoneSource:
         if isinstance(contracted, Contracted) and contracted.curl is not None:
             e = self.bind(name + "_e", *contracted.args)
             lines, rows = curl_source(contracted.curl.indices,
-                                      self.formula(contracted.curl, name), _U, e, name + "_z")
-            self.lines += lines
-            return rows
-        self.need("c")
-        self.need("u")
-        outs = [f"{name}{n}" for n in range(DIM)]
-        if isinstance(contracted, Contracted):
-            call = f"{self.bind(name + '_fn', contracted.terms)}(ops, c, u)"
+                                      self.formula(contracted.curl, name), U_NAMES, e, name + "_z")
+        elif isinstance(contracted, Contracted) and contracted.dg is not None:
+            dg, inverse = contracted.dg, contracted.inverse
+            lines, rows = metric_source(dg.indices, self.formula(dg, name), *(
+                (inverse.indices, self.formula(inverse, "n")) if inverse else ()))
         else:
-            call = f"{self.bind(name + '_fn', _on_floats(fn))}(c, u)"
-        self.lines.append(f"{', '.join(outs)} = {call}")
-        return outs
+            self.need("c")
+            self.need("u")
+            rows = [f"{name}{n}" for n in range(DIM)]
+            lines = [f"{', '.join(rows)} = {self.bind(name + '_fn', _on_floats(fn))}(c, u)"]
+        self.lines += lines
+        return rows
 
     def block(self, rows: list, name: str) -> list:
         """The four components of ``rows @ u`` for a constant matrix's rows."""
         return self.rows([[self.bind(f"{name}{m}{n}", a) for n, a in enumerate(row)]
-                          for m, row in enumerate(rows)], _U)
+                          for m, row in enumerate(rows)], U_NAMES)
 
     @staticmethod
     def rows(matrix: list, v) -> list:
@@ -447,7 +457,7 @@ class _LoneSource:
         body = self.head + [
             "try:",
             *(f"    {line}" for line in self.lines),
-            f"    return [{', '.join(_U)}, {', '.join(rate)}]",
+            f"    return [{', '.join(U_NAMES)}, {', '.join(rate)}]",
             "except (ArithmeticError, ValueError):",
             f"    return {self.bind('fallback', fallback)}(y)",
         ]
@@ -1098,18 +1108,18 @@ def _compile_canonical(
     chart eta is a +-1 diagonal, so the raise is a division by the signed
     mass m diag(eta), with the bits of eta @ ((pi - e A) / m) up to the
     sign of a zero, and the metric-gradient term of dpi/dtau, exactly
-    zero there, is dropped.  Elsewhere the law is evaluated as written.
+    zero there, is dropped.  Elsewhere the law is evaluated as written,
+    d_s g(u, u) summed over the nonzero entries of a closed-form dg.
     An uncharged particle feels no potential gradient.  The kinetic u on
     arrays takes one event ``(4,)`` or every sample ``(n, 4)``.
 
     The right-hand side (dx/dtau, dpi/dtau) = (u, dpi/dtau) is written out
     as one function (``_LoneSource``) in the array law's operations at one
     event, in its order, so it has its bits.  The potential's values and
-    gradient and the curved charts' inverse metric are their closed forms'
-    formulas where they have them, and one call each otherwise: a user
-    potential, a wrapper, the uniform potential's values and the
-    metric-gradient term (its 64 products on floats cost more than the
-    einsum on arrays) are called on arrays.  The contraction dA @ u is
+    gradient and the curved charts' inverse metric and metric gradient are
+    their closed forms' formulas where they have them, and one call each
+    otherwise: a user potential or metric, a wrapper and the uniform
+    potential's values are called on arrays.  The contraction dA @ u is
     summed in the order of numpy's 4x4 matrix-vector product.  Where
     Python floats raise, the array law, kinetic u and dpi/dtau of
     (coords, u), evaluates that event.
@@ -1124,7 +1134,7 @@ def _compile_canonical(
                for n, (v, b) in enumerate(zip(src.entries(a.values_fn, "A", 1), a0.tolist()))]
 
     def lorentz():  # e (dA @ u)
-        return [f"{charge} * ({w})" for w in src.rows(src.entries(d_potential, "dA", 2), _U)]
+        return [f"{charge} * ({w})" for w in src.rows(src.entries(d_potential, "dA", 2), U_NAMES)]
 
     if isinstance(g, FlatMetric):
         signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
@@ -1140,22 +1150,21 @@ def _compile_canonical(
         rate_floats = ["0.0"] * DIM if e == 0.0 else lorentz()
     else:
         inverse = g.inverse_raw
-        d_metric = g.deriv_fn or (lambda coords: _metric_deriv_raw(g, coords, None))
+        dg = spec(g.deriv_fn)
+        dg_uu = metric_contraction(dg) if isinstance(dg, ClosedForm) else (  # dg[m, n, s] u^m u^n
+            lambda c, u: _quadratic(np.moveaxis(_metric_deriv_raw(g, c, None), -1, -3), u))
+        half_m = 0.5 * m
 
         def kinetic_up(coords, pi):
             return _mv(inverse(coords), (pi - e * values(coords)) / m)
 
-        def gravity(coords, u):
-            return 0.5 * m * np.einsum("abs,a,b->s", d_metric(coords), u, u)
-
         def rate(coords, u):
-            if e == 0.0:
-                return gravity(coords, u)
-            return gravity(coords, u) + e * (d_potential(coords) @ u)
+            gravity = half_m * dg_uu(coords, u)
+            return gravity if e == 0.0 else gravity + e * (d_potential(coords) @ u)
 
         w = src.let("w", [f"({q}) / {src.bind('m', m)}" for q in kinetic])
         src.let("u", src.rows(src.entries(g.inverse_fn or inverse, "n", 2), w))
-        rate_floats = src.term(gravity, "gr")
+        rate_floats = [f"{src.bind('half_m', half_m)} * ({q})" for q in src.term(dg_uu, "gr")]
         if e != 0.0:
             rate_floats = [f"{s} + ({t})" for s, t in zip(rate_floats, lorentz())]
 

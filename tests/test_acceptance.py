@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from phasetransport import fields, metrics, oracles
+from phasetransport.connection import gravitational_connection
 from phasetransport.curvature import (
     christoffel_raw,
     closure_residual,
@@ -276,7 +277,8 @@ def _random_velocities(rng, n):
 
 
 def test_criterion_8_companion_closed_form_geodesic_terms():
-    # each chart's geodesic_fn is -Gamma^a_mn u^m u^n of the assembled
+    # each chart's geodesic term, written from its closed forms of g^-1 and
+    # dg, is -Gamma^a_mn u^m u^n of the assembled
     # symbols and of the symbols written out, to 1e-14 of the term's size
     rng = np.random.default_rng(8)
     n = 400
@@ -293,8 +295,9 @@ def test_criterion_8_companion_closed_form_geodesic_terms():
     ]
     worst = 0.0
     for g, events, exact in cases:
+        term = gravitational_connection(g).order1_raw
         for coords, u in zip(events, _random_velocities(rng, n)):
-            got = g.geodesic_fn(coords, u)
+            got = term(coords, u)
             for gamma in (christoffel_raw(g, coords), exact(coords)):
                 want = -gamma.dot(u).dot(u)
                 worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))

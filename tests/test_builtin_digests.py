@@ -42,10 +42,10 @@ DIGESTS = {
     "cyclotron": ("15e8e38b20d8", "c9766f2512f5", "7fa73c4c8ebb"),
     "exb-drift": ("bc367cbd5fbd", "6a4a8cbf481c", "83a903a8d0d0"),
     "coulomb": ("c4f628cfdaca", "4fb67d58739f", "1fbae783da6f"),
-    "schwarzschild-circular": ("be0af0eab2dc", "9f61dddd45c1", "13d717c85176"),
-    "schwarzschild-precession": ("b4370af892a0", "6dfec6856974", "96bb0d841fe1"),
-    "weak-field-newtonian": ("0ec294239dd3", "807d066e5c58", "23e1ec1129f8"),
-    "combined-schwarzschild-B": ("a0cd6e0222d6", "29c008f524a8", "186b76614ffd"),
+    "schwarzschild-circular": ("f2765b94558d", "9f61dddd45c1", "4282c0742968"),
+    "schwarzschild-precession": ("1bacc057b0ea", "9e503c4a493a", "3a04b904eb1c"),
+    "weak-field-newtonian": ("330f0a766958", "807d066e5c58", "7f4d29bbcb5e"),
+    "combined-schwarzschild-B": ("434e005c10e4", "29c008f524a8", "562171f6f8f1"),
 }
 
 
@@ -86,16 +86,16 @@ CHECK_DIGESTS = {
     ("coulomb", "norm"): "badc56ac4c2e",
     ("coulomb", "mass-invariance"): "8e16296054f8",
     ("coulomb", "minimal-substitution"): "d4e68151e831",
-    ("schwarzschild-circular", "bianchi"): "bf81375dccee",
+    ("schwarzschild-circular", "bianchi"): "ee8180458ce4",
     ("schwarzschild-circular", "norm"): "266d3d3fa1a1",
     ("schwarzschild-circular", "mass-invariance"): "949cd967b3cf",
-    ("schwarzschild-precession", "bianchi"): "9e65193edc35",
-    ("schwarzschild-precession", "norm"): "c7d5acd5a7f9",
+    ("schwarzschild-precession", "bianchi"): "e9acd70b8e65",
+    ("schwarzschild-precession", "norm"): "699214deaa6a",
     ("schwarzschild-precession", "mass-invariance"): "949cd967b3cf",
     ("weak-field-newtonian", "bianchi"): "a911c50db0ad",
     ("weak-field-newtonian", "norm"): "d2daa450c412",
     ("weak-field-newtonian", "mass-invariance"): "949cd967b3cf",
-    ("combined-schwarzschild-B", "bianchi"): "9e65193edc35",
+    ("combined-schwarzschild-B", "bianchi"): "e9acd70b8e65",
     ("combined-schwarzschild-B", "closure"): "d50791da6b74",
     ("combined-schwarzschild-B", "norm"): "271a282dea83",
     ("combined-schwarzschild-B", "mass-invariance"): "8e16296054f8",
@@ -121,7 +121,7 @@ def test_check_keeps_its_digest(name, checker):
 #: digits) with rk45-adaptive
 CANONICAL_RK45 = {
     "exb-drift": (5.0, "9f7d401b4b46"),
-    "combined-schwarzschild-B": (20.0, "099f61f66ad4"),
+    "combined-schwarzschild-B": (20.0, "c3f4ae3732ee"),
 }
 
 

@@ -38,7 +38,8 @@ from phasetransport.fields import (
     uniform_field_potential,
     zero_potential,
 )
-from phasetransport.metrics import minkowski, schwarzschild, weak_field
+from phasetransport import transport
+from phasetransport.metrics import minkowski, schwarzschild, weak_field, without_closed_form
 from phasetransport.tensor import (
     _MATH_OPS,
     EVERYWHERE,
@@ -46,7 +47,9 @@ from phasetransport.tensor import (
     ClosedForm,
     Contracted,
     FourVector,
+    MetricField,
     SpacetimeEvent,
+    closed_form,
     float_probe,
     row_source,
     spec,
@@ -55,7 +58,10 @@ from phasetransport.tensor import (
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
+    _compile_acceleration,
     _LoneSource,
+    _lone_rhs,
+    _make_rhs,
     acceleration_terms,
     integrate,
 )
@@ -408,7 +414,7 @@ def _spec_evaluators():
     for name, (events, g) in metrics.items():
         for attr in ("matrix_fn", "deriv_fn", "inverse_fn"):
             cases[f"{name}.{attr}"] = (events, getattr(g, attr), False)
-        cases[f"{name}.geodesic_fn"] = (events, g.geodesic_fn, True)
+        cases[f"{name}.order1_raw"] = (events, gravitational_connection(g).order1_raw, True)
         if g.guard is not EVERYWHERE:
             cases[f"{name}.probe"] = (events, g.guard.probe, False)
     for name, e in (("coulomb", -0.7), ("coulomb-radial", 1.1), ("axial-b", 1.1)):
@@ -429,7 +435,7 @@ def test_the_built_in_evaluators_that_must_carry_a_spec_carry_one():
     must = {f"{a}.{f}" for a in ("coulomb", "coulomb-radial", "axial-b", "zero")
             for f in ("values_fn", "deriv_fn")}
     must |= {f"{g}.{f}" for g in ("schwarzschild", "weak-field")
-             for f in ("inverse_fn", "geodesic_fn")}
+             for f in ("inverse_fn", "order1_raw")}
     must |= {f"{name}.probe" for name in ("everywhere", "coulomb", "coulomb-radial",
                                           "schwarzschild", "weak-field",
                                           "schwarzschild&coulomb-radial")}
@@ -484,6 +490,66 @@ def test_every_built_in_spec_has_the_bits_of_its_array_calls(name):
                 _assert_spec_bits(fn, one, x, u)
             except (ArithmeticError, ValueError):
                 assert _numpy_fails_at(fn, *args(x, u)), (x, u)
+
+
+def _rotating_cylindrical(omega: float) -> MetricField:
+    """Flat space in cylindrical coordinates (t, rho, phi, z) that rotate at
+    `omega`: g_tphi = omega rho^2, so g, g^-1 and dg all have entries off
+    the diagonal."""
+
+    def matrix(ops, c):
+        _, rho, _, _ = c
+        rho2 = rho * rho
+        return -(1.0 - omega * omega * rho2), omega * rho2, omega * rho2, 1.0, rho2, 1.0
+
+    def inverse(ops, c):
+        _, rho, _, _ = c
+        return -1.0, omega, omega, 1.0, 1.0 / (rho * rho) - omega * omega, 1.0
+
+    def deriv(ops, c):  # out[m, n, s] = d g_mn / d x^s, along rho only
+        _, rho, _, _ = c
+        return 2.0 * omega * omega * rho, 2.0 * omega * rho, 2.0 * omega * rho, 2.0 * rho
+
+    layout = ((0, 0), (0, 2), (2, 0), (1, 1), (2, 2), (3, 3))
+    return MetricField(
+        matrix_fn=closed_form(layout, matrix),
+        deriv_fn=closed_form(((0, 0, 1), (0, 2, 1), (2, 0, 1), (2, 2, 1)), deriv),
+        inverse_fn=closed_form(layout, inverse),
+        name="rotating-cylindrical",
+    )
+
+
+def test_a_non_diagonal_user_metric_gets_the_geodesic_term_written_from_its_closed_forms(
+        monkeypatch):
+    # a user chart whose g^-1 and dg are closed forms gets -Gamma(u, u) from
+    # them, over their off-diagonal entries too: the batch, each lone call
+    # and the lone right-hand side, which calls nothing on arrays
+    g = _rotating_cylindrical(0.1)
+    term = gravitational_connection(g).order1_raw
+    numeric = gravitational_connection(without_closed_form(g)).order1_raw
+    rng = np.random.default_rng(28)
+    n = 200
+    coords = np.column_stack([rng.uniform(-5, 5, n), rng.uniform(0.5, 5.0, n),
+                              rng.uniform(0, 6, n), rng.uniform(-5, 5, n)])
+    us = np.column_stack([rng.uniform(1, 2, n), rng.normal(0, 0.4, (n, 3))])
+    batch = term(coords, us)
+    for x, u, row in zip(coords, us, batch):
+        one = term(x, u)
+        assert _bits(row) == _bits(one), (x, u)
+        gamma = christoffel_raw(g, x)
+        want = -gamma.dot(u).dot(u)
+        # the size of the sum before it cancels: Gamma^t is zero here
+        scale = np.max(np.abs(gamma).dot(np.abs(u)).dot(np.abs(u)))
+        assert np.max(np.abs(one - want)) <= 1e-14 * scale, (x, u)
+        assert np.max(np.abs(numeric(x, u) - one)) <= 1e-6 * scale, (x, u)
+    arrays = []
+    monkeypatch.setattr(transport, "_on_floats", lambda fn: arrays.append(fn))
+    conn = gravitational_connection(g)
+    lone = _lone_rhs(conn, 1.0)
+    assert arrays == []
+    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
+    for y in np.hstack([coords, us])[:20]:
+        assert _bits(lone(y.tolist())) == _bits(rhs(y[None])[0]), y
 
 
 def test_a_uniform_lone_run_never_calls_matrix_fn_per_rhs():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasetransport.connection import gravitational_connection
 from phasetransport.errors import OutsideDomain
 from phasetransport.fields import coulomb_potential
 from phasetransport.metrics import (
@@ -16,7 +17,13 @@ from phasetransport.metrics import (
     weak_field,
     without_closed_form,
 )
-from phasetransport.tensor import FD_STEP_FIRST, SpacetimeEvent, central_differences, float_probe
+from phasetransport.tensor import (
+    FD_STEP_FIRST,
+    SpacetimeEvent,
+    central_differences,
+    float_probe,
+    spec,
+)
 
 
 def event(t, r, th, ph):
@@ -87,13 +94,14 @@ def test_minkowski_has_no_guard_surprises():
 
 
 def test_without_closed_form_strips_but_preserves_values():
+    # the geodesic term is written from the closed forms only while g has them
     g = schwarzschild(1.0)
-    assert g.geodesic_fn is not None
+    assert spec(gravitational_connection(g).order1_raw) is not None
     bare = without_closed_form(g)
     assert bare.deriv_fn is None
     assert bare.inverse_fn is None
-    assert bare.geodesic_fn is None
-    assert without_closed_form(weak_field(1.0)).geodesic_fn is None
+    assert spec(gravitational_connection(bare).order1_raw) is None
+    assert spec(gravitational_connection(without_closed_form(weak_field(1.0))).order1_raw) is None
     x = event(0.0, 12.0, 1.2, 0.3)
     np.testing.assert_array_equal(bare.matrix_fn(x.coords), g.matrix_fn(x.coords))
     with pytest.raises(OutsideDomain):
@@ -130,7 +138,8 @@ def test_deriv_layout_last_slot_is_direction(mass, r_factor, th):
 
 @pytest.mark.parametrize("chart", ["schwarzschild", "weak-field"])
 def test_geodesic_term_of_a_batch_row_is_its_lone_call(chart):
-    # one event runs the formula on Python floats, a batch on numpy
+    # the term written from the closed forms of g^-1 and dg runs their
+    # formulas and its sums on one event's numpy scalars or on a batch's
     # columns; every row must get the bits of its lone call
     rng = np.random.default_rng(17)
     n = 2000
@@ -143,9 +152,10 @@ def test_geodesic_term_of_a_batch_row_is_its_lone_call(chart):
         coords = np.column_stack([rng.uniform(0.0, 5.0, n), rng.uniform(-1e4, 1e4, (n, 3))])
         coords[:, 1] += np.sign(coords[:, 1]) * 4.0  # keep r > 2M
     u = np.column_stack([rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, (n, 3))])
-    batch = g.geodesic_fn(coords, u)
+    term = gravitational_connection(g).order1_raw
+    batch = term(coords, u)
     assert batch.shape == (n, 4)
-    lone = np.array([g.geodesic_fn(c, v) for c, v in zip(coords, u)])
+    lone = np.array([term(c, v) for c, v in zip(coords, u)])
     assert np.array_equal(batch.view(np.int64), lone.view(np.int64))
 
 

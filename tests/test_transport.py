@@ -7,6 +7,7 @@ structural fails loudly.
 """
 
 import dataclasses
+import gc
 import math
 import sys
 import traceback
@@ -53,6 +54,8 @@ from phasetransport.tensor import (
     FourVector,
     MetricField,
     SpacetimeEvent,
+    closed_form,
+    metric_contraction,
     spec,
     with_spec,
 )
@@ -387,6 +390,17 @@ def test_canonical_run_without_a_step_fails_on_a_start_velocity_that_is_not_fini
         minimal_substitution_trajectory(pot, schwarzschild(1.0), Particle(1.0, 1.0), initial, cfg)
 
 
+@pytest.mark.parametrize("chart", ["schwarzschild", "weak-field"])
+def test_canonical_route_fails_where_its_velocity_overflows(chart):
+    # d_s g(u, u) sums dg's nonzero entries only; a velocity that overflows
+    # still lands the state non-finite, on floats as on arrays
+    g = schwarzschild(1.0) if chart == "schwarzschild" else weak_field(1.0)
+    initial = state([0.0, 10.0, 1.2, 0.0], [1e200, 1e150, 1e151, 1e150])
+    with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
+        minimal_substitution_trajectory(zero_potential(), g, Particle(1.0, 1.0), initial,
+                                        IntegratorConfig(step=0.1, tau_max=1.0))
+
+
 # ---------------------------------------------------------------------------
 # terminal statuses and error paths
 
@@ -593,26 +607,34 @@ def test_flat_kernel_never_evaluates_the_inverse_metric():
 
 
 def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
-    # the closed-form geodesic term needs no g^-1: the one per point raises K0
+    # g^-1's formula runs once per point, for the geodesic term and the
+    # raise of K0 both: alone on floats, and in a batch on all its points' columns
     calls = []
     g = schwarzschild(1.0)
-    counted = dataclasses.replace(g, inverse_fn=counting(g.inverse_fn, calls))
+    inverse = spec(g.inverse_fn)
+    counted = dataclasses.replace(g, inverse_fn=closed_form(
+        inverse.indices, lambda ops, c: calls.append(1) or inverse.formula(ops, c)))
     field = faraday_field_of(axial_magnetic_potential_spherical(0.05))
     conn = superpose(gravitational_connection(counted), electromagnetic_connection(field, 1.0))
-    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
     y = np.array([0.0, 10.0, np.pi / 2, 0.0, 1.2, 0.01, 0.0, 0.03])
-    rhs(y[None])
+    _lone_rhs(conn, 1.0)(y.tolist())
     assert len(calls) == 1
-    rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
+    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
+    rhs(y[None])
     assert len(calls) == 2
+    rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("chart", ["schwarzschild", "weak-field"])
 def test_geodesic_law_on_a_built_in_chart_evaluates_no_inverse_and_no_gradient(chart):
+    # the geodesic term runs the formulas of g^-1 and dg from their specs,
+    # alone and in a batch, and never calls the evaluators
     calls = []
     g = schwarzschild(1.0) if chart == "schwarzschild" else weak_field(1.0)
-    g = dataclasses.replace(g, inverse_fn=counting(g.inverse_fn, calls),
-                            deriv_fn=counting(g.deriv_fn, calls))
+    g = dataclasses.replace(
+        g, inverse_fn=with_spec(counting(g.inverse_fn, calls), spec(g.inverse_fn)),
+        deriv_fn=with_spec(counting(g.deriv_fn, calls), spec(g.deriv_fn)))
     initial = (circular_orbit_state(1.0, 10.0) if chart == "schwarzschild"
                else state([0.0, 10.0, 0.0, 0.0], [1.2, 0.0, 0.3, 0.0]))
     conn = gravitational_connection(g)
@@ -1288,7 +1310,7 @@ def test_canonical_lone_rhs_has_the_bits_of_its_array_law_on_special_states(name
     def rate(coords, u):  # dpi/dtau = (m/2) g_ab,s u^a u^b + e A_a,s u^a on arrays
         if isinstance(g, FlatMetric):  # where dg is zero
             return np.zeros(4) if e == 0.0 else e * (a.deriv_fn(coords) @ u)
-        gravity = 0.5 * m * np.einsum("abs,a,b->s", g.deriv_fn(coords), u, u)
+        gravity = 0.5 * m * metric_contraction(spec(g.deriv_fn))(coords, u)
         return gravity if e == 0.0 else gravity + e * (a.deriv_fn(coords) @ u)
 
     def reference(y):  # the route's law on arrays, in the force route's shell
@@ -1311,11 +1333,12 @@ LONE_RHS_CALLS = {
     "cyclotron": 1,
     "exb-drift": 1,
     "coulomb": 4,  # the guard's probe and its test, the gradient formula
-    "schwarzschild-circular": 5,  # the probe, its test and its sine, the geodesic terms
-    "schwarzschild-precession": 5,
-    "weak-field-newtonian": 4,
-    # the probe, its test and its sine, and the formulas of the gradient, the
-    # inverse metric and the geodesic terms
+    # the probe, its test and its sine, and the formulas of g^-1 and dg
+    "schwarzschild-circular": 6,
+    "schwarzschild-precession": 6,
+    "weak-field-newtonian": 5,  # the probe, its test, and the formulas of g^-1 and dg
+    # the probe, its test and its sine, and the formulas of the potential's
+    # gradient, of g^-1 (shared by the geodesic term and the raise of K0) and of dg
     "combined-schwarzschild-B": 7,
 }
 
@@ -1326,11 +1349,13 @@ def test_a_lone_rhs_takes_its_pinned_number_of_python_calls(name):
     rhs = _lone_rhs(scn.connection(), scn.particle.mass)
     y = np.concatenate([scn.initial.x.coords, scn.initial.u.components]).tolist()
     calls = []
+    gc.disable()  # a collection would add its callbacks' calls to the count
     sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
     try:
         rhs(y)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert len(calls) == LONE_RHS_CALLS[name], [f.f_code.co_name for f in calls]
 
 
