@@ -9,18 +9,17 @@ warnings are off for the whole command: stderr holds at most one line.
 integrator (equal ``report.batch_key``) as one batch: they may differ in
 initial state, horizon, particle mass and, in a uniform field, in E, B
 and charge, which each row brings to the law as its own constants.
-``--jobs`` runs such groups in parallel.
+The groups run one after another; ``--jobs`` is still accepted (at least
+1) so that existing command lines parse, and starts no threads.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--step", type=finite, help="override the integrator step")
     runp.add_argument("--tau-max", type=finite, help="override the proper-time horizon")
     runp.add_argument("--jobs", type=int, default=1,
-                      help="run groups of scenarios that share a law in parallel")
+                      help="accepted so that existing command lines parse; groups run "
+                           "one after another")
 
     checkp = sub.add_parser("check", help="evaluate a structural property")
     checkp.add_argument("scenario", help="config file path or built-in name")
@@ -105,16 +105,6 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
     return scenario
 
 
-def _run_group(group: list, fmt: str) -> list[str]:
-    """The serialized report of each scenario of one law, in order."""
-    reports = run_batch(group)
-    texts = []
-    for i in range(len(group)):
-        texts.append(emit(reports[i], fmt))
-        reports[i] = None  # its trajectory goes before the next text is built
-    return texts
-
-
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
@@ -135,23 +125,12 @@ def _cmd_run(args) -> int:
     # its last row ends, then cuts them into trajectories, briefly holding
     # two copies: run the batches before the single scenarios, so that this
     # peak does not stack on the output text that the singles pile up
-    phases = [[m for m in groups.values() if len(m) > 1],
-              [m for m in groups.values() if len(m) == 1]]
-
-    def work(members):
-        return _run_group([scenarios[i] for i in members], args.format)
-
-    done = []
-    for phase in phases:
-        if args.jobs > 1 and len(phase) > 1:
-            # pool threads start in numpy's default error state: pass main's on
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                runs = [pool.submit(contextvars.copy_context().run, work, m) for m in phase]
-                done += [r for run in runs for r in run.result()]
-        else:
-            done += [r for members in phase for r in work(members)]
-    order = [i for phase in phases for members in phase for i in members]
-    results = [text for _, text in sorted(zip(order, done))]
+    results = [""] * len(scenarios)
+    for members in sorted(groups.values(), key=lambda m: len(m) == 1):
+        reports = run_batch([scenarios[i] for i in members])
+        for k, i in enumerate(members):
+            results[i] = emit(reports[k], args.format)
+            reports[k] = None  # its trajectory goes before the next text is built
 
     if not args.out:
         sys.stdout.write(results[0])
@@ -171,18 +150,14 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     scenario = _load(args.scenario, args.step, args.tau_max)
     report = check(scenario, args.checker)
+    if args.out:  # before the verdict: an unwritable --out prints nothing to stdout
+        emit(dataclasses.replace(report, samples=None), "json", args.out)
     verdict = "PASS" if report.summary["passed"] else "FAIL"
     print(f"{args.checker} on {scenario.name}: {verdict}")
     for key, value in report.summary.items():
         if key in ("checker", "passed"):
             continue
         print(f"  {key} = {value}")
-    if args.out:
-        emit(
-            dataclasses.replace(report, samples=None),
-            "json",
-            args.out,
-        )
     return EXIT_OK if report.summary["passed"] else EXIT_FAILED
 
 

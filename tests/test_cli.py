@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 import warnings
 
 import pytest
@@ -164,6 +165,22 @@ def test_run_output_is_the_same_alone_grouped_and_in_parallel(tmp_path, capsys):
         assert printed == [str(out / f"{name}.json") for name in names]
         for path, name in zip(paths, names):
             assert (out / f"{name}.json").read_bytes() == alone[path]
+
+
+def test_jobs_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # --jobs is accepted so that existing command lines parse; groups run in turn
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    args = ["free", "exb-drift", "--tau-max", "1.0", "--format", "json"]
+    out = {}
+    for jobs in ("1", "2"):
+        out[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["run", *args, "--out", str(out[jobs]), "--jobs", jobs]) == 0
+    for name in ("free.json", "exb-drift.json"):
+        assert (out["2"] / name).read_bytes() == (out["1"] / name).read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def _outcome(text, command, tmp_path, capsys):
@@ -436,8 +453,8 @@ def test_huge_values_on_two_keys_warn_nothing(name, first, value, second, tmp_pa
 
 
 def test_parallel_batches_whose_closed_forms_overflow_warn_nothing(tmp_path, capsys):
-    # two batch groups of two rows on the pool's threads: each group's e F and
-    # oracle overflow outside the integration, in a thread of its own
+    # two batch groups of two rows with --jobs 2, run one after another: each
+    # group's e F and oracle overflow outside the integration
     paths = [_huge_doc(name, "b_z", "1e300", "mass", tmp_path / f"{name}-{k}.cfg")
              for name in ("cyclotron", "exb-drift") for k in (1, 2)]
     with warnings.catch_warnings(record=True) as caught:
@@ -539,6 +556,15 @@ def test_check_report_file(tmp_path, capsys):
     assert payload["rows"] == []
 
 
+def test_check_report_to_an_unwritable_path_prints_only_the_error(tmp_path, capsys):
+    # the report is written before the verdict, so stdout stays empty
+    code = main(["check", "free", "--checker", "norm", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_check_norm_with_overrides(capsys):
     code = main(["check", "free", "--checker", "norm", "--tau-max", "2.0"])
     assert code == 0
@@ -626,8 +652,8 @@ def test_no_command_imports_scipy():
 
 
 def test_two_threads_running_the_two_curved_oracles_write_what_one_does(tmp_path):
-    # the precession and Newtonian-force groups on the pool's threads, in a
-    # fresh interpreter, against the same run on one thread
+    # the precession and Newtonian-force groups with --jobs 2, in a fresh
+    # interpreter, against the same run with --jobs 1
     names = ("schwarzschild-precession", "weak-field-newtonian")
     out = {}
     for jobs in ("1", "2"):
