@@ -9,14 +9,18 @@ warnings are off for the whole command: stderr holds at most one line.
 integrator (equal ``report.batch_key``) as one batch: they may differ in
 initial state, horizon, particle mass and, in a uniform field, in E, B
 and charge, which each row brings to the law as its own constants.
-The groups run one after another; ``--jobs`` is still accepted (at least
-1) so that existing command lines parse, and starts no threads.
+The groups run one after another, in the order of their first scenario
+on the command line, and each file is written as soon as its text is
+built: a run that fails leaves the files of the groups before the
+failing one.  ``--jobs`` is still accepted (at least 1) so that existing
+command lines parse, and starts no threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -105,6 +109,12 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
     return scenario
 
 
+def _refuse_directory(path) -> None:
+    # open() would refuse it too, but only once the integration is done
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
@@ -118,37 +128,27 @@ def _cmd_run(args) -> int:
         twice = next((p for i, p in enumerate(paths) if p in paths[:i]), None)
         if twice is not None:
             raise ValidationError(f"two scenarios would write {twice}")
+        os.makedirs(args.out, exist_ok=True)
+    else:
+        _refuse_directory(args.out)
+        paths = [args.out or sys.stdout]
     groups: dict[str, list[int]] = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault(batch_key(scenario), []).append(i)
-    # a batch keeps every step's new states (about 95 B per sample) until
-    # its last row ends, then cuts them into trajectories, briefly holding
-    # two copies: run the batches before the single scenarios, so that this
-    # peak does not stack on the output text that the singles pile up
-    results = [""] * len(scenarios)
-    for members in sorted(groups.values(), key=lambda m: len(m) == 1):
+    # each text is written as soon as it is built, so a run holds one at a time
+    for members in groups.values():
         reports = run_batch([scenarios[i] for i in members])
         for k, i in enumerate(members):
-            results[i] = emit(reports[k], args.format)
+            emit(reports[k], args.format, paths[i])
             reports[k] = None  # its trajectory goes before the next text is built
-
-    if not args.out:
-        sys.stdout.write(results[0])
-        return EXIT_OK
     if many:
-        os.makedirs(args.out, exist_ok=True)
-        for path, text in zip(paths, results):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(path)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(results[0])
+        print("\n".join(paths))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     scenario = _load(args.scenario, args.step, args.tau_max)
+    _refuse_directory(args.out)
     report = check(scenario, args.checker)
     if args.out:  # before the verdict: an unwritable --out prints nothing to stdout
         emit(dataclasses.replace(report, samples=None), "json", args.out)

@@ -183,6 +183,78 @@ def test_jobs_starts_no_thread(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_run_writes_each_file_before_the_next_text_is_built(tmp_path, capsys, monkeypatch):
+    # three groups, in the order of their first scenario: free, the two
+    # uniform fields at one step, coulomb; at each emit the files of the
+    # earlier texts are already on disk
+    from phasetransport import cli
+
+    out = tmp_path / "out"
+    seen = []
+    emit = cli.emit
+
+    def recording(report, format, destination=None):
+        written = sorted(os.listdir(out)) if out.is_dir() else []
+        seen.append((destination and os.path.basename(destination), written))
+        return emit(report, format, destination)
+
+    monkeypatch.setattr(cli, "emit", recording)
+    names = ["free", "cyclotron", "coulomb", "exb-drift"]
+    assert main(["run", *names, "--out", str(out), "--step", "0.01", "--tau-max", "2.0"]) == 0
+    order = ["free.csv", "cyclotron.csv", "exb-drift.csv", "coulomb.csv"]
+    assert seen == [(name, sorted(order[:k])) for k, name in enumerate(order)]
+    assert capsys.readouterr().out.split() == [str(out / f"{n}.csv") for n in names]
+
+
+def test_failing_run_keeps_the_files_of_the_groups_before_it(tmp_path, capsys):
+    # the overflowing cyclotron fails after free's file is written; it has none
+    doc = tmp_path / "huge.cfg"
+    doc.write_text(builtin_text("cyclotron").replace("b_z = 1.0", "b_z = 1e300"))
+    alone = tmp_path / "alone.csv"
+    assert main(["run", "free", "--out", str(alone)]) == 0
+    out = tmp_path / "out"
+    code = main(["run", "free", str(doc), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [
+        "integration error: state became non-finite at tau = 0.001"
+    ]
+    assert os.listdir(out) == ["free.csv"]
+    assert (out / "free.csv").read_bytes() == alone.read_bytes()
+
+
+def _refused_before_integration(argv, capsys, monkeypatch):
+    from phasetransport import cli
+
+    def reached(*args):
+        raise AssertionError("integrated before --out was checked")
+
+    monkeypatch.setattr(cli, "run_batch", reached)
+    monkeypatch.setattr(cli, "check", reached)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_several_scenarios_into_a_regular_file_fail_before_integrating(tmp_path, capsys,
+                                                                       monkeypatch):
+    target = tmp_path / "taken"
+    target.write_text("")
+    _refused_before_integration(["run", "free", "exb-drift", "--out", str(target)],
+                                capsys, monkeypatch)
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize("command", [["run", "coulomb"],
+                                     ["check", "coulomb", "--checker", "norm"]])
+def test_one_output_file_that_is_a_directory_fails_before_integrating(command, tmp_path,
+                                                                      capsys, monkeypatch):
+    _refused_before_integration([*command, "--out", str(tmp_path)], capsys, monkeypatch)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _outcome(text, command, tmp_path, capsys):
     """(exit code, warnings, stderr lines) of `command` on the document `text`,
     with `--out` pointing into `tmp_path`."""
