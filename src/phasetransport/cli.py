@@ -23,6 +23,7 @@ import dataclasses
 import errno
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -109,10 +110,19 @@ def _load(token: str, step=None, tau_max=None) -> Scenario:
     return scenario
 
 
-def _refuse_directory(path) -> None:
-    # open() would refuse it too, but only once the integration is done
-    if path and os.path.isdir(path):
+def _refuse_unwritable(path) -> None:
+    # open() would refuse these too, with the same error, but only once the
+    # integration is done
+    if not path:
+        return
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        parent = os.stat(os.path.dirname(path) or os.curdir)
+    except OSError as err:  # a missing directory, say
+        raise OSError(err.errno, err.strerror, path) from None
+    if not stat.S_ISDIR(parent.st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _cmd_run(args) -> int:
@@ -130,7 +140,7 @@ def _cmd_run(args) -> int:
             raise ValidationError(f"two scenarios would write {twice}")
         os.makedirs(args.out, exist_ok=True)
     else:
-        _refuse_directory(args.out)
+        _refuse_unwritable(args.out)
         paths = [args.out or sys.stdout]
     groups: dict[str, list[int]] = {}
     for i, scenario in enumerate(scenarios):
@@ -148,7 +158,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     scenario = _load(args.scenario, args.step, args.tau_max)
-    _refuse_directory(args.out)
+    _refuse_unwritable(args.out)
     report = check(scenario, args.checker)
     if args.out:  # before the verdict: an unwritable --out prints nothing to stdout
         emit(dataclasses.replace(report, samples=None), "json", args.out)

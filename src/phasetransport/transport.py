@@ -15,7 +15,8 @@ The row count alone picks how a run steps.  A batch steps on numpy
 arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``, ``_make_rhs``,
 ``_compile_acceleration``).  A lone trajectory steps on Python floats,
 eight per state, whatever its method or route (``_rk4_step_floats`` and
-``_rk45_step_floats``, written out over eight named components).  Its
+``_rk45_step_floats``).  Each method's two steps are generated from its
+tableau (``_steppers``) in one expression order.  A lone
 right-hand side is one generated function (``_LoneSource``,
 ``_lone_rhs``), compiled once per law shape: it unpacks the state,
 probes the guard on floats once (``tensor.float_probe``), and writes
@@ -506,60 +507,54 @@ def _lone_rhs(
 # ---------------------------------------------------------------------------
 # steppers
 #
-# Each comes twice: on a batch (N, 8) with a step per row (N, 1), and
-# (``_floats``) on one state held as eight Python floats with a float
-# step.  Every array operation is elementwise or per row, and the float
-# twin takes it in its order one component at a time, so a row of a
-# batch gets the bits it gets alone.
+# Each method is written once, as its tableau: the source of its stages
+# and results over the state {y}, the step h and the stage derivatives
+# {k0}, {k1}, ..., in the method's own summation order.  ``_steppers``
+# writes it out twice, over whole arrays for a batch (N, 8) with h a float
+# or a column (n, 1), and over eight named Python floats for one state
+# with a float step.  Every array operation is elementwise, so the one
+# expression order gives a row of a batch the bits it gets alone.
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(rhs, y: np.ndarray, h) -> np.ndarray:
-    # y + (h/6) (k1 + 2 k2 + 2 k3 + k4), accumulated in place in that order
-    # (IEEE addition and multiplication commute, so the bits are the same)
-    half = 0.5 * h
-    k1 = rhs(y)
-    stage = half * k1
-    stage += y
-    k2 = rhs(stage)
-    stage = half * k2
-    stage += y
-    k3 = rhs(stage)
-    stage = h * k3
-    stage += y
-    k4 = rhs(stage)
-    acc = 2.0 * k2
-    acc += k1
-    k3 *= 2.0
-    acc += k3
-    acc += k4
-    acc *= h / 6.0
-    acc += y
-    return acc
+def _steppers(scalars: tuple, stages: tuple, result: tuple) -> tuple[Callable, Callable]:
+    """One method's ``step(rhs, y, h)`` on arrays and on floats, each compiled
+    from its own source.
+
+    `scalars` are lines over h alone.  {k0} is evaluated at {y} and {k<j>}
+    at the state ``stages[j - 1]``; the step returns `result`, where ``s``,
+    written without a field, is the last stage's state.  On floats,
+    component i of {y}, {k<j>} and {s} is y_i, k<j>_i and s[i].
+    """
+    fields = ["y", *(f"k{j}" for j in range(len(stages) + 1))]
+
+    def source(names: list) -> str:
+        def spelled(template: str) -> str:
+            each = [template.format(**n) for n in names]
+            return each[0] if len(each) == 1 or "{" not in template else f"[{', '.join(each)}]"
+
+        def unpacked(field: str) -> str:
+            return ", ".join(n[field] for n in names)
+
+        lines = list(scalars)
+        if len(names) > 1:  # the eight floats by name
+            lines.append(f"{unpacked('y')} = y")
+        lines.append(f"{unpacked('k0')} = rhs(y)")
+        for j, stage in enumerate(stages, 1):
+            lines += [f"s = {spelled(stage)}", f"{unpacked(f'k{j}')} = rhs(s)"]
+        lines.append(f"return {', '.join(map(spelled, result))}")
+        return "def step(rhs, y, h):\n" + "".join(f"    {line}\n" for line in lines)
+
+    arrays = [{"s": "s", **{f: f for f in fields}}]
+    floats = [{"s": f"s[{i}]", **{f: f"{f}_{i}" for f in fields}} for i in range(2 * DIM)]
+    return compiled(source(arrays), "step"), compiled(source(floats), "step")
 
 
-def _rk4_step_floats(rhs, y: list, h: float) -> list:
-    # _rk4_step's operations in its order, one named component at a time:
-    # IEEE addition and multiplication of Python floats give numpy's bits
-    half = 0.5 * h
-    y0, y1, y2, y3, y4, y5, y6, y7 = y
-    a0, a1, a2, a3, a4, a5, a6, a7 = rhs(y)
-    b0, b1, b2, b3, b4, b5, b6, b7 = rhs([
-        half * a0 + y0, half * a1 + y1, half * a2 + y2, half * a3 + y3,
-        half * a4 + y4, half * a5 + y5, half * a6 + y6, half * a7 + y7])
-    c0, c1, c2, c3, c4, c5, c6, c7 = rhs([
-        half * b0 + y0, half * b1 + y1, half * b2 + y2, half * b3 + y3,
-        half * b4 + y4, half * b5 + y5, half * b6 + y6, half * b7 + y7])
-    d0, d1, d2, d3, d4, d5, d6, d7 = rhs([
-        h * c0 + y0, h * c1 + y1, h * c2 + y2, h * c3 + y3,
-        h * c4 + y4, h * c5 + y5, h * c6 + y6, h * c7 + y7])
-    sixth = h / 6.0
-    return [
-        (2.0 * b0 + a0 + 2.0 * c0 + d0) * sixth + y0, (2.0 * b1 + a1 + 2.0 * c1 + d1) * sixth + y1,
-        (2.0 * b2 + a2 + 2.0 * c2 + d2) * sixth + y2, (2.0 * b3 + a3 + 2.0 * c3 + d3) * sixth + y3,
-        (2.0 * b4 + a4 + 2.0 * c4 + d4) * sixth + y4, (2.0 * b5 + a5 + 2.0 * c5 + d5) * sixth + y5,
-        (2.0 * b6 + a6 + 2.0 * c6 + d6) * sixth + y6, (2.0 * b7 + a7 + 2.0 * c7 + d7) * sixth + y7]
-
+# classical RK4, y + (h/6) (k0 + 2 k1 + 2 k2 + k3), in its summation order
+_rk4_step, _rk4_step_floats = _steppers(
+    ("half = 0.5 * h", "sixth = h / 6.0"),
+    ("half * {k0} + {y}", "half * {k1} + {y}", "h * {k2} + {y}"),
+    ("(2.0 * {k1} + {k0} + 2.0 * {k2} + {k3}) * sixth + {y}",))
 
 # Dormand-Prince 5(4) tableau (autonomous form; the law has no explicit
 # proper-time dependence, so stage abscissae never enter).  Each stage and
@@ -580,40 +575,14 @@ _DP_B4 = (
 )
 
 
-def _rk45_step(rhs, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """One embedded trial step: (5th-order result, error-estimate vector)."""
-    k = [rhs(y)]
-    for (_, a0), *rest in _DP_A:
-        acc = a0 * k[0]
-        for j, a in rest:
-            acc = acc + a * k[j]
-        stage = y + h * acc
-        k.append(rhs(stage))
-    y4 = y + h * sum(b * k[j] for j, b in _DP_B4)
-    return stage, stage - y4
+def _weighted(pairs) -> str:  # each coefficient its exact literal
+    return "h * (" + " + ".join(f"{a!r} * {{k{j}}}" for j, a in pairs) + ")"
 
 
-def _rk45_step_floats_maker() -> Callable[..., tuple[list, list]]:
-    """``_rk45_step``'s operations in its order, one named state component
-    at a time, as one function written out from the tableau once: stage s's
-    derivative is k<s>_<i>, and the 4th-order sum starts from 0, as Python's
-    sum over the arrays does.  Each coefficient is its exact literal."""
-    def each(expr) -> str:
-        return ", ".join(expr(i) for i in range(2 * DIM))
-
-    def combination(pairs, i) -> str:
-        return " + ".join(f"{a!r} * k{j}_{i}" for j, a in pairs)
-
-    lines = [f"{each(lambda i: f'y{i}')} = y", f"{each(lambda i: f'k0_{i}')} = rhs(y)"]
-    for s, row in enumerate(_DP_A, 1):
-        lines.append(f"s = [{each(lambda i: f'y{i} + h * ({combination(row, i)})')}]")
-        lines.append(f"{each(lambda i: f'k{s}_{i}')} = rhs(s)")
-    y4 = each(lambda i: f"s[{i}] - (y{i} + h * (0 + {combination(_DP_B4, i)}))")
-    lines.append(f"return s, [{y4}]")
-    return compiled("def step(rhs, y, h):\n" + "".join(f"    {line}\n" for line in lines), "step")
-
-
-_rk45_step_floats = _rk45_step_floats_maker()
+# the 5th-order result and its difference from the 4th-order one
+_rk45_step, _rk45_step_floats = _steppers(
+    (), tuple(f"{{y}} + {_weighted(row)}" for row in _DP_A),
+    ("s", f"{{s}} - ({{y}} + {_weighted(_DP_B4)})"))
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,

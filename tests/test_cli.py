@@ -236,6 +236,7 @@ def _refused_before_integration(argv, capsys, monkeypatch):
     assert (code, captured.out) == (1, "")
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
 
 
 def test_several_scenarios_into_a_regular_file_fail_before_integrating(tmp_path, capsys,
@@ -253,6 +254,23 @@ def test_one_output_file_that_is_a_directory_fails_before_integrating(command, t
                                                                       capsys, monkeypatch):
     _refused_before_integration([*command, "--out", str(tmp_path)], capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["run", "coulomb"],
+                                     ["check", "coulomb", "--checker", "norm"]])
+@pytest.mark.parametrize("where", ["missing", "file", "file/sub"])
+def test_one_output_file_in_a_missing_directory_fails_before_integrating(command, where,
+                                                                         tmp_path, capsys,
+                                                                         monkeypatch):
+    # the error line is open()'s (ENOENT, or ENOTDIR under a regular file),
+    # which would come only once the integration is done
+    (tmp_path / "file").write_text("")
+    target = tmp_path / where / "out.txt"
+    line = _refused_before_integration([*command, "--out", str(target)], capsys, monkeypatch)
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    assert line == f"error: {opened.value}"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def _outcome(text, command, tmp_path, capsys):

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasetransport import oracles, transport
@@ -1268,6 +1268,37 @@ def _bits(values):
     return np.where(np.isnan(values), np.nan, values).tobytes()
 
 
+def _mixing(v):
+    """Eight rates from eight components `v`, Python floats or numpy columns,
+    in the same IEEE operations: products overflow and a zero keeps its sign."""
+    return [v[(i + 1) % 8] * 0.75 - v[i] * v[(i + 3) % 8] for i in range(8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.lists(st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0), min_size=8,
+                       max_size=8),
+              st.floats(1e-3, 1.0)),
+    min_size=1, max_size=5))
+@example(rows=[([-0.0] * 8, 0.5), ([1e200, -0.0, 0.0, 1.0, 2.0, -1.0, 0.5, 3.0], 0.25)])
+def test_each_generated_step_on_floats_has_the_bits_of_its_row_on_arrays(rows):
+    # drawn states (n, 8) and a step per row (n, 1): each row stepped alone on
+    # floats has the bits of its row of the array step, RK4's and RK45's
+    # (a NaN's sign aside, see _bits); the 1e200 row overflows to inf and NaN
+    y = np.array([state for state, _ in rows])
+    h = np.array([[step] for _, step in rows])
+    with np.errstate(all="ignore"):
+        for on_arrays, on_floats in ((transport._rk4_step, transport._rk4_step_floats),
+                                     (transport._rk45_step, transport._rk45_step_floats)):
+            batch = on_arrays(lambda y: np.stack(_mixing(y.T), axis=1), y, h)
+            for i, (state, step) in enumerate(rows):
+                lone = on_floats(_mixing, state, step)
+                if isinstance(batch, tuple):  # RK45's result and error estimate
+                    assert [_bits(np.array(v)) for v in lone] == [_bits(v[i]) for v in batch]
+                else:
+                    assert _bits(np.array(lone)) == _bits(batch[i])
+
+
 def _assert_same_bits_or_rejection(lone, reference, y):
     # the same rate bits, or the same OutsideDomain text
     try:
@@ -1365,9 +1396,9 @@ class _TermFailed(Exception):
 
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
 def test_a_raising_user_term_shows_its_generated_lines_in_the_traceback(method):
-    # the generated right-hand side and RK45 step are compiled under filenames
-    # of their own that linecache serves, so a traceback (and a profile)
-    # shows the generated lines that called the term
+    # the generated right-hand side and step (RK4 or RK45) are compiled under
+    # filenames of their own that linecache serves, so a traceback (and a
+    # profile) shows the generated lines that called the term
     def term(coords, u):
         raise _TermFailed
 
@@ -1377,9 +1408,8 @@ def test_a_raising_user_term_shows_its_generated_lines_in_the_traceback(method):
         integrate(conn, Particle(1.0, 1.0), rest_state(), cfg)
     generated = [frame.line for frame in traceback.extract_tb(info.tb)
                  if frame.filename.startswith("<phasetransport-generated-")]
-    stepper = ["k0_0, k0_1, k0_2, k0_3, k0_4, k0_5, k0_6, k0_7 = rhs(y)"]
-    assert generated == (stepper if method == "rk45-adaptive" else []) + [
-        "k0, k1, k2, k3 = k_fn(c, u)"]
+    assert generated == ["k0_0, k0_1, k0_2, k0_3, k0_4, k0_5, k0_6, k0_7 = rhs(y)",
+                         "k0, k1, k2, k3 = k_fn(c, u)"]
 
 
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
