@@ -19,13 +19,13 @@ metric).  The two physically distinguished builders are:
   Lorentz coupling.  Independent of momentum, hence of mass.
 
 The gravitational builder sums the contracted term from the metric's
-closed forms of g^-1 and dg when it has both, on numpy columns for a
-batch and on Python floats for a lone trajectory
-(``tensor.metric_contraction``), and otherwise builds the symbols and
-contracts them.  The Lorentz term is always (e F) u on arrays; it keeps
-F's spec (``tensor.spec``: a uniform field's rows, or the gradient
-formula of ``curvature.faraday_field_of``) with the charge bound, so a
-lone run's generated right-hand side writes the term out.
+closed forms of g^-1 and dg when it has both
+(``tensor.metric_contraction``, whose spec the transport law writes out
+for a batch and for a lone trajectory alike), and otherwise builds the
+symbols and contracts them.  The Lorentz term is always (e F) u on
+arrays; it keeps F's spec (``tensor.spec``: a uniform field's rows, or
+the gradient formula of ``curvature.faraday_field_of``) with the charge
+bound, so the law's generated right-hand side writes the term out.
 
 ``superpose`` adds the terms so both forces act through a single law.
 """
@@ -142,8 +142,8 @@ def electromagnetic_connection(f: FaradayField, charge: float) -> NonLinearConne
     evaluation and raises ``MalformedFaraday`` on failure; an
     ``AntisymmetricFaraday`` (``uniform_faraday``, checked once when
     built, and ``faraday_field_of``, exact by construction) is used as
-    it is, and its F's spec, with e bound, is the term's: a lone run
-    writes the term out from it and never builds F.
+    it is, and its F's spec, with e bound, is the term's: the transport
+    law writes the term out from it and never calls F's evaluator.
     """
     _finite_real("charge", charge)
     e = float(charge)

@@ -157,8 +157,8 @@ def faraday_field_of(a: VectorPotential) -> AntisymmetricFaraday:
     dA - dA^T is exactly antisymmetric in IEEE arithmetic, so the result
     is marked as such and never re-checked.  When ``a.deriv_fn`` is a
     ``tensor.closed_form`` or ``tensor.constant`` gradient (every built-in
-    one), F's spec is ``Contracted(curl=<its ClosedForm>)``, from which a
-    lone run writes the Lorentz term out with the bits of
+    one), F's spec is ``Contracted(curl=<its ClosedForm>)``, from which the
+    transport law writes the Lorentz term out with the bits of
     ``(e * faraday_matrix_raw(a, coords)) @ u``.
     """
     def matrix(coords: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ linear-acceleration oracles in the test suite pin this choice.
 Potentials are stored covariantly, A_m = (A_0, A_i), with F = dA, i.e.
 F_mn = d_m A_n - d_n A_m.  For a static potential A_0 = -phi this gives
 the usual E = -grad(phi).  The uniform field's F keeps its constant rows
-as its spec (``tensor.Contracted``), from which a lone run writes the
-Lorentz term (e F) u out.
+as its spec (``tensor.Contracted``), from which the transport law writes
+the Lorentz term (e F) u out.
 
 Each closed form here (the Coulomb and axial potentials' values and
 gradients and the Coulomb guard) is one formula, run on numpy columns or
@@ -85,7 +85,7 @@ class FaradayField:
     re-checks antisymmetry on each evaluation.  The built-in evaluators
     take one event ``(4,)`` or a batch ``(..., 4)``, and carry a spec
     (``tensor.Contracted``: a uniform F's rows, or the gradient whose curl
-    F is), from which a lone run writes (e F) u out without building F.
+    F is), from which the transport law writes (e F) u out without calling them.
     """
 
     matrix_fn: Callable[[np.ndarray], np.ndarray]

@@ -18,19 +18,21 @@ of a lone trajectory.  The formula takes an ``ops`` namespace for its
 square roots, sines and cosines: numpy itself, or math's functions.
 Addition, subtraction, multiplication, division and the square root
 round correctly both ways, and numpy's float64 sin and cos give math's
-bits, so both runs give the same bits.  A guard's admission tests run
-on floats with numpy's NaN for the sine or cosine of an infinite angle
-(``_FLOAT_OPS``); the generated body of a lone right-hand side calls
-the formulas with math's own (``_MATH_OPS``) and evaluates an event
-where they raise again on arrays.
+bits, so both runs give the same bits.  A guard's probe runs its
+admission tests on floats with numpy's NaN for the sine or cosine of an
+infinite angle (``_FLOAT_OPS``); the generated right-hand side calls
+the tests and the formulas itself, on floats with math's own
+(``_MATH_OPS``), evaluating an event where they raise again on numpy
+columns, and on a batch's columns with numpy.
 ``closed_form`` builds a potential's or a metric's evaluator from the
-nonzero entries of its result, ``constant`` one that gives the same
-array at every event, ``metric_contraction`` a metric's d_s g(u, u) or
-geodesic term from its closed forms, and ``guard_probe`` a guard's
-probe from its admission tests.  Each evaluator keeps its spec
-(``spec``: a ``ClosedForm``, a ``Contracted`` or an ``Admission``),
-from which ``transport`` writes a lone right-hand side out as one
-function (``compiled``), and ``float_probe`` runs a probe on floats.  A
+nonzero entries of its result (``filled``), ``constant`` one that gives
+the same array at every event, ``metric_contraction`` a metric's
+d_s g(u, u) or geodesic term from its closed forms, and ``guard_probe``
+a guard's probe from its admission tests.  Each evaluator keeps its
+spec (``spec``: a ``ClosedForm``, a ``Contracted`` or an
+``Admission``), from which ``transport`` writes the law's right-hand
+side out as one function per rendering (``compiled``), and
+``float_probe`` runs a probe on floats.  A
 field strength's spec is a ``Contracted`` too: the rows of a uniform F,
 or the gradient whose curl F is (``curl_source`` writes e F u out from
 that gradient's formula).  A callable without a spec is called on arrays.
@@ -175,17 +177,21 @@ def closed_form(indices, formula) -> Callable[[np.ndarray], np.ndarray]:
     bits.
     """
     indices = tuple(tuple(i % DIM for i in index) for index in indices)
-    shape = (DIM,) * len(indices[0])
-    slots = [index[::-1] for index in indices]  # of out.T
 
     def on_arrays(c: np.ndarray) -> np.ndarray:
-        out = np.zeros(c.shape[:-1] + shape)
-        t = out.T
-        for slot, value in zip(slots, formula(np, c.T)):
-            t[slot] = value
-        return out
+        return filled(c.shape[:-1], indices, formula(np, c.T))
 
     return with_spec(on_arrays, ClosedForm(indices, formula))
+
+
+def filled(lead: tuple, indices: tuple, values) -> np.ndarray:
+    """The array ``lead + (4, ...)`` that is zero but at `indices`, where it
+    holds `values`, numbers or columns over `lead`, in their order."""
+    out = np.zeros(lead + (DIM,) * len(indices[0]))
+    t = out.T
+    for index, value in zip(indices, values):
+        t[index[::-1]] = value
+    return out
 
 
 def constant(value) -> Callable[[np.ndarray], np.ndarray]:
@@ -273,15 +279,14 @@ def metric_contraction(dg: ClosedForm,
                        inverse: Optional[ClosedForm] = None) -> Callable[..., np.ndarray]:
     """The term ``(coords, u) -> (4,)`` d_s g(u, u) of the gradient whose spec
     is `dg`, or, given g^-1's, -Gamma(u, u) (``metric_source``), for one
-    event or a batch: the formulas run as ``closed_form`` runs them (g^-1
-    read from `ginv` where given), and the sums on the columns.  Its spec,
-    ``Contracted(dg=, inverse=)``, lets a lone run write them out on floats."""
+    event or a batch: the formulas run as ``closed_form`` runs them, and
+    the sums on the columns.  Its spec, ``Contracted(dg=, inverse=)``,
+    lets the transport law write them out."""
     sums = _metric_sums(dg.indices, inverse.indices if inverse else ())
 
-    def on_arrays(c: np.ndarray, u: np.ndarray, ginv: Optional[np.ndarray] = None) -> np.ndarray:
+    def on_arrays(c: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape)
-        w = () if inverse is None else inverse.formula(np, c.T) if ginv is None else [
-            ginv[..., a, d] for a, d in inverse.indices]
+        w = () if inverse is None else inverse.formula(np, c.T)
         for a, term in enumerate(sums(*dg.formula(np, c.T), *w, *u.T)):
             out[..., a] = term
         return out

@@ -5,43 +5,45 @@ and the law is  du^a/dtau = K1^a_mn u^m u^n + g^ab K0_bn u^n / m.  The
 connection stores both terms contracted with u: K1 raised, so the
 geodesic term is the standard contravariant vector as it is, and K0
 covariant, so only K0 u is raised here.
-``_compile_acceleration`` compiles the law once per connection: which
-blocks it has and how K0 is raised are decided there, so the
-right-hand side does per-point work only.  On a curved chart g^-1 is
-evaluated once per point, shared by the raise of K0 and a geodesic term
-summed from its closed form; on the flat chart none is evaluated.
+``_force_law`` shapes the law once per connection: which blocks it has
+and how K0 is raised are decided there, so the right-hand side does
+per-point work only.  On a curved chart g^-1 is evaluated once per
+point, shared by the raise of K0 and a geodesic term summed from its
+closed form; on the flat chart none is evaluated.
 
 The row count alone picks how a run steps.  A batch steps on numpy
-arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``, ``_make_rhs``,
-``_compile_acceleration``).  A lone trajectory steps on Python floats,
-eight per state, whatever its method or route (``_rk4_step_floats`` and
-``_rk45_step_floats``).  Each method's two steps are generated from its
-tableau (``_steppers``) in one expression order.  A lone
-right-hand side is one generated function (``_LoneSource``,
-``_lone_rhs``), compiled once per law shape: it unpacks the state,
-probes the guard on floats once (``tensor.float_probe``), and writes
-the law out in the array law's operations and order.  Each built-in
-closed form, guard probe and inverse metric is one formula, run on
-numpy columns or on Python floats (``tensor.closed_form``,
-``tensor.constant``, ``tensor.guard_probe``); the generated body calls
-a formula directly from its spec, once, and spells out a metric
-gradient's sums (``tensor.metric_source``), a uniform field's block, a
-Lorentz term's rows and the raise of K0 u.  A callable without a spec
-is called on arrays, ``fn(np.array(x), np.array(u)).tolist()``.  Both
-ways take the same IEEE operations in the same order, so a lone run has
-the bits of its row in a batch; where Python floats raise and numpy
-gives inf or NaN, the body's one ``except`` evaluates that state again
-with the array law.
+arrays, one state (N, 8) (``_rk4_step``, ``_rk45_step``); a lone
+trajectory steps on Python floats, eight per state, whatever its method
+or route (``_rk4_step_floats`` and ``_rk45_step_floats``).  Each
+method's two steps are generated from its tableau (``_steppers``) in one
+expression order, and so are the law's two right-hand sides: a law
+writes its lines once, through a source (``_LoneSource``) that renders
+them on Python floats (``_lone_rhs``) or on numpy columns
+(``_batch_rhs``), each compiled once per law shape.  The body unpacks
+the state, calls the guard's admission tests itself, and writes the law
+out: each built-in closed form, guard test and inverse metric is one
+formula, called directly from its spec (``tensor.closed_form``,
+``tensor.constant``, ``tensor.guard_probe``), with math's own ``ops``
+on floats and numpy's on columns, and a metric gradient's sums
+(``tensor.metric_source``) are the same lines both ways.  The one
+product that is not elementwise, a matrix times a vector (a uniform
+field's block, a Lorentz term's F, the raise of K0 u), is summed in
+numpy's order on floats and is ``np.matmul`` on columns.  A callable
+without a spec is called on arrays, once per float state or once per
+batch.  Both renderings take the same IEEE operations in the same
+order, so a lone run has the bits of its row in a batch; where Python
+floats raise and numpy gives inf or NaN, the float body's one
+``except`` evaluates that state with the column body, as a batch of one.
 
 The equivalence of this contravariant form and a covariant one is
 exercised by the canonical-momentum route below, which evolves the
 covariant momentum pi = m u + e (A - A(x0)), the potential anchored at
 the start event, and must land on the same worldline.
-Its law is compiled once per route in the same way
+Its law is shaped once per route in the same way
 (``_compile_canonical``), and the two routes differ only in that law:
-a run of this route is always lone, so its right-hand side comes from
-the same generator, with u recovered from pi in the body, and it shares
-the engine.
+a run of this route is always lone, so its right-hand side is the float
+rendering of its source, with u recovered from pi in the body, and it
+shares the engine.
 Neither rescales u: the law keeps g(u, u) = -1 by itself.
 A state that is not finite is no event: no guard rejects it, and the run
 fails with ``StepRejected`` where the step lands.
@@ -77,9 +79,9 @@ from .fields import VectorPotential
 from .tensor import (
     _MATH_OPS,
     DIM,
-    EVERYWHERE,
     MINKOWSKI,
     U_NAMES,
+    Admission,
     ClosedForm,
     Contracted,
     DomainGuard,
@@ -90,6 +92,7 @@ from .tensor import (
     _finite_real,
     compiled,
     curl_source,
+    filled,
     float_probe,
     metric_contraction,
     metric_source,
@@ -242,90 +245,10 @@ def acceleration_terms(
     return zeroth, first
 
 
-def _compile_acceleration(
-    c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Contravariant du/dtau as a function of (coords, u), shaped once per connection.
-
-    Both terms are the connection's contracted vectors, ``o1(coords, u)``
-    and ``o0(coords, u)``.  K1 is used as it is.  K0 u / m is raised with
-    the inverse metric, except on the flat chart: eta is a +-1 diagonal,
-    so raising (K0 u) * (1/m) is a per-row sign folded into the 1/m
-    scale, with the same bits as eta @ ((K0 u) * (1/m)) up to the sign
-    of a zero.  Elsewhere g^-1 is evaluated once per point for that
-    raise, and a K1 summed from its closed form reads that evaluation.
-    `coords` and `u` are a batch ``(N, 4)``: this is the law on arrays,
-    and ``_lone_rhs`` falls back on it with a batch of one.  `mass`
-    is the particle mass, one float or one per event ``(N,)``.  `order0`,
-    when given, is the constant K0 block of each event ``(N, 4, 4)`` (or
-    one ``(4, 4)`` for all), e F of a uniform field, contracted here as
-    ``_mv(order0, u)`` in place of the connection's ``order0_raw``; a
-    matrix-vector product per event has the bits of the lone one, so a
-    row gets what it gets alone.
-    """
-    o1 = c.order1_raw
-    if order0 is None:
-        o0 = c.order0_raw
-    else:
-
-        def o0(coords, u):
-            return _mv(order0, u)
-
-    inv_mass = 1.0 / (mass if np.ndim(mass) == 0 else mass[:, None])
-    inverse = c.metric.inverse_raw
-
-    if o1 is None and o0 is None:
-        zero = np.zeros(DIM)
-        return lambda coords, u: zero
-    if o1 is None and isinstance(c.metric, FlatMetric):
-        scale = np.diag(MINKOWSKI) * inv_mass  # (-1/m, 1/m, 1/m, 1/m), per event
-        return lambda coords, u: o0(coords, u) * scale
-    if o1 is None:
-        return lambda coords, u: _mv(inverse(coords), o0(coords, u) * inv_mass)
-    if o0 is None:
-        return o1
-    summed = getattr(spec(o1), "inverse", None)  # the g^-1 that K1's sums read, if any
-    shared = summed is not None and summed is spec(c.metric.inverse_fn)
-
-    def both(coords, u):
-        ginv = inverse(coords)  # once, for K1's sums too where they read it
-        k1 = o1(coords, u, ginv) if shared else o1(coords, u)
-        return k1 + _mv(ginv, o0(coords, u) * inv_mass)
-
-    return both
-
-
 def _on_floats(fn: Callable[..., np.ndarray]) -> Callable[..., list]:
     """`fn` of one event on Python floats, four per ``(4,)`` argument: `fn`
     called on arrays, for a callable without a spec."""
     return lambda *args: fn(*map(np.array, args)).tolist()
-
-
-def _make_rhs(
-    guard: DomainGuard, rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The ODE right-hand side of a batch of states (x, u) ``(N, 8)``:
-    (dx/dtau, du/dtau) = (u, rate(x, u)).
-
-    This is the force route's shell on arrays.  The body probes `guard`
-    once and hands a rejected batch to ``_rejected`` with the reason
-    ``"<label>: <why>"``: a batch with any point outside the domain
-    raises ``OutsideDomain`` as one point would.
-    """
-    probe, label = guard.probe, guard.label
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        coords = y[:, :DIM]
-        why = probe(coords)
-        if why is not None:
-            return _rejected(y, f"{label}: {why}")
-        u = y[:, DIM:]
-        out = np.empty(y.shape)
-        out[:, :DIM] = u
-        out[:, DIM:] = rate(coords, u)
-        return out
-
-    return rhs
 
 
 def _rejected_lone(y: list, reason: str) -> list:
@@ -334,59 +257,81 @@ def _rejected_lone(y: list, reason: str) -> list:
 
 
 @functools.cache
-def _lone_rhs_maker(params: tuple, body: str) -> Callable:
-    """``make(*values) -> rhs``: the lone right-hand side whose body is `body`,
-    reading the names `params` bound to `values`.  Compiled once per law shape."""
+def _rhs_maker(params: tuple, body: str) -> Callable:
+    """``make(*values) -> rhs``: the right-hand side whose body is `body`,
+    reading the names `params` bound to `values`.  Compiled once per law
+    shape and rendering."""
     return compiled(f"def make({', '.join(params)}):\n    def rhs(y):\n{body}    return rhs\n",
                     "make")
 
 
 class _LoneSource:
-    """The source of one lone right-hand side, a function of the state held
-    as eight Python floats, and the values of the names it reads.
+    """The source of one right-hand side of the law, and the values of the
+    names it reads, rendered on Python floats (`ops` math's own) or on
+    numpy columns (`ops` numpy): a law (``_force_law``,
+    ``_compile_canonical``) writes its shape through it once per rendering.
 
-    The body unpacks the state into x0..x3 and the route's momentum (u0..u3
-    on the force route, p0..p3 on the canonical one), probes the guard on
-    floats once (``tensor.float_probe``) and hands a rejected state to
-    ``_rejected`` with the reason ``"<label>: <why>"``, as ``_make_rhs``
-    does.  The law follows in the array law's operations and order: a
-    closed form is its formula's call (``tensor.ClosedForm``, with math's
-    own ``ops``, made once for every term that reads it), a metric
-    contraction its sums, a constant block or a curl its rows, and any
-    other callable one call on arrays (``_on_floats``).
-    Where Python floats raise, the one ``except`` evaluates the state again
-    with the route's array law.  Every constant and callable is a bound
-    name, so the source depends on the law's shape alone and is compiled
-    once per shape (``_lone_rhs_maker``).
+    The body unpacks the state, eight floats or a batch ``(N, 8)`` as eight
+    columns, into x0..x3 and the route's momentum (u0..u3 on the force
+    route, p0..p3 on the canonical one), and calls the guard's admission
+    tests itself: a rejected state goes to ``_rejected`` with the reason
+    ``"<label>: <why>"``, a batch's worded for its first rejected row as
+    ``tensor.guard_probe`` words it; a guard without an ``Admission`` spec
+    is probed once.  A closed form is its formula's call, made once for
+    every term that reads it, and a metric contraction its sums.  A matrix
+    times a vector is summed in numpy's order on floats (``row_source``)
+    and is one ``connection._mv`` on columns, with the same bits.  Any
+    other callable is one call on arrays: per float state (``_on_floats``),
+    or on the columns ``X``, ``U`` (N, 4).  On floats the rates are a list,
+    and where floats raise the one ``except`` returns `fallback`'s; on
+    columns they fill one ``(N, 8)`` output.  Every constant and callable is
+    a bound name, so the source depends on the law's shape and rendering
+    alone and is compiled once per both (``_rhs_maker``).
     """
 
-    def __init__(self, guard: DomainGuard, momentum: str):
-        self.names = {"ops": _MATH_OPS}
-        self.made = set()
-        self.values = {}
-        self.head = [f"x0, x1, x2, x3, {momentum}0, {momentum}1, {momentum}2, {momentum}3 = y"]
-        self.lines = []
-        probe = float_probe(guard.probe)
-        if probe is not EVERYWHERE.probe:  # that probe admits everything
-            self.made.add("c")
-            self.head += [
-                "c = (x0, x1, x2, x3)",
-                f"why = {self.bind('probe', probe)}(c)",
-                "if why is not None:",
-                f"    return {self.bind('rejected', _rejected_lone)}"
-                f"(y, f'{{{self.bind('label', guard.label)}}}: {{why}}')",
-            ]
+    def __init__(self, guard: DomainGuard, momentum: str, ops=_MATH_OPS):
+        self.columns, self.momentum = ops is np, momentum
+        self.unpack = ".T" if self.columns else ""  # a result's columns, to unpack
+        self.names, self.made, self.values = {"ops": ops}, set(), {}
+        self.lines = [f"x0, x1, x2, x3, {momentum}0, {momentum}1, {momentum}2, {momentum}3 = y"
+                      + self.unpack]
+        admission = spec(guard.probe)
+        tests = admission.tests if isinstance(admission, Admission) else None
+        if tests == ():  # EVERYWHERE
+            return
+        probe = self.bind("probe", guard.probe if self.columns and tests is None
+                          else float_probe(guard.probe))
+        if tests is None:
+            why = f"{probe}({self.need('X' if self.columns else 'c')})"
+        else:
+            every = ".all()" if self.columns else ""
+            admitted = " and ".join(f"{self.bind(f't{k}', admits)}(ops, {self.need('c')}){every}"
+                                    for k, (admits, _) in enumerate(tests))
+            # on columns, the reason of the first row that the probe rejects
+            first = f"next(filter(None, map({probe}, y[:, :4].tolist())), None)"
+            why = f"None if {admitted} else {first if self.columns else probe + '(c)'}"
+        rejected = self.bind("rejected", _rejected if self.columns else _rejected_lone)
+        reason = f"f'{{{self.bind('label', guard.label)}}}: {{why}}'"
+        self.lines += [f"why = {why}", "if why is not None:", f"    return {rejected}(y, {reason})"]
 
     def bind(self, name: str, value) -> str:
         self.names[name] = value
         return name
 
-    def need(self, name: str) -> None:
-        """Pack the coordinates as ``c`` or the velocity as ``u``, once."""
+    def need(self, name: str) -> str:
+        """Pack the coordinates as ``c`` or the velocity as ``u``, and on
+        columns their arrays ``X`` and ``U`` (N, 4), once; the name."""
         if name not in self.made:
             self.made.add(name)
-            parts = ("x0", "x1", "x2", "x3") if name == "c" else U_NAMES
-            self.lines.append(f"{name} = ({', '.join(parts)})")
+            recovered = name == "U" and self.momentum != "u"  # the velocity the body recovered
+            self.lines.append(f"{name} = " + (self.stacked(U_NAMES) if recovered else {
+                "c": "(x0, x1, x2, x3)", "u": f"({', '.join(U_NAMES)})", "X": "y[:, :4]",
+                "U": "y[:, 4:]"}[name]))
+        return name
+
+    def stacked(self, v) -> str:
+        """On columns, the source of the vectors (N, 4) whose components are `v`."""
+        return f"{self.bind('stack', np.stack)}(({', '.join(v)}), axis=-1)"
 
     def let(self, name: str, exprs) -> list:
         """Assign each expression to a name of its own; the names."""
@@ -397,27 +342,44 @@ class _LoneSource:
     def formula(self, closed: ClosedForm, name: str) -> list:
         """Call a closed form's formula at c, once; the names of its values."""
         if closed not in self.values:
-            self.need("c")
             self.values[closed] = values = [f"{name}{k}" for k in range(len(closed.indices))]
-            call = f"{self.bind(name + '_fn', closed.formula)}(ops, c)"
+            call = f"{self.bind(name + '_fn', closed.formula)}(ops, {self.need('c')})"
             self.lines.append(f"{', '.join(values)}, = {call}")
         return self.values[closed]
 
-    def entries(self, fn: Callable, name: str, rank: int) -> list:
-        """The entries of ``fn(c)``, a vector (`rank` 1) or the rows of a matrix
-        (`rank` 2): a closed form's values and "0.0" elsewhere, or the
-        entries of one call on floats."""
+    def call(self, fn: Callable, name: str, *args: str) -> str:
+        """The source of one call on arrays of a callable without a spec, at
+        the event c (and the velocity u): per float state, or on the columns."""
+        if self.columns:
+            args = [{"c": "X", "u": "U"}[a] for a in args]
+        else:
+            fn = _on_floats(fn)
+        return f"{self.bind(name + '_fn', fn)}({', '.join(map(self.need, args))})"
+
+    def entries(self, fn: Callable, name: str, rank: int):
+        """``fn(c)``: a vector's four entries (`rank` 1), or a matrix (`rank`
+        2) for ``rows``, as its rows of entries on floats and as one array
+        on columns.  A closed form (`fn` may be its spec) gives its values and
+        "0.0" elsewhere."""
+        closed = fn if isinstance(fn, ClosedForm) else spec(fn)
         index = list(itertools.product(range(DIM), repeat=rank))
-        closed = spec(fn)
+        if self.columns and rank == 2:
+            if isinstance(closed, ClosedForm):  # its values, in place in zeros
+                values = ", ".join(self.formula(closed, name))
+                indices = self.bind(name + "_at", closed.indices)
+                call = f"{self.bind('filled', filled)}(x0.shape, {indices}, ({values},))"
+            else:
+                call = self.call(fn, name, "c")
+            self.lines.append(f"{name}M = {call}")
+            return name + "M"
         if isinstance(closed, ClosedForm):
             at = dict(zip(closed.indices, self.formula(closed, name)))
             flat = [at.get(i, "0.0") for i in index]
         else:
-            self.need("c")
             flat = [name + "".join(map(str, i)) for i in index]
             groups = [", ".join(flat[m:m + DIM]) for m in range(0, len(flat), DIM)]
             target = groups[0] if rank == 1 else ", ".join(f"({group})" for group in groups)
-            self.lines.append(f"{target} = {self.bind(name + '_fn', _on_floats(fn))}(c)")
+            self.lines.append(f"{target} = {self.call(fn, name, 'c')}{self.unpack}")
         return flat if rank == 1 else [flat[m:m + DIM] for m in range(0, len(flat), DIM)]
 
     def term(self, fn: Callable, name: str) -> list:
@@ -428,80 +390,109 @@ class _LoneSource:
             return self.block([[e * a for a in row] for row in contracted.block], name)
         if isinstance(contracted, Contracted) and contracted.curl is not None:
             e = self.bind(name + "_e", *contracted.args)
-            lines, rows = curl_source(contracted.curl.indices,
-                                      self.formula(contracted.curl, name), U_NAMES, e, name + "_z")
+            if self.columns:  # (e (dA - dA^T)) @ u
+                d = self.entries(contracted.curl, name, 2)
+                return self.rows(f"{e} * ({d} - {d}.swapaxes(-1, -2))", U_NAMES, name + "u")
+            lines, rows = curl_source(contracted.curl.indices, self.formula(contracted.curl, name),
+                                      U_NAMES, e, name + "_z")
         elif isinstance(contracted, Contracted) and contracted.dg is not None:
             dg, inverse = contracted.dg, contracted.inverse
             lines, rows = metric_source(dg.indices, self.formula(dg, name), *(
                 (inverse.indices, self.formula(inverse, "n")) if inverse else ()))
         else:
-            self.need("c")
-            self.need("u")
             rows = [f"{name}{n}" for n in range(DIM)]
-            lines = [f"{', '.join(rows)} = {self.bind(name + '_fn', _on_floats(fn))}(c, u)"]
+            lines = [f"{', '.join(rows)} = {self.call(fn, name, 'c', 'u')}{self.unpack}"]
         self.lines += lines
         return rows
 
-    def block(self, rows: list, name: str) -> list:
-        """The four components of ``rows @ u`` for a constant matrix's rows."""
+    def block(self, matrix, name: str) -> list:
+        """The four components of ``matrix @ u`` for a constant matrix (4, 4),
+        or on columns one per row (N, 4, 4)."""
+        if self.columns:
+            return self.rows(self.bind(name + "B", np.asarray(matrix)), U_NAMES, name + "u")
         return self.rows([[self.bind(f"{name}{m}{n}", a) for n, a in enumerate(row)]
-                          for m, row in enumerate(rows)], U_NAMES)
+                          for m, row in enumerate(np.asarray(matrix).tolist())], U_NAMES, name)
 
-    @staticmethod
-    def rows(matrix: list, v) -> list:
-        """``matrix @ v`` for a matrix's rows: each row summed in numpy's order."""
-        return [row_source([f"{a} * {w}" for a, w in zip(row, v)]) for row in matrix]
+    def rows(self, matrix, v: Sequence[str], name: str) -> list:
+        """``matrix @ v`` for a matrix of ``entries`` or ``block``: each row summed
+        in numpy's order on floats, one ``_mv`` named `name` on columns."""
+        if not self.columns:
+            return [row_source([f"{a} * {w}" for a, w in zip(row, v)]) for row in matrix]
+        vector = self.need("U") if tuple(v) == U_NAMES else self.stacked(v)
+        names = [f"{name}{n}" for n in range(DIM)]
+        self.lines += [f"{name} = {self.bind('mv', _mv)}({matrix}, {vector})",
+                       f"{', '.join(names)} = {name}.T"]
+        return names
 
-    def function(self, rate: list, fallback: Callable[[list], list]) -> Callable[[list], list]:
-        """The right-hand side ``[u0..u3, rate]``, with ``fallback(y)`` giving
-        the eight rates on arrays where floats raise."""
-        body = self.head + [
-            "try:",
-            *(f"    {line}" for line in self.lines),
-            f"    return [{', '.join(U_NAMES)}, {', '.join(rate)}]",
-            "except (ArithmeticError, ValueError):",
-            f"    return {self.bind('fallback', fallback)}(y)",
-        ]
-        make = _lone_rhs_maker(tuple(self.names), "".join(f"        {line}\n" for line in body))
+    def function(self, rate: list, fallback: Optional[Callable[[list], list]] = None) -> Callable:
+        """The right-hand side ``[u0..u3, rate]``."""
+        rates = [*U_NAMES, *rate]
+        if self.columns:
+            body = [*self.lines, f"out = {self.bind('empty', np.empty)}(y.shape)", "o = out.T",
+                    *(f"o[{k}] = {r}" for k, r in enumerate(rates)), "return out"]
+        else:
+            body = ["try:", *(f"    {line}" for line in self.lines),
+                    f"    return [{', '.join(rates)}]", "except (ArithmeticError, ValueError):",
+                    f"    return {self.bind('fallback', fallback)}(y)"]
+        make = _rhs_maker(tuple(self.names), "".join(f"        {line}\n" for line in body))
         return make(*self.names.values())
 
 
-def _lone_rhs(
-    c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None
-) -> Callable[[list], list]:
-    """The force route's right-hand side of one state (x, u) held as eight
-    Python floats, (dx/dtau, du/dtau) = (u, du/dtau), written out as one
-    function (``_LoneSource``).
+def _rendered(law: Callable[[_LoneSource], list], guard: DomainGuard, momentum: str,
+              ops=np) -> Callable:
+    """The right-hand side of `law` on numpy columns, or with math's `ops` on
+    Python floats, where floats raise giving the columns' rates at a batch of one."""
+    src = _LoneSource(guard, momentum, ops)
+    if ops is np:
+        return src.function(law(src))
+    on_columns = _rendered(law, guard, momentum)
+    return src.function(law(src), lambda y: on_columns(np.array([y]))[0].tolist())
 
-    It takes ``_compile_acceleration``'s operations in its order, one
-    component at a time, so it has the bits of its batch-of-one row, and
-    that law evaluates an event again where Python floats raise.  `order0`,
-    when given, is the event's constant K0 block ``(4, 4)``.
+
+def _force_law(c: NonLinearConnection, mass, order0=None) -> Callable[[_LoneSource], list]:
+    """The force route's du/dtau, shaped once per connection.
+
+    K1 is the connection's ``order1_raw`` as it is.  K0 u / m is raised
+    with the inverse metric, except on the flat chart: eta is a +-1
+    diagonal, so raising (K0 u) * (1/m) is a per-row sign folded into the
+    1/m scale, with the bits of eta @ ((K0 u) * (1/m)) up to the sign of a
+    zero.  Elsewhere g^-1 is evaluated once per point for that raise, and
+    a K1 summed from its closed form reads that evaluation.  `mass` is one
+    float, or on columns one per row ``(N,)``; `order0`, when given, is
+    the constant K0 block ``(4, 4)`` (or on columns ``(N, 4, 4)``), e F of
+    a uniform field, in place of the connection's ``order0_raw``.
     """
-    arrays = _compile_acceleration(c, mass, order0)
-    src = _LoneSource(c.guard, "u")
-    k0 = k1 = None
-    if order0 is not None:
-        k0 = src.block(order0.tolist(), "k")
-    elif c.order0_raw is not None:
-        k0 = src.term(c.order0_raw, "k")
-    if c.order1_raw is not None:
-        k1 = src.term(c.order1_raw, "g")
-    inv_mass = 1.0 / float(mass)
-    if k0 is None:
-        rate = ["0.0"] * DIM if k1 is None else k1
-    elif k1 is None and isinstance(c.metric, FlatMetric):
-        scale = (np.diag(MINKOWSKI) * inv_mass).tolist()  # eta / m, a per-row sign
-        rate = [f"({a}) * {src.bind(f's{n}', s)}" for n, (a, s) in enumerate(zip(k0, scale))]
-    else:
+    inv_mass = 1.0 / (float(mass) if np.ndim(mass) == 0 else mass)
+
+    def law(src: _LoneSource) -> list:
+        k0 = k1 = None
+        if order0 is not None:
+            k0 = src.block(order0, "k")
+        elif c.order0_raw is not None:
+            k0 = src.term(c.order0_raw, "k")
+        if c.order1_raw is not None:
+            k1 = src.term(c.order1_raw, "g")
+        if k0 is None:
+            return ["0.0"] * DIM if k1 is None else k1
+        if k1 is None and isinstance(c.metric, FlatMetric):  # eta / m, a per-row sign
+            return [f"({a}) * {src.bind(f's{n}', eta * inv_mass)}"
+                    for n, (a, eta) in enumerate(zip(k0, np.diag(MINKOWSKI).tolist()))]
         w = src.let("w", [f"({a}) * {src.bind('inv_mass', inv_mass)}" for a in k0])
-        raised = src.rows(src.entries(c.metric.inverse_fn or c.metric.inverse_raw, "n", 2), w)
-        rate = raised if k1 is None else [f"({g}) + ({r})" for g, r in zip(k1, raised)]
+        raised = src.rows(src.entries(c.metric.inverse_fn or c.metric.inverse_raw, "n", 2), w, "r")
+        return raised if k1 is None else [f"({g}) + ({r})" for g, r in zip(k1, raised)]
 
-    def fallback(y: list) -> list:
-        return [*y[DIM:], *arrays(np.array([y[:DIM]]), np.array([y[DIM:]]))[0].tolist()]
+    return law
 
-    return src.function(rate, fallback)
+
+def _lone_rhs(c: NonLinearConnection, mass: float, order0: Optional[np.ndarray] = None):
+    """The force route's right-hand side of one state (x, u) held as eight
+    Python floats, (dx/dtau, du/dtau) = (u, du/dtau) (``_force_law``)."""
+    return _rendered(_force_law(c, mass, order0), c.guard, "u", _MATH_OPS)
+
+
+def _batch_rhs(c: NonLinearConnection, mass, order0: Optional[np.ndarray] = None):
+    """``_lone_rhs`` of a batch of states ``(N, 8)``, on numpy columns."""
+    return _rendered(_force_law(c, mass, order0), c.guard, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +904,11 @@ def _integrate_engine(
     """Integrate a batch of start states `y0` (N, 8) under one law.
 
     ``law(rows)`` is the right-hand side for the states of `rows`, an
-    index array into the batch (``_make_rhs``).  A lone row (N = 1) steps
-    on Python floats, whatever its method, with ``law(None)``, the
-    right-hand side of its state as eight floats (``_lone_rhs``),
-    and appends its landed states and times to buffers of doubles, which
+    index array into the batch, on numpy columns (``_batch_rhs``).  A lone
+    row (N = 1) steps on Python floats, whatever its method, with
+    ``law(None)``, the right-hand side of its state as eight floats
+    (``_lone_rhs``); both render one source of the law.  A lone row
+    appends its landed states and times to buffers of doubles, which
     become its columns without a copy.  Row i starts at
     ``tau0[i]`` with ``cfgs[i]``; the configs may differ only in
     ``tau_max``.  Each row keeps its own clock,
@@ -1024,7 +1016,7 @@ def integrate_batch(
         row_order0 = None if order0 is None else order0[0 if rows is None else rows]
         if rows is None:  # the lone row, on Python floats
             return _lone_rhs(c, masses[0], row_order0)
-        return _make_rhs(c.guard, _compile_acceleration(c, masses[rows], row_order0))
+        return _batch_rhs(c, masses[rows], row_order0)
 
     states = [np.concatenate([i.x.coords, i.u.components]) for i in initials]
     records = _integrate_engine(law, np.stack(states), [initial.tau for initial in initials],
@@ -1080,69 +1072,49 @@ def _compile_canonical(
     zero there, is dropped.  Elsewhere the law is evaluated as written,
     d_s g(u, u) summed over the nonzero entries of a closed-form dg.
     An uncharged particle feels no potential gradient.  The kinetic u on
-    arrays takes one event ``(4,)`` or every sample ``(n, 4)``.
+    arrays takes one event ``(4,)`` or every sample ``(n, 4)``; it
+    recovers the velocity of the recorded columns without the rates and
+    the guard that the right-hand side evaluates.
 
-    The right-hand side (dx/dtau, dpi/dtau) = (u, dpi/dtau) is written out
-    as one function (``_LoneSource``) in the array law's operations at one
-    event, in its order, so it has its bits.  The potential's values and
-    gradient and the curved charts' inverse metric and metric gradient are
-    their closed forms' formulas where they have them, and one call each
-    otherwise: a user potential or metric, a wrapper and the uniform
-    potential's values are called on arrays.  The contraction dA @ u is
-    summed in the order of numpy's 4x4 matrix-vector product.  Where
-    Python floats raise, the array law, kinetic u and dpi/dtau of
-    (coords, u), evaluates that event.
+    The right-hand side (dx/dtau, dpi/dtau) = (u, dpi/dtau) is written
+    through a source (``_LoneSource``), its rendering on floats falling
+    back on its rendering on columns.  The potential's values and
+    gradient and the curved charts' inverse metric and metric gradient
+    are their closed forms' formulas where they have them, and one call
+    each otherwise: a user potential or metric, a wrapper and the uniform
+    potential's values.
     """
-    def values(coords):
-        return a.values_fn(coords) - a0
-
     d_potential = a.deriv_fn or (lambda coords: _potential_deriv_raw(a, coords))
-    src = _LoneSource(guard, "p")
-    charge = src.bind("e", e)
-    kinetic = [f"p{n} - {charge} * ({v} - {src.bind(f'a0_{n}', b)})"
-               for n, (v, b) in enumerate(zip(src.entries(a.values_fn, "A", 1), a0.tolist()))]
+    flat = isinstance(g, FlatMetric)
+    signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
+    dg = spec(g.deriv_fn)
+    dg_uu = metric_contraction(dg) if isinstance(dg, ClosedForm) else (  # dg[m, n, s] u^m u^n
+        lambda c, u: _quadratic(np.moveaxis(_metric_deriv_raw(g, c, None), -1, -3), u))
 
-    def lorentz():  # e (dA @ u)
-        return [f"{charge} * ({w})" for w in src.rows(src.entries(d_potential, "dA", 2), U_NAMES)]
+    def kinetic_up(coords, pi):
+        kinetic = pi - e * (a.values_fn(coords) - a0)
+        return kinetic / signed_mass if flat else _mv(g.inverse_raw(coords), kinetic / m)
 
-    if isinstance(g, FlatMetric):
-        signed_mass = m * np.diag(MINKOWSKI)  # (-m, m, m, m)
+    def law(src: _LoneSource) -> list:
+        charge = src.bind("e", e)
+        kinetic = [f"p{n} - {charge} * ({v} - {src.bind(f'a0_{n}', b)})"
+                   for n, (v, b) in enumerate(zip(src.entries(a.values_fn, "A", 1), a0.tolist()))]
+        if flat:
+            src.let("u", [f"({q}) / {src.bind(f's{n}', s)}"
+                          for n, (q, s) in enumerate(zip(kinetic, signed_mass.tolist()))])
+            rate = ["0.0"] * DIM
+        else:
+            w = src.let("w", [f"({q}) / {src.bind('m', m)}" for q in kinetic])
+            src.let("u", src.rows(src.entries(g.inverse_fn or g.inverse_raw, "n", 2), w, "r"))
+            rate = [f"{src.bind('half_m', 0.5 * m)} * ({q})" for q in src.term(dg_uu, "gr")]
+        if e == 0.0:
+            return rate
+        lorentz = src.rows(src.entries(d_potential, "dA", 2), U_NAMES, "l")  # dA @ u
+        if flat:
+            return [f"{charge} * ({w})" for w in lorentz]
+        return [f"{s} + {charge} * ({w})" for s, w in zip(rate, lorentz)]
 
-        def kinetic_up(coords, pi):
-            return (pi - e * values(coords)) / signed_mass
-
-        def rate(coords, u):
-            return np.zeros(DIM) if e == 0.0 else e * (d_potential(coords) @ u)
-
-        src.let("u", [f"({q}) / {src.bind(f's{n}', s)}"
-                      for n, (q, s) in enumerate(zip(kinetic, signed_mass.tolist()))])
-        rate_floats = ["0.0"] * DIM if e == 0.0 else lorentz()
-    else:
-        inverse = g.inverse_raw
-        dg = spec(g.deriv_fn)
-        dg_uu = metric_contraction(dg) if isinstance(dg, ClosedForm) else (  # dg[m, n, s] u^m u^n
-            lambda c, u: _quadratic(np.moveaxis(_metric_deriv_raw(g, c, None), -1, -3), u))
-        half_m = 0.5 * m
-
-        def kinetic_up(coords, pi):
-            return _mv(inverse(coords), (pi - e * values(coords)) / m)
-
-        def rate(coords, u):
-            gravity = half_m * dg_uu(coords, u)
-            return gravity if e == 0.0 else gravity + e * (d_potential(coords) @ u)
-
-        w = src.let("w", [f"({q}) / {src.bind('m', m)}" for q in kinetic])
-        src.let("u", src.rows(src.entries(g.inverse_fn or inverse, "n", 2), w))
-        rate_floats = [f"{src.bind('half_m', half_m)} * ({q})" for q in src.term(dg_uu, "gr")]
-        if e != 0.0:
-            rate_floats = [f"{s} + ({t})" for s, t in zip(rate_floats, lorentz())]
-
-    def fallback(y: list) -> list:
-        coords = np.array(y[:DIM])
-        u = kinetic_up(coords, np.array(y[DIM:]))
-        return [*u.tolist(), *rate(coords, u).tolist()]
-
-    return kinetic_up, src.function(rate_floats, fallback)
+    return kinetic_up, _rendered(law, guard, "p", _MATH_OPS)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -58,10 +58,9 @@ from phasetransport.tensor import (
 from phasetransport.transport import (
     IntegratorConfig,
     PhaseState,
-    _compile_acceleration,
+    _batch_rhs,
     _LoneSource,
     _lone_rhs,
-    _make_rhs,
     acceleration_terms,
     integrate,
 )
@@ -547,9 +546,9 @@ def test_a_non_diagonal_user_metric_gets_the_geodesic_term_written_from_its_clos
     conn = gravitational_connection(g)
     lone = _lone_rhs(conn, 1.0)
     assert arrays == []
-    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
-    for y in np.hstack([coords, us])[:20]:
-        assert _bits(lone(y.tolist())) == _bits(rhs(y[None])[0]), y
+    rhs = _batch_rhs(conn, 1.0)
+    for y, want in zip(np.hstack([coords, us])[:20], np.hstack([us, batch])):
+        assert _bits(lone(y.tolist())) == _bits(rhs(y[None])[0]) == _bits(want), y
 
 
 def test_a_uniform_lone_run_never_calls_matrix_fn_per_rhs():

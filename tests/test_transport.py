@@ -49,6 +49,7 @@ from phasetransport.metrics import minkowski, schwarzschild, weak_field, without
 from phasetransport.scenarios import BUILTIN_NAMES, load_builtin
 from phasetransport.tensor import (
     EVERYWHERE,
+    MINKOWSKI,
     DomainGuard,
     FlatMetric,
     FourVector,
@@ -64,10 +65,9 @@ from phasetransport.transport import (
     PhaseState,
     Trajectory,
     TrajectorySample,
-    _compile_acceleration,
+    _batch_rhs,
     _compile_canonical,
     _lone_rhs,
-    _make_rhs,
     _rejected,
     acceleration_terms,
     coordinate_force,
@@ -536,7 +536,7 @@ def _spherical_states(rng, n=100):
 def _kernel_and_reference(conn, particle, states):
     """(compiled du/dtau, inverse metric @ (zeroth + first)) at each state, the
     compiled law taken both ways: a batch of one, and one state on floats."""
-    batch = _make_rhs(conn.guard, _compile_acceleration(conn, particle.mass))
+    batch = _batch_rhs(conn, particle.mass)
     lone = _lone_rhs(conn, particle.mass)
     for coords, u in states:
         y = np.concatenate([coords, u])
@@ -619,7 +619,7 @@ def test_combined_kernel_evaluates_the_inverse_metric_once_per_point():
     y = np.array([0.0, 10.0, np.pi / 2, 0.0, 1.2, 0.01, 0.0, 0.03])
     _lone_rhs(conn, 1.0)(y.tolist())
     assert len(calls) == 1
-    rhs = _make_rhs(conn.guard, _compile_acceleration(conn, 1.0))
+    rhs = _batch_rhs(conn, 1.0)
     rhs(y[None])
     assert len(calls) == 2
     rhs(np.stack([y, y, y]))  # a batch evaluates g^-1 for all its points in one call
@@ -648,8 +648,8 @@ def test_geodesic_law_on_a_built_in_chart_evaluates_no_inverse_and_no_gradient(c
 
 @pytest.mark.parametrize("field", ["coulomb", "axial-b"])
 def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
-    # a lone run writes (e F) u out from F's spec: neither dA nor F is
-    # evaluated; a batch builds F on arrays, with the lone run's bits
+    # the law writes (e F) u out from F's spec, alone and in a batch: neither
+    # dA's nor F's evaluator is called, and each batch row has the lone run's bits
     calls = []
     if field == "coulomb":
         potential, gravity = coulomb_potential(2.0), None
@@ -679,8 +679,7 @@ def test_lorentz_law_on_a_built_in_field_never_builds_the_field_strength(field):
         batch = integrate_batch(law(f), particle, [initial] * 2, [cfg] * 2)
         for row in batch:
             assert_same_bits(row, lone)
-        # the counters see the field strength being built where it is built
-        assert len(calls) > 0
+        assert calls == []
 
 
 def test_geodesic_run_without_closed_forms_lands_near_the_closed_form_run():
@@ -1313,16 +1312,48 @@ def _assert_same_bits_or_rejection(lone, reference, y):
     return 0
 
 
+def _array_law(conn, mass):
+    """The force route's right-hand side of a batch (N, 8) from the connection's
+    public terms, in numpy's operations: (u, K1(u, u) + g^-1 (K0 u) (1/m)),
+    with the raise a per-row sign folded into 1/m on the flat chart, and a
+    rejected batch worded by the guard's probe."""
+    def rhs(y):
+        coords, u = y[:, :4], y[:, 4:]
+        why = conn.guard.probe(coords)
+        if why is not None:
+            return _rejected(y, f"{conn.guard.label}: {why}")
+        rate = np.zeros(u.shape)
+        if conn.order0_raw is not None:
+            k0 = conn.order0_raw(coords, u)
+            if conn.order1_raw is None and isinstance(conn.metric, FlatMetric):
+                rate = k0 * (np.diag(MINKOWSKI) * (1.0 / mass))
+            else:
+                rate = np.matmul(conn.metric.inverse_raw(coords), (k0 * (1.0 / mass))[..., None])
+                rate = rate[..., 0]
+        if conn.order1_raw is not None:
+            k1 = conn.order1_raw(coords, u)
+            rate = k1 if conn.order0_raw is None else k1 + rate
+        return np.hstack([u, rate])
+
+    return rhs
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_generated_lone_rhs_has_the_bits_of_its_batch_row_on_special_states(name):
+    # the float rendering and the column one, each against the law on arrays
     scn = load_builtin(name)
     conn, mass = scn.connection(), scn.particle.mass
     lone = _lone_rhs(conn, mass)
-    batch = _make_rhs(conn.guard, _compile_acceleration(conn, mass))
+    batch = _batch_rhs(conn, mass)
+    reference = _array_law(conn, mass)
     y0 = np.concatenate([scn.initial.x.coords, scn.initial.u.components])
     with np.errstate(all="ignore"):
-        rejected = sum(_assert_same_bits_or_rejection(lone, lambda y: batch(y[None])[0], y)
-                       for y in _special_states(y0, BUILTIN_NAMES.index(name)))
+        rejected = 0
+        for y in _special_states(y0, BUILTIN_NAMES.index(name)):
+            rejected += _assert_same_bits_or_rejection(
+                lone, lambda y: reference(y[None])[0], y)
+            _assert_same_bits_or_rejection(
+                lambda y: batch(np.array([y]))[0], lambda y: reference(y[None])[0], y)
     # the guarded charts reject some finite states, the others none
     assert (rejected > 0) == (conn.guard.label != "everywhere")
 
@@ -1358,19 +1389,20 @@ def test_canonical_lone_rhs_has_the_bits_of_its_array_law_on_special_states(name
 
 
 #: Python calls per lone right-hand side, the right-hand side's own included:
-#: the guard's float probe and what it calls, and each formula the law calls.
+#: the guard's admission test, which the body calls itself, and each
+#: formula the law calls.
 LONE_RHS_CALLS = {
     "free": 1,
     "cyclotron": 1,
     "exb-drift": 1,
-    "coulomb": 4,  # the guard's probe and its test, the gradient formula
-    # the probe, its test and its sine, and the formulas of g^-1 and dg
-    "schwarzschild-circular": 6,
-    "schwarzschild-precession": 6,
-    "weak-field-newtonian": 5,  # the probe, its test, and the formulas of g^-1 and dg
-    # the probe, its test and its sine, and the formulas of the potential's
-    # gradient, of g^-1 (shared by the geodesic term and the raise of K0) and of dg
-    "combined-schwarzschild-B": 7,
+    "coulomb": 3,  # the guard's test and the gradient formula
+    # the guard's test and the formulas of g^-1 and dg
+    "schwarzschild-circular": 4,
+    "schwarzschild-precession": 4,
+    "weak-field-newtonian": 4,
+    # the guard's test and the formulas of the potential's gradient, of g^-1
+    # (shared by the geodesic term and the raise of K0) and of dg
+    "combined-schwarzschild-B": 5,
 }
 
 
@@ -1404,12 +1436,15 @@ def test_a_raising_user_term_shows_its_generated_lines_in_the_traceback(method):
 
     conn = NonLinearConnection(metric=minkowski(), order0_raw=term)
     cfg = IntegratorConfig(method=method, step=0.1, tau_max=1.0)
-    with pytest.raises(_TermFailed) as info:
-        integrate(conn, Particle(1.0, 1.0), rest_state(), cfg)
-    generated = [frame.line for frame in traceback.extract_tb(info.tb)
-                 if frame.filename.startswith("<phasetransport-generated-")]
-    assert generated == ["k0_0, k0_1, k0_2, k0_3, k0_4, k0_5, k0_6, k0_7 = rhs(y)",
-                         "k0, k1, k2, k3 = k_fn(c, u)"]
+    want = {1: ["k0_0, k0_1, k0_2, k0_3, k0_4, k0_5, k0_6, k0_7 = rhs(y)",
+                "k0, k1, k2, k3 = k_fn(c, u)"],
+            2: ["k0 = rhs(y)", "k0, k1, k2, k3 = k_fn(X, U).T"]}
+    for rows, lines in want.items():  # alone on floats, and a batch on columns
+        with pytest.raises(_TermFailed) as info:
+            integrate_batch(conn, Particle(1.0, 1.0), [rest_state()] * rows, [cfg] * rows)
+        generated = [frame.line for frame in traceback.extract_tb(info.tb)
+                     if frame.filename.startswith("<phasetransport-generated-")]
+        assert generated == lines
 
 
 def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_steps):
@@ -1430,19 +1465,19 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
 def test_a_float_hazard_on_the_canonical_route_takes_numpys_values():
     # the Coulomb potential without its guard, and a charge too small to
     # deflect: a stage lands on the origin, where the formulas on floats
-    # divide by zero; the array law gives numpy's inf there, so the run fails
-    # as it did on arrays, and the potential's array evaluators run only at
-    # that stage
+    # divide by zero; the law on numpy columns gives numpy's inf there, so the
+    # run fails as it did on arrays, and the potential's formula runs on numpy
+    # only for the anchor and at that stage
     calls = []
     pot = coulomb_potential(1.0)
-    pot = dataclasses.replace(
-        pot, guard=EVERYWHERE,
-        values_fn=with_spec(counting(pot.values_fn, calls), spec(pot.values_fn)))
+    values = spec(pot.values_fn)
+    pot = dataclasses.replace(pot, guard=EVERYWHERE, values_fn=closed_form(
+        values.indices, lambda ops, c: calls.append(ops) or values.formula(ops, c)))
     initial = state([0.0, -1.0, 0.0, 0.0], [math.sqrt(1.25), 0.5, 0.0, 0.0])
     with pytest.raises(StepRejected, match=r"state became non-finite at tau = 2$"):
         minimal_substitution_trajectory(pot, minkowski(), Particle(1.0, 1e-300), initial,
                                         IntegratorConfig(step=0.5, tau_max=5.0))
-    assert len(calls) == 2  # the anchor and the stage on the origin
+    assert [ops for ops in calls if ops is np] == [np, np]  # the anchor, the stage on the origin
 
 
 def test_a_zero_error_scale_takes_numpys_norm_and_fails_as_its_batch_row(array_steps):
