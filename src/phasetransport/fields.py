@@ -186,7 +186,7 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
             _, x, y, z = c
             return f"r = {math.sqrt(x * x + y * y + z * z):.3e} at the potential singularity"
 
-        probe = guard_probe(admits, why)
+        probe = guard_probe((admits, why))
         nonzero = ((1, 0), (2, 0), (3, 0))
 
     else:
@@ -198,8 +198,8 @@ def coulomb_potential(charge: float, radial_index: Optional[int] = None) -> Vect
         def deriv(ops, c):
             return (-q / (c[k] * c[k]),)
 
-        probe = guard_probe(lambda ops, c: c[k] > 1e-9,
-                            lambda c: "radial coordinate at singularity")
+        probe = guard_probe((lambda ops, c: c[k] > 1e-9,
+                             lambda c: "radial coordinate at singularity"))
         nonzero = ((k, 0),)
 
     return VectorPotential(

@@ -71,7 +71,7 @@ def _schwarzschild_guard(mass: float) -> DomainGuard:
             return f"r = {r:.6g} inside guarded radius {r_min:.6g}"
         return f"theta = {th:.6g} too close to the polar axis"
 
-    return DomainGuard(guard_probe(admits, why), label=f"schwarzschild(M={mass:g})")
+    return DomainGuard(guard_probe((admits, why)), label=f"schwarzschild(M={mass:g})")
 
 
 _DIAGONAL = ((0, 0), (1, 1), (2, 2), (3, 3))
@@ -155,7 +155,7 @@ def weak_field(mass: float = 1.0) -> MetricField:
         matrix_fn=closed_form(_DIAGONAL, matrix),
         deriv_fn=closed_form(((0, 0, 1), (0, 0, 2), (0, 0, 3)), deriv),
         inverse_fn=closed_form(_DIAGONAL, inverse),
-        guard=DomainGuard(guard_probe(outside, why), label=f"weak-field(M={M:g})"),
+        guard=DomainGuard(guard_probe((outside, why)), label=f"weak-field(M={M:g})"),
         name=f"weak-field(M={M:g})",
     )
 

@@ -18,12 +18,11 @@ of a lone trajectory.  The formula takes an ``ops`` namespace for its
 square roots, sines and cosines: numpy itself, or math's functions.
 Addition, subtraction, multiplication, division and the square root
 round correctly both ways, and numpy's float64 sin and cos give math's
-bits, so both runs give the same bits.  A guard's probe runs its
-admission tests on floats with numpy's NaN for the sine or cosine of an
-infinite angle (``_FLOAT_OPS``); the generated right-hand side calls
-the tests and the formulas itself, on floats with math's own
-(``_MATH_OPS``), evaluating an event where they raise again on numpy
-columns, and on a batch's columns with numpy.
+bits, so both runs give the same bits.  On floats the formulas and a
+guard's admission tests run with math's operations (``_MATH_OPS``),
+and where math raises (the sine or cosine of an infinite angle, a
+division by zero) the event is evaluated again with numpy, whose NaN or
+infinity is the answer.
 ``closed_form`` builds a potential's or a metric's evaluator from the
 nonzero entries of its result (``filled``), ``constant`` one that gives
 the same array at every event, ``metric_contraction`` a metric's
@@ -142,23 +141,9 @@ def compiled(source: str, name: str) -> Callable:
 # closed forms: one formula, run on numpy columns or on Python floats
 
 
-def _nan_if_infinite(fn: Callable[[float], float]) -> Callable[[float], float]:
-    """math's `fn` of one angle, NaN where the angle is infinite, as numpy gives it."""
-
-    def angle_fn(a: float) -> float:
-        try:
-            return fn(a)
-        except ValueError:
-            return math.nan
-
-    return angle_fn
-
-
-#: The ``ops`` a guard's admission tests run with on Python floats; on
-#: arrays they run with numpy.
-_FLOAT_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=_nan_if_infinite(math.sin),
-                                   cos=_nan_if_infinite(math.cos), logical_not=operator.not_)
-#: The same with math's own sine and cosine, which raise at an infinite angle.
+#: The ``ops`` the formulas and admission tests run with on Python floats;
+#: on arrays they run with numpy.  math's sine and cosine raise at an
+#: infinite angle, where numpy's give NaN.
 _MATH_OPS = types.SimpleNamespace(sqrt=math.sqrt, sin=math.sin, cos=math.cos,
                                   logical_not=operator.not_)
 
@@ -294,27 +279,29 @@ def metric_contraction(dg: ClosedForm,
     return with_spec(on_arrays, Contracted(dg=dg, inverse=inverse))
 
 
-def guard_probe(admits, why) -> Callable[[np.ndarray], Optional[str]]:
-    """A ``DomainGuard`` probe from its admission test and the reason it gives.
+def guard_probe(*tests) -> Callable[[np.ndarray], Optional[str]]:
+    """A ``DomainGuard`` probe from its ``(admits, why)`` admission tests, in order.
 
     ``admits(ops, c)`` is true where an event is admissible, run as
     ``closed_form`` runs its formula; ``why(x)`` words the rejection of
     one event given as four Python floats.  The probe takes one event
-    ``(4,)`` or a batch ``(..., 4)``: a batch that fails is probed event
-    by event on floats, so the reason is the first rejected event's,
-    worded as for that event alone.  Its spec is the one test's
-    ``Admission`` (``float_probe``).
+    ``(4,)`` or a batch ``(..., 4)`` and runs every test with numpy: a
+    batch that fails is probed again one event at a time, so the reason
+    is the first rejected event's, from the first test that rejects it,
+    worded as for that event alone.  Its spec is the tests' ``Admission``
+    (``float_probe``); with no test it admits every event.
     """
 
     def probe(coords: np.ndarray) -> Optional[str]:
-        if admits(np, coords.T).all():
+        if all(admits(np, coords.T).all() for admits, _ in tests):
             return None
-        for row in coords.reshape(-1, DIM).tolist():
-            if not admits(_FLOAT_OPS, row):
-                return why(row)
+        for row in coords.reshape(-1, DIM):
+            for admits, why in tests:
+                if not admits(np, row):
+                    return why(row.tolist())
         return None
 
-    return with_spec(probe, Admission(((admits, why),)))
+    return with_spec(probe, Admission(tests))
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -379,47 +366,47 @@ class DomainGuard:
             raise OutsideDomain(f"{self.label}: {why}")
 
     def intersect(self, other: "DomainGuard") -> "DomainGuard":
+        """The guard of the events both admit: one ``guard_probe`` of both
+        sides' tests where each has an ``Admission`` spec, or else each
+        probe in turn, a batch that fails event by event."""
+        label = f"{self.label} & {other.label}"
+        a, b = spec(self.probe), spec(other.probe)
+        if isinstance(a, Admission) and isinstance(b, Admission):
+            return DomainGuard(guard_probe(*a.tests, *b.tests), label=label)
+
         def both(coords: np.ndarray) -> Optional[str]:
             why = self.probe(coords) or other.probe(coords)
             if why is None or coords.ndim == 1:
                 return why
-            # a batch that fails is probed event by event, as ``guard_probe``
-            # does, so the reason is its first rejected event's
             return next(filter(None, map(both, coords.reshape(-1, DIM))), why)
 
-        a, b = spec(self.probe), spec(other.probe)
-        if isinstance(a, Admission) and isinstance(b, Admission):
-            with_spec(both, Admission(a.tests + b.tests))
-        return DomainGuard(both, label=f"{self.label} & {other.label}")
-
-
-def _admit(coords) -> None:
-    return None
+        return DomainGuard(both, label=label)
 
 
 #: Guard that admits every event.
-EVERYWHERE = DomainGuard(with_spec(_admit, Admission(())), label="everywhere")
+EVERYWHERE = DomainGuard(guard_probe(), label="everywhere")
 
 
 def float_probe(probe: Callable[[np.ndarray], Optional[str]]) -> Callable[[list], Optional[str]]:
     """`probe` of one event given as four Python floats, with the reason it
     gives on an array.
 
-    A probe with an ``Admission`` spec runs its tests in order with
-    ``_FLOAT_OPS`` (one that has none is ``EVERYWHERE.probe`` itself);
-    any other probe is called on an array.
+    A probe with an ``Admission`` spec runs its tests in order with math's
+    operations (``_MATH_OPS``), and where math raises (the sine or cosine
+    of an infinite angle) it is called on an array, as any other probe is.
     """
     admission = spec(probe)
     if not isinstance(admission, Admission):
         return lambda x: probe(np.array(x))
     tests = admission.tests
-    if not tests:
-        return _admit
 
     def on_floats(x: list) -> Optional[str]:
-        for admits, why in tests:
-            if not admits(_FLOAT_OPS, x):
-                return why(x)
+        try:
+            for admits, why in tests:
+                if not admits(_MATH_OPS, x):
+                    return why(x)
+        except (ArithmeticError, ValueError):
+            return probe(np.array(x))
         return None
 
     return on_floats

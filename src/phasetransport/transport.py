@@ -275,18 +275,18 @@ class _LoneSource:
     columns, into x0..x3 and the route's momentum (u0..u3 on the force
     route, p0..p3 on the canonical one), and calls the guard's admission
     tests itself: a rejected state goes to ``_rejected`` with the reason
-    ``"<label>: <why>"``, a batch's worded for its first rejected row as
-    ``tensor.guard_probe`` words it; a guard without an ``Admission`` spec
-    is probed once.  A closed form is its formula's call, made once for
-    every term that reads it, and a metric contraction its sums.  A matrix
-    times a vector is summed in numpy's order on floats (``row_source``)
-    and is one ``connection._mv`` on columns, with the same bits.  Any
-    other callable is one call on arrays: per float state (``_on_floats``),
-    or on the columns ``X``, ``U`` (N, 4).  On floats the rates are a list,
-    and where floats raise the one ``except`` returns `fallback`'s; on
-    columns they fill one ``(N, 8)`` output.  Every constant and callable is
-    a bound name, so the source depends on the law's shape and rendering
-    alone and is compiled once per both (``_rhs_maker``).
+    ``"<label>: <why>"`` worded by the guard's probe, on floats
+    (``tensor.float_probe``) or on the batch's coordinates; a guard without
+    an ``Admission`` spec is probed once.  A closed form is its formula's
+    call, made once for every term that reads it, and a metric contraction
+    its sums.  A matrix times a vector is summed in numpy's order on floats
+    (``row_source``) and is one ``connection._mv`` on columns, with the
+    same bits.  Any other callable is one call on arrays: per float state
+    (``_on_floats``), or on the columns ``X``, ``U`` (N, 4).  On floats the
+    rates are a list, and where floats raise the one ``except`` returns
+    `fallback`'s; on columns they fill one ``(N, 8)`` output.  Every
+    constant and callable is a bound name, so the source depends on the
+    law's shape and rendering alone, compiled once per both (``_rhs_maker``).
     """
 
     def __init__(self, guard: DomainGuard, momentum: str, ops=_MATH_OPS):
@@ -299,17 +299,13 @@ class _LoneSource:
         tests = admission.tests if isinstance(admission, Admission) else None
         if tests == ():  # EVERYWHERE
             return
-        probe = self.bind("probe", guard.probe if self.columns and tests is None
-                          else float_probe(guard.probe))
-        if tests is None:
-            why = f"{probe}({self.need('X' if self.columns else 'c')})"
-        else:
+        probe = self.bind("probe", guard.probe if self.columns else float_probe(guard.probe))
+        why = f"{probe}({'y[:, :4]' if self.columns else self.need('c')})"
+        if tests is not None:
             every = ".all()" if self.columns else ""
             admitted = " and ".join(f"{self.bind(f't{k}', admits)}(ops, {self.need('c')}){every}"
                                     for k, (admits, _) in enumerate(tests))
-            # on columns, the reason of the first row that the probe rejects
-            first = f"next(filter(None, map({probe}, y[:, :4].tolist())), None)"
-            why = f"None if {admitted} else {first if self.columns else probe + '(c)'}"
+            why = f"None if {admitted} else {why}"
         rejected = self.bind("rejected", _rejected if self.columns else _rejected_lone)
         reason = f"f'{{{self.bind('label', guard.label)}}}: {{why}}'"
         self.lines += [f"why = {why}", "if why is not None:", f"    return {rejected}(y, {reason})"]
@@ -441,12 +437,13 @@ class _LoneSource:
 def _rendered(law: Callable[[_LoneSource], list], guard: DomainGuard, momentum: str,
               ops=np) -> Callable:
     """The right-hand side of `law` on numpy columns, or with math's `ops` on
-    Python floats, where floats raise giving the columns' rates at a batch of one."""
+    Python floats, where floats raise giving the columns' rates at a batch of
+    one; the column rendering is built where floats first raise."""
     src = _LoneSource(guard, momentum, ops)
     if ops is np:
         return src.function(law(src))
-    on_columns = _rendered(law, guard, momentum)
-    return src.function(law(src), lambda y: on_columns(np.array([y]))[0].tolist())
+    on_columns = functools.cache(lambda: _rendered(law, guard, momentum))
+    return src.function(law(src), lambda y: on_columns()(np.array([y]))[0].tolist())
 
 
 def _force_law(c: NonLinearConnection, mass, order0=None) -> Callable[[_LoneSource], list]:

@@ -1,4 +1,4 @@
-"""The curved charts' first derivatives against a symbolic derivation.
+"""The closed-form first derivatives against a symbolic derivation.
 
 Each chart writes dg once (``metrics.py``), and both the geodesic term
 K1 (u, u) = -Gamma^a_mn u^m u^n and the canonical route's d_s g(u, u)
@@ -8,6 +8,12 @@ derived from them by differentiation, and both sums are evaluated in
 50-digit arithmetic at hypothesis-drawn admitted events.  The package's
 three paths are held to them: the connection's term on a batch, the lone
 right-hand side on Python floats, and the canonical route's sum.
+
+Likewise each built-in potential writes its gradient dA once
+(``fields.py``), and the Lorentz term K0 u = e F u is its curl,
+F_mn = d_m A_n - d_n A_m.  The potentials are written here in sympy, F
+is derived from them, and e F u is held to the connection's term on a
+batch and to the flat chart's lone right-hand side, eta e F u / m.
 """
 
 import functools
@@ -17,9 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasetransport.connection import gravitational_connection
+from phasetransport.connection import electromagnetic_connection, gravitational_connection
+from phasetransport.curvature import faraday_field_of
+from phasetransport.fields import (
+    axial_magnetic_potential_spherical,
+    coulomb_potential,
+    uniform_faraday,
+    uniform_field_potential,
+    zero_potential,
+)
 from phasetransport.metrics import HORIZON_MARGIN, schwarzschild, weak_field
-from phasetransport.tensor import DIM, metric_contraction, spec
+from phasetransport.tensor import DIM, MINKOWSKI, metric_contraction, spec
 from phasetransport.transport import _lone_rhs
 
 sympy = pytest.importorskip("sympy")
@@ -140,3 +154,102 @@ def test_derived_geodesic_and_metric_gradient_sums_match_the_textbook_metric(
         _assert_close(batch_k1[i], k1, tol)
         _assert_close(lone([*coords[i].tolist(), *u[i].tolist()])[4:], k1, tol)
         _assert_close(batch_dg[i], dguu, _tolerance(mass, rm * mass, dg_scale))
+
+
+# ---------------------------------------------------------------------------
+# the Lorentz term: e F u of each built-in potential
+
+
+def _textbook_potential(name: str):
+    """(coordinate symbols, parameter symbols, covariant A) of potential `name`.
+
+    The parameters are (q or B, E_x, E_y, E_z, B_x, B_y, B_z); each
+    potential reads the ones it has."""
+    k, *eb = ps = sympy.symbols("k e_x e_y e_z b_x b_y b_z", real=True)
+    if name in ("axial", "coulomb-radial"):  # a radius among the coordinates
+        t, r, th, ph = xs = sympy.symbols("t r theta phi", real=True)
+        if name == "axial":  # A_phi = (B / 2) r^2 sin^2(theta)
+            return xs, ps, [0, 0, 0, k / 2 * r**2 * sympy.sin(th) ** 2]
+        return xs, ps, [k / r, 0, 0, 0]
+    t, *x = xs = sympy.symbols("t x y z", real=True)
+    if name == "coulomb":
+        return xs, ps, [k / sympy.sqrt(sum(v**2 for v in x)), 0, 0, 0]
+    if name == "uniform":  # A_0 = E . x, A_i = (B x r)_i / 2
+        e, b, r = (sympy.Matrix(v) for v in (eb[:3], eb[3:], x))
+        return xs, ps, [e.dot(r), *(b.cross(r) / 2)]
+    return xs, ps, [0, 0, 0, 0]
+
+
+@functools.cache
+def _derived_lorentz(name: str):
+    """(e F u, its scale) of potential `name` as 50-digit functions of
+    (e, parameters, x, u), from F_mn = d_m A_n - d_n A_m.
+
+    The scale is the largest, over the components, of the sum of the
+    terms' sizes, |e| (|d_m A_n| + |d_n A_m|) |u^n|."""
+    xs, ps, a = _textbook_potential(name)
+    e, us = sympy.Symbol("e", real=True), sympy.symbols("u0:4", real=True)
+    da = [[sympy.diff(a[n], xs[m]) for n in range(DIM)] for m in range(DIM)]
+    efu = [e * sum((da[m][n] - da[n][m]) * us[n] for n in range(DIM)) for m in range(DIM)]
+    scale = [sum(abs(e) * (abs(da[m][n]) + abs(da[n][m])) * abs(us[n]) for n in range(DIM))
+             for m in range(DIM)]
+    args = (e, *ps, *xs, *us)
+    return tuple(sympy.lambdify(args, v, modules="mpmath") for v in (efu, scale))
+
+
+def _exact_lorentz(name: str, e: float, params, coords, u):
+    """(e F u, its scale) at one event, each rounded to floats from 50 digits."""
+    with mpmath.workdps(50):
+        args = [mpmath.mpf(float(v)) for v in (e, *params, *coords, *u)]
+        efu, scale = (fn(*args) for fn in _derived_lorentz(name))
+        return np.array([float(v) for v in efu]), float(max(scale))
+
+
+#: Each built-in potential's field strengths from its parameters:
+#: ``faraday_field_of`` the potential, and for the uniform field
+#: ``uniform_faraday`` too.
+LORENTZ = {
+    "zero": lambda p: [faraday_field_of(zero_potential())],
+    "coulomb": lambda p: [faraday_field_of(coulomb_potential(p[0]))],
+    "coulomb-radial": lambda p: [faraday_field_of(coulomb_potential(p[0], 1))],
+    "axial": lambda p: [faraday_field_of(axial_magnetic_potential_spherical(p[0]))],
+    "uniform": lambda p: [faraday_field_of(uniform_field_potential(p[1:4], p[4:])),
+                          uniform_faraday(p[1:4], p[4:])],
+}
+
+#: Events off every singular centre: radii from 0.1 to 1e3, angles off the
+#: polar axis, a spherical chart's (t, r, theta, phi) or the Cartesian
+#: point at that radius and angles, and four-velocities of either sign.
+_LORENTZ_EVENTS = st.lists(
+    st.tuples(
+        st.floats(0.1, 1e3),
+        st.floats(0.01, np.pi - 0.01),
+        st.floats(-np.pi, np.pi),
+        st.floats(-1e3, 1e3),
+        st.lists(st.floats(-5.0, 5.0), min_size=DIM, max_size=DIM),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@pytest.mark.parametrize("name", sorted(LORENTZ))
+@settings(max_examples=40, deadline=None)
+@given(e=st.floats(-4.0, 4.0), mass=st.floats(0.25, 8.0),
+       params=st.lists(st.floats(-4.0, 4.0), min_size=7, max_size=7), events=_LORENTZ_EVENTS)
+def test_derived_lorentz_terms_match_the_curl_of_the_textbook_potential(
+        name, e, mass, params, events):
+    # (t, r, theta, phi), as on Schwarzschild, or the Cartesian point
+    chart = "schwarzschild" if name in ("axial", "coulomb-radial") else "cartesian"
+    coords = np.array([_event(chart, 1.0, r, a, b, t) for r, a, b, t, _ in events])
+    u = np.array([ev[4] for ev in events])
+    for field in LORENTZ[name](params):
+        conn = electromagnetic_connection(field, e)
+        assert conn.guard.probe(coords) is None
+        lone = _lone_rhs(conn, mass)  # the flat chart's du/dtau = eta e F u / m
+        batch = conn.order0_raw(coords, u)
+        for i in range(len(events)):
+            efu, scale = _exact_lorentz(name, e, params, coords[i], u[i])
+            tol = ULPS * EPS * scale + np.finfo(float).tiny
+            _assert_close(batch[i], efu, tol)
+            _assert_close(lone([*coords[i].tolist(), *u[i].tolist()])[4:], MINKOWSKI @ efu / mass,
+                          tol / mass)

@@ -1462,6 +1462,38 @@ def test_a_float_hazard_takes_numpys_values_and_fails_as_its_batch_row(array_ste
         integrate_batch(conn, Particle(1.0, 1.0), [rest_state()] * 2, [cfg] * 2)
 
 
+def test_a_lone_run_renders_its_column_body_only_where_floats_first_raise(monkeypatch):
+    # each _LoneSource is one rendering of the law: a lone run on ordinary
+    # states renders it on floats alone, and a run whose every stage divides
+    # 0 by 0 on floats (the unguarded Coulomb form at the origin) renders
+    # the column body once, at the first stage, and reuses it
+    columns = []
+
+    class Counted(transport._LoneSource):
+        def __init__(self, *args):
+            super().__init__(*args)
+            columns.append(self.columns)
+
+    monkeypatch.setattr(transport, "_LoneSource", Counted)
+    scn = load_builtin("coulomb")
+    integrate(scn.connection(), scn.particle, scn.initial,
+              dataclasses.replace(scn.config, tau_max=20 * scn.config.step))
+    assert columns == [False]
+    field = dataclasses.replace(faraday_field_of(coulomb_potential(1.0)), guard=EVERYWHERE,
+                                name="unguarded")
+    rhs = _lone_rhs(electromagnetic_connection(field, 1.0), 1.0)
+    assert columns == [False, False]
+    with np.errstate(all="ignore"):
+        first, again = (rhs([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]) for _ in range(2))
+    assert columns == [False, False, True]
+    assert _bits(np.array(first)) == _bits(np.array(again))
+    assert math.isnan(first[5])
+    with pytest.raises(StepRejected, match=r"state became non-finite at tau = 0\.1$"):
+        integrate(electromagnetic_connection(field, 1.0), Particle(1.0, 1.0), rest_state(),
+                  IntegratorConfig(step=0.1, tau_max=1.0))
+    assert columns == [False, False, True, False, True]
+
+
 def test_a_float_hazard_on_the_canonical_route_takes_numpys_values():
     # the Coulomb potential without its guard, and a charge too small to
     # deflect: a stage lands on the origin, where the formulas on floats
